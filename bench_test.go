@@ -356,7 +356,7 @@ func BenchmarkDistance_TokenMatrix(b *testing.B) {
 	w, _ := benchWorkload(b, 40)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := TokenDistanceMatrix(w.Queries); err != nil {
+		if _, err := distanceMatrix(MeasureToken, w.Queries); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -367,7 +367,7 @@ func BenchmarkDistance_StructureMatrix(b *testing.B) {
 	w, _ := benchWorkload(b, 40)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := StructureDistanceMatrix(w.Queries); err != nil {
+		if _, err := distanceMatrix(MeasureStructure, w.Queries); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -378,7 +378,7 @@ func BenchmarkDistance_ResultMatrix(b *testing.B) {
 	w, _ := benchWorkload(b, 20)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := ResultDistanceMatrix(w.Queries, w.Catalog, nil); err != nil {
+		if _, err := distanceMatrix(MeasureResult, w.Queries, WithCatalog(w.Catalog, nil)); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -389,7 +389,7 @@ func BenchmarkDistance_AccessAreaMatrix(b *testing.B) {
 	w, _ := benchWorkload(b, 40)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := AccessAreaDistanceMatrix(w.Queries, w.Domains, 0); err != nil {
+		if _, err := distanceMatrix(MeasureAccessArea, w.Queries, WithDomains(w.Domains)); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -464,7 +464,7 @@ func BenchmarkEndToEnd_EncryptAndCluster(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		m, err := TokenDistanceMatrix(encLog)
+		m, err := distanceMatrix(MeasureToken, encLog)
 		if err != nil {
 			b.Fatal(err)
 		}

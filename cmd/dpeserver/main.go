@@ -11,19 +11,15 @@
 // prepared-state cache, so tenants on different shards never contend.
 //
 // With -data-dir, every shard journals its sessions, uploaded logs,
-// and prepared-state snapshots to an append-only segment file there; a
-// restarted dpeserver replays the journals, so tenants resume without
+// and cached artifacts — prepared-state snapshots, approx indexes, and
+// mining states — to an append-only segment file there; a restarted
+// dpeserver replays the journals, so tenants resume without
 // re-uploading artifacts and the first request after a restart hits
-// the warm prepared cache. Each shard's janitor compacts its journal
-// every -compact-interval, dropping deleted sessions' records. The
-// data directory is exclusively locked — a second dpeserver pointed at
-// the same directory fails at startup instead of corrupting journals.
-//
-// -store selects the persistence backend by name: "segments" (the
-// per-shard segment files -data-dir implies), "sql" (one records table
-// on any database/sql driver compiled into the binary, -store-dsn
-// "driver:datasource"), or "null" (explicitly in-memory). -data-dir X
-// is shorthand for -store segments -store-dsn X.
+// the warm cache. Each shard's janitor compacts its journal every
+// -compact-interval, dropping deleted sessions' records. The data
+// directory is exclusively locked — a second dpeserver pointed at the
+// same directory fails at startup instead of corrupting journals.
+// Without -data-dir the server keeps everything in memory.
 //
 // The API lives under /v1 (see internal/service):
 //
@@ -68,19 +64,12 @@ import (
 	"os"
 	"os/signal"
 	"runtime"
-	"slices"
-	"strings"
 	"syscall"
 	"time"
 
 	"repro/internal/obs"
 	"repro/internal/service"
 	"repro/internal/store"
-
-	// Register the in-memory sql driver so -store sql works out of the
-	// box for demos and restart tests (DSN "dpemem:<name>"); production
-	// deployments compile their real driver into the binary the same way.
-	_ "repro/internal/store/memdriver"
 )
 
 // serverConfig is the fully-validated outcome of flag parsing — what
@@ -88,8 +77,7 @@ import (
 type serverConfig struct {
 	addr        string
 	grace       time.Duration
-	storeName   string // backend registered in internal/store; "" = in-memory
-	storeDSN    string
+	dataDir     string // segment-journal directory; "" = in-memory
 	metricsAddr string
 	pprof       bool
 	slowRequest time.Duration
@@ -111,10 +99,8 @@ func parseConfig(args []string) (*serverConfig, error) {
 	maxLogBytes := fs.Int64("max-log-bytes", 64<<20, "max total raw log bytes per session")
 	sessionTTL := fs.Duration("session-ttl", 2*time.Hour, "idle time after which a session may be reaped at capacity")
 	grace := fs.Duration("shutdown-grace", 10*time.Second, "graceful-shutdown drain window")
-	dataDir := fs.String("data-dir", "", "persist sessions, logs, and prepared state to per-shard journals in this directory ('' = in-memory only); shorthand for -store segments -store-dsn DIR")
-	storeName := fs.String("store", "", "persistence backend: "+strings.Join(store.Backends(), "|")+" ('' = in-memory, or segments when -data-dir is set)")
-	storeDSN := fs.String("store-dsn", "", "backend location: a directory for segments, driver:datasource for sql")
-	compactInterval := fs.Duration("compact-interval", 10*time.Minute, "how often each shard's janitor compacts its journal (requires a persistent -store; <= 0 disables)")
+	dataDir := fs.String("data-dir", "", "persist sessions, logs, and cached artifacts to per-shard journals in this directory ('' = in-memory only)")
+	compactInterval := fs.Duration("compact-interval", 10*time.Minute, "how often each shard's janitor compacts its journal (requires -data-dir; <= 0 disables)")
 	metricsAddr := fs.String("metrics-addr", "", "serve GET /metrics (Prometheus text) on this address ('' = no metrics listener)")
 	pprofOn := fs.Bool("pprof", false, "also serve /debug/pprof/ on the metrics listener (requires -metrics-addr)")
 	slowRequest := fs.Duration("slow-request", 1*time.Second, "log requests slower than this at warning level with stage spans (<= 0 disables)")
@@ -162,15 +148,10 @@ func parseConfig(args []string) (*serverConfig, error) {
 	if *slowRequest < 0 {
 		*slowRequest = 0 // Handler semantics: 0 disables slow-request tracing
 	}
-	name, dsn, err := resolveStore(*storeName, *storeDSN, *dataDir)
-	if err != nil {
-		return nil, err
-	}
 	return &serverConfig{
 		addr:        *addr,
 		grace:       *grace,
-		storeName:   name,
-		storeDSN:    dsn,
+		dataDir:     *dataDir,
 		metricsAddr: *metricsAddr,
 		pprof:       *pprofOn,
 		slowRequest: *slowRequest,
@@ -186,37 +167,6 @@ func parseConfig(args []string) (*serverConfig, error) {
 			CompactEvery:          *compactInterval,
 		},
 	}, nil
-}
-
-// resolveStore reconciles the three persistence flags into one
-// (backend, dsn) pair. -data-dir stays the ergonomic spelling for the
-// segment backend; -store/-store-dsn name any registered backend.
-func resolveStore(name, dsn, dataDir string) (string, string, error) {
-	if name == "" {
-		if dsn != "" {
-			return "", "", fmt.Errorf("-store-dsn requires -store (one of %s)", strings.Join(store.Backends(), "|"))
-		}
-		if dataDir != "" {
-			return "segments", dataDir, nil
-		}
-		return "", "", nil // in-memory
-	}
-	if !slices.Contains(store.Backends(), name) {
-		return "", "", fmt.Errorf("unknown -store %q (have %s)", name, strings.Join(store.Backends(), "|"))
-	}
-	if dataDir != "" {
-		if name != "segments" {
-			return "", "", fmt.Errorf("-data-dir only applies to the segments backend, not -store %s (use -store-dsn)", name)
-		}
-		if dsn != "" && dsn != dataDir {
-			return "", "", fmt.Errorf("-data-dir %q conflicts with -store-dsn %q; set one", dataDir, dsn)
-		}
-		dsn = dataDir
-	}
-	if name != "null" && dsn == "" {
-		return "", "", fmt.Errorf("-store %s needs -store-dsn (a directory for segments, driver:datasource for sql)", name)
-	}
-	return name, dsn, nil
 }
 
 func main() {
@@ -237,13 +187,11 @@ func run(sc *serverConfig) error {
 	// instrumentation is wired once, and -metrics-addr only decides
 	// whether anything scrapes it.
 	metrics := obs.NewRegistry()
-	if sc.storeName != "" {
-		st, err := store.OpenBackend(sc.storeName, sc.storeDSN)
+	if sc.dataDir != "" {
+		st, err := store.OpenBackend("segments", sc.dataDir)
 		if err != nil {
 			return err
 		}
-		// Every persistent backend exports the same dpe_store_* metric
-		// names; the null backend has nothing to instrument.
 		if in, ok := st.(store.Instrumenter); ok {
 			in.Instrument(metrics)
 		}
@@ -255,10 +203,10 @@ func run(sc *serverConfig) error {
 		return err
 	}
 	defer reg.Close() // stop the janitors and sync the journals on the way out
-	if sc.storeName != "" {
+	if sc.dataDir != "" {
 		rec := reg.Recovery()
-		log.Printf("dpeserver: recovered from %s store %s: %d sessions, %d logs, %d prepared snapshots (%d tombstones, %d skipped records)",
-			sc.storeName, sc.storeDSN, rec.Sessions, rec.Logs, rec.Snapshots, rec.Tombstones, rec.Skipped)
+		log.Printf("dpeserver: recovered from %s: %d sessions, %d logs, %d prepared snapshots, %d approx indexes, %d mining states (%d tombstones, %d skipped records)",
+			sc.dataDir, rec.Sessions, rec.Logs, rec.Snapshots, rec.ApproxIndexes, rec.MineStates, rec.Tombstones, rec.Skipped)
 	}
 	srv := &http.Server{
 		Addr: addr,

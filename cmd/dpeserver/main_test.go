@@ -35,8 +35,8 @@ func TestParseConfigDefaults(t *testing.T) {
 	if s := cfg.Shards; s&(s-1) != 0 || s < 1 {
 		t.Errorf("default shards = %d, want a power of two", s)
 	}
-	if sc.storeName != "" || sc.storeDSN != "" {
-		t.Errorf("store = %q dsn = %q, want in-memory by default", sc.storeName, sc.storeDSN)
+	if sc.dataDir != "" {
+		t.Errorf("data dir = %q, want in-memory by default", sc.dataDir)
 	}
 	if cfg.CompactEvery != 10*time.Minute {
 		t.Errorf("compact interval = %v, want 10m", cfg.CompactEvery)
@@ -77,16 +77,16 @@ func TestParseConfigObservabilityFlags(t *testing.T) {
 }
 
 // TestParseConfigPersistenceFlags pins the -data-dir / -compact-interval
-// wiring: -data-dir is shorthand for -store segments -store-dsn DIR, and
-// a non-positive interval disables periodic compaction (the registry's
+// wiring: -data-dir names the segment-journal directory, and a
+// non-positive interval disables periodic compaction (the registry's
 // negative sentinel) instead of silently meaning "use the default".
 func TestParseConfigPersistenceFlags(t *testing.T) {
 	sc, err := parseConfig([]string{"-data-dir", "/tmp/dpe-data", "-compact-interval", "30s"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sc.storeName != "segments" || sc.storeDSN != "/tmp/dpe-data" {
-		t.Errorf("store = %q dsn = %q, want segments at /tmp/dpe-data", sc.storeName, sc.storeDSN)
+	if sc.dataDir != "/tmp/dpe-data" {
+		t.Errorf("data dir = %q, want /tmp/dpe-data", sc.dataDir)
 	}
 	if sc.service.CompactEvery != 30*time.Second {
 		t.Errorf("compact interval = %v, want 30s", sc.service.CompactEvery)
@@ -98,55 +98,6 @@ func TestParseConfigPersistenceFlags(t *testing.T) {
 		}
 		if sc.service.CompactEvery >= 0 {
 			t.Errorf("-compact-interval %s mapped to %v, want a negative disable sentinel", v, sc.service.CompactEvery)
-		}
-	}
-}
-
-// TestParseConfigStoreFlags pins the -store / -store-dsn selection and
-// its interaction with the -data-dir shorthand.
-func TestParseConfigStoreFlags(t *testing.T) {
-	sc, err := parseConfig([]string{"-store", "sql", "-store-dsn", "dpemem:ci"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sc.storeName != "sql" || sc.storeDSN != "dpemem:ci" {
-		t.Errorf("store = %q dsn = %q, want sql / dpemem:ci", sc.storeName, sc.storeDSN)
-	}
-	// -data-dir plus an agreeing -store segments is accepted.
-	sc, err = parseConfig([]string{"-store", "segments", "-data-dir", "/tmp/d"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sc.storeName != "segments" || sc.storeDSN != "/tmp/d" {
-		t.Errorf("store = %q dsn = %q, want segments / /tmp/d", sc.storeName, sc.storeDSN)
-	}
-	// The null backend needs no DSN.
-	sc, err = parseConfig([]string{"-store", "null"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sc.storeName != "null" || sc.storeDSN != "" {
-		t.Errorf("store = %q dsn = %q, want null with no DSN", sc.storeName, sc.storeDSN)
-	}
-	cases := []struct {
-		args []string
-		want string
-	}{
-		{[]string{"-store", "no-such-backend"}, "unknown"},
-		{[]string{"-store", "sql"}, "-store-dsn"},
-		{[]string{"-store", "segments"}, "-store-dsn"},
-		{[]string{"-store-dsn", "dpemem:x"}, "-store"},
-		{[]string{"-store", "sql", "-store-dsn", "dpemem:x", "-data-dir", "/tmp/d"}, "-data-dir"},
-		{[]string{"-store", "segments", "-store-dsn", "/a", "-data-dir", "/b"}, "-data-dir"},
-	}
-	for _, c := range cases {
-		_, err := parseConfig(c.args)
-		if err == nil {
-			t.Errorf("parseConfig(%v) succeeded, want error mentioning %q", c.args, c.want)
-			continue
-		}
-		if !strings.Contains(err.Error(), c.want) {
-			t.Errorf("parseConfig(%v) = %v, want error mentioning %q", c.args, err, c.want)
 		}
 	}
 }

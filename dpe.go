@@ -872,52 +872,6 @@ type ProviderAPI interface {
 
 var _ ProviderAPI = (*Provider)(nil)
 
-// --- deprecated free-function API (thin wrappers over Provider) ---
-
-// TokenDistanceMatrix computes the pairwise token distances of a log.
-//
-// Deprecated: use NewProvider(MeasureToken) and Provider.DistanceMatrix.
-func TokenDistanceMatrix(queries []string) (Matrix, error) {
-	return legacyMatrix(MeasureToken, queries)
-}
-
-// StructureDistanceMatrix computes pairwise query-structure distances.
-//
-// Deprecated: use NewProvider(MeasureStructure) and
-// Provider.DistanceMatrix.
-func StructureDistanceMatrix(queries []string) (Matrix, error) {
-	return legacyMatrix(MeasureStructure, queries)
-}
-
-// ResultDistanceMatrix computes pairwise query-result distances by
-// executing the log over the catalog. For an encrypted log pass the
-// encrypted catalog and the Owner's ResultAggregator (nil for
-// plaintext).
-//
-// Deprecated: use NewProvider(MeasureResult, WithCatalog(cat, agg)) and
-// Provider.DistanceMatrix.
-func ResultDistanceMatrix(queries []string, cat *Catalog, agg Aggregator) (Matrix, error) {
-	return legacyMatrix(MeasureResult, queries, WithCatalog(cat, agg))
-}
-
-// AccessAreaDistanceMatrix computes pairwise access-area distances.
-// x is Definition 5's partial-overlap value; 0 means the paper default
-// 0.5.
-//
-// Deprecated: use NewProvider(MeasureAccessArea, WithDomains(domains),
-// WithAccessAreaX(x)) and Provider.DistanceMatrix.
-func AccessAreaDistanceMatrix(queries []string, domains map[string]Domain, x float64) (Matrix, error) {
-	return legacyMatrix(MeasureAccessArea, queries, WithDomains(domains), WithAccessAreaX(x))
-}
-
-func legacyMatrix(m Measure, queries []string, opts ...ProviderOption) (Matrix, error) {
-	p, err := NewProvider(m, opts...)
-	if err != nil {
-		return nil, err
-	}
-	return p.DistanceMatrix(context.Background(), queries)
-}
-
 // VerifyPreservation checks Definition 1 empirically: the plaintext and
 // ciphertext distance matrices must agree entry-wise (within tol; 0
 // means 1e-12).

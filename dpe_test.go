@@ -28,6 +28,16 @@ func workloadFixture(t *testing.T) (*Workload, *Owner) {
 	return w, owner
 }
 
+// distanceMatrix computes a log's pairwise distances through a fresh
+// Provider for measure m.
+func distanceMatrix(m Measure, queries []string, opts ...ProviderOption) (Matrix, error) {
+	p, err := NewProvider(m, opts...)
+	if err != nil {
+		return nil, err
+	}
+	return p.DistanceMatrix(context.Background(), queries)
+}
+
 func TestMeasureStrings(t *testing.T) {
 	for m, want := range map[Measure]string{
 		MeasureToken: "token", MeasureStructure: "structure",
@@ -48,11 +58,11 @@ func TestEndToEndTokenPreservation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	plain, err := TokenDistanceMatrix(w.Queries)
+	plain, err := distanceMatrix(MeasureToken, w.Queries)
 	if err != nil {
 		t.Fatal(err)
 	}
-	enc, err := TokenDistanceMatrix(encLog)
+	enc, err := distanceMatrix(MeasureToken, encLog)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,8 +95,8 @@ func TestEndToEndStructurePreservation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	plain, _ := StructureDistanceMatrix(w.Queries)
-	enc, err := StructureDistanceMatrix(encLog)
+	plain, _ := distanceMatrix(MeasureStructure, w.Queries)
+	enc, err := distanceMatrix(MeasureStructure, encLog)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,11 +116,11 @@ func TestEndToEndResultPreservation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	plain, err := ResultDistanceMatrix(w.Queries, w.Catalog, nil)
+	plain, err := distanceMatrix(MeasureResult, w.Queries, WithCatalog(w.Catalog, nil))
 	if err != nil {
 		t.Fatal(err)
 	}
-	enc, err := ResultDistanceMatrix(encLog, encCat, owner.ResultAggregator())
+	enc, err := distanceMatrix(MeasureResult, encLog, WithCatalog(encCat, owner.ResultAggregator()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,11 +140,11 @@ func TestEndToEndAccessAreaPreservation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	plain, err := AccessAreaDistanceMatrix(w.Queries, w.Domains, 0)
+	plain, err := distanceMatrix(MeasureAccessArea, w.Queries, WithDomains(w.Domains))
 	if err != nil {
 		t.Fatal(err)
 	}
-	enc, err := AccessAreaDistanceMatrix(encLog, encDomains, 0)
+	enc, err := distanceMatrix(MeasureAccessArea, encLog, WithDomains(encDomains))
 	if err != nil {
 		t.Fatal(err)
 	}

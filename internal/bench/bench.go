@@ -28,12 +28,10 @@
 //     shows the sharding win on multi-core hardware.
 //   - recovery: a persistent multi-shard registry is populated (one
 //     tenant per measure with warm prepared state), closed, and
-//     reopened from its journals — once per durable backend (segments
-//     on a temp directory, sql on the in-memory stdlib driver). The
-//     per-backend replayed-record counts, the post-restart cache
-//     misses (zero), and the matrix mismatches (zero) are tracked; the
-//     cold vs warm-recovered first-request latencies are recorded
-//     untracked.
+//     reopened from its segment journals on a temp directory. The
+//     replayed-record counts, the post-restart cache misses (zero),
+//     and the matrix mismatches (zero) are tracked; the cold vs
+//     warm-recovered first-request latencies are recorded untracked.
 //   - obs: a fully instrumented server (journal, registry, HTTP
 //     middleware metrics) serves a scripted workload, and the /metrics
 //     scrape is reconciled against the script and GET /v1/stats: the

@@ -10,7 +10,6 @@ import (
 	dpe "repro"
 	"repro/internal/service"
 	"repro/internal/store"
-	"repro/internal/store/memdriver"
 )
 
 // recoveryShards is the recovery experiment's fixed shard count —
@@ -19,51 +18,26 @@ import (
 const recoveryShards = 4
 
 // runRecovery measures what the persistent artifact store buys across a
-// restart, once per durable backend: the segments backend journaling to
-// a temp directory and the sql backend journaling to the in-memory
-// stdlib driver (whose state, like a real database server's, survives
-// the client handles being closed). For each backend a multi-shard
-// registry is populated with one tenant per configured measure (session
-// + uploaded encrypted log + warm prepared state), and the cold
-// first-request latency is recorded. The registry is then closed and
-// reopened over the same backend state — the kill-and-restart — and the
+// restart. A multi-shard registry journaling to segment files in a temp
+// directory is populated with one tenant per configured measure
+// (session + uploaded encrypted log + warm prepared state), and the
+// cold first-request latency is recorded. The registry is then closed
+// and reopened over the same directory — the kill-and-restart — and the
 // first request of every recovered tenant is timed again: it must be a
 // prepared-cache hit, entry-wise identical to its pre-restart matrix.
 //
-// Tracked counters are exactly deterministic and gated per backend: the
-// replayed record counts equal the tenant count, and the post-restart
-// misses and matrix mismatches are zero — a regression here means
-// recovery on that backend silently lost state or went cold.
+// Tracked counters are exactly deterministic and gated: the replayed
+// record counts equal the tenant count, and the post-restart misses and
+// matrix mismatches are zero — a regression here means recovery
+// silently lost state or went cold.
 func runRecovery(ctx context.Context, r *Report, f *fixtures) error {
 	dir, err := os.MkdirTemp("", "dpebench-recovery-*")
 	if err != nil {
 		return err
 	}
 	defer os.RemoveAll(dir)
-	const sqlDSN = "dpebench-recovery"
-	memdriver.Reset(sqlDSN)
-
-	backends := []struct {
-		name string
-		open func() (store.Store, error)
-	}{
-		{"segments", func() (store.Store, error) { return store.OpenDir(dir) }},
-		{"sql", func() (store.Store, error) { return store.OpenSQL(memdriver.Name, sqlDSN) }},
-	}
-	for _, b := range backends {
-		if err := runRecoveryBackend(ctx, r, f, b.name, b.open); err != nil {
-			return fmt.Errorf("backend %s: %w", b.name, err)
-		}
-	}
-	return nil
-}
-
-// runRecoveryBackend runs one populate → kill → reopen → verify cycle
-// over the given backend and records its counters under
-// recovery/<backend>/.
-func runRecoveryBackend(ctx context.Context, r *Report, f *fixtures, backend string, openStore func() (store.Store, error)) error {
 	open := func() (*service.Registry, error) {
-		st, err := openStore()
+		st, err := store.OpenDir(dir)
 		if err != nil {
 			return nil, err
 		}
@@ -148,7 +122,7 @@ func runRecoveryBackend(ctx context.Context, r *Report, f *fixtures, backend str
 		misses += s.Stats().PreparedMisses
 	}
 
-	pfx := "recovery/" + backend
+	const pfx = "recovery/segments"
 	// Deterministic counters: the gate's subject matter. All replayed
 	// record counts equal the tenant count; post-restart misses and
 	// mismatches must be zero (the restart recovered warm state).

@@ -4,8 +4,8 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"time"
 
+	"repro/internal/store"
 	"repro/internal/store/journal"
 )
 
@@ -13,11 +13,11 @@ import (
 // create request, its uploaded logs, and the cached prepared-state /
 // approx-index / mining-state blobs — rendered as a portable,
 // CRC-checked bundle file (see journal's bundle format). Export reuses
-// collectSession, the same serializer journal compaction uses, so a
-// bundle holds exactly what a compacted journal would; import replays
-// it through the same typed codecs, so a restored session answers its
-// first requests warm (cache hits, warm mining deltas) just like a
-// restarted server.
+// session.records, the same serializer journal compaction uses, so a
+// bundle holds exactly what a compacted journal would; import restores
+// it through the same artifact descriptors replay uses, so a restored
+// session answers its first requests warm (cache hits, warm mining
+// deltas) just like a restarted server.
 
 // ImportResult reports what an import restored — the wire body of POST
 // /v1/sessions:import.
@@ -43,8 +43,7 @@ type ImportResult struct {
 // on in-memory registries too: the bundle, not the journal, is the
 // persistence being produced.
 func (r *Registry) ExportSession(id string, w io.Writer) error {
-	sh := r.shardFor(id)
-	s := sh.session(id)
+	s := r.shardFor(id).session(id)
 	if s == nil {
 		return notFoundError{fmt.Errorf("service: unknown session %q", id)}
 	}
@@ -52,7 +51,7 @@ func (r *Registry) ExportSession(id string, w io.Writer) error {
 	if err != nil {
 		return err
 	}
-	recs := collectSession(sh, s)
+	recs := s.records()
 	if len(recs) == 0 {
 		return fmt.Errorf("service: session %q has no exportable state", id)
 	}
@@ -67,13 +66,11 @@ func (r *Registry) ExportSession(id string, w io.Writer) error {
 // bundleContents collects a bundle's typed records so ImportSession can
 // validate the whole file before touching registry state. The journal
 // dispatcher has already decoded (and version-checked) every record;
-// the collector just sorts them by kind.
+// the collector just sorts them by type.
 type bundleContents struct {
 	sessions  []journal.Session
 	logs      []journal.Log
-	snapshots []journal.Snapshot
-	approxes  []journal.Approx
-	minings   []journal.Mining
+	artifacts []journal.Artifact
 	deletes   int
 }
 
@@ -92,18 +89,8 @@ func (c *bundleContents) Log(l journal.Log) journal.Outcome {
 	return journal.Applied
 }
 
-func (c *bundleContents) Snapshot(s journal.Snapshot) journal.Outcome {
-	c.snapshots = append(c.snapshots, s)
-	return journal.Applied
-}
-
-func (c *bundleContents) Approx(a journal.Approx) journal.Outcome {
-	c.approxes = append(c.approxes, a)
-	return journal.Applied
-}
-
-func (c *bundleContents) Mining(m journal.Mining) journal.Outcome {
-	c.minings = append(c.minings, m)
+func (c *bundleContents) Artifact(a journal.Artifact) journal.Outcome {
+	c.artifacts = append(c.artifacts, a)
 	return journal.Applied
 }
 
@@ -159,100 +146,56 @@ func (r *Registry) ImportSession(rd io.Reader) (*ImportResult, error) {
 		return nil, fmt.Errorf("service: bundle logs total %d bytes, over the per-session budget of %d", logBytes, cfg.MaxLogBytesPerSession)
 	}
 
-	sh := r.shardFor(js.ID)
-	if sh.session(js.ID) != nil {
+	if r.shardFor(js.ID).session(js.ID) != nil {
 		return nil, fmt.Errorf("service: session %q is already live here (delete it before importing)", js.ID)
 	}
-	provider, err := buildProvider(&req, cfg.Parallelism, r.observeStage)
+	s, err := r.newSession(js.ID, &req, js.Request, js.Created)
 	if err != nil {
 		return nil, fmt.Errorf("service: rebuilding bundle session provider: %w", err)
-	}
-
-	now := time.Now()
-	if int(r.live.Load()) >= cfg.MaxSessions {
-		r.reapIdle(now)
-	}
-	for {
-		n := r.live.Load()
-		if int(n) >= cfg.MaxSessions {
-			return nil, fmt.Errorf("%w (%d live)", errTooManySessions, n)
-		}
-		if r.live.CompareAndSwap(n, n+1) {
-			break
-		}
-	}
-	s := &session{
-		id:         js.ID,
-		measure:    *req.Measure,
-		provider:   provider,
-		reg:        r,
-		sh:         sh,
-		logs:       make(map[string][]string, len(c.logs)),
-		created:    js.Created,
-		lastUsed:   now,
-		persistReq: js.Request,
 	}
 	for _, l := range c.logs {
 		s.logs[l.LogID] = l.Queries
 	}
 	s.logBytes = logBytes
-	sh.put(s)
+	if err := r.admit(s); err != nil {
+		return nil, err
+	}
 
+	// Warm the caches from the artifact records through the replay
+	// rules (same decode checks, same keys, same byte accounting).
 	res := &ImportResult{Session: js.ID, Logs: len(c.logs), Skipped: st.Skipped}
-	// Warm the caches from the blob records, reusing the replay
-	// handler's apply rules (same decode checks, same keys, same byte
-	// accounting).
-	apply := replayApplier{r}
-	for _, sn := range c.snapshots {
-		switch apply.Snapshot(sn) {
-		case journal.Applied:
+	var warm []journal.Record
+	for _, art := range c.artifacts {
+		if s.restore(art) != journal.Applied {
+			res.Skipped++
+			continue
+		}
+		warm = append(warm, art)
+		switch art.Kind {
+		case store.KindSnapshot:
 			res.Snapshots++
-		case journal.Skipped:
-			res.Skipped++
-		}
-	}
-	for _, ap := range c.approxes {
-		switch apply.Approx(ap) {
-		case journal.Applied:
+		case store.KindApprox:
 			res.ApproxIndexes++
-		case journal.Skipped:
-			res.Skipped++
-		}
-	}
-	for _, m := range c.minings {
-		switch apply.Mining(m) {
-		case journal.Applied:
+		case store.KindMining:
 			res.MineStates++
-		case journal.Skipped:
-			res.Skipped++
 		}
 	}
 
 	if r.persistent {
-		if err := sh.journal.Append(journal.Session{ID: js.ID, Created: js.Created, Request: js.Request}); err != nil {
-			sh.remove(js.ID)
-			sh.cache.removePrefix(js.ID + "\x00")
-			r.live.Add(-1)
-			return nil, fmt.Errorf("service: journaling imported session: %w", err)
-		}
+		durable := []journal.Record{journal.Session{ID: js.ID, Created: js.Created, Request: js.Request}}
 		for _, l := range c.logs {
-			if err := sh.journal.Append(l); err != nil {
-				sh.remove(js.ID)
-				sh.cache.removePrefix(js.ID + "\x00")
-				r.live.Add(-1)
-				return nil, fmt.Errorf("service: journaling imported log: %w", err)
+			durable = append(durable, l)
+		}
+		for _, rec := range durable {
+			if err := s.sh.journal.Append(rec); err != nil {
+				r.drop(js.ID)
+				return nil, fmt.Errorf("service: journaling imported session: %w", err)
 			}
 		}
 		// The warm cache entries are a recoverable optimization: journal
 		// them best-effort, like the write-through hooks.
-		for _, sn := range c.snapshots {
-			sh.journal.Append(sn)
-		}
-		for _, ap := range c.approxes {
-			sh.journal.Append(ap)
-		}
-		for _, m := range c.minings {
-			sh.journal.Append(m)
+		for _, rec := range warm {
+			s.sh.journal.Append(rec)
 		}
 		// If this id ever lived (and was tombstoned) on this server, the
 		// old tombstone now precedes the fresh create in the journal and
@@ -261,7 +204,7 @@ func (r *Registry) ImportSession(rd io.Reader) (*ImportResult, error) {
 		// any such tombstone. Best-effort — the janitor compacts later
 		// anyway, and until then a re-imported previously-deleted id is
 		// the only state at risk.
-		r.compactShard(sh)
+		r.compactShard(s.sh)
 	}
 	r.metrics.sessionsCreated.Inc()
 	return res, nil

@@ -3,14 +3,16 @@ package service
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"io"
 	"reflect"
 	"strings"
 	"testing"
+	"time"
 
 	dpe "repro"
 	"repro/internal/store"
-	"repro/internal/store/memdriver"
+	"repro/internal/store/journal"
 )
 
 // populateTenant builds one warm tenant on reg: a base log, an
@@ -52,7 +54,7 @@ func populateTenant(t *testing.T, reg *Registry) (id, combinedID string, spec dp
 
 // TestExportImportRoundTrip is the tenant-bundle acceptance check: a
 // warm session exported from an in-memory registry and imported into a
-// persistent one (each backend) must answer entry-wise identically —
+// persistent one must answer entry-wise identically —
 // and answer *warm*: the first matrix call is a prepared-cache hit, the
 // first neighbors call an approx hit, and the first append_mine a warm
 // incremental continuation. The imported state must also be journaled
@@ -62,17 +64,6 @@ func TestExportImportRoundTrip(t *testing.T) {
 		dir := t.TempDir()
 		testExportImportRoundTrip(t, func() store.Store {
 			st, err := store.OpenDir(dir)
-			if err != nil {
-				t.Fatal(err)
-			}
-			return st
-		})
-	})
-	t.Run("sql", func(t *testing.T) {
-		const ds = "service-export-import"
-		memdriver.Reset(ds)
-		testExportImportRoundTrip(t, func() store.Store {
-			st, err := store.OpenSQL(memdriver.Name, ds)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -213,6 +204,132 @@ func TestImportRejectsBadBundles(t *testing.T) {
 	if n := reg.live.Load(); n != 0 {
 		t.Errorf("failed imports left %d live sessions", n)
 	}
+}
+
+// TestForeignSnapshotIsSkipped: a prepared-state snapshot filed under a
+// log it was not built for (here: log B's 4-query state under the id of
+// the 8-query log A) must not be served as A's state. Import and replay
+// both count it skipped, and the first matrix of A is prepared afresh
+// at the full 8×8. An imported bundle must not reach another live
+// tenant's cache either, even with a snapshot of the right length.
+func TestForeignSnapshotIsSkipped(t *testing.T) {
+	ctx := context.Background()
+	log := clusteredLog()
+	logA, logB, logC := log[:8], log[8:12], log[4:12]
+	token := dpe.MeasureToken
+	p, err := dpe.NewProvider(token)
+	if err != nil {
+		t.Fatal(err)
+	}
+	snapshot := func(queries []string) []byte {
+		pl, err := p.Prepare(ctx, queries)
+		if err != nil {
+			t.Fatal(err)
+		}
+		blob, err := p.MarshalPreparedLog(pl)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return blob
+	}
+	blobB := snapshot(logB)
+	req, err := json.Marshal(CreateSessionRequest{Measure: &token})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const id = "s-foreign-snapshot"
+	idA := LogID(logA)
+	recs := []journal.Record{
+		journal.Session{ID: id, Created: time.Now(), Request: req},
+		journal.Log{SessionID: id, LogID: idA, Queries: logA},
+		journal.Artifact{Kind: store.KindSnapshot, SessionID: id, LogID: idA, Blob: blobB},
+	}
+	checkMatrix := func(t *testing.T, reg *Registry) {
+		t.Helper()
+		s, err := reg.Session(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m, err := s.Matrix(ctx, idA)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(m) != len(logA) || len(m[0]) != len(logA) {
+			t.Errorf("Matrix(A) is %d×%d, want %d×%d", len(m), len(m[0]), len(logA), len(logA))
+		}
+	}
+
+	t.Run("import", func(t *testing.T) {
+		reg := NewRegistry(Config{Shards: 2})
+		defer reg.Close()
+		other, err := reg.CreateSession(&CreateSessionRequest{Measure: &token})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := other.AddLog(logA); err != nil {
+			t.Fatal(err)
+		}
+		want, err := other.Matrix(ctx, idA)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var buf bytes.Buffer
+		bw, err := journal.NewBundleWriter(&buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cross := journal.Artifact{Kind: store.KindSnapshot, SessionID: other.ID(), LogID: idA, Blob: snapshot(logC)}
+		for _, rec := range append(recs, cross) {
+			if err := bw.Append(rec); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := bw.Close(); err != nil {
+			t.Fatal(err)
+		}
+		res, err := reg.ImportSession(&buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Snapshots != 0 || res.Skipped != 2 {
+			t.Errorf("import result = %+v, want both foreign snapshots skipped", res)
+		}
+		checkMatrix(t, reg)
+		if got, err := other.Matrix(ctx, idA); err != nil || !reflect.DeepEqual(got, want) {
+			t.Errorf("another tenant's matrix changed by the import (err %v)", err)
+		}
+	})
+
+	t.Run("replay", func(t *testing.T) {
+		dir := t.TempDir()
+		st, err := store.OpenDir(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Replay routes records by session id, whichever journal holds them.
+		lg, err := st.Open(0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		jl := journal.New(lg)
+		for _, rec := range recs {
+			if err := jl.Append(rec); err != nil {
+				t.Fatal(err)
+			}
+		}
+		jl.Close()
+		st.Close()
+
+		reg, err := OpenRegistry(persistentConfig(t, dir, 2))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer reg.Close()
+		if rec := reg.Recovery(); rec.Sessions != 1 || rec.Snapshots != 0 || rec.Skipped != 1 {
+			t.Errorf("recovery = %+v, want the session back and the foreign snapshot skipped", rec)
+		}
+		checkMatrix(t, reg)
+	})
 }
 
 // TestImportAfterDeleteDropsTombstone is the resurrect-hazard check: on

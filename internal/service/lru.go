@@ -131,15 +131,16 @@ func (c *lruCache) removePrefix(prefix string) int {
 	return removed
 }
 
-// keysWithPrefix lists the keys starting with prefix, in no particular
-// order, without counting hits or disturbing recency — how compaction
-// enumerates entries whose full keys it cannot reconstruct (mining
-// state embeds a spec fingerprint the session map does not hold).
+// keysWithPrefix lists the keys starting with prefix, least recently
+// used first, without counting hits or disturbing recency — how
+// compaction enumerates entries whose full keys it cannot reconstruct
+// (mining state embeds a spec fingerprint the session map does not
+// hold).
 func (c *lruCache) keysWithPrefix(prefix string) []string {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	var out []string
-	for el := c.ll.Front(); el != nil; el = el.Next() {
+	for el := c.ll.Back(); el != nil; el = el.Prev() {
 		e := el.Value.(*lruEntry)
 		if len(e.key) >= len(prefix) && e.key[:len(prefix)] == prefix {
 			out = append(out, e.key)

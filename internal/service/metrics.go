@@ -86,9 +86,9 @@ func (r *Registry) wireMetrics(o *obs.Registry) {
 	o.CounterFunc("dpe_cache_misses_total", "Prepared-state cache misses across all shards.",
 		func() float64 { return float64(r.cacheTotals().Misses) })
 	o.CounterFunc("dpe_mine_state_hits_total", "Mining-state cache hits on the append_mine path.",
-		func() float64 { return float64(r.mineStateHits.Load()) })
+		func() float64 { return float64(r.artifactHits[artMining].Load()) })
 	o.CounterFunc("dpe_mine_state_misses_total", "Mining-state cache misses on the append_mine path.",
-		func() float64 { return float64(r.mineStateMisses.Load()) })
+		func() float64 { return float64(r.artifactMisses[artMining].Load()) })
 	for i, sh := range r.shards {
 		o.GaugeFunc("dpe_shard_sessions", "Live sessions on one shard.",
 			func() float64 { return float64(sh.sessionCount()) }, "shard", strconv.Itoa(i))

@@ -14,7 +14,6 @@ import (
 	dpe "repro"
 	"repro/internal/store"
 	"repro/internal/store/journal"
-	"repro/internal/store/memdriver"
 )
 
 // persistentConfig is the kill-and-restart tests' shared shape: a
@@ -34,25 +33,12 @@ func persistentConfig(t *testing.T, dir string, shards int) Config {
 // closed, and reopened from the same backend. Every session must
 // route to the same shard, every log must be servable, the first matrix
 // request after restart must be a prepared-cache hit, and the matrices
-// must be entry-wise identical to their pre-restart values. It runs
-// against every persistent backend — the segment files and the SQL
-// store (on the in-memory test driver) must recover identically.
+// must be entry-wise identical to their pre-restart values.
 func TestKillAndRestartRecovery(t *testing.T) {
 	t.Run("segments", func(t *testing.T) {
 		dir := t.TempDir()
 		testKillAndRestart(t, func() store.Store {
 			st, err := store.OpenDir(dir)
-			if err != nil {
-				t.Fatal(err)
-			}
-			return st
-		})
-	})
-	t.Run("sql", func(t *testing.T) {
-		const ds = "service-kill-and-restart"
-		memdriver.Reset(ds)
-		testKillAndRestart(t, func() store.Store {
-			st, err := store.OpenSQL(memdriver.Name, ds)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -600,7 +586,7 @@ func TestInflightPrepareSurvivesJanitor(t *testing.T) {
 		time.Sleep(60 * time.Millisecond)
 		return s.provider.Prepare(ctx, log)
 	}
-	if _, err := s.preparedKeyed(ctx, logID, log, slowBuild); err != nil {
+	if _, err := s.preparedBy(ctx, logID, slowBuild); err != nil {
 		t.Fatal(err)
 	}
 	// The session survived the build (the janitor ticked ~60 times).

@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"runtime"
 	"sort"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -267,13 +266,13 @@ type Registry struct {
 	// every shard count.
 	live atomic.Int64
 
-	// mineStateHits/mineStateMisses are the registry-wide mining-state
-	// cache counters: bumped alongside the per-session ones, read by
-	// both GET /v1/stats and the /metrics series, so the two views are
-	// one source and reconcile exactly. Registry-level (not summed from
-	// sessions) so they stay monotonic across session deletion.
-	mineStateHits   atomic.Int64
-	mineStateMisses atomic.Int64
+	// artifactHits/artifactMisses are the registry-wide artifact cache
+	// counters per kind: bumped alongside the per-session ones, and for
+	// mining states read by both GET /v1/stats and the /metrics series,
+	// so the two views are one source and reconcile exactly.
+	// Registry-level (not summed from sessions) so they stay monotonic
+	// across session deletion.
+	artifactHits, artifactMisses [numArtifacts]atomic.Int64
 
 	// metrics holds the obs instruments (all nil unless cfg.Obs is set
 	// — every call site tolerates that; see metrics.go).
@@ -441,11 +440,7 @@ func (a replayApplier) Delete(d journal.Delete) journal.Outcome {
 	// its create record may still be waiting in a later journal, and
 	// replaying it then must not resurrect the tenant.
 	r.replayDeleted[d.ID] = true
-	sh := r.shardFor(d.ID)
-	if sh.remove(d.ID) {
-		r.live.Add(-1)
-		sh.cache.removePrefix(d.ID + "\x00")
-	}
+	r.drop(d.ID)
 	return journal.Applied
 }
 
@@ -460,61 +455,12 @@ func (a replayApplier) Log(l journal.Log) journal.Outcome {
 	return journal.Applied
 }
 
-func (a replayApplier) Snapshot(sn journal.Snapshot) journal.Outcome {
-	s := a.r.replaySession(sn.SessionID)
+func (a replayApplier) Artifact(art journal.Artifact) journal.Outcome {
+	s := a.r.replaySession(art.SessionID)
 	if s == nil {
 		return journal.Skipped
 	}
-	s.mu.Lock()
-	queries, ok := s.logs[sn.LogID]
-	s.mu.Unlock()
-	if !ok {
-		return journal.Skipped
-	}
-	pl, err := s.provider.UnmarshalPreparedLog(sn.Blob)
-	if err != nil {
-		return journal.Skipped
-	}
-	s.sh.cache.add(s.id+"\x00"+sn.LogID, pl, preparedCost(pl, queries))
-	return journal.Applied
-}
-
-func (a replayApplier) Approx(ap journal.Approx) journal.Outcome {
-	s := a.r.replaySession(ap.SessionID)
-	if s == nil {
-		return journal.Skipped
-	}
-	s.mu.Lock()
-	queries, ok := s.logs[ap.LogID]
-	s.mu.Unlock()
-	if !ok {
-		return journal.Skipped
-	}
-	idx, err := dpe.UnmarshalApproxIndex(ap.Blob)
-	if err != nil || idx.Len() != len(queries) {
-		return journal.Skipped
-	}
-	s.sh.cache.add(s.approxKey(ap.LogID), idx, idx.SizeBytes())
-	return journal.Applied
-}
-
-func (a replayApplier) Mining(m journal.Mining) journal.Outcome {
-	s := a.r.replaySession(m.SessionID)
-	if s == nil {
-		return journal.Skipped
-	}
-	s.mu.Lock()
-	queries, ok := s.logs[m.LogID]
-	s.mu.Unlock()
-	if !ok {
-		return journal.Skipped
-	}
-	state, err := dpe.UnmarshalMineState(m.Blob)
-	if err != nil || state.Len() != len(queries) {
-		return journal.Skipped
-	}
-	s.sh.cache.add(s.mineKey(state.Spec(), m.LogID), state, state.SizeBytes())
-	return journal.Applied
+	return s.restore(art)
 }
 
 // replaySession resolves a record's session during replay, or nil.
@@ -537,26 +483,14 @@ func (r *Registry) restoreSession(js journal.Session) journal.Outcome {
 	if r.replayDeleted[js.ID] {
 		return journal.Skipped // stale create of an already-tombstoned id
 	}
-	sh := r.shardFor(js.ID)
-	if sh.session(js.ID) != nil {
+	if r.shardFor(js.ID).session(js.ID) != nil {
 		return journal.Ignored // duplicate (e.g. compaction raced an append)
 	}
-	provider, err := buildProvider(&req, r.cfg.Parallelism, r.observeStage)
+	s, err := r.newSession(js.ID, &req, js.Request, js.Created)
 	if err != nil {
 		return journal.Skipped
 	}
-	s := &session{
-		id:         js.ID,
-		measure:    *req.Measure,
-		provider:   provider,
-		reg:        r,
-		sh:         sh,
-		logs:       make(map[string][]string),
-		created:    js.Created,
-		lastUsed:   time.Now(),
-		persistReq: js.Request,
-	}
-	sh.put(s)
+	s.sh.put(s)
 	r.live.Add(1)
 	return journal.Applied
 }
@@ -658,64 +592,37 @@ func (r *Registry) compactShard(sh *shard) error {
 		})
 		var recs []journal.Record
 		for _, s := range sessions {
-			recs = append(recs, collectSession(sh, s)...)
+			recs = append(recs, s.records()...)
 		}
 		return recs
 	})
 }
 
-// collectSession renders one live session as typed journal records: the
-// create record, each uploaded log, and whatever prepared-state,
-// approx-index, and mining-state blobs are currently cached. It is the
-// one serializer both journal compaction and tenant export share, so an
-// exported bundle holds exactly what a compacted journal would.
-func collectSession(sh *shard, s *session) []journal.Record {
+// records renders the session as typed journal records: the create
+// record, each uploaded log, and every artifact cached for one of them.
+// It is the one serializer both journal compaction and tenant export
+// share, so an exported bundle holds exactly what a compacted journal
+// would.
+func (s *session) records() []journal.Record {
 	if len(s.persistReq) == 0 {
 		return nil // no encoded create request (should not happen)
 	}
 	recs := []journal.Record{journal.Session{ID: s.id, Created: s.created, Request: s.persistReq}}
 	s.mu.Lock()
-	ids := make([]string, 0, len(s.logs))
-	for id := range s.logs {
+	logs := make(map[string][]string, len(s.logs))
+	for id, queries := range s.logs {
+		logs[id] = queries
+	}
+	s.mu.Unlock()
+	ids := make([]string, 0, len(logs))
+	for id := range logs {
 		ids = append(ids, id)
 	}
 	sort.Strings(ids)
-	logs := make(map[string][]string, len(ids))
-	for _, id := range ids {
-		logs[id] = s.logs[id]
-	}
-	s.mu.Unlock()
 	for _, id := range ids {
 		recs = append(recs, journal.Log{SessionID: s.id, LogID: id, Queries: logs[id]})
-		if v, ok := sh.cache.peek(s.id + "\x00" + id); ok {
-			if blob, err := s.provider.MarshalPreparedLog(v.(*dpe.PreparedLog)); err == nil {
-				recs = append(recs, journal.Snapshot{SessionID: s.id, LogID: id, Blob: blob})
-			}
-		}
-		if v, ok := sh.cache.peek(s.approxKey(id)); ok {
-			if blob, err := v.(*dpe.ApproxIndex).MarshalBinary(); err == nil {
-				recs = append(recs, journal.Approx{SessionID: s.id, LogID: id, Blob: blob})
-			}
-		}
 	}
-	// Mining-state keys embed a spec fingerprint the session map does
-	// not hold, so they are enumerated from the cache instead of
-	// reconstructed per log; the log id after the key's final NUL
-	// separator ties each state back to its record. States for logs
-	// no longer live (evicted base logs of an append chain) are
-	// dropped — replay could not apply them anyway.
-	for _, key := range sh.cache.keysWithPrefix(s.id + "\x00mine:") {
-		id := key[strings.LastIndexByte(key, '\x00')+1:]
-		if _, ok := logs[id]; !ok {
-			continue
-		}
-		if v, ok := sh.cache.peek(key); ok {
-			if blob, err := dpe.MarshalMineState(v.(*dpe.MineState)); err == nil {
-				recs = append(recs, journal.Mining{SessionID: s.id, LogID: id, Blob: blob})
-			}
-		}
-	}
-	return recs
+	return append(recs, s.artifactRecords(logs)...)
 }
 
 // CompactAll synchronously compacts every shard's journal — an
@@ -756,11 +663,67 @@ func newSessionID() (string, error) {
 // requests (400).
 var errTooManySessions = fmt.Errorf("service: session limit reached")
 
+// newSession builds (but does not register) the session a create
+// request describes — shared by CreateSession, journal replay, and
+// import, so a rebuilt session is byte-for-byte the session that was
+// journaled. persistReq is the request's encoding, kept for compaction
+// and export. The idle clock starts now: a recovered or imported
+// tenant gets a full TTL to come back.
+func (r *Registry) newSession(id string, req *CreateSessionRequest, persistReq json.RawMessage, created time.Time) (*session, error) {
+	provider, err := buildProvider(req, r.cfg.Parallelism, r.observeStage)
+	if err != nil {
+		return nil, err
+	}
+	return &session{
+		id:         id,
+		measure:    *req.Measure,
+		provider:   provider,
+		reg:        r,
+		sh:         r.shardFor(id),
+		logs:       make(map[string][]string),
+		created:    created,
+		lastUsed:   time.Now(),
+		persistReq: persistReq,
+	}, nil
+}
+
+// admit registers a new session under the registry-wide capacity
+// budget: when full, idle sessions are reaped across all shards before
+// the session is refused. Concurrent admits on different shards share
+// no lock, so the slot is claimed with a CAS loop.
+func (r *Registry) admit(s *session) error {
+	if int(r.live.Load()) >= r.cfg.MaxSessions {
+		r.reapIdle(time.Now())
+	}
+	for {
+		n := r.live.Load()
+		if int(n) >= r.cfg.MaxSessions {
+			return fmt.Errorf("%w (%d live)", errTooManySessions, n)
+		}
+		if r.live.CompareAndSwap(n, n+1) {
+			break
+		}
+	}
+	s.sh.put(s)
+	return nil
+}
+
+// drop unregisters a live session and releases its capacity slot and
+// cached artifacts, reporting whether it was live and how many cache
+// entries it released.
+func (r *Registry) drop(id string) (live bool, evicted int) {
+	sh := r.shardFor(id)
+	if !sh.remove(id) {
+		return false, 0
+	}
+	r.live.Add(-1)
+	return true, sh.cache.removePrefix(id + "\x00")
+}
+
 // buildProvider decodes a create request's artifacts and constructs the
-// provider — shared by CreateSession and journal replay, so a rebuilt
-// session is byte-for-byte the session that was journaled. observe, when
-// non-nil, wires the provider's pipeline-stage timings into the
-// registry's histograms and request traces.
+// session's provider (see newSession). observe, when non-nil, wires the
+// provider's pipeline-stage timings into the registry's histograms and
+// request traces.
 func buildProvider(req *CreateSessionRequest, parallelism int, observe dpe.StageObserver) (*dpe.Provider, error) {
 	opts := []dpe.ProviderOption{dpe.WithParallelism(parallelism)}
 	if observe != nil {
@@ -806,16 +769,10 @@ func (r *Registry) CreateSession(req *CreateSessionRequest) (*session, error) {
 	if req.Measure == nil {
 		return nil, fmt.Errorf("service: request is missing the measure (want token|structure|result|access-area)")
 	}
-	provider, err := buildProvider(req, r.cfg.Parallelism, r.observeStage)
-	if err != nil {
-		return nil, err
-	}
-
 	id, err := newSessionID()
 	if err != nil {
 		return nil, err
 	}
-	now := time.Now()
 	// The request is encoded on every registry (not just persistent
 	// ones): the bytes are what compaction re-journals and what export
 	// bundles carry, and exporting from an in-memory server must work.
@@ -823,38 +780,16 @@ func (r *Registry) CreateSession(req *CreateSessionRequest) (*session, error) {
 	if err != nil {
 		return nil, fmt.Errorf("service: encoding session record: %w", err)
 	}
-	if int(r.live.Load()) >= r.cfg.MaxSessions {
-		r.reapIdle(now)
+	s, err := r.newSession(id, req, persistReq, time.Now())
+	if err != nil {
+		return nil, err
 	}
-	// Reserve a capacity slot with a CAS loop: concurrent creates on
-	// different shards share no lock, so the global budget must be
-	// claimed atomically.
-	for {
-		n := r.live.Load()
-		if int(n) >= r.cfg.MaxSessions {
-			return nil, fmt.Errorf("%w (%d live)", errTooManySessions, n)
-		}
-		if r.live.CompareAndSwap(n, n+1) {
-			break
-		}
+	if err := r.admit(s); err != nil {
+		return nil, err
 	}
-	sh := r.shardFor(id)
-	s := &session{
-		id:         id,
-		measure:    *req.Measure,
-		provider:   provider,
-		reg:        r,
-		sh:         sh,
-		logs:       make(map[string][]string),
-		created:    now,
-		lastUsed:   now,
-		persistReq: persistReq,
-	}
-	sh.put(s)
 	if r.persistent {
-		if err := sh.journal.Append(journal.Session{ID: id, Created: now, Request: persistReq}); err != nil {
-			sh.remove(id)
-			r.live.Add(-1)
+		if err := s.sh.journal.Append(journal.Session{ID: id, Created: s.created, Request: persistReq}); err != nil {
+			r.drop(id)
 			return nil, fmt.Errorf("service: journaling session create: %w", err)
 		}
 	}
@@ -874,15 +809,14 @@ func (r *Registry) Session(id string) (*session, error) {
 // journals a tombstone on persistent registries (the records vanish for
 // good at the next compaction).
 func (r *Registry) DeleteSession(id string) error {
-	sh := r.shardFor(id)
-	if !sh.remove(id) {
+	live, evicted := r.drop(id)
+	if !live {
 		return notFoundError{fmt.Errorf("service: unknown session %q", id)}
 	}
-	r.live.Add(-1)
 	r.metrics.sessionsDeleted.Inc()
-	r.metrics.evictDelete.Add(int64(sh.cache.removePrefix(id + "\x00")))
+	r.metrics.evictDelete.Add(int64(evicted))
 	if r.persistent {
-		if err := sh.journal.Append(journal.Delete{ID: id}); err != nil {
+		if err := r.shardFor(id).journal.Append(journal.Delete{ID: id}); err != nil {
 			// The in-memory delete already happened; surface the journal
 			// problem so the operator knows a restart could resurrect it.
 			return fmt.Errorf("service: journaling session delete: %w", err)
@@ -915,8 +849,8 @@ func (r *Registry) aggregate(snaps []ShardStats) RegistryStats {
 	stats := RegistryStats{
 		MaxSessions:     r.cfg.MaxSessions,
 		Shards:          len(r.shards),
-		MineStateHits:   r.mineStateHits.Load(),
-		MineStateMisses: r.mineStateMisses.Load(),
+		MineStateHits:   r.artifactHits[artMining].Load(),
+		MineStateMisses: r.artifactMisses[artMining].Load(),
 	}
 	if r.persistent {
 		recovered := r.recovered

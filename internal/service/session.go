@@ -41,28 +41,18 @@ type session struct {
 	logs     map[string][]string
 	logBytes int64
 	lastUsed time.Time
-	// inflight counts leader Prepare builds currently running for this
+	// inflight counts leader artifact builds currently running for this
 	// session. The janitor never reaps a session with inflight > 0: a
 	// reap mid-build would discard the most expensive work the service
 	// does and churn the cache byte budget.
 	inflight int
-	hits     int64
-	misses   int64
-	// approxHits/approxMisses count approx-index cache outcomes the way
-	// hits/misses count prepared-state ones — the observable signal that
-	// a restart recovered the index from the journal (first neighbors
-	// call after replay is a hit, not a miss).
-	approxHits   int64
-	approxMisses int64
-	// mineHits/mineMisses count mining-state cache outcomes on the
-	// append_mine path: a hit means the combined log's state was already
-	// cached (or another caller's in-flight mine was joined), a miss
-	// means this call ran the incremental (or bootstrap) mine. A restart
-	// that recovered the state from the journal warm-starts without a
-	// cold bootstrap, which shows up as a miss whose IncrementalStats
+	// hits/misses count cache outcomes per artifact kind (see resolve):
+	// a miss is a build, a hit is a cached or coalesced artifact served.
+	// A restart that recovered an artifact from the journal shows a hit
+	// (and no miss) on its first post-restart use; a mining state
+	// recovered for a base log shows as a miss whose IncrementalStats
 	// report Warm.
-	mineHits   int64
-	mineMisses int64
+	hits, misses [numArtifacts]int64
 }
 
 // ID returns the session id.
@@ -187,10 +177,13 @@ func (s *session) log(id string) ([]string, error) {
 // metric's own footprint estimate when it has one (the result measure's
 // tuple sets scale with catalog rows, not with log text), the log size
 // plus a per-query overhead otherwise.
-func preparedCost(pl *dpe.PreparedLog, queries []string) int64 {
+func (s *session) preparedCost(pl *dpe.PreparedLog, logID string) int64 {
 	if size := pl.SizeBytes(); size > 0 {
 		return size
 	}
+	s.mu.Lock()
+	queries := s.logs[logID]
+	s.mu.Unlock()
 	cost := int64(0)
 	for _, q := range queries {
 		cost += int64(2*len(q)) + 256
@@ -208,208 +201,34 @@ func (s *session) prepared(ctx context.Context, logID string) (*dpe.PreparedLog,
 	if err != nil {
 		return nil, err
 	}
-	return s.preparedKeyed(ctx, logID, queries, func(ctx context.Context) (*dpe.PreparedLog, error) {
+	return s.preparedBy(ctx, logID, func(ctx context.Context) (*dpe.PreparedLog, error) {
 		return s.provider.Prepare(ctx, queries)
 	})
 }
 
-// preparedKeyed serves the prepared state for one cached log id,
-// running build at most once per cold key however many callers race
-// (singleflight). Both the full-prepare path (prepared) and the
-// incremental extension path (Append) go through here, so they share
-// the shard's cache, its coalescing, and the deleted-session rule.
-func (s *session) preparedKeyed(ctx context.Context, logID string, queries []string, build func(context.Context) (*dpe.PreparedLog, error)) (*dpe.PreparedLog, error) {
-	key := s.id + "\x00" + logID
-	for {
-		if v, ok := s.sh.cache.get(key); ok {
-			s.mu.Lock()
-			s.hits++
-			s.mu.Unlock()
-			return v.(*dpe.PreparedLog), nil
-		}
-		c, leader := s.sh.flight.begin(key)
-		if leader {
-			// Re-check under leadership: a previous leader may have added
-			// the entry between our cache miss and our begin (its add runs
-			// before its finish, so the entry is visible by now).
-			if v, ok := s.sh.cache.get(key); ok {
-				pl := v.(*dpe.PreparedLog)
-				s.sh.flight.finish(key, c, pl, nil)
-				s.mu.Lock()
-				s.hits++
-				s.mu.Unlock()
-				return pl, nil
-			}
-			// Pin the session for the build's duration: a cold Prepare can
-			// outlast the idle TTL, and reaping mid-build would discard the
-			// result (see shard.reapIdle).
-			s.mu.Lock()
-			s.inflight++
-			s.mu.Unlock()
-			s.reg.metrics.inflightBuilds.Add(1)
-			pl, err := build(ctx)
-			s.reg.metrics.inflightBuilds.Add(-1)
-			cached := false
-			if err == nil {
-				// Only cache for a still-live session: if the session was
-				// deleted mid-prepare, its removePrefix already ran and an
-				// add now would strand an unreachable entry on the shard's
-				// byte budget. The session is pinned to s.sh, so its own
-				// shard map is the liveness authority — no need to re-route
-				// the id through the ring.
-				if s.sh.session(s.id) != nil {
-					s.sh.cache.add(key, pl, preparedCost(pl, queries))
-					cached = true
-				}
-			}
-			// Completing the build is a use: the idle clock restarts now,
-			// so a tenant whose cold Prepare took most of a TTL is not
-			// reaped out from under its follow-up requests.
-			s.mu.Lock()
-			s.inflight--
-			s.touchLocked()
-			if err == nil {
-				s.misses++
-			}
-			s.mu.Unlock()
-			if cached {
-				s.persistSnapshot(logID, pl)
-			}
-			s.sh.flight.finish(key, c, pl, err)
-			return pl, err
-		}
-		// Not the leader: this call coalesced onto an in-flight build.
-		s.reg.metrics.flightDedups.Inc()
-		select {
-		case <-c.done:
-			if c.err == nil {
-				s.mu.Lock()
-				s.hits++
-				s.mu.Unlock()
-				return c.val.(*dpe.PreparedLog), nil
-			}
-			// The leader failed — possibly only because *its* context was
-			// cancelled. If ours is still live, retry (and likely become
-			// the new leader) rather than inherit a stranger's error.
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-		case <-ctx.Done():
-			return nil, ctx.Err()
-		}
-	}
+// preparedBy resolves logID's prepared state, running build on a miss.
+// Both the full-prepare path (prepared) and the incremental extension
+// path (appendPrepared) go through here, so they share the shard's
+// cache, its coalescing, and the deleted-session rule.
+func (s *session) preparedBy(ctx context.Context, logID string, build func(context.Context) (*dpe.PreparedLog, error)) (*dpe.PreparedLog, error) {
+	return resolve(ctx, s, artPrepared, "", logID, nil, func(ctx context.Context) (*dpe.PreparedLog, any, error) {
+		pl, err := build(ctx)
+		return pl, pl, err
+	})
 }
 
-// approxKey namespaces a session's cached approx index for one log.
-// The key keeps the s.id + "\x00" prefix every session-owned cache
-// entry carries, so the one removePrefix sweep on delete and TTL reap
-// evicts prepared state and approx indexes together — the split-budget
-// byte accounting stays truthful with no second bookkeeping path. The
-// "approx:" namespace cannot collide with prepared keys: log ids
-// always start with "l-".
-func (s *session) approxKey(logID string) string {
-	return s.id + "\x00approx:" + logID
-}
-
-// approxIndex returns the log's MinHash/LSH index, serving repeat
-// calls from the shard LRU (size-accounted via the index's own
-// estimate, alongside prepared state) and coalescing concurrent cold
-// builds through the same singleflight group prepares use. A freshly
-// built index is journaled so a restarted server recovers it instead
-// of re-signing the log.
+// approxIndex returns the log's MinHash/LSH index, cached (size-accounted
+// via the index's own estimate) and journaled alongside prepared state,
+// so a restarted server recovers it instead of re-signing the log.
 func (s *session) approxIndex(ctx context.Context, logID string, pl *dpe.PreparedLog) (*dpe.ApproxIndex, error) {
-	key := s.approxKey(logID)
-	for {
-		if v, ok := s.sh.cache.get(key); ok {
-			s.mu.Lock()
-			s.approxHits++
-			s.mu.Unlock()
-			return v.(*dpe.ApproxIndex), nil
-		}
-		c, leader := s.sh.flight.begin(key)
-		if leader {
-			if v, ok := s.sh.cache.get(key); ok {
-				idx := v.(*dpe.ApproxIndex)
-				s.sh.flight.finish(key, c, idx, nil)
-				s.mu.Lock()
-				s.approxHits++
-				s.mu.Unlock()
-				return idx, nil
-			}
-			// BuildApproxIndex takes no context, so its stage is timed
-			// here rather than inside the provider like the other stages.
-			s.reg.metrics.inflightBuilds.Add(1)
-			buildStart := time.Now()
-			idx, err := s.provider.BuildApproxIndex(pl)
-			s.reg.observeStage(ctx, "approx_index", time.Since(buildStart))
-			s.reg.metrics.inflightBuilds.Add(-1)
-			cached := false
-			if err == nil {
-				// Same deleted-session rule as preparedKeyed: never add
-				// for a session whose removePrefix already ran.
-				if s.sh.session(s.id) != nil {
-					s.sh.cache.add(key, idx, idx.SizeBytes())
-					cached = true
-				}
-			}
-			s.mu.Lock()
-			s.touchLocked()
-			if err == nil {
-				s.approxMisses++
-			}
-			s.mu.Unlock()
-			if cached {
-				s.persistApprox(logID, idx)
-			}
-			s.sh.flight.finish(key, c, idx, err)
-			return idx, err
-		}
-		// Not the leader: this call coalesced onto an in-flight build.
-		s.reg.metrics.flightDedups.Inc()
-		select {
-		case <-c.done:
-			if c.err == nil {
-				s.mu.Lock()
-				s.approxHits++
-				s.mu.Unlock()
-				return c.val.(*dpe.ApproxIndex), nil
-			}
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-		case <-ctx.Done():
-			return nil, ctx.Err()
-		}
-	}
-}
-
-// persistApprox journals the serialized index, best-effort like
-// persistSnapshot: the index is a cache (the server can always rebuild
-// it from the prepared state), so a failure must not fail the request.
-func (s *session) persistApprox(logID string, idx *dpe.ApproxIndex) {
-	if !s.reg.persistent {
-		return
-	}
-	blob, err := idx.MarshalBinary()
-	if err != nil {
-		return
-	}
-	s.sh.journal.Append(journal.Approx{SessionID: s.id, LogID: logID, Blob: blob})
-}
-
-// persistSnapshot journals the serialized prepared state under the
-// content-addressed log id, best-effort: the snapshot is a cache (the
-// registry can always re-prepare from the journaled log), so a codec or
-// IO failure here must not fail the tenant's request.
-func (s *session) persistSnapshot(logID string, pl *dpe.PreparedLog) {
-	if !s.reg.persistent {
-		return
-	}
-	blob, err := s.provider.MarshalPreparedLog(pl)
-	if err != nil {
-		return
-	}
-	s.sh.journal.Append(journal.Snapshot{SessionID: s.id, LogID: logID, Blob: blob})
+	return resolve(ctx, s, artApprox, "", logID, nil, func(ctx context.Context) (*dpe.ApproxIndex, any, error) {
+		// BuildApproxIndex takes no context, so its stage is timed here
+		// rather than inside the provider like the other stages.
+		start := time.Now()
+		idx, err := s.provider.BuildApproxIndex(pl)
+		s.reg.observeStage(ctx, "approx_index", time.Since(start))
+		return idx, idx, err
+	})
 }
 
 // Append is the incremental ingest path: it registers base ∘ newQueries
@@ -433,9 +252,40 @@ func (s *session) persistSnapshot(logID string, pl *dpe.PreparedLog) {
 // — matching dpe.Provider.Append, so dpe.ProviderAPI callers behave
 // identically in-process and remote.
 func (s *session) Append(ctx context.Context, baseLogID string, newQueries []string) (combinedID string, offset int, rows [][]float64, err error) {
+	combinedID, offset, pl, err := s.appendPrepared(ctx, baseLogID, newQueries, nil)
+	if err != nil {
+		return "", 0, nil, err
+	}
+	rows, err = s.provider.AppendRowsPrepared(ctx, offset, pl)
+	if err != nil {
+		return "", 0, nil, err
+	}
+	return combinedID, offset, rows, nil
+}
+
+// appendPrepared is the ingest step Append and AppendMine share. It
+// registers base ∘ newQueries as a new content-addressed log — charged
+// only for the new tail's bytes, since the combined slice shares the
+// base's string data — and returns its id, the base length, and its
+// prepared state. The state is extended from the base log's through the
+// combined log's own singleflight key, so a racing logs:append and
+// logs:append_mine coalesce into one extension. check, when set, vets
+// the combined length before anything is registered.
+//
+// If neighbors traffic warmed the base log's approx index, it is ridden
+// forward by signing only the new queries, so the combined log starts
+// warm too. That is best-effort — the index rebuilds on demand — and
+// peeks rather than gets, keeping the opportunistic path out of the
+// hit/miss counters and the recency order.
+func (s *session) appendPrepared(ctx context.Context, baseLogID string, newQueries []string, check func(n int) error) (string, int, *dpe.PreparedLog, error) {
 	base, err := s.log(baseLogID)
 	if err != nil {
 		return "", 0, nil, err
+	}
+	if check != nil {
+		if err := check(len(base) + len(newQueries)); err != nil {
+			return "", 0, nil, err
+		}
 	}
 	combined := make([]string, 0, len(base)+len(newQueries))
 	combined = append(combined, base...)
@@ -444,11 +294,11 @@ func (s *session) Append(ctx context.Context, baseLogID string, newQueries []str
 	for _, q := range newQueries {
 		tailSize += int64(len(q))
 	}
-	combinedID, err = s.addLogSized(combined, tailSize)
+	combinedID, err := s.addLogSized(combined, tailSize)
 	if err != nil {
 		return "", 0, nil, err
 	}
-	pl, err := s.preparedKeyed(ctx, combinedID, combined, func(ctx context.Context) (*dpe.PreparedLog, error) {
+	pl, err := s.preparedBy(ctx, combinedID, func(ctx context.Context) (*dpe.PreparedLog, error) {
 		basePL, err := s.prepared(ctx, baseLogID)
 		if err != nil {
 			return nil, err
@@ -458,41 +308,16 @@ func (s *session) Append(ctx context.Context, baseLogID string, newQueries []str
 	if err != nil {
 		return "", 0, nil, err
 	}
-	rows, err = s.provider.AppendRowsPrepared(ctx, len(base), pl)
-	if err != nil {
-		return "", 0, nil, err
+	if combinedID != baseLogID { // an empty append's combined log is the base log
+		if _, ok := s.sh.cache.peek(s.key(artApprox, "", combinedID)); !ok {
+			if v, ok := s.sh.cache.peek(s.key(artApprox, "", baseLogID)); ok {
+				if idx, err := s.provider.ExtendApproxIndex(v.(*dpe.ApproxIndex), pl); err == nil {
+					s.keep(artApprox, "", combinedID, idx)
+				}
+			}
+		}
 	}
-	// Ride the base log's approx index forward: if neighbors traffic
-	// warmed it, sign only the new queries so the combined log starts
-	// warm too. Best-effort — the index is a cache and rebuilds on
-	// demand.
-	s.extendApprox(baseLogID, combinedID, pl)
-	return combinedID, len(base), rows, nil
-}
-
-// extendApprox extends a cached base-log approx index to the combined
-// log after an append. peek (not get) keeps this opportunistic path
-// out of the hit/miss counters and the recency order.
-func (s *session) extendApprox(baseLogID, combinedID string, pl *dpe.PreparedLog) {
-	if baseLogID == combinedID {
-		return // empty append: the combined log is the base log
-	}
-	if _, ok := s.sh.cache.peek(s.approxKey(combinedID)); ok {
-		return
-	}
-	v, ok := s.sh.cache.peek(s.approxKey(baseLogID))
-	if !ok {
-		return
-	}
-	idx, err := s.provider.ExtendApproxIndex(v.(*dpe.ApproxIndex), pl)
-	if err != nil {
-		return
-	}
-	if s.sh.session(s.id) == nil {
-		return // deleted mid-append; see preparedKeyed's cache rule
-	}
-	s.sh.cache.add(s.approxKey(combinedID), idx, idx.SizeBytes())
-	s.persistApprox(combinedID, idx)
+	return combinedID, len(base), pl, nil
 }
 
 // Neighbors is the sublinear top-K path: the log's LSH index yields
@@ -553,143 +378,17 @@ func (s *session) Mine(ctx context.Context, logID string, spec dpe.MineSpec) (*d
 	return s.provider.MinePrepared(ctx, pl, spec)
 }
 
-// mineSpecFingerprint renders a spec as a canonical string for cache
-// keys: equal specs — the warm-start eligibility test MineIncremental
-// itself applies — get equal fingerprints. Approximate is omitted; the
+// mineVariant renders a spec as the cache-key variant of its mining
+// states: equal specs — the warm-start eligibility test MineIncremental
+// itself applies — get equal variants. Approximate is omitted; the
 // incremental path rejects approximate specs before any key is formed.
-// The fingerprint never contains a NUL byte, so the log id after the
-// key's final NUL separator parses back out unambiguously (compaction
-// relies on that).
-func mineSpecFingerprint(spec dpe.MineSpec) string {
-	return fmt.Sprintf("%s,k=%d,eps=%g,minpts=%d,p=%g,d=%g,q=%d,ms=%d,ml=%d",
+// The fingerprint never contains a NUL byte, so the NUL that ends it
+// separates it from the log id unambiguously (compaction relies on
+// that).
+func mineVariant(spec dpe.MineSpec) string {
+	return fmt.Sprintf("%s,k=%d,eps=%g,minpts=%d,p=%g,d=%g,q=%d,ms=%d,ml=%d\x00",
 		spec.Algorithm, spec.K, spec.Eps, spec.MinPts, spec.P, spec.D,
 		spec.Query, spec.MinSupport, spec.MaxLen)
-}
-
-// mineKey namespaces a session's cached mining state for one (spec,
-// log) pair. Like approxKey it keeps the s.id + "\x00" prefix, so the
-// one removePrefix sweep on delete and TTL reap releases mining-state
-// bytes from the shard budget together with prepared state and approx
-// indexes — no second eviction path to forget. "mine:" cannot collide
-// with the other namespaces: log ids start with "l-" and the approx
-// namespace spells differently.
-func (s *session) mineKey(spec dpe.MineSpec, logID string) string {
-	return s.id + "\x00mine:" + mineSpecFingerprint(spec) + "\x00" + logID
-}
-
-// mineFlightResult is what a mining singleflight leader publishes:
-// followers of a coalesced call want the result, the cache wants the
-// state.
-type mineFlightResult struct {
-	res   *dpe.MineResult
-	state *dpe.MineState
-}
-
-// mineIncremental serves one (spec, combined log) mine, maintaining the
-// session's cached MineState: a cached state for the combined log is
-// replayed as a zero-delta warm run (no distance pairs), a cached state
-// for the base log warm-starts the delta, and no state at all runs the
-// cold bootstrap. Concurrent identical calls coalesce through the
-// shard's singleflight group, and a freshly computed state is cached
-// (byte-accounted) and journaled so a restarted server stays warm.
-func (s *session) mineIncremental(ctx context.Context, baseLogID, combinedID string, pl *dpe.PreparedLog, spec dpe.MineSpec) (*dpe.MineResult, error) {
-	key := s.mineKey(spec, combinedID)
-	for {
-		if v, ok := s.sh.cache.get(key); ok {
-			res, _, err := s.provider.MineIncremental(ctx, pl, v.(*dpe.MineState), spec)
-			if err == nil {
-				s.mu.Lock()
-				s.mineHits++
-				s.touchLocked()
-				s.mu.Unlock()
-				s.reg.mineStateHits.Add(1)
-			}
-			return res, err
-		}
-		c, leader := s.sh.flight.begin(key)
-		if leader {
-			// Re-check under leadership, then fall back to the base log's
-			// state (peek: opportunistic warm source, like extendApprox) —
-			// hit when this exact mine was already paid for, warm delta
-			// when only the base was.
-			var prev *dpe.MineState
-			selfWarm := false
-			if v, ok := s.sh.cache.get(key); ok {
-				prev, selfWarm = v.(*dpe.MineState), true
-			} else if v, ok := s.sh.cache.peek(s.mineKey(spec, baseLogID)); ok {
-				prev = v.(*dpe.MineState)
-			}
-			s.mu.Lock()
-			s.inflight++
-			s.mu.Unlock()
-			s.reg.metrics.inflightBuilds.Add(1)
-			res, state, err := s.provider.MineIncremental(ctx, pl, prev, spec)
-			s.reg.metrics.inflightBuilds.Add(-1)
-			cached := false
-			if err == nil && !selfWarm {
-				// Same deleted-session rule as preparedKeyed: never add for
-				// a session whose removePrefix already ran.
-				if s.sh.session(s.id) != nil {
-					s.sh.cache.add(key, state, state.SizeBytes())
-					cached = true
-				}
-			}
-			s.mu.Lock()
-			s.inflight--
-			s.touchLocked()
-			if err == nil {
-				if selfWarm {
-					s.mineHits++
-				} else {
-					s.mineMisses++
-				}
-			}
-			s.mu.Unlock()
-			if err == nil {
-				if selfWarm {
-					s.reg.mineStateHits.Add(1)
-				} else {
-					s.reg.mineStateMisses.Add(1)
-				}
-			}
-			if cached {
-				s.persistMineState(combinedID, state)
-			}
-			s.sh.flight.finish(key, c, mineFlightResult{res: res, state: state}, err)
-			return res, err
-		}
-		// Not the leader: this call coalesced onto an in-flight mine.
-		s.reg.metrics.flightDedups.Inc()
-		select {
-		case <-c.done:
-			if c.err == nil {
-				s.mu.Lock()
-				s.mineHits++
-				s.mu.Unlock()
-				s.reg.mineStateHits.Add(1)
-				return c.val.(mineFlightResult).res, nil
-			}
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-		case <-ctx.Done():
-			return nil, ctx.Err()
-		}
-	}
-}
-
-// persistMineState journals the serialized mining state, best-effort
-// like persistApprox: the state is a cache (the server can always
-// re-mine cold), so a codec or IO failure must not fail the request.
-func (s *session) persistMineState(logID string, state *dpe.MineState) {
-	if !s.reg.persistent {
-		return
-	}
-	blob, err := dpe.MarshalMineState(state)
-	if err != nil {
-		return
-	}
-	s.sh.journal.Append(journal.Mining{SessionID: s.id, LogID: logID, Blob: blob})
 }
 
 // AppendMine is the batched append-and-mine endpoint: one request
@@ -706,43 +405,35 @@ func (s *session) persistMineState(logID string, state *dpe.MineState) {
 // combined log *is* the base log — bootstrapping (and caching) its
 // mining state.
 func (s *session) AppendMine(ctx context.Context, baseLogID string, newQueries []string, spec dpe.MineSpec) (combinedID string, offset int, rows [][]float64, res *dpe.MineResult, err error) {
-	base, err := s.log(baseLogID)
+	combinedID, offset, pl, err := s.appendPrepared(ctx, baseLogID, newQueries, spec.Validate)
 	if err != nil {
 		return "", 0, nil, nil, err
 	}
-	if err := spec.Validate(len(base) + len(newQueries)); err != nil {
-		return "", 0, nil, nil, err
-	}
-	combined := make([]string, 0, len(base)+len(newQueries))
-	combined = append(combined, base...)
-	combined = append(combined, newQueries...)
-	tailSize := int64(0)
-	for _, q := range newQueries {
-		tailSize += int64(len(q))
-	}
-	combinedID, err = s.addLogSized(combined, tailSize)
-	if err != nil {
-		return "", 0, nil, nil, err
-	}
-	pl, err := s.preparedKeyed(ctx, combinedID, combined, func(ctx context.Context) (*dpe.PreparedLog, error) {
-		basePL, err := s.prepared(ctx, baseLogID)
-		if err != nil {
-			return nil, err
-		}
-		return s.provider.ExtendPrepared(ctx, basePL, newQueries)
-	})
-	if err != nil {
-		return "", 0, nil, nil, err
-	}
-	s.extendApprox(baseLogID, combinedID, pl)
-	res, err = s.mineIncremental(ctx, baseLogID, combinedID, pl, spec)
+	// The session's cached MineState for the combined log replays as a
+	// zero-delta warm run (no distance pairs); without one, the base
+	// log's state warm-starts the delta, and with neither the mine
+	// bootstraps cold. The cache keeps only the state, never the result.
+	variant := mineVariant(spec)
+	res, err = resolve(ctx, s, artMining, variant, combinedID,
+		func(ctx context.Context, v any) (*dpe.MineResult, error) {
+			res, _, err := s.provider.MineIncremental(ctx, pl, v.(*dpe.MineState), spec)
+			return res, err
+		},
+		func(ctx context.Context) (*dpe.MineResult, any, error) {
+			var prev *dpe.MineState
+			if v, ok := s.sh.cache.peek(s.key(artMining, variant, baseLogID)); ok {
+				prev = v.(*dpe.MineState)
+			}
+			res, state, err := s.provider.MineIncremental(ctx, pl, prev, spec)
+			return res, state, err
+		})
 	if err != nil {
 		return "", 0, nil, nil, err
 	}
 	if res.Matrix != nil {
-		rows = res.Matrix[len(base):]
+		rows = res.Matrix[offset:]
 	}
-	return combinedID, len(base), rows, res, nil
+	return combinedID, offset, rows, res, nil
 }
 
 // Verify runs the Definition 1 check with the session's tolerance.
@@ -764,12 +455,12 @@ func (s *session) Stats() SessionStats {
 		Session:         s.id,
 		Measure:         s.measure,
 		Logs:            len(s.logs),
-		PreparedHits:    s.hits,
-		PreparedMisses:  s.misses,
-		ApproxHits:      s.approxHits,
-		ApproxMisses:    s.approxMisses,
-		MineStateHits:   s.mineHits,
-		MineStateMisses: s.mineMisses,
+		PreparedHits:    s.hits[artPrepared],
+		PreparedMisses:  s.misses[artPrepared],
+		ApproxHits:      s.hits[artApprox],
+		ApproxMisses:    s.misses[artApprox],
+		MineStateHits:   s.hits[artMining],
+		MineStateMisses: s.misses[artMining],
 		CreatedAt:       s.created,
 	}
 }

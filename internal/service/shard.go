@@ -143,9 +143,9 @@ func splitBytes(total int64, n int) int64 {
 
 // flightGroup coalesces concurrent builds of the same cache key: one
 // caller becomes the leader and runs the build, the rest wait for its
-// result instead of repeating it. Prepared state and approx indexes
-// share one group (their keys never collide — the approx namespace is
-// embedded in the key), which is why the published value is untyped.
+// result instead of repeating it. Every artifact kind shares one group
+// (their keys never collide — each kind's namespace is embedded in the
+// key), which is why the published value is untyped.
 // Each shard owns one group — keys embed the session id, and a session
 // never changes shards.
 type flightGroup struct {

@@ -1,61 +1,17 @@
 package store
 
-import (
-	"fmt"
-	"sort"
-	"strings"
-	"sync"
-)
+import "fmt"
 
-// The backend registry: Store implementations register by name at init
-// time, and dpeserver's -store flag selects one by the same name. The
-// DSN's meaning belongs to the backend — a directory path for
-// segments, a "driver:datasource" pair for sql, unused for null.
-var (
-	backendsMu sync.RWMutex
-	backends   = map[string]func(dsn string) (Store, error){}
-)
-
-// RegisterBackend registers a named store backend. It panics on a
-// duplicate name — backends register from init functions, so a
-// collision is a wiring bug, not a runtime condition.
-func RegisterBackend(name string, open func(dsn string) (Store, error)) {
-	backendsMu.Lock()
-	defer backendsMu.Unlock()
-	if name == "" || open == nil {
-		panic("store: RegisterBackend with an empty name or nil opener")
-	}
-	if _, ok := backends[name]; ok {
-		panic(fmt.Sprintf("store: backend %q registered twice", name))
-	}
-	backends[name] = open
-}
-
-// OpenBackend opens the named backend with its DSN.
+// OpenBackend opens a store by name: "null" journals nothing (dsn is
+// unused), and "segments" journals to per-shard segment files in the
+// directory dsn.
 func OpenBackend(name, dsn string) (Store, error) {
-	backendsMu.RLock()
-	open := backends[name]
-	backendsMu.RUnlock()
-	if open == nil {
-		return nil, fmt.Errorf("store: unknown backend %q (have %s)", name, strings.Join(Backends(), "|"))
+	switch name {
+	case "null":
+		return Null{}, nil
+	case "segments":
+		return OpenDir(dsn)
+	default:
+		return nil, fmt.Errorf("store: unknown backend %q (have null|segments)", name)
 	}
-	return open(dsn)
-}
-
-// Backends lists the registered backend names, sorted.
-func Backends() []string {
-	backendsMu.RLock()
-	defer backendsMu.RUnlock()
-	out := make([]string, 0, len(backends))
-	for name := range backends {
-		out = append(out, name)
-	}
-	sort.Strings(out)
-	return out
-}
-
-func init() {
-	RegisterBackend("null", func(string) (Store, error) { return Null{}, nil })
-	RegisterBackend("segments", func(dsn string) (Store, error) { return OpenDir(dsn) })
-	RegisterBackend("sql", func(dsn string) (Store, error) { return OpenSQLDSN(dsn) })
 }

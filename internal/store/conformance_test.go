@@ -1,17 +1,17 @@
 package store_test
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
 	"repro/internal/store"
-	"repro/internal/store/memdriver"
 	"repro/internal/store/storetest"
 )
 
-// TestStoreConformance runs the shared backend contract against every
-// registered backend: the null store (writes vanish by design), the
-// segment files, and the SQL store on the in-memory test driver.
+// TestStoreConformance runs the shared backend contract against both
+// backends: the null store (writes vanish by design) and the segment
+// files.
 func TestStoreConformance(t *testing.T) {
 	t.Run("null", func(t *testing.T) {
 		storetest.Run(t, storetest.Factory{
@@ -38,51 +38,31 @@ func TestStoreConformance(t *testing.T) {
 			Reopen: open,
 		})
 	})
-	t.Run("sql", func(t *testing.T) {
-		var ds string
-		open := func(t *testing.T) store.Store {
-			st, err := store.OpenSQL(memdriver.Name, ds)
-			if err != nil {
-				t.Fatalf("OpenSQL(%q): %v", ds, err)
-			}
-			return st
-		}
-		storetest.Run(t, storetest.Factory{
-			Persistent: true,
-			Open: func(t *testing.T) store.Store {
-				// One database per subtest: t.Name() is unique, and Reset
-				// clears any state a previous -count run left behind.
-				ds = "conformance-" + strings.ReplaceAll(t.Name(), "/", "-")
-				memdriver.Reset(ds)
-				return open(t)
-			},
-			Reopen: open,
-		})
-	})
 }
 
-// TestBackendRegistry pins the registry surface the dpeserver flags
-// resolve against: all three backends are registered, OpenBackend wires
-// the DSN through, and unknown names fail with the available set.
+// TestBackendRegistry pins the names dpeserver and the benchmark open
+// stores by: "null" and "segments" open, and an unknown name fails with
+// an error naming it and the available set.
 func TestBackendRegistry(t *testing.T) {
-	names := store.Backends()
-	for _, want := range []string{"null", "segments", "sql"} {
-		found := false
-		for _, n := range names {
-			if n == want {
-				found = true
-			}
-		}
-		if !found {
-			t.Errorf("Backends() = %v, missing %q", names, want)
-		}
+	st, err := store.OpenBackend("null", "")
+	if err != nil {
+		t.Fatalf("OpenBackend(null): %v", err)
 	}
-	st, err := store.OpenBackend("segments", t.TempDir())
+	if _, ok := st.(store.Null); !ok {
+		t.Errorf("OpenBackend(null) = %T, want store.Null", st)
+	}
+	st, err = store.OpenBackend("segments", t.TempDir())
 	if err != nil {
 		t.Fatalf("OpenBackend(segments): %v", err)
 	}
+	if _, ok := st.(store.Instrumenter); !ok {
+		t.Errorf("OpenBackend(segments) = %T, want an instrumentable store", st)
+	}
 	st.Close()
-	if _, err := store.OpenBackend("no-such", ""); err == nil || !strings.Contains(err.Error(), "no-such") {
-		t.Errorf("OpenBackend(no-such) = %v, want an error naming the backend", err)
+	for _, name := range []string{"no-such", ""} {
+		_, err := store.OpenBackend(name, "x")
+		if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("%q", name)) || !strings.Contains(err.Error(), "null|segments") {
+			t.Errorf("OpenBackend(%q) = %v, want an error naming the backend and the available set", name, err)
+		}
 	}
 }

@@ -1,9 +1,10 @@
 // Package journal is the typed persistence layer between the service
 // and a store backend. The store moves opaque Records (a kind tag plus
-// raw payloads); this package owns one codec per kind — session,
-// delete, log, snapshot, approx, mining — with versioned encode/decode,
-// so the service journals and replays typed values instead of
-// hand-rolling byte payloads at every call site.
+// raw payloads); this package owns one codec per record type — session,
+// delete, log, and artifact (the snapshot, approx, and mining kinds,
+// which share one blob envelope) — with versioned encode/decode, so the
+// service journals and replays typed values instead of hand-rolling
+// byte payloads at every call site.
 //
 // A Journal wraps one shard's store.Log. It serializes appends against
 // compaction internally (the mutex the service previously managed per
@@ -41,9 +42,9 @@ const (
 )
 
 // Record is one typed journal event. The concrete types in this
-// package — Session, Delete, Log, Snapshot, Approx, Mining — are the
-// complete set; the interface is sealed so every record that reaches a
-// store.Log went through a versioned codec.
+// package — Session, Delete, Log, Artifact — are the complete set; the
+// interface is sealed so every record that reaches a store.Log went
+// through a versioned codec.
 type Record interface {
 	// encode renders the typed record as a raw store record.
 	encode() (store.Record, error)
@@ -70,30 +71,22 @@ type Log struct {
 	Queries   []string
 }
 
-// Snapshot records a serialized prepared state for one (session, log)
-// pair. The blob is the measure codec's output, versioned by that
-// codec; the journal adds the typed envelope.
-type Snapshot struct {
+// Artifact records one serialized per-log cache artifact of a session:
+// a prepared state (store.KindSnapshot), a MinHash/LSH index
+// (store.KindApprox), or an incremental-mining state (store.KindMining).
+// The blob is the artifact codec's own versioned output; the journal
+// adds only the routing envelope, which is the same for every kind.
+type Artifact struct {
+	Kind      store.Kind
 	SessionID string
 	LogID     string
 	Blob      []byte
 }
 
-// Approx records a serialized MinHash/LSH index for one (session, log)
-// pair; the blob is internal/approx's versioned codec output.
-type Approx struct {
-	SessionID string
-	LogID     string
-	Blob      []byte
-}
-
-// Mining records a serialized incremental-mining state for one
-// (session, log, spec) triple; the blob is dpe's versioned MineState
-// codec output.
-type Mining struct {
-	SessionID string
-	LogID     string
-	Blob      []byte
+// isArtifact reports whether k is one of the blob-carrying artifact
+// kinds.
+func isArtifact(k store.Kind) bool {
+	return k == store.KindSnapshot || k == store.KindApprox || k == store.KindMining
 }
 
 // sessionPayload is the JSON body of a session record. V is omitted at
@@ -195,65 +188,39 @@ func decodeLog(rec store.Record) (Log, error) {
 	return Log{SessionID: rec.Session, LogID: rec.Log, Queries: queries}, nil
 }
 
-// encodeBlob is the shared envelope of the three blob-carrying kinds.
-func encodeBlob(kind store.Kind, sessionID, logID string, blob []byte) (store.Record, error) {
-	if sessionID == "" || logID == "" {
-		return store.Record{}, fmt.Errorf("journal: %s record without a session or log id", kind)
+func (a Artifact) encode() (store.Record, error) {
+	if !isArtifact(a.Kind) {
+		return store.Record{}, fmt.Errorf("journal: %q is not an artifact kind", a.Kind)
 	}
-	if len(blob) == 0 {
-		return store.Record{}, fmt.Errorf("journal: %s record without a blob", kind)
+	if a.SessionID == "" || a.LogID == "" {
+		return store.Record{}, fmt.Errorf("journal: %s record without a session or log id", a.Kind)
 	}
-	return store.Record{Kind: kind, Session: sessionID, Log: logID, Blob: blob}, nil
+	if len(a.Blob) == 0 {
+		return store.Record{}, fmt.Errorf("journal: %s record without a blob", a.Kind)
+	}
+	return store.Record{Kind: a.Kind, Session: a.SessionID, Log: a.LogID, Blob: a.Blob}, nil
 }
 
-func decodeBlob(rec store.Record) (sessionID, logID string, blob []byte, err error) {
+func decodeArtifact(rec store.Record) (Artifact, error) {
 	if rec.Session == "" || rec.Log == "" || len(rec.Blob) == 0 {
-		return "", "", nil, fmt.Errorf("journal: incomplete %s record", rec.Kind)
+		return Artifact{}, fmt.Errorf("journal: incomplete %s record", rec.Kind)
 	}
-	return rec.Session, rec.Log, rec.Blob, nil
-}
-
-func (s Snapshot) encode() (store.Record, error) {
-	return encodeBlob(store.KindSnapshot, s.SessionID, s.LogID, s.Blob)
-}
-
-func (a Approx) encode() (store.Record, error) {
-	return encodeBlob(store.KindApprox, a.SessionID, a.LogID, a.Blob)
-}
-
-func (m Mining) encode() (store.Record, error) {
-	return encodeBlob(store.KindMining, m.SessionID, m.LogID, m.Blob)
+	return Artifact{Kind: rec.Kind, SessionID: rec.Session, LogID: rec.Log, Blob: rec.Blob}, nil
 }
 
 // Decode maps a raw store record back to its typed form, or errors for
 // unknown kinds and undecodable or newer-versioned payloads — which
 // replay and bundle import count as skipped.
 func Decode(rec store.Record) (Record, error) {
-	switch rec.Kind {
-	case store.KindSession:
+	switch {
+	case rec.Kind == store.KindSession:
 		return decodeSession(rec)
-	case store.KindDelete:
+	case rec.Kind == store.KindDelete:
 		return decodeDelete(rec)
-	case store.KindLog:
+	case rec.Kind == store.KindLog:
 		return decodeLog(rec)
-	case store.KindSnapshot:
-		s, l, b, err := decodeBlob(rec)
-		if err != nil {
-			return nil, err
-		}
-		return Snapshot{SessionID: s, LogID: l, Blob: b}, nil
-	case store.KindApprox:
-		s, l, b, err := decodeBlob(rec)
-		if err != nil {
-			return nil, err
-		}
-		return Approx{SessionID: s, LogID: l, Blob: b}, nil
-	case store.KindMining:
-		s, l, b, err := decodeBlob(rec)
-		if err != nil {
-			return nil, err
-		}
-		return Mining{SessionID: s, LogID: l, Blob: b}, nil
+	case isArtifact(rec.Kind):
+		return decodeArtifact(rec)
 	default:
 		return nil, fmt.Errorf("journal: unknown record kind %q", rec.Kind)
 	}
@@ -299,13 +266,12 @@ type Handler interface {
 	Session(Session) Outcome
 	Delete(Delete) Outcome
 	Log(Log) Outcome
-	Snapshot(Snapshot) Outcome
-	Approx(Approx) Outcome
-	Mining(Mining) Outcome
+	Artifact(Artifact) Outcome
 }
 
 // Stats counts what a Replay or bundle read applied per kind, plus the
-// records that could not be applied.
+// records that could not be applied. Artifacts count under their kind:
+// Snapshots, Approx, or Mining.
 type Stats struct {
 	Sessions  int
 	Deletes   int
@@ -333,6 +299,18 @@ func (s Stats) Total() int {
 	return s.Sessions + s.Deletes + s.Logs + s.Snapshots + s.Approx + s.Mining + s.Skipped
 }
 
+// artifact returns the counter for an artifact kind.
+func (s *Stats) artifact(k store.Kind) *int {
+	switch k {
+	case store.KindSnapshot:
+		return &s.Snapshots
+	case store.KindApprox:
+		return &s.Approx
+	default:
+		return &s.Mining
+	}
+}
+
 // dispatch decodes one raw record, routes it to the handler, and
 // counts the outcome.
 func dispatch(rec store.Record, h Handler, st *Stats) {
@@ -350,12 +328,8 @@ func dispatch(rec store.Record, h Handler, st *Stats) {
 		out, applied = h.Delete(t), &st.Deletes
 	case Log:
 		out, applied = h.Log(t), &st.Logs
-	case Snapshot:
-		out, applied = h.Snapshot(t), &st.Snapshots
-	case Approx:
-		out, applied = h.Approx(t), &st.Approx
-	case Mining:
-		out, applied = h.Mining(t), &st.Mining
+	case Artifact:
+		out, applied = h.Artifact(t), st.artifact(t.Kind)
 	}
 	switch out {
 	case Applied:

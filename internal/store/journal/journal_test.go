@@ -54,9 +54,7 @@ type outcomeHandler struct {
 func (h *outcomeHandler) Session(s Session) Outcome   { h.seen = append(h.seen, s); return h.out }
 func (h *outcomeHandler) Delete(d Delete) Outcome     { h.seen = append(h.seen, d); return h.out }
 func (h *outcomeHandler) Log(l Log) Outcome           { h.seen = append(h.seen, l); return h.out }
-func (h *outcomeHandler) Snapshot(s Snapshot) Outcome { h.seen = append(h.seen, s); return h.out }
-func (h *outcomeHandler) Approx(a Approx) Outcome     { h.seen = append(h.seen, a); return h.out }
-func (h *outcomeHandler) Mining(m Mining) Outcome     { h.seen = append(h.seen, m); return h.out }
+func (h *outcomeHandler) Artifact(a Artifact) Outcome { h.seen = append(h.seen, a); return h.out }
 
 // allRecords is one typed record per kind.
 func allRecords(t *testing.T) []Record {
@@ -66,9 +64,9 @@ func allRecords(t *testing.T) []Record {
 		Session{ID: "s-1", Created: created, Request: json.RawMessage(`{"measure":"token"}`)},
 		Delete{ID: "s-2"},
 		Log{SessionID: "s-1", LogID: "l-1", Queries: []string{"SELECT a FROM t", "SELECT b FROM t"}},
-		Snapshot{SessionID: "s-1", LogID: "l-1", Blob: []byte{1, 2, 3}},
-		Approx{SessionID: "s-1", LogID: "l-1", Blob: []byte{4, 5}},
-		Mining{SessionID: "s-1", LogID: "l-1\x00mine:abc", Blob: []byte{6}},
+		Artifact{Kind: store.KindSnapshot, SessionID: "s-1", LogID: "l-1", Blob: []byte{1, 2, 3}},
+		Artifact{Kind: store.KindApprox, SessionID: "s-1", LogID: "l-1", Blob: []byte{4, 5}},
+		Artifact{Kind: store.KindMining, SessionID: "s-1", LogID: "l-1\x00mine:abc", Blob: []byte{6}},
 	}
 }
 
@@ -124,6 +122,32 @@ func TestCodecWireStability(t *testing.T) {
 	if lg := got.(Log); len(lg.Queries) != 1 || lg.Queries[0] != "a" {
 		t.Errorf("enveloped log decoded to %+v", lg)
 	}
+
+	// The blob-carrying kinds put the routing keys in "s" and "l" and the
+	// codec output, base64-encoded, in "b"; they carry no "d" payload.
+	for _, tc := range []struct {
+		rec  Record
+		want string
+	}{
+		{Artifact{Kind: store.KindSnapshot, SessionID: "s-1", LogID: "l-1", Blob: []byte{1, 2, 3}},
+			`{"k":"snapshot","s":"s-1","l":"l-1","b":"AQID"}`},
+		{Artifact{Kind: store.KindApprox, SessionID: "s-1", LogID: "l-1", Blob: []byte{4, 5}},
+			`{"k":"approx","s":"s-1","l":"l-1","b":"BAU="}`},
+		{Artifact{Kind: store.KindMining, SessionID: "s-1", LogID: "l-1", Blob: []byte{6}},
+			`{"k":"mining","s":"s-1","l":"l-1","b":"Bg=="}`},
+	} {
+		raw, err := tc.rec.encode()
+		if err != nil {
+			t.Fatal(err)
+		}
+		payload, err := marshalRecord(raw)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(payload) != tc.want {
+			t.Errorf("%+v encoded as %s, want %s", tc.rec, payload, tc.want)
+		}
+	}
 }
 
 // TestDecodeRejectsNewerVersions: payloads stamped by a future release
@@ -171,9 +195,10 @@ func TestEncodeValidation(t *testing.T) {
 		Delete{},
 		Log{SessionID: "s-1", LogID: ""},
 		Log{SessionID: "s-1", LogID: "l-1"},
-		Snapshot{SessionID: "s-1", LogID: "l-1"},
-		Approx{SessionID: "", LogID: "l-1", Blob: []byte{1}},
-		Mining{SessionID: "s-1", LogID: "", Blob: []byte{1}},
+		Artifact{Kind: store.KindSnapshot, SessionID: "s-1", LogID: "l-1"},
+		Artifact{Kind: store.KindApprox, SessionID: "", LogID: "l-1", Blob: []byte{1}},
+		Artifact{Kind: store.KindMining, SessionID: "s-1", LogID: "", Blob: []byte{1}},
+		Artifact{Kind: store.KindLog, SessionID: "s-1", LogID: "l-1", Blob: []byte{1}},
 	}
 	for _, rec := range cases {
 		if _, err := rec.encode(); err == nil {

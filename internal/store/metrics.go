@@ -7,12 +7,9 @@ import (
 )
 
 // Instrumenter is implemented by backends that can emit the
-// dpe_store_* journal metrics. The metric names, types, and help are
-// backend-agnostic and identical across implementations (the PR 7
-// stability policy: dashboards must not care whether the journal is a
-// segment directory or a records table) — dpeserver type-asserts the
-// configured Store against this interface and wires whichever backend
-// it got.
+// dpe_store_* journal metrics (the segment directory; the null store
+// has nothing to count) — dpeserver type-asserts the configured Store
+// against this interface and wires whichever backend it got.
 type Instrumenter interface {
 	Instrument(r *obs.Registry)
 }
@@ -45,17 +42,12 @@ func (m *storeMetrics) instrument(r *obs.Registry) {
 	m.reclaimed = r.Counter("dpe_store_compact_reclaimed_bytes_total",
 		"Bytes reclaimed by compaction (old journal size minus rewritten size).")
 	m.fsync = r.Histogram("dpe_store_fsync_seconds",
-		"Latency of the durability barrier (fsync or transaction commit) acknowledging each journal append.", nil)
+		"Latency of the fsync acknowledging each journal append.", nil)
 }
 
 // Instrument registers the directory store's journal metrics on r and
 // routes every segment's events to them.
 func (d *Dir) Instrument(r *obs.Registry) { d.metrics.instrument(r) }
-
-// Instrument registers the sql store's journal metrics on r — the same
-// names and meanings as the segment backend's, with the transaction
-// commit standing in for fsync in the latency histogram.
-func (s *SQLStore) Instrument(r *obs.Registry) { s.metrics.instrument(r) }
 
 // The journal-side hooks below are nil-safe on the metrics struct
 // itself too, so a journal constructed without a backend still works.

@@ -1,7 +1,7 @@
 // Package storetest is the cross-backend conformance suite for
-// store.Store implementations: any backend — segment files, a SQL
-// table, the null store — must pass the same contract before the
-// service trusts it with tenant journals. Backend tests hand Run a
+// store.Store implementations: any backend — the segment files, the
+// null store — must pass the same contract before the service trusts it
+// with tenant journals. Backend tests hand Run a
 // Factory; the suite covers append/replay order, shard isolation,
 // replay across a close/reopen (the restart path), compaction
 // liveness, List re-homing, and closed-journal errors.
