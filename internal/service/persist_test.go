@@ -557,6 +557,19 @@ func TestLogIDUsesFullDigest(t *testing.T) {
 	if LogID([]string{"ab", "c"}) == LogID([]string{"a", "bc"}) {
 		t.Error("LogID ignores query boundaries")
 	}
+	// Log ids are persisted in journals and bundles, so the id of a
+	// fixed log is pinned: an empty query, a multi-byte rune, embedded
+	// newlines, and a query longer than the others.
+	golden := []string{
+		"SELECT a FROM t WHERE b = 1",
+		"",
+		"SELECT name FROM people WHERE city = 'Zürich'",
+		strings.Repeat("x", 300),
+		"q\nwith\nnewlines",
+	}
+	if got, want := LogID(golden), "l-f4eec8cdc33e8ff48175bf7d2a315fda2807d6b5588996d7afbde6ac2e7683f5"; got != want {
+		t.Errorf("LogID(golden) = %s, want %s", got, want)
+	}
 }
 
 // TestInflightPrepareSurvivesJanitor is the reap-during-build bugfix

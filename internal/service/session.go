@@ -6,6 +6,7 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"strconv"
 	"sync"
 	"time"
 
@@ -65,12 +66,21 @@ func (s *session) touchLocked() { s.lastUsed = time.Now() }
 // id carries the full SHA-256 digest — a truncated content address
 // would let two different logs inside one session silently share
 // prepared state and matrices on a 64-bit collision; at 256 bits a
-// collision is cryptographically out of reach.
+// collision is cryptographically out of reach. Each query is hashed as
+// its decimal length, a newline, and its bytes, assembled in one buffer
+// sized for the longest query.
 func LogID(queries []string) string {
+	longest := 0
+	for _, q := range queries {
+		longest = max(longest, len(q))
+	}
+	buf := make([]byte, 0, 21+longest)
 	h := sha256.New()
 	for _, q := range queries {
-		fmt.Fprintf(h, "%d\n", len(q))
-		h.Write([]byte(q))
+		buf = strconv.AppendInt(buf[:0], int64(len(q)), 10)
+		buf = append(buf, '\n')
+		buf = append(buf, q...)
+		h.Write(buf)
 	}
 	return "l-" + hex.EncodeToString(h.Sum(nil))
 }

@@ -24,11 +24,13 @@
 package service
 
 import (
+	"bufio"
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"math/big"
-	"net/http"
+	"strconv"
 
 	dpe "repro"
 	"repro/internal/core"
@@ -437,44 +439,28 @@ func (w *WirePreservationReport) Decode() *dpe.PreservationReport {
 	return out
 }
 
-// matrixFlushEvery is how many streamed matrix rows are written between
-// flushes to the client.
-const matrixFlushEvery = 64
+// The distance matrix travels as a stream of JSON rows in one of two
+// layouts, keys always in this order:
+//
+//	{"n":N,"rows":[[…],…]}                          WriteMatrix, ReadMatrix
+//	{"log":"l-…","n":N,"offset":O,"rows":[[…],…]}   WriteAppendedRows, ReadAppendedRows
+//
+// The writers append each row to one reused buffer and hand it to the
+// io.Writer in one Write, formatting every float exactly as
+// encoding/json does, so the stream is byte-for-byte what json.Marshal
+// produces row by row. The readers scan the layouts straight off a
+// bufio.Reader instead of buffering the body; see rowReader.
 
-// WriteMatrix streams a distance matrix as JSON — {"n":N,"rows":[...]}
-// — row by row, flushing every matrixFlushEvery rows when the writer
-// supports it (http.Flusher). Large matrices reach the client
-// incrementally instead of being buffered whole.
+// WriteMatrix streams a distance matrix as JSON — {"n":N,"rows":[...]} —
+// one Write per row, so a large matrix leaves the server as it is
+// encoded instead of being buffered whole. NaN and ±Inf entries are an
+// error: JSON cannot carry them.
 func WriteMatrix(w io.Writer, m dpe.Matrix) error {
-	flusher, _ := w.(http.Flusher)
-	if _, err := fmt.Fprintf(w, `{"n":%d,"rows":[`, len(m)); err != nil {
-		return err
-	}
-	for i, row := range m {
-		if i > 0 {
-			if _, err := io.WriteString(w, ","); err != nil {
-				return err
-			}
-		}
-		b, err := json.Marshal(row)
-		if err != nil {
-			return err
-		}
-		if _, err := w.Write(b); err != nil {
-			return err
-		}
-		if flusher != nil && (i+1)%matrixFlushEvery == 0 {
-			flusher.Flush()
-		}
-	}
-	_, err := io.WriteString(w, "]}")
-	return err
-}
-
-// wireMatrix mirrors the WriteMatrix stream for decoding.
-type wireMatrix struct {
-	N    int         `json:"n"`
-	Rows [][]float64 `json:"rows"`
+	b := make([]byte, 0, rowBufSize(len(m)))
+	b = append(b, `{"n":`...)
+	b = strconv.AppendInt(b, int64(len(m)), 10)
+	b = append(b, `,"rows":[`...)
+	return writeRows(w, b, m)
 }
 
 // AppendedRows is the logs:append response: only the k new full-width
@@ -489,68 +475,423 @@ type AppendedRows struct {
 	Rows   [][]float64 `json:"rows"`
 }
 
-// WriteAppendedRows streams an append response row by row, flushing
-// like WriteMatrix so large appends reach the client incrementally.
+// WriteAppendedRows streams an append response row by row, like
+// WriteMatrix. The log id is quoted as a JSON string; for the ids
+// LogID returns, that is also its Go quoting.
 func WriteAppendedRows(w io.Writer, logID string, total, offset int, rows [][]float64) error {
-	flusher, _ := w.(http.Flusher)
-	if _, err := fmt.Fprintf(w, `{"log":%q,"n":%d,"offset":%d,"rows":[`, logID, total, offset); err != nil {
+	quoted, err := json.Marshal(logID)
+	if err != nil {
 		return err
 	}
+	b := make([]byte, 0, rowBufSize(total)+len(quoted))
+	b = append(b, `{"log":`...)
+	b = append(b, quoted...)
+	b = append(b, `,"n":`...)
+	b = strconv.AppendInt(b, int64(total), 10)
+	b = append(b, `,"offset":`...)
+	b = strconv.AppendInt(b, int64(offset), 10)
+	b = append(b, `,"rows":[`...)
+	return writeRows(w, b, rows)
+}
+
+// rowBufSize is a row buffer's starting capacity for rows of width
+// entries: 64 bytes of header, and per entry the longest float
+// encoding/json emits (25 bytes, e.g. -0.0000012345678901234567) plus
+// its comma. A longer row or header only costs the buffer one more
+// grow.
+func rowBufSize(width int) int { return 64 + 26*width }
+
+// writeRows appends each row to b, which holds the layout's header on
+// entry, writes it, and reuses b for the next row; "]}" closes the
+// layout.
+func writeRows(w io.Writer, b []byte, rows [][]float64) error {
 	for i, row := range rows {
 		if i > 0 {
-			if _, err := io.WriteString(w, ","); err != nil {
-				return err
+			b = append(b, ',')
+		}
+		b = append(b, '[')
+		for j, v := range row {
+			if j > 0 {
+				b = append(b, ',')
 			}
+			if math.IsNaN(v) || math.IsInf(v, 0) {
+				return fmt.Errorf("service: matrix row %d entry %d is %v, not a JSON number", i, j, v)
+			}
+			b = appendFloat(b, v)
 		}
-		b, err := json.Marshal(row)
-		if err != nil {
-			return err
-		}
+		b = append(b, ']')
 		if _, err := w.Write(b); err != nil {
 			return err
 		}
-		if flusher != nil && (i+1)%matrixFlushEvery == 0 {
-			flusher.Flush()
+		b = b[:0]
+	}
+	_, err := w.Write(append(b, "]}"...))
+	return err
+}
+
+// appendFloat formats a finite v exactly as encoding/json does: the
+// shortest decimal that round-trips, in exponent form below 1e-6 and
+// from 1e21 up, with a one-digit negative exponent left unpadded.
+func appendFloat(b []byte, v float64) []byte {
+	format := byte('f')
+	if abs := math.Abs(v); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
+		format = 'e'
+	}
+	b = strconv.AppendFloat(b, v, format, -1, 64)
+	if format == 'e' {
+		// e-07 -> e-7
+		if n := len(b); n >= 4 && b[n-4] == 'e' && b[n-3] == '-' && b[n-2] == '0' {
+			b[n-2] = b[n-1]
+			b = b[:n-1]
 		}
 	}
-	_, err := io.WriteString(w, "]}")
-	return err
+	return b
+}
+
+// ReadMatrix decodes a WriteMatrix stream, validating the dimensions.
+func ReadMatrix(r io.Reader) (dpe.Matrix, error) {
+	d := getRowReader(r)
+	defer d.release()
+	d.expect("{")
+	n := d.count(`"n"`)
+	d.expect(",")
+	d.rows(n, n)
+	d.end()
+	if d.err != nil {
+		return nil, fmt.Errorf("service: decoding matrix: %w", d.err)
+	}
+	return d.cut(n, n), nil
 }
 
 // ReadAppendedRows decodes a WriteAppendedRows stream, validating that
 // the row count and widths match the header.
 func ReadAppendedRows(r io.Reader) (*AppendedRows, error) {
-	var a AppendedRows
-	if err := json.NewDecoder(r).Decode(&a); err != nil {
-		return nil, fmt.Errorf("service: decoding appended rows: %w", err)
+	d := getRowReader(r)
+	defer d.release()
+	d.expect("{")
+	log := d.str(`"log"`)
+	d.expect(",")
+	n := d.count(`"n"`)
+	d.expect(",")
+	offset := d.count(`"offset"`)
+	if d.err == nil && n < offset {
+		d.err = fmt.Errorf("appended rows span %d..%d", offset, n)
 	}
-	if a.Offset < 0 || a.N < a.Offset {
-		return nil, fmt.Errorf("service: appended rows span %d..%d", a.Offset, a.N)
+	d.expect(",")
+	d.rows(n-offset, n)
+	d.end()
+	if d.err != nil {
+		return nil, fmt.Errorf("service: decoding appended rows: %w", d.err)
 	}
-	if len(a.Rows) != a.N-a.Offset {
-		return nil, fmt.Errorf("service: %d appended rows, header says %d", len(a.Rows), a.N-a.Offset)
-	}
-	for i, row := range a.Rows {
-		if len(row) != a.N {
-			return nil, fmt.Errorf("service: appended row %d has %d entries, want %d", i, len(row), a.N)
-		}
-	}
-	return &a, nil
+	return &AppendedRows{Log: log, N: n, Offset: offset, Rows: d.cut(n-offset, n)}, nil
 }
 
-// ReadMatrix decodes a WriteMatrix stream, validating the dimensions.
-func ReadMatrix(r io.Reader) (dpe.Matrix, error) {
-	var w wireMatrix
-	if err := json.NewDecoder(r).Decode(&w); err != nil {
-		return nil, fmt.Errorf("service: decoding matrix: %w", err)
+// rowReader scans one row layout off a buffered stream. It accepts JSON
+// whitespace between tokens, keys only literally and in writer order,
+// strict RFC 8259 numbers, and nothing but whitespace between the
+// closing brace and EOF. Values land in the vals scratch as they
+// arrive; the result is allocated once, at its exact size, after the
+// last byte — so a header count never allocates ahead of the bytes
+// behind it. Errors are sticky: after the first, every step is a no-op
+// and err reports it.
+type rowReader struct {
+	br   *bufio.Reader
+	err  error
+	vals []float64 // every row's entries, end to end
+}
+
+// spareRowReaders keeps readers, with their grown scratch, between
+// calls, so the decoded rows are the one allocation that scales with
+// the matrix. It holds four: up to four decodes at a time reuse a
+// scratch, and more allocate their own. A sync.Pool would not do: GCs
+// empty it, and under matrix traffic they come every op or two.
+var spareRowReaders = make(chan *rowReader, 4)
+
+// maxSpareVals caps the scratch a spare reader keeps at 4 MiB, room for
+// a 512×512 matrix, so the spares pin at most 16 MiB.
+const maxSpareVals = 1 << 19
+
+func getRowReader(r io.Reader) *rowReader {
+	var d *rowReader
+	select {
+	case d = <-spareRowReaders:
+	default:
+		d = &rowReader{br: bufio.NewReader(nil)}
 	}
-	if len(w.Rows) != w.N {
-		return nil, fmt.Errorf("service: matrix has %d rows, header says %d", len(w.Rows), w.N)
+	d.br.Reset(r)
+	return d
+}
+
+func (d *rowReader) release() {
+	d.br.Reset(nil)
+	d.err = nil
+	if cap(d.vals) > maxSpareVals {
+		d.vals = nil
 	}
-	for i, row := range w.Rows {
-		if len(row) != w.N {
-			return nil, fmt.Errorf("service: matrix row %d has %d entries, want %d", i, len(row), w.N)
+	select {
+	case spareRowReaders <- d:
+	default:
+	}
+}
+
+// next returns the next byte; a layout never ends mid-token, so EOF
+// here is a truncated stream.
+func (d *rowReader) next() byte {
+	if d.err != nil {
+		return 0
+	}
+	c, err := d.br.ReadByte()
+	if err == io.EOF {
+		err = io.ErrUnexpectedEOF
+	}
+	d.err = err
+	return c
+}
+
+func isSpace(c byte) bool { return c == ' ' || c == '\t' || c == '\n' || c == '\r' }
+
+func isDigit(c byte) bool { return '0' <= c && c <= '9' }
+
+// token skips whitespace and returns the first byte of the next token.
+func (d *rowReader) token() byte {
+	c := d.next()
+	for isSpace(c) {
+		c = d.next()
+	}
+	return c
+}
+
+func (d *rowReader) unexpected(c byte, want string) {
+	if d.err == nil {
+		d.err = fmt.Errorf("unexpected %q, want %s", c, want)
+	}
+}
+
+// expect consumes the literal token s.
+func (d *rowReader) expect(s string) {
+	c := d.token()
+	for i := 0; i < len(s); i++ {
+		if i > 0 {
+			c = d.next()
+		}
+		if c != s[i] {
+			d.unexpected(c, "`"+s+"`")
+			return
 		}
 	}
-	return dpe.Matrix(w.Rows), nil
+}
+
+// count scans the field `key: N` for a non-negative integer N.
+func (d *rowReader) count(key string) int {
+	d.expect(key)
+	d.expect(":")
+	tok := d.number()
+	if d.err != nil {
+		return 0
+	}
+	n, err := strconv.Atoi(string(tok))
+	if err != nil || n < 0 {
+		d.err = fmt.Errorf("%s is %s, want a count", key, tok)
+	}
+	return n
+}
+
+// str scans the field `key: "…"`, decoding the string's escapes as JSON.
+func (d *rowReader) str(key string) string {
+	d.expect(key)
+	d.expect(":")
+	c := d.token()
+	if c != '"' {
+		d.unexpected(c, "string")
+		return ""
+	}
+	tok := []byte{c}
+	for d.err == nil {
+		c = d.next()
+		tok = append(tok, c)
+		switch c {
+		case '\\':
+			tok = append(tok, d.next())
+		case '"':
+			var s string
+			d.err = json.Unmarshal(tok, &s)
+			return s
+		}
+	}
+	return ""
+}
+
+// number consumes one number and returns its bytes, scanned in place in
+// the read buffer; they stay valid until the next read. A number must
+// fit in the buffer (4 KiB); the writers' longest is 25 bytes.
+func (d *rowReader) number() []byte {
+	d.token()
+	if d.err != nil {
+		return nil
+	}
+	_ = d.br.UnreadByte() // cannot fail: the last call was a read
+	for {
+		buf, _ := d.br.Peek(d.br.Buffered())
+		n := numberLen(buf)
+		if n < 0 {
+			d.err = fmt.Errorf("malformed number at %q", buf[:min(len(buf), 24)])
+			return nil
+		}
+		if n < len(buf) { // the byte after the number is buffered
+			_, _ = d.br.Discard(n) // cannot fail: n bytes are buffered
+			return buf[:n]
+		}
+		if _, err := d.br.Peek(n + 1); err != nil {
+			if err == io.EOF {
+				err = io.ErrUnexpectedEOF
+			}
+			d.err = err
+			return nil
+		}
+	}
+}
+
+// numberLen returns the length of the RFC 8259 number b starts with,
+// -?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)?, or -1 if b starts with
+// none. len(b) means the number may continue past b.
+func numberLen(b []byte) int {
+	i := 0
+	if i < len(b) && b[i] == '-' {
+		i++
+	}
+	switch {
+	case i == len(b):
+		return i
+	case b[i] == '0':
+		i++
+	case isDigit(b[i]):
+		i = digitsEnd(b, i)
+	default:
+		return -1
+	}
+	if i < len(b) && b[i] == '.' {
+		if i++; i == len(b) {
+			return i
+		}
+		if !isDigit(b[i]) {
+			return -1
+		}
+		i = digitsEnd(b, i)
+	}
+	if i < len(b) && (b[i] == 'e' || b[i] == 'E') {
+		if i++; i < len(b) && (b[i] == '+' || b[i] == '-') {
+			i++
+		}
+		if i == len(b) {
+			return i
+		}
+		if !isDigit(b[i]) {
+			return -1
+		}
+		i = digitsEnd(b, i)
+	}
+	return i
+}
+
+// digitsEnd returns the index of the first non-digit in b at or after i.
+func digitsEnd(b []byte, i int) int {
+	for i < len(b) && isDigit(b[i]) {
+		i++
+	}
+	return i
+}
+
+// rows scans the field `"rows": [[…],…]`: exactly count rows of width
+// entries each, appended to vals.
+func (d *rowReader) rows(count, width int) {
+	d.expect(`"rows"`)
+	d.expect(":")
+	d.expect("[")
+	d.vals = d.vals[:0]
+	got := 0
+	c := d.token()
+	for c != ']' && d.err == nil {
+		if got > 0 {
+			if c != ',' {
+				d.unexpected(c, "`,` or `]`")
+				return
+			}
+			c = d.token()
+		}
+		if c != '[' {
+			d.unexpected(c, "`[`")
+			return
+		}
+		d.row(got, width)
+		got++
+		c = d.token()
+	}
+	if d.err == nil && got != count {
+		d.err = fmt.Errorf("%d rows, header says %d", got, count)
+	}
+}
+
+// row scans the entries of row i, whose '[' is consumed.
+func (d *rowReader) row(i, width int) {
+	c := d.token()
+	if c == ']' {
+		if width != 0 && d.err == nil {
+			d.err = fmt.Errorf("row %d has 0 entries, want %d", i, width)
+		}
+		return
+	}
+	if d.err == nil {
+		_ = d.br.UnreadByte() // cannot fail: the last call was a read
+	}
+	for j := 0; d.err == nil; j++ {
+		tok := d.number()
+		if d.err != nil {
+			return
+		}
+		v, err := strconv.ParseFloat(string(tok), 64)
+		if err != nil {
+			d.err = err
+			return
+		}
+		d.vals = append(d.vals, v)
+		switch c = d.token(); c {
+		case ',':
+		case ']':
+			if j+1 != width {
+				d.err = fmt.Errorf("row %d has %d entries, want %d", i, j+1, width)
+			}
+			return
+		default:
+			d.unexpected(c, "`,` or `]`")
+		}
+	}
+}
+
+// end consumes the closing '}' and reads to EOF, accepting only
+// whitespace after it.
+func (d *rowReader) end() {
+	d.expect("}")
+	for d.err == nil {
+		c, err := d.br.ReadByte()
+		if err == io.EOF {
+			return
+		}
+		if err != nil {
+			d.err = err
+		} else if !isSpace(c) {
+			d.err = fmt.Errorf("unexpected %q after the closing brace", c)
+		}
+	}
+}
+
+// cut copies vals into one flat backing array, cut into count rows of
+// width entries capped the way distance.NewMatrix caps them.
+func (d *rowReader) cut(count, width int) [][]float64 {
+	backing := make([]float64, len(d.vals))
+	copy(backing, d.vals)
+	rows := make([][]float64, count)
+	for i := range rows {
+		rows[i] = backing[i*width : (i+1)*width : (i+1)*width]
+	}
+	return rows
 }

@@ -3,9 +3,15 @@ package service
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
+	"io"
 	"math"
+	"math/rand/v2"
 	"reflect"
+	"runtime"
+	"strings"
 	"testing"
+	"testing/iotest"
 
 	dpe "repro"
 	"repro/internal/db"
@@ -177,8 +183,12 @@ func TestAggregatorKeyRoundTrip(t *testing.T) {
 	}
 }
 
-// TestMatrixStreamRoundTrip checks WriteMatrix/ReadMatrix, including
-// dimension validation on the read side.
+// TestMatrixStreamRoundTrip checks both row layouts. Random matrices
+// salted with the float-format boundaries must encode byte-for-byte as
+// the header plus one json.Marshal per row did, and decode to the same
+// bits, also fed one byte at a time. Non-finite entries must fail to
+// encode. Malformed streams, and every truncation of a valid one, must
+// fail to decode without panicking.
 func TestMatrixStreamRoundTrip(t *testing.T) {
 	m := dpe.Matrix{
 		{0, 0.5, 1},
@@ -203,11 +213,332 @@ func TestMatrixStreamRoundTrip(t *testing.T) {
 	if back, err := ReadMatrix(bytes.NewReader(empty.Bytes())); err != nil || len(back) != 0 {
 		t.Errorf("empty matrix round-trips to %v, %v", back, err)
 	}
-	if _, err := ReadMatrix(bytes.NewReader([]byte(`{"n":2,"rows":[[0,1]]}`))); err == nil {
-		t.Error("row-count mismatch should fail")
+	spaced := " \n{ \"n\" : 2 ,\t\"rows\" : [ [ 0 , 1e-7 ] ,\r\n[ -0 , 2E+3 ] ] }\n "
+	if back, err := ReadMatrix(strings.NewReader(spaced)); err != nil || !reflect.DeepEqual(back, dpe.Matrix{{0, 1e-7}, {0, 2000}}) {
+		t.Errorf("whitespace between tokens decodes to %v, %v", back, err)
 	}
-	if _, err := ReadMatrix(bytes.NewReader([]byte(`{"n":2,"rows":[[0],[1]]}`))); err == nil {
-		t.Error("row-width mismatch should fail")
+
+	rng := rand.New(rand.NewPCG(15, 15))
+	for _, n := range []int{1, 2, 5, 16} {
+		m := randomMatrix(rng, n)
+		var got bytes.Buffer
+		if err := WriteMatrix(&got, m); err != nil {
+			t.Fatal(err)
+		}
+		checkRowStream(t, got.Bytes(), jsonFramed(t, fmt.Sprintf(`{"n":%d,"rows":[`, n), m), func(r io.Reader) ([][]float64, error) {
+			return ReadMatrix(r)
+		}, m)
+
+		const logID = "l-0123abcd"
+		offset := n / 2
+		got.Reset()
+		if err := WriteAppendedRows(&got, logID, n, offset, m[offset:]); err != nil {
+			t.Fatal(err)
+		}
+		header := fmt.Sprintf(`{"log":%q,"n":%d,"offset":%d,"rows":[`, logID, n, offset)
+		checkRowStream(t, got.Bytes(), jsonFramed(t, header, m[offset:]), func(r io.Reader) ([][]float64, error) {
+			a, err := ReadAppendedRows(r)
+			if err != nil {
+				return nil, err
+			}
+			if a.Log != logID || a.N != n || a.Offset != offset {
+				t.Errorf("appended header decodes to %q %d %d, want %q %d %d", a.Log, a.N, a.Offset, logID, n, offset)
+			}
+			return a.Rows, nil
+		}, m[offset:])
+	}
+
+	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		m := dpe.Matrix{{0, bad}, {bad, 0}}
+		if err := WriteMatrix(io.Discard, m); err == nil {
+			t.Errorf("WriteMatrix accepted %v", bad)
+		}
+		if err := WriteAppendedRows(io.Discard, "l-a", 2, 1, m[1:]); err == nil {
+			t.Errorf("WriteAppendedRows accepted %v", bad)
+		}
+	}
+
+	for _, in := range []string{
+		``,
+		`{"n":1,"rows":[[01]]}`,
+		`{"n":1,"rows":[[-01]]}`,
+		`{"n":1,"rows":[[.5]]}`,
+		`{"n":1,"rows":[[Inf]]}`,
+		`{"n":1,"rows":[[NaN]]}`,
+		`{"n":1,"rows":[[-]]}`,
+		`{"n":1,"rows":[[+1]]}`,
+		`{"n":1,"rows":[[1.]]}`,
+		`{"n":1,"rows":[[1e]]}`,
+		`{"n":1,"rows":[[1e+]]}`,
+		`{"n":1,"rows":[[0x10]]}`,
+		`{"n":1,"rows":[[1e400]]}`,
+		`{"n":1,"rows":[["0"]]}`,
+		`{"n":1,"rows":[[0 1]]}`,
+		`{"n":2,"rows":[[1,]]}`,
+		`{"n":1,"rows":[[1],]}`,
+		`{"n":1,"rows":[[1]]]}`,
+		`{"rows":[[1]],"n":1}`,
+		`{"n":1,"extra":0,"rows":[[1]]}`,
+		`{"N":1,"rows":[[1]]}`,
+		`{"n" 1,"rows":[[1]]}`,
+		`{"n":1 "rows":[[1]]}`,
+		`{"n":1,"rows":[[1]]}x`,
+		`{"n":1,"rows":[[1]]}{}`,
+		`{"n":1,"rows":[[1]]} ,`,
+		`{"n":-1,"rows":[]}`,
+		`{"n":1.0,"rows":[[0]]}`,
+		`{"n":1e0,"rows":[[0]]}`,
+		`{"n":99999999999999999999,"rows":[]}`,
+		`{"n":2,"rows":[[0,1]]}`,
+		`{"n":2,"rows":[[0],[1]]}`,
+		`{"n":1,"rows":[[0],[1]]}`,
+		`{"n":1,"rows":[[0,1]]}`,
+		`{"n":1,"rows":[[]]}`,
+		`{"n":1000000000,"rows":[`,
+	} {
+		if back, err := ReadMatrix(strings.NewReader(in)); err == nil {
+			t.Errorf("ReadMatrix(%q) = %v, want an error", in, back)
+		}
+	}
+	for _, in := range []string{
+		``,
+		`{"log":"l-a","n":2,"offset":1,"rows":[[01,1]]}`,
+		`{"log":"l-a","n":2,"offset":1,"rows":[[.5,1]]}`,
+		`{"log":"l-a","n":2,"offset":1,"rows":[[Inf,1]]}`,
+		`{"log":"l-a","n":2,"offset":1,"rows":[[1,]]}`,
+		`{"n":2,"log":"l-a","offset":1,"rows":[[0,1]]}`,
+		`{"log":"l-a","offset":1,"n":2,"rows":[[0,1]]}`,
+		`{"log":"l-a","n":2,"offset":1,"extra":0,"rows":[[0,1]]}`,
+		`{"log":"l-a","n":2,"offset":1,"rows":[[0,1]]}x`,
+		`{"log":l-a,"n":2,"offset":1,"rows":[[0,1]]}`,
+		`{"log":"l-` + "\x01" + `","n":2,"offset":1,"rows":[[0,1]]}`,
+		`{"log":"l-a\q","n":2,"offset":1,"rows":[[0,1]]}`,
+		`{"log":"l-a","n":1,"offset":2,"rows":[]}`,
+		`{"log":"l-a","n":2,"offset":-1,"rows":[]}`,
+		`{"log":"l-a","n":2,"offset":1,"rows":[]}`,
+		`{"log":"l-a","n":2,"offset":1,"rows":[[0,1],[1,0]]}`,
+		`{"log":"l-a","n":2,"offset":1,"rows":[[0]]}`,
+		`{"log":"l-a","n":1000000000,"offset":0,"rows":[`,
+	} {
+		if back, err := ReadAppendedRows(strings.NewReader(in)); err == nil {
+			t.Errorf("ReadAppendedRows(%q) = %+v, want an error", in, back)
+		}
+	}
+	if a, err := ReadAppendedRows(strings.NewReader(`{"log":"l-\u00e9\/","n":1,"offset":1,"rows":[]}`)); err != nil || a.Log != "l-é/" {
+		t.Errorf("escaped log id decodes to %+v, %v", a, err)
+	}
+}
+
+// checkRowStream checks one encoded row stream: the bytes equal want,
+// and read decodes them (whole and one byte at a time) to rows with
+// the same bits, while every truncation fails.
+func checkRowStream(t *testing.T, got, want []byte, read func(io.Reader) ([][]float64, error), rows [][]float64) {
+	t.Helper()
+	if !bytes.Equal(got, want) {
+		t.Fatalf("stream\n%s\nwant json.Marshal framing\n%s", got, want)
+	}
+	for _, r := range []io.Reader{bytes.NewReader(got), iotest.OneByteReader(bytes.NewReader(got))} {
+		back, err := read(r)
+		if err != nil {
+			t.Fatalf("decoding %s: %v", got, err)
+		}
+		if !sameBits(back, rows) {
+			t.Fatalf("%s decodes to %v, want %v", got, back, rows)
+		}
+		for i, row := range back {
+			if cap(row) != len(row) {
+				t.Fatalf("decoded row %d has capacity %d past its %d entries: an append would overwrite row %d", i, cap(row), len(row), i+1)
+			}
+		}
+	}
+	for k := range got {
+		if back, err := read(bytes.NewReader(got[:k])); err == nil {
+			t.Fatalf("truncation to %d of %d bytes decodes to %v, want an error", k, len(got), back)
+		}
+	}
+}
+
+// jsonFramed is the stream the row codec replaced: the header, then
+// json.Marshal once per row.
+func jsonFramed(t *testing.T, header string, rows [][]float64) []byte {
+	t.Helper()
+	b := []byte(header)
+	for i, row := range rows {
+		if i > 0 {
+			b = append(b, ',')
+		}
+		rb, err := json.Marshal(row)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b = append(b, rb...)
+	}
+	return append(b, "]}"...)
+}
+
+// formatBoundaries are the floats where encoding/json's number format
+// changes or runs longest.
+var formatBoundaries = []float64{
+	0, math.Copysign(0, -1),
+	1e-6, math.Nextafter(1e-6, 0),
+	1e21, math.Nextafter(1e21, 0),
+	5e-324, math.MaxFloat64,
+	1e-7, 1.2345678901234567e-6, 1e20, 0.1, 1,
+}
+
+// randomMatrix fills an n×n matrix with signed format boundaries,
+// distance-like fractions, and arbitrary finite bit patterns.
+func randomMatrix(rng *rand.Rand, n int) dpe.Matrix {
+	m := make(dpe.Matrix, n)
+	for i := range m {
+		m[i] = make([]float64, n)
+		for j := range m[i] {
+			var v float64
+			switch rng.IntN(3) {
+			case 0:
+				v = formatBoundaries[rng.IntN(len(formatBoundaries))]
+			case 1:
+				v = rng.Float64()
+			default:
+				for v = math.Inf(1); math.IsInf(v, 0) || math.IsNaN(v); {
+					v = math.Float64frombits(rng.Uint64())
+				}
+			}
+			if rng.IntN(2) == 0 {
+				v = -v
+			}
+			m[i][j] = v
+		}
+	}
+	return m
+}
+
+// sameBits reports whether a and b have the same shape and bit-identical
+// entries (so -0 differs from 0).
+func sameBits(a, b [][]float64) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if len(a[i]) != len(b[i]) {
+			return false
+		}
+		for j := range a[i] {
+			if math.Float64bits(a[i][j]) != math.Float64bits(b[i][j]) {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// allocatedBy returns the bytes f allocates, from runtime.MemStats.
+func allocatedBy(f func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	f()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
+}
+
+// fuzzRows checks the three invariants of a row-stream reader on one
+// input: it does not panic; it allocates at most 1 MiB plus 64 bytes per
+// input byte, so a hostile header such as {"n":1000000000,"rows":[
+// fails within a fixed 1 MiB; and what it accepts re-encodes and
+// decodes to the same header and the same bits. read returns the rows,
+// the header's other fields as a string, and a writer re-encoding both.
+func fuzzRows(t *testing.T, data []byte, read func(io.Reader) ([][]float64, string, func(io.Writer) error, error)) {
+	var rows [][]float64
+	var header string
+	var write func(io.Writer) error
+	var err error
+	if got, bound := allocatedBy(func() { rows, header, write, err = read(bytes.NewReader(data)) }), uint64(1<<20+64*len(data)); got > bound {
+		t.Fatalf("decoding %d bytes allocated %d bytes, bound %d", len(data), got, bound)
+	}
+	if err != nil {
+		return
+	}
+	var buf bytes.Buffer
+	if err := write(&buf); err != nil {
+		t.Fatalf("re-encoding accepted input %q: %v", data, err)
+	}
+	back, backHeader, _, err := read(&buf)
+	if err != nil {
+		t.Fatalf("decoding re-encoded %q: %v", buf.Bytes(), err)
+	}
+	if backHeader != header || !sameBits(back, rows) {
+		t.Fatalf("%q re-decodes to %s %v, want %s %v", data, backHeader, back, header, rows)
+	}
+}
+
+func FuzzReadMatrix(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		fuzzRows(t, data, func(r io.Reader) ([][]float64, string, func(io.Writer) error, error) {
+			m, err := ReadMatrix(r)
+			return m, "", func(w io.Writer) error { return WriteMatrix(w, m) }, err
+		})
+	})
+}
+
+func FuzzReadAppendedRows(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		fuzzRows(t, data, func(r io.Reader) ([][]float64, string, func(io.Writer) error, error) {
+			a, err := ReadAppendedRows(r)
+			if err != nil {
+				return nil, "", nil, err
+			}
+			return a.Rows, fmt.Sprintf("%q %d %d", a.Log, a.N, a.Offset), func(w io.Writer) error {
+				return WriteAppendedRows(w, a.Log, a.N, a.Offset, a.Rows)
+			}, nil
+		})
+	})
+}
+
+// TestWireAllocBudget keeps per-row json.Marshal and whole-body
+// buffering from coming back: WriteMatrix, ReadMatrix and LogID make as
+// many allocations at n=512 as at n=64, and ReadMatrix at n=256
+// allocates at most the matrix it returns (n²·8 bytes of entries, n·24
+// of row headers) plus 64 KiB.
+func TestWireAllocBudget(t *testing.T) {
+	// Drop the spare readers earlier tests left, so these sequential
+	// calls reuse one reader and its scratch.
+	for len(spareRowReaders) > 0 {
+		<-spareRowReaders
+	}
+	rng := rand.New(rand.NewPCG(64, 512))
+	type counts struct{ write, read, logID float64 }
+	measure := func(n int) counts {
+		m := randomMatrix(rng, n)
+		var buf bytes.Buffer
+		if err := WriteMatrix(&buf, m); err != nil {
+			t.Fatal(err)
+		}
+		log := make([]string, n)
+		for i := range log {
+			log[i] = fmt.Sprintf("SELECT c%d FROM t WHERE a > %d", i, rng.IntN(1000))
+		}
+		log[0] = strings.Repeat("x", 200) // the longest query
+		return counts{
+			write: testing.AllocsPerRun(3, func() { WriteMatrix(io.Discard, m) }),
+			read:  testing.AllocsPerRun(3, func() { ReadMatrix(bytes.NewReader(buf.Bytes())) }),
+			logID: testing.AllocsPerRun(3, func() { LogID(log) }),
+		}
+	}
+	if small, large := measure(64), measure(512); small != large {
+		t.Errorf("allocations per call at n=64 %+v, at n=512 %+v: they grow with n", small, large)
+	}
+
+	const n = 256
+	var buf bytes.Buffer
+	if err := WriteMatrix(&buf, randomMatrix(rng, n)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ReadMatrix(bytes.NewReader(buf.Bytes())); err != nil {
+		t.Fatal(err)
+	}
+	budget := uint64(n*n*8 + n*24 + 64<<10)
+	if got := allocatedBy(func() { ReadMatrix(bytes.NewReader(buf.Bytes())) }); got > budget {
+		t.Errorf("ReadMatrix at n=%d allocated %d bytes, budget %d", n, got, budget)
 	}
 }
 
