@@ -28,8 +28,9 @@ const obsShards = 4
 //   - obs/http_requests: every request the script sent, counted by the
 //     middleware's route×code counters — (5 + WarmCalls) per measure.
 //   - obs/stats_mismatches: cache series on /metrics that disagree with
-//     the same numbers on /v1/stats; must be zero (the two views read
-//     one set of shard-cache counters).
+//     the same numbers on /v1/stats, plus any dpe_store_append_errors_total
+//     series that is missing or non-zero (the store is healthy, so no
+//     best-effort append was dropped); must be zero.
 //   - obs/stage_prepare_builds: prepare-stage histogram samples — one
 //     cold build per measure, however many warm calls follow.
 //   - obs/store_records_written: journal appends — per measure, the
@@ -121,6 +122,13 @@ func runObs(ctx context.Context, r *Report, f *fixtures) error {
 		`dpe_sessions`:                              float64(stats.Sessions),
 	} {
 		if samples[key] != want {
+			mismatches++
+		}
+	}
+	// A healthy store drops no best-effort append: every kind's series
+	// must be exposed, and read zero.
+	for _, kind := range []store.Kind{store.KindDelete, store.KindSnapshot, store.KindApprox, store.KindMining} {
+		if v, ok := samples[`dpe_store_append_errors_total{kind="`+string(kind)+`"}`]; !ok || v != 0 {
 			mismatches++
 		}
 	}

@@ -118,6 +118,20 @@ func (r *snapReader) uvarint() (uint64, error) {
 	return n, nil
 }
 
+// count reads the length of a list whose items take at least minBytes
+// each and rejects one the remaining bytes cannot hold, so a hostile
+// count fails before anything is allocated for it.
+func (r *snapReader) count(minBytes int) (uint64, error) {
+	n, err := r.uvarint()
+	if err != nil {
+		return 0, err
+	}
+	if left := len(r.buf) - r.off; n > uint64(left/minBytes) {
+		return 0, fmt.Errorf("distance: snapshot count %d at offset %d exceeds the %d bytes left", n, r.off, left)
+	}
+	return n, nil
+}
+
 func (r *snapReader) varint() (int64, error) {
 	n, sz := binary.Varint(r.buf[r.off:])
 	if sz <= 0 {
@@ -206,7 +220,7 @@ func writeInterned[K comparable](w *snapWriter, p *internedPrepared[K], writeEle
 // in stored (id) order, so the restored dictionary is identical to the
 // marshaled one and a re-marshal yields the same bytes.
 func readInterned[K comparable](r *snapReader, readElem func(*snapReader) (K, error)) (*internedPrepared[K], error) {
-	nElems, err := r.uvarint()
+	nElems, err := r.count(1)
 	if err != nil {
 		return nil, err
 	}
@@ -220,12 +234,12 @@ func readInterned[K comparable](r *snapReader, readElem func(*snapReader) (K, er
 			return nil, fmt.Errorf("distance: snapshot dictionary has duplicate element at id %d", i)
 		}
 	}
-	nSets, err := r.uvarint()
+	nSets, err := r.count(1)
 	if err != nil {
 		return nil, err
 	}
 	for i := uint64(0); i < nSets; i++ {
-		card, err := r.uvarint()
+		card, err := r.count(1)
 		if err != nil {
 			return nil, err
 		}
@@ -257,14 +271,14 @@ func readInterned[K comparable](r *snapReader, readElem func(*snapReader) (K, er
 // and therefore any re-marshal and any MinHash signature — matches a
 // fresh Prepare of the same log exactly.
 func readLegacySets[K comparable](r *snapReader, readElem func(*snapReader) (K, error)) (*internedPrepared[K], error) {
-	n, err := r.uvarint()
+	n, err := r.count(1) // each set has at least its element count
 	if err != nil {
 		return nil, err
 	}
 	out := newInternedPrepared[K](int(n))
 	elems := []K(nil)
 	for i := uint64(0); i < n; i++ {
-		k, err := r.uvarint()
+		k, err := r.count(1)
 		if err != nil {
 			return nil, err
 		}
@@ -470,7 +484,7 @@ func writeArea(w *snapWriter, a accessarea.Area) error {
 }
 
 func readArea(r *snapReader) (accessarea.Area, error) {
-	n, err := r.uvarint()
+	n, err := r.count(4) // an interval is at least two value kinds and two open flags
 	if err != nil {
 		return accessarea.Area{}, err
 	}
@@ -558,13 +572,13 @@ func (*accessAreaMetric) UnmarshalPrepared(data []byte) (Prepared, error) {
 	if err != nil {
 		return nil, err
 	}
-	n, err := r.uvarint()
+	n, err := r.count(2) // a query is at least its attribute and area counts
 	if err != nil {
 		return nil, err
 	}
 	out := &aaPrepared{x: x, attrs: newDict[string](), queries: make([]aaQuery, 0, n)}
 	for i := uint64(0); i < n; i++ {
-		nAttrs, err := r.uvarint()
+		nAttrs, err := r.count(1)
 		if err != nil {
 			return nil, err
 		}
@@ -574,7 +588,7 @@ func (*accessAreaMetric) UnmarshalPrepared(data []byte) (Prepared, error) {
 				return nil, err
 			}
 		}
-		nAreas, err := r.uvarint()
+		nAreas, err := r.count(2) // an area is at least its name and interval counts
 		if err != nil {
 			return nil, err
 		}

@@ -3,6 +3,10 @@ package distance
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
+	"os"
+	"path/filepath"
+	"runtime"
 	"testing"
 
 	"repro/internal/accessarea"
@@ -21,7 +25,7 @@ var snapshotLog = []string{
 	"SELECT a FROM t",
 }
 
-func snapshotArtifacts(t *testing.T) Artifacts {
+func snapshotArtifacts(t testing.TB) Artifacts {
 	t.Helper()
 	cat := db.NewCatalog()
 	table, err := cat.Create("t", []db.Column{
@@ -151,4 +155,85 @@ func TestSnapshotRejectsGarbage(t *testing.T) {
 	if _, err := token.(Snapshotter).MarshalPrepared(&aaPrepared{}); err == nil {
 		t.Error("marshaling a foreign prepared state succeeded")
 	}
+	// Counts of 2⁶² at each pre-sizing site must fail against the bytes
+	// left instead of sizing an allocation. The first is 22 bytes: the
+	// magic, tag 3, the overlap float, then the query count.
+	huge := binary.AppendUvarint(nil, 1<<62)
+	area := append([]byte("DPS1\x03"), make([]byte, 8)...)
+	for name, c := range map[string]struct {
+		snap Snapshotter
+		data []byte
+	}{
+		"tag 3 queries":   {aa.(Snapshotter), append(area, huge...)},
+		"tag 3 attrs":     {aa.(Snapshotter), append(append(area, 1), huge...)},
+		"tag 3 areas":     {aa.(Snapshotter), append(append(area, 1, 0), huge...)},
+		"tag 3 intervals": {aa.(Snapshotter), append(append(area, 1, 0, 1, 0), huge...)},
+		"tag 1 sets":      {token.(Snapshotter), append([]byte("DPS1\x01"), huge...)},
+		"tag 4 elements":  {token.(Snapshotter), append([]byte("DPS1\x04"), huge...)},
+	} {
+		if name == "tag 3 queries" && len(c.data) != 22 {
+			t.Fatalf("%s: hostile snapshot is %d bytes, want 22", name, len(c.data))
+		}
+		if _, err := c.snap.UnmarshalPrepared(c.data); err == nil {
+			t.Errorf("%s: a count of 2^62 decoded without error", name)
+		}
+	}
+}
+
+// FuzzUnmarshalPrepared checks the snapshot decoders (tags 1–5) on
+// arbitrary bytes: they never panic; decoding allocates at most 1 MiB
+// plus 128 bytes per input byte (an access-area interval is 144 bytes
+// in memory and 4 on disk, and NewArea copies it once more); and
+// marshaling an accepted state gives bytes that decode and re-marshal
+// to the same bytes.
+func FuzzUnmarshalPrepared(f *testing.F) {
+	fixtures, err := filepath.Glob(filepath.Join("testdata", "snapshot_*.bin"))
+	if err != nil {
+		f.Fatal(err)
+	}
+	for _, path := range fixtures {
+		data, err := os.ReadFile(path)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(data)
+	}
+	arts := snapshotArtifacts(f)
+	var snaps []Snapshotter // one per codec: string sets, feature sets, access areas
+	for _, name := range []string{"token", "structure", "access-area"} {
+		m, err := New(name, arts)
+		if err != nil {
+			f.Fatal(err)
+		}
+		snaps = append(snaps, m.(Snapshotter))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		for _, snap := range snaps {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			prep, err := snap.UnmarshalPrepared(data)
+			runtime.ReadMemStats(&after)
+			if got, bound := after.TotalAlloc-before.TotalAlloc, uint64(1<<20+128*len(data)); got > bound {
+				t.Fatalf("%T: decoding %d bytes allocated %d bytes, bound %d", snap, len(data), got, bound)
+			}
+			if err != nil {
+				continue
+			}
+			once, err := snap.MarshalPrepared(prep)
+			if err != nil {
+				t.Fatalf("%T: marshaling an accepted state: %v", snap, err)
+			}
+			back, err := snap.UnmarshalPrepared(once)
+			if err != nil {
+				t.Fatalf("%T: decoding the re-marshaled %x: %v", snap, once, err)
+			}
+			twice, err := snap.MarshalPrepared(back)
+			if err != nil {
+				t.Fatalf("%T: re-marshaling: %v", snap, err)
+			}
+			if !bytes.Equal(once, twice) {
+				t.Fatalf("%T: %x re-marshals to %x", snap, once, twice)
+			}
+		}
+	})
 }

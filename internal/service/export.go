@@ -164,7 +164,7 @@ func (r *Registry) ImportSession(rd io.Reader) (*ImportResult, error) {
 	// Warm the caches from the artifact records through the replay
 	// rules (same decode checks, same keys, same byte accounting).
 	res := &ImportResult{Session: js.ID, Logs: len(c.logs), Skipped: st.Skipped}
-	var warm []journal.Record
+	var warm []journal.Artifact
 	for _, art := range c.artifacts {
 		if s.restore(art) != journal.Applied {
 			res.Skipped++
@@ -194,8 +194,10 @@ func (r *Registry) ImportSession(rd io.Reader) (*ImportResult, error) {
 		}
 		// The warm cache entries are a recoverable optimization: journal
 		// them best-effort, like the write-through hooks.
-		for _, rec := range warm {
-			s.sh.journal.Append(rec)
+		for _, art := range warm {
+			if err := s.sh.journal.Append(art); err != nil {
+				r.metrics.appendErrors[art.Kind].Inc()
+			}
 		}
 		// If this id ever lived (and was tombstoned) on this server, the
 		// old tombstone now precedes the fresh create in the journal and

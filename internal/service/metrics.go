@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"repro/internal/obs"
+	"repro/internal/store"
 )
 
 // stageNames is the closed set of provider pipeline stages the registry
@@ -34,6 +35,10 @@ type registryMetrics struct {
 	inflightBuilds  *obs.Gauge
 	evictDelete     *obs.Counter
 	evictReap       *obs.Counter
+	// appendErrors counts, per record kind, the best-effort journal
+	// appends that failed and were dropped without failing a request.
+	// A nil map (uninstrumented) yields nil counters.
+	appendErrors map[store.Kind]*obs.Counter
 	// stages maps a stage name to its latency histogram; read-only
 	// after wireMetrics, so lookups need no lock.
 	stages map[string]*obs.Histogram
@@ -72,6 +77,11 @@ func (r *Registry) wireMetrics(o *obs.Registry) {
 	m.evictReap = o.Counter("dpe_cache_evictions_total", "Cache entries evicted, by cause.", "cause", "ttl_reap")
 	o.CounterFunc("dpe_cache_evictions_total", "Cache entries evicted, by cause.",
 		func() float64 { return float64(r.cacheTotals().Evictions) }, "cause", "budget")
+	m.appendErrors = make(map[store.Kind]*obs.Counter)
+	for _, k := range []store.Kind{store.KindDelete, store.KindSnapshot, store.KindApprox, store.KindMining} {
+		m.appendErrors[k] = o.Counter("dpe_store_append_errors_total",
+			"Best-effort journal appends (artifacts, TTL tombstones) that failed and were dropped, by record kind.", "kind", string(k))
+	}
 
 	o.GaugeFunc("dpe_sessions", "Live sessions across all shards.",
 		func() float64 { return float64(r.live.Load()) })

@@ -2,21 +2,29 @@ package service
 
 import (
 	"context"
+	"errors"
 	"fmt"
+	"os"
+	"path/filepath"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	dpe "repro"
 	"repro/internal/mining"
+	"repro/internal/obs"
+	"repro/internal/store"
+	"repro/internal/store/journal"
 )
 
 // TestMineStateSurvivesRestart is the tentpole's persistence check: an
 // append_mine populates a mining state, the registry is killed and
 // reopened from its journals, and the first post-restart append_mine
-// must run warm from the replayed state — no cold bootstrap — while
-// agreeing with a cold mine over the same log.
+// must run warm from the replayed state — no cold bootstrap, only the
+// journal-omitted prefix matrix rebuilt — while agreeing with a cold
+// mine over the same log.
 func TestMineStateSurvivesRestart(t *testing.T) {
 	dir := t.TempDir()
 	reg := NewRegistry(persistentConfig(t, dir, 4))
@@ -66,6 +74,11 @@ func TestMineStateSurvivesRestart(t *testing.T) {
 	if res2.Incremental.OldN != 10 {
 		t.Errorf("warm run extended %d rows, want the pre-restart 10", res2.Incremental.OldN)
 	}
+	// The journaled state carries no matrix, so this run rebuilds the
+	// 10-row prefix's 45 pairs before computing the 21 new ones.
+	if got := res2.Incremental.PairsComputed; got != 45+21 {
+		t.Errorf("first post-restart warm run computed %d pairs, want 66 (45 rebuilt + 21 new)", got)
+	}
 
 	// The warm continuation must agree with a cold mine of the full log.
 	cold, err := s2.Mine(ctx, combined2, spec)
@@ -87,6 +100,142 @@ func TestMineStateSurvivesRestart(t *testing.T) {
 	}
 	if stats := s2.Stats(); stats.MineStateHits != 1 {
 		t.Errorf("post-restart mine-state hits = %d, want 1 (the zero-delta replay)", stats.MineStateHits)
+	}
+}
+
+// TestMineStateV1JournalReplay replays a mining record whose blob the
+// JSON-era (v1) encoder wrote: the registry restores it with its
+// matrix, and the first append_mine runs warm, computing only the
+// appended rows' pairs.
+func TestMineStateV1JournalReplay(t *testing.T) {
+	fixtures := filepath.Join("..", "..", "testdata", "minestate_v1")
+	raw, err := os.ReadFile(filepath.Join(fixtures, "log.txt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	log := strings.Split(strings.TrimSuffix(string(raw), "\n"), "\n")
+	blob, err := os.ReadFile(filepath.Join(fixtures, "dbscan.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec := dpe.MineSpec{Algorithm: dpe.MineDBSCAN, Eps: 0.4, MinPts: 2}
+
+	dir := t.TempDir()
+	reg := NewRegistry(persistentConfig(t, dir, 2))
+	token := dpe.MeasureToken
+	s, err := reg.CreateSession(&CreateSessionRequest{Measure: &token})
+	if err != nil {
+		t.Fatal(err)
+	}
+	baseID, err := s.AddLog(log[:9])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.sh.journal.Append(journal.Artifact{Kind: store.KindMining, SessionID: s.ID(), LogID: baseID, Blob: blob}); err != nil {
+		t.Fatal(err)
+	}
+	id := s.ID()
+	reg.Close()
+
+	reg2, err := OpenRegistry(persistentConfig(t, dir, 2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer reg2.Close()
+	if rec := reg2.Recovery(); rec.MineStates != 1 || rec.Skipped != 0 {
+		t.Fatalf("recovery %+v, want the v1 mining state applied", rec)
+	}
+	s2, err := reg2.Session(id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	combinedID, _, _, res, err := s2.AppendMine(ctx, baseID, log[9:], spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := res.Incremental; st == nil || !st.Warm || st.ColdFallback || st.OldN != 9 || st.PairsComputed != 9*5+10 {
+		t.Fatalf("first append_mine over the v1 state: %+v, want warm from 9 rows with 55 pairs", st)
+	}
+	cold, err := s2.Mine(ctx, combinedID, spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(mining.CanonicalLabels(res.Labels), mining.CanonicalLabels(cold.Labels)) {
+		t.Errorf("warm labels %v differ from cold labels %v", res.Labels, cold.Labels)
+	}
+}
+
+// artifactFailStore journals nothing and rejects every artifact
+// append, counting the rejections per kind. It is not store.Null, so a
+// registry over it journals as a persistent one.
+type artifactFailStore struct {
+	store.Null
+	mu     sync.Mutex
+	failed map[store.Kind]int
+}
+
+func (f *artifactFailStore) Open(shard int) (store.Log, error) {
+	lg, err := f.Null.Open(shard)
+	return &artifactFailLog{Log: lg, st: f}, err
+}
+
+type artifactFailLog struct {
+	store.Log
+	st *artifactFailStore
+}
+
+func (l *artifactFailLog) Append(rec store.Record) error {
+	switch rec.Kind {
+	case store.KindSnapshot, store.KindApprox, store.KindMining:
+		l.st.mu.Lock()
+		l.st.failed[rec.Kind]++
+		l.st.mu.Unlock()
+		return errors.New("artifact append rejected")
+	}
+	return l.Log.Append(rec)
+}
+
+// TestDroppedJournalAppendsCounted fails every artifact append: the
+// append_mine calls still succeed, and dpe_store_append_errors_total
+// counts exactly the records the store rejected, per kind.
+func TestDroppedJournalAppendsCounted(t *testing.T) {
+	st := &artifactFailStore{failed: map[store.Kind]int{}}
+	o := obs.NewRegistry()
+	reg, err := OpenRegistry(Config{Shards: 2, Store: st, JanitorInterval: -1, Obs: o})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer reg.Close()
+	ctx := context.Background()
+	token := dpe.MeasureToken
+	log := clusteredLog()
+	spec := dpe.MineSpec{Algorithm: dpe.MineDBSCAN, Eps: 0.4, MinPts: 2}
+	s, err := reg.CreateSession(&CreateSessionRequest{Measure: &token})
+	if err != nil {
+		t.Fatal(err)
+	}
+	baseID, err := s.AddLog(log[:8])
+	if err != nil {
+		t.Fatal(err)
+	}
+	combinedID, _, _, _, err := s.AppendMine(ctx, baseID, log[8:10], spec)
+	if err != nil {
+		t.Fatalf("append_mine failed on a dropped artifact append: %v", err)
+	}
+	if _, _, _, res, err := s.AppendMine(ctx, combinedID, log[10:12], spec); err != nil || !res.Incremental.Warm {
+		t.Fatalf("chained append_mine: %v, %+v", err, res)
+	}
+
+	samples := scrape(t, o)
+	if st.failed[store.KindSnapshot] == 0 || st.failed[store.KindMining] == 0 {
+		t.Fatalf("the store rejected %v, want snapshot and mining records among them", st.failed)
+	}
+	for _, kind := range []store.Kind{store.KindDelete, store.KindSnapshot, store.KindApprox, store.KindMining} {
+		key := fmt.Sprintf("dpe_store_append_errors_total{kind=%q}", kind)
+		if got, want := samples[key], float64(st.failed[kind]); got != want {
+			t.Errorf("%s = %v, want %v dropped records", key, got, want)
+		}
 	}
 }
 

@@ -558,7 +558,11 @@ func (r *Registry) reapShard(sh *shard, now time.Time) {
 		r.metrics.sessionsReaped.Inc()
 		r.metrics.evictReap.Add(int64(sh.cache.removePrefix(id + "\x00")))
 		if r.persistent {
-			sh.journal.Append(journal.Delete{ID: id})
+			// Best-effort, like the artifact appends: a dropped
+			// tombstone is counted, not retried.
+			if err := sh.journal.Append(journal.Delete{ID: id}); err != nil {
+				r.metrics.appendErrors[store.KindDelete].Inc()
+			}
 		}
 	}
 }

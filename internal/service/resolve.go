@@ -220,7 +220,8 @@ func (s *session) hit(k artifact) {
 // (the session is pinned to s.sh, so its own shard map is the liveness
 // authority). Journaling is best-effort: every artifact is a cache the
 // server can rebuild from the journaled log, so a codec or IO failure
-// must not fail the tenant's request.
+// must not fail the tenant's request; it counts in
+// dpe_store_append_errors_total instead.
 func (s *session) keep(k artifact, variant, logID string, v any) {
 	if s.sh.session(s.id) == nil {
 		return
@@ -229,8 +230,12 @@ func (s *session) keep(k artifact, variant, logID string, v any) {
 	if !s.reg.persistent {
 		return
 	}
-	if rec, err := s.record(k, logID, v); err == nil {
-		s.sh.journal.Append(rec)
+	rec, err := s.record(k, logID, v)
+	if err == nil {
+		err = s.sh.journal.Append(rec)
+	}
+	if err != nil {
+		s.reg.metrics.appendErrors[artifactKinds[k].journal].Inc()
 	}
 }
 

@@ -154,10 +154,12 @@ func (s *segment) Append(rec Record) error {
 	}
 	// Sync before acknowledging: an appended record (a tenant's upload,
 	// or a delete tombstone) must survive power loss, not just a
-	// process crash. Journaled events are low-rate (session lifecycle
-	// and first-prepare, never the per-request hot path), so the fsync
-	// cost stays off the serving path — the fsync-latency histogram is
-	// the number that says when that assumption stops holding.
+	// process crash. Every record pays this fsync, the best-effort
+	// artifact caches included, and some sit on the request path: a
+	// logs:append_mine journals its combined log, prepared snapshot and
+	// mining state, 2.66 fsynced records per op on perfbench's
+	// ingest-mine workload. The fsync-latency histogram says what that
+	// costs.
 	syncStart := time.Now()
 	if err := s.f.Sync(); err != nil {
 		return fmt.Errorf("store: syncing %s: %w", s.name, err)

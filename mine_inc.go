@@ -14,9 +14,7 @@ package dpe
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
-	"sort"
 
 	"repro/internal/distance"
 	"repro/internal/mining"
@@ -28,11 +26,12 @@ import (
 // returned — MineIncremental extends copies, never the state itself —
 // so a service can cache it and serve concurrent readers. A MineState
 // is only meaningful with the Provider and log prefix it was mined
-// from.
+// from. A state restored by UnmarshalMineState carries no matrix;
+// MineIncremental rebuilds it from the prepared log on each warm use.
 type MineState struct {
 	spec   MineSpec
 	n      int
-	matrix Matrix                 // distance-based algorithms; nil for apriori
+	matrix Matrix                 // distance-based algorithms; nil for apriori and restored states
 	kmed   *mining.KMedoidsResult // k-medoids warm start
 	adj    [][]int                // dbscan eps-neighborhood graph
 	labels []int                  // prior labels (dbscan, complete-link) or 0/1 outlier flags
@@ -81,8 +80,10 @@ type IncrementalStats struct {
 	// OldN is the row count the previous state covered (0 when cold).
 	OldN int `json:"old_n"`
 	// PairsComputed counts the distance pairs evaluated for the
-	// matrix: oldN·k + k·(k−1)/2 warm, the full n·(n−1)/2 triangle
-	// cold, 0 for apriori (which never builds a matrix).
+	// matrix: oldN·k + k·(k−1)/2 warm, plus the oldN·(oldN−1)/2 prefix
+	// pairs when the warm state was restored without its matrix; the
+	// full n·(n−1)/2 triangle cold; 0 for apriori (which never builds a
+	// matrix).
 	PairsComputed int64 `json:"pairs_computed"`
 	// Examined counts the algorithm's own work: matrix entries read
 	// (k-medoids, DBSCAN) or transaction membership scans (apriori).
@@ -104,8 +105,9 @@ const warmCostTolerance = 1e-9
 // MineIncremental mines a prepared log reusing the previous call's
 // MineState. When prev covers a prefix of pl under the identical spec,
 // only the appended rows' distance pairs are computed (the matrix is
-// spliced, stage "mine_delta") and the algorithm warm-starts from the
-// prior result; otherwise the cold bootstrap runs (stage "mine",
+// spliced, stage "mine_delta"; a state restored without its matrix
+// first rebuilds the prefix's pairs) and the algorithm warm-starts
+// from the prior result; otherwise the cold bootstrap runs (stage "mine",
 // identical output to MinePrepared) and captures state. Either way the
 // returned result matches a cold Mine over the full log — exactly for
 // DBSCAN, Apriori, and the non-warm algorithms, and up to local-optimum
@@ -238,19 +240,30 @@ func (p *Provider) mineWarm(ctx context.Context, pl *PreparedLog, prev *MineStat
 		return res, state, nil
 	}
 
-	if len(prev.matrix) != oldN {
-		return nil, nil, fmt.Errorf("dpe: mining state carries a %d-row matrix for %d rows", len(prev.matrix), oldN)
+	base := prev.matrix
+	if base == nil {
+		// A state restored from the journal carries no matrix: rebuild
+		// the prefix's block from the call's prepared log. It stays with
+		// this call; prev may be a cached state shared by other readers.
+		var err error
+		if base, err = distance.BuildMatrix(ctx, oldN, p.parallelism, pl.prep.Distance); err != nil {
+			return nil, nil, err
+		}
+		stats.PairsComputed = int64(oldN) * int64(oldN-1) / 2
+	}
+	if len(base) != oldN {
+		return nil, nil, fmt.Errorf("dpe: mining state carries a %d-row matrix for %d rows", len(base), oldN)
 	}
 	rows, err := p.AppendRowsPrepared(ctx, oldN, pl)
 	if err != nil {
 		return nil, nil, err
 	}
-	m, err := SpliceMatrixRows(prev.matrix, rows)
+	m, err := SpliceMatrixRows(base, rows)
 	if err != nil {
 		return nil, nil, err
 	}
 	k := n - oldN
-	stats.PairsComputed = int64(oldN)*int64(k) + int64(k)*int64(k-1)/2
+	stats.PairsComputed += int64(oldN)*int64(k) + int64(k)*int64(k-1)/2
 	res.Matrix = m
 	state.matrix = m
 
@@ -366,80 +379,4 @@ func (p *Provider) transactions(pl *PreparedLog) ([]mining.Transaction, error) {
 		txs[i] = tx
 	}
 	return txs, nil
-}
-
-// --- MineState persistence (the service's KindMining journal records) ---
-
-// mineStateWire is the serialized form of a MineState. Version 1.
-// Counts are sorted by key so equal states marshal to identical bytes;
-// float64 values survive the JSON round trip exactly.
-type mineStateWire struct {
-	V      int                    `json:"v"`
-	Spec   MineSpec               `json:"spec"`
-	N      int                    `json:"n"`
-	Matrix Matrix                 `json:"matrix,omitempty"`
-	Kmed   *mining.KMedoidsResult `json:"kmed,omitempty"`
-	Adj    [][]int                `json:"adj,omitempty"`
-	Labels []int                  `json:"labels,omitempty"`
-	Counts []countEntry           `json:"counts,omitempty"`
-}
-
-type countEntry struct {
-	K string `json:"k"`
-	C int    `json:"c"`
-}
-
-// MarshalMineState serializes a mining state for persistence. The
-// encoding is deterministic and exact: UnmarshalMineState returns a
-// state that warm-starts identically.
-func MarshalMineState(s *MineState) ([]byte, error) {
-	if s == nil {
-		return nil, fmt.Errorf("dpe: nil mining state")
-	}
-	w := mineStateWire{
-		V:      1,
-		Spec:   s.spec,
-		N:      s.n,
-		Matrix: s.matrix,
-		Kmed:   s.kmed,
-		Adj:    s.adj,
-		Labels: s.labels,
-	}
-	if s.counts != nil {
-		w.Counts = make([]countEntry, 0, len(s.counts))
-		for k, c := range s.counts {
-			w.Counts = append(w.Counts, countEntry{K: k, C: c})
-		}
-		sort.Slice(w.Counts, func(i, j int) bool { return w.Counts[i].K < w.Counts[j].K })
-	}
-	return json.Marshal(&w)
-}
-
-// UnmarshalMineState is the inverse of MarshalMineState.
-func UnmarshalMineState(data []byte) (*MineState, error) {
-	var w mineStateWire
-	if err := json.Unmarshal(data, &w); err != nil {
-		return nil, fmt.Errorf("dpe: decoding mining state: %w", err)
-	}
-	if w.V != 1 {
-		return nil, fmt.Errorf("dpe: unknown mining-state version %d", w.V)
-	}
-	if w.N < 0 {
-		return nil, fmt.Errorf("dpe: mining state has negative row count %d", w.N)
-	}
-	s := &MineState{
-		spec:   w.Spec,
-		n:      w.N,
-		matrix: w.Matrix,
-		kmed:   w.Kmed,
-		adj:    w.Adj,
-		labels: w.Labels,
-	}
-	if w.Counts != nil {
-		s.counts = make(map[string]int, len(w.Counts))
-		for _, e := range w.Counts {
-			s.counts[e.K] = e.C
-		}
-	}
-	return s, nil
 }
