@@ -15,7 +15,6 @@
 //
 //	dpebench -exp engine      # matrix build, sequential vs worker pool
 //	dpebench -exp append      # incremental append vs from-scratch rebuild
-//	dpebench -exp approx      # MinHash/LSH neighbors vs the exact matrix
 //	dpebench -exp service     # cold/warm/append latency vs dpeserver
 //	dpebench -exp contention  # P goroutines vs one sharded registry
 //	dpebench -exp recovery    # kill-and-restart: journal replay vs cold start
@@ -85,7 +84,7 @@ func parseOptions(args []string) (*options, error) {
 	o := &options{}
 	fs := flag.NewFlagSet("dpebench", flag.ContinueOnError)
 	fs.SetOutput(io.Discard)
-	fs.StringVar(&o.exp, "exp", "all", "experiment: table1|fig1|mining|accessarea|shared|rules|engine|append|approx|service|contention|recovery|obs|hotpath|incmine|all")
+	fs.StringVar(&o.exp, "exp", "all", "experiment: table1|fig1|mining|accessarea|shared|rules|engine|append|service|contention|recovery|obs|hotpath|incmine|all")
 	fs.BoolVar(&o.json, "json", false, "run the bench harness and write a machine-readable report")
 	fs.BoolVar(&o.short, "short", false, "CI smoke sizes (small workloads, fewer iterations)")
 	fs.StringVar(&o.out, "out", "BENCH_PR7.json", "report path for -json")
@@ -120,7 +119,7 @@ func parseOptions(args []string) (*options, error) {
 		return nil, err
 	}
 	if o.baseline != "" && len(harness) == 0 {
-		return nil, fmt.Errorf("-baseline gates the harness experiments (engine|append|approx|service|contention|recovery|obs|hotpath|incmine|all), but -exp %s runs none", o.exp)
+		return nil, fmt.Errorf("-baseline gates the harness experiments (engine|append|service|contention|recovery|obs|hotpath|incmine|all), but -exp %s runs none", o.exp)
 	}
 	if _, err := o.benchConfig(); err != nil {
 		return nil, err
@@ -139,18 +138,18 @@ func (o *options) selection() (paper, harness []string, err error) {
 			return nil, []string{"all"}, nil
 		}
 		return paperExps, nil, nil
-	case "engine", "append", "approx", "service", "contention", "recovery", "obs", "hotpath", "incmine":
+	case "engine", "append", "service", "contention", "recovery", "obs", "hotpath", "incmine":
 		return nil, []string{o.exp}, nil
 	default:
 		for _, p := range paperExps {
 			if o.exp == p {
 				if o.json {
-					return nil, nil, fmt.Errorf("-json applies to the harness experiments (engine|append|approx|service|contention|recovery|obs|hotpath|incmine|all), not %q", o.exp)
+					return nil, nil, fmt.Errorf("-json applies to the harness experiments (engine|append|service|contention|recovery|obs|hotpath|incmine|all), not %q", o.exp)
 				}
 				return []string{o.exp}, nil, nil
 			}
 		}
-		return nil, nil, fmt.Errorf("unknown experiment %q (want table1|fig1|mining|accessarea|shared|rules|engine|append|approx|service|contention|recovery|obs|hotpath|incmine|all)", o.exp)
+		return nil, nil, fmt.Errorf("unknown experiment %q (want table1|fig1|mining|accessarea|shared|rules|engine|append|service|contention|recovery|obs|hotpath|incmine|all)", o.exp)
 	}
 }
 

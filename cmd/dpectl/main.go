@@ -6,7 +6,7 @@
 //	dpectl mine     -measure token -k 4         # cluster the encrypted log
 //	dpectl mine     -algorithm apriori -min-support 4   # frequent itemsets; also
 //	                dbscan|complete-link|outliers|knn via -eps/-minpts/-p/-d/-query
-//	dpectl neighbors -query 3 -k 5              # sublinear top-K neighbors
+//	dpectl neighbors -query 3 -k 5              # exact top-K neighbors
 //	dpectl verify   -measure token              # check Definition 1
 //	dpectl export   -remote URL -session ID -o bundle.dpe   # portable tenant bundle
 //	dpectl import   -remote URL bundle.dpe      # restore a bundle (warm caches)
@@ -270,8 +270,8 @@ func run(c *cliConfig) error {
 		if err != nil {
 			return err
 		}
-		fmt.Printf("imported session %s: %d logs, %d snapshots, %d approx indexes, %d mine states (%d skipped)\n",
-			res.Session, res.Logs, res.Snapshots, res.ApproxIndexes, res.MineStates, res.Skipped)
+		fmt.Printf("imported session %s: %d logs, %d snapshots, %d mine states (%d skipped)\n",
+			res.Session, res.Logs, res.Snapshots, res.MineStates, res.Skipped)
 		return nil
 	}
 
@@ -354,7 +354,7 @@ func run(c *cliConfig) error {
 		for _, nb := range res.Neighbors {
 			fmt.Printf("%4d  d=%.3f  %s\n", nb.Index, nb.Distance, w.Queries[nb.Index])
 		}
-		fmt.Printf("scored %d of %d possible candidates (LSH pair budget)\n", res.Candidates, res.N-1)
+		fmt.Printf("ranked exactly over all %d other queries\n", res.Candidates)
 		return nil
 
 	case "verify":

@@ -11,8 +11,8 @@
 // prepared-state cache, so tenants on different shards never contend.
 //
 // With -data-dir, every shard journals its sessions, uploaded logs,
-// and cached artifacts — prepared-state snapshots, approx indexes, and
-// mining states — to an append-only segment file there; a restarted
+// and cached artifacts — prepared-state snapshots and mining states —
+// to an append-only segment file there; a restarted
 // dpeserver replays the journals, so tenants resume without
 // re-uploading artifacts and the first request after a restart hits
 // the warm cache. Each shard's janitor compacts its journal every
@@ -205,8 +205,8 @@ func run(sc *serverConfig) error {
 	defer reg.Close() // stop the janitors and sync the journals on the way out
 	if sc.dataDir != "" {
 		rec := reg.Recovery()
-		log.Printf("dpeserver: recovered from %s: %d sessions, %d logs, %d prepared snapshots, %d approx indexes, %d mining states (%d tombstones, %d skipped records)",
-			sc.dataDir, rec.Sessions, rec.Logs, rec.Snapshots, rec.ApproxIndexes, rec.MineStates, rec.Tombstones, rec.Skipped)
+		log.Printf("dpeserver: recovered from %s: %d sessions, %d logs, %d prepared snapshots, %d mining states (%d tombstones, %d skipped records)",
+			sc.dataDir, rec.Sessions, rec.Logs, rec.Snapshots, rec.MineStates, rec.Tombstones, rec.Skipped)
 	}
 	srv := &http.Server{
 		Addr: addr,

@@ -336,7 +336,7 @@ type providerConfig struct {
 // StageObserver receives the wall-clock duration of one named pipeline
 // stage as it completes: "prepare" (per-query work), "matrix" (pairwise
 // fan-out), "append_extend"/"append_rows" (the incremental path),
-// "rerank" (exact re-ranking of LSH candidates), "mine", and
+// "rerank" (a Neighbors row plus its top-k selection), "mine", and
 // "mine_delta" (warm incremental mining after an append). Composite
 // calls nest — a "mine" observation covers the "matrix" build inside
 // it — so stage totals are per-stage costs, not additive request time.
@@ -684,13 +684,6 @@ type MineSpec struct {
 	// transaction-count threshold and the largest itemset size mined.
 	MinSupport int
 	MaxLen     int
-	// Approximate runs the algorithm over LSH candidate pairs instead
-	// of the full distance matrix (MineResult.Matrix stays nil and
-	// CandidatePairs reports the pair budget). Only algorithms whose
-	// access pattern is local support it — DBSCAN and kNN; the
-	// K-cluster and outlier algorithms need the full matrix and are
-	// rejected by Validate. Requires a set-based measure.
-	Approximate bool
 }
 
 // Validate checks the spec's parameters against a log of n queries
@@ -742,21 +735,12 @@ func (s MineSpec) Validate(n int) error {
 	default:
 		return fmt.Errorf("dpe: unknown mining algorithm %d", int(s.Algorithm))
 	}
-	if s.Approximate {
-		switch s.Algorithm {
-		case MineDBSCAN, MineKNN:
-		case MineApriori:
-			return fmt.Errorf("dpe: apriori mines transactions, not distances, and never builds the matrix — Approximate does not apply")
-		default:
-			return fmt.Errorf("dpe: %s needs the full distance matrix and cannot run approximately (only dbscan and knn support Approximate)", s.Algorithm)
-		}
-	}
 	return nil
 }
 
 // MineResult holds the output of Provider.Mine. Matrix is set for
-// exact runs and nil for approximate ones (which never build it);
-// exactly one algorithm-specific field is non-zero, matching the spec.
+// every algorithm but apriori (which never builds it); exactly one
+// algorithm-specific field is non-zero, matching the spec.
 type MineResult struct {
 	Matrix Matrix
 	// Clusters is the k-medoids result (MineKMedoids).
@@ -771,10 +755,6 @@ type MineResult struct {
 	// Itemsets are the frequent feature itemsets (MineApriori), in
 	// deterministic order (by size, then lexicographic).
 	Itemsets []FrequentItemset
-	// CandidatePairs is the number of exact pair evaluations an
-	// approximate run performed — the sublinear budget, versus the
-	// n·(n−1)/2 triangle an exact run computes. 0 for exact runs.
-	CandidatePairs int
 	// Incremental reports how a MineIncremental call arrived at the
 	// result; nil for plain Mine calls.
 	Incremental *IncrementalStats
@@ -795,53 +775,19 @@ func (p *Provider) Mine(ctx context.Context, log []string, spec MineSpec) (*Mine
 	return p.MinePrepared(ctx, pl, spec)
 }
 
-// MinePrepared is Mine over an already-prepared log.
+// MinePrepared is Mine over an already-prepared log. It is the cold
+// bootstrap MineIncremental runs without a previous state, with the
+// state and the incremental stats dropped, so the two agree by
+// construction.
 func (p *Provider) MinePrepared(ctx context.Context, pl *PreparedLog, spec MineSpec) (*MineResult, error) {
 	if err := spec.Validate(pl.Len()); err != nil {
 		return nil, err
 	}
-	defer p.stage(ctx, "mine")()
-	if spec.Approximate {
-		idx, err := p.BuildApproxIndex(pl)
-		if err != nil {
-			return nil, err
-		}
-		return p.MinePreparedIndexed(ctx, pl, idx, spec)
-	}
-	if spec.Algorithm == MineApriori {
-		// Apriori consumes transactions, not distances: no matrix.
-		txs, err := p.transactions(pl)
-		if err != nil {
-			return nil, err
-		}
-		sets, err := mining.Apriori(txs, spec.MinSupport, spec.MaxLen)
-		if err != nil {
-			return nil, err
-		}
-		return &MineResult{Itemsets: sets}, nil
-	}
-	m, err := p.DistanceMatrixPrepared(ctx, pl)
+	res, _, err := p.mineBootstrap(ctx, pl, spec)
 	if err != nil {
 		return nil, err
 	}
-	res := &MineResult{Matrix: m}
-	switch spec.Algorithm {
-	case MineKMedoids:
-		res.Clusters, err = mining.KMedoids(m, spec.K)
-	case MineDBSCAN:
-		res.Labels, err = mining.DBSCAN(m, spec.Eps, spec.MinPts)
-	case MineCompleteLink:
-		res.Labels, err = mining.CompleteLink(m, spec.K)
-	case MineOutliers:
-		res.Outliers, err = mining.Outliers(m, spec.P, spec.D)
-	case MineKNN:
-		res.Neighbors, err = mining.KNN(m, spec.Query, spec.K)
-	default:
-		return nil, fmt.Errorf("dpe: unknown mining algorithm %d", int(spec.Algorithm))
-	}
-	if err != nil {
-		return nil, err
-	}
+	res.Incremental = nil
 	return res, nil
 }
 
@@ -862,9 +808,9 @@ type ProviderAPI interface {
 	Distances(ctx context.Context, log []string, q int) ([]float64, error)
 	// Mine builds the matrix and runs one mining algorithm over it.
 	Mine(ctx context.Context, log []string, spec MineSpec) (*MineResult, error)
-	// Neighbors returns the top-k approximate nearest neighbors of
-	// query q, re-ranked with the exact metric — the sublinear path
-	// that never materializes the matrix triangle.
+	// Neighbors returns the k nearest neighbors of query q, ranked by
+	// the exact metric from one matrix row — the matrix triangle is
+	// never materialized.
 	Neighbors(ctx context.Context, log []string, q, k int) (*NeighborsResult, error)
 	// VerifyPreservation checks Definition 1 on two matrices.
 	VerifyPreservation(plain, enc Matrix) (*PreservationReport, error)

@@ -4,10 +4,13 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"reflect"
 	"runtime"
 	"strings"
 	"testing"
 	"time"
+
+	"repro/internal/mining"
 )
 
 // workloadFixture builds a small deterministic workload through the
@@ -364,6 +367,73 @@ func TestProviderMine(t *testing.T) {
 	}
 	if _, err := p.Mine(ctx, encLog, MineSpec{Algorithm: MiningAlgorithm(99)}); err == nil {
 		t.Fatal("unknown algorithm must error")
+	}
+}
+
+// TestMinePreparedMatchesMining pins MinePrepared, which runs the cold
+// bootstrap of incremental mining, against the direct mining package
+// call for each algorithm over the same matrix (or transactions).
+func TestMinePreparedMatchesMining(t *testing.T) {
+	ctx := context.Background()
+	w, _ := workloadFixture(t)
+	p, err := NewProvider(MeasureToken)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pl, err := p.Prepare(ctx, w.Queries)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := p.DistanceMatrixPrepared(ctx, pl)
+	if err != nil {
+		t.Fatal(err)
+	}
+	txs, err := p.transactions(pl)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		spec MineSpec
+		want func() (*MineResult, error)
+	}{
+		{MineSpec{Algorithm: MineKMedoids, K: 3}, func() (*MineResult, error) {
+			c, err := mining.KMedoids(m, 3)
+			return &MineResult{Matrix: m, Clusters: c}, err
+		}},
+		{MineSpec{Algorithm: MineDBSCAN, Eps: 0.4, MinPts: 3}, func() (*MineResult, error) {
+			l, err := mining.DBSCAN(m, 0.4, 3)
+			return &MineResult{Matrix: m, Labels: l}, err
+		}},
+		{MineSpec{Algorithm: MineCompleteLink, K: 3}, func() (*MineResult, error) {
+			l, err := mining.CompleteLink(m, 3)
+			return &MineResult{Matrix: m, Labels: l}, err
+		}},
+		{MineSpec{Algorithm: MineOutliers, P: 0.9, D: 0.8}, func() (*MineResult, error) {
+			o, err := mining.Outliers(m, 0.9, 0.8)
+			return &MineResult{Matrix: m, Outliers: o}, err
+		}},
+		{MineSpec{Algorithm: MineKNN, K: 4, Query: 1}, func() (*MineResult, error) {
+			nb, err := mining.KNN(m, 1, 4)
+			return &MineResult{Matrix: m, Neighbors: nb}, err
+		}},
+		{MineSpec{Algorithm: MineApriori, MinSupport: 4, MaxLen: 2}, func() (*MineResult, error) {
+			sets, err := mining.Apriori(txs, 4, 2)
+			return &MineResult{Itemsets: sets}, err
+		}},
+	} {
+		t.Run(tc.spec.Algorithm.String(), func(t *testing.T) {
+			got, err := p.MinePrepared(ctx, pl, tc.spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := tc.want()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("MinePrepared = %+v, want %+v", got, want)
+			}
+		})
 	}
 }
 

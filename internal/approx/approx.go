@@ -1,17 +1,19 @@
-// Package approx is the sublinear candidate-generation layer that
-// breaks the pipeline's O(n²) wall: per-query MinHash signatures
-// computed from the same precomputed sets the exact metrics use (the
-// distance.SetSource seam), banded into an LSH index whose buckets
-// yield candidate neighbors without ever touching the full matrix
-// triangle. Callers re-rank candidates with the exact metric, so
-// results stay entry-wise exact over the candidate set — only recall
-// is approximate, and the bench suite gates it.
+// Package approx is a MinHash/LSH candidate-generation layer: per-query
+// MinHash signatures computed from the same precomputed sets the exact
+// metrics use (the distance.SetSource seam), banded into an LSH index
+// whose buckets yield candidate neighbors without touching the matrix
+// triangle.
+//
+// Nothing in the provider or the service serves from it: Neighbors
+// answers exactly from one matrix row, which costs less than the
+// candidate lookup on every workload shape the benchmark runs, because
+// at the default banding nearly every pair collides. The package
+// remains only because the benchmark module (perfbench) builds an index
+// and replays Candidates in its traced runs.
 //
 // Everything is deterministic: the hash family is derived from a seed,
-// signatures depend only on the element hashes (not map iteration
-// order — min is order-independent), and the binary codec reproduces
-// an identical index across processes, which is what lets the service
-// journal indexes and replay them on restart.
+// and signatures depend only on the element hashes (not map iteration
+// order — min is order-independent).
 package approx
 
 import (
@@ -34,10 +36,9 @@ const (
 	DefaultSeed   = 0x1cde2018
 )
 
-// Params fixes a MinHash/LSH configuration. Two indexes agree bucket-
-// for-bucket iff their Params are equal — the seed derives the entire
-// hash family, so persisting Params with the signatures is enough to
-// rebuild the index deterministically anywhere.
+// Params fixes a MinHash/LSH configuration. Two indexes over the same
+// sets agree bucket-for-bucket iff their Params are equal — the seed
+// derives the entire hash family.
 type Params struct {
 	// Hashes is the signature length. 0 means DefaultHashes.
 	Hashes int
@@ -106,12 +107,10 @@ func newFamily(p Params) family {
 const emptySig = math.MaxUint64
 
 // Index is the in-memory LSH structure: one signature per query plus
-// band→bucket membership. Add is incremental — the append path extends
-// an index without re-signing old queries — and the whole structure is
-// deterministic in (Params, element hashes, insertion order).
+// band→bucket membership. Add is incremental, and the whole structure
+// is deterministic in (Params, element hashes, insertion order).
 //
-// An Index is not safe for concurrent mutation; the service treats
-// cached indexes as immutable and clones before extending.
+// An Index is not safe for concurrent mutation.
 type Index struct {
 	p    Params
 	fam  family
@@ -163,11 +162,6 @@ func (x *Index) AddSet(elems []uint64) {
 			}
 		}
 	}
-	x.addSignature(sig)
-}
-
-// addSignature indexes a precomputed signature (codec replay path).
-func (x *Index) addSignature(sig []uint64) {
 	i := int32(len(x.sigs))
 	x.sigs = append(x.sigs, sig)
 	for b := 0; b < x.p.Bands; b++ {
@@ -208,8 +202,7 @@ func EstimateSimilarity(a, b []uint64) float64 {
 }
 
 // Candidates returns the queries sharing at least one band bucket with
-// query i, sorted ascending, excluding i itself. This is the sublinear
-// candidate set exact re-ranking runs over.
+// query i, sorted ascending, excluding i itself.
 func (x *Index) Candidates(i int) []int {
 	seen := make(map[int32]struct{})
 	sig := x.sigs[i]
@@ -227,71 +220,4 @@ func (x *Index) Candidates(i int) []int {
 	}
 	sort.Ints(out)
 	return out
-}
-
-// CandidatePairs enumerates every unordered pair sharing a bucket,
-// sorted lexicographically with i < j — the pair budget approximate
-// mining pays instead of the full n·(n−1)/2 triangle.
-func (x *Index) CandidatePairs() [][2]int {
-	seen := make(map[uint64]struct{})
-	n := uint64(len(x.sigs))
-	var out [][2]int
-	for b := range x.buckets {
-		for _, members := range x.buckets[b] {
-			for ai := 0; ai < len(members); ai++ {
-				for bi := ai + 1; bi < len(members); bi++ {
-					i, j := uint64(members[ai]), uint64(members[bi])
-					if i > j {
-						i, j = j, i
-					}
-					key := i*n + j
-					if _, dup := seen[key]; dup {
-						continue
-					}
-					seen[key] = struct{}{}
-					out = append(out, [2]int{int(i), int(j)})
-				}
-			}
-		}
-	}
-	sort.Slice(out, func(a, b int) bool {
-		if out[a][0] != out[b][0] {
-			return out[a][0] < out[b][0]
-		}
-		return out[a][1] < out[b][1]
-	})
-	return out
-}
-
-// Clone returns an independently mutable copy. Signatures are shared
-// (they are immutable once added); bucket maps and member slices are
-// deep-copied, so Add on the clone never touches the original — this
-// is what lets the service extend a cached index without invalidating
-// concurrent readers.
-func (x *Index) Clone() *Index {
-	c := &Index{
-		p:       x.p,
-		fam:     x.fam,
-		rows:    x.rows,
-		sigs:    append([][]uint64(nil), x.sigs...),
-		buckets: make([]map[uint64][]int32, len(x.buckets)),
-	}
-	for b, m := range x.buckets {
-		cm := make(map[uint64][]int32, len(m))
-		for k, members := range m {
-			cm[k] = append([]int32(nil), members...)
-		}
-		c.buckets[b] = cm
-	}
-	return c
-}
-
-// SizeBytes estimates retained memory for cache byte accounting:
-// signatures dominate (8 bytes × Hashes per query), buckets add one
-// member int32 plus map overhead per (query, band).
-func (x *Index) SizeBytes() int64 {
-	n := int64(len(x.sigs))
-	sigBytes := n * int64(x.p.Hashes) * 8
-	bucketBytes := n * int64(x.p.Bands) * 24
-	return 256 + sigBytes + bucketBytes
 }

@@ -3,9 +3,9 @@
 // workloads and emits a versioned machine-readable report
 // (BENCH_PR7.json) that CI gates against a committed baseline.
 //
-// Nine experiments; engine, append, approx, service, recovery, obs,
-// and incmine run across the configured measures (all four of Table I
-// by default) on encrypted artifacts:
+// Eight experiments; engine, append, service, recovery, obs, and
+// incmine run across the configured measures (all four of Table I by
+// default) on encrypted artifacts:
 //
 //   - engine:  full distance-matrix builds, sequential vs the worker
 //     pool, with an entry-computation counter pinning the upper-triangle
@@ -13,10 +13,6 @@
 //   - append:  the incremental append path vs a from-scratch rebuild.
 //     The counter asserts the append computes only n·k + k·(k−1)/2
 //     entries; the matrices are checked entry-wise identical.
-//   - approx:  the MinHash/LSH neighbor engine vs the exact matrix for
-//     the set-based measures: top-K recall loss, the candidate-pair
-//     budget vs n·(n−1)/2, and approximate-DBSCAN label agreement —
-//     all deterministic tracked counters.
 //   - service: request latency against an in-process dpeserver — session
 //     create, cold matrix (upload + prepare + build), warm matrix
 //     (prepared-cache hit), and the logs:append round trip — with the
@@ -136,7 +132,7 @@ func ShortConfig() Config {
 
 // Experiments lists the harness experiments in run order.
 func Experiments() []string {
-	return []string{"engine", "append", "approx", "service", "contention", "recovery", "obs", "hotpath", "incmine"}
+	return []string{"engine", "append", "service", "contention", "recovery", "obs", "hotpath", "incmine"}
 }
 
 // Run executes the named experiments ("all" or nil means every one) and
@@ -153,7 +149,6 @@ func Run(ctx context.Context, names []string, cfg Config) (*Report, error) {
 	known := map[string]func(context.Context, *Report, *fixtures) error{
 		"engine":     runEngine,
 		"append":     runAppend,
-		"approx":     runApprox,
 		"service":    runService,
 		"contention": runContention,
 		"recovery":   runRecovery,
@@ -164,7 +159,7 @@ func Run(ctx context.Context, names []string, cfg Config) (*Report, error) {
 	for n := range selected {
 		if n != "all" {
 			if _, ok := known[n]; !ok {
-				return nil, fmt.Errorf("bench: unknown experiment %q (want engine|append|approx|service|contention|recovery|obs|hotpath|incmine|all)", n)
+				return nil, fmt.Errorf("bench: unknown experiment %q (want engine|append|service|contention|recovery|obs|hotpath|incmine|all)", n)
 			}
 		}
 	}

@@ -146,3 +146,36 @@ func incMineProbe(ctx context.Context, r *Report, provider *dpe.Provider, plBase
 	r.add(pfx+"/cold_vs_incremental", "ratio", coldNs/incNs, false)
 	return nil
 }
+
+// labelMismatches counts positions where two clusterings disagree after
+// canonically renumbering each side's clusters by first appearance
+// (noise labels, < 0, are kept as-is): cluster ids are BFS-discovery
+// artifacts, and a pure renumbering should count as zero disagreement.
+func labelMismatches(a, b []int) int {
+	ca, cb := canonicalLabels(a), canonicalLabels(b)
+	miss := 0
+	for i := range ca {
+		if ca[i] != cb[i] {
+			miss++
+		}
+	}
+	return miss
+}
+
+func canonicalLabels(labels []int) []int {
+	next := 0
+	remap := map[int]int{}
+	out := make([]int, len(labels))
+	for i, l := range labels {
+		if l < 0 {
+			out[i] = l
+			continue
+		}
+		if _, ok := remap[l]; !ok {
+			remap[l] = next
+			next++
+		}
+		out[i] = remap[l]
+	}
+	return out
+}

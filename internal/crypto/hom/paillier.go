@@ -132,16 +132,6 @@ func genPrime(random io.Reader, bits int) (*big.Int, error) {
 	}
 }
 
-// MustGenerateKey is GenerateKey with crypto/rand and panic-on-error,
-// for examples and tests.
-func MustGenerateKey(bits int) *PrivateKey {
-	k, err := GenerateKey(rand.Reader, bits)
-	if err != nil {
-		panic(err)
-	}
-	return k
-}
-
 // MessageSpaceHalf returns n/2, the magnitude bound for signed plaintexts.
 func (pk *PublicKey) MessageSpaceHalf() *big.Int {
 	return new(big.Int).Div(pk.N, two)

@@ -52,13 +52,6 @@ func NewFromSeed(seed []byte) *Scheme {
 	return s
 }
 
-// NewWithRand returns a Scheme using r as nonce source. Only for tests
-// that need reproducible ciphertexts; using a deterministic r forfeits
-// the PROB property.
-func NewWithRand(key []byte, r io.Reader) (*Scheme, error) {
-	return newWithRand(key, r)
-}
-
 func newWithRand(key []byte, r io.Reader) (*Scheme, error) {
 	if len(key) != KeySize {
 		return nil, fmt.Errorf("prob: key must be %d bytes, got %d", KeySize, len(key))

@@ -33,15 +33,6 @@ func Execute(c *Catalog, stmt *sqlparse.SelectStmt) (*Result, error) {
 	return ExecuteOpts(c, stmt, Options{})
 }
 
-// MustExecute is Execute panicking on error, for tests.
-func MustExecute(c *Catalog, stmt *sqlparse.SelectStmt) *Result {
-	r, err := Execute(c, stmt)
-	if err != nil {
-		panic(err)
-	}
-	return r
-}
-
 // ExecuteOpts runs stmt over the catalog.
 func ExecuteOpts(c *Catalog, stmt *sqlparse.SelectStmt, opts Options) (*Result, error) {
 	agg := opts.Aggregate

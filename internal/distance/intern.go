@@ -20,16 +20,14 @@ import (
 // the map kernel (MapKernel pins this in tests and benchmarks).
 
 // dict is the per-prepared-state interning dictionary: element → dense
-// id, plus the reverse table and each element's stable 64-bit content
-// hash (computed once here, consumed by SetSource). Ids are assigned
-// in first-occurrence order, which is deterministic because every
-// caller interns each query's elements in sorted order — so a Prepare
-// over a whole log and a Prepare-then-Extend over its split grow
-// identical dictionaries, and snapshots marshal to identical bytes.
+// id, plus the reverse table. Ids are assigned in first-occurrence
+// order, which is deterministic because every caller interns each
+// query's elements in sorted order — so a Prepare over a whole log and
+// a Prepare-then-Extend over its split grow identical dictionaries, and
+// snapshots marshal to identical bytes.
 type dict[K comparable] struct {
-	index  map[K]uint32
-	elems  []K
-	hashes []uint64
+	index map[K]uint32
+	elems []K
 }
 
 func newDict[K comparable]() *dict[K] {
@@ -44,7 +42,6 @@ func (d *dict[K]) intern(k K) uint32 {
 	id := uint32(len(d.elems))
 	d.index[k] = id
 	d.elems = append(d.elems, k)
-	d.hashes = append(d.hashes, elementHash(k))
 	return id
 }
 
@@ -53,9 +50,8 @@ func (d *dict[K]) intern(k K) uint32 {
 // though the new state keeps interning into the same id space.
 func (d *dict[K]) clone() *dict[K] {
 	out := &dict[K]{
-		index:  make(map[K]uint32, len(d.index)),
-		elems:  append([]K(nil), d.elems...),
-		hashes: append([]uint64(nil), d.hashes...),
+		index: make(map[K]uint32, len(d.index)),
+		elems: append([]K(nil), d.elems...),
 	}
 	for k, id := range d.index {
 		out.index[k] = id
@@ -169,16 +165,16 @@ func (p *internedPrepared[K]) Distance(i, j int) (float64, error) {
 	return 1 - float64(inter)/float64(union), nil
 }
 
-// AppendElementHashes implements SetSource: the hashes were computed
-// once at intern time, so signing a query is a bitset sweep plus table
-// lookups — identical values to hashing the elements directly, which
-// keeps MinHash signatures stable across processes and appends.
+// AppendElementHashes implements SetSource by hashing each element of
+// query i's set when asked: a bitset sweep plus one elementHash per
+// element, so Prepare and Extend pay nothing for a hash only LSH
+// signing reads.
 func (p *internedPrepared[K]) AppendElementHashes(dst []uint64, i int) []uint64 {
-	hashes := p.dict.hashes
+	elems := p.dict.elems
 	for w, word := range p.sets[i] {
 		base := w * wordBits
 		for word != 0 {
-			dst = append(dst, hashes[base+bits.TrailingZeros64(word)])
+			dst = append(dst, elementHash(any(elems[base+bits.TrailingZeros64(word)])))
 			word &= word - 1
 		}
 	}
@@ -187,8 +183,7 @@ func (p *internedPrepared[K]) AppendElementHashes(dst []uint64, i int) []uint64 
 
 // AppendItems implements ItemSource: the dictionary's reverse table
 // holds every element's payload, so rendering a transaction is a
-// bitset sweep plus table lookups, the same shape as
-// AppendElementHashes.
+// bitset sweep plus table lookups.
 func (p *internedPrepared[K]) AppendItems(dst []string, i int) []string {
 	elems := p.dict.elems
 	for w, word := range p.sets[i] {
@@ -223,7 +218,10 @@ func itemString(k any) string {
 func (p *internedPrepared[K]) SizeBytes() int64 {
 	total := int64(64)
 	for _, k := range p.dict.elems {
-		total += keySize(any(k)) + 32 // map entry + reverse-table slot + hash
+		// Map entry and reverse-table slot at a flat 32 bytes, a
+		// deliberate overestimate held fixed so that cache admission
+		// and eviction stay put.
+		total += keySize(any(k)) + 32
 	}
 	for _, words := range p.sets {
 		total += 32 + int64(len(words))*8

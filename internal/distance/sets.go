@@ -6,13 +6,13 @@ import (
 	"repro/internal/sqlfeature"
 )
 
-// SetSource is the seam between the exact metrics and the approximate
-// neighbor engine (internal/approx): it is implemented by prepared
-// states whose characteristic is one element set per query compared by
-// Jaccard distance — today the token, structure, and result measures.
-// MinHash signatures are computed from the element hashes it exposes,
-// so candidate generation rides the exact same precomputed state the
-// matrix build uses; no second per-query pass ever runs.
+// SetSource is the seam between the exact metrics and the MinHash/LSH
+// index of internal/approx: it is implemented by prepared states whose
+// characteristic is one element set per query compared by Jaccard
+// distance — today the token, structure, and result measures. MinHash
+// signatures are computed from the element hashes it exposes, which
+// are derived from the same precomputed state the matrix build uses.
+// Its only caller is dpe.Provider.BuildApproxIndex.
 //
 // The access-area measure deliberately does not implement SetSource:
 // its distance is an interval-overlap mean, not a set resemblance, so
@@ -22,8 +22,7 @@ type SetSource interface {
 	// AppendElementHashes appends query i's element hashes to dst and
 	// returns the extended slice. Order is unspecified (MinHash is
 	// order-independent), but the hash of any given element is stable
-	// across processes, restarts, and appends — signatures journaled by
-	// one server must agree with ones recomputed by another.
+	// across processes, restarts, and appends.
 	AppendElementHashes(dst []uint64, i int) []uint64
 }
 

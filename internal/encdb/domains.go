@@ -56,12 +56,6 @@ func (d *Deployment) EncryptDomains(schema *Schema, domains map[string]accessare
 	return out, nil
 }
 
-// ColumnsByName returns every schema column with the given (unqualified)
-// name, across tables.
-func (s *Schema) ColumnsByName(name string) []ColumnInfo {
-	return append([]ColumnInfo(nil), s.byName[name]...)
-}
-
 // EncryptConstantDET exposes per-column DET constant encryption for
 // experiment harnesses (e.g. building attacker-observed ciphertext
 // streams outside full query rewriting).

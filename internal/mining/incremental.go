@@ -351,24 +351,6 @@ func DBSCANAppendGraph(m Matrix, eps float64, minPts int, prevAdj [][]int) ([]in
 	return labels, adj, stats, nil
 }
 
-// DBSCANCounted is DBSCAN with a deterministic counter of matrix
-// entries read (the neighborhood scans), for incremental-vs-cold
-// comparison.
-func DBSCANCounted(m Matrix, eps float64, minPts int) ([]int, int64, error) {
-	adj, reads, err := EpsGraph(m, eps)
-	if err != nil {
-		return nil, 0, err
-	}
-	if minPts < 1 {
-		return nil, 0, fmt.Errorf("mining: invalid DBSCAN parameter minPts=%d", minPts)
-	}
-	labels, err := DBSCANGraph(len(m), adj, minPts)
-	if err != nil {
-		return nil, 0, err
-	}
-	return labels, reads, nil
-}
-
 // --- Apriori support-count deltas ---
 
 // AprioriAppendStats reports the work the delta counting did.

@@ -11,9 +11,8 @@ import (
 // density, so the density test is len(adj[p])+1 >= minPts). The
 // expansion, labeling, and cluster-id assignment are identical to
 // DBSCAN — when adj contains exactly the pairs at distance <= eps, the
-// labelings match entry-wise. Approximate mining feeds it the LSH
-// candidate pairs filtered by the exact metric, paying the candidate
-// budget instead of the full triangle.
+// labelings match entry-wise. Incremental mining runs it over the
+// eps-graph it maintains across appends (EpsGraph builds the cold one).
 //
 // The adjacency must be symmetric; each list is sorted internally so
 // callers need not pre-sort.

@@ -21,10 +21,10 @@ func randMatrix(rng *rand.Rand, n int) Matrix {
 	return m
 }
 
-// TestDBSCANGraphMatchesDBSCAN pins the equivalence the approximate
-// mining path relies on: when the graph contains exactly the pairs at
-// distance <= eps, DBSCANGraph and DBSCAN produce identical labelings —
-// across random matrices and parameter settings.
+// TestDBSCANGraphMatchesDBSCAN pins the equivalence incremental mining
+// (and so MinePrepared) relies on: when the graph contains exactly the
+// pairs at distance <= eps, DBSCANGraph and DBSCAN produce identical
+// labelings — across random matrices and parameter settings.
 func TestDBSCANGraphMatchesDBSCAN(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	for trial := 0; trial < 20; trial++ {

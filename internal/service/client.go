@@ -411,9 +411,8 @@ func (s *Session) Distances(ctx context.Context, log []string, q int) ([]float64
 }
 
 // Neighbors asks the server for q's k nearest neighbors in log, ranked
-// by the exact metric over the session's LSH candidate set. Only the
-// top-k entries cross the wire — never a matrix row, let alone the
-// triangle.
+// by the exact metric. Only the top-k entries cross the wire — never a
+// matrix row, let alone the triangle.
 func (s *Session) Neighbors(ctx context.Context, log []string, q, k int) (*dpe.NeighborsResult, error) {
 	id, err := s.UploadLog(ctx, log)
 	if err != nil {

@@ -10,8 +10,8 @@ import (
 )
 
 // Tenant export/import: one session's complete server-side state — the
-// create request, its uploaded logs, and the cached prepared-state /
-// approx-index / mining-state blobs — rendered as a portable,
+// create request, its uploaded logs, and the cached prepared-state and
+// mining-state blobs — rendered as a portable,
 // CRC-checked bundle file (see journal's bundle format). Export reuses
 // session.records, the same serializer journal compaction uses, so a
 // bundle holds exactly what a compacted journal would; import restores
@@ -25,15 +25,15 @@ type ImportResult struct {
 	// Session is the restored session's id: bundles preserve ids, so
 	// client-side references (and mining-state cache keys) stay valid.
 	Session string `json:"session"`
-	// Logs counts restored query logs; Snapshots, ApproxIndexes, and
-	// MineStates count the cache entries restored warm.
-	Logs          int `json:"logs"`
-	Snapshots     int `json:"snapshots"`
-	ApproxIndexes int `json:"approx_indexes"`
-	MineStates    int `json:"mine_states"`
-	// Skipped counts records that decoded but could not be applied —
-	// e.g. a blob whose codec this binary no longer understands. The
-	// session still imports; the skipped entries rebuild on demand.
+	// Logs counts restored query logs; Snapshots and MineStates count
+	// the cache entries restored warm.
+	Logs       int `json:"logs"`
+	Snapshots  int `json:"snapshots"`
+	MineStates int `json:"mine_states"`
+	// Skipped counts records that could not be applied — e.g. a blob
+	// whose codec this binary no longer understands, or an approx index
+	// an older binary exported. The session still imports; the skipped
+	// entries rebuild on demand.
 	Skipped int `json:"skipped"`
 }
 
@@ -174,8 +174,6 @@ func (r *Registry) ImportSession(rd io.Reader) (*ImportResult, error) {
 		switch art.Kind {
 		case store.KindSnapshot:
 			res.Snapshots++
-		case store.KindApprox:
-			res.ApproxIndexes++
 		case store.KindMining:
 			res.MineStates++
 		}

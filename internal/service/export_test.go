@@ -17,8 +17,8 @@ import (
 
 // populateTenant builds one warm tenant on reg: a base log, an
 // append_mine that leaves a combined log plus an incremental mining
-// state, a prepared snapshot, and an approx index — every artifact
-// class a bundle carries. It returns the session id, the combined log
+// state, and prepared snapshots — every artifact class a bundle
+// carries. It returns the session id, the combined log
 // id, the mining spec, and the reference matrix and neighbors.
 func populateTenant(t *testing.T, reg *Registry) (id, combinedID string, spec dpe.MineSpec, matrix dpe.Matrix, nb *dpe.NeighborsResult) {
 	t.Helper()
@@ -56,7 +56,7 @@ func populateTenant(t *testing.T, reg *Registry) (id, combinedID string, spec dp
 // warm session exported from an in-memory registry and imported into a
 // persistent one must answer entry-wise identically —
 // and answer *warm*: the first matrix call is a prepared-cache hit, the
-// first neighbors call an approx hit, and the first append_mine a warm
+// first neighbors call another, and the first append_mine a warm
 // incremental continuation. The imported state must also be journaled
 // durably: a kill-and-restart of the target recovers it.
 func TestExportImportRoundTrip(t *testing.T) {
@@ -97,8 +97,8 @@ func testExportImportRoundTrip(t *testing.T, open func() store.Store) {
 	if res.Session != id {
 		t.Errorf("imported session id = %q, want the exported %q", res.Session, id)
 	}
-	if res.Logs != 2 || res.Snapshots < 1 || res.ApproxIndexes < 1 || res.MineStates < 1 || res.Skipped != 0 {
-		t.Errorf("import result = %+v, want 2 logs and warm snapshot/approx/mining state", res)
+	if res.Logs != 2 || res.Snapshots < 1 || res.MineStates < 1 || res.Skipped != 0 {
+		t.Errorf("import result = %+v, want 2 logs and warm snapshot/mining state", res)
 	}
 
 	s, err := dst.Session(id)
@@ -122,7 +122,7 @@ func testExportImportRoundTrip(t *testing.T, open func() store.Store) {
 	if !reflect.DeepEqual(gotNb, wantNb) {
 		t.Error("imported neighbors differ from the exported ones")
 	}
-	if stats := s.Stats(); stats.ApproxMisses != 0 || stats.PreparedMisses != 0 {
+	if stats := s.Stats(); stats.PreparedHits != 2 || stats.PreparedMisses != 0 {
 		t.Errorf("first post-import neighbors missed imported state: %+v", stats)
 	}
 	// The imported mining state continues warm.

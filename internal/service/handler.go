@@ -83,9 +83,8 @@ type (
 		Enc   [][]float64 `json:"enc"`
 	}
 	// NeighborsResponse answers GET /v1/sessions/{id}/neighbors: the
-	// top-k exact-ranked neighbors of one query, plus the number of LSH
-	// candidates the server actually scored (the sublinear pair budget —
-	// compare against n-1, the exhaustive row).
+	// exact top-k neighbors of one query, plus the number of distances
+	// the server computed for it (n−1, the full row).
 	NeighborsResponse struct {
 		Neighbors  []dpe.Neighbor `json:"neighbors"`
 		Candidates int            `json:"candidates"`
@@ -307,8 +306,8 @@ func (h *handler) appendLog(w http.ResponseWriter, r *http.Request) {
 }
 
 // appendMine is the batched append-and-mine endpoint: one round trip
-// extends the log, the prepared state, the cached matrix, the approx
-// index, and the mining state, and returns the new rows plus the
+// extends the log, the prepared state, the cached matrix, and the
+// mining state, and returns the new rows plus the
 // warm-started mining result with its label delta. The mining result's
 // full matrix never crosses the wire — the client holds the old block
 // and splices the returned rows, exactly like logs:append.
@@ -408,10 +407,11 @@ func (h *handler) mine(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, EncodeMineResult(res))
 }
 
-// neighbors serves the sparse top-K API: GET with query parameters
-// log (required, server-side log id), query (required, row index) and
-// k (optional, default 10). The response never includes the matrix —
-// only the k exact-ranked neighbors and the candidate count.
+// neighbors serves the top-K API: GET with query parameters log
+// (required, server-side log id), query (required, row index) and k
+// (optional, default 10; any larger k returns all n−1 entries). The
+// response never includes the matrix row — only the k closest entries
+// and the candidate count.
 func (h *handler) neighbors(w http.ResponseWriter, r *http.Request) {
 	s, err := h.sessionOf(r)
 	if err != nil {

@@ -18,8 +18,8 @@ var stageNames = []string{
 	"matrix",        // pairwise fan-out over the triangle
 	"append_extend", // incremental prepared-state extension
 	"append_rows",   // the n·k + k·(k−1)/2 new-entry block
-	"approx_index",  // MinHash signing + LSH banding
-	"rerank",        // exact re-ranking of LSH candidates
+	"approx_index",  // retired LSH index build; registered, always empty
+	"rerank",        // neighbors: one exact row plus the top-k selection
 	"mine",          // mining pass (includes its matrix build)
 	"mine_delta",    // incremental mining: appended pairs + warm start
 }
@@ -78,6 +78,8 @@ func (r *Registry) wireMetrics(o *obs.Registry) {
 	o.CounterFunc("dpe_cache_evictions_total", "Cache entries evicted, by cause.",
 		func() float64 { return float64(r.cacheTotals().Evictions) }, "cause", "budget")
 	m.appendErrors = make(map[store.Kind]*obs.Counter)
+	// kind="approx" stays registered at zero: nothing journals that kind
+	// any more, but dpe_* series are only ever added, never removed.
 	for _, k := range []store.Kind{store.KindDelete, store.KindSnapshot, store.KindApprox, store.KindMining} {
 		m.appendErrors[k] = o.Counter("dpe_store_append_errors_total",
 			"Best-effort journal appends (artifacts, TTL tombstones) that failed and were dropped, by record kind.", "kind", string(k))

@@ -187,7 +187,7 @@ type artifactFailLog struct {
 
 func (l *artifactFailLog) Append(rec store.Record) error {
 	switch rec.Kind {
-	case store.KindSnapshot, store.KindApprox, store.KindMining:
+	case store.KindSnapshot, store.KindMining:
 		l.st.mu.Lock()
 		l.st.failed[rec.Kind]++
 		l.st.mu.Unlock()

@@ -4,7 +4,7 @@ import (
 	"context"
 	"fmt"
 	"reflect"
-	"strings"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -13,8 +13,8 @@ import (
 )
 
 // clusteredLog mirrors the facade tests' shape: three interleaved
-// groups of near-duplicate queries, so LSH reliably recovers the
-// within-group pairs.
+// groups of near-duplicate queries, so each query's nearest neighbors
+// are its group mates.
 func clusteredLog() []string {
 	groups := [][]string{
 		{
@@ -46,9 +46,10 @@ func clusteredLog() []string {
 }
 
 // TestNeighborsRemoteLocalParity is the acceptance check for the top-K
-// API: at 1 and 16 shards, the neighbors served over HTTP are
-// entry-wise identical to the in-process provider on the same encrypted
-// log, and the second call for the same log hits the index cache.
+// API: at 1 and 16 shards, for every measure, the neighbors served over
+// HTTP are entry-wise identical to the in-process provider on the same
+// encrypted log, each search scores the full row (n−1 candidates), and
+// the repeat calls for the same log hit the prepared-state cache.
 func TestNeighborsRemoteLocalParity(t *testing.T) {
 	f := newFixture(t)
 	clients := map[string]*Client{
@@ -56,15 +57,20 @@ func TestNeighborsRemoteLocalParity(t *testing.T) {
 		"shards=16": NewClient(startServer(t, Config{Shards: 16}).URL),
 	}
 	ctx := context.Background()
-	for _, m := range []dpe.Measure{dpe.MeasureToken, dpe.MeasureStructure} {
+	measures := []dpe.Measure{dpe.MeasureToken, dpe.MeasureStructure, dpe.MeasureResult, dpe.MeasureAccessArea}
+	if testing.Short() {
+		measures = measures[:2] // skip the Paillier-heavy artifact encryptions
+	}
+	for _, m := range measures {
 		encLog, local, remoteOpts := f.measureSetup(t, m)
+		n := len(encLog)
 		for name, client := range clients {
 			t.Run(m.String()+"/"+name, func(t *testing.T) {
 				sess, err := client.NewSession(ctx, m, remoteOpts...)
 				if err != nil {
 					t.Fatal(err)
 				}
-				for _, q := range []int{0, len(encLog) / 2, len(encLog) - 1} {
+				for _, q := range []int{0, n / 2, n - 1} {
 					want, err := local.Neighbors(ctx, encLog, q, 5)
 					if err != nil {
 						t.Fatal(err)
@@ -76,71 +82,72 @@ func TestNeighborsRemoteLocalParity(t *testing.T) {
 					if !reflect.DeepEqual(got, want) {
 						t.Fatalf("q=%d: remote neighbors %+v != local %+v", q, got, want)
 					}
-					// Sublinearity of the candidate budget is a bench
-					// property (internal/bench's approx experiment gates
-					// it at n=48); on a 12-query fixture whose queries
-					// share a schema, buckets legitimately cover most
-					// pairs.
+					if got.Candidates != n-1 || len(got.Neighbors) != 5 {
+						t.Fatalf("q=%d: %d neighbors of %d candidates, want 5 of %d", q, len(got.Neighbors), got.Candidates, n-1)
+					}
 				}
 				stats, err := sess.Stats(ctx)
 				if err != nil {
 					t.Fatal(err)
 				}
-				// Three queries on one log: one cold index build, then hits.
-				if stats.ApproxMisses != 1 || stats.ApproxHits != 2 {
-					t.Errorf("approx hits/misses = %d/%d, want 2/1", stats.ApproxHits, stats.ApproxMisses)
+				// Three queries on one log: one cold prepare, then hits.
+				if stats.PreparedMisses != 1 || stats.PreparedHits != 2 || stats.ApproxHits != 0 || stats.ApproxMisses != 0 {
+					t.Errorf("prepared hits/misses = %d/%d, approx %d/%d; want 2/1 and 0/0",
+						stats.PreparedHits, stats.PreparedMisses, stats.ApproxHits, stats.ApproxMisses)
 				}
 			})
 		}
 	}
 }
 
-// TestApproximateMineRemote checks the Approximate flag crosses the
-// wire intact: an approximate DBSCAN served remotely matches the
-// in-process result (labels, no matrix, same pair budget), and a
-// whole-matrix algorithm with Approximate set is a clean 400, not a
-// silent exact fallback.
-func TestApproximateMineRemote(t *testing.T) {
-	srv := startServer(t, Config{Shards: 4})
+// TestNeighborsHugeKRemote sends k=1000000000 over HTTP: the server
+// answers with all n−1 other queries ranked, and the round trip
+// allocates no more than one at k = n−1 plus noise — far below the
+// 16 GB a selection sized by k would take.
+func TestNeighborsHugeKRemote(t *testing.T) {
+	srv := startServer(t, Config{Shards: 2, Parallelism: 1})
 	ctx := context.Background()
 	sess, err := NewClient(srv.URL).NewSession(ctx, dpe.MeasureToken)
 	if err != nil {
 		t.Fatal(err)
 	}
+	log := clusteredLog()
+	n := len(log)
 	local, err := dpe.NewProvider(dpe.MeasureToken)
 	if err != nil {
 		t.Fatal(err)
 	}
-	log := clusteredLog()
-	spec := dpe.MineSpec{Algorithm: dpe.MineDBSCAN, Eps: 0.5, MinPts: 3, Approximate: true}
-	want, err := local.Mine(ctx, log, spec)
+	want, err := local.Neighbors(ctx, log, 4, n-1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := sess.Mine(ctx, log, spec)
-	if err != nil {
-		t.Fatal(err)
+	alloc := func(k int) uint64 {
+		least := ^uint64(0)
+		for i := 0; i < 5; i++ {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			got, err := sess.Neighbors(ctx, log, 4, k)
+			runtime.ReadMemStats(&after)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got, want) || len(got.Neighbors) != n-1 {
+				t.Fatalf("k=%d: %+v, want all %d other queries ranked: %+v", k, got, n-1, want)
+			}
+			least = min(least, after.TotalAlloc-before.TotalAlloc)
+		}
+		return least
 	}
-	if got.Matrix != nil {
-		t.Error("approximate mining must not ship a matrix")
-	}
-	if !reflect.DeepEqual(got.Labels, want.Labels) || got.CandidatePairs != want.CandidatePairs {
-		t.Errorf("remote approximate DBSCAN = %v (%d pairs), local = %v (%d pairs)",
-			got.Labels, got.CandidatePairs, want.Labels, want.CandidatePairs)
-	}
-
-	bad := dpe.MineSpec{Algorithm: dpe.MineKMedoids, K: 2, Approximate: true}
-	_, err = sess.Mine(ctx, log, bad)
-	if err == nil || !strings.Contains(err.Error(), "cannot run approximately") ||
-		!strings.Contains(err.Error(), "HTTP 400") {
-		t.Errorf("approximate k-medoids = %v, want HTTP 400 rejection", err)
+	full, huge := alloc(n-1), alloc(1000000000)
+	if huge > full+64<<10 {
+		t.Errorf("k=1000000000 allocated %d bytes, k=n-1 %d", huge, full)
 	}
 }
 
-// TestApproxIndexEvictedWithSession is the satellite-6 regression: both
-// the delete path and the janitor's TTL reap must evict a session's
-// cached approx index along with its prepared state, leaving the
-// shard's byte accounting at zero — no orphaned index bytes.
+// TestApproxIndexEvictedWithSession: both the delete path and the
+// janitor's TTL reap must evict the prepared state a neighbors call
+// cached, leaving the shard's byte accounting at zero — no orphaned
+// artifact bytes.
 func TestApproxIndexEvictedWithSession(t *testing.T) {
 	for _, path := range []string{"delete", "reap"} {
 		t.Run(path, func(t *testing.T) {
@@ -160,8 +167,8 @@ func TestApproxIndexEvictedWithSession(t *testing.T) {
 				t.Fatal(err)
 			}
 			sh := reg.shardFor(s.ID())
-			if st := sh.cache.stats(); st.Entries < 2 || st.Bytes <= 0 {
-				t.Fatalf("after neighbors: cache %d entries / %d bytes, want prepared state AND index", st.Entries, st.Bytes)
+			if st := sh.cache.stats(); st.Entries != 1 || st.Bytes <= 0 {
+				t.Fatalf("after neighbors: cache %d entries / %d bytes, want the prepared state alone", st.Entries, st.Bytes)
 			}
 			switch path {
 			case "delete":
@@ -182,9 +189,10 @@ func TestApproxIndexEvictedWithSession(t *testing.T) {
 	}
 }
 
-// TestNeighborsSurviveRestart is the persistence acceptance check: a
-// journaled index is recovered on restart, so the first neighbors call
-// of the new process is an index-cache hit with identical results.
+// TestNeighborsSurviveRestart is the persistence acceptance check: the
+// journaled prepared state is recovered on restart, so the first
+// neighbors call of the new process is a prepared-cache hit with
+// identical results.
 func TestNeighborsSurviveRestart(t *testing.T) {
 	dir := t.TempDir()
 	reg := NewRegistry(persistentConfig(t, dir, 4))
@@ -210,8 +218,8 @@ func TestNeighborsSurviveRestart(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer reg2.Close()
-	if rec := reg2.Recovery(); rec.ApproxIndexes != 1 {
-		t.Fatalf("recovery replayed %d approx indexes, want 1 (%+v)", rec.ApproxIndexes, rec)
+	if rec := reg2.Recovery(); rec.Snapshots != 1 || rec.Skipped != 0 {
+		t.Fatalf("recovery %+v, want 1 prepared snapshot and nothing skipped", rec)
 	}
 	s2, err := reg2.Session(id)
 	if err != nil {
@@ -224,17 +232,17 @@ func TestNeighborsSurviveRestart(t *testing.T) {
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("post-restart neighbors %+v != pre-restart %+v", got, want)
 	}
-	stats := s2.Stats()
-	if stats.ApproxHits != 1 || stats.ApproxMisses != 0 {
-		t.Errorf("post-restart approx hits/misses = %d/%d, want 1/0 (index recovered from journal)",
-			stats.ApproxHits, stats.ApproxMisses)
+	if stats := s2.Stats(); stats.PreparedHits != 1 || stats.PreparedMisses != 0 {
+		t.Errorf("post-restart prepared hits/misses = %d/%d, want 1/0 (state recovered from journal)",
+			stats.PreparedHits, stats.PreparedMisses)
 	}
 }
 
-// TestAppendExtendsApproxIndex checks the incremental path: after an
-// append, the combined log's index is already warm (extended from the
-// base's, not rebuilt), and its answers match a from-scratch provider
-// on the combined log.
+// TestAppendExtendsApproxIndex checks append-then-neighbors: after an
+// append, the combined log's prepared state is already warm (extended
+// from the base's, not rebuilt), so the neighbors call on it is a
+// cache hit, and its answer matches a from-scratch provider on the
+// combined log.
 func TestAppendExtendsApproxIndex(t *testing.T) {
 	reg := NewRegistry(Config{})
 	defer reg.Close()
@@ -261,9 +269,11 @@ func TestAppendExtendsApproxIndex(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	stats := s.Stats()
-	if stats.ApproxMisses != 1 {
-		t.Errorf("approx misses = %d, want 1 (append should extend the cached index, not rebuild)", stats.ApproxMisses)
+	// Misses: the base prepare and the combined log's extension. Hits:
+	// the extension's read of the base, and the neighbors call.
+	if stats := s.Stats(); stats.PreparedMisses != 2 || stats.PreparedHits != 2 {
+		t.Errorf("prepared hits/misses = %d/%d, want 2/2 (append should extend the cached state, not rebuild)",
+			stats.PreparedHits, stats.PreparedMisses)
 	}
 	local, err := dpe.NewProvider(dpe.MeasureToken)
 	if err != nil {
@@ -274,14 +284,15 @@ func TestAppendExtendsApproxIndex(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("extended-index neighbors %+v != from-scratch %+v", got, want)
+		t.Fatalf("neighbors on the appended log %+v != from-scratch %+v", got, want)
 	}
 }
 
-// TestApproxChurn races neighbors traffic, appends, and session
-// deletes across a sharded registry — the -race check for the index
-// cache, its singleflight builds, and the eviction sweeps.
-func TestApproxChurn(t *testing.T) {
+// TestNeighborsChurn races neighbors traffic, appends, and session
+// deletes across a sharded registry, with the janitor ticking — the
+// -race check for the prepared-state cache the neighbors path reads,
+// its singleflight builds, and the eviction sweeps.
+func TestNeighborsChurn(t *testing.T) {
 	reg := NewRegistry(Config{
 		Shards:          4,
 		MaxSessions:     64,
@@ -295,7 +306,7 @@ func TestApproxChurn(t *testing.T) {
 	log := clusteredLog()
 
 	// Shared sessions: concurrent neighbors on the same log race the
-	// index singleflight and the hit counters.
+	// prepared-state singleflight and the hit counters.
 	const sharedSessions = 3
 	shared := make([]*session, sharedSessions)
 	for i := range shared {

@@ -157,10 +157,9 @@ type SessionStats struct {
 	Logs           int         `json:"logs"`
 	PreparedHits   int64       `json:"prepared_hits"`
 	PreparedMisses int64       `json:"prepared_misses"`
-	// ApproxHits/ApproxMisses count approx-index cache outcomes for the
-	// neighbors and approximate-mining paths. A restart that recovered
-	// the index from the journal shows a hit (and no miss) on the first
-	// post-restart call.
+	// ApproxHits/ApproxMisses are always 0: the server no longer builds
+	// or caches an approx index. The fields stay on the wire for clients
+	// that read them.
 	ApproxHits   int64 `json:"approx_hits"`
 	ApproxMisses int64 `json:"approx_misses"`
 	// MineStateHits/MineStateMisses count mining-state cache outcomes on
@@ -183,26 +182,26 @@ type ShardStats struct {
 // store — the observable proof that a restart recovered tenant state
 // instead of starting cold.
 type RecoveryStats struct {
-	// Sessions, Logs, Snapshots, ApproxIndexes, and MineStates count the
-	// live records restored.
-	Sessions      int `json:"sessions"`
-	Logs          int `json:"logs"`
-	Snapshots     int `json:"snapshots"`
-	ApproxIndexes int `json:"approx_indexes"`
-	MineStates    int `json:"mine_states"`
+	// Sessions, Logs, Snapshots, and MineStates count the live records
+	// restored.
+	Sessions   int `json:"sessions"`
+	Logs       int `json:"logs"`
+	Snapshots  int `json:"snapshots"`
+	MineStates int `json:"mine_states"`
 	// Tombstones counts replayed deletions (sessions journaled and
 	// later removed; startup compaction drops them from the journal).
 	Tombstones int `json:"tombstones"`
 	// Skipped counts records that could not be applied: unknown kinds
-	// from newer binaries, orphaned logs/snapshots of tombstoned
-	// sessions, or undecodable payloads.
+	// (from newer binaries, or the approx indexes older ones
+	// journaled), orphaned logs/snapshots of tombstoned sessions, or
+	// undecodable payloads.
 	Skipped int `json:"skipped"`
 }
 
 // total is the number of applied-or-seen records — used to decide
 // whether a startup compaction is worth doing.
 func (rs RecoveryStats) total() int {
-	return rs.Sessions + rs.Logs + rs.Snapshots + rs.ApproxIndexes + rs.MineStates + rs.Tombstones + rs.Skipped
+	return rs.Sessions + rs.Logs + rs.Snapshots + rs.MineStates + rs.Tombstones + rs.Skipped
 }
 
 // absorb folds one journal's typed replay counts into the recovery
@@ -211,7 +210,6 @@ func (rs *RecoveryStats) absorb(st journal.Stats) {
 	rs.Sessions += st.Sessions
 	rs.Logs += st.Logs
 	rs.Snapshots += st.Snapshots
-	rs.ApproxIndexes += st.Approx
 	rs.MineStates += st.Mining
 	rs.Tombstones += st.Deletes
 	rs.Skipped += st.Skipped

@@ -11,14 +11,13 @@ import (
 
 // artifact names one kind of per-log state a session derives from an
 // uploaded log, caches in its shard's LRU, coalesces through the shard's
-// singleflight group, and journals: prepared state, the MinHash/LSH
-// index, and incremental mining states. It indexes artifactKinds and
-// the per-kind hit/miss counters.
+// singleflight group, and journals: prepared state and incremental
+// mining states. It indexes artifactKinds and the per-kind hit/miss
+// counters.
 type artifact int
 
 const (
 	artPrepared artifact = iota
-	artApprox
 	artMining
 	numArtifacts
 )
@@ -58,19 +57,6 @@ var artifactKinds = [numArtifacts]artifactKind{
 				return nil, "", 0, err
 			}
 			return pl, "", pl.Len(), nil
-		},
-	},
-	artApprox: {
-		journal: store.KindApprox,
-		ns:      "approx:",
-		size:    func(_ *session, v any, _ string) int64 { return v.(*dpe.ApproxIndex).SizeBytes() },
-		encode:  func(_ *session, v any) ([]byte, error) { return v.(*dpe.ApproxIndex).MarshalBinary() },
-		decode: func(_ *session, blob []byte) (any, string, int, error) {
-			idx, err := dpe.UnmarshalApproxIndex(blob)
-			if err != nil {
-				return nil, "", 0, err
-			}
-			return idx, "", idx.Len(), nil
 		},
 	},
 	artMining: {
@@ -247,10 +233,11 @@ func (s *session) record(k artifact, logID string, v any) (journal.Artifact, err
 }
 
 // restore applies one journaled artifact (replay or import) to the
-// session's cache. The record is skipped unless its kind is known, it
-// belongs to this session and a live log, and its decoded value covers
-// exactly that log's queries — a mismatched artifact rebuilds on demand
-// instead of being served as another log's state.
+// session's cache. The record is skipped unless its kind is in
+// artifactKinds, it belongs to this session and a live log, and its
+// decoded value covers exactly that log's queries — a mismatched
+// artifact rebuilds on demand instead of being served as another log's
+// state.
 func (s *session) restore(a journal.Artifact) journal.Outcome {
 	k := artifact(-1)
 	for i, kind := range artifactKinds {

@@ -227,20 +227,6 @@ func (s *session) preparedBy(ctx context.Context, logID string, build func(conte
 	})
 }
 
-// approxIndex returns the log's MinHash/LSH index, cached (size-accounted
-// via the index's own estimate) and journaled alongside prepared state,
-// so a restarted server recovers it instead of re-signing the log.
-func (s *session) approxIndex(ctx context.Context, logID string, pl *dpe.PreparedLog) (*dpe.ApproxIndex, error) {
-	return resolve(ctx, s, artApprox, "", logID, nil, func(ctx context.Context) (*dpe.ApproxIndex, any, error) {
-		// BuildApproxIndex takes no context, so its stage is timed here
-		// rather than inside the provider like the other stages.
-		start := time.Now()
-		idx, err := s.provider.BuildApproxIndex(pl)
-		s.reg.observeStage(ctx, "approx_index", time.Since(start))
-		return idx, idx, err
-	})
-}
-
 // Append is the incremental ingest path: it registers base ∘ newQueries
 // as a new content-addressed log, extends the base log's cached prepared
 // state with only the new queries, and computes only the new matrix rows
@@ -281,12 +267,6 @@ func (s *session) Append(ctx context.Context, baseLogID string, newQueries []str
 // combined log's own singleflight key, so a racing logs:append and
 // logs:append_mine coalesce into one extension. check, when set, vets
 // the combined length before anything is registered.
-//
-// If neighbors traffic warmed the base log's approx index, it is ridden
-// forward by signing only the new queries, so the combined log starts
-// warm too. That is best-effort — the index rebuilds on demand — and
-// peeks rather than gets, keeping the opportunistic path out of the
-// hit/miss counters and the recency order.
 func (s *session) appendPrepared(ctx context.Context, baseLogID string, newQueries []string, check func(n int) error) (string, int, *dpe.PreparedLog, error) {
 	base, err := s.log(baseLogID)
 	if err != nil {
@@ -318,32 +298,17 @@ func (s *session) appendPrepared(ctx context.Context, baseLogID string, newQueri
 	if err != nil {
 		return "", 0, nil, err
 	}
-	if combinedID != baseLogID { // an empty append's combined log is the base log
-		if _, ok := s.sh.cache.peek(s.key(artApprox, "", combinedID)); !ok {
-			if v, ok := s.sh.cache.peek(s.key(artApprox, "", baseLogID)); ok {
-				if idx, err := s.provider.ExtendApproxIndex(v.(*dpe.ApproxIndex), pl); err == nil {
-					s.keep(artApprox, "", combinedID, idx)
-				}
-			}
-		}
-	}
 	return combinedID, len(base), pl, nil
 }
 
-// Neighbors is the sublinear top-K path: the log's LSH index yields
-// candidates, the exact metric re-ranks them — no matrix row is ever
-// materialized. The index is built (or recovered from the journal)
-// once per log and cached alongside prepared state.
+// Neighbors is the exact top-K path: one matrix row of the log's cached
+// prepared state, of which only the k closest entries are kept.
 func (s *session) Neighbors(ctx context.Context, logID string, q, k int) (*dpe.NeighborsResult, error) {
 	pl, err := s.prepared(ctx, logID)
 	if err != nil {
 		return nil, err
 	}
-	idx, err := s.approxIndex(ctx, logID, pl)
-	if err != nil {
-		return nil, err
-	}
-	return s.provider.NeighborsPrepared(ctx, pl, idx, q, k)
+	return s.provider.NeighborsPrepared(ctx, pl, q, k)
 }
 
 // Matrix computes the full pairwise distance matrix of an uploaded log.
@@ -378,23 +343,14 @@ func (s *session) Mine(ctx context.Context, logID string, spec dpe.MineSpec) (*d
 	if err != nil {
 		return nil, err
 	}
-	if spec.Approximate {
-		idx, err := s.approxIndex(ctx, logID, pl)
-		if err != nil {
-			return nil, err
-		}
-		return s.provider.MinePreparedIndexed(ctx, pl, idx, spec)
-	}
 	return s.provider.MinePrepared(ctx, pl, spec)
 }
 
 // mineVariant renders a spec as the cache-key variant of its mining
 // states: equal specs — the warm-start eligibility test MineIncremental
-// itself applies — get equal variants. Approximate is omitted; the
-// incremental path rejects approximate specs before any key is formed.
-// The fingerprint never contains a NUL byte, so the NUL that ends it
-// separates it from the log id unambiguously (compaction relies on
-// that).
+// itself applies — get equal variants. The fingerprint never contains
+// a NUL byte, so the NUL that ends it separates it from the log id
+// unambiguously (compaction relies on that).
 func mineVariant(spec dpe.MineSpec) string {
 	return fmt.Sprintf("%s,k=%d,eps=%g,minpts=%d,p=%g,d=%g,q=%d,ms=%d,ml=%d\x00",
 		spec.Algorithm, spec.K, spec.Eps, spec.MinPts, spec.P, spec.D,
@@ -405,11 +361,11 @@ func mineVariant(spec dpe.MineSpec) string {
 // appends newQueries to an uploaded base log, extends the prepared
 // state (through the same singleflight key Append uses, so a racing
 // logs:append and logs:append_mine coalesce into one extension instead
-// of building twice), rides the approx index forward, and runs the
-// mining spec incrementally from the base log's cached MineState. It
-// returns the combined log id, the offset where the new rows start, the
-// new full-width matrix rows (nil for apriori, which never builds a
-// matrix), and the mining result with its IncrementalStats label delta.
+// of building twice), and runs the mining spec incrementally from the
+// base log's cached MineState. It returns the combined log id, the
+// offset where the new rows start, the new full-width matrix rows (nil
+// for apriori, which never builds a matrix), and the mining result with
+// its IncrementalStats label delta.
 //
 // An empty append mines the base log itself — the content-addressed
 // combined log *is* the base log — bootstrapping (and caching) its
@@ -467,8 +423,6 @@ func (s *session) Stats() SessionStats {
 		Logs:            len(s.logs),
 		PreparedHits:    s.hits[artPrepared],
 		PreparedMisses:  s.misses[artPrepared],
-		ApproxHits:      s.hits[artApprox],
-		ApproxMisses:    s.misses[artApprox],
 		MineStateHits:   s.hits[artMining],
 		MineStateMisses: s.misses[artMining],
 		CreatedAt:       s.created,

@@ -255,23 +255,22 @@ func (w *WireAggregatorKey) Decode() (*dpe.AggregatorKey, error) {
 // and is required: a pointer so an absent (or misspelled) field is an
 // error instead of silently defaulting to k-medoids.
 type WireMineSpec struct {
-	Algorithm   *dpe.MiningAlgorithm `json:"algorithm"`
-	K           int                  `json:"k,omitempty"`
-	Eps         float64              `json:"eps,omitempty"`
-	MinPts      int                  `json:"min_pts,omitempty"`
-	P           float64              `json:"p,omitempty"`
-	D           float64              `json:"d,omitempty"`
-	Query       int                  `json:"query,omitempty"`
-	MinSupport  int                  `json:"min_support,omitempty"`
-	MaxLen      int                  `json:"max_len,omitempty"`
-	Approximate bool                 `json:"approximate,omitempty"`
+	Algorithm  *dpe.MiningAlgorithm `json:"algorithm"`
+	K          int                  `json:"k,omitempty"`
+	Eps        float64              `json:"eps,omitempty"`
+	MinPts     int                  `json:"min_pts,omitempty"`
+	P          float64              `json:"p,omitempty"`
+	D          float64              `json:"d,omitempty"`
+	Query      int                  `json:"query,omitempty"`
+	MinSupport int                  `json:"min_support,omitempty"`
+	MaxLen     int                  `json:"max_len,omitempty"`
 }
 
 // EncodeMineSpec converts a spec to wire form.
 func EncodeMineSpec(s dpe.MineSpec) WireMineSpec {
 	return WireMineSpec{Algorithm: &s.Algorithm, K: s.K, Eps: s.Eps,
 		MinPts: s.MinPts, P: s.P, D: s.D, Query: s.Query,
-		MinSupport: s.MinSupport, MaxLen: s.MaxLen, Approximate: s.Approximate}
+		MinSupport: s.MinSupport, MaxLen: s.MaxLen}
 }
 
 // Decode converts the wire form back to a spec, rejecting a spec with
@@ -282,7 +281,7 @@ func (w WireMineSpec) Decode() (dpe.MineSpec, error) {
 	}
 	return dpe.MineSpec{Algorithm: *w.Algorithm, K: w.K, Eps: w.Eps,
 		MinPts: w.MinPts, P: w.P, D: w.D, Query: w.Query,
-		MinSupport: w.MinSupport, MaxLen: w.MaxLen, Approximate: w.Approximate}, nil
+		MinSupport: w.MinSupport, MaxLen: w.MaxLen}, nil
 }
 
 // WireClusters is the JSON form of a k-medoids result.
@@ -311,29 +310,26 @@ type WireIncrementalStats struct {
 }
 
 // WireMineResult is the JSON form of a mining response: the distance
-// matrix (absent for approximate and apriori runs, which never build
-// it) plus exactly one algorithm-specific field. CandidatePairs
-// reports an approximate run's pair budget; Incremental appears only
-// on append_mine responses.
+// matrix (absent for apriori runs, which never build it) plus exactly
+// one algorithm-specific field. Incremental appears only on append_mine
+// responses.
 type WireMineResult struct {
-	Matrix         [][]float64           `json:"matrix"`
-	Clusters       *WireClusters         `json:"clusters,omitempty"`
-	Labels         []int                 `json:"labels,omitempty"`
-	Outliers       []bool                `json:"outliers,omitempty"`
-	Neighbors      []int                 `json:"neighbors,omitempty"`
-	Itemsets       []WireItemset         `json:"itemsets,omitempty"`
-	CandidatePairs int                   `json:"candidate_pairs,omitempty"`
-	Incremental    *WireIncrementalStats `json:"incremental,omitempty"`
+	Matrix      [][]float64           `json:"matrix"`
+	Clusters    *WireClusters         `json:"clusters,omitempty"`
+	Labels      []int                 `json:"labels,omitempty"`
+	Outliers    []bool                `json:"outliers,omitempty"`
+	Neighbors   []int                 `json:"neighbors,omitempty"`
+	Itemsets    []WireItemset         `json:"itemsets,omitempty"`
+	Incremental *WireIncrementalStats `json:"incremental,omitempty"`
 }
 
 // EncodeMineResult converts a mining result to wire form.
 func EncodeMineResult(r *dpe.MineResult) *WireMineResult {
 	out := &WireMineResult{
-		Matrix:         r.Matrix,
-		Labels:         r.Labels,
-		Outliers:       r.Outliers,
-		Neighbors:      r.Neighbors,
-		CandidatePairs: r.CandidatePairs,
+		Matrix:    r.Matrix,
+		Labels:    r.Labels,
+		Outliers:  r.Outliers,
+		Neighbors: r.Neighbors,
 	}
 	if r.Clusters != nil {
 		out.Clusters = &WireClusters{
@@ -362,11 +358,10 @@ func EncodeMineResult(r *dpe.MineResult) *WireMineResult {
 // Decode converts the wire form back to a mining result.
 func (w *WireMineResult) Decode() *dpe.MineResult {
 	out := &dpe.MineResult{
-		Matrix:         w.Matrix,
-		Labels:         w.Labels,
-		Outliers:       w.Outliers,
-		Neighbors:      w.Neighbors,
-		CandidatePairs: w.CandidatePairs,
+		Matrix:    w.Matrix,
+		Labels:    w.Labels,
+		Outliers:  w.Outliers,
+		Neighbors: w.Neighbors,
 	}
 	if w.Clusters != nil {
 		out.Clusters = &dpe.KMedoidsResult{

@@ -1,8 +1,8 @@
 // Package journal is the typed persistence layer between the service
 // and a store backend. The store moves opaque Records (a kind tag plus
 // raw payloads); this package owns one codec per record type — session,
-// delete, log, and artifact (the snapshot, approx, and mining kinds,
-// which share one blob envelope) — with versioned encode/decode, so the
+// delete, log, and artifact (the snapshot and mining kinds, which share
+// one blob envelope) — with versioned encode/decode, so the
 // service journals and replays typed values instead of hand-rolling
 // byte payloads at every call site.
 //
@@ -72,10 +72,11 @@ type Log struct {
 }
 
 // Artifact records one serialized per-log cache artifact of a session:
-// a prepared state (store.KindSnapshot), a MinHash/LSH index
-// (store.KindApprox), or an incremental-mining state (store.KindMining).
-// The blob is the artifact codec's own versioned output; the journal
-// adds only the routing envelope, which is the same for every kind.
+// a prepared state (store.KindSnapshot) or an incremental-mining state
+// (store.KindMining). The blob is the artifact codec's own versioned
+// output; the journal adds only the routing envelope, which is the same
+// for every kind. Records of store.KindApprox, which older binaries
+// journaled, decode as an unknown kind and count as skipped.
 type Artifact struct {
 	Kind      store.Kind
 	SessionID string
@@ -86,7 +87,7 @@ type Artifact struct {
 // isArtifact reports whether k is one of the blob-carrying artifact
 // kinds.
 func isArtifact(k store.Kind) bool {
-	return k == store.KindSnapshot || k == store.KindApprox || k == store.KindMining
+	return k == store.KindSnapshot || k == store.KindMining
 }
 
 // sessionPayload is the JSON body of a session record. V is omitted at
@@ -271,13 +272,12 @@ type Handler interface {
 
 // Stats counts what a Replay or bundle read applied per kind, plus the
 // records that could not be applied. Artifacts count under their kind:
-// Snapshots, Approx, or Mining.
+// Snapshots or Mining.
 type Stats struct {
 	Sessions  int
 	Deletes   int
 	Logs      int
 	Snapshots int
-	Approx    int
 	Mining    int
 	Skipped   int
 }
@@ -289,26 +289,21 @@ func (s *Stats) Add(o Stats) {
 	s.Deletes += o.Deletes
 	s.Logs += o.Logs
 	s.Snapshots += o.Snapshots
-	s.Approx += o.Approx
 	s.Mining += o.Mining
 	s.Skipped += o.Skipped
 }
 
 // Total is the number of applied-or-seen records.
 func (s Stats) Total() int {
-	return s.Sessions + s.Deletes + s.Logs + s.Snapshots + s.Approx + s.Mining + s.Skipped
+	return s.Sessions + s.Deletes + s.Logs + s.Snapshots + s.Mining + s.Skipped
 }
 
 // artifact returns the counter for an artifact kind.
 func (s *Stats) artifact(k store.Kind) *int {
-	switch k {
-	case store.KindSnapshot:
+	if k == store.KindSnapshot {
 		return &s.Snapshots
-	case store.KindApprox:
-		return &s.Approx
-	default:
-		return &s.Mining
 	}
+	return &s.Mining
 }
 
 // dispatch decodes one raw record, routes it to the handler, and

@@ -1,9 +1,11 @@
 package journal
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -65,7 +67,6 @@ func allRecords(t *testing.T) []Record {
 		Delete{ID: "s-2"},
 		Log{SessionID: "s-1", LogID: "l-1", Queries: []string{"SELECT a FROM t", "SELECT b FROM t"}},
 		Artifact{Kind: store.KindSnapshot, SessionID: "s-1", LogID: "l-1", Blob: []byte{1, 2, 3}},
-		Artifact{Kind: store.KindApprox, SessionID: "s-1", LogID: "l-1", Blob: []byte{4, 5}},
 		Artifact{Kind: store.KindMining, SessionID: "s-1", LogID: "l-1\x00mine:abc", Blob: []byte{6}},
 	}
 }
@@ -131,8 +132,6 @@ func TestCodecWireStability(t *testing.T) {
 	}{
 		{Artifact{Kind: store.KindSnapshot, SessionID: "s-1", LogID: "l-1", Blob: []byte{1, 2, 3}},
 			`{"k":"snapshot","s":"s-1","l":"l-1","b":"AQID"}`},
-		{Artifact{Kind: store.KindApprox, SessionID: "s-1", LogID: "l-1", Blob: []byte{4, 5}},
-			`{"k":"approx","s":"s-1","l":"l-1","b":"BAU="}`},
 		{Artifact{Kind: store.KindMining, SessionID: "s-1", LogID: "l-1", Blob: []byte{6}},
 			`{"k":"mining","s":"s-1","l":"l-1","b":"Bg=="}`},
 	} {
@@ -147,6 +146,30 @@ func TestCodecWireStability(t *testing.T) {
 		if string(payload) != tc.want {
 			t.Errorf("%+v encoded as %s, want %s", tc.rec, payload, tc.want)
 		}
+	}
+
+	// Older binaries journaled MinHash/LSH indexes in the same envelope
+	// under kind "approx". That kind is retired: its records decode as
+	// an unknown kind (replay and import count them skipped), and
+	// nothing encodes one any more.
+	old, err := unmarshalRecord([]byte(`{"k":"approx","s":"s-1","l":"l-1","b":"BAU="}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if old.Kind != store.KindApprox || old.Session != "s-1" || old.Log != "l-1" || !bytes.Equal(old.Blob, []byte{4, 5}) {
+		t.Fatalf("approx envelope read as %+v", old)
+	}
+	if got, err := Decode(old); err == nil || !strings.Contains(err.Error(), `unknown record kind "approx"`) {
+		t.Errorf("Decode(approx record) = %+v, %v; want an unknown-kind error", got, err)
+	}
+	var st Stats
+	h := &outcomeHandler{out: Applied}
+	dispatch(old, h, &st)
+	if (st != Stats{Skipped: 1}) || len(h.seen) != 0 {
+		t.Errorf("approx record: stats %+v, handler saw %d; want one skip", st, len(h.seen))
+	}
+	if _, err := (Artifact{Kind: store.KindApprox, SessionID: "s-1", LogID: "l-1", Blob: []byte{4, 5}}).encode(); err == nil {
+		t.Error("an approx artifact encoded")
 	}
 }
 
@@ -176,7 +199,6 @@ func TestDecodeRejectsDamage(t *testing.T) {
 		{Kind: store.KindLog, Session: "s-1", Log: "l-1", Data: []byte(`[]`)},
 		{Kind: store.KindLog, Session: "s-1", Log: "", Data: []byte(`["a"]`)},
 		{Kind: store.KindSnapshot, Session: "s-1", Log: "l-1"},
-		{Kind: store.KindApprox, Session: "", Log: "l-1", Blob: []byte{1}},
 		{Kind: store.KindMining, Session: "s-1", Log: "", Blob: []byte{1}},
 	}
 	for _, rec := range cases {
@@ -196,7 +218,7 @@ func TestEncodeValidation(t *testing.T) {
 		Log{SessionID: "s-1", LogID: ""},
 		Log{SessionID: "s-1", LogID: "l-1"},
 		Artifact{Kind: store.KindSnapshot, SessionID: "s-1", LogID: "l-1"},
-		Artifact{Kind: store.KindApprox, SessionID: "", LogID: "l-1", Blob: []byte{1}},
+		Artifact{Kind: store.KindSnapshot, SessionID: "", LogID: "l-1", Blob: []byte{1}},
 		Artifact{Kind: store.KindMining, SessionID: "s-1", LogID: "", Blob: []byte{1}},
 		Artifact{Kind: store.KindLog, SessionID: "s-1", LogID: "l-1", Blob: []byte{1}},
 	}
@@ -212,7 +234,7 @@ func TestEncodeValidation(t *testing.T) {
 // (idempotent duplicates) nowhere — the exact counting the recovery
 // report had before the refactor.
 func TestDispatchCounting(t *testing.T) {
-	raws := make([]store.Record, 0, 6)
+	raws := make([]store.Record, 0, 5)
 	for _, rec := range allRecords(t) {
 		raw, err := rec.encode()
 		if err != nil {
@@ -225,20 +247,20 @@ func TestDispatchCounting(t *testing.T) {
 	for _, raw := range raws {
 		dispatch(raw, &outcomeHandler{out: Applied}, &st)
 	}
-	want := Stats{Sessions: 1, Deletes: 1, Logs: 1, Snapshots: 1, Approx: 1, Mining: 1}
+	want := Stats{Sessions: 1, Deletes: 1, Logs: 1, Snapshots: 1, Mining: 1}
 	if st != want {
 		t.Errorf("all-applied stats = %+v, want %+v", st, want)
 	}
-	if st.Total() != 6 {
-		t.Errorf("Total() = %d, want 6", st.Total())
+	if st.Total() != 5 {
+		t.Errorf("Total() = %d, want 5", st.Total())
 	}
 
 	st = Stats{}
 	for _, raw := range raws {
 		dispatch(raw, &outcomeHandler{out: Skipped}, &st)
 	}
-	if (st != Stats{Skipped: 6}) {
-		t.Errorf("all-skipped stats = %+v, want only Skipped=6", st)
+	if (st != Stats{Skipped: 5}) {
+		t.Errorf("all-skipped stats = %+v, want only Skipped=5", st)
 	}
 
 	st = Stats{}
@@ -260,8 +282,8 @@ func TestDispatchCounting(t *testing.T) {
 	var sum Stats
 	sum.Add(want)
 	sum.Add(Stats{Skipped: 2})
-	if sum.Total() != 8 {
-		t.Errorf("Add/Total = %d, want 8", sum.Total())
+	if sum.Total() != 7 {
+		t.Errorf("Add/Total = %d, want 7", sum.Total())
 	}
 }
 

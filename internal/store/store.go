@@ -38,8 +38,11 @@ const (
 	// KindSnapshot records a serialized prepared state for one
 	// (session, log) pair; Blob carries the metric's codec output.
 	KindSnapshot Kind = "snapshot"
-	// KindApprox records a serialized MinHash/LSH index for one
-	// (session, log) pair; Blob carries internal/approx's codec output.
+	// KindApprox is the kind older binaries journaled MinHash/LSH
+	// indexes under. Nothing writes it any more, and the journal
+	// decodes its records as an unknown kind, counted as skipped. The
+	// name stays because the benchmark module and the zero-valued
+	// dpe_store_append_errors_total{kind="approx"} series refer to it.
 	KindApprox Kind = "approx"
 	// KindMining records a serialized incremental-mining state for one
 	// (session, log, spec) triple; Blob carries dpe's MineState codec

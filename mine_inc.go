@@ -112,15 +112,11 @@ const warmCostTolerance = 1e-9
 // returned result matches a cold Mine over the full log — exactly for
 // DBSCAN, Apriori, and the non-warm algorithms, and up to local-optimum
 // equivalence (cost within tolerance) for warm k-medoids — and the
-// returned state serves the next append. Approximate specs are
-// rejected: the approximate path maintains its own index.
+// returned state serves the next append.
 func (p *Provider) MineIncremental(ctx context.Context, pl *PreparedLog, prev *MineState, spec MineSpec) (*MineResult, *MineState, error) {
 	n := pl.Len()
 	if err := spec.Validate(n); err != nil {
 		return nil, nil, err
-	}
-	if spec.Approximate {
-		return nil, nil, fmt.Errorf("dpe: incremental mining is exact; approximate specs run via MinePreparedIndexed")
 	}
 	if prev != nil && prev.spec == spec && prev.n <= n {
 		return p.mineWarm(ctx, pl, prev, spec)
@@ -128,8 +124,9 @@ func (p *Provider) MineIncremental(ctx context.Context, pl *PreparedLog, prev *M
 	return p.mineBootstrap(ctx, pl, spec)
 }
 
-// mineBootstrap is the cold path: the same work MinePrepared does,
-// plus capturing the warm-start state for the next call.
+// mineBootstrap is the cold path: it mines the whole log and captures
+// the warm-start state for the next call. MinePrepared is this path
+// with the state dropped.
 func (p *Provider) mineBootstrap(ctx context.Context, pl *PreparedLog, spec MineSpec) (*MineResult, *MineState, error) {
 	defer p.stage(ctx, "mine")()
 	n := pl.Len()

@@ -61,7 +61,7 @@ func MarshalMineState(s *MineState) ([]byte, error) {
 	b = binary.AppendVarint(b, int64(sp.Query))
 	b = binary.AppendVarint(b, int64(sp.MinSupport))
 	b = binary.AppendVarint(b, int64(sp.MaxLen))
-	b = append(b, boolByte(sp.Approximate))
+	b = append(b, 0) // retired flag, see UnmarshalMineState
 	b = binary.AppendUvarint(b, uint64(s.n))
 
 	var flags byte
@@ -130,13 +130,6 @@ func appendInts(b []byte, xs []int) []byte {
 	return b
 }
 
-func boolByte(v bool) byte {
-	if v {
-		return 1
-	}
-	return 0
-}
-
 // UnmarshalMineState is the inverse of MarshalMineState. A v2 state
 // carries no matrix; MineIncremental rebuilds it from the prepared log.
 // A v1 (JSON) blob decodes with its matrix. Any other version is an
@@ -168,12 +161,11 @@ func UnmarshalMineState(data []byte) (*MineState, error) {
 	sp.Query = r.int()
 	sp.MinSupport = r.int()
 	sp.MaxLen = r.int()
-	switch r.byte() {
-	case 0:
-	case 1:
-		sp.Approximate = true
-	default:
-		r.fail("approximate flag is not 0 or 1")
+	// The byte after MaxLen was the spec's Approximate flag, which no
+	// longer exists. The format keeps the byte: it is written as 0, and
+	// any other value is rejected.
+	if f := r.byte(); f != 0 {
+		r.fail("retired approximate flag is %d, want 0", f)
 	}
 	if n := r.uvarint(); n > math.MaxInt {
 		r.fail("row count %d overflows int", n)

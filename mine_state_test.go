@@ -281,8 +281,12 @@ func hostileMineStates(t *testing.T) map[string][]byte {
 	apriori := MineSpec{Algorithm: MineApriori, MinSupport: 1, MaxLen: 2}
 	cost := make([]byte, 8)
 	valid := v2Blob(t, dbscan, 3, mineHasGraph, uv(3, 0, 1, 0, 0))
+	// The byte before n and the flags is the retired approximate flag,
+	// which must be 0.
+	approx1 := v2Blob(t, dbscan, 0, 0)
+	approx1[len(approx1)-3] = 1
 	approx2 := v2Blob(t, dbscan, 0, 0)
-	approx2[len(approx2)-3] = 2 // the Approximate byte, before n and the flags
+	approx2[len(approx2)-3] = 2
 	return map[string][]byte{
 		"bad_magic":           []byte("XMS\x02"),
 		"unknown_version":     append([]byte("DMS"), 3),
@@ -292,6 +296,7 @@ func hostileMineStates(t *testing.T) map[string][]byte {
 		"v1_short_matrix":     []byte(`{"v":1,"n":2,"matrix":[[0,1],[1]]}`),
 		"v1_unsorted_counts":  []byte(`{"v":1,"spec":{"Algorithm":"apriori"},"n":1,"counts":[{"k":"b","c":1},{"k":"a","c":1}]}`),
 		"unknown_algorithm":   append(append([]byte("DMS\x02"), sv(99)...), valid[5:]...),
+		"approximate_flag_1":  approx1,
 		"approximate_flag_2":  approx2,
 		"unknown_section":     v2Blob(t, dbscan, 0, 1<<7),
 		"n_overflows_int":     v2Blob(t, dbscan, math.MaxUint64, 0),

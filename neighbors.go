@@ -1,48 +1,31 @@
 package dpe
 
 import (
+	"cmp"
 	"context"
 	"fmt"
-	"sort"
+	"slices"
 
 	"repro/internal/approx"
 	"repro/internal/distance"
-	"repro/internal/mining"
 )
 
 // ApproxIndex is a MinHash/LSH index over a prepared log — the
-// sublinear candidate-generation structure of internal/approx. It is
-// built once per (measure, log) from the same precomputed sets the
-// exact metric uses, cached and journaled by the service like prepared
-// state, and consulted by Neighbors and approximate mining instead of
-// the full matrix triangle. Treat an index as immutable once built;
-// ExtendApproxIndex clones.
+// candidate-generation structure of internal/approx. Neighbors does not
+// use it: the exact row scan is cheaper on every workload shape the
+// benchmark runs. It is kept, with BuildApproxIndex, only because the
+// benchmark module (perfbench) still builds one for its traced replay
+// of ApproxIndex.Candidates.
 type ApproxIndex = approx.Index
-
-// UnmarshalApproxIndex restores an index serialized with
-// ApproxIndex.MarshalBinary (the service's journal replay path).
-func UnmarshalApproxIndex(data []byte) (*ApproxIndex, error) {
-	return approx.Unmarshal(data)
-}
-
-// setSource exposes the prepared log's element sets, or explains why
-// the measure has none.
-func (p *Provider) setSource(pl *PreparedLog) (distance.SetSource, error) {
-	src, ok := pl.prep.(distance.SetSource)
-	if !ok {
-		return nil, fmt.Errorf("dpe: measure %s does not support approximate neighbors (its distance is not a set resemblance)", p.measure)
-	}
-	return src, nil
-}
 
 // BuildApproxIndex signs every query of a prepared log into a fresh
 // LSH index. Only the set-based measures (token, structure, result)
 // support it; access-area does not. The index is deterministic in the
 // log — two providers with the same measure build identical indexes.
 func (p *Provider) BuildApproxIndex(pl *PreparedLog) (*ApproxIndex, error) {
-	src, err := p.setSource(pl)
-	if err != nil {
-		return nil, err
+	src, ok := pl.prep.(distance.SetSource)
+	if !ok {
+		return nil, fmt.Errorf("dpe: measure %s has no element sets to sign (its distance is not a set resemblance)", p.measure)
 	}
 	x, err := approx.New(approx.Params{})
 	if err != nil {
@@ -56,27 +39,6 @@ func (p *Provider) BuildApproxIndex(pl *PreparedLog) (*ApproxIndex, error) {
 	return x, nil
 }
 
-// ExtendApproxIndex rides the incremental append path: given the index
-// of a log prefix and the prepared state of the extended log, it signs
-// only the new queries and returns a new index equal to building from
-// scratch. idx is not modified.
-func (p *Provider) ExtendApproxIndex(idx *ApproxIndex, pl *PreparedLog) (*ApproxIndex, error) {
-	src, err := p.setSource(pl)
-	if err != nil {
-		return nil, err
-	}
-	if idx.Len() > src.Len() {
-		return nil, fmt.Errorf("dpe: index of %d queries cannot extend to a log of %d", idx.Len(), src.Len())
-	}
-	out := idx.Clone()
-	var buf []uint64
-	for i := idx.Len(); i < src.Len(); i++ {
-		buf = src.AppendElementHashes(buf[:0], i)
-		out.AddSet(buf)
-	}
-	return out, nil
-}
-
 // Neighbor is one entry of a top-K neighbor list: a query index and
 // its exact distance to the probe query.
 type Neighbor struct {
@@ -84,26 +46,26 @@ type Neighbor struct {
 	Distance float64 `json:"distance"`
 }
 
-// NeighborsResult is the outcome of a sublinear top-K search. The
-// neighbor list is entry-wise exact over the candidate set — only
-// candidates the LSH buckets missed can be absent, which is what the
-// bench suite's recall gate measures.
+// NeighborsResult is the outcome of a top-K search. It is exact: the
+// neighbor list is the first entries of the probe's matrix row, q
+// excluded, ordered by (distance, index).
 type NeighborsResult struct {
-	// Neighbors holds up to K entries ordered by exact distance with
-	// index tie-breaking. Fewer than K entries means the buckets
-	// yielded fewer candidates.
+	// Neighbors holds min(K, N−1) entries ordered by exact distance
+	// with index tie-breaking.
 	Neighbors []Neighbor
 	// Candidates is how many exact distance computations the search
-	// performed — the sublinear budget, versus n−1 for a full row.
+	// performed: N−1, one full row.
 	Candidates int
 	// N is the log size the search ran against.
 	N int
 }
 
-// NeighborsPrepared is the sparse top-K path: LSH candidates of query
-// q from the index, re-ranked by the exact metric, never materializing
-// a matrix row. idx must have been built (or extended) from pl.
-func (p *Provider) NeighborsPrepared(ctx context.Context, pl *PreparedLog, idx *ApproxIndex, q, k int) (*NeighborsResult, error) {
+// NeighborsPrepared is the top-K path: it fills query q's matrix row
+// with the exact metric (at the provider's parallelism, never
+// materializing the matrix) and keeps the min(k, n−1) closest entries.
+// Every measure supports it. Allocation is bounded by the log, not by
+// k, so any positive k is safe.
+func (p *Provider) NeighborsPrepared(ctx context.Context, pl *PreparedLog, q, k int) (*NeighborsResult, error) {
 	n := pl.Len()
 	if q < 0 || q >= n {
 		return nil, fmt.Errorf("dpe: query index %d outside log of %d queries", q, n)
@@ -111,100 +73,71 @@ func (p *Provider) NeighborsPrepared(ctx context.Context, pl *PreparedLog, idx *
 	if k <= 0 {
 		return nil, fmt.Errorf("dpe: neighbors needs K > 0, got %d", k)
 	}
-	if idx.Len() != n {
-		return nil, fmt.Errorf("dpe: index covers %d queries, log has %d", idx.Len(), n)
-	}
 	defer p.stage(ctx, "rerank")()
-	cands := idx.Candidates(q)
-	out := make([]Neighbor, 0, len(cands))
-	for _, c := range cands {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		d, err := pl.prep.Distance(q, c)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, Neighbor{Index: c, Distance: d})
+	row := make([]float64, n)
+	if err := distance.BuildRow(ctx, n, p.parallelism, q, pl.prep.Distance, row); err != nil {
+		return nil, err
 	}
-	sort.SliceStable(out, func(a, b int) bool {
-		if out[a].Distance != out[b].Distance {
-			return out[a].Distance < out[b].Distance
-		}
-		return out[a].Index < out[b].Index
-	})
-	if len(out) > k {
-		out = out[:k]
-	}
-	return &NeighborsResult{Neighbors: out, Candidates: len(cands), N: n}, nil
+	return &NeighborsResult{Neighbors: nearest(row, q, min(k, n-1)), Candidates: n - 1, N: n}, nil
 }
 
-// Neighbors prepares the log, builds the index, and runs the sparse
-// top-K search — the one-shot form of the two-phase service path.
+// Neighbors prepares the log and runs the top-K search — the one-shot
+// form of the two-phase service path.
 func (p *Provider) Neighbors(ctx context.Context, log []string, q, k int) (*NeighborsResult, error) {
 	pl, err := p.Prepare(ctx, log)
 	if err != nil {
 		return nil, err
 	}
-	idx, err := p.BuildApproxIndex(pl)
-	if err != nil {
-		return nil, err
-	}
-	return p.NeighborsPrepared(ctx, pl, idx, q, k)
+	return p.NeighborsPrepared(ctx, pl, q, k)
 }
 
-// MinePreparedIndexed is MinePrepared with a caller-supplied approx
-// index (the service passes its cached one). Exact specs ignore the
-// index; approximate specs run over candidate pairs only and leave
-// MineResult.Matrix nil.
-func (p *Provider) MinePreparedIndexed(ctx context.Context, pl *PreparedLog, idx *ApproxIndex, spec MineSpec) (*MineResult, error) {
-	if !spec.Approximate {
-		return p.MinePrepared(ctx, pl, spec)
-	}
-	if err := spec.Validate(pl.Len()); err != nil {
-		return nil, err
-	}
-	if idx.Len() != pl.Len() {
-		return nil, fmt.Errorf("dpe: index covers %d queries, log has %d", idx.Len(), pl.Len())
-	}
-	defer p.stage(ctx, "mine")()
-	n := pl.Len()
-	res := &MineResult{}
-	switch spec.Algorithm {
-	case MineDBSCAN:
-		pairs := idx.CandidatePairs()
-		adj := make([][]int, n)
-		for _, pr := range pairs {
-			if err := ctx.Err(); err != nil {
-				return nil, err
+// compareNeighbors orders neighbors by distance, then index.
+func compareNeighbors(a, b Neighbor) int {
+	return cmp.Or(cmp.Compare(a.Distance, b.Distance), cmp.Compare(a.Index, b.Index))
+}
+
+// nearest returns the k entries of row closest to q, q excluded,
+// ordered by compareNeighbors; k must not exceed len(row)−1. One pass
+// keeps the k best so far in a max-heap whose root, the farthest of
+// them, is replaced whenever a closer entry arrives.
+func nearest(row []float64, q, k int) []Neighbor {
+	top := make([]Neighbor, 0, k)
+	for j, d := range row {
+		if j == q {
+			continue
+		}
+		nb := Neighbor{Index: j, Distance: d}
+		switch {
+		case len(top) < k:
+			top = append(top, nb)
+			if len(top) == k {
+				for i := k/2 - 1; i >= 0; i-- {
+					siftDown(top, i)
+				}
 			}
-			d, err := pl.prep.Distance(pr[0], pr[1])
-			if err != nil {
-				return nil, err
-			}
-			if d <= spec.Eps {
-				adj[pr[0]] = append(adj[pr[0]], pr[1])
-				adj[pr[1]] = append(adj[pr[1]], pr[0])
-			}
+		case compareNeighbors(nb, top[0]) < 0:
+			top[0] = nb
+			siftDown(top, 0)
 		}
-		labels, err := mining.DBSCANGraph(n, adj, spec.MinPts)
-		if err != nil {
-			return nil, err
-		}
-		res.Labels, res.CandidatePairs = labels, len(pairs)
-	case MineKNN:
-		nr, err := p.NeighborsPrepared(ctx, pl, idx, spec.Query, spec.K)
-		if err != nil {
-			return nil, err
-		}
-		res.Neighbors = make([]int, len(nr.Neighbors))
-		for i, nb := range nr.Neighbors {
-			res.Neighbors[i] = nb.Index
-		}
-		res.CandidatePairs = nr.Candidates
-	default:
-		// Validate already rejected everything else.
-		return nil, fmt.Errorf("dpe: %s cannot run approximately", spec.Algorithm)
 	}
-	return res, nil
+	slices.SortFunc(top, compareNeighbors)
+	return top
+}
+
+// siftDown restores the max-heap order of h below index i.
+func siftDown(h []Neighbor, i int) {
+	for {
+		c := 2*i + 1
+		if c >= len(h) {
+			return
+		}
+		if c+1 < len(h) && compareNeighbors(h[c+1], h[c]) > 0 {
+			c++
+		}
+		if compareNeighbors(h[c], h[i]) <= 0 {
+			return
+		}
+		h[i], h[c] = h[c], h[i]
+		i = c
+	}
 }

@@ -4,15 +4,12 @@ import (
 	"context"
 	"reflect"
 	"sort"
-	"strings"
 	"testing"
-
-	"repro/internal/mining"
 )
 
 // neighborLog is a log with deliberate cluster structure: three groups
 // of near-duplicate queries (high Jaccard inside a group, low across),
-// so LSH banding reliably recovers the within-group pairs.
+// so each query's nearest neighbors are its group mates.
 func neighborLog() []string {
 	groups := [][]string{
 		{
@@ -44,64 +41,63 @@ func neighborLog() []string {
 	return log
 }
 
-// TestNeighborsMatchesExactRerank pins the API contract: every entry of
-// Neighbors is the exact metric's distance, and the list is exactly the
-// LSH candidate set re-ranked by (distance, index) and truncated to k —
-// no approximation inside the returned entries.
+// exactTopK is the reference answer: row q of the full matrix, q
+// excluded, stably sorted by (distance, index) and cut to k entries.
+func exactTopK(m Matrix, q, k int) []Neighbor {
+	want := make([]Neighbor, 0, len(m)-1)
+	for j, d := range m[q] {
+		if j != q {
+			want = append(want, Neighbor{Index: j, Distance: d})
+		}
+	}
+	sort.SliceStable(want, func(a, b int) bool { return want[a].Distance < want[b].Distance })
+	return want[:min(k, len(want))]
+}
+
+// TestNeighborsMatchesExactRerank pins the API contract for all four
+// measures on encrypted artifacts: Neighbors is the first min(k, n−1)
+// entries of the probe's matrix row (from the independent full-matrix
+// build), q excluded, in (distance, index) order, and every search
+// reports n−1 candidates.
 func TestNeighborsMatchesExactRerank(t *testing.T) {
 	ctx := context.Background()
-	log := neighborLog()
-	for _, m := range []Measure{MeasureToken, MeasureStructure} {
-		p, err := NewProvider(m)
-		if err != nil {
-			t.Fatal(err)
-		}
-		pl, err := p.Prepare(ctx, log)
-		if err != nil {
-			t.Fatal(err)
-		}
-		idx, err := p.BuildApproxIndex(pl)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for q := 0; q < len(log); q++ {
-			const k = 3
-			got, err := p.NeighborsPrepared(ctx, pl, idx, q, k)
+	w, owner := workloadFixture(t)
+	for _, m := range []Measure{MeasureToken, MeasureStructure, MeasureResult, MeasureAccessArea} {
+		t.Run(m.String(), func(t *testing.T) {
+			encLog, err := owner.EncryptLog(w.Queries, m)
 			if err != nil {
 				t.Fatal(err)
 			}
-			row, err := p.DistancesPrepared(ctx, pl, q)
+			_, p := measureProviders(t, w, owner, m, WithParallelism(4))
+			pl, err := p.Prepare(ctx, encLog)
 			if err != nil {
 				t.Fatal(err)
 			}
-			cands := idx.Candidates(q)
-			if got.Candidates != len(cands) || got.N != len(log) {
-				t.Fatalf("%s q=%d: result reports %d candidates over n=%d, want %d over %d",
-					m, q, got.Candidates, got.N, len(cands), len(log))
+			mat, err := p.DistanceMatrixPrepared(ctx, pl)
+			if err != nil {
+				t.Fatal(err)
 			}
-			want := make([]Neighbor, 0, len(cands))
-			for _, c := range cands {
-				want = append(want, Neighbor{Index: c, Distance: row[c]})
-			}
-			sort.SliceStable(want, func(a, b int) bool {
-				if want[a].Distance != want[b].Distance {
-					return want[a].Distance < want[b].Distance
+			n := len(encLog)
+			for q := 0; q < n; q++ {
+				for _, k := range []int{1, 3, n - 1, n + 5} {
+					got, err := p.NeighborsPrepared(ctx, pl, q, k)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if got.Candidates != n-1 || got.N != n {
+						t.Fatalf("q=%d k=%d: %d candidates over n=%d, want %d over %d", q, k, got.Candidates, got.N, n-1, n)
+					}
+					if want := exactTopK(mat, q, k); !reflect.DeepEqual(got.Neighbors, want) {
+						t.Fatalf("q=%d k=%d: neighbors = %v, want %v", q, k, got.Neighbors, want)
+					}
 				}
-				return want[a].Index < want[b].Index
-			})
-			if len(want) > k {
-				want = want[:k]
 			}
-			if !reflect.DeepEqual(got.Neighbors, want) {
-				t.Fatalf("%s q=%d: neighbors = %v, want exact re-rank %v", m, q, got.Neighbors, want)
-			}
-		}
+		})
 	}
 }
 
-// TestNeighborsFindsClusterMates checks the approximation quality on
-// the clustered log: each query's nearest neighbors are its group
-// mates, and the LSH buckets must surface them.
+// TestNeighborsFindsClusterMates checks the answer's quality on the
+// clustered log: each query's nearest neighbors are its group mates.
 func TestNeighborsFindsClusterMates(t *testing.T) {
 	ctx := context.Background()
 	log := neighborLog()
@@ -114,8 +110,8 @@ func TestNeighborsFindsClusterMates(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(res.Neighbors) < 3 {
-			t.Fatalf("q=%d: got %d neighbors, want 3 (group mates missed by LSH)", q, len(res.Neighbors))
+		if len(res.Neighbors) != 3 {
+			t.Fatalf("q=%d: got %d neighbors, want 3", q, len(res.Neighbors))
 		}
 		for _, nb := range res.Neighbors {
 			if nb.Index%3 != q%3 {
@@ -125,8 +121,9 @@ func TestNeighborsFindsClusterMates(t *testing.T) {
 	}
 }
 
-// TestNeighborsValidation covers the argument checks and the
-// access-area rejection (its distance is not a set resemblance).
+// TestNeighborsValidation covers the argument checks, a one-query log,
+// and the access-area measure, which the exact search serves like the
+// set-based ones.
 func TestNeighborsValidation(t *testing.T) {
 	ctx := context.Background()
 	log := neighborLog()
@@ -138,25 +135,25 @@ func TestNeighborsValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	idx, err := p.BuildApproxIndex(pl)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := p.NeighborsPrepared(ctx, pl, idx, -1, 3); err == nil {
+	if _, err := p.NeighborsPrepared(ctx, pl, -1, 3); err == nil {
 		t.Error("negative query index must error")
 	}
-	if _, err := p.NeighborsPrepared(ctx, pl, idx, len(log), 3); err == nil {
+	if _, err := p.NeighborsPrepared(ctx, pl, len(log), 3); err == nil {
 		t.Error("out-of-range query index must error")
 	}
-	if _, err := p.NeighborsPrepared(ctx, pl, idx, 0, 0); err == nil {
+	if _, err := p.NeighborsPrepared(ctx, pl, 0, 0); err == nil {
 		t.Error("k = 0 must error")
 	}
-	short, err := p.Prepare(ctx, log[:4])
-	if err != nil {
-		t.Fatal(err)
+	if _, err := p.NeighborsPrepared(ctx, pl, 0, -1); err == nil {
+		t.Error("negative k must error")
 	}
-	if _, err := p.NeighborsPrepared(ctx, short, idx, 0, 3); err == nil {
-		t.Error("index/log length mismatch must error")
+	cancelled, cancel := context.WithCancel(ctx)
+	cancel()
+	if _, err := p.NeighborsPrepared(cancelled, pl, 0, 3); err == nil {
+		t.Error("a cancelled context must error")
+	}
+	if res, err := p.Neighbors(ctx, log[:1], 0, 3); err != nil || len(res.Neighbors) != 0 || res.Candidates != 0 || res.N != 1 {
+		t.Errorf("one-query log: %+v, %v; want no neighbors of 0 candidates", res, err)
 	}
 
 	w, _ := workloadFixture(t)
@@ -164,149 +161,54 @@ func TestNeighborsValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := aa.Neighbors(ctx, w.Queries, 0, 3); err == nil ||
-		!strings.Contains(err.Error(), "approximate") {
-		t.Errorf("access-area Neighbors = %v, want unsupported-measure error", err)
+	res, err := aa.Neighbors(ctx, w.Queries, 0, 3)
+	if err != nil {
+		t.Fatalf("access-area Neighbors: %v", err)
+	}
+	if n := len(w.Queries); len(res.Neighbors) != 3 || res.Candidates != n-1 || res.N != n {
+		t.Errorf("access-area Neighbors = %+v, want 3 neighbors of %d candidates", res, n-1)
 	}
 }
 
-// TestExtendApproxIndexMatchesRebuild pins Add-then-query ≡ rebuild at
-// the facade: extending a prefix index with the full log's prepared
-// state yields an index identical to building from the full log.
-func TestExtendApproxIndexMatchesRebuild(t *testing.T) {
-	ctx := context.Background()
-	log := neighborLog()
-	p, err := NewProvider(MeasureToken)
-	if err != nil {
-		t.Fatal(err)
-	}
-	full, err := p.Prepare(ctx, log)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := p.BuildApproxIndex(full)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, cut := range []int{0, 1, len(log) / 2, len(log)} {
-		prefix, err := p.Prepare(ctx, log[:cut])
-		if err != nil {
-			t.Fatal(err)
-		}
-		base, err := p.BuildApproxIndex(prefix)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := p.ExtendApproxIndex(base, full)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got.Len() != want.Len() {
-			t.Fatalf("cut %d: extended index covers %d, want %d", cut, got.Len(), want.Len())
-		}
-		for i := 0; i < want.Len(); i++ {
-			if !reflect.DeepEqual(got.Signature(i), want.Signature(i)) {
-				t.Fatalf("cut %d: signature %d differs from rebuild", cut, i)
-			}
-		}
-		if !reflect.DeepEqual(got.CandidatePairs(), want.CandidatePairs()) {
-			t.Fatalf("cut %d: candidate pairs differ from rebuild", cut)
-		}
-		if base.Len() != cut {
-			t.Fatalf("cut %d: ExtendApproxIndex mutated its input (len %d)", cut, base.Len())
-		}
-	}
-	// Shrinking is not extending.
-	if _, err := p.ExtendApproxIndex(want, mustPrepare(t, p, log[:2])); err == nil {
-		t.Error("extending a larger index onto a smaller log must error")
-	}
-}
-
-func mustPrepare(t *testing.T, p *Provider, log []string) *PreparedLog {
-	t.Helper()
-	pl, err := p.Prepare(context.Background(), log)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return pl
-}
-
-// TestApproximateSpecValidation is the satellite check: Approximate
-// combined with a whole-matrix algorithm is rejected up front, by
-// Validate and therefore by Mine, never silently falling back to exact.
-func TestApproximateSpecValidation(t *testing.T) {
-	for _, alg := range []MiningAlgorithm{MineKMedoids, MineCompleteLink, MineOutliers} {
-		spec := MineSpec{Algorithm: alg, K: 2, P: 0.5, D: 0.5, Approximate: true}
-		if err := spec.Validate(8); err == nil || !strings.Contains(err.Error(), "cannot run approximately") {
-			t.Errorf("%s + Approximate: Validate = %v, want rejection", alg, err)
-		}
-	}
-	for _, spec := range []MineSpec{
-		{Algorithm: MineDBSCAN, Eps: 0.5, MinPts: 2, Approximate: true},
-		{Algorithm: MineKNN, K: 3, Query: 0, Approximate: true},
-	} {
-		if err := spec.Validate(8); err != nil {
-			t.Errorf("%s + Approximate: Validate = %v, want ok", spec.Algorithm, err)
-		}
-	}
-
-	p, err := NewProvider(MeasureToken)
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, err = p.Mine(context.Background(), neighborLog(),
-		MineSpec{Algorithm: MineKMedoids, K: 2, Approximate: true})
-	if err == nil || !strings.Contains(err.Error(), "cannot run approximately") {
-		t.Errorf("Mine k-medoids approximate = %v, want rejection", err)
-	}
-}
-
-// TestApproximateMiningAgreesWithExact runs DBSCAN and kNN both ways on
-// the clustered log: the candidate graph recovers every within-cluster
-// pair, so the approximate labels must match the exact ones while
-// evaluating far fewer than n(n-1)/2 pairs.
-func TestApproximateMiningAgreesWithExact(t *testing.T) {
+// TestNeighborsHugeK asks for k = 2⁴⁰ neighbors: the answer is the whole
+// ranked row, and the search allocates no more than it does at
+// k = n−1 — the selection is sized by the log, never by k.
+func TestNeighborsHugeK(t *testing.T) {
 	ctx := context.Background()
 	log := neighborLog()
 	n := len(log)
-	p, err := NewProvider(MeasureToken)
+	p, err := NewProvider(MeasureToken, WithParallelism(1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	dbscan := MineSpec{Algorithm: MineDBSCAN, Eps: 0.5, MinPts: 3}
-	exact, err := p.Mine(ctx, log, dbscan)
+	pl, err := p.Prepare(ctx, log)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if exact.Matrix == nil {
-		t.Fatal("exact mining must return the matrix")
-	}
-	dbscan.Approximate = true
-	approx, err := p.Mine(ctx, log, dbscan)
+	mat, err := p.DistanceMatrixPrepared(ctx, pl)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if approx.Matrix != nil {
-		t.Error("approximate mining must not materialize the matrix")
+	alloc := func(k int) uint64 {
+		least := ^uint64(0)
+		for i := 0; i < 5; i++ {
+			var res *NeighborsResult
+			got := allocatedBy(func() { res, err = p.NeighborsPrepared(ctx, pl, 2, k) })
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(res.Neighbors, exactTopK(mat, 2, n-1)) || res.Candidates != n-1 {
+				t.Fatalf("k=%d: %+v, want all %d other queries ranked", k, res, n-1)
+			}
+			least = min(least, got)
+		}
+		return least
 	}
-	if !mining.EqualLabels(exact.Labels, approx.Labels) {
-		t.Errorf("approximate DBSCAN labels %v disagree with exact %v", approx.Labels, exact.Labels)
+	full, huge := alloc(n-1), alloc(1<<40)
+	if huge > full {
+		t.Errorf("k=2^40 allocated %d bytes, k=n-1 %d", huge, full)
 	}
-	if full := n * (n - 1) / 2; approx.CandidatePairs <= 0 || approx.CandidatePairs >= full {
-		t.Errorf("approximate DBSCAN evaluated %d pairs, want within (0, %d)", approx.CandidatePairs, full)
-	}
-
-	knn := MineSpec{Algorithm: MineKNN, K: 3, Query: 4}
-	exactKNN, err := p.Mine(ctx, log, knn)
-	if err != nil {
-		t.Fatal(err)
-	}
-	knn.Approximate = true
-	approxKNN, err := p.Mine(ctx, log, knn)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(exactKNN.Neighbors, approxKNN.Neighbors) {
-		t.Errorf("approximate kNN %v disagrees with exact %v", approxKNN.Neighbors, exactKNN.Neighbors)
+	if bound := uint64(1024 + 32*n); huge > bound {
+		t.Errorf("k=2^40 allocated %d bytes, want at most %d for n=%d", huge, bound, n)
 	}
 }
