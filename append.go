@@ -23,11 +23,7 @@ import (
 // log is not modified and stays valid.
 func (p *Provider) ExtendPrepared(ctx context.Context, pl *PreparedLog, newQueries []string) (*PreparedLog, error) {
 	defer p.stage(ctx, "append_extend")()
-	ext, ok := p.metric.(distance.Extender)
-	if !ok {
-		return nil, fmt.Errorf("dpe: measure %s does not support incremental extension", p.measure)
-	}
-	prep, err := ext.Extend(ctx, pl.prep, newQueries)
+	prep, err := p.metric.Extend(ctx, pl.prep, newQueries)
 	if err != nil {
 		return nil, err
 	}

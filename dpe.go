@@ -485,22 +485,14 @@ func (pl *PreparedLog) SizeBytes() int64 {
 // distances are entry-wise identical. The snapshot is only meaningful
 // to a Provider constructed with the same measure and artifacts.
 func (p *Provider) MarshalPreparedLog(pl *PreparedLog) ([]byte, error) {
-	s, ok := p.metric.(distance.Snapshotter)
-	if !ok {
-		return nil, fmt.Errorf("dpe: measure %s does not support prepared-state snapshots", p.measure)
-	}
-	return s.MarshalPrepared(pl.prep)
+	return p.metric.MarshalPrepared(pl.prep)
 }
 
 // UnmarshalPreparedLog is the inverse of MarshalPreparedLog: it
 // restores a prepared log from a snapshot without re-running any
 // per-query work (no tokenizing, parsing, or query execution).
 func (p *Provider) UnmarshalPreparedLog(data []byte) (*PreparedLog, error) {
-	s, ok := p.metric.(distance.Snapshotter)
-	if !ok {
-		return nil, fmt.Errorf("dpe: measure %s does not support prepared-state snapshots", p.measure)
-	}
-	prep, err := s.UnmarshalPrepared(data)
+	prep, err := p.metric.UnmarshalPrepared(data)
 	if err != nil {
 		return nil, err
 	}

@@ -225,16 +225,12 @@ func runAppend(ctx context.Context, r *Report, f *fixtures) error {
 		if err != nil {
 			return err
 		}
-		ext, ok := metric.(distance.Extender)
-		if !ok {
-			return fmt.Errorf("measure %s does not support incremental extension", m)
-		}
 		base, tail := fx.encLog[:n], fx.encLog[n:total]
 		prepBase, err := metric.Prepare(ctx, base)
 		if err != nil {
 			return err
 		}
-		prepAll, err := ext.Extend(ctx, prepBase, tail)
+		prepAll, err := metric.Extend(ctx, prepBase, tail)
 		if err != nil {
 			return err
 		}
@@ -272,7 +268,7 @@ func runAppend(ctx context.Context, r *Report, f *fixtures) error {
 		// End-to-end timings include each path's preparation share: the
 		// append prepares only the k new queries, the rebuild all n+k.
 		appendNs, appendAllocs, err := timeIt(f.cfg.Iterations, func() error {
-			pl, err := ext.Extend(ctx, prepBase, tail)
+			pl, err := metric.Extend(ctx, prepBase, tail)
 			if err != nil {
 				return err
 			}

@@ -98,22 +98,6 @@ func (g *Groups) SameGroup(aTable, aColumn, bTable, bColumn string) bool {
 	return g.find(ColumnID(aTable, aColumn)) == g.find(ColumnID(bTable, bColumn))
 }
 
-// Members returns the sorted member list of the group containing the
-// given column, including the column itself.
-func (g *Groups) Members(table, column string) []string {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	root := g.find(ColumnID(table, column))
-	var out []string
-	for id := range g.parent {
-		if g.find(id) == root {
-			out = append(out, id)
-		}
-	}
-	sort.Strings(out)
-	return out
-}
-
 // String renders all groups for debugging.
 func (g *Groups) String() string {
 	g.mu.Lock()

@@ -2,6 +2,7 @@ package join
 
 import (
 	"reflect"
+	"sort"
 	"testing"
 )
 
@@ -89,4 +90,20 @@ func TestStringListsGroups(t *testing.T) {
 	if g.String() == "" {
 		t.Fatal("String() should render groups")
 	}
+}
+
+// Members returns the sorted member list of the group containing the
+// given column, including the column itself.
+func (g *Groups) Members(table, column string) []string {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	root := g.find(ColumnID(table, column))
+	var out []string
+	for id := range g.parent {
+		if g.find(id) == root {
+			out = append(out, id)
+		}
+	}
+	sort.Strings(out)
+	return out
 }

@@ -114,9 +114,6 @@ func NewFromSeed(seed []byte) *Scheme {
 // Params returns the scheme's parameters.
 func (s *Scheme) Params() Params { return s.params }
 
-// CiphertextLen returns the fixed byte width of ciphertexts.
-func (s *Scheme) CiphertextLen() int { return s.ctLen }
-
 // Compare compares two ciphertexts; because ciphertexts are fixed-width
 // big-endian, this equals the plaintext order.
 func Compare(a, b []byte) int { return bytes.Compare(a, b) }

@@ -240,3 +240,6 @@ func TestHypergeometricMatchesSupport(t *testing.T) {
 		prev = c
 	}
 }
+
+// CiphertextLen returns the fixed byte width of ciphertexts.
+func (s *Scheme) CiphertextLen() int { return s.ctLen }

@@ -171,16 +171,3 @@ func (d *DRBG) BigIntn(n *big.Int) *big.Int {
 func (d *DRBG) Float64() float64 {
 	return float64(d.Uint64()>>11) / float64(1<<53)
 }
-
-// Perm returns a deterministic pseudo-random permutation of [0, n).
-func (d *DRBG) Perm(n int) []int {
-	p := make([]int, n)
-	for i := range p {
-		p[i] = i
-	}
-	for i := n - 1; i > 0; i-- {
-		j := int(d.Uint64n(uint64(i + 1)))
-		p[i], p[j] = p[j], p[i]
-	}
-	return p
-}

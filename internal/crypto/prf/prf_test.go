@@ -224,3 +224,16 @@ func TestQuickUint64nInRange(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// Perm returns a deterministic pseudo-random permutation of [0, n).
+func (d *DRBG) Perm(n int) []int {
+	p := make([]int, n)
+	for i := range p {
+		p[i] = i
+	}
+	for i := n - 1; i > 0; i-- {
+		j := int(d.Uint64n(uint64(i + 1)))
+		p[i], p[j] = p[j], p[i]
+	}
+	return p
+}

@@ -148,14 +148,3 @@ func (t Trapdoor) Search(cts [][]byte) []int {
 	}
 	return out
 }
-
-// EncryptTokens encrypts a tokenized string cell (e.g. the words of a
-// text column) with per-position ciphertexts, as CryptDB's SEARCH onion
-// stores them.
-func (s *Scheme) EncryptTokens(tokens []string, base uint64) [][]byte {
-	out := make([][]byte, len(tokens))
-	for i, w := range tokens {
-		out[i] = s.Encrypt(w, base+uint64(i))
-	}
-	return out
-}

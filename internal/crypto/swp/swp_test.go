@@ -144,3 +144,14 @@ func TestLikeStyleSearchOverColumn(t *testing.T) {
 		t.Fatalf("rows matching 'galaxy' = %v, want [0 2]", hits)
 	}
 }
+
+// EncryptTokens encrypts a tokenized string cell (e.g. the words of a
+// text column) with per-position ciphertexts, as CryptDB's SEARCH onion
+// stores them.
+func (s *Scheme) EncryptTokens(tokens []string, base uint64) [][]byte {
+	out := make([][]byte, len(tokens))
+	for i, w := range tokens {
+		out[i] = s.Encrypt(w, base+uint64(i))
+	}
+	return out
+}

@@ -101,8 +101,8 @@ func TestSpliceRowsValidation(t *testing.T) {
 	}
 }
 
-// TestMetricExtend pins the Extender contract on every registered
-// built-in: Extend(prev, new) equals Prepare(old ∘ new) distance-wise.
+// TestMetricExtend pins the Extend contract on every measure:
+// Extend(prev, new) equals Prepare(old ∘ new) distance-wise.
 func TestMetricExtend(t *testing.T) {
 	ctx := context.Background()
 	oldLog := []string{
@@ -127,15 +127,11 @@ func TestMetricExtend(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			ext, ok := m.(Extender)
-			if !ok {
-				t.Fatalf("metric %q does not implement Extender", name)
-			}
 			prev, err := m.Prepare(ctx, oldLog)
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, err := ext.Extend(ctx, prev, newLog)
+			got, err := m.Extend(ctx, prev, newLog)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -162,7 +158,7 @@ func TestMetricExtend(t *testing.T) {
 				}
 			}
 			// A foreign prepared state is rejected, not misread.
-			if _, err := ext.Extend(ctx, foreignPrepared{}, newLog); err == nil {
+			if _, err := m.Extend(ctx, foreignPrepared{}, newLog); err == nil {
 				t.Error("Extend accepted a foreign prepared state")
 			}
 		})

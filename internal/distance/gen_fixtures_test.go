@@ -29,7 +29,7 @@ func TestGenerateSnapshotFixtures(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		data, err := metric.(Snapshotter).MarshalPrepared(prep)
+		data, err := metric.MarshalPrepared(prep)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -46,8 +46,8 @@ func (d *dict[K]) intern(k K) uint32 {
 }
 
 // clone deep-copies the dictionary. Extend works on a clone so the
-// previous prepared state stays immutable (the Extender contract) even
-// though the new state keeps interning into the same id space.
+// previous prepared state stays immutable (the Metric.Extend contract)
+// even though the new state keeps interning into the same id space.
 func (d *dict[K]) clone() *dict[K] {
 	out := &dict[K]{
 		index: make(map[K]uint32, len(d.index)),
@@ -239,18 +239,21 @@ func sortedStrings(set map[string]bool) []string {
 	return out
 }
 
-// sortedFeatures returns the features of a set sorted by (clause,
-// item) — the same canonical order the snapshot codec always used.
+// sortedFeatures returns the features of a set sorted by featureLess.
 func sortedFeatures(set map[sqlfeature.Feature]bool) []sqlfeature.Feature {
 	out := make([]sqlfeature.Feature, 0, len(set))
 	for f := range set {
 		out = append(out, f)
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Clause != out[j].Clause {
-			return out[i].Clause < out[j].Clause
-		}
-		return out[i].Item < out[j].Item
-	})
+	sort.Slice(out, func(i, j int) bool { return featureLess(out[i], out[j]) })
 	return out
+}
+
+// featureLess orders features by (clause, item) — the canonical order
+// the snapshot codec always used.
+func featureLess(a, b sqlfeature.Feature) bool {
+	if a.Clause != b.Clause {
+		return a.Clause < b.Clause
+	}
+	return a.Item < b.Item
 }

@@ -3,8 +3,8 @@ package distance
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sort"
-	"sync"
 
 	"repro/internal/accessarea"
 	"repro/internal/db"
@@ -54,96 +54,50 @@ type Sizer interface {
 	SizeBytes() int64
 }
 
-// Metric is one pluggable query-distance measure (a row of Table I).
-// Implementations work identically on plaintext and ciphertext logs —
-// that is the DPE property the registry's built-ins preserve.
+// Metric is one query-distance measure (a row of Table I). The four
+// measures are a closed set that New builds; each works identically on
+// plaintext and ciphertext logs, which is the DPE property.
 type Metric interface {
-	// Name is the registry key, e.g. "token".
+	// Name is the measure's name, e.g. "token".
 	Name() string
 	// Prepare runs the per-query work for a log. It honors ctx
 	// cancellation between queries.
 	Prepare(ctx context.Context, queries []string) (Prepared, error)
-}
-
-// Extender is optionally implemented by metrics whose prepared state
-// can grow incrementally: Extend runs the per-query work for only the
-// new queries and returns a prepared state over old ∘ new, identical to
-// Prepare over the concatenated log. All four built-in metrics
-// implement it — it is what makes matrix appends O(n·k) instead of
-// O((n+k)²). prev must come from the same metric's Prepare or Extend;
-// it is not modified (the result may share its per-query state).
-type Extender interface {
+	// Extend runs the per-query work for only the new queries and
+	// returns a prepared state over old ∘ new, identical to Prepare over
+	// the concatenated log. It is what makes matrix appends O(n·k)
+	// instead of O((n+k)²). prev must come from the same measure's
+	// Prepare, Extend or UnmarshalPrepared; it is not modified (the
+	// result may share its per-query state).
 	Extend(ctx context.Context, prev Prepared, newQueries []string) (Prepared, error)
+	// MarshalPrepared serializes a prepared state of this measure: the
+	// codec behind the service's persistent prepared-state snapshots.
+	// The encoding is deterministic (equal states marshal to equal
+	// bytes) and exact: UnmarshalPrepared returns a state whose
+	// Distance is entry-wise identical, so a recovered cache serves the
+	// matrices the pre-restart one did.
+	MarshalPrepared(p Prepared) ([]byte, error)
+	// UnmarshalPrepared is the inverse of MarshalPrepared. It also
+	// accepts this measure's legacy (pre-interning) payloads, so
+	// journals written by older binaries replay into the current
+	// representation.
+	UnmarshalPrepared(data []byte) (Prepared, error)
 }
 
-// extendInterned is the shared Extend entry of the set-based metrics:
-// it type-checks prev and returns a growable copy sharing prev's
-// bitsets with a cloned dictionary, so appending interns only the new
-// queries' elements.
-func extendInterned[K comparable](m Metric, prev Prepared, extra int) (*internedPrepared[K], error) {
-	old, ok := prev.(*internedPrepared[K])
-	if !ok {
-		return nil, fmt.Errorf("distance: %s: prepared state %T is not this metric's", m.Name(), prev)
-	}
-	out := &internedPrepared[K]{}
-	out.extendFrom(old, extra)
-	return out, nil
-}
-
-// Factory builds a metric from the shared artifacts, validating that the
-// measure's required shared information is present.
-type Factory func(Artifacts) (Metric, error)
-
-var (
-	registryMu sync.RWMutex
-	registry   = map[string]Factory{}
-)
-
-// Register adds a metric factory under a name. It panics on a duplicate
-// name — registration is an init-time wiring error, not a runtime
-// condition.
-func Register(name string, f Factory) {
-	registryMu.Lock()
-	defer registryMu.Unlock()
-	if _, dup := registry[name]; dup {
-		panic(fmt.Sprintf("distance: metric %q registered twice", name))
-	}
-	registry[name] = f
-}
-
-// New instantiates the named metric with the given artifacts.
+// New builds the named measure from the shared artifacts, validating
+// that the measure's required shared information is present.
 func New(name string, a Artifacts) (Metric, error) {
-	registryMu.RLock()
-	f, ok := registry[name]
-	registryMu.RUnlock()
-	if !ok {
-		return nil, fmt.Errorf("distance: unknown metric %q (have %v)", name, Names())
-	}
-	return f(a)
-}
-
-// Names lists the registered metric names, sorted.
-func Names() []string {
-	registryMu.RLock()
-	defer registryMu.RUnlock()
-	out := make([]string, 0, len(registry))
-	for n := range registry {
-		out = append(out, n)
-	}
-	sort.Strings(out)
-	return out
-}
-
-func init() {
-	Register("token", func(Artifacts) (Metric, error) { return tokenMetric{}, nil })
-	Register("structure", func(Artifacts) (Metric, error) { return structureMetric{}, nil })
-	Register("result", func(a Artifacts) (Metric, error) {
+	switch name {
+	case "token":
+		return &setMetric[string]{name: name, sets: tokenSets, codec: stringCodec}, nil
+	case "structure":
+		return &setMetric[sqlfeature.Feature]{name: name, sets: featureSets, codec: featureCodec}, nil
+	case "result":
 		if a.Catalog == nil {
 			return nil, fmt.Errorf("distance: result metric requires the (encrypted) catalog")
 		}
-		return &resultMetric{catalog: a.Catalog, opts: a.Exec, parallelism: a.Parallelism}, nil
-	})
-	Register("access-area", func(a Artifacts) (Metric, error) {
+		return &setMetric[string]{name: name, sets: resultSets(a.Catalog, a.Exec, a.Parallelism), codec: stringCodec}, nil
+	case "access-area":
 		x := a.AccessAreaX
 		if x == 0 {
 			x = DefaultOverlapX
@@ -155,7 +109,13 @@ func init() {
 			return nil, fmt.Errorf("distance: access-area metric requires the (encrypted) domains")
 		}
 		return &accessAreaMetric{domains: a.Domains, x: x}, nil
-	})
+	}
+	return nil, fmt.Errorf("distance: unknown metric %q (have %v)", name, Names())
+}
+
+// Names lists the measures New builds, sorted.
+func Names() []string {
+	return []string{"access-area", "result", "structure", "token"}
 }
 
 // keySize estimates one set element's footprint: strings carry their
@@ -172,15 +132,49 @@ func keySize(k any) int64 {
 	}
 }
 
-// --- token (Definition 3) ---
+// --- set measures: token, structure, result ---
 
-type tokenMetric struct{}
+// setMetric is a measure whose characteristic is one element set per
+// query, compared by Jaccard distance. Its instances differ only in how
+// a query becomes an element set (sets) and in how an element is
+// encoded in snapshots (codec, snapshot.go).
+type setMetric[K comparable] struct {
+	name string
+	// sets passes each query's element set to add, in log order, sorted
+	// and de-duplicated: sorted order keeps dictionary growth
+	// deterministic, so Prepare and Prepare-then-Extend agree.
+	sets  func(ctx context.Context, queries []string, add func([]K)) error
+	codec *setCodec[K]
+}
 
-func (tokenMetric) Name() string { return "token" }
+func (m *setMetric[K]) Name() string { return m.name }
 
-// addTokenQueries tokenizes each query and interns its token set into
-// p, in sorted token order for deterministic dictionary growth.
-func addTokenQueries(ctx context.Context, p *internedPrepared[string], queries []string) error {
+func (m *setMetric[K]) Prepare(ctx context.Context, queries []string) (Prepared, error) {
+	return m.grow(ctx, newInternedPrepared[K](len(queries)), queries)
+}
+
+// Extend works on a growable copy of prev that shares its bitsets and
+// clones its dictionary, so appending interns only the new queries'
+// elements.
+func (m *setMetric[K]) Extend(ctx context.Context, prev Prepared, newQueries []string) (Prepared, error) {
+	old, ok := prev.(*internedPrepared[K])
+	if !ok {
+		return nil, fmt.Errorf("distance: %s: prepared state %T is not this metric's", m.name, prev)
+	}
+	out := &internedPrepared[K]{}
+	out.extendFrom(old, len(newQueries))
+	return m.grow(ctx, out, newQueries)
+}
+
+func (m *setMetric[K]) grow(ctx context.Context, p *internedPrepared[K], queries []string) (Prepared, error) {
+	if err := m.sets(ctx, queries, p.addSet); err != nil {
+		return nil, err
+	}
+	return p, nil
+}
+
+// tokenSets yields Definition 3's token sets.
+func tokenSets(ctx context.Context, queries []string, add func([]string)) error {
 	for i, q := range queries {
 		if err := ctx.Err(); err != nil {
 			return err
@@ -189,115 +183,46 @@ func addTokenQueries(ctx context.Context, p *internedPrepared[string], queries [
 		if err != nil {
 			return fmt.Errorf("distance: query %d: %w", i, err)
 		}
-		p.addSet(sortedStrings(set))
+		add(sortedStrings(set))
 	}
 	return nil
 }
 
-func (tokenMetric) Prepare(ctx context.Context, queries []string) (Prepared, error) {
-	out := newInternedPrepared[string](len(queries))
-	if err := addTokenQueries(ctx, out, queries); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-func (m tokenMetric) Extend(ctx context.Context, prev Prepared, newQueries []string) (Prepared, error) {
-	out, err := extendInterned[string](m, prev, len(newQueries))
-	if err != nil {
-		return nil, err
-	}
-	if err := addTokenQueries(ctx, out, newQueries); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// --- structure (SnipSuggest features) ---
-
-type structureMetric struct{}
-
-func (structureMetric) Name() string { return "structure" }
-
-func addStructureQueries(ctx context.Context, p *internedPrepared[sqlfeature.Feature], queries []string) error {
+// featureSets yields the SnipSuggest feature sets.
+func featureSets(ctx context.Context, queries []string, add func([]sqlfeature.Feature)) error {
 	stmts, err := parseLog(ctx, queries)
 	if err != nil {
 		return err
 	}
 	for _, s := range stmts {
-		p.addSet(sortedFeatures(sqlfeature.Features(s)))
+		add(sortedFeatures(sqlfeature.Features(s)))
 	}
 	return nil
 }
 
-func (structureMetric) Prepare(ctx context.Context, queries []string) (Prepared, error) {
-	out := newInternedPrepared[sqlfeature.Feature](len(queries))
-	if err := addStructureQueries(ctx, out, queries); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-func (m structureMetric) Extend(ctx context.Context, prev Prepared, newQueries []string) (Prepared, error) {
-	out, err := extendInterned[sqlfeature.Feature](m, prev, len(newQueries))
-	if err != nil {
-		return nil, err
-	}
-	if err := addStructureQueries(ctx, out, newQueries); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// --- result (Definition 4) ---
-
-type resultMetric struct {
-	catalog     *db.Catalog
-	opts        db.Options
-	parallelism int
-}
-
-func (*resultMetric) Name() string { return "result" }
-
-// addResultQueries executes each query (a fresh ResultComputer — query
-// execution is deterministic, so tuple sets match what a combined
-// Prepare would produce) and interns the tuple keys in sorted order.
-func (m *resultMetric) addResultQueries(ctx context.Context, p *internedPrepared[string], queries []string) error {
-	stmts, err := parseLog(ctx, queries)
-	if err != nil {
-		return err
-	}
-	rc := &ResultComputer{Catalog: m.catalog, Options: m.opts}
-	if err := rc.Precompute(ctx, stmts, m.parallelism); err != nil {
-		return err
-	}
-	for i, s := range stmts {
-		set, err := rc.TupleSet(s)
+// resultSets yields Definition 4's result tuple sets over one catalog.
+// Each call executes its queries through a fresh ResultComputer: query
+// execution is deterministic, so the tuple sets match what one Prepare
+// over the combined log would produce.
+func resultSets(cat *db.Catalog, opts db.Options, parallelism int) func(context.Context, []string, func([]string)) error {
+	return func(ctx context.Context, queries []string, add func([]string)) error {
+		stmts, err := parseLog(ctx, queries)
 		if err != nil {
-			return fmt.Errorf("distance: result of query %d: %w", i, err)
+			return err
 		}
-		p.addSet(sortedStrings(set))
+		rc := &ResultComputer{Catalog: cat, Options: opts}
+		if err := rc.Precompute(ctx, stmts, parallelism); err != nil {
+			return err
+		}
+		for i, s := range stmts {
+			set, err := rc.TupleSet(s)
+			if err != nil {
+				return fmt.Errorf("distance: result of query %d: %w", i, err)
+			}
+			add(sortedStrings(set))
+		}
+		return nil
 	}
-	return nil
-}
-
-func (m *resultMetric) Prepare(ctx context.Context, queries []string) (Prepared, error) {
-	out := newInternedPrepared[string](len(queries))
-	if err := m.addResultQueries(ctx, out, queries); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-func (m *resultMetric) Extend(ctx context.Context, prev Prepared, newQueries []string) (Prepared, error) {
-	out, err := extendInterned[string](m, prev, len(newQueries))
-	if err != nil {
-		return nil, err
-	}
-	if err := m.addResultQueries(ctx, out, newQueries); err != nil {
-		return nil, err
-	}
-	return out, nil
 }
 
 // --- access-area (Definition 5) ---
@@ -363,43 +288,33 @@ func (s *aaByID) Swap(i, j int) {
 }
 
 func (m *accessAreaMetric) Prepare(ctx context.Context, queries []string) (Prepared, error) {
-	stmts, err := parseLog(ctx, queries)
-	if err != nil {
-		return nil, err
-	}
-	out := &aaPrepared{x: m.x, attrs: newDict[string](), queries: make([]aaQuery, 0, len(stmts))}
-	for _, s := range stmts {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		if err := out.addQuery(s, m.domains); err != nil {
-			return nil, err
-		}
-	}
-	return out, nil
+	return m.grow(ctx, &aaPrepared{x: m.x, attrs: newDict[string]()}, queries)
 }
 
+// Extend shares prev's per-query areas and clones its dictionary.
 func (m *accessAreaMetric) Extend(ctx context.Context, prev Prepared, newQueries []string) (Prepared, error) {
 	old, ok := prev.(*aaPrepared)
 	if !ok {
 		return nil, fmt.Errorf("distance: access-area: prepared state %T is not this metric's", prev)
 	}
-	stmts, err := parseLog(ctx, newQueries)
+	return m.grow(ctx, &aaPrepared{x: old.x, attrs: old.attrs.clone(), queries: slices.Clip(old.queries)}, newQueries)
+}
+
+func (m *accessAreaMetric) grow(ctx context.Context, p *aaPrepared, queries []string) (Prepared, error) {
+	stmts, err := parseLog(ctx, queries)
 	if err != nil {
 		return nil, err
 	}
-	out := &aaPrepared{x: old.x, attrs: old.attrs.clone()}
-	out.queries = make([]aaQuery, len(old.queries), len(old.queries)+len(stmts))
-	copy(out.queries, old.queries)
+	p.queries = slices.Grow(p.queries, len(stmts))
 	for _, s := range stmts {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		if err := out.addQuery(s, m.domains); err != nil {
+		if err := p.addQuery(s, m.domains); err != nil {
 			return nil, err
 		}
 	}
-	return out, nil
+	return p, nil
 }
 
 func (p *aaPrepared) Len() int { return len(p.queries) }

@@ -66,7 +66,7 @@ func TestSetSourceStableAcrossExtend(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ext, err := m.(Extender).Extend(ctx, base, setSourceLog[2:])
+	ext, err := m.Extend(ctx, base, setSourceLog[2:])
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,38 +1,21 @@
 package distance
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
-	"math"
 	"sort"
 
 	"repro/internal/accessarea"
+	"repro/internal/binenc"
 	"repro/internal/sqlfeature"
 	"repro/internal/value"
 )
 
-// Snapshotter is optionally implemented by metrics whose prepared state
-// can be serialized and restored — the codec behind the service's
-// persistent prepared-state snapshots. The contract is exactness:
-// UnmarshalPrepared(MarshalPrepared(p)) must return a state whose
-// Distance is entry-wise identical to p's, so a recovered cache serves
-// the same matrices the pre-restart one did. All four built-in metrics
-// implement it.
-type Snapshotter interface {
-	// MarshalPrepared serializes a prepared state produced by this
-	// metric's Prepare or Extend. The encoding is deterministic: equal
-	// states marshal to equal bytes.
-	MarshalPrepared(p Prepared) ([]byte, error)
-	// UnmarshalPrepared is the inverse of MarshalPrepared. It also
-	// accepts this metric's legacy (pre-interning) payloads, so
-	// journals written by older binaries replay into the current
-	// representation.
-	UnmarshalPrepared(data []byte) (Prepared, error)
-}
-
 // Snapshot framing: a 4-byte magic ("DPS" + version) and a payload tag,
-// then the tag-specific body. All integers are varints; floats are
-// 8-byte little-endian IEEE 754 bit patterns (exact round trip).
+// then the tag-specific body, read through one binenc.Reader. All
+// integers are varints; floats are 8-byte little-endian IEEE 754 bit
+// patterns (exact round trip).
 var snapshotMagic = [4]byte{'D', 'P', 'S', '1'}
 
 // Payload tags version the body format. Tags 1 and 2 are the legacy
@@ -43,8 +26,8 @@ var snapshotMagic = [4]byte{'D', 'P', 'S', '1'}
 // after. Tags 4 and 5 are the interned encodings (dictionary once,
 // then delta-encoded id lists per query) that current binaries write.
 const (
-	snapStringSets       byte = 1 // legacy setPrepared[string]: token and result metrics
-	snapFeatureSets      byte = 2 // legacy setPrepared[sqlfeature.Feature]: structure metric
+	snapStringSets       byte = 1 // legacy string sets: token and result metrics
+	snapFeatureSets      byte = 2 // legacy feature sets: structure metric
 	snapAccessArea       byte = 3 // aaPrepared: access-area metric
 	snapInternedStrings  byte = 4 // internedPrepared[string]: token and result metrics
 	snapInternedFeatures byte = 5 // internedPrepared[sqlfeature.Feature]: structure metric
@@ -54,53 +37,25 @@ const (
 // larger tag means the snapshot was written by a newer version.
 const snapMaxTag = snapInternedFeatures
 
-// snapWriter builds a snapshot buffer.
-type snapWriter struct{ buf []byte }
-
-func newSnapWriter(tag byte) *snapWriter {
-	w := &snapWriter{buf: make([]byte, 0, 256)}
-	w.buf = append(w.buf, snapshotMagic[:]...)
-	w.buf = append(w.buf, tag)
-	return w
+// snapshotHeader starts a snapshot buffer with the magic and tag.
+func snapshotHeader(tag byte) []byte {
+	return append(append(make([]byte, 0, 256), snapshotMagic[:]...), tag)
 }
 
-func (w *snapWriter) uvarint(n uint64) { w.buf = binary.AppendUvarint(w.buf, n) }
-func (w *snapWriter) varint(n int64)   { w.buf = binary.AppendVarint(w.buf, n) }
-func (w *snapWriter) byteVal(b byte)   { w.buf = append(w.buf, b) }
-func (w *snapWriter) float(f float64) {
-	w.buf = binary.LittleEndian.AppendUint64(w.buf, math.Float64bits(f))
-}
-func (w *snapWriter) str(s string) {
-	w.uvarint(uint64(len(s)))
-	w.buf = append(w.buf, s...)
-}
-func (w *snapWriter) bytes(b []byte) {
-	w.uvarint(uint64(len(b)))
-	w.buf = append(w.buf, b...)
-}
-
-// snapReader consumes a snapshot buffer, validating the frame.
-type snapReader struct {
-	buf []byte
-	off int
-}
-
-// newSnapReader validates the magic and payload tag, returning the tag
-// that matched so callers accepting several formats (current + legacy)
-// can dispatch on it.
-func newSnapReader(data []byte, wantTags ...byte) (*snapReader, byte, error) {
+// openSnapshot validates the magic and payload tag, returning a reader
+// over the body and the tag that matched, so callers accepting several
+// formats (current + legacy) can dispatch on it.
+func openSnapshot(data []byte, wantTags ...byte) (*binenc.Reader, byte, error) {
 	if len(data) < len(snapshotMagic)+1 {
 		return nil, 0, fmt.Errorf("distance: snapshot of %d bytes is shorter than its header", len(data))
 	}
-	for i, b := range snapshotMagic {
-		if data[i] != b {
-			return nil, 0, fmt.Errorf("distance: snapshot has bad magic %q", data[:len(snapshotMagic)])
-		}
+	if !bytes.Equal(data[:len(snapshotMagic)], snapshotMagic[:]) {
+		return nil, 0, fmt.Errorf("distance: snapshot has bad magic %q", data[:len(snapshotMagic)])
 	}
 	tag := data[len(snapshotMagic)]
 	for _, want := range wantTags {
 		if tag == want {
-			return &snapReader{buf: data, off: len(snapshotMagic) + 1}, tag, nil
+			return binenc.NewReader(data[len(snapshotMagic)+1:]), tag, nil
 		}
 	}
 	if tag > snapMaxTag {
@@ -109,292 +64,151 @@ func newSnapReader(data []byte, wantTags ...byte) (*snapReader, byte, error) {
 	return nil, 0, fmt.Errorf("distance: snapshot payload tag %d, want one of %v (snapshot from a different measure?)", tag, wantTags)
 }
 
-func (r *snapReader) uvarint() (uint64, error) {
-	n, sz := binary.Uvarint(r.buf[r.off:])
-	if sz <= 0 {
-		return 0, fmt.Errorf("distance: truncated snapshot varint at offset %d", r.off)
-	}
-	r.off += sz
-	return n, nil
-}
-
-// count reads the length of a list whose items take at least minBytes
-// each and rejects one the remaining bytes cannot hold, so a hostile
-// count fails before anything is allocated for it.
-func (r *snapReader) count(minBytes int) (uint64, error) {
-	n, err := r.uvarint()
-	if err != nil {
-		return 0, err
-	}
-	if left := len(r.buf) - r.off; n > uint64(left/minBytes) {
-		return 0, fmt.Errorf("distance: snapshot count %d at offset %d exceeds the %d bytes left", n, r.off, left)
-	}
-	return n, nil
-}
-
-func (r *snapReader) varint() (int64, error) {
-	n, sz := binary.Varint(r.buf[r.off:])
-	if sz <= 0 {
-		return 0, fmt.Errorf("distance: truncated snapshot varint at offset %d", r.off)
-	}
-	r.off += sz
-	return n, nil
-}
-
-func (r *snapReader) byteVal() (byte, error) {
-	if r.off >= len(r.buf) {
-		return 0, fmt.Errorf("distance: truncated snapshot at offset %d", r.off)
-	}
-	b := r.buf[r.off]
-	r.off++
-	return b, nil
-}
-
-func (r *snapReader) float() (float64, error) {
-	if r.off+8 > len(r.buf) {
-		return 0, fmt.Errorf("distance: truncated snapshot float at offset %d", r.off)
-	}
-	f := math.Float64frombits(binary.LittleEndian.Uint64(r.buf[r.off:]))
-	r.off += 8
-	return f, nil
-}
-
-func (r *snapReader) str() (string, error) {
-	n, err := r.uvarint()
-	if err != nil {
-		return "", err
-	}
-	if uint64(len(r.buf)-r.off) < n {
-		return "", fmt.Errorf("distance: truncated snapshot string at offset %d", r.off)
-	}
-	s := string(r.buf[r.off : r.off+int(n)])
-	r.off += int(n)
-	return s, nil
-}
-
-func (r *snapReader) bytes() ([]byte, error) {
-	n, err := r.uvarint()
-	if err != nil {
-		return nil, err
-	}
-	if uint64(len(r.buf)-r.off) < n {
-		return nil, fmt.Errorf("distance: truncated snapshot bytes at offset %d", r.off)
-	}
-	b := append([]byte(nil), r.buf[r.off:r.off+int(n)]...)
-	r.off += int(n)
-	return b, nil
-}
-
-func (r *snapReader) done() error {
-	if r.off != len(r.buf) {
-		return fmt.Errorf("distance: %d trailing snapshot bytes", len(r.buf)-r.off)
+// closeSnapshot reports the body reader's first failure, or trailing
+// bytes.
+func closeSnapshot(r *binenc.Reader) error {
+	if err := r.Done(); err != nil {
+		return fmt.Errorf("distance: snapshot body: %w", err)
 	}
 	return nil
 }
 
-// --- interned set states (token, result, structure) ---
+// --- set measures ---
 
-// writeInterned encodes an interned state: the dictionary once (in id
+// setCodec encodes the elements of one set measure's snapshots: tag is
+// the payload tag current binaries write and legacyTag the map-era one
+// they still read; less is the order a set's elements are sorted in
+// (sortedStrings, sortedFeatures), which legacy sets must follow.
+type setCodec[K comparable] struct {
+	tag, legacyTag byte
+	put            func([]byte, K) []byte
+	get            func(*binenc.Reader) K
+	less           func(a, b K) bool
+}
+
+var stringCodec = &setCodec[string]{
+	tag:       snapInternedStrings,
+	legacyTag: snapStringSets,
+	put:       binenc.AppendString[string],
+	get:       (*binenc.Reader).Str,
+	less:      func(a, b string) bool { return a < b },
+}
+
+var featureCodec = &setCodec[sqlfeature.Feature]{
+	tag:       snapInternedFeatures,
+	legacyTag: snapFeatureSets,
+	put: func(b []byte, f sqlfeature.Feature) []byte {
+		return binenc.AppendString(binenc.AppendString(b, string(f.Clause)), f.Item)
+	},
+	get: func(r *binenc.Reader) sqlfeature.Feature {
+		clause := sqlfeature.Clause(r.Str())
+		return sqlfeature.Feature{Clause: clause, Item: r.Str()}
+	},
+	less: featureLess,
+}
+
+// MarshalPrepared encodes an interned state: the dictionary once (in id
 // order, so restore re-interns into identical ids), then each query as
-// its cardinality followed by delta-encoded ascending element ids.
-// writeElem serializes one dictionary element.
-func writeInterned[K comparable](w *snapWriter, p *internedPrepared[K], writeElem func(*snapWriter, K)) {
-	w.uvarint(uint64(len(p.dict.elems)))
-	for _, k := range p.dict.elems {
-		writeElem(w, k)
+// its cardinality followed by delta-encoded ascending element ids. For
+// the result measure the snapshot carries the materialized tuple-set
+// keys, so restoring it re-executes no queries.
+func (m *setMetric[K]) MarshalPrepared(p Prepared) ([]byte, error) {
+	sets, ok := p.(*internedPrepared[K])
+	if !ok {
+		return nil, fmt.Errorf("distance: %s: cannot snapshot prepared state %T", m.name, p)
 	}
-	w.uvarint(uint64(len(p.sets)))
+	b := snapshotHeader(m.codec.tag)
+	b = binary.AppendUvarint(b, uint64(len(sets.dict.elems)))
+	for _, k := range sets.dict.elems {
+		b = m.codec.put(b, k)
+	}
+	b = binary.AppendUvarint(b, uint64(len(sets.sets)))
 	var ids []uint32
-	for _, words := range p.sets {
+	for _, words := range sets.sets {
 		ids = appendBitsetIDs(ids[:0], words)
-		w.uvarint(uint64(len(ids)))
+		b = binary.AppendUvarint(b, uint64(len(ids)))
 		prev := uint32(0)
 		for _, id := range ids {
-			w.uvarint(uint64(id - prev))
+			b = binary.AppendUvarint(b, uint64(id-prev))
 			prev = id
 		}
 	}
+	return b, nil
 }
 
-// readInterned decodes what writeInterned produced. Elements re-intern
-// in stored (id) order, so the restored dictionary is identical to the
-// marshaled one and a re-marshal yields the same bytes.
-func readInterned[K comparable](r *snapReader, readElem func(*snapReader) (K, error)) (*internedPrepared[K], error) {
-	nElems, err := r.count(1)
+func (m *setMetric[K]) UnmarshalPrepared(data []byte) (Prepared, error) {
+	r, tag, err := openSnapshot(data, m.codec.tag, m.codec.legacyTag)
 	if err != nil {
 		return nil, err
 	}
-	out := newInternedPrepared[K](0)
-	for i := uint64(0); i < nElems; i++ {
-		k, err := readElem(r)
-		if err != nil {
-			return nil, err
-		}
-		if id := out.dict.intern(k); uint64(id) != i {
-			return nil, fmt.Errorf("distance: snapshot dictionary has duplicate element at id %d", i)
-		}
+	var out *internedPrepared[K]
+	if tag == m.codec.tag {
+		out = m.codec.readInterned(r)
+	} else {
+		out = m.codec.readLegacy(r)
 	}
-	nSets, err := r.count(1)
-	if err != nil {
+	if err := closeSnapshot(r); err != nil {
 		return nil, err
-	}
-	for i := uint64(0); i < nSets; i++ {
-		card, err := r.count(1)
-		if err != nil {
-			return nil, err
-		}
-		var words []uint64
-		id := uint32(0)
-		for j := uint64(0); j < card; j++ {
-			d, err := r.uvarint()
-			if err != nil {
-				return nil, err
-			}
-			if j > 0 && d == 0 {
-				return nil, fmt.Errorf("distance: snapshot set %d has a duplicate element id", i)
-			}
-			id += uint32(d)
-			if uint64(id) >= nElems {
-				return nil, fmt.Errorf("distance: snapshot set %d references element id %d beyond dictionary size %d", i, id, nElems)
-			}
-			words = bitsetSet(words, id)
-		}
-		out.sets = append(out.sets, words)
-		out.cards = append(out.cards, int(card))
 	}
 	return out, nil
 }
 
-// readLegacySets decodes the map-era set encoding (tags 1 and 2): per
-// query, a sorted element list. Elements intern in stored order, which
-// is the same sorted order Prepare uses, so the rebuilt dictionary —
-// and therefore any re-marshal and any MinHash signature — matches a
-// fresh Prepare of the same log exactly.
-func readLegacySets[K comparable](r *snapReader, readElem func(*snapReader) (K, error)) (*internedPrepared[K], error) {
-	n, err := r.count(1) // each set has at least its element count
-	if err != nil {
-		return nil, err
-	}
-	out := newInternedPrepared[K](int(n))
-	elems := []K(nil)
-	for i := uint64(0); i < n; i++ {
-		k, err := r.count(1)
-		if err != nil {
-			return nil, err
+// readInterned decodes what MarshalPrepared wrote. Elements re-intern
+// in stored (id) order, so the restored dictionary is identical to the
+// marshaled one and a re-marshal yields the same bytes. Ids are summed
+// in 64 bits, so no delta wraps back onto an earlier id.
+func (c *setCodec[K]) readInterned(r *binenc.Reader) *internedPrepared[K] {
+	nElems := r.Count(1)
+	out := newInternedPrepared[K](0)
+	for i := 0; i < nElems && r.Err() == nil; i++ {
+		if id := out.dict.intern(c.get(r)); int(id) != i {
+			r.Fail("dictionary repeats an element at id %d", i)
 		}
+	}
+	nSets := r.Count(1)
+	for i := 0; i < nSets && r.Err() == nil; i++ {
+		card := r.Count(1)
+		var words []uint64
+		id := uint64(0)
+		for j := 0; j < card && r.Err() == nil; j++ {
+			switch d := r.Uvarint(); {
+			case j > 0 && d == 0:
+				r.Fail("set %d repeats element id %d", i, id)
+			case d >= uint64(nElems)-id:
+				r.Fail("set %d references an element beyond the %d-element dictionary", i, nElems)
+			default:
+				id += d
+				words = bitsetSet(words, uint32(id))
+			}
+		}
+		out.sets = append(out.sets, words)
+		out.cards = append(out.cards, card)
+	}
+	return out
+}
+
+// readLegacy decodes the map-era set encoding (tags 1 and 2): per
+// query, a strictly ascending element list. Elements intern in stored
+// order, which is the order Prepare uses, so the rebuilt dictionary —
+// and therefore any re-marshal — matches a fresh Prepare of the same
+// log exactly.
+func (c *setCodec[K]) readLegacy(r *binenc.Reader) *internedPrepared[K] {
+	n := r.Count(1) // each set has at least its element count
+	out := newInternedPrepared[K](n)
+	var elems []K
+	for i := 0; i < n && r.Err() == nil; i++ {
+		k := r.Count(1)
 		elems = elems[:0]
-		for j := uint64(0); j < k; j++ {
-			e, err := readElem(r)
-			if err != nil {
-				return nil, err
+		for j := 0; j < k && r.Err() == nil; j++ {
+			e := c.get(r)
+			if j > 0 && !c.less(elems[j-1], e) {
+				r.Fail("set %d is not strictly ascending", i)
 			}
 			elems = append(elems, e)
 		}
 		out.addSet(elems)
 	}
-	return out, nil
-}
-
-func writeStringElem(w *snapWriter, s string) { w.str(s) }
-
-func readStringElem(r *snapReader) (string, error) { return r.str() }
-
-func writeFeatureElem(w *snapWriter, f sqlfeature.Feature) {
-	w.str(string(f.Clause))
-	w.str(f.Item)
-}
-
-func readFeatureElem(r *snapReader) (sqlfeature.Feature, error) {
-	clause, err := r.str()
-	if err != nil {
-		return sqlfeature.Feature{}, err
-	}
-	item, err := r.str()
-	if err != nil {
-		return sqlfeature.Feature{}, err
-	}
-	return sqlfeature.Feature{Clause: sqlfeature.Clause(clause), Item: item}, nil
-}
-
-func marshalStringSets(p Prepared) ([]byte, error) {
-	sets, ok := p.(*internedPrepared[string])
-	if !ok {
-		return nil, fmt.Errorf("distance: cannot snapshot prepared state %T as string sets", p)
-	}
-	w := newSnapWriter(snapInternedStrings)
-	writeInterned(w, sets, writeStringElem)
-	return w.buf, nil
-}
-
-func unmarshalStringSets(data []byte) (Prepared, error) {
-	r, tag, err := newSnapReader(data, snapInternedStrings, snapStringSets)
-	if err != nil {
-		return nil, err
-	}
-	var out *internedPrepared[string]
-	if tag == snapInternedStrings {
-		out, err = readInterned(r, readStringElem)
-	} else {
-		out, err = readLegacySets(r, readStringElem)
-	}
-	if err != nil {
-		return nil, err
-	}
-	if err := r.done(); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// MarshalPrepared implements Snapshotter over token sets.
-func (tokenMetric) MarshalPrepared(p Prepared) ([]byte, error) { return marshalStringSets(p) }
-
-// UnmarshalPrepared implements Snapshotter over token sets.
-func (tokenMetric) UnmarshalPrepared(data []byte) (Prepared, error) {
-	return unmarshalStringSets(data)
-}
-
-// MarshalPrepared implements Snapshotter over result tuple sets. The
-// snapshot carries the materialized tuple-set keys, so restoring it
-// re-executes no queries — the whole point of persisting the result
-// measure's expensive prepared state.
-func (*resultMetric) MarshalPrepared(p Prepared) ([]byte, error) { return marshalStringSets(p) }
-
-// UnmarshalPrepared implements Snapshotter over result tuple sets.
-func (*resultMetric) UnmarshalPrepared(data []byte) (Prepared, error) {
-	return unmarshalStringSets(data)
-}
-
-// MarshalPrepared implements Snapshotter over SnipSuggest feature sets.
-func (structureMetric) MarshalPrepared(p Prepared) ([]byte, error) {
-	sets, ok := p.(*internedPrepared[sqlfeature.Feature])
-	if !ok {
-		return nil, fmt.Errorf("distance: cannot snapshot prepared state %T as feature sets", p)
-	}
-	w := newSnapWriter(snapInternedFeatures)
-	writeInterned(w, sets, writeFeatureElem)
-	return w.buf, nil
-}
-
-// UnmarshalPrepared implements Snapshotter over feature sets.
-func (structureMetric) UnmarshalPrepared(data []byte) (Prepared, error) {
-	r, tag, err := newSnapReader(data, snapInternedFeatures, snapFeatureSets)
-	if err != nil {
-		return nil, err
-	}
-	var out *internedPrepared[sqlfeature.Feature]
-	if tag == snapInternedFeatures {
-		out, err = readInterned(r, readFeatureElem)
-	} else {
-		out, err = readLegacySets(r, readFeatureElem)
-	}
-	if err != nil {
-		return nil, err
-	}
-	if err := r.done(); err != nil {
-		return nil, err
-	}
-	return out, nil
+	return out
 }
 
 // --- access areas ---
@@ -408,112 +222,76 @@ const (
 	snapValBytes  byte = 4
 )
 
-func writeValue(w *snapWriter, v value.Value) error {
+func appendValue(b []byte, v value.Value) ([]byte, error) {
 	switch v.Kind() {
 	case value.KindNull:
-		w.byteVal(snapValNull)
+		return append(b, snapValNull), nil
 	case value.KindInt:
-		w.byteVal(snapValInt)
-		w.varint(v.AsInt())
+		return binary.AppendVarint(append(b, snapValInt), v.AsInt()), nil
 	case value.KindFloat:
-		w.byteVal(snapValFloat)
-		w.float(v.AsFloat())
+		return binenc.AppendFloat(append(b, snapValFloat), v.AsFloat()), nil
 	case value.KindString:
-		w.byteVal(snapValString)
-		w.str(v.AsString())
+		return binenc.AppendString(append(b, snapValString), v.AsString()), nil
 	case value.KindBytes:
-		w.byteVal(snapValBytes)
-		w.bytes(v.AsBytes())
+		return binenc.AppendString(append(b, snapValBytes), v.AsBytes()), nil
 	default:
-		return fmt.Errorf("distance: cannot snapshot value kind %v", v.Kind())
+		return nil, fmt.Errorf("distance: cannot snapshot value kind %v", v.Kind())
 	}
-	return nil
 }
 
-func readValue(r *snapReader) (value.Value, error) {
-	kind, err := r.byteVal()
-	if err != nil {
-		return value.Value{}, err
-	}
-	switch kind {
+func readValue(r *binenc.Reader) value.Value {
+	switch kind := r.Byte(); kind {
 	case snapValNull:
-		return value.Null(), nil
+		return value.Null()
 	case snapValInt:
-		i, err := r.varint()
-		if err != nil {
-			return value.Value{}, err
-		}
-		return value.Int(i), nil
+		return value.Int(r.Varint())
 	case snapValFloat:
-		f, err := r.float()
-		if err != nil {
-			return value.Value{}, err
-		}
-		return value.Float(f), nil
+		return value.Float(r.Float())
 	case snapValString:
-		s, err := r.str()
-		if err != nil {
-			return value.Value{}, err
-		}
-		return value.Str(s), nil
+		return value.Str(r.Str())
 	case snapValBytes:
-		b, err := r.bytes()
-		if err != nil {
-			return value.Value{}, err
-		}
-		return value.Bytes(b), nil
+		return value.Bytes(r.Bytes())
 	default:
-		return value.Value{}, fmt.Errorf("distance: unknown snapshot value kind %d", kind)
+		r.Fail("unknown value kind %d", kind)
+		return value.Null()
 	}
 }
 
-func writeArea(w *snapWriter, a accessarea.Area) error {
+func appendArea(b []byte, a accessarea.Area) ([]byte, error) {
 	ivs := a.Intervals()
-	w.uvarint(uint64(len(ivs)))
+	b = binary.AppendUvarint(b, uint64(len(ivs)))
+	var err error
 	for _, iv := range ivs {
-		if err := writeValue(w, iv.Lo.V); err != nil {
-			return err
+		if b, err = appendValue(b, iv.Lo.V); err != nil {
+			return nil, err
 		}
-		w.byteVal(boolByte(iv.Lo.Open))
-		if err := writeValue(w, iv.Hi.V); err != nil {
-			return err
+		b = append(b, boolByte(iv.Lo.Open))
+		if b, err = appendValue(b, iv.Hi.V); err != nil {
+			return nil, err
 		}
-		w.byteVal(boolByte(iv.Hi.Open))
+		b = append(b, boolByte(iv.Hi.Open))
 	}
-	return nil
+	return b, nil
 }
 
-func readArea(r *snapReader) (accessarea.Area, error) {
-	n, err := r.count(4) // an interval is at least two value kinds and two open flags
-	if err != nil {
-		return accessarea.Area{}, err
-	}
-	ivs := make([]accessarea.Interval, n)
+func readArea(r *binenc.Reader) accessarea.Area {
+	ivs := make([]accessarea.Interval, r.Count(4)) // an interval is at least two value kinds and two open flags
 	for i := range ivs {
-		lo, err := readValue(r)
-		if err != nil {
-			return accessarea.Area{}, err
-		}
-		loOpen, err := r.byteVal()
-		if err != nil {
-			return accessarea.Area{}, err
-		}
-		hi, err := readValue(r)
-		if err != nil {
-			return accessarea.Area{}, err
-		}
-		hiOpen, err := r.byteVal()
-		if err != nil {
-			return accessarea.Area{}, err
-		}
+		lo := readValue(r)
+		loOpen := r.Byte()
+		hi := readValue(r)
+		hiOpen := r.Byte()
 		ivs[i] = accessarea.Interval{
 			Lo: accessarea.Endpoint{V: lo, Open: loOpen != 0},
 			Hi: accessarea.Endpoint{V: hi, Open: hiOpen != 0},
 		}
 	}
+	if r.Err() != nil {
+		return accessarea.Area{}
+	}
 	// NewArea re-normalizes; the input was already normalized, so this
 	// is the identity and Equal/Overlaps behave exactly as before.
-	return accessarea.NewArea(ivs...), nil
+	return accessarea.NewArea(ivs...)
 }
 
 func boolByte(b bool) byte {
@@ -523,19 +301,19 @@ func boolByte(b bool) byte {
 	return 0
 }
 
-// MarshalPrepared implements Snapshotter over precomputed access areas.
-// The wire format predates the interning refactor and is written
-// byte-for-byte unchanged — attribute names are materialized back from
-// their interned ids and listed in sorted order per query, exactly as
-// the map-era encoder sorted them.
+// MarshalPrepared encodes precomputed access areas. The wire format
+// predates the interning refactor and is written byte-for-byte
+// unchanged — attribute names are materialized back from their interned
+// ids and listed in sorted order per query, exactly as the map-era
+// encoder sorted them.
 func (*accessAreaMetric) MarshalPrepared(p Prepared) ([]byte, error) {
 	aa, ok := p.(*aaPrepared)
 	if !ok {
-		return nil, fmt.Errorf("distance: cannot snapshot prepared state %T as access areas", p)
+		return nil, fmt.Errorf("distance: access-area: cannot snapshot prepared state %T", p)
 	}
-	w := newSnapWriter(snapAccessArea)
-	w.float(aa.x)
-	w.uvarint(uint64(len(aa.queries)))
+	b := binenc.AppendFloat(snapshotHeader(snapAccessArea), aa.x)
+	b = binary.AppendUvarint(b, uint64(len(aa.queries)))
+	var err error
 	for _, q := range aa.queries {
 		type namedArea struct {
 			name string
@@ -546,66 +324,43 @@ func (*accessAreaMetric) MarshalPrepared(p Prepared) ([]byte, error) {
 			named[k] = namedArea{name: aa.attrs.elems[id], area: q.areas[k]}
 		}
 		sort.Slice(named, func(i, j int) bool { return named[i].name < named[j].name })
-		w.uvarint(uint64(len(named)))
+		b = binary.AppendUvarint(b, uint64(len(named)))
 		for _, na := range named {
-			w.str(na.name)
+			b = binenc.AppendString(b, na.name)
 		}
-		w.uvarint(uint64(len(named)))
+		b = binary.AppendUvarint(b, uint64(len(named)))
 		for _, na := range named {
-			w.str(na.name)
-			if err := writeArea(w, na.area); err != nil {
+			if b, err = appendArea(binenc.AppendString(b, na.name), na.area); err != nil {
 				return nil, err
 			}
 		}
 	}
-	return w.buf, nil
+	return b, nil
 }
 
-// UnmarshalPrepared implements Snapshotter over precomputed access
-// areas.
 func (*accessAreaMetric) UnmarshalPrepared(data []byte) (Prepared, error) {
-	r, _, err := newSnapReader(data, snapAccessArea)
+	r, _, err := openSnapshot(data, snapAccessArea)
 	if err != nil {
 		return nil, err
 	}
-	x, err := r.float()
-	if err != nil {
-		return nil, err
-	}
-	n, err := r.count(2) // a query is at least its attribute and area counts
-	if err != nil {
-		return nil, err
-	}
+	x := r.Float()
+	n := r.Count(2) // a query is at least its attribute and area counts
 	out := &aaPrepared{x: x, attrs: newDict[string](), queries: make([]aaQuery, 0, n)}
-	for i := uint64(0); i < n; i++ {
-		nAttrs, err := r.count(1)
-		if err != nil {
-			return nil, err
-		}
-		attrs := make([]string, nAttrs)
+	for i := 0; i < n && r.Err() == nil; i++ {
+		attrs := make([]string, r.Count(1))
 		for j := range attrs {
-			if attrs[j], err = r.str(); err != nil {
-				return nil, err
+			if attrs[j] = r.Str(); j > 0 && attrs[j] <= attrs[j-1] {
+				r.Fail("query %d's attributes are not strictly ascending", i)
 			}
 		}
-		nAreas, err := r.count(2) // an area is at least its name and interval counts
-		if err != nil {
-			return nil, err
-		}
+		nAreas := r.Count(2) // an area is at least its name and interval counts
 		areaByName := make(map[string]accessarea.Area, nAreas)
-		for j := uint64(0); j < nAreas; j++ {
-			a, err := r.str()
-			if err != nil {
-				return nil, err
-			}
-			area, err := readArea(r)
-			if err != nil {
-				return nil, err
-			}
-			areaByName[a] = area
+		for j := 0; j < nAreas && r.Err() == nil; j++ {
+			name := r.Str()
+			areaByName[name] = readArea(r)
 		}
-		// The attribute list is stored sorted, so interning in stored
-		// order matches Prepare's sorted interning. An attribute with no
+		// The attribute list is sorted, so interning in stored order
+		// matches Prepare's sorted interning. An attribute with no
 		// stored area (not produced by any real encoder) degrades to the
 		// empty area, matching the old representation's lookup default.
 		q := aaQuery{
@@ -623,16 +378,8 @@ func (*accessAreaMetric) UnmarshalPrepared(data []byte) (Prepared, error) {
 		sort.Sort(&aaByID{q})
 		out.queries = append(out.queries, q)
 	}
-	if err := r.done(); err != nil {
+	if err := closeSnapshot(r); err != nil {
 		return nil, err
 	}
 	return out, nil
 }
-
-// Interface checks: all four built-in metrics snapshot.
-var (
-	_ Snapshotter = tokenMetric{}
-	_ Snapshotter = structureMetric{}
-	_ Snapshotter = (*resultMetric)(nil)
-	_ Snapshotter = (*accessAreaMetric)(nil)
-)

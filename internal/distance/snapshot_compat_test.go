@@ -38,7 +38,7 @@ func TestLegacySnapshotsReplay(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			restored, err := metric.(Snapshotter).UnmarshalPrepared(readFixture(t, "legacy", name))
+			restored, err := metric.UnmarshalPrepared(readFixture(t, "legacy", name))
 			if err != nil {
 				t.Fatalf("legacy snapshot did not decode: %v", err)
 			}
@@ -68,18 +68,18 @@ func TestLegacySnapshotsReplay(t *testing.T) {
 			// legacy elements were stored in the same sorted order
 			// Prepare interns in, re-marshaling must produce exactly the
 			// bytes a fresh Prepare marshals to.
-			grown, err := metric.(Extender).Extend(ctx, restored, []string{"SELECT b FROM t WHERE y = 2"})
+			grown, err := metric.Extend(ctx, restored, []string{"SELECT b FROM t WHERE y = 2"})
 			if err != nil {
 				t.Fatalf("Extend over a legacy-restored state: %v", err)
 			}
 			if grown.Len() != fresh.Len()+1 {
 				t.Errorf("extended legacy state Len() = %d, want %d", grown.Len(), fresh.Len()+1)
 			}
-			remarshaled, err := metric.(Snapshotter).MarshalPrepared(restored)
+			remarshaled, err := metric.MarshalPrepared(restored)
 			if err != nil {
 				t.Fatal(err)
 			}
-			want, err := metric.(Snapshotter).MarshalPrepared(fresh)
+			want, err := metric.MarshalPrepared(fresh)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -108,7 +108,7 @@ func TestSnapshotGoldenBytes(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			data, err := metric.(Snapshotter).MarshalPrepared(prep)
+			data, err := metric.MarshalPrepared(prep)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -131,7 +131,7 @@ func TestSnapshotFutureTagError(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		_, err = metric.(Snapshotter).UnmarshalPrepared(future)
+		_, err = metric.UnmarshalPrepared(future)
 		if err == nil {
 			t.Fatalf("%s: future-tag snapshot decoded without error", name)
 		}

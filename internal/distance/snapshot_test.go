@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/binary"
+	"math"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -69,26 +70,22 @@ func TestSnapshotRoundTrip(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			snap, ok := metric.(Snapshotter)
-			if !ok {
-				t.Fatalf("metric %s does not implement Snapshotter", name)
-			}
 			prep, err := metric.Prepare(ctx, snapshotLog)
 			if err != nil {
 				t.Fatal(err)
 			}
-			data, err := snap.MarshalPrepared(prep)
+			data, err := metric.MarshalPrepared(prep)
 			if err != nil {
 				t.Fatal(err)
 			}
-			again, err := snap.MarshalPrepared(prep)
+			again, err := metric.MarshalPrepared(prep)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if !bytes.Equal(data, again) {
 				t.Error("marshaling the same state twice produced different bytes")
 			}
-			restored, err := snap.UnmarshalPrepared(data)
+			restored, err := metric.UnmarshalPrepared(data)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -111,14 +108,12 @@ func TestSnapshotRoundTrip(t *testing.T) {
 				}
 			}
 			// A restored state keeps extending incrementally.
-			if ext, ok := metric.(Extender); ok {
-				grown, err := ext.Extend(ctx, restored, []string{"SELECT b FROM t WHERE y = 2"})
-				if err != nil {
-					t.Fatalf("Extend over a restored state: %v", err)
-				}
-				if grown.Len() != prep.Len()+1 {
-					t.Errorf("extended restored state Len() = %d, want %d", grown.Len(), prep.Len()+1)
-				}
+			grown, err := metric.Extend(ctx, restored, []string{"SELECT b FROM t WHERE y = 2"})
+			if err != nil {
+				t.Fatalf("Extend over a restored state: %v", err)
+			}
+			if grown.Len() != prep.Len()+1 {
+				t.Errorf("extended restored state Len() = %d, want %d", grown.Len(), prep.Len()+1)
 			}
 		})
 	}
@@ -136,23 +131,23 @@ func TestSnapshotRejectsGarbage(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	data, err := token.(Snapshotter).MarshalPrepared(prep)
+	data, err := token.MarshalPrepared(prep)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := token.(Snapshotter).UnmarshalPrepared([]byte("not a snapshot")); err == nil {
+	if _, err := token.UnmarshalPrepared([]byte("not a snapshot")); err == nil {
 		t.Error("bad magic decoded without error")
 	}
-	if _, err := aa.(Snapshotter).UnmarshalPrepared(data); err == nil {
+	if _, err := aa.UnmarshalPrepared(data); err == nil {
 		t.Error("token snapshot decoded as access-area state")
 	}
-	if _, err := token.(Snapshotter).UnmarshalPrepared(data[:len(data)-1]); err == nil {
+	if _, err := token.UnmarshalPrepared(data[:len(data)-1]); err == nil {
 		t.Error("truncated snapshot decoded without error")
 	}
-	if _, err := token.(Snapshotter).UnmarshalPrepared(append(append([]byte(nil), data...), 0)); err == nil {
+	if _, err := token.UnmarshalPrepared(append(append([]byte(nil), data...), 0)); err == nil {
 		t.Error("snapshot with trailing bytes decoded without error")
 	}
-	if _, err := token.(Snapshotter).MarshalPrepared(&aaPrepared{}); err == nil {
+	if _, err := token.MarshalPrepared(&aaPrepared{}); err == nil {
 		t.Error("marshaling a foreign prepared state succeeded")
 	}
 	// Counts of 2⁶² at each pre-sizing site must fail against the bytes
@@ -160,32 +155,74 @@ func TestSnapshotRejectsGarbage(t *testing.T) {
 	// magic, tag 3, the overlap float, then the query count.
 	huge := binary.AppendUvarint(nil, 1<<62)
 	area := append([]byte("DPS1\x03"), make([]byte, 8)...)
+	// A set that repeats an element would cache a cardinality larger
+	// than its bitset holds, so {a,a} and {a} would measure 0.5 apart
+	// instead of 0. Each encoding must reject the repeat: a repeated
+	// legacy element (tags 1 and 2), an id delta of 2³² that wraps back
+	// onto id 0 (tag 4), and a repeated attribute name (tag 3; the
+	// point area [1,1] keeps the repeat from measuring 0 by accident).
+	structure, _ := New("structure", arts)
+	feature := func(item string) []byte { return snapStr(snapStr(nil, "SELECT"), item) }
+	point := []byte{1, snapValInt, 2, 0, snapValInt, 2, 0} // one interval [1,1]
 	for name, c := range map[string]struct {
-		snap Snapshotter
+		m    Metric
 		data []byte
 	}{
-		"tag 3 queries":   {aa.(Snapshotter), append(area, huge...)},
-		"tag 3 attrs":     {aa.(Snapshotter), append(append(area, 1), huge...)},
-		"tag 3 areas":     {aa.(Snapshotter), append(append(area, 1, 0), huge...)},
-		"tag 3 intervals": {aa.(Snapshotter), append(append(area, 1, 0, 1, 0), huge...)},
-		"tag 1 sets":      {token.(Snapshotter), append([]byte("DPS1\x01"), huge...)},
-		"tag 4 elements":  {token.(Snapshotter), append([]byte("DPS1\x04"), huge...)},
+		"tag 3 queries":            {aa, append(area, huge...)},
+		"tag 3 attrs":              {aa, append(append(area, 1), huge...)},
+		"tag 3 areas":              {aa, append(append(area, 1, 0), huge...)},
+		"tag 3 intervals":          {aa, append(append(area, 1, 0, 1, 0), huge...)},
+		"tag 1 sets":               {token, append([]byte("DPS1\x01"), huge...)},
+		"tag 4 elements":           {token, append([]byte("DPS1\x04"), huge...)},
+		"tag 1 repeated element":   {token, snapCat("DPS1\x01", uv(2, 2), snapStr(snapStr(nil, "a"), "a"), uv(1), snapStr(nil, "a"))},
+		"tag 1 descending set":     {token, snapCat("DPS1\x01", uv(1, 2), snapStr(snapStr(nil, "b"), "a"))},
+		"tag 2 repeated element":   {structure, snapCat("DPS1\x02", uv(2, 2), feature("a"), feature("a"), uv(1), feature("a"))},
+		"tag 4 wrapping delta":     {token, snapCat("DPS1\x04", uv(1), snapStr(nil, "a"), uv(2, 2, 0, 1<<32, 1, 0))},
+		"tag 3 repeated attribute": {aa, snapCat(string(area), uv(2, 2), snapStr(snapStr(nil, "x"), "x"), uv(1), snapStr(nil, "x"), point, uv(1), snapStr(nil, "x"), uv(1), snapStr(nil, "x"), point)},
 	} {
 		if name == "tag 3 queries" && len(c.data) != 22 {
 			t.Fatalf("%s: hostile snapshot is %d bytes, want 22", name, len(c.data))
 		}
-		if _, err := c.snap.UnmarshalPrepared(c.data); err == nil {
-			t.Errorf("%s: a count of 2^62 decoded without error", name)
+		if prep, err := c.m.UnmarshalPrepared(c.data); err == nil {
+			d, _ := prep.Distance(0, prep.Len()-1)
+			t.Errorf("%s: hostile snapshot decoded to %d queries, distance(0,last) = %v", name, prep.Len(), d)
 		}
 	}
+}
+
+// uv appends uvarints.
+func uv(xs ...uint64) []byte {
+	var b []byte
+	for _, x := range xs {
+		b = binary.AppendUvarint(b, x)
+	}
+	return b
+}
+
+// snapStr appends a length-prefixed string.
+func snapStr(b []byte, s string) []byte {
+	return append(binary.AppendUvarint(b, uint64(len(s))), s...)
+}
+
+// snapCat joins a header and body parts into one snapshot.
+func snapCat(header string, parts ...[]byte) []byte {
+	out := []byte(header)
+	for _, p := range parts {
+		out = append(out, p...)
+	}
+	return out
 }
 
 // FuzzUnmarshalPrepared checks the snapshot decoders (tags 1–5) on
 // arbitrary bytes: they never panic; decoding allocates at most 1 MiB
 // plus 128 bytes per input byte (an access-area interval is 144 bytes
-// in memory and 4 on disk, and NewArea copies it once more); and
-// marshaling an accepted state gives bytes that decode and re-marshal
-// to the same bytes.
+// in memory and 4 on disk, and NewArea copies it once more); marshaling
+// an accepted state gives bytes that decode and re-marshal to the same
+// bytes; and the re-marshaled decode gives the accepted state's
+// distances (over its first 256 queries). The last check matters
+// because re-marshaling canonicalizes: a state whose sets disagree with
+// their cached cardinalities re-marshals cleanly yet measures
+// differently.
 func FuzzUnmarshalPrepared(f *testing.F) {
 	fixtures, err := filepath.Glob(filepath.Join("testdata", "snapshot_*.bin"))
 	if err != nil {
@@ -199,40 +236,52 @@ func FuzzUnmarshalPrepared(f *testing.F) {
 		f.Add(data)
 	}
 	arts := snapshotArtifacts(f)
-	var snaps []Snapshotter // one per codec: string sets, feature sets, access areas
+	var metrics []Metric // one per codec: string sets, feature sets, access areas
 	for _, name := range []string{"token", "structure", "access-area"} {
 		m, err := New(name, arts)
 		if err != nil {
 			f.Fatal(err)
 		}
-		snaps = append(snaps, m.(Snapshotter))
+		metrics = append(metrics, m)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		for _, snap := range snaps {
+		for _, m := range metrics {
 			var before, after runtime.MemStats
 			runtime.ReadMemStats(&before)
-			prep, err := snap.UnmarshalPrepared(data)
+			prep, err := m.UnmarshalPrepared(data)
 			runtime.ReadMemStats(&after)
 			if got, bound := after.TotalAlloc-before.TotalAlloc, uint64(1<<20+128*len(data)); got > bound {
-				t.Fatalf("%T: decoding %d bytes allocated %d bytes, bound %d", snap, len(data), got, bound)
+				t.Fatalf("%s: decoding %d bytes allocated %d bytes, bound %d", m.Name(), len(data), got, bound)
 			}
 			if err != nil {
 				continue
 			}
-			once, err := snap.MarshalPrepared(prep)
+			once, err := m.MarshalPrepared(prep)
 			if err != nil {
-				t.Fatalf("%T: marshaling an accepted state: %v", snap, err)
+				t.Fatalf("%s: marshaling an accepted state: %v", m.Name(), err)
 			}
-			back, err := snap.UnmarshalPrepared(once)
+			back, err := m.UnmarshalPrepared(once)
 			if err != nil {
-				t.Fatalf("%T: decoding the re-marshaled %x: %v", snap, once, err)
+				t.Fatalf("%s: decoding the re-marshaled %x: %v", m.Name(), once, err)
 			}
-			twice, err := snap.MarshalPrepared(back)
+			twice, err := m.MarshalPrepared(back)
 			if err != nil {
-				t.Fatalf("%T: re-marshaling: %v", snap, err)
+				t.Fatalf("%s: re-marshaling: %v", m.Name(), err)
 			}
 			if !bytes.Equal(once, twice) {
-				t.Fatalf("%T: %x re-marshals to %x", snap, once, twice)
+				t.Fatalf("%s: %x re-marshals to %x", m.Name(), once, twice)
+			}
+			if back.Len() != prep.Len() {
+				t.Fatalf("%s: %d queries re-decode to %d", m.Name(), prep.Len(), back.Len())
+			}
+			for i := 0; i < min(prep.Len(), 256); i++ {
+				for j := i + 1; j < min(prep.Len(), 256); j++ {
+					want, _ := prep.Distance(i, j)
+					got, _ := back.Distance(i, j)
+					if math.Float64bits(got) != math.Float64bits(want) {
+						t.Fatalf("%s: distance(%d,%d) is %v accepted, %v re-decoded", m.Name(), i, j, want, got)
+					}
+				}
 			}
 		}
 	})

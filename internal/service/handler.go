@@ -114,47 +114,71 @@ func NewHandler(reg *Registry) http.Handler {
 func NewHandlerWithOptions(reg *Registry, opts HandlerOptions) http.Handler {
 	h := &handler{reg: reg}
 	mux := http.NewServeMux()
-	mux.HandleFunc("GET /v1/healthz", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
-	})
-	// GET /v1/stats aggregates across shards; ?per_shard=1 (or =true)
-	// adds the per-shard breakdown without changing the aggregate
-	// fields, so existing consumers keep parsing the same shape. The
-	// breakdown and the aggregate come from one snapshot, so they
-	// always reconcile.
-	mux.HandleFunc("GET /v1/stats", func(w http.ResponseWriter, r *http.Request) {
-		var stats RegistryStats
-		switch r.URL.Query().Get("per_shard") {
-		case "1", "true":
-			stats = reg.StatsPerShard()
-		default:
-			stats = reg.Stats()
-		}
-		writeJSON(w, http.StatusOK, stats)
-	})
-	mux.HandleFunc("POST /v1/sessions", h.createSession)
-	mux.HandleFunc("POST /v1/sessions:import", h.importSession)
-	mux.HandleFunc("GET /v1/sessions/{id}", h.sessionStats)
-	mux.HandleFunc("GET /v1/sessions/{id}/export", h.exportSession)
-	mux.HandleFunc("DELETE /v1/sessions/{id}", h.deleteSession)
-	mux.HandleFunc("POST /v1/sessions/{id}/logs", h.uploadLog)
-	mux.HandleFunc("POST /v1/sessions/{id}/logs:append", h.appendLog)
-	mux.HandleFunc("POST /v1/sessions/{id}/logs:append_mine", h.appendMine)
-	mux.HandleFunc("POST /v1/sessions/{id}/matrix", h.matrix)
-	mux.HandleFunc("POST /v1/sessions/{id}/distances", h.distances)
-	mux.HandleFunc("POST /v1/sessions/{id}/mine", h.mine)
-	mux.HandleFunc("GET /v1/sessions/{id}/neighbors", h.neighbors)
-	mux.HandleFunc("POST /v1/sessions/{id}/verify", h.verify)
+	labels := make(map[string]string)
+	for _, rt := range h.routes() {
+		mux.HandleFunc(rt.pattern, rt.serve)
+		labels[rt.pattern] = rt.label
+	}
 	return &instrumented{
 		mux:     mux,
-		metrics: newHTTPMetrics(opts.Obs),
+		labels:  labels,
+		metrics: newHTTPMetrics(opts.Obs, labels),
 		logger:  opts.Logger,
 		slow:    opts.SlowRequest,
 	}
 }
 
+// route is one /v1 endpoint: its mux pattern, the short name that
+// labels its metrics, and its handler.
+type route struct {
+	pattern string
+	label   string
+	serve   http.HandlerFunc
+}
+
+// routes is the one list of /v1 endpoints; the mux and the metric
+// labels are both built from it.
+func (h *handler) routes() []route {
+	return []route{
+		{"GET /v1/healthz", "healthz", h.healthz},
+		{"GET /v1/stats", "stats", h.stats},
+		{"POST /v1/sessions", "create_session", h.createSession},
+		{"POST /v1/sessions:import", "import_session", h.importSession},
+		{"GET /v1/sessions/{id}", "session_stats", h.sessionStats},
+		{"GET /v1/sessions/{id}/export", "export_session", h.exportSession},
+		{"DELETE /v1/sessions/{id}", "delete_session", h.deleteSession},
+		{"POST /v1/sessions/{id}/logs", "upload_log", h.uploadLog},
+		{"POST /v1/sessions/{id}/logs:append", "append_log", h.appendLog},
+		{"POST /v1/sessions/{id}/logs:append_mine", "append_mine", h.appendMine},
+		{"POST /v1/sessions/{id}/matrix", "matrix", h.matrix},
+		{"POST /v1/sessions/{id}/distances", "distances", h.distances},
+		{"POST /v1/sessions/{id}/mine", "mine", h.mine},
+		{"GET /v1/sessions/{id}/neighbors", "neighbors", h.neighbors},
+		{"POST /v1/sessions/{id}/verify", "verify", h.verify},
+	}
+}
+
 type handler struct {
 	reg *Registry
+}
+
+func (h *handler) healthz(w http.ResponseWriter, r *http.Request) {
+	writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
+}
+
+// stats aggregates across shards; ?per_shard=1 (or =true) adds the
+// per-shard breakdown without changing the aggregate fields, so
+// existing consumers keep parsing the same shape. The breakdown and the
+// aggregate come from one snapshot, so they always reconcile.
+func (h *handler) stats(w http.ResponseWriter, r *http.Request) {
+	var stats RegistryStats
+	switch r.URL.Query().Get("per_shard") {
+	case "1", "true":
+		stats = h.reg.StatsPerShard()
+	default:
+		stats = h.reg.Stats()
+	}
+	writeJSON(w, http.StatusOK, stats)
 }
 
 func writeJSON(w http.ResponseWriter, status int, body any) {

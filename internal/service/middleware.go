@@ -73,36 +73,6 @@ func newRequestID() string {
 	return hex.EncodeToString(b[:])
 }
 
-// routeLabels maps every registered mux pattern to the short route name
-// used as a metric label, so label cardinality is closed over the API
-// surface no matter what paths clients probe.
-var routeLabels = map[string]string{
-	"GET /v1/healthz":                         "healthz",
-	"GET /v1/stats":                           "stats",
-	"POST /v1/sessions":                       "create_session",
-	"POST /v1/sessions:import":                "import_session",
-	"GET /v1/sessions/{id}":                   "session_stats",
-	"GET /v1/sessions/{id}/export":            "export_session",
-	"DELETE /v1/sessions/{id}":                "delete_session",
-	"POST /v1/sessions/{id}/logs":             "upload_log",
-	"POST /v1/sessions/{id}/logs:append":      "append_log",
-	"POST /v1/sessions/{id}/logs:append_mine": "append_mine",
-	"POST /v1/sessions/{id}/matrix":           "matrix",
-	"POST /v1/sessions/{id}/distances":        "distances",
-	"POST /v1/sessions/{id}/mine":             "mine",
-	"GET /v1/sessions/{id}/neighbors":         "neighbors",
-	"POST /v1/sessions/{id}/verify":           "verify",
-}
-
-// routeLabel resolves the matched mux pattern; requests that matched no
-// pattern (404s, bad methods) share one "unmatched" series.
-func routeLabel(pattern string) string {
-	if label, ok := routeLabels[pattern]; ok {
-		return label
-	}
-	return "unmatched"
-}
-
 // httpMetrics is the middleware's slice of the obs wiring. Histograms
 // are pre-registered per route at construction (the label set is closed,
 // so nothing is minted per request); the route×code counters are
@@ -114,16 +84,18 @@ type httpMetrics struct {
 	durations map[string]*obs.Histogram
 }
 
-func newHTTPMetrics(o *obs.Registry) *httpMetrics {
+// newHTTPMetrics registers the request metrics for the route labels,
+// keyed by mux pattern.
+func newHTTPMetrics(o *obs.Registry, labels map[string]string) *httpMetrics {
 	if o == nil {
 		return nil
 	}
 	m := &httpMetrics{
 		o:         o,
 		inflight:  o.Gauge("dpe_http_inflight_requests", "API requests currently being served."),
-		durations: make(map[string]*obs.Histogram, len(routeLabels)+1),
+		durations: make(map[string]*obs.Histogram, len(labels)+1),
 	}
-	for _, label := range routeLabels {
+	for _, label := range labels {
 		m.durations[label] = o.Histogram("dpe_http_request_duration_seconds",
 			"API request latency by route.", nil, "route", label)
 	}
@@ -182,7 +154,11 @@ func (w *statusRecorder) Unwrap() http.ResponseWriter { return w.ResponseWriter 
 // logging middleware. The wrapper always runs (request ids are part of
 // the wire contract); metrics and logging engage only when configured.
 type instrumented struct {
-	mux     *http.ServeMux
+	mux *http.ServeMux
+	// labels maps each registered mux pattern to its route label, so
+	// label cardinality is closed over the API surface no matter what
+	// paths clients probe.
+	labels  map[string]string
 	metrics *httpMetrics
 	logger  *slog.Logger
 	slow    time.Duration
@@ -215,7 +191,12 @@ func (h *instrumented) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	}
 
 	d := time.Since(start)
-	route := routeLabel(r.Pattern)
+	// Requests that matched no pattern (404s, bad methods) share one
+	// "unmatched" series.
+	route, ok := h.labels[r.Pattern]
+	if !ok {
+		route = "unmatched"
+	}
 	h.metrics.observe(route, rec.status, d)
 
 	if h.logger == nil {

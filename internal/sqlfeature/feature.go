@@ -14,7 +14,6 @@ package sqlfeature
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
 	"repro/internal/sqlparse"
@@ -79,20 +78,6 @@ func foldNegativeNumbers(toks []sqlparse.Token) []sqlparse.Token {
 	return out
 }
 
-// TokenList returns the sorted token set, for display and debugging.
-func TokenList(query string) ([]string, error) {
-	set, err := Tokens(query)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]string, 0, len(set))
-	for t := range set {
-		out = append(out, t)
-	}
-	sort.Strings(out)
-	return out, nil
-}
-
 // Clause names the query clause a feature belongs to.
 type Clause string
 
@@ -150,17 +135,6 @@ func Features(stmt *sqlparse.SelectStmt) map[Feature]bool {
 		set[Feature{ClauseOrderBy, colItem(o.Column)}] = true
 	}
 	return set
-}
-
-// FeatureList returns the sorted rendered feature set.
-func FeatureList(stmt *sqlparse.SelectStmt) []string {
-	set := Features(stmt)
-	out := make([]string, 0, len(set))
-	for f := range set {
-		out = append(out, f.String())
-	}
-	sort.Strings(out)
-	return out
 }
 
 // predicateFeatures walks a boolean expression and emits one feature per

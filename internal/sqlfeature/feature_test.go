@@ -2,6 +2,7 @@ package sqlfeature
 
 import (
 	"reflect"
+	"sort"
 	"testing"
 
 	"repro/internal/sqlparse"
@@ -171,4 +172,29 @@ func TestFeatureListSortedAndRendered(t *testing.T) {
 	if len(l) != 3 || !sortedStrings(l) {
 		t.Fatalf("list = %v", l)
 	}
+}
+
+// TokenList returns the sorted token set, for display and debugging.
+func TokenList(query string) ([]string, error) {
+	set, err := Tokens(query)
+	if err != nil {
+		return nil, err
+	}
+	out := make([]string, 0, len(set))
+	for t := range set {
+		out = append(out, t)
+	}
+	sort.Strings(out)
+	return out, nil
+}
+
+// FeatureList returns the sorted rendered feature set.
+func FeatureList(stmt *sqlparse.SelectStmt) []string {
+	set := Features(stmt)
+	out := make([]string, 0, len(set))
+	for f := range set {
+		out = append(out, f.String())
+	}
+	sort.Strings(out)
+	return out
 }

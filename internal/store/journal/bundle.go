@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+
+	"repro/internal/store"
 )
 
 // Bundle file format — the portable form of one tenant's journal
@@ -17,8 +19,8 @@ import (
 //	trailer:
 //	  u32-le 0xFFFFFFFF | u32-le record count | u32-le CRC-32 of count
 //
-// The payload is the JSON encoding of a store.Record produced by this
-// package's typed codecs — the same bytes a segment journal frames —
+// The record frames are store.AppendFrame's, around records produced by
+// this package's typed codecs — the same bytes a segment journal holds —
 // so a bundle is readable by any backend and any future release that
 // keeps the codecs. The sentinel length 0xFFFFFFFF can never open a
 // real frame (it exceeds the record size cap), so the trailer is
@@ -28,11 +30,7 @@ import (
 const (
 	bundleMagic = "DPEBNDL\x00"
 	// BundleVersion is the bundle format version this package writes.
-	BundleVersion = 1
-	// maxBundleRecord caps one frame's payload, like the segment
-	// journal's cap: a corrupt length header must not provoke a giant
-	// allocation.
-	maxBundleRecord = 1 << 30
+	BundleVersion   = 1
 	trailerSentinel = 0xFFFFFFFF
 )
 
@@ -64,20 +62,11 @@ func (bw *BundleWriter) Append(rec Record) error {
 	if err != nil {
 		return err
 	}
-	payload, err := marshalRecord(raw)
+	frame, err := store.AppendFrame(nil, raw)
 	if err != nil {
 		return err
 	}
-	if len(payload) > maxBundleRecord {
-		return fmt.Errorf("journal: bundle record of %d bytes exceeds the %d-byte frame limit", len(payload), maxBundleRecord)
-	}
-	var hdr [8]byte
-	binary.LittleEndian.PutUint32(hdr[0:4], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(hdr[4:8], crc32.ChecksumIEEE(payload))
-	if _, err := bw.w.Write(hdr[:]); err != nil {
-		return fmt.Errorf("journal: writing bundle frame: %w", err)
-	}
-	if _, err := bw.w.Write(payload); err != nil {
+	if _, err := bw.w.Write(frame); err != nil {
 		return fmt.Errorf("journal: writing bundle frame: %w", err)
 	}
 	bw.count++
@@ -127,45 +116,33 @@ func ReadBundle(r io.Reader, h Handler) (Stats, error) {
 	}
 	var read uint32
 	for {
-		var hdr [8]byte
-		if _, err := io.ReadFull(br, hdr[:]); err != nil {
+		// A trailer opens with the sentinel where a frame has its length.
+		peek, err := br.Peek(4)
+		if err != nil {
 			return st, fmt.Errorf("journal: truncated bundle (missing trailer): %w", err)
 		}
-		n := binary.LittleEndian.Uint32(hdr[0:4])
-		if n == trailerSentinel {
-			// The frame header already consumed the sentinel and the
-			// count; only the count's CRC remains.
-			count := binary.LittleEndian.Uint32(hdr[4:8])
-			var crc [4]byte
-			if _, err := io.ReadFull(br, crc[:]); err != nil {
-				return st, fmt.Errorf("journal: truncated bundle trailer: %w", err)
-			}
-			if crc32.ChecksumIEEE(hdr[4:8]) != binary.LittleEndian.Uint32(crc[:]) {
-				return st, fmt.Errorf("journal: bundle trailer CRC mismatch")
-			}
-			if count != read {
-				return st, fmt.Errorf("journal: bundle trailer says %d records, read %d", count, read)
-			}
-			if _, err := br.ReadByte(); err != io.EOF {
-				return st, fmt.Errorf("journal: trailing data after bundle trailer")
-			}
-			return st, nil
+		if binary.LittleEndian.Uint32(peek) == trailerSentinel {
+			break
 		}
-		if n > maxBundleRecord {
-			return st, fmt.Errorf("journal: bundle frame of %d bytes exceeds the %d-byte limit", n, maxBundleRecord)
-		}
-		payload := make([]byte, n)
-		if _, err := io.ReadFull(br, payload); err != nil {
-			return st, fmt.Errorf("journal: truncated bundle record: %w", err)
-		}
-		if crc32.ChecksumIEEE(payload) != binary.LittleEndian.Uint32(hdr[4:8]) {
-			return st, fmt.Errorf("journal: bundle record CRC mismatch")
-		}
-		rec, err := unmarshalRecord(payload)
+		rec, _, err := store.ReadFrame(br)
 		if err != nil {
-			return st, fmt.Errorf("journal: undecodable bundle record: %w", err)
+			return st, fmt.Errorf("journal: bundle record: %w", err)
 		}
 		read++
 		dispatch(rec, h, &st)
 	}
+	var t [12]byte
+	if _, err := io.ReadFull(br, t[:]); err != nil {
+		return st, fmt.Errorf("journal: truncated bundle trailer: %w", err)
+	}
+	if crc32.ChecksumIEEE(t[4:8]) != binary.LittleEndian.Uint32(t[8:12]) {
+		return st, fmt.Errorf("journal: bundle trailer CRC mismatch")
+	}
+	if count := binary.LittleEndian.Uint32(t[4:8]); count != read {
+		return st, fmt.Errorf("journal: bundle trailer says %d records, read %d", count, read)
+	}
+	if _, err := br.ReadByte(); err != io.EOF {
+		return st, fmt.Errorf("journal: trailing data after bundle trailer")
+	}
+	return st, nil
 }

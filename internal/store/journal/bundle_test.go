@@ -3,13 +3,17 @@ package journal
 import (
 	"bytes"
 	"encoding/binary"
+	"encoding/json"
 	"hash/crc32"
+	"os"
+	"path/filepath"
 	"reflect"
+	"runtime"
 	"testing"
 )
 
 // writeBundle renders recs as a complete bundle.
-func writeBundle(t *testing.T, recs []Record) []byte {
+func writeBundle(t testing.TB, recs []Record) []byte {
 	t.Helper()
 	var buf bytes.Buffer
 	bw, err := NewBundleWriter(&buf)
@@ -68,7 +72,8 @@ func TestBundleRejectsDamage(t *testing.T) {
 		_, err := ReadBundle(bytes.NewReader(data), &outcomeHandler{out: Applied})
 		return err
 	}
-	if err := read(good); err != nil {
+	err := read(good)
+	if err != nil {
 		t.Fatalf("pristine bundle rejected: %v", err)
 	}
 
@@ -117,6 +122,14 @@ func TestBundleRejectsDamage(t *testing.T) {
 		t.Error("bundle with trailing garbage read successfully")
 	}
 
+	// A frame header claiming 1 GiB with no payload behind it: the read
+	// fails as truncated, having allocated for the bytes present only.
+	if hostile := hostileBundle(); len(hostile) != 20 {
+		t.Errorf("hostile bundle is %d bytes, want 20", len(hostile))
+	} else if alloc := allocatedBy(func() { err = read(hostile) }); err == nil || alloc >= 1<<20 {
+		t.Errorf("20-byte bundle claiming a 1 GiB frame: err %v after allocating %d bytes, want an error under 1 MiB", err, alloc)
+	}
+
 	// A correctly framed record of an unknown kind (a newer release's
 	// addition) counts as skipped — only unparseable frame JSON is a
 	// hard error.
@@ -161,4 +174,85 @@ func TestBundleWriterValidatesRecords(t *testing.T) {
 	if st, err := ReadBundle(bytes.NewReader(buf.Bytes()), &outcomeHandler{out: Applied}); err != nil || st.Total() != 0 {
 		t.Errorf("bundle after failed Append: stats %+v, err %v", st, err)
 	}
+}
+
+// hostileBundle is a bundle header followed by one frame header that
+// claims a 1 GiB payload, and nothing else.
+func hostileBundle() []byte {
+	b := binary.LittleEndian.AppendUint32([]byte(bundleMagic), BundleVersion)
+	b = binary.LittleEndian.AppendUint32(b, 1<<30) // payload length
+	return binary.LittleEndian.AppendUint32(b, 0)  // payload CRC
+}
+
+// allocatedBy reports the bytes f allocates.
+func allocatedBy(f func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	f()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
+}
+
+// canonical maps records to the form a rewrite reads back as: a
+// session's request is raw JSON, which encoding compacts.
+func canonical(t *testing.T, recs []Record) []Record {
+	t.Helper()
+	out := make([]Record, len(recs))
+	for i, rec := range recs {
+		if s, ok := rec.(Session); ok {
+			req, err := json.Marshal(s.Request)
+			if err != nil {
+				t.Fatalf("re-encoding an accepted session request %q: %v", s.Request, err)
+			}
+			s.Request = req
+			rec = s
+		}
+		out[i] = rec
+	}
+	return out
+}
+
+// FuzzReadBundle checks the bundle reader, and journal.Decode behind
+// it, on arbitrary bytes: it never panics; it allocates at most 1 MiB
+// plus 64 bytes per input byte; and the records of an accepted bundle,
+// rewritten through BundleWriter, read back the same (session requests
+// compared compacted).
+func FuzzReadBundle(f *testing.F) {
+	parent, err := os.ReadFile(filepath.Join("..", "..", "service", "testdata", "parent_approx", "session.bundle"))
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(writeBundle(f, allRecords(f)))
+	f.Add(parent)
+	f.Add(hostileBundle())
+	f.Fuzz(func(t *testing.T, data []byte) {
+		h := &outcomeHandler{out: Applied}
+		var err error
+		if got, bound := allocatedBy(func() { _, err = ReadBundle(bytes.NewReader(data), h) }), uint64(1<<20+64*len(data)); got > bound {
+			t.Fatalf("reading %d bytes allocated %d bytes, bound %d", len(data), got, bound)
+		}
+		if err != nil {
+			return
+		}
+		var buf bytes.Buffer
+		bw, err := NewBundleWriter(&buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, rec := range h.seen {
+			if err := bw.Append(rec); err != nil {
+				t.Fatalf("rewriting accepted record %+v: %v", rec, err)
+			}
+		}
+		if err := bw.Close(); err != nil {
+			t.Fatal(err)
+		}
+		back := &outcomeHandler{out: Applied}
+		if _, err := ReadBundle(&buf, back); err != nil {
+			t.Fatalf("reading the rewritten bundle: %v", err)
+		}
+		if want := canonical(t, h.seen); !reflect.DeepEqual(back.seen, want) {
+			t.Fatalf("rewritten bundle reads back %+v, want %+v", back.seen, want)
+		}
+	})
 }

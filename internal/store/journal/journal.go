@@ -227,24 +227,6 @@ func Decode(rec store.Record) (Record, error) {
 	}
 }
 
-// marshalRecord renders a raw record as the JSON bytes both segment
-// journals and bundles frame.
-func marshalRecord(rec store.Record) ([]byte, error) {
-	payload, err := json.Marshal(rec)
-	if err != nil {
-		return nil, fmt.Errorf("journal: encoding record: %w", err)
-	}
-	return payload, nil
-}
-
-func unmarshalRecord(payload []byte) (store.Record, error) {
-	var rec store.Record
-	if err := json.Unmarshal(payload, &rec); err != nil {
-		return store.Record{}, err
-	}
-	return rec, nil
-}
-
 // Outcome is a Handler's verdict on one decoded record.
 type Outcome int
 
@@ -291,11 +273,6 @@ func (s *Stats) Add(o Stats) {
 	s.Snapshots += o.Snapshots
 	s.Mining += o.Mining
 	s.Skipped += o.Skipped
-}
-
-// Total is the number of applied-or-seen records.
-func (s Stats) Total() int {
-	return s.Sessions + s.Deletes + s.Logs + s.Snapshots + s.Mining + s.Skipped
 }
 
 // artifact returns the counter for an artifact kind.

@@ -2,8 +2,10 @@ package journal
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
+	"hash/crc32"
 	"reflect"
 	"strings"
 	"testing"
@@ -59,7 +61,7 @@ func (h *outcomeHandler) Log(l Log) Outcome           { h.seen = append(h.seen, 
 func (h *outcomeHandler) Artifact(a Artifact) Outcome { h.seen = append(h.seen, a); return h.out }
 
 // allRecords is one typed record per kind.
-func allRecords(t *testing.T) []Record {
+func allRecords(t testing.TB) []Record {
 	t.Helper()
 	created := time.Date(2026, 8, 1, 12, 0, 0, 0, time.UTC)
 	return []Record{
@@ -139,12 +141,14 @@ func TestCodecWireStability(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		payload, err := marshalRecord(raw)
+		frame, err := store.AppendFrame(nil, raw)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if string(payload) != tc.want {
-			t.Errorf("%+v encoded as %s, want %s", tc.rec, payload, tc.want)
+		want := binary.LittleEndian.AppendUint32(nil, uint32(len(tc.want)))
+		want = binary.LittleEndian.AppendUint32(want, crc32.ChecksumIEEE([]byte(tc.want)))
+		if want = append(want, tc.want...); !bytes.Equal(frame, want) {
+			t.Errorf("%+v framed as %q, want %q", tc.rec, frame, want)
 		}
 	}
 
@@ -152,8 +156,8 @@ func TestCodecWireStability(t *testing.T) {
 	// under kind "approx". That kind is retired: its records decode as
 	// an unknown kind (replay and import count them skipped), and
 	// nothing encodes one any more.
-	old, err := unmarshalRecord([]byte(`{"k":"approx","s":"s-1","l":"l-1","b":"BAU="}`))
-	if err != nil {
+	var old store.Record
+	if err := json.Unmarshal([]byte(`{"k":"approx","s":"s-1","l":"l-1","b":"BAU="}`), &old); err != nil {
 		t.Fatal(err)
 	}
 	if old.Kind != store.KindApprox || old.Session != "s-1" || old.Log != "l-1" || !bytes.Equal(old.Blob, []byte{4, 5}) {
@@ -367,4 +371,9 @@ func TestJournalSkipsDamagedRecordsDuringReplay(t *testing.T) {
 	if st.Deletes != 2 || st.Skipped != 1 {
 		t.Errorf("stats = %+v, want 2 deletes and 1 skipped", st)
 	}
+}
+
+// Total is the number of applied-or-seen records.
+func (s Stats) Total() int {
+	return s.Sessions + s.Deletes + s.Logs + s.Snapshots + s.Mining + s.Skipped
 }

@@ -2,11 +2,8 @@ package store
 
 import (
 	"bufio"
-	"encoding/binary"
-	"encoding/json"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"os"
 	"path/filepath"
@@ -14,22 +11,6 @@ import (
 	"sync"
 	"time"
 )
-
-// Segment-file record framing. Each record is
-//
-//	u32-le payload length | u32-le CRC-32 (IEEE) of payload | payload
-//
-// where the payload is the JSON encoding of a Record. The frame makes
-// torn tails detectable: a crash mid-append leaves either a short
-// header, a short payload, or a CRC mismatch, and replay truncates the
-// file back to the last intact record instead of refusing to start.
-const frameHeaderSize = 8
-
-// maxRecordSize bounds one record's payload (a corrupt length header
-// must not provoke a giant allocation). 1 GiB comfortably exceeds any
-// legitimate catalog upload (the HTTP layer caps request bodies at
-// 256 MiB).
-const maxRecordSize = 1 << 30
 
 // Dir is a Store backed by one directory holding one append-only
 // segment file per shard (segment-NNNN.log). The directory is locked
@@ -125,17 +106,10 @@ var errClosed = errors.New("store: segment is closed")
 
 // Append frames and writes one record at the end of the segment.
 func (s *segment) Append(rec Record) error {
-	payload, err := json.Marshal(rec)
+	buf, err := AppendFrame(nil, rec)
 	if err != nil {
-		return fmt.Errorf("store: encoding record: %w", err)
+		return err
 	}
-	if len(payload) > maxRecordSize {
-		return fmt.Errorf("store: record of %d bytes exceeds the %d-byte frame limit", len(payload), maxRecordSize)
-	}
-	var hdr [frameHeaderSize]byte
-	binary.LittleEndian.PutUint32(hdr[0:4], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(hdr[4:8], crc32.ChecksumIEEE(payload))
-
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.f == nil {
@@ -146,9 +120,6 @@ func (s *segment) Append(rec Record) error {
 	}
 	// One Write for the whole frame: either the kernel gets the full
 	// record or the torn tail is caught by Replay's CRC check.
-	buf := make([]byte, 0, frameHeaderSize+len(payload))
-	buf = append(buf, hdr[:]...)
-	buf = append(buf, payload...)
 	if _, err := s.f.Write(buf); err != nil {
 		return fmt.Errorf("store: appending to %s: %w", s.name, err)
 	}
@@ -184,30 +155,14 @@ func (s *segment) Replay(fn func(rec Record) error) error {
 	r := bufio.NewReader(s.f)
 	var good int64 // offset just past the last intact record
 	for {
-		var hdr [frameHeaderSize]byte
-		if _, err := io.ReadFull(r, hdr[:]); err != nil {
-			if err == io.EOF {
-				return nil // clean end
-			}
-			return s.truncateLocked(good) // short header: torn tail
+		rec, n, err := ReadFrame(r)
+		if err == io.EOF {
+			return nil // clean end
 		}
-		n := binary.LittleEndian.Uint32(hdr[0:4])
-		want := binary.LittleEndian.Uint32(hdr[4:8])
-		if n > maxRecordSize {
-			return s.truncateLocked(good) // corrupt length
+		if err != nil {
+			return s.truncateLocked(good) // torn write, bit rot or a corrupt length
 		}
-		payload := make([]byte, n)
-		if _, err := io.ReadFull(r, payload); err != nil {
-			return s.truncateLocked(good) // short payload
-		}
-		if crc32.ChecksumIEEE(payload) != want {
-			return s.truncateLocked(good) // bit rot or torn write
-		}
-		var rec Record
-		if err := json.Unmarshal(payload, &rec); err != nil {
-			return s.truncateLocked(good) // framed but not decodable
-		}
-		good += frameHeaderSize + int64(n)
+		good += int64(n)
 		s.m.recordReplayed()
 		if err := fn(rec); err != nil {
 			return err
@@ -245,24 +200,17 @@ func (s *segment) Compact(recs []Record) error {
 	defer os.Remove(tmp.Name()) // no-op after the rename succeeds
 	var newSize int64
 	w := bufio.NewWriter(tmp)
+	var frame []byte
 	for _, rec := range recs {
-		payload, err := json.Marshal(rec)
-		if err != nil {
+		if frame, err = AppendFrame(frame[:0], rec); err != nil {
 			tmp.Close()
-			return fmt.Errorf("store: encoding record: %w", err)
+			return err
 		}
-		var hdr [frameHeaderSize]byte
-		binary.LittleEndian.PutUint32(hdr[0:4], uint32(len(payload)))
-		binary.LittleEndian.PutUint32(hdr[4:8], crc32.ChecksumIEEE(payload))
-		if _, err := w.Write(hdr[:]); err != nil {
+		if _, err := w.Write(frame); err != nil {
 			tmp.Close()
 			return fmt.Errorf("store: writing compaction temp: %w", err)
 		}
-		if _, err := w.Write(payload); err != nil {
-			tmp.Close()
-			return fmt.Errorf("store: writing compaction temp: %w", err)
-		}
-		newSize += frameHeaderSize + int64(len(payload))
+		newSize += int64(len(frame))
 	}
 	if err := w.Flush(); err != nil {
 		tmp.Close()

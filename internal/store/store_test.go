@@ -1,11 +1,13 @@
 package store
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math/rand"
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"testing"
 )
 
@@ -86,10 +88,11 @@ func TestSegmentShardIsolation(t *testing.T) {
 }
 
 // TestSegmentTornTailRecovery is the crash-recovery contract: a journal
-// whose tail is cut mid-record (or bit-flipped) replays everything up
-// to the damage, truncates the rest, and keeps accepting appends.
+// whose tail is cut mid-record (or bit-flipped, or given a corrupt
+// length) replays everything up to the damage, allocating only for the
+// bytes present, truncates the rest, and keeps accepting appends.
 func TestSegmentTornTailRecovery(t *testing.T) {
-	for _, name := range []string{"torn-header", "torn-payload", "bit-flip"} {
+	for _, name := range []string{"torn-header", "torn-payload", "bit-flip", "huge-length"} {
 		t.Run(name, func(t *testing.T) {
 			dir := t.TempDir()
 			d, err := OpenDir(dir)
@@ -126,6 +129,11 @@ func TestSegmentTornTailRecovery(t *testing.T) {
 				if err := os.WriteFile(path, b, 0o644); err != nil {
 					t.Fatal(err)
 				}
+			case "huge-length": // the second record's header claims 1 GiB
+				binary.LittleEndian.PutUint32(b[firstLen:], maxRecordSize)
+				if err := os.WriteFile(path, b, 0o644); err != nil {
+					t.Fatal(err)
+				}
 			}
 
 			l, err = d.Open(0)
@@ -133,7 +141,14 @@ func TestSegmentTornTailRecovery(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer l.Close()
-			if got := collect(t, l); len(got) != 1 || !reflect.DeepEqual(got[0], good) {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			got := collect(t, l)
+			runtime.ReadMemStats(&after)
+			if alloc := after.TotalAlloc - before.TotalAlloc; alloc >= 1<<20 {
+				t.Errorf("replay after %s allocated %d bytes, want under 1 MiB", name, alloc)
+			}
+			if len(got) != 1 || !reflect.DeepEqual(got[0], good) {
 				t.Fatalf("replay after %s = %+v, want just the intact first record", name, got)
 			}
 			// The damaged tail was truncated: a fresh append lands on a

@@ -310,29 +310,3 @@ func (w *Workload) generateQueries(cfg Config) error {
 	}
 	return nil
 }
-
-// ConstantStream extracts every constant of the given attribute from the
-// log together with its value, for attack experiments: the attacker
-// observes the (encrypted) constants of one column.
-func (w *Workload) ConstantStream(attr string) []string {
-	var out []string
-	for _, stmt := range w.Stmts {
-		collect := func(e sqlparse.Expr) bool {
-			b, ok := e.(*sqlparse.BinaryExpr)
-			if !ok {
-				return true
-			}
-			col, okc := b.Left.(*sqlparse.ColumnRef)
-			lit, okl := b.Right.(*sqlparse.Literal)
-			if okc && okl && col.Name == attr {
-				out = append(out, lit.Value.String())
-			}
-			return true
-		}
-		sqlparse.Walk(stmt.Where, collect)
-		for _, j := range stmt.Joins {
-			sqlparse.Walk(j.On, collect)
-		}
-	}
-	return out
-}

@@ -17,6 +17,7 @@ import (
 	"math"
 	"sort"
 
+	"repro/internal/binenc"
 	"repro/internal/mining"
 )
 
@@ -54,10 +55,10 @@ func MarshalMineState(s *MineState) ([]byte, error) {
 	sp := s.spec
 	b = binary.AppendVarint(b, int64(sp.Algorithm))
 	b = binary.AppendVarint(b, int64(sp.K))
-	b = appendFloat(b, sp.Eps)
+	b = binenc.AppendFloat(b, sp.Eps)
 	b = binary.AppendVarint(b, int64(sp.MinPts))
-	b = appendFloat(b, sp.P)
-	b = appendFloat(b, sp.D)
+	b = binenc.AppendFloat(b, sp.P)
+	b = binenc.AppendFloat(b, sp.D)
 	b = binary.AppendVarint(b, int64(sp.Query))
 	b = binary.AppendVarint(b, int64(sp.MinSupport))
 	b = binary.AppendVarint(b, int64(sp.MaxLen))
@@ -81,7 +82,7 @@ func MarshalMineState(s *MineState) ([]byte, error) {
 	if s.kmed != nil {
 		b = appendInts(b, s.kmed.Medoids)
 		b = appendInts(b, s.kmed.Assign)
-		b = appendFloat(b, s.kmed.Cost)
+		b = binenc.AppendFloat(b, s.kmed.Cost)
 		b = binary.AppendVarint(b, int64(s.kmed.Iterations))
 	}
 	if s.adj != nil {
@@ -110,16 +111,11 @@ func MarshalMineState(s *MineState) ([]byte, error) {
 		sort.Strings(keys)
 		b = binary.AppendUvarint(b, uint64(len(keys)))
 		for _, k := range keys {
-			b = binary.AppendUvarint(b, uint64(len(k)))
-			b = append(b, k...)
+			b = binenc.AppendString(b, k)
 			b = binary.AppendVarint(b, int64(s.counts[k]))
 		}
 	}
 	return b, nil
-}
-
-func appendFloat(b []byte, f float64) []byte {
-	return binary.LittleEndian.AppendUint64(b, math.Float64bits(f))
 }
 
 func appendInts(b []byte, xs []int) []byte {
@@ -149,53 +145,50 @@ func UnmarshalMineState(data []byte) (*MineState, error) {
 	if v := data[len(mineStateMagic)]; v != mineStateVersion {
 		return nil, fmt.Errorf("dpe: unknown mining-state version %d", v)
 	}
-	r := &mineReader{buf: data[len(mineStateMagic)+1:]}
+	r := binenc.NewReader(data[len(mineStateMagic)+1:])
 	s := &MineState{}
 	sp := &s.spec
-	sp.Algorithm = MiningAlgorithm(r.int())
-	sp.K = r.int()
-	sp.Eps = r.float()
-	sp.MinPts = r.int()
-	sp.P = r.float()
-	sp.D = r.float()
-	sp.Query = r.int()
-	sp.MinSupport = r.int()
-	sp.MaxLen = r.int()
+	sp.Algorithm = MiningAlgorithm(r.Int())
+	sp.K = r.Int()
+	sp.Eps = r.Float()
+	sp.MinPts = r.Int()
+	sp.P = r.Float()
+	sp.D = r.Float()
+	sp.Query = r.Int()
+	sp.MinSupport = r.Int()
+	sp.MaxLen = r.Int()
 	// The byte after MaxLen was the spec's Approximate flag, which no
 	// longer exists. The format keeps the byte: it is written as 0, and
 	// any other value is rejected.
-	if f := r.byte(); f != 0 {
-		r.fail("retired approximate flag is %d, want 0", f)
+	if f := r.Byte(); f != 0 {
+		r.Fail("retired approximate flag is %d, want 0", f)
 	}
-	if n := r.uvarint(); n > math.MaxInt {
-		r.fail("row count %d overflows int", n)
+	if n := r.Uvarint(); n > math.MaxInt {
+		r.Fail("row count %d overflows int", n)
 	} else {
 		s.n = int(n)
 	}
-	flags := r.byte()
+	flags := r.Byte()
 	if flags&^mineHasAll != 0 {
-		r.fail("unknown sections %#x", flags&^mineHasAll)
+		r.Fail("unknown sections %#x", flags&^mineHasAll)
 	}
 	if flags&mineHasKMedoids != 0 {
-		s.kmed = &mining.KMedoidsResult{Medoids: r.ints(-1)}
-		s.kmed.Assign = r.ints(s.n)
-		s.kmed.Cost = r.float()
-		s.kmed.Iterations = r.int()
+		s.kmed = &mining.KMedoidsResult{Medoids: readInts(r, -1)}
+		s.kmed.Assign = readInts(r, s.n)
+		s.kmed.Cost = r.Float()
+		s.kmed.Iterations = r.Int()
 	}
 	if flags&mineHasGraph != 0 {
-		s.adj = r.graph(s.n)
+		s.adj = readGraph(r, s.n)
 	}
 	if flags&mineHasLabels != 0 {
-		s.labels = r.ints(s.n)
+		s.labels = readInts(r, s.n)
 	}
 	if flags&mineHasCounts != 0 {
-		s.counts = r.counts()
+		s.counts = readCounts(r)
 	}
-	if r.err == nil && len(r.buf) > 0 {
-		r.fail("%d trailing bytes", len(r.buf))
-	}
-	if r.err != nil {
-		return nil, r.err
+	if err := r.Done(); err != nil {
+		return nil, fmt.Errorf("dpe: decoding mining state: %w", err)
 	}
 	if _, err := sp.Algorithm.MarshalText(); err != nil {
 		return nil, err
@@ -206,116 +199,40 @@ func UnmarshalMineState(data []byte) (*MineState, error) {
 	return s, nil
 }
 
-// mineReader consumes a v2 body. The first failure sticks: later reads
-// return zero values, and err reports it.
-type mineReader struct {
-	buf []byte
-	err error
-}
-
-func (r *mineReader) fail(format string, args ...any) {
-	if r.err == nil {
-		r.err = fmt.Errorf("dpe: decoding mining state: "+format, args...)
+// readInts reads a varint list; want >= 0 demands that exact length.
+func readInts(r *binenc.Reader, want int) []int {
+	c := r.Count(1)
+	if want >= 0 && r.Err() == nil && c != want {
+		r.Fail("list of %d entries, want %d", c, want)
 	}
-}
-
-func (r *mineReader) uvarint() uint64 {
-	if r.err != nil {
-		return 0
-	}
-	v, n := binary.Uvarint(r.buf)
-	if n <= 0 {
-		r.fail("truncated varint")
-		return 0
-	}
-	r.buf = r.buf[n:]
-	return v
-}
-
-func (r *mineReader) int() int {
-	if r.err != nil {
-		return 0
-	}
-	v, n := binary.Varint(r.buf)
-	if n <= 0 || int64(int(v)) != v {
-		r.fail("truncated or oversized varint")
-		return 0
-	}
-	r.buf = r.buf[n:]
-	return int(v)
-}
-
-func (r *mineReader) byte() byte {
-	if r.err != nil {
-		return 0
-	}
-	if len(r.buf) == 0 {
-		r.fail("truncated")
-		return 0
-	}
-	v := r.buf[0]
-	r.buf = r.buf[1:]
-	return v
-}
-
-func (r *mineReader) float() float64 {
-	if r.err != nil {
-		return 0
-	}
-	if len(r.buf) < 8 {
-		r.fail("truncated float")
-		return 0
-	}
-	v := math.Float64frombits(binary.LittleEndian.Uint64(r.buf))
-	r.buf = r.buf[8:]
-	return v
-}
-
-// count reads the length of a list whose items take at least minBytes
-// each, rejecting one the remaining bytes cannot hold — so no count
-// allocates ahead of the bytes behind it.
-func (r *mineReader) count(minBytes int) int {
-	c := r.uvarint()
-	if r.err == nil && c > uint64(len(r.buf)/minBytes) {
-		r.fail("count %d exceeds the %d bytes left", c, len(r.buf))
-		return 0
-	}
-	return int(c)
-}
-
-// ints reads a varint list; want >= 0 demands that exact length.
-func (r *mineReader) ints(want int) []int {
-	c := r.count(1)
-	if want >= 0 && r.err == nil && c != want {
-		r.fail("list of %d entries, want %d", c, want)
-	}
-	if r.err != nil || c == 0 {
+	if r.Err() != nil || c == 0 {
 		return nil
 	}
 	out := make([]int, c)
 	for i := range out {
-		out[i] = r.int()
+		out[i] = r.Int()
 	}
 	return out
 }
 
-// graph reads the eps-graph of n rows and rebuilds both directions of
-// every edge in ascending order, which is how EpsGraph and
+// readGraph reads the eps-graph of n rows and rebuilds both directions
+// of every edge in ascending order, which is how EpsGraph and
 // DBSCANAppendGraph build them. A first pass validates the rows and
-// counts degrees, so the second cuts each row from one exact backing
-// array. Rows without neighbours stay nil, as EpsGraph leaves them.
-func (r *mineReader) graph(n int) [][]int {
-	if rows := r.count(1); r.err == nil && rows != n {
-		r.fail("graph of %d rows, want %d", rows, n)
+// counts degrees, so the second, over the same bytes, cuts each row
+// from one exact backing array. Rows without neighbours stay nil, as
+// EpsGraph leaves them.
+func readGraph(r *binenc.Reader, n int) [][]int {
+	if rows := r.Count(1); r.Err() == nil && rows != n {
+		r.Fail("graph of %d rows, want %d", rows, n)
 	}
-	if r.err != nil || n == 0 {
+	if r.Err() != nil || n == 0 {
 		return nil
 	}
-	start := r.buf
+	start := *r
 	deg := make([]int, n)
 	edges := 0
-	r.lowerEdges(n, func(i, j int) { deg[i]++; deg[j]++; edges++ })
-	if r.err != nil {
+	readLowerEdges(r, n, func(i, j int) { deg[i]++; deg[j]++; edges++ })
+	if r.Err() != nil {
 		return nil
 	}
 	backing := make([]int, 2*edges)
@@ -325,31 +242,31 @@ func (r *mineReader) graph(n int) [][]int {
 			adj[i], backing = backing[:0:d], backing[d:]
 		}
 	}
-	r.buf = start
-	r.lowerEdges(n, func(i, j int) {
+	*r = start
+	readLowerEdges(r, n, func(i, j int) {
 		adj[i] = append(adj[i], j)
 		adj[j] = append(adj[j], i)
 	})
 	return adj
 }
 
-// lowerEdges walks the n stored rows, calling fn(i, j) for each
+// readLowerEdges walks the n stored rows, calling fn(i, j) for each
 // neighbour j < i of row i in ascending order. Neighbours are
 // delta-coded; a zero delta after the first repeats a neighbour.
-func (r *mineReader) lowerEdges(n int, fn func(i, j int)) {
-	for i := 0; i < n && r.err == nil; i++ {
-		c := r.count(1)
+func readLowerEdges(r *binenc.Reader, n int, fn func(i, j int)) {
+	for i := 0; i < n && r.Err() == nil; i++ {
+		c := r.Count(1)
 		j := 0
-		for k := 0; k < c && r.err == nil; k++ {
-			d := r.uvarint()
+		for k := 0; k < c && r.Err() == nil; k++ {
+			d := r.Uvarint()
 			switch {
-			case r.err != nil:
+			case r.Err() != nil:
 			case k > 0 && d == 0:
-				r.fail("graph row %d repeats neighbour %d", i, j)
+				r.Fail("graph row %d repeats neighbour %d", i, j)
 			case d == uint64(i-j):
-				r.fail("graph row %d lists itself", i)
+				r.Fail("graph row %d lists itself", i)
 			case d > uint64(i-j):
-				r.fail("graph row %d lists a neighbour above it", i)
+				r.Fail("graph row %d lists a neighbour above it", i)
 			default:
 				j += int(d)
 				fn(i, j)
@@ -358,26 +275,21 @@ func (r *mineReader) lowerEdges(n int, fn func(i, j int)) {
 	}
 }
 
-// counts reads the apriori carried supports; keys must be strictly
+// readCounts reads the apriori carried supports; keys must be strictly
 // ascending, which is the order MarshalMineState writes them in.
-func (r *mineReader) counts() map[string]int {
-	c := r.count(2) // each entry is at least a key length and a count
-	if r.err != nil {
+func readCounts(r *binenc.Reader) map[string]int {
+	c := r.Count(2) // each entry is at least a key length and a count
+	if r.Err() != nil {
 		return nil
 	}
 	out := make(map[string]int, c)
 	prev := ""
-	for i := 0; i < c && r.err == nil; i++ {
-		kl := r.count(1)
-		if r.err != nil {
-			break
-		}
-		k := string(r.buf[:kl])
-		r.buf = r.buf[kl:]
+	for i := 0; i < c && r.Err() == nil; i++ {
+		k := r.Str()
 		if i > 0 && k <= prev {
-			r.fail("count keys not strictly ascending at %q", k)
+			r.Fail("count keys not strictly ascending at %q", k)
 		}
-		out[k] = r.int()
+		out[k] = r.Int()
 		prev = k
 	}
 	return out
