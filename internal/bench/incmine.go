@@ -109,12 +109,13 @@ func incMineProbe(ctx context.Context, r *Report, provider *dpe.Provider, plBase
 	// are exact by construction, so their mismatch counts (after
 	// canonical relabeling) are tracked and must be zero. Warm
 	// k-medoids converges to a valid local optimum that may differ
-	// from cold PAM's on arbitrary data — the provider only guarantees
-	// it never costs more than extending the prior assignment (else it
-	// falls back cold), and the facade property test pins exact label
-	// equality on separated workloads — so here the tracked gate is
-	// that guarantee (zero cold fallbacks) and the warm-vs-cold cost
-	// ratio and label drift are recorded untracked.
+	// from cold PAM's on arbitrary data — it only guarantees a cost no
+	// higher than its warm start's, and falls back cold when the
+	// carried assignment is not the nearest-medoid one; the facade
+	// property test pins exact label equality on separated workloads —
+	// so here the tracked gate is that a state the provider mined
+	// itself is accepted (zero cold fallbacks), and the warm-vs-cold
+	// cost ratio and label drift are recorded untracked.
 	mismatches := -1.0
 	switch spec.Algorithm {
 	case dpe.MineKMedoids:
@@ -152,7 +153,7 @@ func incMineProbe(ctx context.Context, r *Report, provider *dpe.Provider, plBase
 // (noise labels, < 0, are kept as-is): cluster ids are BFS-discovery
 // artifacts, and a pure renumbering should count as zero disagreement.
 func labelMismatches(a, b []int) int {
-	ca, cb := canonicalLabels(a), canonicalLabels(b)
+	ca, cb := mining.CanonicalLabels(a), mining.CanonicalLabels(b)
 	miss := 0
 	for i := range ca {
 		if ca[i] != cb[i] {
@@ -160,22 +161,4 @@ func labelMismatches(a, b []int) int {
 		}
 	}
 	return miss
-}
-
-func canonicalLabels(labels []int) []int {
-	next := 0
-	remap := map[int]int{}
-	out := make([]int, len(labels))
-	for i, l := range labels {
-		if l < 0 {
-			out[i] = l
-			continue
-		}
-		if _, ok := remap[l]; !ok {
-			remap[l] = next
-			next++
-		}
-		out[i] = remap[l]
-	}
-	return out
 }

@@ -89,15 +89,6 @@ func bitsetAndCount(a, b []uint64) int {
 	return n
 }
 
-// bitsetCount returns the number of set bits.
-func bitsetCount(words []uint64) int {
-	n := 0
-	for _, w := range words {
-		n += bits.OnesCount64(w)
-	}
-	return n
-}
-
 // appendBitsetIDs appends the set ids in ascending order.
 func appendBitsetIDs(dst []uint32, words []uint64) []uint32 {
 	for w, word := range words {

@@ -411,22 +411,6 @@ func (d *Deployment) encryptPROB(table, column string, v value.Value) (value.Val
 	return value.Bytes(ct), nil
 }
 
-// decryptPROB inverts encryptPROB.
-func (d *Deployment) decryptPROB(table, column string, v value.Value) (value.Value, error) {
-	if v.IsNull() {
-		return v, nil
-	}
-	s, err := d.probScheme(table, column)
-	if err != nil {
-		return value.Value{}, err
-	}
-	pt, err := s.Decrypt(v.AsBytes())
-	if err != nil {
-		return value.Value{}, err
-	}
-	return decodeValue(pt)
-}
-
 // encryptHOM Paillier-encrypts a numeric value. Floats are rejected:
 // HOM columns must be integers (CryptDB shares this restriction).
 func (d *Deployment) encryptHOM(v value.Value) (value.Value, error) {

@@ -213,16 +213,12 @@ func (d *Deployment) aggDecoder(r *rewriter, f *sqlparse.FuncCall) (colDecoder, 
 		}, nil
 	case "MIN", "MAX":
 		return func(v value.Value) (value.Value, error) {
-			return d.decryptOPE(info.Table, info.Name, numericKind(info.Kind), v)
+			return d.decryptOPE(info.Table, info.Name, info.Kind, v)
 		}, nil
 	default:
 		return nil, fmt.Errorf("encdb: unknown aggregate %q", f.Name)
 	}
 }
-
-// numericKind passes the column kind through for OPE decode; string
-// columns never reach OPE (the rewriter rejects them).
-func numericKind(k ColumnKind) ColumnKind { return k }
 
 // RunEncrypted is the full pipeline for one query: rewrite, execute over
 // the encrypted catalog, decrypt the result. Convenient for examples and

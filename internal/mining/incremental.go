@@ -3,24 +3,27 @@ package mining
 // Incremental (stateful) variants of the mining algorithms for the
 // append path: each accepts the previous run's state plus the appended
 // row range and produces the same answer as a cold run over the
-// combined input while examining strictly less of the matrix. All
-// variants report the work they did through deterministic counters
-// (matrix entries read, transactions scanned) so the bench harness can
-// gate the perf claim without touching a wall clock.
+// combined input while examining strictly less of the matrix. Each
+// variant decides on its own whether a previous state fits, and each
+// returns the work it did as a deterministic count (matrix entries
+// read, transactions scanned) so the bench harness can gate the perf
+// claim without touching a wall clock.
 //
-//   - KMedoidsWarm seeds Park–Jun k-medoids from the prior medoids:
-//     the prior assignment stays valid for old rows (append never
-//     changes old distances), only new rows are assigned, and the
-//     first update step re-examines only clusters that gained members
-//     — a cluster whose membership is unchanged keeps its medoid
-//     exactly, ties included. If the medoids shift, the standard
-//     alternation takes over until convergence.
+//   - KMedoidsWarm seeds Park–Jun k-medoids from the prior medoids: it
+//     assigns every row to them, rejects a prior state whose assignment
+//     of the old rows is not that nearest-medoid assignment, and prices
+//     the start itself; the first update step re-examines only
+//     clusters that gained members — a cluster whose membership is
+//     unchanged keeps its medoid exactly, ties included. If the
+//     medoids shift, the standard alternation takes over until
+//     convergence.
 //   - DBSCANAppendGraph maintains the eps-neighborhood graph: only the
 //     new-vs-all pairs (oldN·k + k·(k−1)/2) are read from the matrix,
 //     the graph is extended copy-on-write, and the labels come from
 //     DBSCANGraph over the maintained graph — entry-wise identical to
 //     cold DBSCAN by DBSCANGraph's pinned equivalence, with cluster
-//     ids canonical by first occurrence in both paths.
+//     ids canonical by first occurrence in both paths. With no
+//     previous graph it reads the full triangle: the cold bootstrap.
 //   - AprioriAppend carries the support count of every candidate ever
 //     evaluated: known candidates add only the new transactions'
 //     counts, and only candidates the level-wise generation re-expands
@@ -165,168 +168,114 @@ func KMedoidsCounted(m Matrix, k int) (*KMedoidsResult, int64, error) {
 	return res, reads, err
 }
 
-// KMedoidsWarmStats reports the work the warm path did.
-type KMedoidsWarmStats struct {
-	// Reads is the number of matrix entries examined.
-	Reads int64
-	// DirtyClusters is how many clusters gained new members and had
-	// their medoid re-examined in the warm update step.
-	DirtyClusters int
-	// Settled reports whether the warm step alone converged (no full
-	// alternation iterations were needed).
-	Settled bool
-}
-
 // KMedoidsWarm re-clusters a grown matrix starting from a prior
-// converged result over its first oldN rows. Old rows keep their prior
-// assignment (their distances are unchanged, so it is still the
-// nearest-medoid assignment), new rows are assigned in k·K reads, and
-// the first update step re-examines only clusters that gained members.
-// If that step moves no medoid the clustering has converged and the
-// prior cost is reused; otherwise the standard alternation finishes
-// the job. The entire Park–Jun initialization (2n² reads) is skipped.
+// converged result over its first oldN rows, and returns the matrix
+// entries it read. Every row is assigned to the prior medoids (n·K
+// reads). An append never changes the old rows' distances, so a prior
+// result mined from this matrix's prefix assigns them exactly so; a
+// prior assignment that differs is rejected, and the start's cost is
+// the one computed here, never a carried value. The first update step
+// re-examines only clusters that gained members. If that step moves no
+// medoid the clustering has converged at the start; otherwise the
+// standard alternation finishes the job, and it never ends above the
+// start's cost. The entire Park–Jun initialization (2n² reads) is
+// skipped.
 //
 // prev must be a converged result over exactly the first oldN rows;
 // otherwise an error is returned and the caller should run cold.
-func KMedoidsWarm(m Matrix, k int, prev *KMedoidsResult, oldN int) (*KMedoidsResult, *KMedoidsWarmStats, error) {
+func KMedoidsWarm(m Matrix, k int, prev *KMedoidsResult, oldN int) (*KMedoidsResult, int64, error) {
 	if err := validate(m); err != nil {
-		return nil, nil, err
+		return nil, 0, err
 	}
 	n := len(m)
 	if k <= 0 || k > n {
-		return nil, nil, fmt.Errorf("mining: k=%d outside [1,%d]", k, n)
+		return nil, 0, fmt.Errorf("mining: k=%d outside [1,%d]", k, n)
 	}
 	if prev == nil {
-		return nil, nil, fmt.Errorf("mining: warm k-medoids needs a previous result")
+		return nil, 0, fmt.Errorf("mining: warm k-medoids needs a previous result")
 	}
 	if oldN < 0 || oldN > n {
-		return nil, nil, fmt.Errorf("mining: previous result covers %d rows of %d", oldN, n)
+		return nil, 0, fmt.Errorf("mining: previous result covers %d rows of %d", oldN, n)
 	}
 	if len(prev.Medoids) != k || len(prev.Assign) != oldN {
-		return nil, nil, fmt.Errorf("mining: previous result has %d medoids over %d rows, want %d over %d",
+		return nil, 0, fmt.Errorf("mining: previous result has %d medoids over %d rows, want %d over %d",
 			len(prev.Medoids), len(prev.Assign), k, oldN)
 	}
 	for c, med := range prev.Medoids {
 		if med < 0 || med >= oldN {
-			return nil, nil, fmt.Errorf("mining: previous medoid %d outside [0,%d)", med, oldN)
+			return nil, 0, fmt.Errorf("mining: previous medoid %d outside [0,%d)", med, oldN)
 		}
 		if c > 0 && prev.Medoids[c-1] >= med {
-			return nil, nil, fmt.Errorf("mining: previous medoids not strictly sorted")
-		}
-	}
-	for i, c := range prev.Assign {
-		if c < 0 || c >= k {
-			return nil, nil, fmt.Errorf("mining: previous assignment %d of row %d outside [0,%d)", c, i, k)
+			return nil, 0, fmt.Errorf("mining: previous medoids not strictly sorted")
 		}
 	}
 
-	stats := &KMedoidsWarmStats{}
+	var reads int64
 	medoids := append([]int(nil), prev.Medoids...)
 	assign := make([]int, n)
-	copy(assign, prev.Assign)
-	newCost := kmedoidsAssign(m, medoids, assign, oldN, n, &stats.Reads)
+	cost := kmedoidsAssign(m, medoids, assign, 0, n, &reads)
+	for i, c := range prev.Assign {
+		if c != assign[i] {
+			return nil, reads, fmt.Errorf("mining: previous result assigns row %d to cluster %d, its nearest medoid's cluster is %d", i, c, assign[i])
+		}
+	}
 
 	dirty := make([]bool, k)
 	for i := oldN; i < n; i++ {
 		dirty[assign[i]] = true
 	}
-	for _, d := range dirty {
-		if d {
-			stats.DirtyClusters++
-		}
-	}
-	newMedoids := kmedoidsUpdate(m, medoids, assign, dirty, &stats.Reads)
+	newMedoids := kmedoidsUpdate(m, medoids, assign, dirty, &reads)
 	if equalInts(newMedoids, medoids) {
-		stats.Settled = true
 		return &KMedoidsResult{
 			Medoids:    medoids,
 			Assign:     assign,
-			Cost:       prev.Cost + newCost,
+			Cost:       cost,
 			Iterations: 1,
-		}, stats, nil
+		}, reads, nil
 	}
-	res, err := kmedoidsRun(m, newMedoids, 1, &stats.Reads)
-	return res, stats, err
+	res, err := kmedoidsRun(m, newMedoids, 1, &reads)
+	return res, reads, err
 }
 
 // --- DBSCAN over a maintained eps-graph ---
 
-// DBSCANAppendStats reports the work the label repair did.
-type DBSCANAppendStats struct {
-	// PairsRead is the number of matrix entries examined: exactly
-	// oldN·k + k·(k−1)/2 for k appended rows.
-	PairsRead int64
-	// NewEdges is how many eps-edges the appended rows added.
-	NewEdges int
-	// FlippedCores is how many old points became core because a new
-	// neighbor arrived (appends only ever add edges, so core status
-	// only flips upward).
-	FlippedCores int
-	// SeedPoints is the size of the repair seed set: the new rows plus
-	// the flipped cores whose neighborhoods the relabeling re-expands.
-	SeedPoints int
-}
-
-// EpsGraph builds the eps-neighborhood adjacency (excluding self) from
-// a full distance matrix, reading each unordered pair once — the cold
-// bootstrap of the incremental DBSCAN state.
-func EpsGraph(m Matrix, eps float64) ([][]int, int64, error) {
-	if err := validate(m); err != nil {
-		return nil, 0, err
-	}
-	if eps < 0 {
-		return nil, 0, fmt.Errorf("mining: invalid DBSCAN parameter eps=%v", eps)
-	}
-	n := len(m)
-	adj := make([][]int, n)
-	var reads int64
-	for i := 0; i < n; i++ {
-		for j := 0; j < i; j++ {
-			reads++
-			if m[i][j] <= eps {
-				adj[i] = append(adj[i], j)
-				adj[j] = append(adj[j], i)
-			}
-		}
-	}
-	return adj, reads, nil
-}
-
 // DBSCANAppendGraph repairs a DBSCAN labeling after rows were appended
-// to the matrix, given the eps-graph of the first len(prevAdj) rows.
-// Only the new rows' pairs are read from the matrix; the graph is
+// to the matrix, given the eps-graph of the first len(prevAdj) rows,
+// and returns the matrix entries it read: exactly oldN·k + k·(k−1)/2
+// for k appended rows. Only the new rows' pairs are read; the graph is
 // extended copy-on-write (prevAdj is never mutated, so a cached state
 // stays safe under concurrent readers), and the labels are recomputed
 // by DBSCANGraph over the maintained graph — zero further matrix
 // reads, and entry-wise identical to cold DBSCAN over the full matrix
-// with cluster ids canonical by first discovery in both. The returned
+// with cluster ids canonical by first discovery in both. A nil prevAdj
+// is the cold bootstrap: it reads the full triangle. The returned
 // adjacency is the next append's prevAdj.
-func DBSCANAppendGraph(m Matrix, eps float64, minPts int, prevAdj [][]int) ([]int, [][]int, *DBSCANAppendStats, error) {
+func DBSCANAppendGraph(m Matrix, eps float64, minPts int, prevAdj [][]int) ([]int, [][]int, int64, error) {
 	if err := validate(m); err != nil {
-		return nil, nil, nil, err
+		return nil, nil, 0, err
 	}
 	if eps < 0 || minPts < 1 {
-		return nil, nil, nil, fmt.Errorf("mining: invalid DBSCAN parameters eps=%v minPts=%d", eps, minPts)
+		return nil, nil, 0, fmt.Errorf("mining: invalid DBSCAN parameters eps=%v minPts=%d", eps, minPts)
 	}
 	n := len(m)
 	oldN := len(prevAdj)
 	if oldN > n {
-		return nil, nil, nil, fmt.Errorf("mining: previous graph covers %d rows of %d", oldN, n)
+		return nil, nil, 0, fmt.Errorf("mining: previous graph covers %d rows of %d", oldN, n)
 	}
 	for p, nb := range prevAdj {
 		for _, q := range nb {
 			if q < 0 || q >= oldN || q == p {
-				return nil, nil, nil, fmt.Errorf("mining: previous graph neighbor %d of %d outside [0,%d)", q, p, oldN)
+				return nil, nil, 0, fmt.Errorf("mining: previous graph neighbor %d of %d outside [0,%d)", q, p, oldN)
 			}
 		}
 	}
-	stats := &DBSCANAppendStats{}
+	var reads int64
 	adj := make([][]int, n)
 	copy(adj, prevAdj)
 	copied := make([]bool, oldN)
 	for i := oldN; i < n; i++ {
 		for j := 0; j < i; j++ {
-			stats.PairsRead++
+			reads++
 			if m[i][j] <= eps {
 				adj[i] = append(adj[i], j)
 				if j < oldN && !copied[j] {
@@ -334,38 +283,17 @@ func DBSCANAppendGraph(m Matrix, eps float64, minPts int, prevAdj [][]int) ([]in
 					copied[j] = true
 				}
 				adj[j] = append(adj[j], i)
-				stats.NewEdges++
 			}
 		}
 	}
-	for j := 0; j < oldN; j++ {
-		if len(prevAdj[j])+1 < minPts && len(adj[j])+1 >= minPts {
-			stats.FlippedCores++
-		}
-	}
-	stats.SeedPoints = (n - oldN) + stats.FlippedCores
 	labels, err := DBSCANGraph(n, adj, minPts)
 	if err != nil {
-		return nil, nil, nil, err
+		return nil, nil, 0, err
 	}
-	return labels, adj, stats, nil
+	return labels, adj, reads, nil
 }
 
 // --- Apriori support-count deltas ---
-
-// AprioriAppendStats reports the work the delta counting did.
-type AprioriAppendStats struct {
-	// TxScans is the number of transaction membership tests performed
-	// (cold Apriori scans every transaction per candidate).
-	TxScans int64
-	// Carried is how many candidates were resolved by adding only the
-	// new transactions' counts to the carried support.
-	Carried int
-	// Reexpanded is how many candidates were not in the carried counts
-	// — itemsets the level-wise generation produced only after the new
-	// support landed — and paid a full scan.
-	Reexpanded int
-}
 
 // AprioriAppend mines frequent itemsets over txs given the carried
 // support counts from a previous run over the first oldN transactions.
@@ -382,25 +310,27 @@ type AprioriAppendStats struct {
 // level-wise structure is the same and every support is exact. The
 // returned map (a copy — prev is never mutated) is the next append's
 // carried state. A nil prev runs the bootstrap: every candidate is
-// counted from scratch and recorded.
+// counted from scratch and recorded. The count returned is the
+// transaction membership scans performed (cold Apriori scans every
+// transaction per candidate).
 //
 // Like Itemset.Key, the carried map assumes items contain no NUL byte
 // (single items are keyed verbatim; multi-item keys are NUL-joined).
-func AprioriAppend(txs []Transaction, oldN int, prev map[string]int, minSupport, maxLen int) ([]FrequentItemset, map[string]int, *AprioriAppendStats, error) {
+func AprioriAppend(txs []Transaction, oldN int, prev map[string]int, minSupport, maxLen int) ([]FrequentItemset, map[string]int, int64, error) {
 	if minSupport < 1 {
-		return nil, nil, nil, fmt.Errorf("mining: minSupport must be >= 1, got %d", minSupport)
+		return nil, nil, 0, fmt.Errorf("mining: minSupport must be >= 1, got %d", minSupport)
 	}
 	if maxLen < 1 {
-		return nil, nil, nil, fmt.Errorf("mining: maxLen must be >= 1, got %d", maxLen)
+		return nil, nil, 0, fmt.Errorf("mining: maxLen must be >= 1, got %d", maxLen)
 	}
 	if prev == nil {
 		prev = map[string]int{}
 		oldN = 0
 	}
 	if oldN < 0 || oldN > len(txs) {
-		return nil, nil, nil, fmt.Errorf("mining: previous counts cover %d transactions of %d", oldN, len(txs))
+		return nil, nil, 0, fmt.Errorf("mining: previous counts cover %d transactions of %d", oldN, len(txs))
 	}
-	stats := &AprioriAppendStats{}
+	var scans int64
 	counts := make(map[string]int, len(prev)+16)
 	for k, v := range prev {
 		counts[k] = v
@@ -413,7 +343,7 @@ func AprioriAppend(txs []Transaction, oldN int, prev map[string]int, minSupport,
 		for item := range tx {
 			counts[item]++
 		}
-		stats.TxScans++
+		scans++
 	}
 
 	// supportFor resolves one candidate's support: delta-count when
@@ -422,14 +352,12 @@ func AprioriAppend(txs []Transaction, oldN int, prev map[string]int, minSupport,
 		key := cand.Key()
 		if c, ok := prev[key]; ok {
 			sup := c + supportOf(newTxs, cand)
-			stats.TxScans += int64(len(newTxs))
-			stats.Carried++
+			scans += int64(len(newTxs))
 			counts[key] = sup
 			return sup
 		}
 		sup := supportOf(txs, cand)
-		stats.TxScans += int64(len(txs))
-		stats.Reexpanded++
+		scans += int64(len(txs))
 		counts[key] = sup
 		return sup
 	}
@@ -460,7 +388,7 @@ func AprioriAppend(txs []Transaction, oldN int, prev map[string]int, minSupport,
 		}
 		level = next
 	}
-	return out, counts, stats, nil
+	return out, counts, scans, nil
 }
 
 // EqualItemsets reports whether two frequent-itemset lists are

@@ -79,7 +79,7 @@ func TestKMedoidsWarmMatchesColdOnClusteredData(t *testing.T) {
 		if err != nil {
 			t.Fatalf("trial %d: cold: %v", trial, err)
 		}
-		warm, stats, err := KMedoidsWarm(m, g, prev, oldN)
+		warm, reads, err := KMedoidsWarm(m, g, prev, oldN)
 		if err != nil {
 			t.Fatalf("trial %d: warm: %v", trial, err)
 		}
@@ -89,8 +89,8 @@ func TestKMedoidsWarmMatchesColdOnClusteredData(t *testing.T) {
 		if diff := warm.Cost - cold.Cost; diff > 1e-9 || diff < -1e-9 {
 			t.Fatalf("trial %d: warm cost %v vs cold %v", trial, warm.Cost, cold.Cost)
 		}
-		if stats.Reads >= coldReads {
-			t.Fatalf("trial %d: warm read %d entries, cold %d — no savings", trial, stats.Reads, coldReads)
+		if reads >= coldReads {
+			t.Fatalf("trial %d: warm read %d entries, cold %d — no savings", trial, reads, coldReads)
 		}
 	}
 }
@@ -116,7 +116,7 @@ func TestKMedoidsWarmCostNeverRegresses(t *testing.T) {
 		if err != nil {
 			t.Fatalf("trial %d: cold: %v", trial, err)
 		}
-		warm, stats, err := KMedoidsWarm(m, k, prev, oldN)
+		warm, reads, err := KMedoidsWarm(m, k, prev, oldN)
 		if err != nil {
 			t.Fatalf("trial %d: warm: %v", trial, err)
 		}
@@ -127,8 +127,8 @@ func TestKMedoidsWarmCostNeverRegresses(t *testing.T) {
 		if warm.Cost > start+1e-9 {
 			t.Fatalf("trial %d: warm cost %v regressed past warm-start cost %v", trial, warm.Cost, start)
 		}
-		if stats.Reads >= coldReads {
-			t.Fatalf("trial %d: warm read %d entries, cold %d", trial, stats.Reads, coldReads)
+		if reads >= coldReads {
+			t.Fatalf("trial %d: warm read %d entries, cold %d", trial, reads, coldReads)
 		}
 	}
 }
@@ -140,6 +140,8 @@ func TestKMedoidsWarmRejectsBadState(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	flipped := append([]int(nil), prev.Assign...)
+	flipped[0] = (flipped[0] + 1) % 3
 	cases := []struct {
 		name string
 		prev *KMedoidsResult
@@ -152,6 +154,7 @@ func TestKMedoidsWarmRejectsBadState(t *testing.T) {
 		{"oldN beyond n", prev, 3, 13},
 		{"medoid out of range", &KMedoidsResult{Medoids: []int{0, 1, 11}, Assign: prev.Assign}, 3, 8},
 		{"assign out of range", &KMedoidsResult{Medoids: prev.Medoids, Assign: []int{0, 1, 2, 3, 0, 1, 2, 0}}, 3, 8},
+		{"assign not nearest medoid", &KMedoidsResult{Medoids: prev.Medoids, Assign: flipped}, 3, 8},
 	}
 	for _, tc := range cases {
 		if _, _, err := KMedoidsWarm(m, tc.k, tc.prev, tc.oldN); err == nil {
@@ -170,7 +173,7 @@ func TestDBSCANAppendGraphMatchesCold(t *testing.T) {
 		eps := 0.2 + 0.5*rng.Float64()
 		minPts := 1 + rng.Intn(4)
 
-		prevAdj, _, err := EpsGraph(subMatrix(m, oldN), eps)
+		_, prevAdj, _, err := DBSCANAppendGraph(subMatrix(m, oldN), eps, minPts, nil)
 		if err != nil {
 			t.Fatalf("trial %d: prev graph: %v", trial, err)
 		}
@@ -178,7 +181,7 @@ func TestDBSCANAppendGraphMatchesCold(t *testing.T) {
 		if err != nil {
 			t.Fatalf("trial %d: cold: %v", trial, err)
 		}
-		labels, adj, stats, err := DBSCANAppendGraph(m, eps, minPts, prevAdj)
+		labels, adj, reads, err := DBSCANAppendGraph(m, eps, minPts, prevAdj)
 		if err != nil {
 			t.Fatalf("trial %d: append: %v", trial, err)
 		}
@@ -186,11 +189,11 @@ func TestDBSCANAppendGraphMatchesCold(t *testing.T) {
 			t.Fatalf("trial %d: incremental labels diverged from cold DBSCAN\n inc: %v\ncold: %v", trial, labels, cold)
 		}
 		wantPairs := int64(oldN*appendK + appendK*(appendK-1)/2)
-		if stats.PairsRead != wantPairs {
-			t.Fatalf("trial %d: read %d pairs, want %d", trial, stats.PairsRead, wantPairs)
+		if reads != wantPairs {
+			t.Fatalf("trial %d: read %d pairs, want %d", trial, reads, wantPairs)
 		}
-		if full := int64(n * (n - 1) / 2); stats.PairsRead >= full {
-			t.Fatalf("trial %d: incremental read %d pairs, full triangle is %d", trial, stats.PairsRead, full)
+		if full := int64(n * (n - 1) / 2); reads >= full {
+			t.Fatalf("trial %d: incremental read %d pairs, full triangle is %d", trial, reads, full)
 		}
 		// The returned graph must chain: appending zero rows on top of
 		// it reproduces the same labels.
@@ -202,7 +205,7 @@ func TestDBSCANAppendGraphMatchesCold(t *testing.T) {
 			t.Fatalf("trial %d: chained graph diverged", trial)
 		}
 		// Copy-on-write: prevAdj rows must be untouched.
-		check, _, err := EpsGraph(subMatrix(m, oldN), eps)
+		_, check, _, err := DBSCANAppendGraph(subMatrix(m, oldN), eps, minPts, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -221,15 +224,15 @@ func TestDBSCANAppendGraphBootstrap(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	labels, _, stats, err := DBSCANAppendGraph(m, 0.4, 3, nil)
+	labels, _, reads, err := DBSCANAppendGraph(m, 0.4, 3, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !EqualLabels(labels, cold) {
 		t.Fatal("bootstrap labels diverged from cold DBSCAN")
 	}
-	if want := int64(16 * 15 / 2); stats.PairsRead != want {
-		t.Fatalf("bootstrap read %d pairs, want full triangle %d", stats.PairsRead, want)
+	if want := int64(16 * 15 / 2); reads != want {
+		t.Fatalf("bootstrap read %d pairs, want full triangle %d", reads, want)
 	}
 }
 
@@ -266,7 +269,7 @@ func TestAprioriAppendMatchesCold(t *testing.T) {
 		if err != nil {
 			t.Fatalf("trial %d: cold: %v", trial, err)
 		}
-		inc, nextCounts, stats, err := AprioriAppend(txs, oldN, prevCounts, minSupport, maxLen)
+		inc, nextCounts, _, err := AprioriAppend(txs, oldN, prevCounts, minSupport, maxLen)
 		if err != nil {
 			t.Fatalf("trial %d: append: %v", trial, err)
 		}
@@ -274,16 +277,17 @@ func TestAprioriAppendMatchesCold(t *testing.T) {
 			t.Fatalf("trial %d: incremental itemsets diverged from cold\n inc: %v\ncold: %v", trial, inc, cold)
 		}
 		// The carried counts must chain: a second zero-append run
-		// reproduces the same output with no re-expansion.
-		again, _, stats2, err := AprioriAppend(txs, len(txs), nextCounts, minSupport, maxLen)
+		// reproduces the same output with no re-expansion, and a zero
+		// append scans only re-expanded candidates.
+		again, _, scans, err := AprioriAppend(txs, len(txs), nextCounts, minSupport, maxLen)
 		if err != nil {
 			t.Fatalf("trial %d: chained append: %v", trial, err)
 		}
 		if !EqualItemsets(again, cold) {
 			t.Fatalf("trial %d: chained counts diverged", trial)
 		}
-		if stats2.Reexpanded != 0 {
-			t.Fatalf("trial %d: zero-append re-expanded %d candidates", trial, stats2.Reexpanded)
+		if scans != 0 {
+			t.Fatalf("trial %d: zero-append scanned %d transactions", trial, scans)
 		}
 		// prev must be untouched (copy-on-write).
 		_, check, _, err := AprioriAppend(txs[:oldN], 0, nil, minSupport, maxLen)
@@ -298,7 +302,6 @@ func TestAprioriAppendMatchesCold(t *testing.T) {
 				t.Fatalf("trial %d: prev counts mutated at %q", trial, k)
 			}
 		}
-		_ = stats
 	}
 }
 

@@ -12,7 +12,7 @@ import (
 // expansion, labeling, and cluster-id assignment are identical to
 // DBSCAN — when adj contains exactly the pairs at distance <= eps, the
 // labelings match entry-wise. Incremental mining runs it over the
-// eps-graph it maintains across appends (EpsGraph builds the cold one).
+// eps-graph DBSCANAppendGraph builds and extends across appends.
 //
 // The adjacency must be symmetric; each list is sorted internally so
 // callers need not pre-sort.

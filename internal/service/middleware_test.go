@@ -376,3 +376,68 @@ func TestMetricRegistryNoDuplicates(t *testing.T) {
 	reg2 := NewRegistry(Config{Obs: o})
 	reg2.Close()
 }
+
+// TestStageNamesRegistered drives every provider stage through a
+// recording observer: each name the provider emits must be
+// pre-registered in stageNames (a missing one drops its samples), and
+// every registered name but the retired approx_index must be emitted.
+func TestStageNamesRegistered(t *testing.T) {
+	var mu sync.Mutex
+	seen := map[string]bool{}
+	p, err := dpe.NewProvider(dpe.MeasureToken, dpe.WithStageObserver(func(_ context.Context, stage string, _ time.Duration) {
+		mu.Lock()
+		seen[stage] = true
+		mu.Unlock()
+	}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	log := []string{
+		"SELECT a FROM t WHERE b = 1",
+		"SELECT a, c FROM t",
+		"SELECT d FROM u WHERE e > 2",
+		"SELECT a FROM t WHERE b = 3",
+	}
+	pl, err := p.Prepare(ctx, log[:3])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := p.DistanceMatrixPrepared(ctx, pl); err != nil {
+		t.Fatal(err)
+	}
+	grown, err := p.ExtendPrepared(ctx, pl, log[3:])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := p.AppendRowsPrepared(ctx, 3, grown); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := p.NeighborsPrepared(ctx, grown, 0, 2); err != nil {
+		t.Fatal(err)
+	}
+	spec := dpe.MineSpec{Algorithm: dpe.MineDBSCAN, Eps: 0.5, MinPts: 2}
+	if _, err := p.MinePrepared(ctx, pl, spec); err != nil {
+		t.Fatal(err)
+	}
+	_, state, err := p.MineIncremental(ctx, pl, nil, spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res, _, err := p.MineIncremental(ctx, grown, state, spec); err != nil || !res.Incremental.Warm {
+		t.Fatalf("warm MineIncremental: %+v, %v", res, err)
+	}
+
+	registered := map[string]bool{}
+	for _, name := range stageNames {
+		registered[name] = true
+		if !seen[name] && name != "approx_index" {
+			t.Errorf("registered stage %q was never emitted", name)
+		}
+	}
+	for name := range seen {
+		if !registered[name] {
+			t.Errorf("emitted stage %q is not in stageNames", name)
+		}
+	}
+}

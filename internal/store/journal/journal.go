@@ -264,17 +264,6 @@ type Stats struct {
 	Skipped   int
 }
 
-// Add accumulates another replay's counts (the registry sums its
-// shards' journals).
-func (s *Stats) Add(o Stats) {
-	s.Sessions += o.Sessions
-	s.Deletes += o.Deletes
-	s.Logs += o.Logs
-	s.Snapshots += o.Snapshots
-	s.Mining += o.Mining
-	s.Skipped += o.Skipped
-}
-
 // artifact returns the counter for an artifact kind.
 func (s *Stats) artifact(k store.Kind) *int {
 	if k == store.KindSnapshot {

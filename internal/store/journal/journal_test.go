@@ -377,3 +377,13 @@ func TestJournalSkipsDamagedRecordsDuringReplay(t *testing.T) {
 func (s Stats) Total() int {
 	return s.Sessions + s.Deletes + s.Logs + s.Snapshots + s.Mining + s.Skipped
 }
+
+// Add accumulates another replay's counts.
+func (s *Stats) Add(o Stats) {
+	s.Sessions += o.Sessions
+	s.Deletes += o.Deletes
+	s.Logs += o.Logs
+	s.Snapshots += o.Snapshots
+	s.Mining += o.Mining
+	s.Skipped += o.Skipped
+}

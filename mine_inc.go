@@ -73,9 +73,12 @@ type IncrementalStats struct {
 	// extended, algorithm warm-started). False means the cold
 	// bootstrap ran: no state, a different spec, or a shrunk log.
 	Warm bool `json:"warm"`
-	// ColdFallback reports that the warm path was attempted but the
-	// algorithm fell back to a cold run over the (incrementally
-	// extended) matrix — a rejected warm state or a cost regression.
+	// ColdFallback reports that the warm path was attempted but
+	// internal/mining rejected the warm start, so the algorithm reran
+	// cold over the (incrementally extended) matrix: a carried state
+	// that does not fit it (for k-medoids, an assignment of the old
+	// rows that is not the nearest-medoid one) or a warm k-medoids run
+	// that did not converge.
 	ColdFallback bool `json:"cold_fallback,omitempty"`
 	// OldN is the row count the previous state covered (0 when cold).
 	OldN int `json:"old_n"`
@@ -85,8 +88,12 @@ type IncrementalStats struct {
 	// full n·(n−1)/2 triangle cold; 0 for apriori (which never builds a
 	// matrix).
 	PairsComputed int64 `json:"pairs_computed"`
-	// Examined counts the algorithm's own work: matrix entries read
-	// (k-medoids, DBSCAN) or transaction membership scans (apriori).
+	// Examined counts the algorithm's own work as internal/mining
+	// returns it: matrix entries read (k-medoids, DBSCAN) or
+	// transaction membership scans (apriori); 0 for complete-link,
+	// outliers, and kNN. Warm k-medoids reads n·K entries to assign
+	// every row to the carried medoids, plus its update steps' reads.
+	// A rejected warm start's work is included.
 	Examined int64 `json:"examined"`
 	// ChangedLabels lists the old rows whose cluster membership
 	// changed relative to the previous state, after canonical
@@ -94,13 +101,6 @@ type IncrementalStats struct {
 	// — the caller knows they are new.
 	ChangedLabels []int `json:"changed_labels,omitempty"`
 }
-
-// warmCostTolerance is the relative cost-regression guard of the warm
-// k-medoids path: the alternation is non-increasing, so a warm cost
-// above the warm-start cost (extending the prior assignment to the new
-// rows) beyond this slack means the carried state was inconsistent
-// with the matrix, and the call falls back to a cold run.
-const warmCostTolerance = 1e-9
 
 // MineIncremental mines a prepared log reusing the previous call's
 // MineState. When prev covers a prefix of pl under the identical spec,
@@ -111,8 +111,8 @@ const warmCostTolerance = 1e-9
 // identical output to MinePrepared) and captures state. Either way the
 // returned result matches a cold Mine over the full log — exactly for
 // DBSCAN, Apriori, and the non-warm algorithms, and up to local-optimum
-// equivalence (cost within tolerance) for warm k-medoids — and the
-// returned state serves the next append.
+// equivalence (a cost no higher than the warm start's) for warm
+// k-medoids — and the returned state serves the next append.
 func (p *Provider) MineIncremental(ctx context.Context, pl *PreparedLog, prev *MineState, spec MineSpec) (*MineResult, *MineState, error) {
 	n := pl.Len()
 	if err := spec.Validate(n); err != nil {
@@ -129,88 +129,17 @@ func (p *Provider) MineIncremental(ctx context.Context, pl *PreparedLog, prev *M
 // with the state dropped.
 func (p *Provider) mineBootstrap(ctx context.Context, pl *PreparedLog, spec MineSpec) (*MineResult, *MineState, error) {
 	defer p.stage(ctx, "mine")()
-	n := pl.Len()
-	res := &MineResult{Incremental: &IncrementalStats{}}
-	state := &MineState{spec: spec, n: n}
-
-	if spec.Algorithm == MineApriori {
-		txs, err := p.transactions(pl)
-		if err != nil {
+	stats := &IncrementalStats{}
+	var m Matrix
+	if spec.Algorithm != MineApriori {
+		var err error
+		if m, err = p.DistanceMatrixPrepared(ctx, pl); err != nil {
 			return nil, nil, err
 		}
-		sets, counts, stats, err := mining.AprioriAppend(txs, 0, nil, spec.MinSupport, spec.MaxLen)
-		if err != nil {
-			return nil, nil, err
-		}
-		res.Itemsets = sets
-		res.Incremental.Examined = stats.TxScans
-		state.counts = counts
-		return res, state, nil
+		n := int64(pl.Len())
+		stats.PairsComputed = n * (n - 1) / 2
 	}
-
-	m, err := p.DistanceMatrixPrepared(ctx, pl)
-	if err != nil {
-		return nil, nil, err
-	}
-	res.Matrix = m
-	res.Incremental.PairsComputed = int64(n) * int64(n-1) / 2
-	state.matrix = m
-	if err := p.mineCold(m, spec, res, state, res.Incremental); err != nil {
-		return nil, nil, err
-	}
-	return res, state, nil
-}
-
-// mineCold runs the algorithm from scratch over a (possibly
-// incrementally extended) matrix, filling result and state.
-func (p *Provider) mineCold(m Matrix, spec MineSpec, res *MineResult, state *MineState, stats *IncrementalStats) error {
-	switch spec.Algorithm {
-	case MineKMedoids:
-		clusters, reads, err := mining.KMedoidsCounted(m, spec.K)
-		if err != nil {
-			return err
-		}
-		res.Clusters, state.kmed = clusters, clusters
-		stats.Examined += reads
-	case MineDBSCAN:
-		adj, reads, err := mining.EpsGraph(m, spec.Eps)
-		if err != nil {
-			return err
-		}
-		labels, err := mining.DBSCANGraph(len(m), adj, spec.MinPts)
-		if err != nil {
-			return err
-		}
-		res.Labels, state.adj, state.labels = labels, adj, labels
-		stats.Examined += reads
-	case MineCompleteLink:
-		labels, err := mining.CompleteLink(m, spec.K)
-		if err != nil {
-			return err
-		}
-		res.Labels, state.labels = labels, labels
-	case MineOutliers:
-		out, err := mining.Outliers(m, spec.P, spec.D)
-		if err != nil {
-			return err
-		}
-		res.Outliers = out
-		state.labels = make([]int, len(out))
-		for i, o := range out {
-			if o {
-				state.labels[i] = 1
-			}
-		}
-	case MineKNN:
-		nb, err := mining.KNN(m, spec.Query, spec.K)
-		if err != nil {
-			return err
-		}
-		res.Neighbors = nb
-	default:
-		return fmt.Errorf("dpe: unknown mining algorithm %d", int(spec.Algorithm))
-	}
-	return nil
+	return p.mine(pl, m, nil, spec, stats)
 }
 
 // mineWarm is the incremental path: extend the carried matrix with the
@@ -218,23 +147,9 @@ func (p *Provider) mineCold(m Matrix, spec MineSpec, res *MineResult, state *Min
 func (p *Provider) mineWarm(ctx context.Context, pl *PreparedLog, prev *MineState, spec MineSpec) (*MineResult, *MineState, error) {
 	defer p.stage(ctx, "mine_delta")()
 	n, oldN := pl.Len(), prev.n
-	res := &MineResult{Incremental: &IncrementalStats{Warm: true, OldN: oldN}}
-	state := &MineState{spec: spec, n: n}
-	stats := res.Incremental
-
+	stats := &IncrementalStats{Warm: true, OldN: oldN}
 	if spec.Algorithm == MineApriori {
-		txs, err := p.transactions(pl)
-		if err != nil {
-			return nil, nil, err
-		}
-		sets, counts, aps, err := mining.AprioriAppend(txs, oldN, prev.counts, spec.MinSupport, spec.MaxLen)
-		if err != nil {
-			return nil, nil, err
-		}
-		res.Itemsets = sets
-		stats.Examined = aps.TxScans
-		state.counts = counts
-		return res, state, nil
+		return p.mine(pl, nil, prev, spec, stats)
 	}
 
 	base := prev.matrix
@@ -261,82 +176,79 @@ func (p *Provider) mineWarm(ctx context.Context, pl *PreparedLog, prev *MineStat
 	}
 	k := n - oldN
 	stats.PairsComputed += int64(oldN)*int64(k) + int64(k)*int64(k-1)/2
-	res.Matrix = m
-	state.matrix = m
+	return p.mine(pl, m, prev, spec, stats)
+}
 
+// mine runs spec's algorithm over m (nil for apriori, which mines the
+// log's transactions), warm from prev or cold when prev is nil, and
+// captures the state for the next call. Whether prev fits is
+// internal/mining's decision alone: a warm start it rejects reruns
+// cold over the same matrix with ColdFallback set.
+func (p *Provider) mine(pl *PreparedLog, m Matrix, prev *MineState, spec MineSpec, stats *IncrementalStats) (*MineResult, *MineState, error) {
+	cold := prev == nil
+	if cold {
+		prev = &MineState{spec: spec}
+	}
+	res := &MineResult{Matrix: m, Incremental: stats}
+	state := &MineState{spec: spec, n: pl.Len(), matrix: m}
+	var work int64
+	var err error
 	switch spec.Algorithm {
 	case MineKMedoids:
-		clusters, ws, werr := mining.KMedoidsWarm(m, spec.K, prev.kmed, oldN)
-		if werr == nil && prev.kmed != nil {
-			// Cost-regression guard: extending the prior assignment to
-			// the new rows bounds what the warm optimum may cost.
-			var probe int64
-			assign := make([]int, n)
-			copy(assign, prev.kmed.Assign)
-			start := prev.kmed.Cost + kmedoidsAssignCost(m, prev.kmed.Medoids, assign, oldN, n, &probe)
-			stats.Examined += probe
-			if clusters.Cost > start*(1+warmCostTolerance)+warmCostTolerance {
-				werr = fmt.Errorf("dpe: warm k-medoids cost %v regressed past warm-start cost %v", clusters.Cost, start)
-			}
-		}
-		if werr != nil {
-			stats.ColdFallback = true
-			if err := p.mineCold(m, spec, res, state, stats); err != nil {
-				return nil, nil, err
-			}
+		if cold {
+			state.kmed, work, err = mining.KMedoidsCounted(m, spec.K)
 		} else {
-			res.Clusters, state.kmed = clusters, clusters
-			stats.Examined += ws.Reads
+			state.kmed, work, err = mining.KMedoidsWarm(m, spec.K, prev.kmed, prev.n)
 		}
-		if prev.kmed != nil && res.Clusters != nil {
-			stats.ChangedLabels = changedLabels(prev.kmed.Assign, res.Clusters.Assign, oldN)
-		}
+		res.Clusters = state.kmed
 	case MineDBSCAN:
-		labels, adj, ds, derr := mining.DBSCANAppendGraph(m, spec.Eps, spec.MinPts, prev.adj)
-		if derr != nil {
-			stats.ColdFallback = true
-			if err := p.mineCold(m, spec, res, state, stats); err != nil {
-				return nil, nil, err
-			}
-		} else {
-			res.Labels, state.adj, state.labels = labels, adj, labels
-			stats.Examined += ds.PairsRead
-		}
-		stats.ChangedLabels = changedLabels(prev.labels, res.Labels, oldN)
-	default:
-		// Complete-link, outliers, and kNN have no warm-start
-		// structure; the incrementally extended matrix is the whole
-		// saving, the algorithm reruns cold.
-		if err := p.mineCold(m, spec, res, state, stats); err != nil {
+		state.labels, state.adj, work, err = mining.DBSCANAppendGraph(m, spec.Eps, spec.MinPts, prev.adj)
+		res.Labels = state.labels
+	case MineApriori:
+		var txs []mining.Transaction
+		if txs, err = p.transactions(pl); err != nil {
 			return nil, nil, err
 		}
-		switch spec.Algorithm {
-		case MineCompleteLink:
-			stats.ChangedLabels = changedLabels(prev.labels, res.Labels, oldN)
-		case MineOutliers:
-			stats.ChangedLabels = changedLabels(prev.labels, state.labels, oldN)
+		res.Itemsets, state.counts, work, err = mining.AprioriAppend(txs, prev.n, prev.counts, spec.MinSupport, spec.MaxLen)
+	case MineCompleteLink:
+		res.Labels, err = mining.CompleteLink(m, spec.K)
+		state.labels = res.Labels
+	case MineOutliers:
+		res.Outliers, err = mining.Outliers(m, spec.P, spec.D)
+		state.labels = make([]int, len(res.Outliers))
+		for i, o := range res.Outliers {
+			if o {
+				state.labels[i] = 1
+			}
 		}
+	case MineKNN:
+		res.Neighbors, err = mining.KNN(m, spec.Query, spec.K)
+	default:
+		return nil, nil, fmt.Errorf("dpe: unknown mining algorithm %d", int(spec.Algorithm))
 	}
+	stats.Examined += work
+	if err != nil && !cold {
+		stats.ColdFallback = true
+		res, state, err = p.mine(pl, m, nil, spec, stats)
+	}
+	if err != nil {
+		return nil, nil, err
+	}
+	stats.ChangedLabels = changedLabels(prev.partition(), state.partition(), prev.n)
 	return res, state, nil
 }
 
-// kmedoidsAssignCost mirrors the mining package's warm-start
-// assignment (nearest medoid, lowest index wins ties) to price the
-// warm-start cost bound without exporting internals.
-func kmedoidsAssignCost(m Matrix, medoids, assign []int, lo, hi int, reads *int64) float64 {
-	cost := 0.0
-	for i := lo; i < hi; i++ {
-		best, bestD := 0, -1.0
-		for c, med := range medoids {
-			if d := m[i][med]; bestD < 0 || d < bestD {
-				best, bestD = c, d
-			}
-		}
-		assign[i] = best
-		cost += bestD
+// partition is the per-row clustering changedLabels compares: the
+// k-medoids assignment, the labels the other clusterings carry, or the
+// outlier flags; nil for apriori and kNN.
+func (s *MineState) partition() []int {
+	if s.spec.Algorithm != MineKMedoids {
+		return s.labels
 	}
-	*reads += int64(hi-lo) * int64(len(medoids))
-	return cost
+	if s.kmed == nil {
+		return nil
+	}
+	return s.kmed.Assign
 }
 
 // changedLabels lists the rows < oldN whose cluster changed between

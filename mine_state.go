@@ -86,8 +86,8 @@ func MarshalMineState(s *MineState) ([]byte, error) {
 		b = binary.AppendVarint(b, int64(s.kmed.Iterations))
 	}
 	if s.adj != nil {
-		// Rows are ascending (EpsGraph and DBSCANAppendGraph build them
-		// so, and decoding checks it), so row i's neighbours below i are
+		// Rows are ascending (DBSCANAppendGraph builds them so, and
+		// decoding checks it), so row i's neighbours below i are
 		// its prefix; the rows above i list the rest of its edges.
 		b = binary.AppendUvarint(b, uint64(len(s.adj)))
 		for i, row := range s.adj {
@@ -216,11 +216,11 @@ func readInts(r *binenc.Reader, want int) []int {
 }
 
 // readGraph reads the eps-graph of n rows and rebuilds both directions
-// of every edge in ascending order, which is how EpsGraph and
-// DBSCANAppendGraph build them. A first pass validates the rows and
-// counts degrees, so the second, over the same bytes, cuts each row
-// from one exact backing array. Rows without neighbours stay nil, as
-// EpsGraph leaves them.
+// of every edge in ascending order, which is how DBSCANAppendGraph
+// builds them. A first pass validates the rows and counts degrees, so
+// the second, over the same bytes, cuts each row from one exact
+// backing array. Rows without neighbours stay nil, as
+// DBSCANAppendGraph leaves them.
 func readGraph(r *binenc.Reader, n int) [][]int {
 	if rows := r.Count(1); r.Err() == nil && rows != n {
 		r.Fail("graph of %d rows, want %d", rows, n)

@@ -350,7 +350,8 @@ func allocatedBy(f func()) uint64 {
 // (matrix aside, which v2 leaves out); and an accepted state over at
 // most 32 rows, handed to MineIncremental under its own spec with a
 // prepared log of n+4 queries — once as decoded, once re-decoded
-// without a matrix — yields a result or an error, never a panic.
+// without a matrix — yields a result or an error, never a panic, and a
+// k-medoids result's cost is the distance sum of its own assignment.
 func FuzzUnmarshalMineState(f *testing.F) {
 	p, err := NewProvider(MeasureToken)
 	if err != nil {
@@ -388,9 +389,19 @@ func FuzzUnmarshalMineState(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		// A result and an error are both fine; only a panic fails.
-		_, _, _ = p.MineIncremental(ctx, pl, s, s.spec)
-		_, _, _ = p.MineIncremental(ctx, pl, back, back.spec)
+		// A result and an error are both fine; a panic or a k-medoids
+		// cost its assignment does not add up to fails. Bits compare
+		// because a crafted v1 matrix can sum to NaN, which both sides
+		// reach by the same additions.
+		for _, warm := range []*MineState{s, back} {
+			res, _, err := p.MineIncremental(ctx, pl, warm, warm.spec)
+			if err != nil || res.Clusters == nil {
+				continue
+			}
+			if got, want := res.Clusters.Cost, assignCost(res.Matrix, res.Clusters); math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("k-medoids served cost %v, its assignment costs %v", got, want)
+			}
+		}
 	})
 }
 
