@@ -1,7 +1,8 @@
 package dpe
 
 // The benchmark harness regenerates every evaluation artifact of the
-// paper (DESIGN.md §4) and measures the system's performance:
+// paper (docs/ARCHITECTURE.md, "Paper experiments") and measures the
+// system's performance:
 //
 //	BenchmarkTable1_*            — E1: Table I rows (one per measure)
 //	BenchmarkFig1_Taxonomy       — E2: Fig. 1 attack advantages
@@ -36,7 +37,8 @@ import (
 	"repro/internal/experiments"
 )
 
-// benchParams scale the experiment benches (DESIGN.md §4 parameters).
+// benchParams scale the experiment benches down from DefaultParams
+// (docs/ARCHITECTURE.md, "Paper experiments").
 var benchParams = experiments.Params{Seed: "seed-42", Queries: 40, Rows: 100, PaillierBits: 512}
 
 // skipShort guards the heavyweight benchmarks (full experiment

@@ -1,7 +1,8 @@
 // Command dpebench regenerates the paper's evaluation artifacts and
 // runs the repository's reproducible benchmark harness (internal/bench).
 //
-// Paper experiments (text output, DESIGN.md §4):
+// Paper experiments (text output; docs/ARCHITECTURE.md, "Paper
+// experiments"):
 //
 //	dpebench -exp table1      # E1: Table I via empirical class selection
 //	dpebench -exp fig1        # E2: Fig. 1 as measured attack advantages

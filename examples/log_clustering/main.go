@@ -23,7 +23,8 @@ func main() {
 	remote := flag.String("remote", "", "dpeserver base URL; empty runs the provider in-process")
 	flag.Parse()
 	// A deterministic synthetic SkyServer-like workload stands in for
-	// the real (proprietary) logs; see DESIGN.md §2.
+	// the real (proprietary) logs; see docs/ARCHITECTURE.md, "Paper
+	// experiments".
 	w, err := dpe.GenerateWorkload(dpe.WorkloadConfig{
 		Seed: "log-clustering", Queries: 40, Rows: 100,
 		IncludeAggregates: true, IncludeJoins: true, IncludeLike: true,

@@ -9,7 +9,8 @@
 // demand. We model the same observable semantics by maintaining the join
 // groups explicitly (a union-find over column identifiers) and deriving
 // the per-group encryption key from the group's canonical representative.
-// See DESIGN.md §2 for why this substitution preserves behaviour.
+// docs/ARCHITECTURE.md ("Paper experiments") says why this substitution
+// preserves behaviour.
 package join
 
 import (

@@ -1,6 +1,7 @@
 // Package distance implements the four SQL query-distance measures of
-// the paper's Table I, plus the generic machinery (Jaccard, distance
-// matrices) that distance-based mining consumes.
+// the paper's Table I as Metric states (New, Prepare), plus the generic
+// machinery (Jaccard, distance matrices) that distance-based mining
+// consumes.
 //
 // Every measure works unchanged on plaintext and on encrypted artifacts:
 // token distance tokenizes strings (plain or ciphertext), structure
@@ -8,21 +9,15 @@
 // catalog (plain engine or encrypted engine via db.Options), and
 // access-area distance runs the interval algebra over literals (plain
 // values or OPE ciphertexts). Distance preservation (Definition 1) is
-// then a checkable property: the same function applied to encrypted
+// then a checkable property: the same Metric prepared over encrypted
 // inputs must return the same numbers.
 package distance
 
 import (
 	"context"
 	"fmt"
-	"strings"
 	"sync"
 	"sync/atomic"
-
-	"repro/internal/accessarea"
-	"repro/internal/db"
-	"repro/internal/sqlfeature"
-	"repro/internal/sqlparse"
 )
 
 // Jaccard returns the Jaccard distance 1 − |a∩b| / |a∪b| of two string
@@ -46,172 +41,9 @@ func Jaccard[K comparable](a, b map[K]bool) float64 {
 	return 1 - float64(inter)/float64(union)
 }
 
-// Token computes the token-based query-string distance (Definition 3):
-// the Jaccard distance of the two queries' token sets.
-func Token(q1, q2 string) (float64, error) {
-	t1, err := sqlfeature.Tokens(q1)
-	if err != nil {
-		return 0, fmt.Errorf("distance: query 1: %w", err)
-	}
-	t2, err := sqlfeature.Tokens(q2)
-	if err != nil {
-		return 0, fmt.Errorf("distance: query 2: %w", err)
-	}
-	return Jaccard(t1, t2), nil
-}
-
-// Structure computes the query-structure distance: the Jaccard distance
-// of the SnipSuggest feature sets [15].
-func Structure(s1, s2 *sqlparse.SelectStmt) float64 {
-	return Jaccard(sqlfeature.Features(s1), sqlfeature.Features(s2))
-}
-
-// ResultComputer computes query-result distances over one database
-// state. It caches result tuple sets per query so an n×n matrix executes
-// each query once. It is safe for concurrent use; for parallel matrix
-// builds call Precompute first so the fan-out only reads the cache.
-//
-// For encrypted logs, Catalog is the encrypted catalog and Options
-// carries the encrypted aggregate evaluator (Deployment.Aggregator); the
-// Jaccard then runs over ciphertext tuples.
-type ResultComputer struct {
-	Catalog *db.Catalog
-	Options db.Options
-
-	mu    sync.Mutex
-	cache map[*sqlparse.SelectStmt]map[string]bool
-}
-
-// TupleSet executes the query and returns its result tuple set: each
-// tuple rendered to a canonical key. Per Definition 4, the *set* of
-// result tuples is the characteristic (duplicates collapse).
-func (rc *ResultComputer) TupleSet(stmt *sqlparse.SelectStmt) (map[string]bool, error) {
-	rc.mu.Lock()
-	if set, ok := rc.cache[stmt]; ok {
-		rc.mu.Unlock()
-		return set, nil
-	}
-	rc.mu.Unlock()
-	res, err := db.ExecuteOpts(rc.Catalog, stmt, rc.Options)
-	if err != nil {
-		return nil, err
-	}
-	set := make(map[string]bool, len(res.Rows))
-	for _, row := range res.Rows {
-		var sb strings.Builder
-		for _, v := range row {
-			sb.WriteString(v.Key())
-			sb.WriteByte(0)
-		}
-		set[sb.String()] = true
-	}
-	rc.mu.Lock()
-	if rc.cache == nil {
-		rc.cache = make(map[*sqlparse.SelectStmt]map[string]bool)
-	}
-	// Execution is deterministic, so a concurrent duplicate computes the
-	// same set; keep the first stored one for pointer stability.
-	if prev, ok := rc.cache[stmt]; ok {
-		set = prev
-	} else {
-		rc.cache[stmt] = set
-	}
-	rc.mu.Unlock()
-	return set, nil
-}
-
-// Precompute executes every statement once, filling the tuple-set cache
-// with up to parallelism concurrent executions. After it returns, any
-// number of goroutines may call Distance/TupleSet on the same statements
-// without executing queries again.
-func (rc *ResultComputer) Precompute(ctx context.Context, stmts []*sqlparse.SelectStmt, parallelism int) error {
-	return parallelFor(ctx, len(stmts), parallelism, func(ctx context.Context, i int) error {
-		if _, err := rc.TupleSet(stmts[i]); err != nil {
-			return fmt.Errorf("distance: result of query %d: %w", i, err)
-		}
-		return nil
-	})
-}
-
-// Distance returns the query-result distance: the Jaccard distance of
-// the result tuple sets.
-func (rc *ResultComputer) Distance(s1, s2 *sqlparse.SelectStmt) (float64, error) {
-	t1, err := rc.TupleSet(s1)
-	if err != nil {
-		return 0, fmt.Errorf("distance: result of query 1: %w", err)
-	}
-	t2, err := rc.TupleSet(s2)
-	if err != nil {
-		return 0, fmt.Errorf("distance: result of query 2: %w", err)
-	}
-	return Jaccard(t1, t2), nil
-}
-
 // DefaultOverlapX is the paper's default for the partial-overlap value x
 // in Definition 5.
 const DefaultOverlapX = 0.5
-
-// AccessAreaParams configures the access-area distance.
-type AccessAreaParams struct {
-	// Domains maps attribute name to its domain ("Domains" shared
-	// information in Table I).
-	Domains map[string]accessarea.Domain
-	// X is δ's value for partially overlapping areas; 0 means
-	// DefaultOverlapX. Must lie in (0, 1).
-	X float64
-}
-
-// AccessArea computes the query-access-area distance d_AE (Definition 5):
-// the mean over all attributes accessed by either query of
-//
-//	δ_A = 0   if access_A(Q1) = access_A(Q2)
-//	    = x   if the areas overlap
-//	    = 1   otherwise.
-//
-// Two queries accessing no attributes at all have distance 0.
-func AccessArea(s1, s2 *sqlparse.SelectStmt, p AccessAreaParams) (float64, error) {
-	x := p.X
-	if x == 0 {
-		x = DefaultOverlapX
-	}
-	if x <= 0 || x >= 1 {
-		return 0, fmt.Errorf("distance: overlap value x=%v outside (0,1)", x)
-	}
-	attrs := make(map[string]bool)
-	for a := range accessarea.AccessedAttributes(s1) {
-		attrs[a] = true
-	}
-	for a := range accessarea.AccessedAttributes(s2) {
-		attrs[a] = true
-	}
-	if len(attrs) == 0 {
-		return 0, nil
-	}
-	var sum float64
-	for a := range attrs {
-		dom, ok := p.Domains[a]
-		if !ok {
-			return 0, fmt.Errorf("distance: no domain for accessed attribute %q", a)
-		}
-		a1, _, err := accessarea.Extract(s1, a, dom)
-		if err != nil {
-			return 0, err
-		}
-		a2, _, err := accessarea.Extract(s2, a, dom)
-		if err != nil {
-			return 0, err
-		}
-		switch {
-		case a1.Equal(a2):
-			// δ = 0
-		case a1.Overlaps(a2):
-			sum += x
-		default:
-			sum += 1
-		}
-	}
-	return sum / float64(len(attrs)), nil
-}
 
 // Matrix is a symmetric pairwise distance matrix.
 type Matrix [][]float64

@@ -3,16 +3,19 @@ package distance
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math"
-	"sync"
+	"strings"
 	"testing"
 	"testing/quick"
 	"time"
 
 	"repro/internal/accessarea"
 	"repro/internal/db"
+	"repro/internal/sqlfeature"
 	"repro/internal/sqlparse"
 	"repro/internal/value"
+	"repro/internal/workload"
 )
 
 func set(items ...string) map[string]bool {
@@ -63,34 +66,55 @@ func TestJaccardMetricProperties(t *testing.T) {
 	}
 }
 
+// measurePair prepares two queries under the named measure and returns
+// their distance: the per-pair cases below run through the state the
+// provider serves.
+func measurePair(name string, arts Artifacts, q1, q2 string) (float64, error) {
+	m, err := New(name, arts)
+	if err != nil {
+		return 0, err
+	}
+	p, err := m.Prepare(context.Background(), []string{q1, q2})
+	if err != nil {
+		return 0, err
+	}
+	return p.Distance(0, 1)
+}
+
 func TestTokenDistance(t *testing.T) {
+	tok := func(q1, q2 string) (float64, error) { return measurePair("token", Artifacts{}, q1, q2) }
 	// Identical queries: distance 0.
-	d, err := Token("SELECT a FROM r", "SELECT a FROM r")
+	d, err := tok("SELECT a FROM r", "SELECT a FROM r")
 	if err != nil || d != 0 {
 		t.Fatalf("identical: %v, %v", d, err)
 	}
 	// Paper-style example: one token differs.
-	d1, _ := Token("SELECT a FROM r WHERE b > 5", "SELECT a FROM r WHERE b > 7")
+	d1, _ := tok("SELECT a FROM r WHERE b > 5", "SELECT a FROM r WHERE b > 7")
 	if d1 <= 0 || d1 >= 1 {
 		t.Fatalf("near-identical distance = %v", d1)
 	}
-	d2, _ := Token("SELECT a FROM r WHERE b > 5", "SELECT zz FROM qq WHERE yy < 3")
+	d2, _ := tok("SELECT a FROM r WHERE b > 5", "SELECT zz FROM qq WHERE yy < 3")
 	if d2 <= d1 {
 		t.Fatalf("more different queries must be farther: %v <= %v", d2, d1)
 	}
-	if _, err := Token("bad @", "SELECT a FROM r"); err == nil {
+	if _, err := tok("bad @", "SELECT a FROM r"); err == nil {
 		t.Fatal("invalid query must error")
 	}
 }
 
 func TestStructureDistance(t *testing.T) {
-	s1 := sqlparse.MustParse("SELECT a FROM r WHERE b > 5")
-	s2 := sqlparse.MustParse("SELECT a FROM r WHERE b > 999999")
-	if d := Structure(s1, s2); d != 0 {
+	structure := func(q1, q2 string) float64 {
+		t.Helper()
+		d, err := measurePair("structure", Artifacts{}, q1, q2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return d
+	}
+	if d := structure("SELECT a FROM r WHERE b > 5", "SELECT a FROM r WHERE b > 999999"); d != 0 {
 		t.Fatalf("constants must not affect structure distance: %v", d)
 	}
-	s3 := sqlparse.MustParse("SELECT a FROM r WHERE c < 5")
-	if d := Structure(s1, s3); d <= 0 {
+	if d := structure("SELECT a FROM r WHERE b > 5", "SELECT a FROM r WHERE c < 5"); d <= 0 {
 		t.Fatalf("different predicates must differ: %v", d)
 	}
 }
@@ -106,44 +130,56 @@ func resultFixture(t *testing.T) *db.Catalog {
 }
 
 func TestResultDistance(t *testing.T) {
-	rc := &ResultComputer{Catalog: resultFixture(t)}
-	q := func(s string) *sqlparse.SelectStmt { return sqlparse.MustParse(s) }
+	arts := Artifacts{Catalog: resultFixture(t)}
+	res := func(q1, q2 string) (float64, error) { return measurePair("result", arts, q1, q2) }
 
 	// Same result set: distance 0 even for different query text.
-	d, err := rc.Distance(q("SELECT a FROM r WHERE a < 5"), q("SELECT a FROM r WHERE a <= 4"))
+	d, err := res("SELECT a FROM r WHERE a < 5", "SELECT a FROM r WHERE a <= 4")
 	if err != nil || d != 0 {
 		t.Fatalf("equal results: %v, %v", d, err)
 	}
 	// Disjoint results: distance 1.
-	d, _ = rc.Distance(q("SELECT a FROM r WHERE a < 3"), q("SELECT a FROM r WHERE a > 7"))
+	d, _ = res("SELECT a FROM r WHERE a < 3", "SELECT a FROM r WHERE a > 7")
 	if d != 1 {
 		t.Fatalf("disjoint results: %v", d)
 	}
 	// Overlap: 0..5 vs 3..9 → |∩|=3 (3,4,5), |∪|=10.
-	d, _ = rc.Distance(q("SELECT a FROM r WHERE a <= 5"), q("SELECT a FROM r WHERE a >= 3"))
+	d, _ = res("SELECT a FROM r WHERE a <= 5", "SELECT a FROM r WHERE a >= 3")
 	if math.Abs(d-0.7) > 1e-12 {
 		t.Fatalf("overlap distance = %v, want 0.7", d)
 	}
 }
 
+// TestResultDistanceCaches pins that a prepared result state holds the
+// tuple sets it executed: a later catalog insert changes a fresh
+// Prepare, not the state already served.
 func TestResultDistanceCaches(t *testing.T) {
-	rc := &ResultComputer{Catalog: resultFixture(t)}
-	s := sqlparse.MustParse("SELECT a FROM r")
-	if _, err := rc.TupleSet(s); err != nil {
+	cat := resultFixture(t)
+	m, err := New("result", Artifacts{Catalog: cat})
+	if err != nil {
 		t.Fatal(err)
 	}
-	// Mutating the catalog after caching must not change the cached set.
-	tbl, _ := rc.Catalog.Table("r")
+	queries := []string{"SELECT a FROM r", "SELECT a FROM r WHERE a < 5"}
+	before, err := m.Prepare(context.Background(), queries)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tbl, _ := cat.Table("r")
 	tbl.MustInsert(db.Row{value.Int(99), value.Int(990)})
-	set2, _ := rc.TupleSet(s)
-	if len(set2) != 10 {
-		t.Fatalf("cache miss: %d", len(set2))
+	if d, err := before.Distance(0, 1); err != nil || d != 0.5 {
+		t.Fatalf("prepared state after insert: %v, %v; want the 5-of-10 distance 0.5", d, err)
+	}
+	after, err := m.Prepare(context.Background(), queries)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d, _ := after.Distance(0, 1); math.Abs(d-(1-5.0/11)) > 1e-12 {
+		t.Fatalf("fresh Prepare after insert: %v, want 1 - 5/11", d)
 	}
 }
 
 func TestResultDistanceError(t *testing.T) {
-	rc := &ResultComputer{Catalog: resultFixture(t)}
-	_, err := rc.Distance(sqlparse.MustParse("SELECT nosuch FROM r"), sqlparse.MustParse("SELECT a FROM r"))
+	_, err := measurePair("result", Artifacts{Catalog: resultFixture(t)}, "SELECT nosuch FROM r", "SELECT a FROM r")
 	if err == nil {
 		t.Fatal("bad query must error")
 	}
@@ -156,9 +192,9 @@ var testDomains = map[string]accessarea.Domain{
 
 func aaDist(t *testing.T, q1, q2 string) float64 {
 	t.Helper()
-	d, err := AccessArea(sqlparse.MustParse(q1), sqlparse.MustParse(q2), AccessAreaParams{Domains: testDomains})
+	d, err := measurePair("access-area", Artifacts{Domains: testDomains}, q1, q2)
 	if err != nil {
-		t.Fatalf("AccessArea(%q,%q): %v", q1, q2, err)
+		t.Fatalf("access-area(%q,%q): %v", q1, q2, err)
 	}
 	return d
 }
@@ -191,24 +227,20 @@ func TestAccessAreaDistanceDefinition5(t *testing.T) {
 }
 
 func TestAccessAreaCustomX(t *testing.T) {
-	d, err := AccessArea(
-		sqlparse.MustParse("SELECT a FROM r WHERE x < 50"),
-		sqlparse.MustParse("SELECT a FROM r WHERE x > 20"),
-		AccessAreaParams{Domains: testDomains, X: 0.25})
+	d, err := measurePair("access-area", Artifacts{Domains: testDomains, AccessAreaX: 0.25},
+		"SELECT a FROM r WHERE x < 50", "SELECT a FROM r WHERE x > 20")
 	if err != nil || d != 0.25 {
 		t.Fatalf("custom x: %v, %v", d, err)
 	}
-	if _, err := AccessArea(sqlparse.MustParse("SELECT a FROM r WHERE x = 1"), sqlparse.MustParse("SELECT a FROM r WHERE x = 1"),
-		AccessAreaParams{Domains: testDomains, X: 1.5}); err == nil {
+	if _, err := measurePair("access-area", Artifacts{Domains: testDomains, AccessAreaX: 1.5},
+		"SELECT a FROM r WHERE x = 1", "SELECT a FROM r WHERE x = 1"); err == nil {
 		t.Fatal("x outside (0,1) must error")
 	}
 }
 
 func TestAccessAreaMissingDomain(t *testing.T) {
-	_, err := AccessArea(
-		sqlparse.MustParse("SELECT a FROM r WHERE unknown_attr = 1"),
-		sqlparse.MustParse("SELECT a FROM r"),
-		AccessAreaParams{Domains: testDomains})
+	_, err := measurePair("access-area", Artifacts{Domains: testDomains},
+		"SELECT a FROM r WHERE unknown_attr = 1", "SELECT a FROM r")
 	if err == nil {
 		t.Fatal("missing domain must error")
 	}
@@ -298,40 +330,6 @@ func TestBuildMatrixPreCancelled(t *testing.T) {
 	}
 }
 
-func TestResultComputerConcurrent(t *testing.T) {
-	rc := &ResultComputer{Catalog: resultFixture(t)}
-	stmts := []*sqlparse.SelectStmt{
-		sqlparse.MustParse("SELECT a FROM r WHERE a < 5"),
-		sqlparse.MustParse("SELECT a FROM r WHERE a >= 5"),
-		sqlparse.MustParse("SELECT b FROM r"),
-		sqlparse.MustParse("SELECT a, b FROM r WHERE a = 3"),
-	}
-	if err := rc.Precompute(context.Background(), stmts, 4); err != nil {
-		t.Fatal(err)
-	}
-	var wg sync.WaitGroup
-	errs := make(chan error, 64)
-	for w := 0; w < 8; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range stmts {
-				for j := range stmts {
-					if _, err := rc.Distance(stmts[i], stmts[j]); err != nil {
-						errs <- err
-						return
-					}
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	close(errs)
-	for err := range errs {
-		t.Fatal(err)
-	}
-}
-
 func TestMetricRegistry(t *testing.T) {
 	names := Names()
 	want := []string{"access-area", "result", "structure", "token"}
@@ -355,12 +353,123 @@ func TestMetricRegistry(t *testing.T) {
 	if _, err := New("access-area", Artifacts{Domains: testDomains, AccessAreaX: 1.5}); err == nil {
 		t.Fatal("x outside (0,1) must error")
 	}
+	// A domain must be an interval, whichever path built the map.
+	for name, dom := range map[string]accessarea.Domain{
+		"min above max":       {Min: value.Int(50), Max: value.Int(5)},
+		"int min, string max": {Min: value.Int(0), Max: value.Str("z")},
+		"NULL endpoints":      {Min: value.Null(), Max: value.Null()},
+	} {
+		domains := map[string]accessarea.Domain{"x": testDomains["x"], "bad": dom}
+		if _, err := New("access-area", Artifacts{Domains: domains}); err == nil || !strings.Contains(err.Error(), `"bad"`) {
+			t.Errorf("%s: New = %v, want an error naming attribute \"bad\"", name, err)
+		}
+	}
 }
 
-// TestMetricsMatchDirectFunctions pins the prepared-path distances to the
-// original per-pair functions, for every registered measure.
+// The per-pair reference: each measure straight from its definition,
+// re-deriving both queries' characteristics on every call, with no
+// interning, bitsets or state shared between calls.
+// TestMetricsMatchDirectFunctions holds the served states to it.
+
+// refJaccard is the Jaccard distance of two queries' characteristic
+// sets: token sets (Definition 3), feature sets (structure) or result
+// tuple sets (Definition 4).
+func refJaccard[K comparable](set func(q string) (map[K]bool, error)) func(q1, q2 string) (float64, error) {
+	return func(q1, q2 string) (float64, error) {
+		s1, err := set(q1)
+		if err != nil {
+			return 0, err
+		}
+		s2, err := set(q2)
+		if err != nil {
+			return 0, err
+		}
+		return Jaccard(s1, s2), nil
+	}
+}
+
+func refFeatures(q string) (map[sqlfeature.Feature]bool, error) {
+	s, err := sqlparse.Parse(q)
+	if err != nil {
+		return nil, err
+	}
+	return sqlfeature.Features(s), nil
+}
+
+func refTuples(cat *db.Catalog) func(q string) (map[string]bool, error) {
+	return func(q string) (map[string]bool, error) {
+		s, err := sqlparse.Parse(q)
+		if err != nil {
+			return nil, err
+		}
+		res, err := db.Execute(cat, s)
+		if err != nil {
+			return nil, err
+		}
+		set := make(map[string]bool, len(res.Rows))
+		for _, row := range res.Rows {
+			var sb strings.Builder
+			for _, v := range row {
+				sb.WriteString(v.Key())
+				sb.WriteByte(0)
+			}
+			set[sb.String()] = true
+		}
+		return set, nil
+	}
+}
+
+// refAccessArea is Definition 5 with the default x: the mean δ over
+// all attributes accessed by either query, 0 when neither accesses one.
+func refAccessArea(domains map[string]accessarea.Domain) func(q1, q2 string) (float64, error) {
+	return func(q1, q2 string) (float64, error) {
+		s1, err := sqlparse.Parse(q1)
+		if err != nil {
+			return 0, err
+		}
+		s2, err := sqlparse.Parse(q2)
+		if err != nil {
+			return 0, err
+		}
+		attrs := accessarea.AccessedAttributes(s1)
+		for a := range accessarea.AccessedAttributes(s2) {
+			attrs[a] = true
+		}
+		if len(attrs) == 0 {
+			return 0, nil
+		}
+		var sum float64
+		for a := range attrs {
+			dom, ok := domains[a]
+			if !ok {
+				return 0, fmt.Errorf("no domain for accessed attribute %q", a)
+			}
+			a1, _, err := accessarea.Extract(s1, a, dom)
+			if err != nil {
+				return 0, err
+			}
+			a2, _, err := accessarea.Extract(s2, a, dom)
+			if err != nil {
+				return 0, err
+			}
+			switch {
+			case a1.Equal(a2):
+			case a1.Overlaps(a2):
+				sum += DefaultOverlapX
+			default:
+				sum++
+			}
+		}
+		return sum / float64(len(attrs)), nil
+	}
+}
+
+// TestMetricsMatchDirectFunctions holds every measure's served state to
+// the per-pair reference: on five hand-written queries, and on
+// generated workload logs (token, structure and access-area over a log
+// with aggregates, joins and LIKE; result over the executable subset).
 func TestMetricsMatchDirectFunctions(t *testing.T) {
-	queries := []string{
+	hand := []string{
 		"SELECT a FROM r WHERE a < 5",
 		"SELECT a FROM r WHERE a <= 4",
 		"SELECT b FROM r WHERE a > 7 AND b < 50",
@@ -372,49 +481,61 @@ func TestMetricsMatchDirectFunctions(t *testing.T) {
 		"b": {Min: value.Int(0), Max: value.Int(1000)},
 	}
 	cat := resultFixture(t)
-	stmts := make([]*sqlparse.SelectStmt, len(queries))
-	for i, q := range queries {
-		stmts[i] = sqlparse.MustParse(q)
+	logW, err := workload.Generate(workload.Config{Seed: "distance-reference", Queries: 60, Rows: 60,
+		IncludeAggregates: true, IncludeJoins: true, IncludeLike: true})
+	if err != nil {
+		t.Fatal(err)
 	}
-	rc := &ResultComputer{Catalog: cat}
-	direct := map[string]PairFunc{
-		"token": func(i, j int) (float64, error) { return Token(queries[i], queries[j]) },
-		"structure": func(i, j int) (float64, error) {
-			return Structure(stmts[i], stmts[j]), nil
-		},
-		"result": func(i, j int) (float64, error) { return rc.Distance(stmts[i], stmts[j]) },
-		"access-area": func(i, j int) (float64, error) {
-			return AccessArea(stmts[i], stmts[j], AccessAreaParams{Domains: domains})
-		},
+	execW, err := workload.Generate(workload.Config{Seed: "distance-reference", Queries: 30, Rows: 60,
+		IncludeAggregates: true, IncludeJoins: true})
+	if err != nil {
+		t.Fatal(err)
 	}
-	arts := Artifacts{Catalog: cat, Domains: domains, Parallelism: 4}
-	for _, name := range Names() {
-		m, err := New(name, arts)
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		if m.Name() != name {
-			t.Fatalf("Name() = %q, want %q", m.Name(), name)
-		}
-		prep, err := m.Prepare(context.Background(), queries)
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		if prep.Len() != len(queries) {
-			t.Fatalf("%s: Len() = %d", name, prep.Len())
-		}
-		got, err := BuildMatrix(context.Background(), prep.Len(), 4, prep.Distance)
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		want, err := BuildMatrix(context.Background(), len(queries), 1, direct[name])
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		d, err := MaxAbsDiff(got, want)
-		if err != nil || d > 1e-12 {
-			t.Fatalf("%s: prepared path differs from direct path by %v (%v)", name, d, err)
-		}
+	cases := []struct {
+		log, name string
+		queries   []string
+		arts      Artifacts
+		ref       func(q1, q2 string) (float64, error)
+	}{
+		{"hand", "token", hand, Artifacts{}, refJaccard(sqlfeature.Tokens)},
+		{"hand", "structure", hand, Artifacts{}, refJaccard(refFeatures)},
+		{"hand", "result", hand, Artifacts{Catalog: cat, Parallelism: 4}, refJaccard(refTuples(cat))},
+		{"hand", "access-area", hand, Artifacts{Domains: domains}, refAccessArea(domains)},
+		{"workload", "token", logW.Queries, Artifacts{}, refJaccard(sqlfeature.Tokens)},
+		{"workload", "structure", logW.Queries, Artifacts{}, refJaccard(refFeatures)},
+		{"workload", "access-area", logW.Queries, Artifacts{Domains: logW.Domains}, refAccessArea(logW.Domains)},
+		{"workload", "result", execW.Queries, Artifacts{Catalog: execW.Catalog, Parallelism: 4}, refJaccard(refTuples(execW.Catalog))},
+	}
+	for _, c := range cases {
+		t.Run(c.log+"/"+c.name, func(t *testing.T) {
+			m, err := New(c.name, c.arts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if m.Name() != c.name {
+				t.Fatalf("Name() = %q, want %q", m.Name(), c.name)
+			}
+			prep, err := m.Prepare(context.Background(), c.queries)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if prep.Len() != len(c.queries) {
+				t.Fatalf("Len() = %d, want %d", prep.Len(), len(c.queries))
+			}
+			got, err := BuildMatrix(context.Background(), prep.Len(), 4, prep.Distance)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := BuildMatrix(context.Background(), len(c.queries), 1, func(i, j int) (float64, error) {
+				return c.ref(c.queries[i], c.queries[j])
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if d, err := MaxAbsDiff(got, want); err != nil || d > 1e-12 {
+				t.Fatalf("served state differs from the per-pair reference by %v (%v)", d, err)
+			}
+		})
 	}
 }
 

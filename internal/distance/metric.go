@@ -3,8 +3,10 @@ package distance
 import (
 	"context"
 	"fmt"
+	"maps"
 	"slices"
 	"sort"
+	"strings"
 
 	"repro/internal/accessarea"
 	"repro/internal/db"
@@ -85,7 +87,9 @@ type Metric interface {
 }
 
 // New builds the named measure from the shared artifacts, validating
-// that the measure's required shared information is present.
+// that the measure's required shared information is present and, for
+// access-area, that every domain is an interval: endpoints value.Compare
+// can order, min not above max.
 func New(name string, a Artifacts) (Metric, error) {
 	switch name {
 	case "token":
@@ -107,6 +111,12 @@ func New(name string, a Artifacts) (Metric, error) {
 		}
 		if a.Domains == nil {
 			return nil, fmt.Errorf("distance: access-area metric requires the (encrypted) domains")
+		}
+		for _, attr := range slices.Sorted(maps.Keys(a.Domains)) {
+			dom := a.Domains[attr]
+			if c, ok := dom.Min.Compare(dom.Max); !ok || c > 0 {
+				return nil, fmt.Errorf("distance: access-area domain of %q is not an interval: min %v, max %v", attr, dom.Min, dom.Max)
+			}
 		}
 		return &accessAreaMetric{domains: a.Domains, x: x}, nil
 	}
@@ -201,28 +211,49 @@ func featureSets(ctx context.Context, queries []string, add func([]sqlfeature.Fe
 }
 
 // resultSets yields Definition 4's result tuple sets over one catalog.
-// Each call executes its queries through a fresh ResultComputer: query
-// execution is deterministic, so the tuple sets match what one Prepare
-// over the combined log would produce.
+// Each statement executes once, up to parallelism at a time, into its
+// own slot. Execution is deterministic, so the tuple sets match what one
+// Prepare over the combined log would produce.
 func resultSets(cat *db.Catalog, opts db.Options, parallelism int) func(context.Context, []string, func([]string)) error {
 	return func(ctx context.Context, queries []string, add func([]string)) error {
 		stmts, err := parseLog(ctx, queries)
 		if err != nil {
 			return err
 		}
-		rc := &ResultComputer{Catalog: cat, Options: opts}
-		if err := rc.Precompute(ctx, stmts, parallelism); err != nil {
-			return err
-		}
-		for i, s := range stmts {
-			set, err := rc.TupleSet(s)
+		sets := make([][]string, len(stmts))
+		err = parallelFor(ctx, len(stmts), parallelism, func(_ context.Context, i int) error {
+			res, err := db.ExecuteOpts(cat, stmts[i], opts)
 			if err != nil {
 				return fmt.Errorf("distance: result of query %d: %w", i, err)
 			}
-			add(sortedStrings(set))
+			sets[i] = tupleKeys(res.Rows)
+			return nil
+		})
+		if err != nil {
+			return err
+		}
+		for _, set := range sets {
+			add(set)
 		}
 		return nil
 	}
+}
+
+// tupleKeys renders each result tuple to a canonical key and returns
+// the keys sorted and de-duplicated: per Definition 4 the *set* of
+// result tuples is the characteristic.
+func tupleKeys(rows []db.Row) []string {
+	keys := make([]string, len(rows))
+	for i, row := range rows {
+		var sb strings.Builder
+		for _, v := range row {
+			sb.WriteString(v.Key())
+			sb.WriteByte(0)
+		}
+		keys[i] = sb.String()
+	}
+	slices.Sort(keys)
+	return slices.Compact(keys)
 }
 
 // --- access-area (Definition 5) ---
@@ -335,10 +366,16 @@ func (p *aaPrepared) SizeBytes() int64 {
 	return total
 }
 
-// Distance mirrors AccessArea over the precomputed areas: the mean δ
-// over all attributes accessed by either query, computed by merging
-// the two id-sorted attribute lists. An attribute accessed by only one
-// query compares its area against the empty area, exactly as before.
+// Distance is Definition 5's d_AE over the precomputed areas: the mean
+// δ over all attributes accessed by either query,
+//
+//	δ_A = 0   if access_A(Q1) = access_A(Q2)
+//	    = x   if the areas overlap
+//	    = 1   otherwise,
+//
+// computed by merging the two id-sorted attribute lists. An attribute
+// accessed by only one query compares its area against the empty area.
+// Two queries accessing no attributes at all have distance 0.
 func (p *aaPrepared) Distance(i, j int) (float64, error) {
 	q1, q2 := &p.queries[i], &p.queries[j]
 	n := 0

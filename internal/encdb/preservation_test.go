@@ -6,6 +6,7 @@ package encdb
 // on a corpus of edge-case queries.
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
@@ -48,57 +49,57 @@ func randomQueries(seed string, n int) []string {
 	return out
 }
 
-func TestTokenPreservationRandomQueries(t *testing.T) {
-	d := deployment(t)
-	_, schema := fixture(t)
-	queries := randomQueries("token-prop", 30)
-	var enc []string
-	for _, q := range queries {
-		e, err := d.EncryptQueryString(q, schema, ModeToken)
+// assertPreserved encrypts a log under mode and checks Definition 1 on
+// the served metric: every pair of the encrypted log has exactly its
+// plaintext distance.
+func assertPreserved(t *testing.T, d *Deployment, schema *Schema, measure string, mode Mode, queries []string, plainArts, encArts distance.Artifacts) {
+	t.Helper()
+	enc := make([]string, len(queries))
+	for i, q := range queries {
+		e, err := d.EncryptQueryString(q, schema, mode)
 		if err != nil {
 			t.Fatalf("%s: %v", q, err)
 		}
-		enc = append(enc, e)
+		enc[i] = e
 	}
+	prepare := func(arts distance.Artifacts, log []string) distance.Prepared {
+		t.Helper()
+		m, err := distance.New(measure, arts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p, err := m.Prepare(context.Background(), log)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return p
+	}
+	plain, encPrep := prepare(plainArts, queries), prepare(encArts, enc)
 	for i := range queries {
 		for j := i + 1; j < len(queries); j++ {
-			dp, err := distance.Token(queries[i], queries[j])
+			dp, err := plain.Distance(i, j)
 			if err != nil {
 				t.Fatal(err)
 			}
-			de, err := distance.Token(enc[i], enc[j])
+			de, err := encPrep.Distance(i, j)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if dp != de {
-				t.Fatalf("token distance changed for pair:\n%s\n%s\nplain=%v enc=%v", queries[i], queries[j], dp, de)
+				t.Fatalf("%s distance changed for pair:\n%s\n%s\nplain=%v enc=%v", measure, queries[i], queries[j], dp, de)
 			}
 		}
 	}
 }
 
-func TestStructurePreservationRandomQueries(t *testing.T) {
-	d := deployment(t)
+func TestTokenPreservationRandomQueries(t *testing.T) {
 	_, schema := fixture(t)
-	queries := randomQueries("struct-prop", 30)
-	var plainStmts, encStmts []*sqlparse.SelectStmt
-	for _, q := range queries {
-		plainStmts = append(plainStmts, sqlparse.MustParse(q))
-		e, err := d.EncryptQueryString(q, schema, ModeStructure)
-		if err != nil {
-			t.Fatalf("%s: %v", q, err)
-		}
-		encStmts = append(encStmts, sqlparse.MustParse(e))
-	}
-	for i := range queries {
-		for j := i + 1; j < len(queries); j++ {
-			dp := distance.Structure(plainStmts[i], plainStmts[j])
-			de := distance.Structure(encStmts[i], encStmts[j])
-			if dp != de {
-				t.Fatalf("structure distance changed for pair:\n%s\n%s\nplain=%v enc=%v", queries[i], queries[j], dp, de)
-			}
-		}
-	}
+	assertPreserved(t, deployment(t), schema, "token", ModeToken, randomQueries("token-prop", 30), distance.Artifacts{}, distance.Artifacts{})
+}
+
+func TestStructurePreservationRandomQueries(t *testing.T) {
+	_, schema := fixture(t)
+	assertPreserved(t, deployment(t), schema, "structure", ModeStructure, randomQueries("struct-prop", 30), distance.Artifacts{}, distance.Artifacts{})
 }
 
 func TestAccessAreaPreservationRandomQueries(t *testing.T) {
@@ -114,33 +115,8 @@ func TestAccessAreaPreservationRandomQueries(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	queries := randomQueries("aa-prop", 30)
-	var plainStmts, encStmts []*sqlparse.SelectStmt
-	for _, q := range queries {
-		plainStmts = append(plainStmts, sqlparse.MustParse(q))
-		e, err := d.EncryptQueryString(q, schema, ModeAccessArea)
-		if err != nil {
-			t.Fatalf("%s: %v", q, err)
-		}
-		encStmts = append(encStmts, sqlparse.MustParse(e))
-	}
-	pp := distance.AccessAreaParams{Domains: domains}
-	ep := distance.AccessAreaParams{Domains: encDomains}
-	for i := range queries {
-		for j := i + 1; j < len(queries); j++ {
-			dp, err := distance.AccessArea(plainStmts[i], plainStmts[j], pp)
-			if err != nil {
-				t.Fatal(err)
-			}
-			de, err := distance.AccessArea(encStmts[i], encStmts[j], ep)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if dp != de {
-				t.Fatalf("access-area distance changed for pair:\n%s\n%s\nplain=%v enc=%v", queries[i], queries[j], dp, de)
-			}
-		}
-	}
+	assertPreserved(t, d, schema, "access-area", ModeAccessArea, randomQueries("aa-prop", 30),
+		distance.Artifacts{Domains: domains}, distance.Artifacts{Domains: encDomains})
 }
 
 func TestResultModeEdgeCaseCorpus(t *testing.T) {

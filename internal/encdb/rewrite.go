@@ -235,7 +235,8 @@ func (r *rewriter) encConst(owner ColumnInfo, class string, lit *sqlparse.Litera
 	// encrypt identically, or plaintext token intersections shrink under
 	// encryption. So token mode uses one shared DET key for all
 	// constants ({EncA.Const} degenerates to a single EncConst) — an
-	// empirical finding of the reproduction, see EXPERIMENTS.md.
+	// empirical finding of the reproduction, see docs/ARCHITECTURE.md,
+	// "Paper experiments".
 	if r.mode == ModeToken {
 		owner = globalOwner()
 	}

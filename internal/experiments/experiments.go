@@ -1,16 +1,20 @@
 // Package experiments wires the whole system into the paper's evaluation
-// artifacts. Each experiment of DESIGN.md §4 has one entry point that
-// returns structured results plus a renderer that prints the paper-style
-// table:
+// artifacts (docs/ARCHITECTURE.md, "Paper experiments"). Each experiment
+// has one entry point that returns structured results plus a renderer
+// that prints the paper-style table:
 //
 //	E1 Table1             — regenerate Table I by empirical class selection
 //	E2 Fig1               — regenerate Fig. 1's ordering as attack advantages
 //	E3 MiningEquality     — Definition 1's consequence on five mining algorithms
 //	E4 AccessAreaSecurity — the Section IV-C refinement vs CryptDB-as-is
 //	E5 SharedInfo         — the Shared Information columns of Table I
+//	E6 AssociationRules   — association rules over encrypted logs
+//
+// Every distance comes from the distance.Metric the provider serves.
 package experiments
 
 import (
+	"context"
 	"encoding/hex"
 	"fmt"
 	"math"
@@ -36,11 +40,13 @@ type Params struct {
 	Queries int
 	Rows    int
 	// PaillierBits for the HOM onion; experiments default to 512 so a
-	// full run stays interactive. DESIGN.md documents the substitution.
+	// full run stays interactive (docs/ARCHITECTURE.md, "Paper
+	// experiments").
 	PaillierBits int
 }
 
-// DefaultParams are the parameters recorded in DESIGN.md §4.
+// DefaultParams are the parameters dpebench runs, recorded in
+// docs/ARCHITECTURE.md, "Paper experiments".
 func DefaultParams() Params {
 	return Params{Seed: "seed-42", Queries: 60, Rows: 120, PaillierBits: 512}
 }
@@ -141,7 +147,6 @@ type Table1Row struct {
 func Table1(p Params) ([]Table1Row, error) {
 	p = p.withDefaults()
 	measures := core.SQLMeasures()
-	var rows []Table1Row
 
 	// Log-only measures use the full template mix.
 	logEnv, err := newEnv(p, workload.Config{IncludeAggregates: true, IncludeJoins: true, IncludeLike: true})
@@ -156,155 +161,123 @@ func Table1(p Params) ([]Table1Row, error) {
 		return nil, err
 	}
 
-	// Row 1: token distance.
-	tokenCands := []core.Candidate{
-		{Label: "PROB constants", Class: core.PROB, Verify: guarded(func() (*core.PreservationReport, error) {
-			return logEnv.verifyToken(encdb.ModeStructure)
-		})},
-		{Label: "DET", Class: core.DET, Verify: guarded(func() (*core.PreservationReport, error) {
-			return logEnv.verifyToken(encdb.ModeToken)
-		})},
-	}
-	proc, err := core.Run(measures[0], tokenCands)
+	resPlain, resEnc, err := execEnv.artifacts("result")
 	if err != nil {
 		return nil, err
 	}
-	rows = append(rows, Table1Row{Spec: measures[0], Procedure: proc})
-
-	// Row 2: structure distance.
-	structCands := []core.Candidate{
-		{Label: "PROB", Class: core.PROB, Verify: guarded(func() (*core.PreservationReport, error) {
-			return logEnv.verifyStructure(encdb.ModeStructure)
-		})},
-		{Label: "DET constants", Class: core.DET, Verify: guarded(func() (*core.PreservationReport, error) {
-			return logEnv.verifyStructure(encdb.ModeToken)
-		})},
-	}
-	proc, err = core.Run(measures[1], structCands)
+	aaPlain, aaEnc, err := logEnv.artifacts("access-area")
 	if err != nil {
 		return nil, err
 	}
-	rows = append(rows, Table1Row{Spec: measures[1], Procedure: proc})
-
-	// Row 3: result distance.
-	resultCands := []core.Candidate{
-		{Label: "PROB constants", Class: core.PROB, Verify: guarded(func() (*core.PreservationReport, error) {
-			return execEnv.verifyResultOpaque(encdb.ModeStructure)
-		})},
-		{Label: "DET only (no onions)", Class: core.DET, Verify: guarded(func() (*core.PreservationReport, error) {
-			return execEnv.verifyResult(encdb.ModeResultDETOnly)
-		})},
-		{Label: "via CryptDB [8]", Class: core.DET, Verify: guarded(func() (*core.PreservationReport, error) {
-			return execEnv.verifyResult(encdb.ModeResult)
-		})},
+	// One entry per Table I row, in SQLMeasures order: the measure, its
+	// environment and shared information, and the constant classes KIT-DPE
+	// step 3 tests, each as the encryption mode that applies it.
+	type candidate struct {
+		label string
+		class core.Class
+		mode  encdb.Mode
 	}
-	proc, err = core.Run(measures[2], resultCands)
-	if err != nil {
-		return nil, err
+	tableRows := []struct {
+		e          *env
+		measure    string
+		plain, enc distance.Artifacts
+		cands      []candidate
+	}{
+		{logEnv, "token", distance.Artifacts{}, distance.Artifacts{}, []candidate{
+			{"PROB constants", core.PROB, encdb.ModeStructure},
+			{"DET", core.DET, encdb.ModeToken},
+		}},
+		{logEnv, "structure", distance.Artifacts{}, distance.Artifacts{}, []candidate{
+			{"PROB", core.PROB, encdb.ModeStructure},
+			{"DET constants", core.DET, encdb.ModeToken},
+		}},
+		// PROB constants are not even executable (no onion columns); the
+		// execution error counts as a violation via guarded.
+		{execEnv, "result", resPlain, resEnc, []candidate{
+			{"PROB constants", core.PROB, encdb.ModeStructure},
+			{"DET only (no onions)", core.DET, encdb.ModeResultDETOnly},
+			{"via CryptDB [8]", core.DET, encdb.ModeResult},
+		}},
+		{logEnv, "access-area", aaPlain, aaEnc, []candidate{
+			{"PROB constants", core.PROB, encdb.ModeStructure},
+			{"DET constants", core.DET, encdb.ModeToken},
+			{"via CryptDB, except HOM", core.DET, encdb.ModeAccessArea},
+		}},
 	}
-	rows = append(rows, Table1Row{Spec: measures[2], Procedure: proc})
-
-	// Row 4: access-area distance.
-	aaCands := []core.Candidate{
-		{Label: "PROB constants", Class: core.PROB, Verify: guarded(func() (*core.PreservationReport, error) {
-			return logEnv.verifyAccessArea(encdb.ModeStructure)
-		})},
-		{Label: "DET constants", Class: core.DET, Verify: guarded(func() (*core.PreservationReport, error) {
-			return logEnv.verifyAccessArea(encdb.ModeToken)
-		})},
-		{Label: "via CryptDB, except HOM", Class: core.DET, Verify: guarded(func() (*core.PreservationReport, error) {
-			return logEnv.verifyAccessArea(encdb.ModeAccessArea)
-		})},
+	var rows []Table1Row
+	for i, tr := range tableRows {
+		var cands []core.Candidate
+		for _, c := range tr.cands {
+			cands = append(cands, core.Candidate{Label: c.label, Class: c.class, Verify: guarded(func() (*core.PreservationReport, error) {
+				return tr.e.verify(tr.measure, c.mode, tr.plain, tr.enc)
+			})})
+		}
+		proc, err := core.Run(measures[i], cands)
+		if err != nil {
+			return nil, err
+		}
+		rows = append(rows, Table1Row{Spec: measures[i], Procedure: proc})
 	}
-	proc, err = core.Run(measures[3], aaCands)
-	if err != nil {
-		return nil, err
-	}
-	rows = append(rows, Table1Row{Spec: measures[3], Procedure: proc})
 	return rows, nil
 }
 
-func (e *env) verifyToken(mode encdb.Mode) (*core.PreservationReport, error) {
+// artifacts returns a measure's shared information (Table I) for the
+// plaintext log and for the encrypted one: the catalog for result, the
+// attribute domains for access-area, nothing for the log-only measures.
+func (e *env) artifacts(measure string) (plain, enc distance.Artifacts, err error) {
+	switch measure {
+	case "result":
+		encCat, err := e.d.EncryptCatalog(e.w.Catalog, e.w.Schema)
+		if err != nil {
+			return plain, enc, err
+		}
+		plain = distance.Artifacts{Catalog: e.w.Catalog}
+		enc = distance.Artifacts{Catalog: encCat, Exec: db.Options{Aggregate: e.d.Aggregator()}}
+	case "access-area":
+		encDomains, err := e.d.EncryptDomains(e.w.Schema, e.w.Domains)
+		if err != nil {
+			return plain, enc, err
+		}
+		plain = distance.Artifacts{Domains: e.w.Domains}
+		enc = distance.Artifacts{Domains: encDomains}
+	}
+	return plain, enc, nil
+}
+
+// prepare builds the served metric for a measure and prepares a log.
+func prepare(measure string, arts distance.Artifacts, queries []string) (distance.Prepared, error) {
+	m, err := distance.New(measure, arts)
+	if err != nil {
+		return nil, err
+	}
+	return m.Prepare(context.Background(), queries)
+}
+
+// prepareBoth prepares the plaintext log and its encryption under mode
+// through the same measure, each side with its own shared information.
+func (e *env) prepareBoth(measure string, mode encdb.Mode, plainArts, encArts distance.Artifacts) (plain, enc distance.Prepared, err error) {
 	encQs, _, err := e.encryptLog(mode)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	n := len(e.w.Queries)
-	return core.VerifyDPE(n,
-		func(i, j int) (float64, error) { return distance.Token(e.w.Queries[i], e.w.Queries[j]) },
-		func(i, j int) (float64, error) { return distance.Token(encQs[i], encQs[j]) },
-		0)
+	if plain, err = prepare(measure, plainArts, e.w.Queries); err != nil {
+		return nil, nil, fmt.Errorf("experiments: plaintext %s log: %w", measure, err)
+	}
+	if enc, err = prepare(measure, encArts, encQs); err != nil {
+		return nil, nil, fmt.Errorf("experiments: encrypted %s log: %w", measure, err)
+	}
+	return plain, enc, nil
 }
 
-func (e *env) verifyStructure(mode encdb.Mode) (*core.PreservationReport, error) {
-	_, encStmts, err := e.encryptLog(mode)
+// verify checks Definition 1 for one measure under one encryption mode:
+// every pair's distance over the encrypted log must equal its distance
+// over the plaintext log.
+func (e *env) verify(measure string, mode encdb.Mode, plainArts, encArts distance.Artifacts) (*core.PreservationReport, error) {
+	plain, enc, err := e.prepareBoth(measure, mode, plainArts, encArts)
 	if err != nil {
 		return nil, err
 	}
-	n := len(e.w.Stmts)
-	return core.VerifyDPE(n,
-		func(i, j int) (float64, error) { return distance.Structure(e.w.Stmts[i], e.w.Stmts[j]), nil },
-		func(i, j int) (float64, error) { return distance.Structure(encStmts[i], encStmts[j]), nil },
-		0)
-}
-
-// verifyResult runs the executable modes: encrypted catalog + rewritten
-// queries, Jaccard over ciphertext tuples.
-func (e *env) verifyResult(mode encdb.Mode) (*core.PreservationReport, error) {
-	_, encStmts, err := e.encryptLog(mode)
-	if err != nil {
-		return nil, err
-	}
-	encCat, err := e.d.EncryptCatalog(e.w.Catalog, e.w.Schema)
-	if err != nil {
-		return nil, err
-	}
-	plainRC := &distance.ResultComputer{Catalog: e.w.Catalog}
-	encRC := &distance.ResultComputer{Catalog: encCat, Options: db.Options{Aggregate: e.d.Aggregator()}}
-	n := len(e.w.Stmts)
-	return core.VerifyDPE(n,
-		func(i, j int) (float64, error) { return plainRC.Distance(e.w.Stmts[i], e.w.Stmts[j]) },
-		func(i, j int) (float64, error) { return encRC.Distance(encStmts[i], encStmts[j]) },
-		0)
-}
-
-// verifyResultOpaque covers candidates whose rewritten queries are not
-// even executable (no onion columns): execution errors count as
-// violations via guarded().
-func (e *env) verifyResultOpaque(mode encdb.Mode) (*core.PreservationReport, error) {
-	_, encStmts, err := e.encryptLog(mode)
-	if err != nil {
-		return nil, err
-	}
-	encCat, err := e.d.EncryptCatalog(e.w.Catalog, e.w.Schema)
-	if err != nil {
-		return nil, err
-	}
-	plainRC := &distance.ResultComputer{Catalog: e.w.Catalog}
-	encRC := &distance.ResultComputer{Catalog: encCat, Options: db.Options{Aggregate: e.d.Aggregator()}}
-	n := len(e.w.Stmts)
-	return core.VerifyDPE(n,
-		func(i, j int) (float64, error) { return plainRC.Distance(e.w.Stmts[i], e.w.Stmts[j]) },
-		func(i, j int) (float64, error) { return encRC.Distance(encStmts[i], encStmts[j]) },
-		0)
-}
-
-func (e *env) verifyAccessArea(mode encdb.Mode) (*core.PreservationReport, error) {
-	_, encStmts, err := e.encryptLog(mode)
-	if err != nil {
-		return nil, err
-	}
-	encDomains, err := e.d.EncryptDomains(e.w.Schema, e.w.Domains)
-	if err != nil {
-		return nil, err
-	}
-	plainParams := distance.AccessAreaParams{Domains: e.w.Domains}
-	encParams := distance.AccessAreaParams{Domains: encDomains}
-	n := len(e.w.Stmts)
-	return core.VerifyDPE(n,
-		func(i, j int) (float64, error) { return distance.AccessArea(e.w.Stmts[i], e.w.Stmts[j], plainParams) },
-		func(i, j int) (float64, error) { return distance.AccessArea(encStmts[i], encStmts[j], encParams) },
-		0)
+	return core.VerifyDPE(plain.Len(), plain.Distance, enc.Distance, 0)
 }
 
 // RenderTable1 prints the reproduced Table I with per-candidate
@@ -350,7 +323,8 @@ func Fig1(p Params) ([]Fig1Row, error) {
 		return nil, err
 	}
 	// Attacker observes an encrypted constant column. A synthetic stream
-	// (DESIGN.md E2: 3000 constants over a 32-value domain, mild skew)
+	// (docs/ARCHITECTURE.md, E2: 3000 constants over a 32-value domain,
+	// mild skew)
 	// gives statistically stable advantages: skewed enough that
 	// frequency analysis beats guessing, flat enough that order
 	// information adds real power.

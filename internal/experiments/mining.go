@@ -6,7 +6,6 @@ import (
 	"runtime"
 	"strings"
 
-	"repro/internal/db"
 	"repro/internal/distance"
 	"repro/internal/encdb"
 	"repro/internal/mining"
@@ -19,7 +18,7 @@ func buildMatrix(n int, f distance.PairFunc) (distance.Matrix, error) {
 	return distance.BuildMatrix(context.Background(), n, runtime.NumCPU(), f)
 }
 
-// MiningParams are the E3 algorithm parameters from DESIGN.md §4.
+// MiningParams are the E3 algorithm parameters.
 type MiningParams struct {
 	K        int     // clusters for k-medoids / complete-link
 	Eps      float64 // DBSCAN radius
@@ -30,7 +29,8 @@ type MiningParams struct {
 	KNNK     int     // neighbors
 }
 
-// DefaultMiningParams mirror DESIGN.md §4 (E3).
+// DefaultMiningParams are E3's defaults, recorded in
+// docs/ARCHITECTURE.md, "Paper experiments".
 func DefaultMiningParams() MiningParams {
 	return MiningParams{K: 4, Eps: 0.4, MinPts: 3, OutlierP: 0.95, OutlierD: 0.7, KNNQuery: 0, KNNK: 5}
 }
@@ -98,98 +98,28 @@ func MiningEquality(p Params, mp MiningParams) ([]MiningRow, *NegativeControl, e
 		return nil
 	}
 
-	// Token distance, appropriate scheme (DET).
-	plainTok, encTok, err := logEnv.tokenMatrices(encdb.ModeToken)
-	if err != nil {
-		return nil, nil, err
-	}
-	if err := addMeasure("token", plainTok, encTok); err != nil {
-		return nil, nil, err
-	}
-
-	// Structure distance, appropriate scheme (PROB constants).
-	_, encStmts, err := logEnv.encryptLog(encdb.ModeStructure)
-	if err != nil {
-		return nil, nil, err
-	}
-	n := len(logEnv.w.Stmts)
-	plainStruct, err := buildMatrix(n, func(i, j int) (float64, error) {
-		return distance.Structure(logEnv.w.Stmts[i], logEnv.w.Stmts[j]), nil
-	})
-	if err != nil {
-		return nil, nil, err
-	}
-	encStruct, err := buildMatrix(n, func(i, j int) (float64, error) {
-		return distance.Structure(encStmts[i], encStmts[j]), nil
-	})
-	if err != nil {
-		return nil, nil, err
-	}
-	if err := addMeasure("structure", plainStruct, encStruct); err != nil {
-		return nil, nil, err
-	}
-
-	// Access-area distance, appropriate scheme.
-	_, encAAStmts, err := logEnv.encryptLog(encdb.ModeAccessArea)
-	if err != nil {
-		return nil, nil, err
-	}
-	encDomains, err := logEnv.d.EncryptDomains(logEnv.w.Schema, logEnv.w.Domains)
-	if err != nil {
-		return nil, nil, err
-	}
-	plainAA, err := buildMatrix(n, func(i, j int) (float64, error) {
-		return distance.AccessArea(logEnv.w.Stmts[i], logEnv.w.Stmts[j], distance.AccessAreaParams{Domains: logEnv.w.Domains})
-	})
-	if err != nil {
-		return nil, nil, err
-	}
-	encAA, err := buildMatrix(n, func(i, j int) (float64, error) {
-		return distance.AccessArea(encAAStmts[i], encAAStmts[j], distance.AccessAreaParams{Domains: encDomains})
-	})
-	if err != nil {
-		return nil, nil, err
-	}
-	if err := addMeasure("access-area", plainAA, encAA); err != nil {
-		return nil, nil, err
-	}
-
-	// Result distance on the executable subset.
-	_, encResStmts, err := execEnv.encryptLog(encdb.ModeResult)
-	if err != nil {
-		return nil, nil, err
-	}
-	encCat, err := execEnv.d.EncryptCatalog(execEnv.w.Catalog, execEnv.w.Schema)
-	if err != nil {
-		return nil, nil, err
-	}
-	plainRC := &distance.ResultComputer{Catalog: execEnv.w.Catalog}
-	encRC := &distance.ResultComputer{Catalog: encCat, Options: db.Options{Aggregate: execEnv.d.Aggregator()}}
-	m := len(execEnv.w.Stmts)
-	if err := plainRC.Precompute(context.Background(), execEnv.w.Stmts, runtime.NumCPU()); err != nil {
-		return nil, nil, err
-	}
-	if err := encRC.Precompute(context.Background(), encResStmts, runtime.NumCPU()); err != nil {
-		return nil, nil, err
-	}
-	plainRes, err := buildMatrix(m, func(i, j int) (float64, error) {
-		return plainRC.Distance(execEnv.w.Stmts[i], execEnv.w.Stmts[j])
-	})
-	if err != nil {
-		return nil, nil, err
-	}
-	encRes, err := buildMatrix(m, func(i, j int) (float64, error) {
-		return encRC.Distance(encResStmts[i], encResStmts[j])
-	})
-	if err != nil {
-		return nil, nil, err
-	}
-	if err := addMeasure("result", plainRes, encRes); err != nil {
-		return nil, nil, err
+	// Each measure under its appropriate scheme (Table I).
+	for _, m := range []struct {
+		e       *env
+		measure string
+		mode    encdb.Mode
+	}{
+		{logEnv, "token", encdb.ModeToken},
+		{logEnv, "structure", encdb.ModeStructure},
+		{logEnv, "access-area", encdb.ModeAccessArea},
+		{execEnv, "result", encdb.ModeResult},
+	} {
+		plain, enc, err := m.e.matrices(m.measure, m.mode)
+		if err != nil {
+			return nil, nil, err
+		}
+		if err := addMeasure(m.measure, plain, enc); err != nil {
+			return nil, nil, err
+		}
 	}
 
 	// Negative control: token distance under PROB constants.
-	plainTok2, encTokBad, err := logEnv.tokenMatrices(encdb.ModeStructure)
+	plainTok2, encTokBad, err := logEnv.matrices("token", encdb.ModeStructure)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -217,24 +147,21 @@ func MiningEquality(p Params, mp MiningParams) ([]MiningRow, *NegativeControl, e
 	return rows, ctrl, nil
 }
 
-// tokenMatrices builds the plaintext and ciphertext token-distance
-// matrices under the given mode.
-func (e *env) tokenMatrices(mode encdb.Mode) (distance.Matrix, distance.Matrix, error) {
-	encQs, _, err := e.encryptLog(mode)
+// matrices builds one measure's plaintext and encrypted distance
+// matrices under mode, each from the served metric's prepared state.
+func (e *env) matrices(measure string, mode encdb.Mode) (plain, enc distance.Matrix, err error) {
+	plainArts, encArts, err := e.artifacts(measure)
 	if err != nil {
 		return nil, nil, err
 	}
-	n := len(e.w.Queries)
-	plain, err := buildMatrix(n, func(i, j int) (float64, error) {
-		return distance.Token(e.w.Queries[i], e.w.Queries[j])
-	})
+	p, q, err := e.prepareBoth(measure, mode, plainArts, encArts)
 	if err != nil {
 		return nil, nil, err
 	}
-	enc, err := buildMatrix(n, func(i, j int) (float64, error) {
-		return distance.Token(encQs[i], encQs[j])
-	})
-	if err != nil {
+	if plain, err = buildMatrix(p.Len(), p.Distance); err != nil {
+		return nil, nil, err
+	}
+	if enc, err = buildMatrix(q.Len(), q.Distance); err != nil {
 		return nil, nil, err
 	}
 	return plain, enc, nil

@@ -88,7 +88,11 @@ func AccessAreaSecurity(p Params) (*AccessAreaSecurityReport, error) {
 	}
 
 	// And the refinement must not cost correctness: d_AE preserved.
-	pres, err := e.verifyAccessArea(encdb.ModeAccessArea)
+	plainArts, encArts, err := e.artifacts("access-area")
+	if err != nil {
+		return nil, err
+	}
+	pres, err := e.verify("access-area", encdb.ModeAccessArea, plainArts, encArts)
 	if err != nil {
 		return nil, err
 	}
@@ -156,18 +160,15 @@ func SharedInfo(p Params) ([]SharedInfoRow, error) {
 	}
 
 	// Result distance without DB content: an empty catalog.
-	rc := &distance.ResultComputer{Catalog: db.NewCatalog()}
-	_, err = rc.Distance(e.w.Stmts[0], e.w.Stmts[1])
 	row := SharedInfoRow{Measure: measures[2].Name, Shared: measures[2].Shared, FailsWithout: "DB-Content"}
-	if err != nil {
+	if _, err := prepare("result", distance.Artifacts{Catalog: db.NewCatalog()}, e.w.Queries[:2]); err != nil {
 		row.FailureErr = err.Error()
 	}
 	rows = append(rows, row)
 
 	// Access-area distance without domains.
-	_, err = distance.AccessArea(e.w.Stmts[0], e.w.Stmts[1], distance.AccessAreaParams{Domains: nil})
 	row = SharedInfoRow{Measure: measures[3].Name, Shared: measures[3].Shared, FailsWithout: "Domains"}
-	if err != nil {
+	if _, err := prepare("access-area", distance.Artifacts{}, e.w.Queries[:2]); err != nil {
 		row.FailureErr = err.Error()
 	}
 	rows = append(rows, row)

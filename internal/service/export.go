@@ -185,9 +185,9 @@ func (r *Registry) ImportSession(rd io.Reader) (*ImportResult, error) {
 			durable = append(durable, l)
 		}
 		for _, rec := range durable {
-			if err := s.sh.journal.Append(rec); err != nil {
+			if err := s.sh.appendDurable("imported session", rec); err != nil {
 				r.drop(js.ID)
-				return nil, fmt.Errorf("service: journaling imported session: %w", err)
+				return nil, err
 			}
 		}
 		// The warm cache entries are a recoverable optimization: journal

@@ -188,15 +188,17 @@ func writeJSON(w http.ResponseWriter, status int, body any) {
 }
 
 // writeError maps an error to a status: capacity exhaustion is 429,
-// unknown sessions/logs are 404, a cancelled request context gets the
-// non-standard-but-conventional 499 (the client is gone anyway), and
-// everything else — bad artifacts, bad specs, parse failures — is the
-// caller's fault (400).
+// unknown sessions/logs are 404, a failed durable journal append is 500,
+// a cancelled request context gets the non-standard-but-conventional
+// 499 (the client is gone anyway), and everything else — bad artifacts,
+// bad specs, parse failures — is the caller's fault (400).
 func writeError(w http.ResponseWriter, r *http.Request, err error) {
 	status := http.StatusBadRequest
 	switch {
 	case errors.Is(err, errTooManySessions):
 		status = http.StatusTooManyRequests
+	case errors.As(err, new(journalError)):
+		status = http.StatusInternalServerError
 	case errors.Is(err, context.Canceled), errors.Is(err, context.DeadlineExceeded):
 		if r.Context().Err() != nil {
 			status = 499

@@ -1,9 +1,12 @@
 package service
 
 import (
+	"bytes"
 	"context"
-	"errors"
+	"encoding/json"
 	"fmt"
+	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -166,32 +169,51 @@ func TestMineStateV1JournalReplay(t *testing.T) {
 	}
 }
 
-// artifactFailStore journals nothing and rejects every artifact
-// append, counting the rejections per kind. It is not store.Null, so a
-// registry over it journals as a persistent one.
-type artifactFailStore struct {
+// rejectStore journals nothing and rejects every append of the kinds
+// in reject, counting the rejections per kind. It is not store.Null,
+// so a registry over it journals as a persistent one.
+type rejectStore struct {
 	store.Null
 	mu     sync.Mutex
+	reject map[store.Kind]bool
 	failed map[store.Kind]int
 }
 
-func (f *artifactFailStore) Open(shard int) (store.Log, error) {
+func newRejectStore(kinds ...store.Kind) *rejectStore {
+	st := &rejectStore{failed: map[store.Kind]int{}}
+	st.rejecting(kinds...)
+	return st
+}
+
+// rejecting replaces the set of kinds the store rejects.
+func (f *rejectStore) rejecting(kinds ...store.Kind) {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	f.reject = map[store.Kind]bool{}
+	for _, k := range kinds {
+		f.reject[k] = true
+	}
+}
+
+func (f *rejectStore) Open(shard int) (store.Log, error) {
 	lg, err := f.Null.Open(shard)
-	return &artifactFailLog{Log: lg, st: f}, err
+	return &rejectLog{Log: lg, st: f}, err
 }
 
-type artifactFailLog struct {
+type rejectLog struct {
 	store.Log
-	st *artifactFailStore
+	st *rejectStore
 }
 
-func (l *artifactFailLog) Append(rec store.Record) error {
-	switch rec.Kind {
-	case store.KindSnapshot, store.KindMining:
-		l.st.mu.Lock()
+func (l *rejectLog) Append(rec store.Record) error {
+	l.st.mu.Lock()
+	rejected := l.st.reject[rec.Kind]
+	if rejected {
 		l.st.failed[rec.Kind]++
-		l.st.mu.Unlock()
-		return errors.New("artifact append rejected")
+	}
+	l.st.mu.Unlock()
+	if rejected {
+		return fmt.Errorf("%s append rejected", rec.Kind)
 	}
 	return l.Log.Append(rec)
 }
@@ -200,7 +222,7 @@ func (l *artifactFailLog) Append(rec store.Record) error {
 // append_mine calls still succeed, and dpe_store_append_errors_total
 // counts exactly the records the store rejected, per kind.
 func TestDroppedJournalAppendsCounted(t *testing.T) {
-	st := &artifactFailStore{failed: map[store.Kind]int{}}
+	st := newRejectStore(store.KindSnapshot, store.KindMining)
 	o := obs.NewRegistry()
 	reg, err := OpenRegistry(Config{Shards: 2, Store: st, JanitorInterval: -1, Obs: o})
 	if err != nil {
@@ -236,6 +258,99 @@ func TestDroppedJournalAppendsCounted(t *testing.T) {
 		if got, want := samples[key], float64(st.failed[kind]); got != want {
 			t.Errorf("%s = %v, want %v dropped records", key, got, want)
 		}
+	}
+}
+
+// TestDurableJournalFailureIs500 rejects each durable record kind in
+// turn: the request it belongs to answers 500, not 400, and a failed
+// create, upload or import leaves no live session or registered log.
+func TestDurableJournalFailureIs500(t *testing.T) {
+	st := newRejectStore()
+	reg, err := OpenRegistry(Config{Shards: 2, Store: st, JanitorInterval: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer reg.Close()
+	srv := httptest.NewServer(NewHandler(reg))
+	defer srv.Close()
+	do := func(method, path string, body []byte, into any) int {
+		t.Helper()
+		req, err := http.NewRequest(method, srv.URL+path, bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		if into != nil {
+			if err := json.NewDecoder(resp.Body).Decode(into); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return resp.StatusCode
+	}
+	mustJSON := func(v any) []byte {
+		b, err := json.Marshal(v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+	token := dpe.MeasureToken
+	createBody := mustJSON(CreateSessionRequest{Measure: &token})
+
+	st.rejecting(store.KindSession)
+	if code := do("POST", "/v1/sessions", createBody, nil); code != http.StatusInternalServerError {
+		t.Fatalf("create with a failing session append: HTTP %d, want 500", code)
+	}
+	if n := reg.Stats().Sessions; n != 0 {
+		t.Fatalf("%d live sessions after a failed create, want 0", n)
+	}
+
+	st.rejecting()
+	var created CreateSessionResponse
+	if code := do("POST", "/v1/sessions", createBody, &created); code != http.StatusCreated {
+		t.Fatalf("create: HTTP %d", code)
+	}
+	id := created.Session
+	log := clusteredLog()
+	var base UploadLogResponse
+	if code := do("POST", "/v1/sessions/"+id+"/logs", mustJSON(UploadLogRequest{Queries: log[:4]}), &base); code != http.StatusCreated {
+		t.Fatalf("upload: HTTP %d", code)
+	}
+
+	st.rejecting(store.KindLog)
+	if code := do("POST", "/v1/sessions/"+id+"/logs", mustJSON(UploadLogRequest{Queries: log[4:8]}), nil); code != http.StatusInternalServerError {
+		t.Fatalf("upload with a failing log append: HTTP %d, want 500", code)
+	}
+	if code := do("POST", "/v1/sessions/"+id+"/logs:append", mustJSON(AppendLogRequest{Log: base.Log, Queries: log[4:8]}), nil); code != http.StatusInternalServerError {
+		t.Fatalf("logs:append with a failing log append: HTTP %d, want 500", code)
+	}
+	s, err := reg.Session(id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := s.Stats().Logs; n != 1 {
+		t.Fatalf("%d registered logs after failed uploads, want only the base", n)
+	}
+
+	var bundle bytes.Buffer
+	if err := reg.ExportSession(id, &bundle); err != nil {
+		t.Fatal(err)
+	}
+	st.rejecting(store.KindDelete)
+	if code := do("DELETE", "/v1/sessions/"+id, nil, nil); code != http.StatusInternalServerError {
+		t.Fatalf("delete with a failing tombstone append: HTTP %d, want 500", code)
+	}
+
+	st.rejecting(store.KindSession)
+	if code := do("POST", "/v1/sessions:import", bundle.Bytes(), nil); code != http.StatusInternalServerError {
+		t.Fatalf("import with a failing session append: HTTP %d, want 500", code)
+	}
+	if _, err := reg.Session(id); err == nil {
+		t.Fatal("a failed import left the session live")
 	}
 }
 

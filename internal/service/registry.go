@@ -26,6 +26,14 @@ func (e notFoundError) Error() string  { return e.err.Error() }
 func (e notFoundError) Unwrap() error  { return e.err }
 func (e notFoundError) NotFound() bool { return true }
 
+// journalError marks a failed durable journal append (session create,
+// log upload, session delete, import). The fault is the server's, not
+// the request's, so the API answers 500.
+type journalError struct{ err error }
+
+func (e journalError) Error() string { return e.err.Error() }
+func (e journalError) Unwrap() error { return e.err }
+
 // Config tunes a Registry.
 type Config struct {
 	// MaxSessions bounds concurrently live sessions across all shards;
@@ -790,9 +798,9 @@ func (r *Registry) CreateSession(req *CreateSessionRequest) (*session, error) {
 		return nil, err
 	}
 	if r.persistent {
-		if err := s.sh.journal.Append(journal.Session{ID: id, Created: s.created, Request: persistReq}); err != nil {
+		if err := s.sh.appendDurable("session create", journal.Session{ID: id, Created: s.created, Request: persistReq}); err != nil {
 			r.drop(id)
-			return nil, fmt.Errorf("service: journaling session create: %w", err)
+			return nil, err
 		}
 	}
 	r.metrics.sessionsCreated.Inc()
@@ -818,10 +826,10 @@ func (r *Registry) DeleteSession(id string) error {
 	r.metrics.sessionsDeleted.Inc()
 	r.metrics.evictDelete.Add(int64(evicted))
 	if r.persistent {
-		if err := r.shardFor(id).journal.Append(journal.Delete{ID: id}); err != nil {
+		if err := r.shardFor(id).appendDurable("session delete", journal.Delete{ID: id}); err != nil {
 			// The in-memory delete already happened; surface the journal
 			// problem so the operator knows a restart could resurrect it.
-			return fmt.Errorf("service: journaling session delete: %w", err)
+			return err
 		}
 	}
 	return nil

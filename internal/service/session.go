@@ -147,10 +147,7 @@ func (s *session) journalLog(id string, queries []string) error {
 	if !s.reg.persistent {
 		return nil
 	}
-	if err := s.sh.journal.Append(journal.Log{SessionID: s.id, LogID: id, Queries: queries}); err != nil {
-		return fmt.Errorf("service: journaling log upload: %w", err)
-	}
-	return nil
+	return s.sh.appendDurable("log upload", journal.Log{SessionID: s.id, LogID: id, Queries: queries})
 }
 
 // restoreLog is the replay-side inverse of journalLog: it trusts the

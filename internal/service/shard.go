@@ -1,6 +1,7 @@
 package service
 
 import (
+	"fmt"
 	"sync"
 	"time"
 
@@ -28,6 +29,15 @@ type shard struct {
 
 	mu       sync.Mutex
 	sessions map[string]*session
+}
+
+// appendDurable journals a record the request must not be acknowledged
+// without; a failure comes back as a journalError naming what.
+func (sh *shard) appendDurable(what string, rec journal.Record) error {
+	if err := sh.journal.Append(rec); err != nil {
+		return journalError{fmt.Errorf("service: journaling %s: %w", what, err)}
+	}
+	return nil
 }
 
 func newShard(cacheEntries int, cacheBytes int64, jl *journal.Journal) *shard {
