@@ -584,12 +584,15 @@ const (
 	// MineKNN returns the spec.K nearest neighbors of spec.Query.
 	MineKNN
 	// MineApriori mines frequent feature itemsets: each query is one
-	// transaction whose items are the prepared state's elements
-	// (tokens, structural features, or result-tuple keys), and Apriori
-	// finds combinations with support >= spec.MinSupport up to
-	// spec.MaxLen items. It needs no distance matrix at all, so Mine
-	// skips the pairwise build entirely. Requires a set-based measure
-	// (token, structure, result).
+	// transaction whose items are the prepared state's elements, and
+	// Apriori finds combinations with support >= spec.MinSupport up to
+	// spec.MaxLen items. An item is a token (token), a structural
+	// feature (structure), or one result tuple (result), written as
+	// the Go-quoted (strconv.Quote) form of the tuple's key: each
+	// column's value key followed by a NUL byte. An item that is empty
+	// or contains a NUL byte fails the call. It needs no distance
+	// matrix at all, so Mine skips the pairwise build entirely.
+	// Requires a set-based measure (token, structure, result).
 	MineApriori
 )
 

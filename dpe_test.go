@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"reflect"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -434,6 +435,89 @@ func TestMinePreparedMatchesMining(t *testing.T) {
 				t.Errorf("MinePrepared = %+v, want %+v", got, want)
 			}
 		})
+	}
+	t.Run("apriori-result", testResultApriori)
+}
+
+// testResultApriori mines a result-measure log, whose items are result
+// tuples, cold, warm from a 30-query prefix's state, and warm from that
+// state after a MarshalMineState/UnmarshalMineState round trip. Each
+// run must serve mining.Apriori over the provider's own transactions,
+// and its single itemsets must be exactly the items a direct count
+// finds frequent: no tuple is dropped.
+func testResultApriori(t *testing.T) {
+	ctx := context.Background()
+	w, err := GenerateWorkload(WorkloadConfig{Seed: "probe", Queries: 40, Rows: 60})
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := NewProvider(MeasureResult, WithCatalog(w.Catalog, nil))
+	if err != nil {
+		t.Fatal(err)
+	}
+	pl, err := p.Prepare(ctx, w.Queries)
+	if err != nil {
+		t.Fatal(err)
+	}
+	base, err := p.Prepare(ctx, w.Queries[:30])
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec := MineSpec{Algorithm: MineApriori, MinSupport: 3, MaxLen: 2}
+	txs, err := p.transactions(pl)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := mining.Apriori(txs, spec.MinSupport, spec.MaxLen)
+	if err != nil {
+		t.Fatal(err)
+	}
+	support := map[string]int{}
+	for _, tx := range txs {
+		for item := range tx {
+			support[item]++
+		}
+	}
+	var singles []mining.FrequentItemset
+	for item, c := range support {
+		if c >= spec.MinSupport {
+			singles = append(singles, mining.FrequentItemset{Items: mining.Itemset{item}, Support: c})
+		}
+	}
+	slices.SortFunc(singles, func(a, b mining.FrequentItemset) int { return strings.Compare(a.Items[0], b.Items[0]) })
+	if len(singles) == 0 {
+		t.Fatal("the fixture log has no frequent result tuple")
+	}
+
+	_, state, err := p.MineIncremental(ctx, base, nil, spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	blob, err := MarshalMineState(state)
+	if err != nil {
+		t.Fatal(err)
+	}
+	restored, err := UnmarshalMineState(blob)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, run := range []struct {
+		name string
+		prev *MineState
+	}{{"cold", nil}, {"warm", state}, {"restored", restored}} {
+		got, _, err := p.MineIncremental(ctx, pl, run.prev, spec)
+		if err != nil {
+			t.Fatalf("%s: %v", run.name, err)
+		}
+		if warm := got.Incremental.Warm && !got.Incremental.ColdFallback; warm != (run.prev != nil) {
+			t.Errorf("%s: stats %+v", run.name, got.Incremental)
+		}
+		if !mining.EqualItemsets(got.Itemsets, want) {
+			t.Errorf("%s: served %d itemsets, mining.Apriori over the same transactions finds %d", run.name, len(got.Itemsets), len(want))
+		}
+		if n := len(singles); len(got.Itemsets) < n || !mining.EqualItemsets(got.Itemsets[:n], singles) {
+			t.Errorf("%s: served single itemsets differ from the %d frequent tuples a direct count finds", run.name, n)
+		}
 	}
 }
 

@@ -47,51 +47,12 @@ func (r Rule) String() string {
 
 // Apriori mines all itemsets with support >= minSupport (absolute
 // count) up to maxLen items, in deterministic order (by size, then by
-// item lexicographic order).
+// item lexicographic order). It is the cold bootstrap of AprioriAppend,
+// so an item must be non-empty and free of NUL bytes, or the call
+// fails.
 func Apriori(txs []Transaction, minSupport, maxLen int) ([]FrequentItemset, error) {
-	if minSupport < 1 {
-		return nil, fmt.Errorf("mining: minSupport must be >= 1, got %d", minSupport)
-	}
-	if maxLen < 1 {
-		return nil, fmt.Errorf("mining: maxLen must be >= 1, got %d", maxLen)
-	}
-
-	// L1: frequent single items.
-	counts := make(map[string]int)
-	for _, tx := range txs {
-		for item := range tx {
-			counts[item]++
-		}
-	}
-	var level []Itemset
-	var out []FrequentItemset
-	var items []string
-	for item, c := range counts {
-		if c >= minSupport {
-			items = append(items, item)
-		}
-	}
-	sort.Strings(items)
-	for _, item := range items {
-		level = append(level, Itemset{item})
-		out = append(out, FrequentItemset{Items: Itemset{item}, Support: counts[item]})
-	}
-
-	// Level-wise candidate generation with prefix joins and support
-	// counting by scan (logs are small; clarity over cleverness).
-	for size := 2; size <= maxLen && len(level) > 1; size++ {
-		candidates := joinLevel(level)
-		var next []Itemset
-		for _, cand := range candidates {
-			sup := supportOf(txs, cand)
-			if sup >= minSupport {
-				next = append(next, cand)
-				out = append(out, FrequentItemset{Items: cand, Support: sup})
-			}
-		}
-		level = next
-	}
-	return out, nil
+	out, _, _, err := AprioriAppend(txs, 0, nil, minSupport, maxLen)
+	return out, err
 }
 
 // joinLevel merges itemsets sharing a (k−1)-prefix, the classic Apriori

@@ -7,7 +7,9 @@ package mining
 // variant decides on its own whether a previous state fits, and each
 // returns the work it did as a deterministic count (matrix entries
 // read, transactions scanned) so the bench harness can gate the perf
-// claim without touching a wall clock.
+// claim without touching a wall clock. With no previous state each
+// runs cold, and DBSCAN and Apriori are exactly those cold runs, so
+// the append path and the experiments share one implementation.
 //
 //   - KMedoidsWarm seeds Park–Jun k-medoids from the prior medoids: it
 //     assigns every row to them, rejects a prior state whose assignment
@@ -20,20 +22,21 @@ package mining
 //   - DBSCANAppendGraph maintains the eps-neighborhood graph: only the
 //     new-vs-all pairs (oldN·k + k·(k−1)/2) are read from the matrix,
 //     the graph is extended copy-on-write, and the labels come from
-//     DBSCANGraph over the maintained graph — entry-wise identical to
-//     cold DBSCAN by DBSCANGraph's pinned equivalence, with cluster
-//     ids canonical by first occurrence in both paths. With no
-//     previous graph it reads the full triangle: the cold bootstrap.
+//     DBSCANGraph over the maintained graph, with cluster ids canonical
+//     by first discovery. With no previous graph it reads the full
+//     triangle: the cold bootstrap, which is DBSCAN.
 //   - AprioriAppend carries the support count of every candidate ever
 //     evaluated: known candidates add only the new transactions'
 //     counts, and only candidates the level-wise generation re-expands
-//     (their support crossed the threshold) pay a full scan. The
-//     output is provably identical to cold Apriori over the combined
-//     transactions.
+//     (their support crossed the threshold) pay a full scan. With no
+//     carried counts it is Apriori. The tests pin both continuations
+//     to textbook references (a matrix-scan DBSCAN and a full-scan
+//     Apriori) on random inputs.
 
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -138,7 +141,7 @@ func kmedoidsRun(m Matrix, medoids []int, startIter int, reads *int64) (*KMedoid
 		res.Iterations = iter + 1
 		cost := kmedoidsAssign(m, medoids, assign, 0, n, reads)
 		newMedoids := kmedoidsUpdate(m, medoids, assign, nil, reads)
-		if equalInts(newMedoids, medoids) {
+		if slices.Equal(newMedoids, medoids) {
 			res.Medoids = medoids
 			res.Assign = append([]int(nil), assign...)
 			res.Cost = cost
@@ -225,7 +228,7 @@ func KMedoidsWarm(m Matrix, k int, prev *KMedoidsResult, oldN int) (*KMedoidsRes
 		dirty[assign[i]] = true
 	}
 	newMedoids := kmedoidsUpdate(m, medoids, assign, dirty, &reads)
-	if equalInts(newMedoids, medoids) {
+	if slices.Equal(newMedoids, medoids) {
 		return &KMedoidsResult{
 			Medoids:    medoids,
 			Assign:     assign,
@@ -246,10 +249,9 @@ func KMedoidsWarm(m Matrix, k int, prev *KMedoidsResult, oldN int) (*KMedoidsRes
 // extended copy-on-write (prevAdj is never mutated, so a cached state
 // stays safe under concurrent readers), and the labels are recomputed
 // by DBSCANGraph over the maintained graph — zero further matrix
-// reads, and entry-wise identical to cold DBSCAN over the full matrix
-// with cluster ids canonical by first discovery in both. A nil prevAdj
-// is the cold bootstrap: it reads the full triangle. The returned
-// adjacency is the next append's prevAdj.
+// reads, and entry-wise identical to a cold run over the full matrix.
+// A nil prevAdj is that cold run, DBSCAN: it reads the full triangle.
+// The returned adjacency is the next append's prevAdj.
 func DBSCANAppendGraph(m Matrix, eps float64, minPts int, prevAdj [][]int) ([]int, [][]int, int64, error) {
 	if err := validate(m); err != nil {
 		return nil, nil, 0, err
@@ -306,16 +308,18 @@ func DBSCANAppendGraph(m Matrix, eps float64, minPts int, prevAdj [][]int) ([]in
 // all transactions. Appending can only grow an absolute support, so
 // crossings are upward: itemsets newly frequent appear, none vanish.
 //
-// The output is identical to Apriori(txs, minSupport, maxLen): the
-// level-wise structure is the same and every support is exact. The
-// returned map (a copy — prev is never mutated) is the next append's
-// carried state. A nil prev runs the bootstrap: every candidate is
-// counted from scratch and recorded. The count returned is the
-// transaction membership scans performed (cold Apriori scans every
-// transaction per candidate).
+// The output is identical to a cold run, Apriori(txs, minSupport,
+// maxLen): the level-wise structure is the same and every support is
+// exact. The returned map (a copy — prev is never mutated) is the next
+// append's carried state. A nil prev runs the bootstrap: every
+// candidate is counted from scratch and recorded. The count returned is
+// the transaction membership scans performed.
 //
-// Like Itemset.Key, the carried map assumes items contain no NUL byte
-// (single items are keyed verbatim; multi-item keys are NUL-joined).
+// The carried map keys a single item verbatim and a larger candidate by
+// its items joined with NUL (Itemset.Key), so an appended transaction
+// whose item is empty or contains a NUL byte fails the call: such an
+// item could not be told apart from a larger candidate's key. The old
+// transactions' items were checked by the run that counted them.
 func AprioriAppend(txs []Transaction, oldN int, prev map[string]int, minSupport, maxLen int) ([]FrequentItemset, map[string]int, int64, error) {
 	if minSupport < 1 {
 		return nil, nil, 0, fmt.Errorf("mining: minSupport must be >= 1, got %d", minSupport)
@@ -339,8 +343,11 @@ func AprioriAppend(txs []Transaction, oldN int, prev map[string]int, minSupport,
 
 	// Singles: the carried map holds every old item's count; only the
 	// new transactions are counted on top.
-	for _, tx := range newTxs {
+	for t, tx := range newTxs {
 		for item := range tx {
+			if item == "" || strings.IndexByte(item, 0) >= 0 {
+				return nil, nil, 0, fmt.Errorf("mining: transaction %d has item %q; items must be non-empty and free of NUL bytes", oldN+t, item)
+			}
 			counts[item]++
 		}
 		scans++
@@ -362,7 +369,7 @@ func AprioriAppend(txs []Transaction, oldN int, prev map[string]int, minSupport,
 		return sup
 	}
 
-	// From here the level-wise structure mirrors Apriori exactly.
+	// Single items are the carried keys without a NUL.
 	var level []Itemset
 	var out []FrequentItemset
 	var items []string

@@ -3,6 +3,7 @@ package mining
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -53,7 +54,7 @@ func TestKMedoidsCountedMatchesKMedoids(t *testing.T) {
 		if err != nil {
 			t.Fatalf("trial %d: counted: %v", trial, err)
 		}
-		if !equalInts(got.Medoids, want.Medoids) || !equalInts(got.Assign, want.Assign) || got.Cost != want.Cost {
+		if !slices.Equal(got.Medoids, want.Medoids) || !slices.Equal(got.Assign, want.Assign) || got.Cost != want.Cost {
 			t.Fatalf("trial %d: counted result diverged from KMedoids", trial)
 		}
 		if reads < int64(2*n*n) {
@@ -83,7 +84,7 @@ func TestKMedoidsWarmMatchesColdOnClusteredData(t *testing.T) {
 		if err != nil {
 			t.Fatalf("trial %d: warm: %v", trial, err)
 		}
-		if !equalInts(CanonicalLabels(warm.Assign), CanonicalLabels(cold.Assign)) {
+		if !slices.Equal(CanonicalLabels(warm.Assign), CanonicalLabels(cold.Assign)) {
 			t.Fatalf("trial %d: warm labels diverged from cold after canonical relabeling", trial)
 		}
 		if diff := warm.Cost - cold.Cost; diff > 1e-9 || diff < -1e-9 {
@@ -177,7 +178,7 @@ func TestDBSCANAppendGraphMatchesCold(t *testing.T) {
 		if err != nil {
 			t.Fatalf("trial %d: prev graph: %v", trial, err)
 		}
-		cold, err := DBSCAN(m, eps, minPts)
+		cold, err := refDBSCAN(m, eps, minPts)
 		if err != nil {
 			t.Fatalf("trial %d: cold: %v", trial, err)
 		}
@@ -185,7 +186,7 @@ func TestDBSCANAppendGraphMatchesCold(t *testing.T) {
 		if err != nil {
 			t.Fatalf("trial %d: append: %v", trial, err)
 		}
-		if !EqualLabels(labels, cold) {
+		if !slices.Equal(labels, cold) {
 			t.Fatalf("trial %d: incremental labels diverged from cold DBSCAN\n inc: %v\ncold: %v", trial, labels, cold)
 		}
 		wantPairs := int64(oldN*appendK + appendK*(appendK-1)/2)
@@ -201,7 +202,7 @@ func TestDBSCANAppendGraphMatchesCold(t *testing.T) {
 		if err != nil {
 			t.Fatalf("trial %d: chained append: %v", trial, err)
 		}
-		if !EqualLabels(again, cold) {
+		if !slices.Equal(again, cold) {
 			t.Fatalf("trial %d: chained graph diverged", trial)
 		}
 		// Copy-on-write: prevAdj rows must be untouched.
@@ -210,7 +211,7 @@ func TestDBSCANAppendGraphMatchesCold(t *testing.T) {
 			t.Fatal(err)
 		}
 		for p := range check {
-			if !equalInts(check[p], prevAdj[p]) {
+			if !slices.Equal(check[p], prevAdj[p]) {
 				t.Fatalf("trial %d: prevAdj row %d mutated", trial, p)
 			}
 		}
@@ -220,7 +221,7 @@ func TestDBSCANAppendGraphMatchesCold(t *testing.T) {
 func TestDBSCANAppendGraphBootstrap(t *testing.T) {
 	rng := rand.New(rand.NewSource(29))
 	m := randMatrix(rng, 16)
-	cold, err := DBSCAN(m, 0.4, 3)
+	cold, err := refDBSCAN(m, 0.4, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -228,7 +229,7 @@ func TestDBSCANAppendGraphBootstrap(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !EqualLabels(labels, cold) {
+	if !slices.Equal(labels, cold) {
 		t.Fatal("bootstrap labels diverged from cold DBSCAN")
 	}
 	if want := int64(16 * 15 / 2); reads != want {
@@ -265,7 +266,7 @@ func TestAprioriAppendMatchesCold(t *testing.T) {
 		if err != nil {
 			t.Fatalf("trial %d: bootstrap: %v", trial, err)
 		}
-		cold, err := Apriori(txs, minSupport, maxLen)
+		cold, err := refApriori(txs, minSupport, maxLen)
 		if err != nil {
 			t.Fatalf("trial %d: cold: %v", trial, err)
 		}
@@ -308,7 +309,7 @@ func TestAprioriAppendMatchesCold(t *testing.T) {
 func TestAprioriAppendBootstrapMatchesApriori(t *testing.T) {
 	rng := rand.New(rand.NewSource(37))
 	txs := randTxs(rng, 20, 6)
-	cold, err := Apriori(txs, 3, 3)
+	cold, err := refApriori(txs, 3, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -328,7 +329,7 @@ func TestAprioriAppendBootstrapMatchesApriori(t *testing.T) {
 func TestCanonicalLabels(t *testing.T) {
 	in := []int{3, 3, -1, 7, 3, 7, 0}
 	want := []int{0, 0, -1, 1, 0, 1, 2}
-	if got := CanonicalLabels(in); !equalInts(got, want) {
+	if got := CanonicalLabels(in); !slices.Equal(got, want) {
 		t.Fatalf("CanonicalLabels(%v) = %v, want %v", in, got, want)
 	}
 }

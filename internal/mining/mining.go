@@ -1,18 +1,26 @@
-// Package mining implements the distance-based data-mining algorithms
-// the paper motivates DPE with (Section I): k-medoids clustering
-// (Park–Jun [5]), DBSCAN [4], complete-link agglomerative clustering
-// (Defays [3]), Knorr–Ng distance-based outlier detection [6], and kNN.
+// Package mining implements the data-mining algorithms the paper
+// motivates DPE with (Section I): k-medoids clustering (Park–Jun [5]),
+// DBSCAN [4], complete-link agglomerative clustering (Defays [3]),
+// Knorr–Ng distance-based outlier detection [6] and kNN, which consume
+// only a pairwise distance matrix, and Apriori association mining
+// (apriori.go), which consumes transactions of opaque items.
 //
-// Every algorithm consumes only a pairwise distance matrix and breaks
-// ties deterministically (lowest index first), so two runs over equal
-// matrices produce bit-identical results. That is the property the
-// mining-equality experiment (E3) checks: a distance-preserving
-// encryption yields equal matrices and therefore equal mining output.
+// Every algorithm breaks ties deterministically (lowest index first,
+// or item order), so two runs over equal matrices, or over
+// transactions equal up to a renaming of items, produce bit-identical
+// results. That is the property the mining-equality experiments (E3,
+// E6) check: a distance-preserving encryption yields equal matrices and
+// therefore equal mining output. Each algorithm has one
+// implementation: DBSCAN, Apriori and KNN are the cold forms of the
+// code the provider serves (DBSCANAppendGraph, AprioriAppend, Nearest),
+// so the experiments check the code that runs.
 package mining
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 )
 
@@ -52,18 +60,6 @@ func KMedoids(m Matrix, k int) (*KMedoidsResult, error) {
 	return res, err
 }
 
-func equalInts(a, b []int) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
 // --- DBSCAN ---
 
 // Noise is the DBSCAN label of noise points.
@@ -72,58 +68,12 @@ const Noise = -1
 // DBSCAN runs density-based clustering [4] on the distance matrix with
 // radius eps (inclusive) and density threshold minPts (neighborhood
 // includes the point itself). Cluster ids are assigned in order of
-// discovery, so equal matrices yield identical labelings.
+// discovery, so equal matrices yield identical labelings. It is the
+// cold bootstrap of DBSCANAppendGraph: the eps-graph is built from the
+// matrix's lower triangle and labeled by DBSCANGraph.
 func DBSCAN(m Matrix, eps float64, minPts int) ([]int, error) {
-	if err := validate(m); err != nil {
-		return nil, err
-	}
-	if eps < 0 || minPts < 1 {
-		return nil, fmt.Errorf("mining: invalid DBSCAN parameters eps=%v minPts=%d", eps, minPts)
-	}
-	n := len(m)
-	labels := make([]int, n)
-	for i := range labels {
-		labels[i] = -2 // unvisited
-	}
-	neighbors := func(p int) []int {
-		var out []int
-		for q := 0; q < n; q++ {
-			if m[p][q] <= eps {
-				out = append(out, q)
-			}
-		}
-		return out
-	}
-	cluster := 0
-	for p := 0; p < n; p++ {
-		if labels[p] != -2 {
-			continue
-		}
-		nb := neighbors(p)
-		if len(nb) < minPts {
-			labels[p] = Noise
-			continue
-		}
-		labels[p] = cluster
-		// Expand: breadth-first over the seed set.
-		queue := append([]int(nil), nb...)
-		for qi := 0; qi < len(queue); qi++ {
-			q := queue[qi]
-			if labels[q] == Noise {
-				labels[q] = cluster // border point
-			}
-			if labels[q] != -2 {
-				continue
-			}
-			labels[q] = cluster
-			qnb := neighbors(q)
-			if len(qnb) >= minPts {
-				queue = append(queue, qnb...)
-			}
-		}
-		cluster++
-	}
-	return labels, nil
+	labels, _, _, err := DBSCANAppendGraph(m, eps, minPts, nil)
+	return labels, err
 }
 
 // --- complete-link agglomerative clustering ---
@@ -188,7 +138,7 @@ func CompleteLink(m Matrix, k int) ([]int, error) {
 		}
 		// Find i's cluster.
 		for _, members := range clusters {
-			if members == nil || !contains(members, i) {
+			if members == nil || !slices.Contains(members, i) {
 				continue
 			}
 			for _, mi := range members {
@@ -199,15 +149,6 @@ func CompleteLink(m Matrix, k int) ([]int, error) {
 		}
 	}
 	return labels, nil
-}
-
-func contains(xs []int, x int) bool {
-	for _, v := range xs {
-		if v == x {
-			return true
-		}
-	}
-	return false
 }
 
 // --- distance-based outliers (Knorr–Ng) ---
@@ -242,7 +183,7 @@ func Outliers(m Matrix, p, d float64) ([]bool, error) {
 // --- k nearest neighbors ---
 
 // KNN returns the indices of q's k nearest neighbors (excluding q),
-// ordered by distance with index tie-breaking.
+// ordered by distance with index tie-breaking: Nearest over row q.
 func KNN(m Matrix, q, k int) ([]int, error) {
 	if err := validate(m); err != nil {
 		return nil, err
@@ -254,24 +195,72 @@ func KNN(m Matrix, q, k int) ([]int, error) {
 	if k < 0 || k > n-1 {
 		return nil, fmt.Errorf("mining: k=%d outside [0,%d]", k, n-1)
 	}
-	idx := make([]int, 0, n-1)
-	for i := 0; i < n; i++ {
-		if i != q {
-			idx = append(idx, i)
-		}
+	nb := Nearest(m[q], q, k)
+	idx := make([]int, len(nb))
+	for i, e := range nb {
+		idx[i] = e.Index
 	}
-	sort.SliceStable(idx, func(a, b int) bool {
-		if m[q][idx[a]] != m[q][idx[b]] {
-			return m[q][idx[a]] < m[q][idx[b]]
-		}
-		return idx[a] < idx[b]
-	})
-	return idx[:k], nil
+	return idx, nil
 }
 
-// EqualLabels reports whether two labelings are identical partitions
-// with identical label values — the strict equality the mining-equality
-// experiment asserts.
-func EqualLabels(a, b []int) bool {
-	return equalInts(a, b)
+// Neighbor is one entry of a nearest-neighbor list: a row index and its
+// distance to the query row.
+type Neighbor struct {
+	Index    int     `json:"index"`
+	Distance float64 `json:"distance"`
+}
+
+// compareNeighbors orders neighbors by distance, then index.
+func compareNeighbors(a, b Neighbor) int {
+	return cmp.Or(cmp.Compare(a.Distance, b.Distance), cmp.Compare(a.Index, b.Index))
+}
+
+// Nearest returns the k entries of row closest to q, q excluded,
+// ordered by compareNeighbors; k must lie in [0, len(row)−1]. One pass
+// keeps the k best so far in a max-heap whose root, the farthest of
+// them, is replaced whenever a closer entry arrives, so it allocates k
+// entries whatever the row's length.
+func Nearest(row []float64, q, k int) []Neighbor {
+	top := make([]Neighbor, 0, k)
+	if k == 0 {
+		return top
+	}
+	for j, d := range row {
+		if j == q {
+			continue
+		}
+		nb := Neighbor{Index: j, Distance: d}
+		switch {
+		case len(top) < k:
+			top = append(top, nb)
+			if len(top) == k {
+				for i := k/2 - 1; i >= 0; i-- {
+					siftDown(top, i)
+				}
+			}
+		case compareNeighbors(nb, top[0]) < 0:
+			top[0] = nb
+			siftDown(top, 0)
+		}
+	}
+	slices.SortFunc(top, compareNeighbors)
+	return top
+}
+
+// siftDown restores the max-heap order of h below index i.
+func siftDown(h []Neighbor, i int) {
+	for {
+		c := 2*i + 1
+		if c >= len(h) {
+			return
+		}
+		if c+1 < len(h) && compareNeighbors(h[c+1], h[c]) > 0 {
+			c++
+		}
+		if compareNeighbors(h[c], h[i]) <= 0 {
+			return
+		}
+		h[i], h[c] = h[c], h[i]
+		i = c
+	}
 }

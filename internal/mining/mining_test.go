@@ -300,12 +300,6 @@ func TestQuickKMedoidsPermutationEquivariance(t *testing.T) {
 	}
 }
 
-func TestEqualLabels(t *testing.T) {
-	if !EqualLabels([]int{1, 2}, []int{1, 2}) || EqualLabels([]int{1}, []int{2}) || EqualLabels([]int{1}, []int{1, 1}) {
-		t.Fatal("EqualLabels misbehaves")
-	}
-}
-
 func TestValidateRejectsNonSquare(t *testing.T) {
 	bad := Matrix{{0, 1, 2}, {1, 0, 3}}
 	if _, err := DBSCAN(bad, 0.5, 2); err == nil {

@@ -8,10 +8,9 @@ import (
 // DBSCANGraph is DBSCAN over a precomputed eps-neighborhood graph
 // instead of a full distance matrix: adj[p] lists the points within
 // eps of p, excluding p itself (the point always counts toward its own
-// density, so the density test is len(adj[p])+1 >= minPts). The
-// expansion, labeling, and cluster-id assignment are identical to
-// DBSCAN — when adj contains exactly the pairs at distance <= eps, the
-// labelings match entry-wise. Incremental mining runs it over the
+// density, so the density test is len(adj[p])+1 >= minPts). Cluster
+// ids follow discovery order. It is the package's one DBSCAN
+// expansion: DBSCAN and DBSCANAppendGraph label through it, over the
 // eps-graph DBSCANAppendGraph builds and extends across appends.
 //
 // The adjacency must be symmetric; each list is sorted internally so

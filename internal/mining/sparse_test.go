@@ -2,6 +2,7 @@ package mining
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -23,8 +24,9 @@ func randMatrix(rng *rand.Rand, n int) Matrix {
 
 // TestDBSCANGraphMatchesDBSCAN pins the equivalence incremental mining
 // (and so MinePrepared) relies on: when the graph contains exactly the
-// pairs at distance <= eps, DBSCANGraph and DBSCAN produce identical
-// labelings — across random matrices and parameter settings.
+// pairs at distance <= eps, DBSCANGraph and the matrix-scan reference
+// produce identical labelings — across random matrices and parameter
+// settings.
 func TestDBSCANGraphMatchesDBSCAN(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	for trial := 0; trial < 20; trial++ {
@@ -40,7 +42,7 @@ func TestDBSCANGraphMatchesDBSCAN(t *testing.T) {
 				}
 			}
 		}
-		want, err := DBSCAN(m, eps, minPts)
+		want, err := refDBSCAN(m, eps, minPts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -48,7 +50,7 @@ func TestDBSCANGraphMatchesDBSCAN(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !EqualLabels(got, want) {
+		if !slices.Equal(got, want) {
 			t.Fatalf("trial %d (n=%d eps=%v minPts=%d): graph labels %v != matrix labels %v",
 				trial, n, eps, minPts, got, want)
 		}

@@ -2,6 +2,7 @@ package service
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 
@@ -186,7 +187,13 @@ func (r *Registry) ImportSession(rd io.Reader) (*ImportResult, error) {
 		}
 		for _, rec := range durable {
 			if err := s.sh.appendDurable("imported session", rec); err != nil {
+				// The records before rec may be on disk already. Rewrite
+				// the shard to its live state, which no longer holds the
+				// session, so a restart does not bring it back.
 				r.drop(js.ID)
+				if cerr := r.compactShard(s.sh); cerr != nil {
+					err = errors.Join(err, fmt.Errorf("service: removing the failed import from the journal: %w", cerr))
+				}
 				return nil, err
 			}
 		}

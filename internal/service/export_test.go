@@ -164,6 +164,71 @@ func testExportImportRoundTrip(t *testing.T, open func() store.Store) {
 	}
 }
 
+// TestExportImportFailedImportLeavesNoSession rejects the log records
+// of an import into a segments journal. The import fails after its
+// session record was appended, and a restart must recover no session
+// from it. A later import of the same bundle succeeds and survives a
+// restart.
+func TestExportImportFailedImportLeavesNoSession(t *testing.T) {
+	ctx := context.Background()
+	src := NewRegistry(Config{Shards: 2})
+	defer src.Close()
+	id, combinedID, _, wantMatrix, _ := populateTenant(t, src)
+	var bundle bytes.Buffer
+	if err := src.ExportSession(id, &bundle); err != nil {
+		t.Fatal(err)
+	}
+
+	dir := t.TempDir()
+	open := func(reject ...store.Kind) *Registry {
+		t.Helper()
+		st, err := store.OpenDir(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		reg, err := OpenRegistry(Config{Shards: 2, Store: rejectOver(st, reject...), JanitorInterval: -1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return reg
+	}
+
+	reg := open(store.KindLog)
+	if _, err := reg.ImportSession(bytes.NewReader(bundle.Bytes())); err == nil {
+		t.Fatal("an import whose log records fail to journal succeeded")
+	}
+	reg.Close()
+
+	reg = open()
+	if rec := reg.Recovery(); rec.Sessions != 0 || rec.Logs != 0 {
+		t.Errorf("recovery after a failed import = %+v, want no session and no log", rec)
+	}
+	if _, err := reg.Session(id); err == nil {
+		t.Error("the failed import's session is live after a restart")
+	}
+	if _, err := reg.ImportSession(bytes.NewReader(bundle.Bytes())); err != nil {
+		t.Fatalf("importing again after the failed import: %v", err)
+	}
+	reg.Close()
+
+	reg = open()
+	defer reg.Close()
+	if rec := reg.Recovery(); rec.Sessions != 1 || rec.Logs != 2 {
+		t.Errorf("recovery after the second import = %+v, want 1 session and 2 logs", rec)
+	}
+	s, err := reg.Session(id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := s.Matrix(ctx, combinedID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, wantMatrix) {
+		t.Error("matrix differs after the second import and a restart")
+	}
+}
+
 // TestImportRejectsBadBundles: a damaged or non-bundle body, and a
 // bundle violating the registry's budgets, must fail with no state
 // change.

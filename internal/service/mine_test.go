@@ -169,20 +169,26 @@ func TestMineStateV1JournalReplay(t *testing.T) {
 	}
 }
 
-// rejectStore journals nothing and rejects every append of the kinds
-// in reject, counting the rejections per kind. It is not store.Null,
-// so a registry over it journals as a persistent one.
+// rejectStore wraps a store and rejects every append of the kinds in
+// reject, counting the rejections per kind. Over store.Null it journals
+// nothing, yet it is not store.Null, so a registry over it journals as
+// a persistent one.
 type rejectStore struct {
-	store.Null
+	store.Store
 	mu     sync.Mutex
 	reject map[store.Kind]bool
 	failed map[store.Kind]int
 }
 
 func newRejectStore(kinds ...store.Kind) *rejectStore {
-	st := &rejectStore{failed: map[store.Kind]int{}}
-	st.rejecting(kinds...)
-	return st
+	return rejectOver(store.Null{}, kinds...)
+}
+
+// rejectOver wraps st.
+func rejectOver(st store.Store, kinds ...store.Kind) *rejectStore {
+	f := &rejectStore{Store: st, failed: map[store.Kind]int{}}
+	f.rejecting(kinds...)
+	return f
 }
 
 // rejecting replaces the set of kinds the store rejects.
@@ -196,7 +202,7 @@ func (f *rejectStore) rejecting(kinds ...store.Kind) {
 }
 
 func (f *rejectStore) Open(shard int) (store.Log, error) {
-	lg, err := f.Null.Open(shard)
+	lg, err := f.Store.Open(shard)
 	return &rejectLog{Log: lg, st: f}, err
 }
 

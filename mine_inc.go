@@ -15,6 +15,7 @@ package dpe
 import (
 	"context"
 	"fmt"
+	"strconv"
 
 	"repro/internal/distance"
 	"repro/internal/mining"
@@ -271,6 +272,9 @@ func changedLabels(prev, next []int, oldN int) []int {
 // transactions renders each prepared query's element set as one
 // Apriori transaction — experiment E6's idiom, served straight from
 // the interned dictionary (and therefore from restored snapshots too).
+// A result tuple's key ends each column with a NUL byte, which Apriori
+// refuses in an item, so result items are Go-quoted (strconv.Quote):
+// the quoting is injective and leaves no NUL.
 func (p *Provider) transactions(pl *PreparedLog) ([]mining.Transaction, error) {
 	src, ok := pl.prep.(distance.ItemSource)
 	if !ok {
@@ -283,6 +287,9 @@ func (p *Provider) transactions(pl *PreparedLog) ([]mining.Transaction, error) {
 		buf = src.AppendItems(buf[:0], i)
 		tx := make(mining.Transaction, len(buf))
 		for _, it := range buf {
+			if p.measure == MeasureResult {
+				it = strconv.Quote(it)
+			}
 			tx[it] = true
 		}
 		txs[i] = tx

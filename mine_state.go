@@ -16,6 +16,7 @@ import (
 	"fmt"
 	"math"
 	"sort"
+	"strings"
 
 	"repro/internal/binenc"
 	"repro/internal/mining"
@@ -297,9 +298,12 @@ func readCounts(r *binenc.Reader) map[string]int {
 
 // check enforces what the warm paths assume of a decoded state: each
 // per-row structure covers exactly n rows, indices stay in range, the
-// k-medoids medoids are strictly ascending, and every graph row is
+// k-medoids medoids are strictly ascending, every graph row is
 // strictly ascending, free of self-loops, and mirrored by its
-// neighbours' rows.
+// neighbours' rows, and every apriori count key is one or more
+// non-empty items joined by NUL. Older binaries keyed result tuples,
+// which end in NUL, verbatim; such a state has an empty item and is
+// rejected.
 func (s *MineState) check() error {
 	n := s.n
 	if s.matrix != nil {
@@ -350,6 +354,11 @@ func (s *MineState) check() error {
 	}
 	if s.labels != nil && len(s.labels) != n {
 		return fmt.Errorf("dpe: mining state has %d labels for %d rows", len(s.labels), n)
+	}
+	for k := range s.counts {
+		if k == "" || k[0] == 0 || k[len(k)-1] == 0 || strings.Contains(k, "\x00\x00") {
+			return fmt.Errorf("dpe: mining state counts an empty item in %q", k)
+		}
 	}
 	return nil
 }

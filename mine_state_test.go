@@ -273,6 +273,12 @@ func sv(xs ...int64) (b []byte) {
 	return b
 }
 
+// parentResultState is a result-measure apriori state written by a
+// binary that keyed result tuples verbatim: mined with MinSupport 1 and
+// MaxLen 2 over the first 3 queries of the "probe" workload (60 rows).
+// Each tuple key ends in NUL, so that binary served no itemsets from it.
+const parentResultState = "testdata/minestate_result_parent.bin"
+
 // hostileMineStates are blobs the decoder must reject, each for one
 // reason. The fuzz corpus seeds from them too.
 func hostileMineStates(t *testing.T) map[string][]byte {
@@ -287,6 +293,10 @@ func hostileMineStates(t *testing.T) map[string][]byte {
 	approx1[len(approx1)-3] = 1
 	approx2 := v2Blob(t, dbscan, 0, 0)
 	approx2[len(approx2)-3] = 2
+	parentResult, err := os.ReadFile(parentResultState)
+	if err != nil {
+		t.Fatal(err)
+	}
 	return map[string][]byte{
 		"bad_magic":           []byte("XMS\x02"),
 		"unknown_version":     append([]byte("DMS"), 3),
@@ -315,6 +325,9 @@ func hostileMineStates(t *testing.T) map[string][]byte {
 		"counts_past_end":     v2Blob(t, apriori, 1, mineHasCounts, uv(1<<40)),
 		"counts_unsorted":     v2Blob(t, apriori, 1, mineHasCounts, uv(2, 1), []byte("b"), sv(1), uv(1), []byte("a"), sv(1)),
 		"counts_duplicate":    v2Blob(t, apriori, 1, mineHasCounts, uv(2, 1), []byte("a"), sv(1), uv(1), []byte("a"), sv(1)),
+		"counts_empty_key":    v2Blob(t, apriori, 1, mineHasCounts, uv(1, 0), sv(1)),
+		"counts_empty_item":   v2Blob(t, apriori, 1, mineHasCounts, uv(1, 2), []byte("a\x00"), sv(1)),
+		"parent_result_state": parentResult,
 		"truncated_float":     v2Blob(t, kmed, 1, mineHasKMedoids, uv(1), sv(0), uv(1), sv(0), cost[:3]),
 		"trailing_byte":       append(valid, 0),
 	}

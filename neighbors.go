@@ -1,13 +1,12 @@
 package dpe
 
 import (
-	"cmp"
 	"context"
 	"fmt"
-	"slices"
 
 	"repro/internal/approx"
 	"repro/internal/distance"
+	"repro/internal/mining"
 )
 
 // ApproxIndex is a MinHash/LSH index over a prepared log — the
@@ -41,10 +40,7 @@ func (p *Provider) BuildApproxIndex(pl *PreparedLog) (*ApproxIndex, error) {
 
 // Neighbor is one entry of a top-K neighbor list: a query index and
 // its exact distance to the probe query.
-type Neighbor struct {
-	Index    int     `json:"index"`
-	Distance float64 `json:"distance"`
-}
+type Neighbor = mining.Neighbor
 
 // NeighborsResult is the outcome of a top-K search. It is exact: the
 // neighbor list is the first entries of the probe's matrix row, q
@@ -62,9 +58,10 @@ type NeighborsResult struct {
 
 // NeighborsPrepared is the top-K path: it fills query q's matrix row
 // with the exact metric (at the provider's parallelism, never
-// materializing the matrix) and keeps the min(k, n−1) closest entries.
-// Every measure supports it. Allocation is bounded by the log, not by
-// k, so any positive k is safe.
+// materializing the matrix) and keeps the min(k, n−1) closest entries
+// with mining.Nearest, the selection kNN mining runs. Every measure
+// supports it. Allocation is bounded by the log, not by k, so any
+// positive k is safe.
 func (p *Provider) NeighborsPrepared(ctx context.Context, pl *PreparedLog, q, k int) (*NeighborsResult, error) {
 	n := pl.Len()
 	if q < 0 || q >= n {
@@ -78,7 +75,7 @@ func (p *Provider) NeighborsPrepared(ctx context.Context, pl *PreparedLog, q, k 
 	if err := distance.BuildRow(ctx, n, p.parallelism, q, pl.prep.Distance, row); err != nil {
 		return nil, err
 	}
-	return &NeighborsResult{Neighbors: nearest(row, q, min(k, n-1)), Candidates: n - 1, N: n}, nil
+	return &NeighborsResult{Neighbors: mining.Nearest(row, q, min(k, n-1)), Candidates: n - 1, N: n}, nil
 }
 
 // Neighbors prepares the log and runs the top-K search — the one-shot
@@ -89,55 +86,4 @@ func (p *Provider) Neighbors(ctx context.Context, log []string, q, k int) (*Neig
 		return nil, err
 	}
 	return p.NeighborsPrepared(ctx, pl, q, k)
-}
-
-// compareNeighbors orders neighbors by distance, then index.
-func compareNeighbors(a, b Neighbor) int {
-	return cmp.Or(cmp.Compare(a.Distance, b.Distance), cmp.Compare(a.Index, b.Index))
-}
-
-// nearest returns the k entries of row closest to q, q excluded,
-// ordered by compareNeighbors; k must not exceed len(row)−1. One pass
-// keeps the k best so far in a max-heap whose root, the farthest of
-// them, is replaced whenever a closer entry arrives.
-func nearest(row []float64, q, k int) []Neighbor {
-	top := make([]Neighbor, 0, k)
-	for j, d := range row {
-		if j == q {
-			continue
-		}
-		nb := Neighbor{Index: j, Distance: d}
-		switch {
-		case len(top) < k:
-			top = append(top, nb)
-			if len(top) == k {
-				for i := k/2 - 1; i >= 0; i-- {
-					siftDown(top, i)
-				}
-			}
-		case compareNeighbors(nb, top[0]) < 0:
-			top[0] = nb
-			siftDown(top, 0)
-		}
-	}
-	slices.SortFunc(top, compareNeighbors)
-	return top
-}
-
-// siftDown restores the max-heap order of h below index i.
-func siftDown(h []Neighbor, i int) {
-	for {
-		c := 2*i + 1
-		if c >= len(h) {
-			return
-		}
-		if c+1 < len(h) && compareNeighbors(h[c+1], h[c]) > 0 {
-			c++
-		}
-		if compareNeighbors(h[c], h[i]) <= 0 {
-			return
-		}
-		h[i], h[c] = h[c], h[i]
-		i = c
-	}
 }
