@@ -587,11 +587,12 @@ const (
 	// transaction whose items are the prepared state's elements, and
 	// Apriori finds combinations with support >= spec.MinSupport up to
 	// spec.MaxLen items. An item is a token (token), a structural
-	// feature (structure), or one result tuple (result), written as
-	// the Go-quoted (strconv.Quote) form of the tuple's key: each
-	// column's value key followed by a NUL byte. An item that is empty
-	// or contains a NUL byte fails the call. It needs no distance
-	// matrix at all, so Mine skips the pairwise build entirely.
+	// feature (structure), or one result tuple (result): the tuple's
+	// key, each column's value key followed by a NUL byte. An item that
+	// holds a NUL byte, as every result tuple and a token or feature
+	// with a NUL in a literal do, is written in its Go-quoted
+	// (strconv.Quote) form. It needs no distance matrix at all, so Mine
+	// skips the pairwise build entirely.
 	// Requires a set-based measure (token, structure, result).
 	MineApriori
 )
@@ -735,24 +736,26 @@ func (s MineSpec) Validate(n int) error {
 
 // MineResult holds the output of Provider.Mine. Matrix is set for
 // every algorithm but apriori (which never builds it); exactly one
-// algorithm-specific field is non-zero, matching the spec.
+// algorithm-specific field is non-zero, matching the spec. The JSON
+// tags are dpeserver's /v1 wire form, where Matrix is always present
+// (null for apriori) and the other fields only when set.
 type MineResult struct {
-	Matrix Matrix
+	Matrix Matrix `json:"matrix"`
 	// Clusters is the k-medoids result (MineKMedoids).
-	Clusters *KMedoidsResult
+	Clusters *KMedoidsResult `json:"clusters,omitempty"`
 	// Labels are per-query cluster labels (MineDBSCAN — Noise marks
 	// noise — and MineCompleteLink).
-	Labels []int
+	Labels []int `json:"labels,omitempty"`
 	// Outliers flags per-query outlier status (MineOutliers).
-	Outliers []bool
+	Outliers []bool `json:"outliers,omitempty"`
 	// Neighbors are the nearest-neighbor indices (MineKNN).
-	Neighbors []int
+	Neighbors []int `json:"neighbors,omitempty"`
 	// Itemsets are the frequent feature itemsets (MineApriori), in
 	// deterministic order (by size, then lexicographic).
-	Itemsets []FrequentItemset
+	Itemsets []FrequentItemset `json:"itemsets,omitempty"`
 	// Incremental reports how a MineIncremental call arrived at the
 	// result; nil for plain Mine calls.
-	Incremental *IncrementalStats
+	Incremental *IncrementalStats `json:"incremental,omitempty"`
 }
 
 // Mine builds the distance matrix of the log and runs one mining

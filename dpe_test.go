@@ -7,6 +7,7 @@ import (
 	"reflect"
 	"runtime"
 	"slices"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -436,34 +437,51 @@ func TestMinePreparedMatchesMining(t *testing.T) {
 			}
 		})
 	}
-	t.Run("apriori-result", testResultApriori)
+	t.Run("apriori-result", func(t *testing.T) {
+		w, err := GenerateWorkload(WorkloadConfig{Seed: "probe", Queries: 40, Rows: 60})
+		if err != nil {
+			t.Fatal(err)
+		}
+		p, err := NewProvider(MeasureResult, WithCatalog(w.Catalog, nil))
+		if err != nil {
+			t.Fatal(err)
+		}
+		testAprioriRuns(t, p, w.Queries, 30, MineSpec{Algorithm: MineApriori, MinSupport: 3, MaxLen: 2})
+	})
+	t.Run("apriori-token-nul", func(t *testing.T) {
+		// A NUL in a literal reaches the token item, which Apriori
+		// takes only Go-quoted.
+		log := []string{
+			"SELECT a FROM t WHERE b = 'x\x00y'",
+			"SELECT c FROM t",
+			"SELECT a, c FROM t WHERE b = 'x\x00y'",
+		}
+		got := testAprioriRuns(t, p, log, 2, MineSpec{Algorithm: MineApriori, MinSupport: 2, MaxLen: 3})
+		if item := strconv.Quote("'x\x00y'"); !slices.ContainsFunc(got, func(fs mining.FrequentItemset) bool {
+			return slices.Equal(fs.Items, mining.Itemset{item})
+		}) {
+			t.Errorf("no frequent itemset {%s} in %v", item, got)
+		}
+	})
 }
 
-// testResultApriori mines a result-measure log, whose items are result
-// tuples, cold, warm from a 30-query prefix's state, and warm from that
-// state after a MarshalMineState/UnmarshalMineState round trip. Each
-// run must serve mining.Apriori over the provider's own transactions,
-// and its single itemsets must be exactly the items a direct count
-// finds frequent: no tuple is dropped.
-func testResultApriori(t *testing.T) {
+// testAprioriRuns mines log with spec cold, warm from the state of its
+// first prefix queries, and warm from that state after a
+// MarshalMineState/UnmarshalMineState round trip. Each run must serve
+// mining.Apriori over the provider's own transactions, and its single
+// itemsets must be exactly the items a direct count finds frequent: no
+// item is dropped. It returns mining.Apriori's itemsets.
+func testAprioriRuns(t *testing.T, p *Provider, log []string, prefix int, spec MineSpec) []mining.FrequentItemset {
+	t.Helper()
 	ctx := context.Background()
-	w, err := GenerateWorkload(WorkloadConfig{Seed: "probe", Queries: 40, Rows: 60})
+	pl, err := p.Prepare(ctx, log)
 	if err != nil {
 		t.Fatal(err)
 	}
-	p, err := NewProvider(MeasureResult, WithCatalog(w.Catalog, nil))
+	base, err := p.Prepare(ctx, log[:prefix])
 	if err != nil {
 		t.Fatal(err)
 	}
-	pl, err := p.Prepare(ctx, w.Queries)
-	if err != nil {
-		t.Fatal(err)
-	}
-	base, err := p.Prepare(ctx, w.Queries[:30])
-	if err != nil {
-		t.Fatal(err)
-	}
-	spec := MineSpec{Algorithm: MineApriori, MinSupport: 3, MaxLen: 2}
 	txs, err := p.transactions(pl)
 	if err != nil {
 		t.Fatal(err)
@@ -486,7 +504,7 @@ func testResultApriori(t *testing.T) {
 	}
 	slices.SortFunc(singles, func(a, b mining.FrequentItemset) int { return strings.Compare(a.Items[0], b.Items[0]) })
 	if len(singles) == 0 {
-		t.Fatal("the fixture log has no frequent result tuple")
+		t.Fatal("the fixture log has no frequent item")
 	}
 
 	_, state, err := p.MineIncremental(ctx, base, nil, spec)
@@ -516,9 +534,10 @@ func testResultApriori(t *testing.T) {
 			t.Errorf("%s: served %d itemsets, mining.Apriori over the same transactions finds %d", run.name, len(got.Itemsets), len(want))
 		}
 		if n := len(singles); len(got.Itemsets) < n || !mining.EqualItemsets(got.Itemsets[:n], singles) {
-			t.Errorf("%s: served single itemsets differ from the %d frequent tuples a direct count finds", run.name, n)
+			t.Errorf("%s: served single itemsets differ from the %d frequent items a direct count finds", run.name, n)
 		}
 	}
+	return want
 }
 
 func TestParseMeasure(t *testing.T) {

@@ -12,19 +12,21 @@ type PairwiseDistance func(i, j int) (float64, error)
 // CounterExample records one pair whose distance changed under
 // encryption.
 type CounterExample struct {
-	I, J       int
-	Plain, Enc float64
+	I     int     `json:"i"`
+	J     int     `json:"j"`
+	Plain float64 `json:"plain"`
+	Enc   float64 `json:"enc"`
 }
 
 // PreservationReport is the outcome of an empirical Definition 1 check.
 type PreservationReport struct {
-	Pairs           int
-	MaxAbsError     float64
-	Preserved       bool
-	CounterExamples []CounterExample
+	Pairs           int              `json:"pairs"`
+	MaxAbsError     float64          `json:"max_abs_error"`
+	Preserved       bool             `json:"preserved"`
+	CounterExamples []CounterExample `json:"counter_examples,omitempty"`
 	// Error records a scheme-construction or execution failure that made
 	// the candidate unusable — itself a form of non-preservation.
-	Error string
+	Error string `json:"error,omitempty"`
 }
 
 // maxCounterExamples bounds the report size.

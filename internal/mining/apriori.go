@@ -26,8 +26,8 @@ func (s Itemset) Key() string { return strings.Join(s, "\x00") }
 
 // FrequentItemset pairs an itemset with its support count.
 type FrequentItemset struct {
-	Items   Itemset
-	Support int // absolute transaction count
+	Items   Itemset `json:"items"`
+	Support int     `json:"support"` // absolute transaction count
 }
 
 // Rule is an association rule X ⇒ Y with its quality measures.

@@ -42,13 +42,13 @@ func validate(m Matrix) error {
 // KMedoidsResult holds a clustering.
 type KMedoidsResult struct {
 	// Medoids are the cluster representatives' indices, sorted.
-	Medoids []int
+	Medoids []int `json:"medoids"`
 	// Assign maps each item to its position in Medoids.
-	Assign []int
+	Assign []int `json:"assign"`
 	// Cost is the total distance of items to their medoids.
-	Cost float64
+	Cost float64 `json:"cost"`
 	// Iterations until convergence.
-	Iterations int
+	Iterations int `json:"iterations"`
 }
 
 // KMedoids runs the "simple and fast" k-medoids of Park & Jun [5]:

@@ -330,19 +330,28 @@ func (s *Session) Append(ctx context.Context, old dpe.Matrix, log []string, newQ
 	if err != nil {
 		return nil, err
 	}
-	if resp.Offset != len(old) || resp.N != len(old)+len(newQueries) {
-		return nil, fmt.Errorf("service: appended rows span %d..%d, want %d..%d",
-			resp.Offset, resp.N, len(old), len(old)+len(newQueries))
+	if err := s.appended(log, newQueries, resp.Log, resp.N, resp.Offset); err != nil {
+		return nil, err
 	}
-	// Remember the combined log's server id: follow-up calls on the
-	// grown log skip the re-upload and land on the warm prepared state.
-	combined := make([]string, 0, resp.N)
+	return dpe.SpliceMatrixRows(old, resp.Rows)
+}
+
+// appended checks that an append answer spans rows len(log) to
+// len(log)+len(newQueries) and remembers the combined log's server id,
+// so follow-up calls on the grown log skip the re-upload and land on
+// the warm prepared state.
+func (s *Session) appended(log, newQueries []string, combinedID string, n, offset int) error {
+	if offset != len(log) || n != len(log)+len(newQueries) {
+		return fmt.Errorf("service: appended rows span %d..%d, want %d..%d",
+			offset, n, len(log), len(log)+len(newQueries))
+	}
+	combined := make([]string, 0, n)
 	combined = append(combined, log...)
 	combined = append(combined, newQueries...)
 	s.mu.Lock()
-	s.logIDs[LogID(combined)] = resp.Log
+	s.logIDs[LogID(combined)] = combinedID
 	s.mu.Unlock()
-	return dpe.SpliceMatrixRows(old, resp.Rows)
+	return nil
 }
 
 // AppendMine is the batched append-and-mine call: one round trip
@@ -368,20 +377,13 @@ func (s *Session) AppendMine(ctx context.Context, old dpe.Matrix, log []string, 
 	if err != nil {
 		return nil, nil, err
 	}
-	if resp.Offset != len(log) || resp.N != len(log)+len(newQueries) {
-		return nil, nil, fmt.Errorf("service: appended rows span %d..%d, want %d..%d",
-			resp.Offset, resp.N, len(log), len(log)+len(newQueries))
+	if err := s.appended(log, newQueries, resp.Log, resp.N, resp.Offset); err != nil {
+		return nil, nil, err
 	}
-	if resp.Result == nil {
+	res := resp.Result
+	if res == nil {
 		return nil, nil, fmt.Errorf("service: append_mine response carries no mining result")
 	}
-	combined := make([]string, 0, resp.N)
-	combined = append(combined, log...)
-	combined = append(combined, newQueries...)
-	s.mu.Lock()
-	s.logIDs[LogID(combined)] = resp.Log
-	s.mu.Unlock()
-	res := resp.Result.Decode()
 	if !wantRows {
 		return nil, res, nil
 	}
@@ -419,11 +421,11 @@ func (s *Session) Neighbors(ctx context.Context, log []string, q, k int) (*dpe.N
 		return nil, err
 	}
 	path := s.path(fmt.Sprintf("/neighbors?log=%s&query=%d&k=%d", url.QueryEscape(id), q, k))
-	var resp NeighborsResponse
+	var resp dpe.NeighborsResult
 	if err := s.c.do(ctx, http.MethodGet, path, nil, &resp); err != nil {
 		return nil, err
 	}
-	return &dpe.NeighborsResult{Neighbors: resp.Neighbors, Candidates: resp.Candidates, N: resp.N}, nil
+	return &resp, nil
 }
 
 // Mine builds the matrix on the server and runs one mining algorithm
@@ -433,12 +435,12 @@ func (s *Session) Mine(ctx context.Context, log []string, spec dpe.MineSpec) (*d
 	if err != nil {
 		return nil, err
 	}
-	var resp WireMineResult
+	var resp dpe.MineResult
 	err = s.c.do(ctx, http.MethodPost, s.path("/mine"), &MineRequest{Log: id, Spec: EncodeMineSpec(spec)}, &resp)
 	if err != nil {
 		return nil, err
 	}
-	return resp.Decode(), nil
+	return &resp, nil
 }
 
 // VerifyPreservation runs the Definition 1 check on the server with the
@@ -452,13 +454,13 @@ func (s *Session) VerifyPreservation(plain, enc dpe.Matrix) (*dpe.PreservationRe
 // VerifyPreservationContext is VerifyPreservation with a cancellable
 // request context (the call uploads two full n×n matrices).
 func (s *Session) VerifyPreservationContext(ctx context.Context, plain, enc dpe.Matrix) (*dpe.PreservationReport, error) {
-	var resp WirePreservationReport
+	var resp dpe.PreservationReport
 	req := VerifyRequest{Plain: plain, Enc: enc}
 	err := s.c.do(ctx, http.MethodPost, s.path("/verify"), &req, &resp)
 	if err != nil {
 		return nil, err
 	}
-	return resp.Decode(), nil
+	return &resp, nil
 }
 
 // Stats fetches the session's server-side counters — in particular

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"strconv"
 
@@ -74,7 +75,7 @@ type (
 		N      int             `json:"n"`
 		Offset int             `json:"offset"`
 		Rows   [][]float64     `json:"rows,omitempty"`
-		Result *WireMineResult `json:"result"`
+		Result *dpe.MineResult `json:"result"`
 	}
 	// VerifyRequest is the body of POST /v1/sessions/{id}/verify: two
 	// distance matrices to check entry-wise (Definition 1).
@@ -85,11 +86,7 @@ type (
 	// NeighborsResponse answers GET /v1/sessions/{id}/neighbors: the
 	// exact top-k neighbors of one query, plus the number of distances
 	// the server computed for it (n−1, the full row).
-	NeighborsResponse struct {
-		Neighbors  []dpe.Neighbor `json:"neighbors"`
-		Candidates int            `json:"candidates"`
-		N          int            `json:"n"`
-	}
+	NeighborsResponse = dpe.NeighborsResult
 	// errorResponse is every non-2xx body. RequestID carries the same
 	// correlation id the X-Request-Id response header does, so an error
 	// a client logs can be matched to the server's access log even when
@@ -147,14 +144,14 @@ func (h *handler) routes() []route {
 		{"GET /v1/sessions/{id}", "session_stats", h.sessionStats},
 		{"GET /v1/sessions/{id}/export", "export_session", h.exportSession},
 		{"DELETE /v1/sessions/{id}", "delete_session", h.deleteSession},
-		{"POST /v1/sessions/{id}/logs", "upload_log", h.uploadLog},
-		{"POST /v1/sessions/{id}/logs:append", "append_log", h.appendLog},
-		{"POST /v1/sessions/{id}/logs:append_mine", "append_mine", h.appendMine},
-		{"POST /v1/sessions/{id}/matrix", "matrix", h.matrix},
-		{"POST /v1/sessions/{id}/distances", "distances", h.distances},
-		{"POST /v1/sessions/{id}/mine", "mine", h.mine},
+		{"POST /v1/sessions/{id}/logs", "upload_log", sessionCall(h.reg, http.StatusCreated, uploadLog)},
+		{"POST /v1/sessions/{id}/logs:append", "append_log", sessionCall(h.reg, http.StatusOK, appendLog)},
+		{"POST /v1/sessions/{id}/logs:append_mine", "append_mine", sessionCall(h.reg, http.StatusOK, appendMine)},
+		{"POST /v1/sessions/{id}/matrix", "matrix", sessionCall(h.reg, http.StatusOK, matrix)},
+		{"POST /v1/sessions/{id}/distances", "distances", sessionCall(h.reg, http.StatusOK, distances)},
+		{"POST /v1/sessions/{id}/mine", "mine", sessionCall(h.reg, http.StatusOK, mine)},
 		{"GET /v1/sessions/{id}/neighbors", "neighbors", h.neighbors},
-		{"POST /v1/sessions/{id}/verify", "verify", h.verify},
+		{"POST /v1/sessions/{id}/verify", "verify", sessionCall(h.reg, http.StatusOK, verify)},
 	}
 }
 
@@ -287,48 +284,61 @@ func (h *handler) deleteSession(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, map[string]string{"status": "deleted"})
 }
 
-func (h *handler) uploadLog(w http.ResponseWriter, r *http.Request) {
-	s, err := h.sessionOf(r)
-	if err != nil {
-		writeError(w, r, err)
-		return
+// sessionCall adapts a session endpoint with a JSON body of type Req:
+// it resolves {id}, decodes the body, runs call, and answers status
+// with what call returns, or maps call's error through writeError. A
+// rowStream answer is streamed; any other is encoded as JSON.
+func sessionCall[Req, Resp any](reg *Registry, status int, call func(context.Context, *session, *Req) (Resp, error)) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		s, err := reg.Session(r.PathValue("id"))
+		var resp Resp
+		if err == nil {
+			var req Req
+			if err = decodeBody(r, &req); err == nil {
+				resp, err = call(r.Context(), s, &req)
+			}
+		}
+		if err != nil {
+			writeError(w, r, err)
+			return
+		}
+		stream, ok := any(resp).(rowStream)
+		if !ok {
+			writeJSON(w, status, resp)
+			return
+		}
+		w.Header().Set("Content-Type", "application/json")
+		w.WriteHeader(status)
+		// The status is out, so a failed write can only cut the body
+		// short, which the client's row reader rejects.
+		_ = stream(w)
 	}
-	var req UploadLogRequest
-	if err := decodeBody(r, &req); err != nil {
-		writeError(w, r, err)
-		return
-	}
+}
+
+// rowStream is an answer written row by row with WriteMatrix or
+// WriteAppendedRows instead of being encoded whole.
+type rowStream func(io.Writer) error
+
+func uploadLog(_ context.Context, s *session, req *UploadLogRequest) (*UploadLogResponse, error) {
 	id, err := s.AddLog(req.Queries)
 	if err != nil {
-		writeError(w, r, err)
-		return
+		return nil, err
 	}
-	writeJSON(w, http.StatusCreated, UploadLogResponse{Log: id, Queries: len(req.Queries)})
+	return &UploadLogResponse{Log: id, Queries: len(req.Queries)}, nil
 }
 
 // appendLog is the incremental ingest endpoint: it grows an uploaded
 // log in place (content-addressed, so the combined log gets its own id)
 // and streams back only the new matrix rows — the expensive O(n²) block
 // the client already holds never crosses the wire again.
-func (h *handler) appendLog(w http.ResponseWriter, r *http.Request) {
-	s, err := h.sessionOf(r)
+func appendLog(ctx context.Context, s *session, req *AppendLogRequest) (rowStream, error) {
+	combinedID, offset, rows, err := s.Append(ctx, req.Log, req.Queries)
 	if err != nil {
-		writeError(w, r, err)
-		return
+		return nil, err
 	}
-	var req AppendLogRequest
-	if err := decodeBody(r, &req); err != nil {
-		writeError(w, r, err)
-		return
-	}
-	combinedID, offset, rows, err := s.Append(r.Context(), req.Log, req.Queries)
-	if err != nil {
-		writeError(w, r, err)
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(http.StatusOK)
-	WriteAppendedRows(w, combinedID, offset+len(rows), offset, rows)
+	return func(w io.Writer) error {
+		return WriteAppendedRows(w, combinedID, offset+len(rows), offset, rows)
+	}, nil
 }
 
 // appendMine is the batched append-and-mine endpoint: one round trip
@@ -337,100 +347,46 @@ func (h *handler) appendLog(w http.ResponseWriter, r *http.Request) {
 // warm-started mining result with its label delta. The mining result's
 // full matrix never crosses the wire — the client holds the old block
 // and splices the returned rows, exactly like logs:append.
-func (h *handler) appendMine(w http.ResponseWriter, r *http.Request) {
-	s, err := h.sessionOf(r)
-	if err != nil {
-		writeError(w, r, err)
-		return
-	}
-	var req AppendMineRequest
-	if err := decodeBody(r, &req); err != nil {
-		writeError(w, r, err)
-		return
-	}
+func appendMine(ctx context.Context, s *session, req *AppendMineRequest) (*AppendMineResponse, error) {
 	spec, err := req.Spec.Decode()
 	if err != nil {
-		writeError(w, r, err)
-		return
+		return nil, err
 	}
-	combinedID, offset, rows, res, err := s.AppendMine(r.Context(), req.Log, req.Queries, spec)
+	combinedID, offset, rows, res, err := s.AppendMine(ctx, req.Log, req.Queries, spec)
 	if err != nil {
-		writeError(w, r, err)
-		return
+		return nil, err
 	}
-	wireRes := EncodeMineResult(res)
-	wireRes.Matrix = nil // the client splices Rows; never reship the block
-	writeJSON(w, http.StatusOK, AppendMineResponse{
-		Log:    combinedID,
-		N:      offset + len(req.Queries),
-		Offset: offset,
-		Rows:   rows,
-		Result: wireRes,
-	})
+	res = EncodeMineResult(res)
+	res.Matrix = nil // the client splices Rows; never reship the block
+	return &AppendMineResponse{Log: combinedID, N: offset + len(req.Queries), Offset: offset, Rows: rows, Result: res}, nil
 }
 
-func (h *handler) matrix(w http.ResponseWriter, r *http.Request) {
-	s, err := h.sessionOf(r)
+func matrix(ctx context.Context, s *session, req *MatrixRequest) (rowStream, error) {
+	m, err := s.Matrix(ctx, req.Log)
 	if err != nil {
-		writeError(w, r, err)
-		return
+		return nil, err
 	}
-	var req MatrixRequest
-	if err := decodeBody(r, &req); err != nil {
-		writeError(w, r, err)
-		return
-	}
-	m, err := s.Matrix(r.Context(), req.Log)
-	if err != nil {
-		writeError(w, r, err)
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(http.StatusOK)
-	WriteMatrix(w, m)
+	return func(w io.Writer) error { return WriteMatrix(w, m) }, nil
 }
 
-func (h *handler) distances(w http.ResponseWriter, r *http.Request) {
-	s, err := h.sessionOf(r)
+func distances(ctx context.Context, s *session, req *DistancesRequest) (*DistancesResponse, error) {
+	out, err := s.Distances(ctx, req.Log, req.Query)
 	if err != nil {
-		writeError(w, r, err)
-		return
+		return nil, err
 	}
-	var req DistancesRequest
-	if err := decodeBody(r, &req); err != nil {
-		writeError(w, r, err)
-		return
-	}
-	out, err := s.Distances(r.Context(), req.Log, req.Query)
-	if err != nil {
-		writeError(w, r, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, DistancesResponse{Distances: out})
+	return &DistancesResponse{Distances: out}, nil
 }
 
-func (h *handler) mine(w http.ResponseWriter, r *http.Request) {
-	s, err := h.sessionOf(r)
-	if err != nil {
-		writeError(w, r, err)
-		return
-	}
-	var req MineRequest
-	if err := decodeBody(r, &req); err != nil {
-		writeError(w, r, err)
-		return
-	}
+func mine(ctx context.Context, s *session, req *MineRequest) (*dpe.MineResult, error) {
 	spec, err := req.Spec.Decode()
 	if err != nil {
-		writeError(w, r, err)
-		return
+		return nil, err
 	}
-	res, err := s.Mine(r.Context(), req.Log, spec)
-	if err != nil {
-		writeError(w, r, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, EncodeMineResult(res))
+	return s.Mine(ctx, req.Log, spec)
+}
+
+func verify(_ context.Context, s *session, req *VerifyRequest) (*dpe.PreservationReport, error) {
+	return s.Verify(req.Plain, req.Enc)
 }
 
 // neighbors serves the top-K API: GET with query parameters log
@@ -467,24 +423,5 @@ func (h *handler) neighbors(w http.ResponseWriter, r *http.Request) {
 		writeError(w, r, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, NeighborsResponse{Neighbors: res.Neighbors, Candidates: res.Candidates, N: res.N})
-}
-
-func (h *handler) verify(w http.ResponseWriter, r *http.Request) {
-	s, err := h.sessionOf(r)
-	if err != nil {
-		writeError(w, r, err)
-		return
-	}
-	var req VerifyRequest
-	if err := decodeBody(r, &req); err != nil {
-		writeError(w, r, err)
-		return
-	}
-	rep, err := s.Verify(dpe.Matrix(req.Plain), dpe.Matrix(req.Enc))
-	if err != nil {
-		writeError(w, r, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, EncodePreservationReport(rep))
+	writeJSON(w, http.StatusOK, res)
 }

@@ -9,9 +9,11 @@
 //
 //   - wire codecs (this file): JSON encodings for the shared artifacts —
 //     values, catalogs, domains, the aggregate-evaluation public key,
-//     mining specs/results, and a streamed distance-matrix format. The
-//     codecs are exact: a value round-trips bit-identically, so distance
-//     preservation (Definition 1) survives the network hop.
+//     mining specs, and a streamed distance-matrix format. The codecs
+//     are exact: a value round-trips bit-identically, so distance
+//     preservation (Definition 1) survives the network hop. Results
+//     (dpe.MineResult, dpe.NeighborsResult, dpe.PreservationReport)
+//     need no codec: their JSON tags are the wire form.
 //   - a session registry (registry.go): concurrency-safe multi-tenant
 //     state. A session is created once from a measure plus artifacts;
 //     logs are uploaded once and addressed by content hash; the metric's
@@ -33,7 +35,6 @@ import (
 	"strconv"
 
 	dpe "repro"
-	"repro/internal/core"
 	"repro/internal/db"
 	"repro/internal/value"
 )
@@ -284,154 +285,11 @@ func (w WireMineSpec) Decode() (dpe.MineSpec, error) {
 		MinSupport: w.MinSupport, MaxLen: w.MaxLen}, nil
 }
 
-// WireClusters is the JSON form of a k-medoids result.
-type WireClusters struct {
-	Medoids    []int   `json:"medoids"`
-	Assign     []int   `json:"assign"`
-	Cost       float64 `json:"cost"`
-	Iterations int     `json:"iterations"`
-}
-
-// WireItemset is the JSON form of one frequent itemset.
-type WireItemset struct {
-	Items   []string `json:"items"`
-	Support int      `json:"support"`
-}
-
-// WireIncrementalStats is the JSON form of an incremental-mining
-// call's work counters and label delta.
-type WireIncrementalStats struct {
-	Warm          bool  `json:"warm"`
-	ColdFallback  bool  `json:"cold_fallback,omitempty"`
-	OldN          int   `json:"old_n"`
-	PairsComputed int64 `json:"pairs_computed"`
-	Examined      int64 `json:"examined"`
-	ChangedLabels []int `json:"changed_labels,omitempty"`
-}
-
-// WireMineResult is the JSON form of a mining response: the distance
-// matrix (absent for apriori runs, which never build it) plus exactly
-// one algorithm-specific field. Incremental appears only on append_mine
-// responses.
-type WireMineResult struct {
-	Matrix      [][]float64           `json:"matrix"`
-	Clusters    *WireClusters         `json:"clusters,omitempty"`
-	Labels      []int                 `json:"labels,omitempty"`
-	Outliers    []bool                `json:"outliers,omitempty"`
-	Neighbors   []int                 `json:"neighbors,omitempty"`
-	Itemsets    []WireItemset         `json:"itemsets,omitempty"`
-	Incremental *WireIncrementalStats `json:"incremental,omitempty"`
-}
-
-// EncodeMineResult converts a mining result to wire form.
-func EncodeMineResult(r *dpe.MineResult) *WireMineResult {
-	out := &WireMineResult{
-		Matrix:    r.Matrix,
-		Labels:    r.Labels,
-		Outliers:  r.Outliers,
-		Neighbors: r.Neighbors,
-	}
-	if r.Clusters != nil {
-		out.Clusters = &WireClusters{
-			Medoids:    r.Clusters.Medoids,
-			Assign:     r.Clusters.Assign,
-			Cost:       r.Clusters.Cost,
-			Iterations: r.Clusters.Iterations,
-		}
-	}
-	for _, fs := range r.Itemsets {
-		out.Itemsets = append(out.Itemsets, WireItemset{Items: fs.Items, Support: fs.Support})
-	}
-	if r.Incremental != nil {
-		out.Incremental = &WireIncrementalStats{
-			Warm:          r.Incremental.Warm,
-			ColdFallback:  r.Incremental.ColdFallback,
-			OldN:          r.Incremental.OldN,
-			PairsComputed: r.Incremental.PairsComputed,
-			Examined:      r.Incremental.Examined,
-			ChangedLabels: r.Incremental.ChangedLabels,
-		}
-	}
-	return out
-}
-
-// Decode converts the wire form back to a mining result.
-func (w *WireMineResult) Decode() *dpe.MineResult {
-	out := &dpe.MineResult{
-		Matrix:    w.Matrix,
-		Labels:    w.Labels,
-		Outliers:  w.Outliers,
-		Neighbors: w.Neighbors,
-	}
-	if w.Clusters != nil {
-		out.Clusters = &dpe.KMedoidsResult{
-			Medoids:    w.Clusters.Medoids,
-			Assign:     w.Clusters.Assign,
-			Cost:       w.Clusters.Cost,
-			Iterations: w.Clusters.Iterations,
-		}
-	}
-	for _, fs := range w.Itemsets {
-		out.Itemsets = append(out.Itemsets, dpe.FrequentItemset{Items: fs.Items, Support: fs.Support})
-	}
-	if w.Incremental != nil {
-		out.Incremental = &dpe.IncrementalStats{
-			Warm:          w.Incremental.Warm,
-			ColdFallback:  w.Incremental.ColdFallback,
-			OldN:          w.Incremental.OldN,
-			PairsComputed: w.Incremental.PairsComputed,
-			Examined:      w.Incremental.Examined,
-			ChangedLabels: w.Incremental.ChangedLabels,
-		}
-	}
-	return out
-}
-
-// WireCounterExample is the JSON form of one Definition 1 violation.
-type WireCounterExample struct {
-	I     int     `json:"i"`
-	J     int     `json:"j"`
-	Plain float64 `json:"plain"`
-	Enc   float64 `json:"enc"`
-}
-
-// WirePreservationReport is the JSON form of a Definition 1 check.
-type WirePreservationReport struct {
-	Pairs           int                  `json:"pairs"`
-	MaxAbsError     float64              `json:"max_abs_error"`
-	Preserved       bool                 `json:"preserved"`
-	CounterExamples []WireCounterExample `json:"counter_examples,omitempty"`
-	Error           string               `json:"error,omitempty"`
-}
-
-// EncodePreservationReport converts a report to wire form.
-func EncodePreservationReport(r *dpe.PreservationReport) *WirePreservationReport {
-	out := &WirePreservationReport{
-		Pairs:       r.Pairs,
-		MaxAbsError: r.MaxAbsError,
-		Preserved:   r.Preserved,
-		Error:       r.Error,
-	}
-	for _, ce := range r.CounterExamples {
-		out.CounterExamples = append(out.CounterExamples,
-			WireCounterExample{I: ce.I, J: ce.J, Plain: ce.Plain, Enc: ce.Enc})
-	}
-	return out
-}
-
-// Decode converts the wire form back to a report.
-func (w *WirePreservationReport) Decode() *dpe.PreservationReport {
-	out := &dpe.PreservationReport{
-		Pairs:       w.Pairs,
-		MaxAbsError: w.MaxAbsError,
-		Preserved:   w.Preserved,
-		Error:       w.Error,
-	}
-	for _, ce := range w.CounterExamples {
-		out.CounterExamples = append(out.CounterExamples,
-			core.CounterExample{I: ce.I, J: ce.J, Plain: ce.Plain, Enc: ce.Enc})
-	}
-	return out
+// EncodeMineResult returns a shallow copy of r, which is its own wire
+// form, so a caller can drop the copy's Matrix without touching r.
+func EncodeMineResult(r *dpe.MineResult) *dpe.MineResult {
+	c := *r
+	return &c
 }
 
 // The distance matrix travels as a stream of JSON rows in one of two

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"math/big"
 	"math/rand/v2"
 	"reflect"
 	"runtime"
@@ -492,6 +493,100 @@ func FuzzReadAppendedRows(f *testing.F) {
 			}, nil
 		})
 	})
+}
+
+// FuzzCreateSessionRequest runs POST /v1/sessions bodies through every
+// decoder a session is built from: the JSON decoder, WireCatalog.Decode,
+// DecodeDomains, WireAggregatorKey.Decode and buildProvider. Nothing may
+// panic; all of it together may allocate at most 1 MiB plus 256 bytes
+// per input byte; and an accepted catalog and domain map must survive
+// EncodeCatalog/EncodeDomains, JSON and decoding again unchanged.
+func FuzzCreateSessionRequest(f *testing.F) {
+	seedCat := db.NewCatalog()
+	users := seedCat.MustCreate("users", []db.Column{
+		{Name: "id", Type: db.TypeInt}, {Name: "name", Type: db.TypeString},
+		{Name: "score", Type: db.TypeFloat}, {Name: "blob", Type: db.TypeBytes},
+	})
+	users.MustInsert(db.Row{value.Int(math.MinInt64), value.Str("O'Hara \x00"), value.Float(-0.25), value.Bytes([]byte{0, 0xff})})
+	users.MustInsert(db.Row{value.Null(), value.Null(), value.Null(), value.Null()})
+	seedDomains := map[string]dpe.Domain{
+		"age":  {Min: value.Int(0), Max: value.Int(120)},
+		"name": {Min: value.Str(""), Max: value.Str("~~~~")},
+	}
+	key := &dpe.AggregatorKey{N: big.NewInt(3233)}
+	for _, m := range []dpe.Measure{dpe.MeasureToken, dpe.MeasureStructure, dpe.MeasureResult, dpe.MeasureAccessArea} {
+		req, err := BuildCreateSessionRequest(m, WithCatalog(seedCat, key), WithDomains(seedDomains), WithAccessAreaX(0.25), WithTolerance(1e-9))
+		if err != nil {
+			f.Fatal(err)
+		}
+		b, err := json.Marshal(req)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(b)
+	}
+	f.Add([]byte(`{"measure":"result","catalog":{"tables":[{"name":"t","columns":[{"name":"a","type":"INT"}],"rows":[[{"kind":"int","int":1}],[{"kind":"float","float":1}]]}]}}`))
+	f.Add([]byte(`{"measure":"access-area","domains":{"a":{"min":{"kind":"str","str":"b"},"max":{"kind":"str","str":"a"}}}}`))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var cat *dpe.Catalog
+		var domains map[string]dpe.Domain
+		decode := func() {
+			var req CreateSessionRequest
+			if json.Unmarshal(data, &req) != nil || req.Measure == nil {
+				return
+			}
+			// Each decoder runs on its own, as buildProvider stops at
+			// the first artifact it rejects; a rejected one yields nil.
+			if req.Catalog != nil {
+				cat, _ = req.Catalog.Decode()
+			}
+			if req.Domains != nil {
+				domains, _ = DecodeDomains(req.Domains)
+			}
+			if req.AggregatorKey != nil {
+				req.AggregatorKey.Decode()
+			}
+			buildProvider(&req, 1, nil)
+		}
+		if got, bound := allocatedBy(decode), uint64(1<<20+256*len(data)); got > bound {
+			t.Fatalf("decoding %d bytes allocated %d bytes, bound %d", len(data), got, bound)
+		}
+		if cat != nil {
+			roundTrip(t, cat, EncodeCatalog, func(w *WireCatalog) (*dpe.Catalog, error) { return w.Decode() })
+		}
+		if domains != nil {
+			roundTrip(t, domains, EncodeDomains, DecodeDomains)
+		}
+	})
+}
+
+// roundTrip checks that v's wire form survives JSON and decoding: the
+// decoded value encodes to the same JSON bytes as v.
+func roundTrip[V, W any](t *testing.T, v V, encode func(V) (W, error), decode func(W) (V, error)) {
+	t.Helper()
+	marshal := func(v V) []byte {
+		w, err := encode(v)
+		if err != nil {
+			t.Fatalf("encoding an accepted %T: %v", v, err)
+		}
+		b, err := json.Marshal(w)
+		if err != nil {
+			t.Fatalf("marshaling an accepted %T: %v", v, err)
+		}
+		return b
+	}
+	b := marshal(v)
+	var w W
+	if err := json.Unmarshal(b, &w); err != nil {
+		t.Fatalf("unmarshaling %s: %v", b, err)
+	}
+	back, err := decode(w)
+	if err != nil {
+		t.Fatalf("decoding %s: %v", b, err)
+	}
+	if again := marshal(back); !bytes.Equal(again, b) {
+		t.Fatalf("%s decodes and re-encodes to %s", b, again)
+	}
 }
 
 // TestWireAllocBudget keeps per-row json.Marshal and whole-body

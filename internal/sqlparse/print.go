@@ -122,11 +122,17 @@ func precedence(op string) int {
 }
 
 func (b *BinaryExpr) writeSQL(sb *strings.Builder) {
-	writeOperand(sb, b.Left, precedence(b.Op), false)
+	prec, rightAssoc := precedence(b.Op), true
+	if prec == precedence("=") {
+		// Comparisons do not chain: the parser reads one comparison
+		// between two additive operands.
+		prec, rightAssoc = precedence("+"), false
+	}
+	writeOperand(sb, b.Left, prec, false)
 	sb.WriteString(" ")
 	sb.WriteString(b.Op)
 	sb.WriteString(" ")
-	writeOperand(sb, b.Right, precedence(b.Op), true)
+	writeOperand(sb, b.Right, prec, rightAssoc)
 }
 
 // writeOperand parenthesizes child when its top-level operator binds
@@ -153,6 +159,12 @@ func writeOperand(sb *strings.Builder, child Expr, parentPrec int, isRight bool)
 	child.writeSQL(sb)
 }
 
+// writeAdditive writes an operand the parser reads at additive
+// precedence: an operand or bound of IN, BETWEEN, LIKE and IS NULL.
+func writeAdditive(sb *strings.Builder, e Expr) {
+	writeOperand(sb, e, precedence("+"), false)
+}
+
 func (u *UnaryExpr) writeSQL(sb *strings.Builder) {
 	if u.Op == "NOT" {
 		sb.WriteString("NOT ")
@@ -167,8 +179,10 @@ func (u *UnaryExpr) writeSQL(sb *strings.Builder) {
 		u.Expr.writeSQL(sb)
 		return
 	}
+	// Unary minus binds tightest: parenthesize any operand but a
+	// primary or another unary minus.
 	sb.WriteString("-")
-	u.Expr.writeSQL(sb)
+	writeOperand(sb, u.Expr, 6, false)
 }
 
 func (f *FuncCall) writeSQL(sb *strings.Builder) {
@@ -183,7 +197,7 @@ func (f *FuncCall) writeSQL(sb *strings.Builder) {
 }
 
 func (i *InExpr) writeSQL(sb *strings.Builder) {
-	i.Expr.writeSQL(sb)
+	writeAdditive(sb, i.Expr)
 	if i.Not {
 		sb.WriteString(" NOT")
 	}
@@ -192,33 +206,33 @@ func (i *InExpr) writeSQL(sb *strings.Builder) {
 		if n > 0 {
 			sb.WriteString(", ")
 		}
-		item.writeSQL(sb)
+		writeAdditive(sb, item)
 	}
 	sb.WriteString(")")
 }
 
 func (b *BetweenExpr) writeSQL(sb *strings.Builder) {
-	b.Expr.writeSQL(sb)
+	writeAdditive(sb, b.Expr)
 	if b.Not {
 		sb.WriteString(" NOT")
 	}
 	sb.WriteString(" BETWEEN ")
-	b.Lo.writeSQL(sb)
+	writeAdditive(sb, b.Lo)
 	sb.WriteString(" AND ")
-	b.Hi.writeSQL(sb)
+	writeAdditive(sb, b.Hi)
 }
 
 func (l *LikeExpr) writeSQL(sb *strings.Builder) {
-	l.Expr.writeSQL(sb)
+	writeAdditive(sb, l.Expr)
 	if l.Not {
 		sb.WriteString(" NOT")
 	}
 	sb.WriteString(" LIKE ")
-	l.Pattern.writeSQL(sb)
+	writeAdditive(sb, l.Pattern)
 }
 
 func (i *IsNullExpr) writeSQL(sb *strings.Builder) {
-	i.Expr.writeSQL(sb)
+	writeAdditive(sb, i.Expr)
 	sb.WriteString(" IS ")
 	if i.Not {
 		sb.WriteString("NOT ")

@@ -92,6 +92,12 @@ func TestRoundTripCorpus(t *testing.T) {
 		"SELECT a FROM r WHERE x - (y - 3) = 0",
 		"SELECT a FROM r WHERE x / 2 % 3 = 1",
 		"SELECT DISTINCT a, b FROM r WHERE c <> 0 ORDER BY a, b DESC",
+		// Parentheses the parser needs.
+		"SELECT -(a + b) FROM t",
+		"SELECT a FROM t WHERE (a = 1) IS NOT NULL",
+		"SELECT a FROM t WHERE (a = b) = (c = d)",
+		"SELECT a FROM t WHERE a BETWEEN (b = 1) AND 2",
+		"SELECT a FROM t WHERE (a < b) IN (1)",
 	}
 	for _, q := range queries {
 		roundTrip(t, q)

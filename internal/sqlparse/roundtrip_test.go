@@ -47,7 +47,7 @@ func (g *astGen) column() *ColumnRef {
 // predicate generates a boolean expression of bounded depth.
 func (g *astGen) predicate(depth int) Expr {
 	if depth <= 0 {
-		return g.atom()
+		return g.atom(1)
 	}
 	switch g.d.Uint64n(5) {
 	case 0:
@@ -57,27 +57,70 @@ func (g *astGen) predicate(depth int) Expr {
 	case 2:
 		return &UnaryExpr{Op: "NOT", Expr: g.predicate(depth - 1)}
 	default:
-		return g.atom()
+		return g.atom(1)
 	}
 }
 
-func (g *astGen) atom() Expr {
+// atom generates a comparison or an IN, BETWEEN, LIKE or IS NULL
+// predicate; while depth lasts, its operands may be predicates too.
+func (g *astGen) atom(depth int) Expr {
 	ops := []string{"=", "<>", "<", "<=", ">", ">="}
 	switch g.d.Uint64n(6) {
 	case 0:
-		in := &InExpr{Expr: g.column(), Not: g.d.Uint64n(2) == 0}
+		in := &InExpr{Expr: g.operand(depth), Not: g.d.Uint64n(2) == 0}
 		for i := uint64(0); i <= g.d.Uint64n(3); i++ {
-			in.List = append(in.List, g.literal())
+			in.List = append(in.List, g.bound(depth))
 		}
 		return in
 	case 1:
-		return &BetweenExpr{Expr: g.column(), Not: g.d.Uint64n(2) == 0, Lo: g.literal(), Hi: g.literal()}
+		return &BetweenExpr{Expr: g.operand(depth), Not: g.d.Uint64n(2) == 0, Lo: g.bound(depth), Hi: g.bound(depth)}
 	case 2:
-		return &LikeExpr{Expr: g.column(), Not: g.d.Uint64n(2) == 0, Pattern: &Literal{Value: value.Str("p%_x")}}
+		return &LikeExpr{Expr: g.operand(depth), Not: g.d.Uint64n(2) == 0, Pattern: &Literal{Value: value.Str("p%_x")}}
 	case 3:
-		return &IsNullExpr{Expr: g.column(), Not: g.d.Uint64n(2) == 0}
+		return &IsNullExpr{Expr: g.operand(depth), Not: g.d.Uint64n(2) == 0}
 	default:
-		return &BinaryExpr{Op: ops[g.d.Uint64n(uint64(len(ops)))], Left: g.column(), Right: g.literal()}
+		return &BinaryExpr{Op: ops[g.d.Uint64n(uint64(len(ops)))], Left: g.operand(depth), Right: g.bound(depth)}
+	}
+}
+
+// operand generates the left side of a predicate: mostly a column,
+// sometimes arithmetic, and while depth lasts sometimes a predicate.
+func (g *astGen) operand(depth int) Expr {
+	switch g.d.Uint64n(6) {
+	case 0:
+		return g.arith(2)
+	case 1:
+		if depth > 0 {
+			return g.atom(depth - 1)
+		}
+	}
+	return g.column()
+}
+
+// bound generates a right side: mostly a literal, otherwise an operand.
+func (g *astGen) bound(depth int) Expr {
+	if g.d.Uint64n(3) == 0 {
+		return g.operand(depth)
+	}
+	return g.literal()
+}
+
+// arith generates arithmetic over columns and literals with unary minus
+// over anything but a literal, which the parser folds into the literal.
+func (g *astGen) arith(depth int) Expr {
+	if depth <= 0 {
+		return g.column()
+	}
+	ops := []string{"+", "-", "*", "/", "%"}
+	switch g.d.Uint64n(4) {
+	case 0:
+		return &UnaryExpr{Op: "-", Expr: g.arith(depth - 1)}
+	case 1:
+		return &BinaryExpr{Op: ops[g.d.Uint64n(uint64(len(ops)))], Left: g.arith(depth - 1), Right: g.literal()}
+	case 2:
+		return &BinaryExpr{Op: ops[g.d.Uint64n(uint64(len(ops)))], Left: g.arith(depth - 1), Right: g.arith(depth - 1)}
+	default:
+		return g.column()
 	}
 }
 
@@ -88,9 +131,12 @@ func (g *astGen) stmt() *SelectStmt {
 	} else {
 		for i := uint64(0); i <= g.d.Uint64n(3); i++ {
 			item := SelectItem{Expr: g.column()}
-			if g.d.Uint64n(3) == 0 {
+			switch g.d.Uint64n(4) {
+			case 0:
 				aggs := []string{"COUNT", "SUM", "AVG", "MIN", "MAX"}
 				item.Expr = &FuncCall{Name: aggs[g.d.Uint64n(5)], Arg: g.column()}
+			case 1:
+				item.Expr = g.arith(2)
 			}
 			if g.d.Uint64n(4) == 0 {
 				item.Alias = "al" + g.ident()
@@ -141,6 +187,9 @@ func TestRandomASTPrintParseFixedPoint(t *testing.T) {
 		if err != nil {
 			t.Fatalf("iteration %d: generated SQL does not parse: %v\n%s", i, err, sql1)
 		}
+		if !reflect.DeepEqual(s1, s2) {
+			t.Fatalf("iteration %d: the generated AST differs from its re-parse:\n%s\n%s", i, sql1, s2.SQL())
+		}
 		sql2 := s2.SQL()
 		if sql1 != sql2 {
 			t.Fatalf("iteration %d: print not a fixed point:\n%s\n%s", i, sql1, sql2)
@@ -167,4 +216,35 @@ func TestRandomASTCloneEquality(t *testing.T) {
 			t.Fatalf("iteration %d: clone renders differently", i)
 		}
 	}
+}
+
+// FuzzParsePrint checks the printer against the parser on any input the
+// parser accepts: the printed form re-parses to an equal AST.
+func FuzzParsePrint(f *testing.F) {
+	for _, q := range []string{
+		"SELECT -(a + b) FROM t",
+		"SELECT -a + b FROM t",
+		"SELECT a FROM t WHERE (a = 1) IS NOT NULL",
+		"SELECT a FROM t WHERE (a = b) = (c = d)",
+		"SELECT a FROM t WHERE a BETWEEN (b = 1) AND 2",
+		"SELECT a FROM t WHERE (a < b) IN (1)",
+		"SELECT a, COUNT(*) FROM r AS x JOIN s ON x.id = s.rid WHERE NOT (a = 1 OR b LIKE 'p%') GROUP BY a HAVING COUNT(*) > 2 ORDER BY a DESC LIMIT 5",
+		"SELECT DISTINCT a * -2.5 FROM r WHERE x - (y - 3) % 2 <> X'0aff' AND c NOT IN ('x', -1)",
+	} {
+		f.Add(q)
+	}
+	f.Fuzz(func(t *testing.T, q string) {
+		s1, err := Parse(q)
+		if err != nil {
+			return
+		}
+		printed := s1.SQL()
+		s2, err := Parse(printed)
+		if err != nil {
+			t.Fatalf("%q prints as %q, which does not parse: %v", q, printed, err)
+		}
+		if !reflect.DeepEqual(s1, s2) {
+			t.Fatalf("%q prints as %q, which parses to a different AST (%q)", q, printed, s2.SQL())
+		}
+	})
 }

@@ -16,6 +16,7 @@ import (
 	"context"
 	"fmt"
 	"strconv"
+	"strings"
 
 	"repro/internal/distance"
 	"repro/internal/mining"
@@ -272,9 +273,11 @@ func changedLabels(prev, next []int, oldN int) []int {
 // transactions renders each prepared query's element set as one
 // Apriori transaction — experiment E6's idiom, served straight from
 // the interned dictionary (and therefore from restored snapshots too).
-// A result tuple's key ends each column with a NUL byte, which Apriori
-// refuses in an item, so result items are Go-quoted (strconv.Quote):
-// the quoting is injective and leaves no NUL.
+// Apriori refuses a NUL byte in an item, so an item that holds one is
+// Go-quoted (strconv.Quote): every result tuple, whose key ends each
+// column with a NUL, and a token or feature whose literal holds one.
+// The rule is injective, as a quoted item starts with '"' and no token
+// or feature does.
 func (p *Provider) transactions(pl *PreparedLog) ([]mining.Transaction, error) {
 	src, ok := pl.prep.(distance.ItemSource)
 	if !ok {
@@ -287,7 +290,7 @@ func (p *Provider) transactions(pl *PreparedLog) ([]mining.Transaction, error) {
 		buf = src.AppendItems(buf[:0], i)
 		tx := make(mining.Transaction, len(buf))
 		for _, it := range buf {
-			if p.measure == MeasureResult {
+			if strings.IndexByte(it, 0) >= 0 {
 				it = strconv.Quote(it)
 			}
 			tx[it] = true

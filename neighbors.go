@@ -48,12 +48,12 @@ type Neighbor = mining.Neighbor
 type NeighborsResult struct {
 	// Neighbors holds min(K, N−1) entries ordered by exact distance
 	// with index tie-breaking.
-	Neighbors []Neighbor
+	Neighbors []Neighbor `json:"neighbors"`
 	// Candidates is how many exact distance computations the search
 	// performed: N−1, one full row.
-	Candidates int
+	Candidates int `json:"candidates"`
 	// N is the log size the search ran against.
-	N int
+	N int `json:"n"`
 }
 
 // NeighborsPrepared is the top-K path: it fills query q's matrix row
