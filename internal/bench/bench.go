@@ -41,8 +41,10 @@
 //     entry/plaintext mismatch counts (zero) are tracked exactly; the
 //     fast/slow time ratios are tracked through a clamp (the bitset
 //     kernel must stay ≥2x faster, the crypto fast paths must not fall
-//     behind textbook) so noise below the threshold can never flake
-//     the gate — the harness's only gated wall-clock-derived numbers.
+//     behind textbook): any ratio within its limit tracks as the same
+//     floor, so noise below the threshold can never flake the gate or
+//     move the tracked value — the harness's only gated
+//     wall-clock-derived numbers.
 //   - incmine: incremental mining maintenance — per measure and
 //     algorithm (k-medoids, DBSCAN, and apriori on the set measures), a
 //     MineState is bootstrapped over the base log and MineIncremental

@@ -214,6 +214,43 @@ func TestCompare(t *testing.T) {
 	}
 }
 
+// TestGateRatio pins the hotpath clamp at both limits in use: a ratio
+// below the floor, between the floor and the limit, or at the limit
+// tracks as the floor limit/1.3, so every passing run tracks the same
+// value; a ratio above the limit tracks as itself, and Compare rejects
+// it against a floor baseline at the +30% allowance.
+func TestGateRatio(t *testing.T) {
+	for _, limit := range []float64{0.5, 1} {
+		floor := limit / 1.3
+		base := &Report{Schema: SchemaVersion}
+		base.add("gate", "ratio", floor, true)
+		for _, tc := range []struct {
+			name        string
+			ratio, want float64
+			fails       bool
+		}{
+			{"below the floor", floor / 2, floor, false},
+			{"between the floor and the limit", (floor + limit) / 2, floor, false},
+			{"at the limit", limit, floor, false},
+			{"above the limit", limit * 1.01, limit * 1.01, true},
+		} {
+			got := gateRatio(tc.ratio, limit)
+			if got != tc.want {
+				t.Errorf("limit %v, ratio %v (%s): tracked %v, want %v", limit, tc.ratio, tc.name, got, tc.want)
+			}
+			cur := &Report{Schema: SchemaVersion}
+			cur.add("gate", "ratio", got, true)
+			regs, err := Compare(cur, base, 0.30)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if (len(regs) > 0) != tc.fails {
+				t.Errorf("limit %v, ratio %v (%s): regressions %v, want failing %v", limit, tc.ratio, tc.name, regs, tc.fails)
+			}
+		}
+	}
+}
+
 // TestRunSingleExperiment checks experiment selection: a single cheap
 // experiment runs alone, for only the requested measures.
 func TestRunSingleExperiment(t *testing.T) {

@@ -79,10 +79,10 @@ type Metric interface {
 	// Distance is entry-wise identical, so a recovered cache serves the
 	// matrices the pre-restart one did.
 	MarshalPrepared(p Prepared) ([]byte, error)
-	// UnmarshalPrepared is the inverse of MarshalPrepared. It also
-	// accepts this measure's legacy (pre-interning) payloads, so
-	// journals written by older binaries replay into the current
-	// representation.
+	// UnmarshalPrepared is the inverse of MarshalPrepared. It reads
+	// only the payload tag this measure writes; a snapshot in another
+	// measure's tag or a retired one is an error, and the log is
+	// prepared again.
 	UnmarshalPrepared(data []byte) (Prepared, error)
 }
 

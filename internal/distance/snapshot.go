@@ -18,16 +18,15 @@ import (
 // patterns (exact round trip).
 var snapshotMagic = [4]byte{'D', 'P', 'S', '1'}
 
-// Payload tags version the body format. Tags 1 and 2 are the legacy
-// map-era set encodings: no binary writes them anymore, but decoders
-// keep accepting them so prepared-state journals recorded before the
-// interned kernel replay unchanged. Tag 3 is unchanged across the
+// Payload tags version the body format; each measure reads exactly the
+// tag it writes. Tags 1 and 2 were the map-era set encodings, which no
+// binary has written since the interned kernel: a snapshot is a cache
+// of its log, so one in a retired tag fails to decode and is prepared
+// again. A retired tag is never reused. Tag 3 is unchanged across the
 // interning refactor — its on-disk bytes are identical before and
-// after. Tags 4 and 5 are the interned encodings (dictionary once,
-// then delta-encoded id lists per query) that current binaries write.
+// after. Tags 4 and 5 are the interned encodings (dictionary once, then
+// delta-encoded id lists per query).
 const (
-	snapStringSets       byte = 1 // legacy string sets: token and result metrics
-	snapFeatureSets      byte = 2 // legacy feature sets: structure metric
 	snapAccessArea       byte = 3 // aaPrepared: access-area metric
 	snapInternedStrings  byte = 4 // internedPrepared[string]: token and result metrics
 	snapInternedFeatures byte = 5 // internedPrepared[sqlfeature.Feature]: structure metric
@@ -43,25 +42,22 @@ func snapshotHeader(tag byte) []byte {
 }
 
 // openSnapshot validates the magic and payload tag, returning a reader
-// over the body and the tag that matched, so callers accepting several
-// formats (current + legacy) can dispatch on it.
-func openSnapshot(data []byte, wantTags ...byte) (*binenc.Reader, byte, error) {
+// over the body.
+func openSnapshot(data []byte, want byte) (*binenc.Reader, error) {
 	if len(data) < len(snapshotMagic)+1 {
-		return nil, 0, fmt.Errorf("distance: snapshot of %d bytes is shorter than its header", len(data))
+		return nil, fmt.Errorf("distance: snapshot of %d bytes is shorter than its header", len(data))
 	}
 	if !bytes.Equal(data[:len(snapshotMagic)], snapshotMagic[:]) {
-		return nil, 0, fmt.Errorf("distance: snapshot has bad magic %q", data[:len(snapshotMagic)])
+		return nil, fmt.Errorf("distance: snapshot has bad magic %q", data[:len(snapshotMagic)])
 	}
-	tag := data[len(snapshotMagic)]
-	for _, want := range wantTags {
-		if tag == want {
-			return binenc.NewReader(data[len(snapshotMagic)+1:]), tag, nil
-		}
+	switch tag := data[len(snapshotMagic)]; {
+	case tag == want:
+		return binenc.NewReader(data[len(snapshotMagic)+1:]), nil
+	case tag > snapMaxTag:
+		return nil, fmt.Errorf("distance: snapshot payload tag %d is newer than this binary supports (max %d); upgrade the binary or re-prepare the session", tag, snapMaxTag)
+	default:
+		return nil, fmt.Errorf("distance: snapshot payload tag %d, want %d (snapshot from a different measure or a retired format?)", tag, want)
 	}
-	if tag > snapMaxTag {
-		return nil, 0, fmt.Errorf("distance: snapshot payload tag %d is newer than this binary supports (max %d); upgrade the binary or re-prepare the session", tag, snapMaxTag)
-	}
-	return nil, 0, fmt.Errorf("distance: snapshot payload tag %d, want one of %v (snapshot from a different measure?)", tag, wantTags)
 }
 
 // closeSnapshot reports the body reader's first failure, or trailing
@@ -75,28 +71,22 @@ func closeSnapshot(r *binenc.Reader) error {
 
 // --- set measures ---
 
-// setCodec encodes the elements of one set measure's snapshots: tag is
-// the payload tag current binaries write and legacyTag the map-era one
-// they still read; less is the order a set's elements are sorted in
-// (sortedStrings, sortedFeatures), which legacy sets must follow.
+// setCodec encodes the elements of one set measure's snapshots under
+// its payload tag.
 type setCodec[K comparable] struct {
-	tag, legacyTag byte
-	put            func([]byte, K) []byte
-	get            func(*binenc.Reader) K
-	less           func(a, b K) bool
+	tag byte
+	put func([]byte, K) []byte
+	get func(*binenc.Reader) K
 }
 
 var stringCodec = &setCodec[string]{
-	tag:       snapInternedStrings,
-	legacyTag: snapStringSets,
-	put:       binenc.AppendString[string],
-	get:       (*binenc.Reader).Str,
-	less:      func(a, b string) bool { return a < b },
+	tag: snapInternedStrings,
+	put: binenc.AppendString[string],
+	get: (*binenc.Reader).Str,
 }
 
 var featureCodec = &setCodec[sqlfeature.Feature]{
-	tag:       snapInternedFeatures,
-	legacyTag: snapFeatureSets,
+	tag: snapInternedFeatures,
 	put: func(b []byte, f sqlfeature.Feature) []byte {
 		return binenc.AppendString(binenc.AppendString(b, string(f.Clause)), f.Item)
 	},
@@ -104,7 +94,6 @@ var featureCodec = &setCodec[sqlfeature.Feature]{
 		clause := sqlfeature.Clause(r.Str())
 		return sqlfeature.Feature{Clause: clause, Item: r.Str()}
 	},
-	less: featureLess,
 }
 
 // MarshalPrepared encodes an interned state: the dictionary once (in id
@@ -137,16 +126,11 @@ func (m *setMetric[K]) MarshalPrepared(p Prepared) ([]byte, error) {
 }
 
 func (m *setMetric[K]) UnmarshalPrepared(data []byte) (Prepared, error) {
-	r, tag, err := openSnapshot(data, m.codec.tag, m.codec.legacyTag)
+	r, err := openSnapshot(data, m.codec.tag)
 	if err != nil {
 		return nil, err
 	}
-	var out *internedPrepared[K]
-	if tag == m.codec.tag {
-		out = m.codec.readInterned(r)
-	} else {
-		out = m.codec.readLegacy(r)
-	}
+	out := m.codec.readInterned(r)
 	if err := closeSnapshot(r); err != nil {
 		return nil, err
 	}
@@ -183,30 +167,6 @@ func (c *setCodec[K]) readInterned(r *binenc.Reader) *internedPrepared[K] {
 		}
 		out.sets = append(out.sets, words)
 		out.cards = append(out.cards, card)
-	}
-	return out
-}
-
-// readLegacy decodes the map-era set encoding (tags 1 and 2): per
-// query, a strictly ascending element list. Elements intern in stored
-// order, which is the order Prepare uses, so the rebuilt dictionary —
-// and therefore any re-marshal — matches a fresh Prepare of the same
-// log exactly.
-func (c *setCodec[K]) readLegacy(r *binenc.Reader) *internedPrepared[K] {
-	n := r.Count(1) // each set has at least its element count
-	out := newInternedPrepared[K](n)
-	var elems []K
-	for i := 0; i < n && r.Err() == nil; i++ {
-		k := r.Count(1)
-		elems = elems[:0]
-		for j := 0; j < k && r.Err() == nil; j++ {
-			e := c.get(r)
-			if j > 0 && !c.less(elems[j-1], e) {
-				r.Fail("set %d is not strictly ascending", i)
-			}
-			elems = append(elems, e)
-		}
-		out.addSet(elems)
 	}
 	return out
 }
@@ -339,7 +299,7 @@ func (*accessAreaMetric) MarshalPrepared(p Prepared) ([]byte, error) {
 }
 
 func (*accessAreaMetric) UnmarshalPrepared(data []byte) (Prepared, error) {
-	r, _, err := openSnapshot(data, snapAccessArea)
+	r, err := openSnapshot(data, snapAccessArea)
 	if err != nil {
 		return nil, err
 	}

@@ -3,6 +3,7 @@ package distance
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -12,7 +13,9 @@ import (
 // fixtureEra names the snapshot-format era TestGenerateSnapshotFixtures
 // writes fixtures for. The "legacy" fixtures under testdata/ were
 // generated by the map-era encoder before the interning refactor and
-// must never be regenerated — they are the compatibility contract.
+// must never be regenerated. Access-area's is in tag 3, which is still
+// current, so it must decode; the others are in the retired tags 1 and
+// 2, so the decoders must reject them.
 const fixtureEra = "interned"
 
 func readFixture(t *testing.T, era, name string) []byte {
@@ -25,13 +28,18 @@ func readFixture(t *testing.T, era, name string) []byte {
 	return data
 }
 
-// TestLegacySnapshotsReplay is the backward-compatibility contract:
-// snapshots written by the pre-interning (map kernel) binaries decode
+// TestLegacySnapshotsReplay pins what becomes of the snapshots the
+// pre-interning (map kernel) binaries wrote. The set measures' retired
+// tags 1 and 2 are rejected with an error that names the tag the
+// decoder wants, so replay and import count them as skipped and the
+// log is prepared again. Access-area's tag 3 is current: it decodes
 // into the current representation with entry-wise identical distances
-// to a fresh Prepare of the same log, and keep extending incrementally.
+// to a fresh Prepare of the same log, and keeps extending
+// incrementally.
 func TestLegacySnapshotsReplay(t *testing.T) {
 	ctx := context.Background()
 	arts := snapshotArtifacts(t)
+	wantTag := map[string]byte{"token": snapInternedStrings, "result": snapInternedStrings, "structure": snapInternedFeatures}
 	for _, name := range Names() {
 		t.Run(name, func(t *testing.T) {
 			metric, err := New(name, arts)
@@ -39,6 +47,13 @@ func TestLegacySnapshotsReplay(t *testing.T) {
 				t.Fatal(err)
 			}
 			restored, err := metric.UnmarshalPrepared(readFixture(t, "legacy", name))
+			if tag, retired := wantTag[name]; retired {
+				want := fmt.Sprintf("want %d", tag)
+				if err == nil || !strings.Contains(err.Error(), want) {
+					t.Errorf("retired snapshot decoded with error %v, want one naming %q", err, want)
+				}
+				return
+			}
 			if err != nil {
 				t.Fatalf("legacy snapshot did not decode: %v", err)
 			}

@@ -157,10 +157,11 @@ func TestSnapshotRejectsGarbage(t *testing.T) {
 	area := append([]byte("DPS1\x03"), make([]byte, 8)...)
 	// A set that repeats an element would cache a cardinality larger
 	// than its bitset holds, so {a,a} and {a} would measure 0.5 apart
-	// instead of 0. Each encoding must reject the repeat: a repeated
-	// legacy element (tags 1 and 2), an id delta of 2³² that wraps back
-	// onto id 0 (tag 4), and a repeated attribute name (tag 3; the
-	// point area [1,1] keeps the repeat from measuring 0 by accident).
+	// instead of 0. Each encoding must reject the repeat: an id delta of
+	// 2³² that wraps back onto id 0 (tag 4), and a repeated attribute
+	// name (tag 3; the point area [1,1] keeps the repeat from measuring
+	// 0 by accident). The retired tags 1 and 2 are rejected whatever
+	// their body holds.
 	structure, _ := New("structure", arts)
 	feature := func(item string) []byte { return snapStr(snapStr(nil, "SELECT"), item) }
 	point := []byte{1, snapValInt, 2, 0, snapValInt, 2, 0} // one interval [1,1]
@@ -213,7 +214,7 @@ func snapCat(header string, parts ...[]byte) []byte {
 	return out
 }
 
-// FuzzUnmarshalPrepared checks the snapshot decoders (tags 1–5) on
+// FuzzUnmarshalPrepared checks the snapshot decoders (tags 3–5) on
 // arbitrary bytes: they never panic; decoding allocates at most 1 MiB
 // plus 128 bytes per input byte (an access-area interval is 144 bytes
 // in memory and 4 on disk, and NewArea copies it once more); marshaling

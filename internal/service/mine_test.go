@@ -7,10 +7,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
-	"os"
-	"path/filepath"
 	"reflect"
-	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -19,153 +16,150 @@ import (
 	"repro/internal/mining"
 	"repro/internal/obs"
 	"repro/internal/store"
-	"repro/internal/store/journal"
 )
 
-// TestMineStateSurvivesRestart is the tentpole's persistence check: an
-// append_mine populates a mining state, the registry is killed and
-// reopened from its journals, and the first post-restart append_mine
-// must run warm from the replayed state — no cold bootstrap, only the
-// journal-omitted prefix matrix rebuilt — while agreeing with a cold
-// mine over the same log.
+// restartSpecs are one spec per mining algorithm over clusteredLog.
+var restartSpecs = []dpe.MineSpec{
+	{Algorithm: dpe.MineKMedoids, K: 3},
+	{Algorithm: dpe.MineDBSCAN, Eps: 0.4, MinPts: 2},
+	{Algorithm: dpe.MineCompleteLink, K: 3},
+	{Algorithm: dpe.MineOutliers, P: 0.8, D: 0.7},
+	{Algorithm: dpe.MineKNN, Query: 1, K: 3},
+	{Algorithm: dpe.MineApriori, MinSupport: 4, MaxLen: 2},
+}
+
+// sameMineResult reports whether two mining results agree exactly:
+// labels, itemsets, outliers, neighbors, and the k-medoids medoids and
+// assignment.
+func sameMineResult(a, b *dpe.MineResult) bool {
+	clusters := func(r *dpe.MineResult) [2][]int {
+		if r.Clusters == nil {
+			return [2][]int{}
+		}
+		return [2][]int{r.Clusters.Medoids, r.Clusters.Assign}
+	}
+	return reflect.DeepEqual(a.Labels, b.Labels) && mining.EqualItemsets(a.Itemsets, b.Itemsets) &&
+		reflect.DeepEqual(a.Outliers, b.Outliers) && reflect.DeepEqual(a.Neighbors, b.Neighbors) &&
+		reflect.DeepEqual(clusters(a), clusters(b))
+}
+
+// TestMineStateSurvivesRestart is the persistence check, for every
+// algorithm: an append_mine populates a mining state, the registry is
+// killed and reopened from its journals, and the first post-restart
+// append_mine must run warm from the replayed state — no cold bootstrap
+// and no fallback, only the matrix the journal leaves out built whole —
+// and serve what the same append serves on a registry that never
+// restarted.
 func TestMineStateSurvivesRestart(t *testing.T) {
-	dir := t.TempDir()
-	reg := NewRegistry(persistentConfig(t, dir, 4))
 	ctx := context.Background()
 	token := dpe.MeasureToken
 	log := clusteredLog()
-	spec := dpe.MineSpec{Algorithm: dpe.MineDBSCAN, Eps: 0.4, MinPts: 2}
+	for _, spec := range restartSpecs {
+		t.Run(spec.Algorithm.String(), func(t *testing.T) {
+			// appendTwice runs the two append_mines of this test on s and
+			// returns the second's rows and result.
+			appendTwice := func(s *session) (string, [][]float64, *dpe.MineResult) {
+				t.Helper()
+				baseID, err := s.AddLog(log[:8])
+				if err != nil {
+					t.Fatal(err)
+				}
+				combinedID, _, _, res, err := s.AppendMine(ctx, baseID, log[8:10], spec)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if res.Incremental == nil || res.Incremental.Warm {
+					t.Fatalf("first append_mine must bootstrap cold, got %+v", res.Incremental)
+				}
+				_, _, rows, res, err := s.AppendMine(ctx, combinedID, log[10:12], spec)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return combinedID, rows, res
+			}
+			ref := NewRegistry(Config{Shards: 4})
+			defer ref.Close()
+			rs, err := ref.CreateSession(&CreateSessionRequest{Measure: &token})
+			if err != nil {
+				t.Fatal(err)
+			}
+			_, wantRows, want := appendTwice(rs)
 
-	s, err := reg.CreateSession(&CreateSessionRequest{Measure: &token})
-	if err != nil {
-		t.Fatal(err)
-	}
-	baseID, err := s.AddLog(log[:8])
-	if err != nil {
-		t.Fatal(err)
-	}
-	combinedID, _, _, res, err := s.AppendMine(ctx, baseID, log[8:10], spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Incremental == nil || res.Incremental.Warm {
-		t.Fatalf("first append_mine must bootstrap cold, got %+v", res.Incremental)
-	}
-	id := s.ID()
-	reg.Close()
+			dir := t.TempDir()
+			reg := NewRegistry(persistentConfig(t, dir, 4))
+			s, err := reg.CreateSession(&CreateSessionRequest{Measure: &token})
+			if err != nil {
+				t.Fatal(err)
+			}
+			baseID, err := s.AddLog(log[:8])
+			if err != nil {
+				t.Fatal(err)
+			}
+			combinedID, _, _, _, err := s.AppendMine(ctx, baseID, log[8:10], spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			id := s.ID()
+			reg.Close()
 
-	reg2, err := OpenRegistry(persistentConfig(t, dir, 4))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer reg2.Close()
-	if rec := reg2.Recovery(); rec.MineStates < 1 {
-		t.Fatalf("recovery replayed %d mining states, want >= 1 (%+v)", rec.MineStates, rec)
-	}
-	s2, err := reg2.Session(id)
-	if err != nil {
-		t.Fatal(err)
-	}
-	combined2, _, _, res2, err := s2.AppendMine(ctx, combinedID, log[10:12], spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res2.Incremental == nil || !res2.Incremental.Warm || res2.Incremental.ColdFallback {
-		t.Fatalf("first post-restart append_mine must run warm from the replayed state, got %+v",
-			res2.Incremental)
-	}
-	if res2.Incremental.OldN != 10 {
-		t.Errorf("warm run extended %d rows, want the pre-restart 10", res2.Incremental.OldN)
-	}
-	// The journaled state carries no matrix, so this run rebuilds the
-	// 10-row prefix's 45 pairs before computing the 21 new ones.
-	if got := res2.Incremental.PairsComputed; got != 45+21 {
-		t.Errorf("first post-restart warm run computed %d pairs, want 66 (45 rebuilt + 21 new)", got)
-	}
+			reg2, err := OpenRegistry(persistentConfig(t, dir, 4))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer reg2.Close()
+			if rec := reg2.Recovery(); rec.MineStates < 1 {
+				t.Fatalf("recovery replayed %d mining states, want >= 1 (%+v)", rec.MineStates, rec)
+			}
+			s2, err := reg2.Session(id)
+			if err != nil {
+				t.Fatal(err)
+			}
+			combined2, _, rows, res, err := s2.AppendMine(ctx, combinedID, log[10:12], spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			st := res.Incremental
+			if st == nil || !st.Warm || st.ColdFallback || st.OldN != 10 {
+				t.Fatalf("first post-restart append_mine must run warm from the replayed 10 rows, got %+v", st)
+			}
+			// The journaled state carries no matrix, so this run builds
+			// the whole 12-row matrix: the 10-row prefix's 45 pairs and
+			// the 21 new ones.
+			wantPairs := int64(12 * 11 / 2)
+			if spec.Algorithm == dpe.MineApriori {
+				wantPairs = 0
+			}
+			if st.PairsComputed != wantPairs {
+				t.Errorf("first post-restart warm run computed %d pairs, want %d", st.PairsComputed, wantPairs)
+			}
+			if !sameMineResult(res, want) || !reflect.DeepEqual(rows, wantRows) {
+				t.Errorf("post-restart append_mine serves %+v, a registry that never restarted %+v", res, want)
+			}
+			if spec.Algorithm != dpe.MineKMedoids {
+				// Warm k-medoids may settle in another local optimum; the
+				// other algorithms must agree with a cold mine exactly.
+				cold, err := s2.Mine(ctx, combined2, spec)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !sameMineResult(res, cold) {
+					t.Errorf("post-restart warm result %+v differs from the cold mine %+v", res, cold)
+				}
+			}
 
-	// The warm continuation must agree with a cold mine of the full log.
-	cold, err := s2.Mine(ctx, combined2, spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(mining.CanonicalLabels(res2.Labels), mining.CanonicalLabels(cold.Labels)) {
-		t.Errorf("post-restart warm labels %v differ from cold labels %v", res2.Labels, cold.Labels)
-	}
-
-	// Replaying the identical append_mine hits the combined state
-	// outright: a zero-delta warm run, no pairs computed.
-	_, _, _, res3, err := s2.AppendMine(ctx, combinedID, log[10:12], spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res3.Incremental == nil || !res3.Incremental.Warm || res3.Incremental.PairsComputed != 0 {
-		t.Errorf("replayed append_mine should be a zero-delta warm hit, got %+v", res3.Incremental)
-	}
-	if stats := s2.Stats(); stats.MineStateHits != 1 {
-		t.Errorf("post-restart mine-state hits = %d, want 1 (the zero-delta replay)", stats.MineStateHits)
-	}
-}
-
-// TestMineStateV1JournalReplay replays a mining record whose blob the
-// JSON-era (v1) encoder wrote: the registry restores it with its
-// matrix, and the first append_mine runs warm, computing only the
-// appended rows' pairs.
-func TestMineStateV1JournalReplay(t *testing.T) {
-	fixtures := filepath.Join("..", "..", "testdata", "minestate_v1")
-	raw, err := os.ReadFile(filepath.Join(fixtures, "log.txt"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	log := strings.Split(strings.TrimSuffix(string(raw), "\n"), "\n")
-	blob, err := os.ReadFile(filepath.Join(fixtures, "dbscan.json"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	spec := dpe.MineSpec{Algorithm: dpe.MineDBSCAN, Eps: 0.4, MinPts: 2}
-
-	dir := t.TempDir()
-	reg := NewRegistry(persistentConfig(t, dir, 2))
-	token := dpe.MeasureToken
-	s, err := reg.CreateSession(&CreateSessionRequest{Measure: &token})
-	if err != nil {
-		t.Fatal(err)
-	}
-	baseID, err := s.AddLog(log[:9])
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := s.sh.journal.Append(journal.Artifact{Kind: store.KindMining, SessionID: s.ID(), LogID: baseID, Blob: blob}); err != nil {
-		t.Fatal(err)
-	}
-	id := s.ID()
-	reg.Close()
-
-	reg2, err := OpenRegistry(persistentConfig(t, dir, 2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer reg2.Close()
-	if rec := reg2.Recovery(); rec.MineStates != 1 || rec.Skipped != 0 {
-		t.Fatalf("recovery %+v, want the v1 mining state applied", rec)
-	}
-	s2, err := reg2.Session(id)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx := context.Background()
-	combinedID, _, _, res, err := s2.AppendMine(ctx, baseID, log[9:], spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st := res.Incremental; st == nil || !st.Warm || st.ColdFallback || st.OldN != 9 || st.PairsComputed != 9*5+10 {
-		t.Fatalf("first append_mine over the v1 state: %+v, want warm from 9 rows with 55 pairs", st)
-	}
-	cold, err := s2.Mine(ctx, combinedID, spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(mining.CanonicalLabels(res.Labels), mining.CanonicalLabels(cold.Labels)) {
-		t.Errorf("warm labels %v differ from cold labels %v", res.Labels, cold.Labels)
+			// Replaying the identical append_mine hits the combined state
+			// outright: a zero-delta warm run, no pairs computed.
+			_, _, _, res3, err := s2.AppendMine(ctx, combinedID, log[10:12], spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res3.Incremental == nil || !res3.Incremental.Warm || res3.Incremental.PairsComputed != 0 {
+				t.Errorf("replayed append_mine should be a zero-delta warm hit, got %+v", res3.Incremental)
+			}
+			if stats := s2.Stats(); stats.MineStateHits != 1 {
+				t.Errorf("post-restart mine-state hits = %d, want 1 (the zero-delta replay)", stats.MineStateHits)
+			}
+		})
 	}
 }
 

@@ -13,14 +13,14 @@
 // applied, skipped, and ignored into a Stats the recovery report is
 // built from.
 //
-// Payload versioning: version 1 is the implicit version of payloads
-// with no "v" field — the exact format every earlier release wrote —
-// so the encoders in this package emit it unchanged and journals stay
-// byte-compatible in both directions. A payload declaring a version
-// this package does not know (written by a newer release) decodes to
-// an error, which replay counts as skipped instead of failing: the
-// journal is a recovery aid, and partial recovery beats refusing to
-// start.
+// Payload formats: a session payload is a JSON object whose version 1
+// is implicit (no "v" field), the exact format every earlier release
+// wrote; a log payload is the bare JSON array of queries; an artifact
+// carries its codec's own versioned blob. A payload this package
+// cannot read (a session payload declaring a newer version, a log
+// payload that is not an array, a damaged body) decodes to an error,
+// which replay counts as skipped instead of failing: the journal is a
+// recovery aid, and partial recovery beats refusing to start.
 package journal
 
 import (
@@ -33,13 +33,10 @@ import (
 	"repro/internal/store"
 )
 
-// The current payload versions this package writes and the highest it
-// can read. Version 1 is implicit (no "v" field) for wire stability
-// with pre-journal-package releases.
-const (
-	sessionVersion = 1
-	logVersion     = 1
-)
+// sessionVersion is the session payload version this package writes
+// and the highest it can read. Version 1 is implicit (no "v" field)
+// for wire stability with pre-journal-package releases.
+const sessionVersion = 1
 
 // Record is one typed journal event. The concrete types in this
 // package — Session, Delete, Log, Artifact — are the complete set; the
@@ -143,14 +140,6 @@ func decodeDelete(rec store.Record) (Delete, error) {
 	return Delete{ID: rec.Session}, nil
 }
 
-// logPayload is the versioned JSON body of a log record at version 2
-// and up. Version 1 — what this package writes — is the bare queries
-// array, for wire stability with pre-journal-package journals.
-type logPayload struct {
-	V       int      `json:"v"`
-	Queries []string `json:"q"`
-}
-
 func (l Log) encode() (store.Record, error) {
 	if l.SessionID == "" || l.LogID == "" {
 		return store.Record{}, fmt.Errorf("journal: log record without a session or log id")
@@ -165,23 +154,12 @@ func (l Log) encode() (store.Record, error) {
 	return store.Record{Kind: store.KindLog, Session: l.SessionID, Log: l.LogID, Data: data}, nil
 }
 
+// decodeLog reads the bare queries array, the only log payload any
+// release has written.
 func decodeLog(rec store.Record) (Log, error) {
-	data := bytes.TrimSpace(rec.Data)
 	var queries []string
-	if len(data) > 0 && data[0] == '[' {
-		// Version 1: the bare queries array.
-		if err := json.Unmarshal(data, &queries); err != nil {
-			return Log{}, fmt.Errorf("journal: decoding log record: %w", err)
-		}
-	} else {
-		var p logPayload
-		if err := json.Unmarshal(data, &p); err != nil {
-			return Log{}, fmt.Errorf("journal: decoding log record: %w", err)
-		}
-		if p.V > logVersion {
-			return Log{}, fmt.Errorf("journal: log payload version %d is newer than this binary (max %d)", p.V, logVersion)
-		}
-		queries = p.Queries
+	if err := json.Unmarshal(rec.Data, &queries); err != nil {
+		return Log{}, fmt.Errorf("journal: decoding log record: %w", err)
 	}
 	if rec.Session == "" || rec.Log == "" || len(queries) == 0 {
 		return Log{}, fmt.Errorf("journal: incomplete log record")

@@ -90,11 +90,13 @@ func TestCodecRoundTrips(t *testing.T) {
 	}
 }
 
-// TestCodecWireStability pins the version-1 payload bytes to the exact
+// TestCodecWireStability pins the payload bytes to the exact
 // pre-journal-package formats: a session record is
 // {"created":...,"req":...} with no "v" field, and a log record is the
 // bare queries array — journals written before this package existed
 // replay unchanged, and journals written now replay on those releases.
+// The bare array is the only log payload: an object form, which no
+// release wrote, is an error that replay counts as one skip.
 func TestCodecWireStability(t *testing.T) {
 	created := time.Date(2026, 8, 1, 12, 0, 0, 0, time.UTC)
 	raw, err := Session{ID: "s-1", Created: created, Request: json.RawMessage(`{"measure":"token"}`)}.encode()
@@ -117,13 +119,15 @@ func TestCodecWireStability(t *testing.T) {
 		t.Errorf("log payload = %s, want the bare array %s", raw.Data, want)
 	}
 
-	// The v2+ envelope form decodes too (forward path for a future bump).
-	got, err := Decode(store.Record{Kind: store.KindLog, Session: "s-1", Log: "l-1", Data: []byte(`{"v":1,"q":["a"]}`)})
-	if err != nil {
-		t.Fatalf("enveloped log payload: %v", err)
+	enveloped := store.Record{Kind: store.KindLog, Session: "s-1", Log: "l-1", Data: []byte(`{"v":1,"q":["a"]}`)}
+	if got, err := Decode(enveloped); err == nil {
+		t.Errorf("enveloped log payload decoded to %+v", got)
 	}
-	if lg := got.(Log); len(lg.Queries) != 1 || lg.Queries[0] != "a" {
-		t.Errorf("enveloped log decoded to %+v", lg)
+	var envSt Stats
+	envH := &outcomeHandler{out: Applied}
+	dispatch(enveloped, envH, &envSt)
+	if (envSt != Stats{Skipped: 1}) || len(envH.seen) != 0 {
+		t.Errorf("enveloped log record: stats %+v, handler saw %d; want one skip", envSt, len(envH.seen))
 	}
 
 	// The blob-carrying kinds put the routing keys in "s" and "l" and the

@@ -28,16 +28,19 @@ import (
 // returned — MineIncremental extends copies, never the state itself —
 // so a service can cache it and serve concurrent readers. A MineState
 // is only meaningful with the Provider and log prefix it was mined
-// from. A state restored by UnmarshalMineState carries no matrix;
-// MineIncremental rebuilds it from the prepared log on each warm use.
+// from. A state decoded by UnmarshalMineState carries no matrix;
+// MineIncremental builds it whole from the prepared log on each warm
+// use, and has internal/mining check the state's DBSCAN graph or
+// apriori counts against that log before they are trusted.
 type MineState struct {
-	spec   MineSpec
-	n      int
-	matrix Matrix                 // distance-based algorithms; nil for apriori and restored states
-	kmed   *mining.KMedoidsResult // k-medoids warm start
-	adj    [][]int                // dbscan eps-neighborhood graph
-	labels []int                  // prior labels (dbscan, complete-link) or 0/1 outlier flags
-	counts map[string]int         // apriori carried candidate supports
+	spec    MineSpec
+	n       int
+	matrix  Matrix                 // distance-based algorithms; nil for apriori and decoded states
+	kmed    *mining.KMedoidsResult // k-medoids warm start
+	adj     [][]int                // dbscan eps-neighborhood graph
+	labels  []int                  // prior labels (dbscan, complete-link) or 0/1 outlier flags
+	counts  map[string]int         // apriori carried candidate supports
+	decoded bool                   // set by UnmarshalMineState only: check adj and counts before use
 }
 
 // Spec returns the mining spec the state was built under. A state only
@@ -71,23 +74,24 @@ func (s *MineState) SizeBytes() int64 {
 // result. PairsComputed and Examined are deterministic work counters —
 // the numbers the incmine bench experiment gates.
 type IncrementalStats struct {
-	// Warm reports whether the previous state was reused (matrix
-	// extended, algorithm warm-started). False means the cold
-	// bootstrap ran: no state, a different spec, or a shrunk log.
+	// Warm reports whether the previous state was reused (algorithm
+	// warm-started). False means the cold bootstrap ran: no state, a
+	// different spec, or a shrunk log.
 	Warm bool `json:"warm"`
 	// ColdFallback reports that the warm path was attempted but
 	// internal/mining rejected the warm start, so the algorithm reran
-	// cold over the (incrementally extended) matrix: a carried state
-	// that does not fit it (for k-medoids, an assignment of the old
-	// rows that is not the nearest-medoid one) or a warm k-medoids run
-	// that did not converge.
+	// cold over the same matrix: a carried state that does not fit it
+	// (for k-medoids, an assignment of the old rows that is not the
+	// nearest-medoid one; for a decoded state, a DBSCAN graph or an
+	// apriori count table that the log does not give) or a warm
+	// k-medoids run that did not converge.
 	ColdFallback bool `json:"cold_fallback,omitempty"`
 	// OldN is the row count the previous state covered (0 when cold).
 	OldN int `json:"old_n"`
 	// PairsComputed counts the distance pairs evaluated for the
-	// matrix: oldN·k + k·(k−1)/2 warm, plus the oldN·(oldN−1)/2 prefix
-	// pairs when the warm state was restored without its matrix; the
-	// full n·(n−1)/2 triangle cold; 0 for apriori (which never builds a
+	// matrix: oldN·k + k·(k−1)/2 warm from a state this process mined;
+	// the full n·(n−1)/2 triangle warm from a decoded state, which
+	// carries no matrix, and cold; 0 for apriori (which never builds a
 	// matrix).
 	PairsComputed int64 `json:"pairs_computed"`
 	// Examined counts the algorithm's own work as internal/mining
@@ -95,7 +99,9 @@ type IncrementalStats struct {
 	// transaction membership scans (apriori); 0 for complete-link,
 	// outliers, and kNN. Warm k-medoids reads n·K entries to assign
 	// every row to the carried medoids, plus its update steps' reads.
-	// A rejected warm start's work is included.
+	// The check of a decoded state (oldN·(oldN−1) reads of its DBSCAN
+	// graph, or the scans behind its apriori counts) and a rejected
+	// warm start's work are included.
 	Examined int64 `json:"examined"`
 	// ChangedLabels lists the old rows whose cluster membership
 	// changed relative to the previous state, after canonical
@@ -106,10 +112,10 @@ type IncrementalStats struct {
 
 // MineIncremental mines a prepared log reusing the previous call's
 // MineState. When prev covers a prefix of pl under the identical spec,
-// only the appended rows' distance pairs are computed (the matrix is
-// spliced, stage "mine_delta"; a state restored without its matrix
-// first rebuilds the prefix's pairs) and the algorithm warm-starts
-// from the prior result; otherwise the cold bootstrap runs (stage "mine",
+// the algorithm warm-starts from the prior result (stage "mine_delta"):
+// only the appended rows' distance pairs are computed and spliced onto
+// prev's matrix, or, for a decoded state, which carries none, the whole
+// matrix is built. Otherwise the cold bootstrap runs (stage "mine",
 // identical output to MinePrepared) and captures state. Either way the
 // returned result matches a cold Mine over the full log — exactly for
 // DBSCAN, Apriori, and the non-warm algorithms, and up to local-optimum
@@ -144,40 +150,39 @@ func (p *Provider) mineBootstrap(ctx context.Context, pl *PreparedLog, spec Mine
 	return p.mine(pl, m, nil, spec, stats)
 }
 
-// mineWarm is the incremental path: extend the carried matrix with the
-// appended rows' pairs only, then warm-start the algorithm.
+// mineWarm is the incremental path: get the matrix over pl, then
+// warm-start the algorithm. A state this process mined carries the
+// matrix over its rows, so only the appended rows' pairs are computed
+// and spliced on; with none appended the carried matrix serves as is.
+// A decoded state carries none, so the whole matrix is built from pl.
+// Nothing is written back into prev, which may be a cached state
+// shared by other readers.
 func (p *Provider) mineWarm(ctx context.Context, pl *PreparedLog, prev *MineState, spec MineSpec) (*MineResult, *MineState, error) {
 	defer p.stage(ctx, "mine_delta")()
-	n, oldN := pl.Len(), prev.n
-	stats := &IncrementalStats{Warm: true, OldN: oldN}
-	if spec.Algorithm == MineApriori {
-		return p.mine(pl, nil, prev, spec, stats)
-	}
-
-	base := prev.matrix
-	if base == nil {
-		// A state restored from the journal carries no matrix: rebuild
-		// the prefix's block from the call's prepared log. It stays with
-		// this call; prev may be a cached state shared by other readers.
-		var err error
-		if base, err = distance.BuildMatrix(ctx, oldN, p.parallelism, pl.prep.Distance); err != nil {
+	n, oldN := int64(pl.Len()), int64(prev.n)
+	stats := &IncrementalStats{Warm: true, OldN: prev.n}
+	var m Matrix
+	var err error
+	switch {
+	case spec.Algorithm == MineApriori:
+	case prev.matrix == nil:
+		if m, err = p.DistanceMatrixPrepared(ctx, pl); err != nil {
 			return nil, nil, err
 		}
-		stats.PairsComputed = int64(oldN) * int64(oldN-1) / 2
+		stats.PairsComputed = n * (n - 1) / 2
+	case n == oldN:
+		m = prev.matrix
+	default:
+		rows, err := p.AppendRowsPrepared(ctx, prev.n, pl)
+		if err != nil {
+			return nil, nil, err
+		}
+		if m, err = SpliceMatrixRows(prev.matrix, rows); err != nil {
+			return nil, nil, err
+		}
+		k := n - oldN
+		stats.PairsComputed = oldN*k + k*(k-1)/2
 	}
-	if len(base) != oldN {
-		return nil, nil, fmt.Errorf("dpe: mining state carries a %d-row matrix for %d rows", len(base), oldN)
-	}
-	rows, err := p.AppendRowsPrepared(ctx, oldN, pl)
-	if err != nil {
-		return nil, nil, err
-	}
-	m, err := SpliceMatrixRows(base, rows)
-	if err != nil {
-		return nil, nil, err
-	}
-	k := n - oldN
-	stats.PairsComputed += int64(oldN)*int64(k) + int64(k)*int64(k-1)/2
 	return p.mine(pl, m, prev, spec, stats)
 }
 
@@ -185,7 +190,9 @@ func (p *Provider) mineWarm(ctx context.Context, pl *PreparedLog, prev *MineStat
 // log's transactions), warm from prev or cold when prev is nil, and
 // captures the state for the next call. Whether prev fits is
 // internal/mining's decision alone: a warm start it rejects reruns
-// cold over the same matrix with ColdFallback set.
+// cold over the same matrix with ColdFallback set. A decoded state's
+// DBSCAN graph and apriori counts, which the warm starts trust as
+// carried, are checked against m and the log first.
 func (p *Provider) mine(pl *PreparedLog, m Matrix, prev *MineState, spec MineSpec, stats *IncrementalStats) (*MineResult, *MineState, error) {
 	cold := prev == nil
 	if cold {
@@ -204,14 +211,28 @@ func (p *Provider) mine(pl *PreparedLog, m Matrix, prev *MineState, spec MineSpe
 		}
 		res.Clusters = state.kmed
 	case MineDBSCAN:
-		state.labels, state.adj, work, err = mining.DBSCANAppendGraph(m, spec.Eps, spec.MinPts, prev.adj)
+		if prev.decoded {
+			work, err = mining.CheckEpsGraph(m, spec.Eps, prev.adj)
+		}
+		if err == nil {
+			var reads int64
+			state.labels, state.adj, reads, err = mining.DBSCANAppendGraph(m, spec.Eps, spec.MinPts, prev.adj)
+			work += reads
+		}
 		res.Labels = state.labels
 	case MineApriori:
 		var txs []mining.Transaction
 		if txs, err = p.transactions(pl); err != nil {
 			return nil, nil, err
 		}
-		res.Itemsets, state.counts, work, err = mining.AprioriAppend(txs, prev.n, prev.counts, spec.MinSupport, spec.MaxLen)
+		if prev.decoded {
+			work, err = mining.CheckCounts(txs[:prev.n], prev.counts)
+		}
+		if err == nil {
+			var scans int64
+			res.Itemsets, state.counts, scans, err = mining.AprioriAppend(txs, prev.n, prev.counts, spec.MinSupport, spec.MaxLen)
+			work += scans
+		}
 	case MineCompleteLink:
 		res.Labels, err = mining.CompleteLink(m, spec.K)
 		state.labels = res.Labels

@@ -3,6 +3,7 @@ package dpe
 import (
 	"context"
 	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/mining"
@@ -66,6 +67,69 @@ func TestMineIncrementalChecksCarriedKMedoids(t *testing.T) {
 			}
 			if tc.fallback && !reflect.DeepEqual(got.Clusters, cold.Clusters) {
 				t.Errorf("fallback served %+v, the cold mine %+v", got.Clusters, cold.Clusters)
+			}
+		})
+	}
+}
+
+// TestMineIncrementalChecksDecodedState warm-starts DBSCAN and apriori
+// from decoded states that do not fit their log (forgedMineStates): a
+// graph edge outside eps, which merges two clusters, and inflated
+// counts, which serve itemsets the log does not support. Each check
+// rejects its warm start, and the run serves the cold mine's labels or
+// itemsets with ColdFallback set.
+func TestMineIncrementalChecksDecodedState(t *testing.T) {
+	ctx := context.Background()
+	p, _, full := prepareFixture(t)
+	for name, blob := range forgedMineStates(t) {
+		t.Run(name, func(t *testing.T) {
+			s, err := UnmarshalMineState(blob)
+			if err != nil {
+				t.Fatalf("the forged state does not decode: %v", err)
+			}
+			got, _, err := p.MineIncremental(ctx, full, s, s.Spec())
+			if err != nil {
+				t.Fatal(err)
+			}
+			cold, err := p.MinePrepared(ctx, full, s.Spec())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if st := got.Incremental; !st.Warm || !st.ColdFallback {
+				t.Errorf("stats %+v, want a warm run that fell back cold", st)
+			}
+			if !slices.Equal(got.Labels, cold.Labels) || !mining.EqualItemsets(got.Itemsets, cold.Itemsets) {
+				t.Errorf("served labels %v and %d itemsets; the cold mine gives %v and %d",
+					got.Labels, len(got.Itemsets), cold.Labels, len(cold.Itemsets))
+			}
+		})
+	}
+}
+
+// TestMineIncrementalZeroDelta replays a warm run over the log its
+// in-memory state already covers: no pair is computed, the carried
+// matrix is served as is, not copied, and the result is the cold one.
+func TestMineIncrementalZeroDelta(t *testing.T) {
+	ctx := context.Background()
+	p, _, full := prepareFixture(t)
+	for _, spec := range fixtureSpecs {
+		t.Run(spec.Algorithm.String(), func(t *testing.T) {
+			cold, state, err := p.MineIncremental(ctx, full, nil, spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, _, err := p.MineIncremental(ctx, full, state, spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if st := got.Incremental; !st.Warm || st.ColdFallback || st.PairsComputed != 0 {
+				t.Errorf("stats %+v, want a warm run with no pairs", st)
+			}
+			if (got.Matrix == nil) != (state.matrix == nil) || got.Matrix != nil && &got.Matrix[0] != &state.matrix[0] {
+				t.Error("the zero-delta run did not serve the carried matrix")
+			}
+			if !sameMine(got, cold) {
+				t.Error("the zero-delta run differs from the cold mine")
 			}
 		})
 	}

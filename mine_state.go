@@ -1,18 +1,18 @@
 package dpe
 
 // MineState persistence: the codec behind the service's KindMining
-// journal records and tenant bundles. Version 2 is binary and leaves
-// the distance matrix out. Under Definition 1 the matrix is a pure
-// function of the prepared log, which is journaled beside the state,
-// so MineIncremental rebuilds it on the first warm use of a restored
-// state instead of every append journaling n² floats. Version 1 (JSON,
-// matrix inline) is no longer written but still decodes, so journals
-// and bundles written by older binaries restore warm.
+// journal records and tenant bundles. The format (version 2) is binary
+// and leaves the distance matrix out. Under Definition 1 the matrix is
+// a pure function of the prepared log, which is journaled beside the
+// state, so MineIncremental builds it on each warm use of a decoded
+// state instead of every append journaling n² floats. A state is a
+// cache: a blob in any other format, such as the JSON version 1 that
+// older binaries wrote, fails to decode, and replay and import count
+// it as skipped and mine cold on first use.
 
 import (
 	"bytes"
 	"encoding/binary"
-	"encoding/json"
 	"fmt"
 	"math"
 	"sort"
@@ -22,8 +22,7 @@ import (
 	"repro/internal/mining"
 )
 
-// A v2 blob opens with mineStateMagic and a version byte. A v1 blob is
-// a JSON object, so its first byte is '{'.
+// A blob opens with mineStateMagic and a version byte.
 var mineStateMagic = [3]byte{'D', 'M', 'S'}
 
 const mineStateVersion = 2
@@ -127,19 +126,17 @@ func appendInts(b []byte, xs []int) []byte {
 	return b
 }
 
-// UnmarshalMineState is the inverse of MarshalMineState. A v2 state
-// carries no matrix; MineIncremental rebuilds it from the prepared log.
-// A v1 (JSON) blob decodes with its matrix. Any other version is an
-// error. Every count is checked against the bytes left before anything
-// is allocated for it, and a state whose per-row structures do not
-// cover exactly n rows, or whose indices leave their range, is
-// rejected. Decoded states never hold empty non-nil slices, so
-// re-encoding a decoded state and decoding it again gives a deep-equal
-// state.
+// UnmarshalMineState is the inverse of MarshalMineState. The state
+// carries no matrix; MineIncremental builds it from the prepared log.
+// A blob without the header, or of another version, is an error. Every
+// count is checked against the bytes left before anything is allocated
+// for it, and a state whose per-row structures do not cover exactly n
+// rows, or whose indices leave their range, is rejected. What the
+// bytes cannot show, that a DBSCAN graph or an apriori count table fits
+// the log, internal/mining checks when a warm run uses the state.
+// Decoded states never hold empty non-nil slices, so re-encoding a
+// decoded state and decoding it again gives a deep-equal state.
 func UnmarshalMineState(data []byte) (*MineState, error) {
-	if len(data) > 0 && data[0] == '{' {
-		return unmarshalMineStateV1(data)
-	}
 	if len(data) < len(mineStateMagic)+1 || !bytes.Equal(data[:len(mineStateMagic)], mineStateMagic[:]) {
 		return nil, fmt.Errorf("dpe: mining state has no mining-state header")
 	}
@@ -147,7 +144,7 @@ func UnmarshalMineState(data []byte) (*MineState, error) {
 		return nil, fmt.Errorf("dpe: unknown mining-state version %d", v)
 	}
 	r := binenc.NewReader(data[len(mineStateMagic)+1:])
-	s := &MineState{}
+	s := &MineState{decoded: true}
 	sp := &s.spec
 	sp.Algorithm = MiningAlgorithm(r.Int())
 	sp.K = r.Int()
@@ -306,16 +303,6 @@ func readCounts(r *binenc.Reader) map[string]int {
 // rejected.
 func (s *MineState) check() error {
 	n := s.n
-	if s.matrix != nil {
-		if len(s.matrix) != n {
-			return fmt.Errorf("dpe: mining state carries a %d-row matrix for %d rows", len(s.matrix), n)
-		}
-		for i, row := range s.matrix {
-			if len(row) != n {
-				return fmt.Errorf("dpe: mining state matrix row %d has %d entries, want %d", i, len(row), n)
-			}
-		}
-	}
 	if s.kmed != nil {
 		for c, m := range s.kmed.Medoids {
 			if m < 0 || m >= n || c > 0 && m <= s.kmed.Medoids[c-1] {
@@ -361,72 +348,4 @@ func (s *MineState) check() error {
 		}
 	}
 	return nil
-}
-
-// mineStateWire is the v1 (JSON) form of a MineState, which binaries
-// before v2 journaled. It is decoded, never written.
-type mineStateWire struct {
-	V      int                    `json:"v"`
-	Spec   MineSpec               `json:"spec"`
-	N      int                    `json:"n"`
-	Matrix Matrix                 `json:"matrix,omitempty"`
-	Kmed   *mining.KMedoidsResult `json:"kmed,omitempty"`
-	Adj    [][]int                `json:"adj,omitempty"`
-	Labels []int                  `json:"labels,omitempty"`
-	Counts []countEntry           `json:"counts,omitempty"`
-}
-
-type countEntry struct {
-	K string `json:"k"`
-	C int    `json:"c"`
-}
-
-// unmarshalMineStateV1 decodes a v1 blob, matrix included, under the
-// same checks as v2.
-func unmarshalMineStateV1(data []byte) (*MineState, error) {
-	var w mineStateWire
-	if err := json.Unmarshal(data, &w); err != nil {
-		return nil, fmt.Errorf("dpe: decoding mining state: %w", err)
-	}
-	if w.V != 1 {
-		return nil, fmt.Errorf("dpe: unknown mining-state version %d", w.V)
-	}
-	if w.N < 0 {
-		return nil, fmt.Errorf("dpe: mining state has negative row count %d", w.N)
-	}
-	s := &MineState{spec: w.Spec, n: w.N, matrix: w.Matrix, kmed: w.Kmed, adj: w.Adj, labels: w.Labels}
-	if w.Counts != nil {
-		s.counts = make(map[string]int, len(w.Counts))
-		for i, e := range w.Counts {
-			if i > 0 && e.K <= w.Counts[i-1].K {
-				return nil, fmt.Errorf("dpe: mining state count keys not strictly ascending at %q", e.K)
-			}
-			s.counts[e.K] = e.C
-		}
-	}
-	if err := s.check(); err != nil {
-		return nil, err
-	}
-	// Drop the empty non-nil slices JSON can produce, as v2 decoding does.
-	if len(s.matrix) == 0 {
-		s.matrix = nil
-	}
-	if s.kmed != nil {
-		s.kmed.Medoids, s.kmed.Assign = nilIfEmpty(s.kmed.Medoids), nilIfEmpty(s.kmed.Assign)
-	}
-	if len(s.adj) == 0 {
-		s.adj = nil
-	}
-	for i, row := range s.adj {
-		s.adj[i] = nilIfEmpty(row)
-	}
-	s.labels = nilIfEmpty(s.labels)
-	return s, nil
-}
-
-func nilIfEmpty(xs []int) []int {
-	if len(xs) == 0 {
-		return nil
-	}
-	return xs
 }

@@ -5,11 +5,13 @@ import (
 	"context"
 	"encoding/binary"
 	"fmt"
+	"maps"
 	"math"
 	"os"
 	"path/filepath"
 	"reflect"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 
@@ -17,9 +19,10 @@ import (
 )
 
 // The v1 fixtures under testdata/minestate_v1 were written by the
-// JSON-era MarshalMineState: one state per algorithm, mined over the
-// first 9 queries of log.txt (14 queries), so each test extends the
-// same prefix by the remaining 5.
+// JSON-era MarshalMineState, a format no binary writes any more: one
+// state per algorithm, mined over the first 9 queries of log.txt (14
+// queries). The decoder must reject them. The tests here mine the same
+// prefix and extend it by the remaining 5.
 const v1FixtureDir = "testdata/minestate_v1"
 
 // fixtureSpecs are the specs the v1 fixtures were mined under, keyed by
@@ -62,10 +65,12 @@ func prepareFixture(t *testing.T) (p *Provider, base, full *PreparedLog) {
 }
 
 // sameState is reflect.DeepEqual with floats compared by their bits, so
-// a NaN parameter or cost equals itself.
+// a NaN parameter or cost equals itself. Whether a state was decoded is
+// not part of it.
 func sameState(a, b *MineState) bool {
 	split := func(s *MineState) ([4]uint64, MineState) {
 		rest := *s
+		rest.decoded = false
 		bits := [4]uint64{math.Float64bits(s.spec.Eps), math.Float64bits(s.spec.P), math.Float64bits(s.spec.D)}
 		rest.spec.Eps, rest.spec.P, rest.spec.D = 0, 0, 0
 		if s.kmed != nil {
@@ -105,8 +110,9 @@ func sameMine(a, b *MineResult) bool {
 
 // TestMineStateRoundTrip encodes bootstrapped and warm-extended states
 // of every algorithm: the blob is deterministic and carries everything
-// but the matrix, and the decoded state warm-starts to the same result
-// as the in-memory one after rebuilding the 9-row prefix (36 pairs).
+// but the matrix, and the decoded state passes its checks and
+// warm-starts to the same result as the in-memory one after building
+// the whole 14-row matrix (91 pairs).
 func TestMineStateRoundTrip(t *testing.T) {
 	ctx := context.Background()
 	p, base, full := prepareFixture(t)
@@ -145,7 +151,7 @@ func TestMineStateRoundTrip(t *testing.T) {
 				t.Fatal(err)
 			}
 			st := got.Incremental
-			wantPairs := int64(36 + 9*5 + 10)
+			wantPairs := int64(14 * 13 / 2)
 			if spec.Algorithm == MineApriori {
 				wantPairs = 0
 			}
@@ -156,18 +162,17 @@ func TestMineStateRoundTrip(t *testing.T) {
 				t.Errorf("restored warm run differs from the in-memory one")
 			}
 			if restored.matrix != nil {
-				t.Error("the warm run wrote its rebuilt matrix back into the restored state")
+				t.Error("the warm run wrote its matrix back into the decoded state")
 			}
 		})
 	}
 }
 
-// TestMineStateV1Fixtures pins compatibility with blobs the JSON-era
-// encoder wrote: each decodes with its matrix, and warm-starts without
-// rebuilding anything to the result of a cold mine of the extended log.
+// TestMineStateV1Fixtures pins the retirement of the JSON-era (v1)
+// format: each blob that encoder wrote is rejected, so replay and import
+// count it as skipped and the log mines cold, as a fresh session's
+// does.
 func TestMineStateV1Fixtures(t *testing.T) {
-	ctx := context.Background()
-	p, _, full := prepareFixture(t)
 	for _, spec := range fixtureSpecs {
 		t.Run(spec.Algorithm.String(), func(t *testing.T) {
 			blob, err := os.ReadFile(filepath.Join(v1FixtureDir, spec.Algorithm.String()+".json"))
@@ -175,34 +180,11 @@ func TestMineStateV1Fixtures(t *testing.T) {
 				t.Fatal(err)
 			}
 			s, err := UnmarshalMineState(blob)
-			if err != nil {
-				t.Fatal(err)
+			if err == nil {
+				t.Fatalf("v1 blob decoded to %+v", s)
 			}
-			if s.Spec() != spec || s.Len() != 9 {
-				t.Fatalf("decoded spec %+v over %d rows, want %+v over 9", s.Spec(), s.Len(), spec)
-			}
-			wantPairs := int64(9*5 + 10)
-			if spec.Algorithm == MineApriori {
-				wantPairs = 0
-				if s.matrix != nil || len(s.counts) == 0 {
-					t.Fatalf("apriori state: matrix %v, %d counts", s.matrix != nil, len(s.counts))
-				}
-			} else if len(s.matrix) != 9 {
-				t.Fatalf("v1 state decoded with a %d-row matrix, want 9", len(s.matrix))
-			}
-			got, _, err := p.MineIncremental(ctx, full, s, spec)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if st := got.Incremental; !st.Warm || st.ColdFallback || st.PairsComputed != wantPairs {
-				t.Errorf("v1 warm run: %+v, want warm with %d pairs", st, wantPairs)
-			}
-			cold, err := p.MinePrepared(ctx, full, spec)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !sameMine(got, cold) {
-				t.Errorf("v1 warm run differs from a cold mine of the extended log")
+			if !strings.Contains(err.Error(), "no mining-state header") {
+				t.Errorf("v1 blob rejected with %q, want the missing-header error", err)
 			}
 		})
 	}
@@ -333,6 +315,47 @@ func hostileMineStates(t *testing.T) map[string][]byte {
 	}
 }
 
+// forgedMineStates are blobs that decode, as each is well formed, but
+// do not fit the log they claim: states mined over the fixture log's
+// first 9 queries under fixtureSpecs' DBSCAN and apriori specs, then
+// given one more graph edge, 0–4, which lies outside eps, or every
+// apriori count raised by 5. Only a check against the log tells them
+// from honest states. The fuzz corpus seeds from them too.
+func forgedMineStates(t *testing.T) map[string][]byte {
+	t.Helper()
+	ctx := context.Background()
+	p, base, _ := prepareFixture(t)
+	forge := func(spec MineSpec, edit func(*MineState)) []byte {
+		_, s, err := p.MineIncremental(ctx, base, nil, spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		edit(s)
+		blob, err := MarshalMineState(s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return blob
+	}
+	return map[string][]byte{
+		"forged_dbscan_edge": forge(fixtureSpecs[1], func(s *MineState) {
+			for _, e := range [][2]int{{0, 4}, {4, 0}} {
+				row := s.adj[e[0]]
+				if slices.Contains(row, e[1]) {
+					t.Fatalf("the fixture graph already has edge %d-%d", e[0], e[1])
+				}
+				s.adj[e[0]] = append(slices.Clone(row), e[1])
+				slices.Sort(s.adj[e[0]])
+			}
+		}),
+		"forged_apriori_counts": forge(fixtureSpecs[5], func(s *MineState) {
+			for k := range s.counts {
+				s.counts[k] += 5
+			}
+		}),
+	}
+}
+
 func TestUnmarshalMineStateRejects(t *testing.T) {
 	dbscan := MineSpec{Algorithm: MineDBSCAN, Eps: 0.4, MinPts: 2}
 	if _, err := UnmarshalMineState(v2Blob(t, dbscan, 3, mineHasGraph, uv(3, 0, 1, 0, 0))); err != nil {
@@ -359,12 +382,12 @@ func allocatedBy(f func()) uint64 {
 
 // FuzzUnmarshalMineState checks the decoder on arbitrary bytes: it
 // never panics; it allocates at most 1 MiB plus 64 bytes per input
-// byte; an accepted state re-encodes and decodes to a deep-equal state
-// (matrix aside, which v2 leaves out); and an accepted state over at
-// most 32 rows, handed to MineIncremental under its own spec with a
-// prepared log of n+4 queries — once as decoded, once re-decoded
-// without a matrix — yields a result or an error, never a panic, and a
-// k-medoids result's cost is the distance sum of its own assignment.
+// byte; an accepted state re-encodes and decodes to a deep-equal state;
+// and an accepted state over at most 32 rows, handed to MineIncremental
+// under its own spec with a prepared log of n+4 queries, yields a
+// result or an error, never a panic. A result equals what the checks
+// guard: a k-medoids cost is the distance sum of its own assignment,
+// and DBSCAN labels and apriori itemsets equal a cold mine's.
 func FuzzUnmarshalMineState(f *testing.F) {
 	p, err := NewProvider(MeasureToken)
 	if err != nil {
@@ -387,8 +410,8 @@ func FuzzUnmarshalMineState(f *testing.F) {
 		if err != nil {
 			t.Fatalf("decoding the re-encoded %x: %v", blob, err)
 		}
-		if !sameState(withoutMatrix(s), back) {
-			t.Fatalf("%q re-decodes to %+v, want %+v", data, back, withoutMatrix(s))
+		if !sameState(s, back) {
+			t.Fatalf("%q re-decodes to %+v, want %+v", data, back, s)
 		}
 		if s.n > 32 {
 			return
@@ -402,17 +425,24 @@ func FuzzUnmarshalMineState(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		// A result and an error are both fine; a panic or a k-medoids
-		// cost its assignment does not add up to fails. Bits compare
-		// because a crafted v1 matrix can sum to NaN, which both sides
-		// reach by the same additions.
-		for _, warm := range []*MineState{s, back} {
-			res, _, err := p.MineIncremental(ctx, pl, warm, warm.spec)
-			if err != nil || res.Clusters == nil {
-				continue
-			}
+		// An error is fine (the spec may not fit the log); a panic is not.
+		res, _, err := p.MineIncremental(ctx, pl, s, s.spec)
+		if err != nil {
+			return
+		}
+		if res.Clusters != nil {
+			// Bits compare, so a NaN cost equals itself.
 			if got, want := res.Clusters.Cost, assignCost(res.Matrix, res.Clusters); math.Float64bits(got) != math.Float64bits(want) {
 				t.Fatalf("k-medoids served cost %v, its assignment costs %v", got, want)
+			}
+		}
+		if a := s.spec.Algorithm; a == MineDBSCAN || a == MineApriori {
+			cold, err := p.MinePrepared(ctx, pl, s.spec)
+			if err != nil {
+				t.Fatalf("warm %s ran, cold failed: %v", a, err)
+			}
+			if !slices.Equal(res.Labels, cold.Labels) || !mining.EqualItemsets(res.Itemsets, cold.Itemsets) {
+				t.Fatalf("warm %s served labels %v and itemsets %v, cold %v and %v", a, res.Labels, res.Itemsets, cold.Labels, cold.Itemsets)
 			}
 		}
 	})
@@ -420,8 +450,8 @@ func FuzzUnmarshalMineState(f *testing.F) {
 
 // TestGenerateMineStateCorpus rewrites FuzzUnmarshalMineState's seed
 // corpus when RUN_GEN_FIXTURES is set: v2 blobs of every algorithm from
-// the real encoder, the v1 fixtures, and the hostile cases above.
-// Normal test runs skip it.
+// the real encoder, the retired v1 fixtures, and the hostile and forged
+// cases above. Normal test runs skip it.
 func TestGenerateMineStateCorpus(t *testing.T) {
 	if os.Getenv("RUN_GEN_FIXTURES") == "" {
 		t.Skip("set RUN_GEN_FIXTURES=1 to regenerate the fuzz seed corpus")
@@ -429,6 +459,7 @@ func TestGenerateMineStateCorpus(t *testing.T) {
 	ctx := context.Background()
 	p, base, _ := prepareFixture(t)
 	seeds := hostileMineStates(t)
+	maps.Copy(seeds, forgedMineStates(t))
 	for _, spec := range fixtureSpecs {
 		_, state, err := p.MineIncremental(ctx, base, nil, spec)
 		if err != nil {
