@@ -11,8 +11,8 @@
 // prepared-state cache, so tenants on different shards never contend.
 //
 // With -data-dir, every shard journals its sessions, uploaded logs,
-// and cached artifacts — prepared-state snapshots and mining states —
-// to an append-only segment file there; a restarted
+// and cached artifacts — prepared-state snapshots and k-medoids mining
+// states — to an append-only segment file there; a restarted
 // dpeserver replays the journals, so tenants resume without
 // re-uploading artifacts and the first request after a restart hits
 // the warm cache. Each shard's janitor compacts its journal every

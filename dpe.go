@@ -685,9 +685,10 @@ type MineSpec struct {
 // Validate checks the spec's parameters against a log of n queries
 // without doing any work: K must be positive (and at most n for the
 // K-cluster algorithms), DBSCAN needs Eps > 0 and MinPts > 0, outlier
-// detection needs P ∈ (0,1) and D > 0, and kNN's Query must index the
-// log. Provider.Mine calls it before building the distance matrix, so a
-// bad spec fails fast instead of after the expensive part.
+// detection needs P ∈ (0,1) and D > 0 (a NaN parameter fails these),
+// and kNN's Query must index the log. Provider.Mine calls it before
+// building the distance matrix, so a bad spec fails fast instead of
+// after the expensive part.
 func (s MineSpec) Validate(n int) error {
 	switch s.Algorithm {
 	case MineKMedoids, MineCompleteLink:
@@ -698,17 +699,17 @@ func (s MineSpec) Validate(n int) error {
 			return fmt.Errorf("dpe: %s needs K <= %d queries, got %d", s.Algorithm, n, s.K)
 		}
 	case MineDBSCAN:
-		if s.Eps <= 0 {
+		if !(s.Eps > 0) {
 			return fmt.Errorf("dpe: dbscan needs Eps > 0, got %v", s.Eps)
 		}
 		if s.MinPts <= 0 {
 			return fmt.Errorf("dpe: dbscan needs MinPts > 0, got %d", s.MinPts)
 		}
 	case MineOutliers:
-		if s.P <= 0 || s.P >= 1 {
+		if !(s.P > 0 && s.P < 1) {
 			return fmt.Errorf("dpe: outliers needs P in (0,1), got %v", s.P)
 		}
-		if s.D <= 0 {
+		if !(s.D > 0) {
 			return fmt.Errorf("dpe: outliers needs D > 0, got %v", s.D)
 		}
 	case MineKNN:

@@ -2,6 +2,7 @@ package dpe
 
 import (
 	"encoding/json"
+	"math"
 	"strings"
 	"testing"
 )
@@ -113,6 +114,9 @@ func TestMineSpecValidate(t *testing.T) {
 		{MineSpec{Algorithm: MineOutliers, P: 0, D: 1}, "P in (0,1)"},
 		{MineSpec{Algorithm: MineOutliers, P: 1, D: 1}, "P in (0,1)"},
 		{MineSpec{Algorithm: MineOutliers, P: 0.5}, "D > 0"},
+		{MineSpec{Algorithm: MineDBSCAN, Eps: math.NaN(), MinPts: 2}, "Eps > 0"},
+		{MineSpec{Algorithm: MineOutliers, P: math.NaN(), D: 1}, "P in (0,1)"},
+		{MineSpec{Algorithm: MineOutliers, P: 0.5, D: math.NaN()}, "D > 0"},
 		{MineSpec{Algorithm: MineKNN, Query: 0}, "K > 0"},
 		{MineSpec{Algorithm: MineKNN, K: n, Query: 0}, "K <="},
 		{MineSpec{Algorithm: MineKNN, K: 2, Query: n}, "outside log"},

@@ -32,11 +32,6 @@ package mining
 //     carried counts it is Apriori. The tests pin both continuations
 //     to textbook references (a matrix-scan DBSCAN and a full-scan
 //     Apriori) on random inputs.
-//
-// The DBSCAN graph and the Apriori counts are trusted as carried, so a
-// state that came from outside the process (a journal or a bundle)
-// goes through CheckEpsGraph or CheckCounts first; a failed check is a
-// rejected warm start.
 
 import (
 	"fmt"
@@ -300,46 +295,6 @@ func DBSCANAppendGraph(m Matrix, eps float64, minPts int, prevAdj [][]int) ([]in
 	return labels, adj, reads, nil
 }
 
-// CheckEpsGraph checks an eps-graph that came from outside the process
-// against the matrix prefix it claims to describe, before
-// DBSCANAppendGraph trusts it as prevAdj: row i of adj must list, in
-// ascending order, exactly the j < len(adj), j ≠ i, with m[i][j] <= eps.
-// It returns the matrix entries it read, oldN·(oldN−1). A graph this
-// process built needs no check.
-func CheckEpsGraph(m Matrix, eps float64, adj [][]int) (int64, error) {
-	if err := validate(m); err != nil {
-		return 0, err
-	}
-	oldN := len(adj)
-	if oldN > len(m) {
-		return 0, fmt.Errorf("mining: graph covers %d rows of %d", oldN, len(m))
-	}
-	var reads int64
-	for i, row := range adj {
-		k := 0
-		for j := 0; j < oldN; j++ {
-			listed := k < len(row) && row[k] == j
-			if listed {
-				k++
-			}
-			if j == i {
-				if listed {
-					return reads, fmt.Errorf("mining: graph row %d lists itself", i)
-				}
-				continue
-			}
-			reads++
-			if within := m[i][j] <= eps; within != listed {
-				return reads, fmt.Errorf("mining: graph row %d disagrees with the matrix at %d (listed %v, distance %v, eps %v)", i, j, listed, m[i][j], eps)
-			}
-		}
-		if k != len(row) {
-			return reads, fmt.Errorf("mining: graph row %d is not an ascending list of rows in [0,%d)", i, oldN)
-		}
-	}
-	return reads, nil
-}
-
 // --- Apriori support-count deltas ---
 
 // AprioriAppend mines frequent itemsets over txs given the carried
@@ -441,33 +396,6 @@ func AprioriAppend(txs []Transaction, oldN int, prev map[string]int, minSupport,
 		level = next
 	}
 	return out, counts, scans, nil
-}
-
-// CheckCounts checks a carried count table that came from outside the
-// process against the transactions it claims to count, before
-// AprioriAppend trusts it as prev: every key's count must be the
-// support of its items (the key split at NUL) in txs, and every item of
-// every transaction must have a count, since AprioriAppend takes the
-// frequent single items from the table. It returns the transaction
-// membership scans it performed. A table this process built needs no
-// check.
-func CheckCounts(txs []Transaction, counts map[string]int) (int64, error) {
-	var scans int64
-	for key, c := range counts {
-		scans += int64(len(txs))
-		if sup := supportOf(txs, strings.Split(key, "\x00")); sup != c {
-			return scans, fmt.Errorf("mining: carried count of %q is %d, its support is %d", key, c, sup)
-		}
-	}
-	for t, tx := range txs {
-		scans++
-		for item := range tx {
-			if _, ok := counts[item]; !ok {
-				return scans, fmt.Errorf("mining: item %q of transaction %d has no carried count", item, t)
-			}
-		}
-	}
-	return scans, nil
 }
 
 // EqualItemsets reports whether two frequent-itemset lists are

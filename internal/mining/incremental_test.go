@@ -2,10 +2,8 @@ package mining
 
 import (
 	"fmt"
-	"maps"
 	"math/rand"
 	"slices"
-	"strings"
 	"testing"
 )
 
@@ -236,100 +234,6 @@ func TestDBSCANAppendGraphBootstrap(t *testing.T) {
 	}
 	if want := int64(16 * 15 / 2); reads != want {
 		t.Fatalf("bootstrap read %d pairs, want full triangle %d", reads, want)
-	}
-}
-
-// TestCheckEpsGraph checks the eps-graph DBSCANAppendGraph built over a
-// matrix prefix against the grown matrix: it passes, reading every
-// off-diagonal entry of the prefix once, and each single tampering
-// fails.
-func TestCheckEpsGraph(t *testing.T) {
-	const n, oldN, eps = 12, 8, 0.4
-	m := randMatrix(rand.New(rand.NewSource(41)), n)
-	_, adj, _, err := DBSCANAppendGraph(subMatrix(m, oldN), eps, 2, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if reads, err := CheckEpsGraph(m, eps, adj); err != nil || reads != oldN*(oldN-1) {
-		t.Fatalf("the built graph: %d reads, %v; want %d reads and no error", reads, err, oldN*(oldN-1))
-	}
-	// near and far are a pair within eps and a pair outside it.
-	var near, far [2]int
-	for i := 0; i < oldN; i++ {
-		for j := 0; j < i; j++ {
-			if m[i][j] <= eps {
-				near = [2]int{i, j}
-			} else {
-				far = [2]int{i, j}
-			}
-		}
-	}
-	wide := slices.IndexFunc(adj, func(row []int) bool { return len(row) > 1 })
-	if m[near[0]][near[1]] > eps || m[far[0]][far[1]] <= eps || wide < 0 {
-		t.Fatal("the matrix lacks a pair on each side of eps or a row with two edges")
-	}
-	if _, err := CheckEpsGraph(subMatrix(m, oldN-1), eps, adj); err == nil {
-		t.Error("a graph with more rows than the matrix passed")
-	}
-	tamper := func(edit func(adj [][]int)) [][]int {
-		out := make([][]int, len(adj))
-		for i, row := range adj {
-			out[i] = slices.Clone(row)
-		}
-		edit(out)
-		return out
-	}
-	add := func(adj [][]int, i, j int) { adj[i] = append(adj[i], j); slices.Sort(adj[i]) }
-	for name, bad := range map[string][][]int{
-		"edge outside eps": tamper(func(a [][]int) { add(a, far[0], far[1]); add(a, far[1], far[0]) }),
-		"missing edge": tamper(func(a [][]int) {
-			a[near[0]] = slices.DeleteFunc(a[near[0]], func(j int) bool { return j == near[1] })
-		}),
-		"self-loop":      tamper(func(a [][]int) { add(a, 0, 0) }),
-		"descending row": tamper(func(a [][]int) { slices.Reverse(a[wide]) }),
-		"row past oldN":  tamper(func(a [][]int) { a[0] = append(a[0], oldN) }),
-		"repeat":         tamper(func(a [][]int) { a[near[0]] = append(a[near[0]], near[1]); slices.Sort(a[near[0]]) }),
-	} {
-		if _, err := CheckEpsGraph(m, eps, bad); err == nil {
-			t.Errorf("%s: the check passed", name)
-		}
-	}
-}
-
-// TestCheckCounts checks the count table AprioriAppend carried over
-// some transactions against them: it passes, scanning the transactions
-// once per key and once more for the items, and each single tampering
-// fails.
-func TestCheckCounts(t *testing.T) {
-	txs := randTxs(rand.New(rand.NewSource(43)), 10, 5)
-	_, counts, _, err := AprioriAppend(txs, 0, nil, 3, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := int64((len(counts) + 1) * len(txs))
-	if scans, err := CheckCounts(txs, counts); err != nil || scans != want {
-		t.Fatalf("the built counts: %d scans, %v; want %d scans and no error", scans, err, want)
-	}
-	var pair string
-	for k := range counts {
-		if strings.Contains(k, "\x00") {
-			pair = k
-		}
-	}
-	if pair == "" {
-		t.Fatal("the counts hold no candidate pair")
-	}
-	for name, edit := range map[string]func(map[string]int){
-		"single raised":   func(c map[string]int) { c["item-00"]++ },
-		"pair lowered":    func(c map[string]int) { c[pair]-- },
-		"single missing":  func(c map[string]int) { delete(c, "item-00") },
-		"absent item one": func(c map[string]int) { c["item-99"] = 1 },
-	} {
-		bad := maps.Clone(counts)
-		edit(bad)
-		if _, err := CheckCounts(txs, bad); err == nil {
-			t.Errorf("%s: the check passed", name)
-		}
 	}
 }
 

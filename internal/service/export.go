@@ -27,7 +27,8 @@ type ImportResult struct {
 	// client-side references (and mining-state cache keys) stay valid.
 	Session string `json:"session"`
 	// Logs counts restored query logs; Snapshots and MineStates count
-	// the cache entries restored warm.
+	// the cache entries restored warm (mining states are k-medoids
+	// only, the one algorithm whose state is exported).
 	Logs       int `json:"logs"`
 	Snapshots  int `json:"snapshots"`
 	MineStates int `json:"mine_states"`

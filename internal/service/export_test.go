@@ -15,7 +15,7 @@ import (
 	"repro/internal/store/journal"
 )
 
-// populateTenant builds one warm tenant on reg: a base log, an
+// populateTenant builds one warm tenant on reg: a base log, a k-medoids
 // append_mine that leaves a combined log plus an incremental mining
 // state, and prepared snapshots — every artifact class a bundle
 // carries. It returns the session id, the combined log
@@ -25,7 +25,7 @@ func populateTenant(t *testing.T, reg *Registry) (id, combinedID string, spec dp
 	ctx := context.Background()
 	token := dpe.MeasureToken
 	log := clusteredLog()
-	spec = dpe.MineSpec{Algorithm: dpe.MineDBSCAN, Eps: 0.4, MinPts: 2}
+	spec = dpe.MineSpec{Algorithm: dpe.MineKMedoids, K: 3}
 	s, err := reg.CreateSession(&CreateSessionRequest{Measure: &token})
 	if err != nil {
 		t.Fatal(err)
@@ -56,9 +56,11 @@ func populateTenant(t *testing.T, reg *Registry) (id, combinedID string, spec dp
 // warm session exported from an in-memory registry and imported into a
 // persistent one must answer entry-wise identically —
 // and answer *warm*: the first matrix call is a prepared-cache hit, the
-// first neighbors call another, and the first append_mine a warm
-// incremental continuation. The imported state must also be journaled
-// durably: a kill-and-restart of the target recovers it.
+// first neighbors call another, and the first k-medoids append_mine a
+// warm incremental continuation. A DBSCAN state the source also holds
+// is not exported, so that append_mine mines cold after the import.
+// The imported state must also be journaled durably: a
+// kill-and-restart of the target recovers it.
 func TestExportImportRoundTrip(t *testing.T) {
 	t.Run("segments", func(t *testing.T) {
 		dir := t.TempDir()
@@ -81,6 +83,18 @@ func testExportImportRoundTrip(t *testing.T, open func() store.Store) {
 	src := NewRegistry(Config{Shards: 2})
 	defer src.Close()
 	id, combinedID, spec, wantMatrix, wantNb := populateTenant(t, src)
+	dbscan := dpe.MineSpec{Algorithm: dpe.MineDBSCAN, Eps: 0.4, MinPts: 2}
+	srcSession, err := src.Session(id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, _, _, err := srcSession.AppendMine(ctx, LogID(log[:8]), log[8:10], dbscan); err != nil {
+		t.Fatal(err)
+	}
+	_, _, _, wantDBSCAN, err := srcSession.AppendMine(ctx, combinedID, log[10:12], dbscan)
+	if err != nil {
+		t.Fatal(err)
+	}
 	var buf bytes.Buffer
 	if err := src.ExportSession(id, &buf); err != nil {
 		t.Fatal(err)
@@ -97,8 +111,8 @@ func testExportImportRoundTrip(t *testing.T, open func() store.Store) {
 	if res.Session != id {
 		t.Errorf("imported session id = %q, want the exported %q", res.Session, id)
 	}
-	if res.Logs != 2 || res.Snapshots < 1 || res.MineStates < 1 || res.Skipped != 0 {
-		t.Errorf("import result = %+v, want 2 logs and warm snapshot/mining state", res)
+	if res.Logs != 3 || res.Snapshots < 1 || res.MineStates != 1 || res.Skipped != 0 {
+		t.Errorf("import result = %+v, want 3 logs, warm snapshots and the one k-medoids mining state", res)
 	}
 
 	s, err := dst.Session(id)
@@ -125,13 +139,21 @@ func testExportImportRoundTrip(t *testing.T, open func() store.Store) {
 	if stats := s.Stats(); stats.PreparedHits != 2 || stats.PreparedMisses != 0 {
 		t.Errorf("first post-import neighbors missed imported state: %+v", stats)
 	}
-	// The imported mining state continues warm.
+	// The imported k-medoids state continues warm, building the whole
+	// 12-row matrix its blob leaves out; the DBSCAN append mines cold.
 	_, _, _, mres, err := s.AppendMine(ctx, combinedID, log[10:12], spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if mres.Incremental == nil || !mres.Incremental.Warm || mres.Incremental.ColdFallback {
-		t.Errorf("first post-import append_mine = %+v, want a warm continuation", mres.Incremental)
+	if st := mres.Incremental; st == nil || !st.Warm || st.ColdFallback || st.PairsComputed != 12*11/2 {
+		t.Errorf("first post-import append_mine = %+v, want a warm continuation over 66 pairs", st)
+	}
+	_, _, _, dres, err := s.AppendMine(ctx, combinedID, log[10:12], dbscan)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := dres.Incremental; st == nil || st.Warm || !reflect.DeepEqual(dres.Labels, wantDBSCAN.Labels) {
+		t.Errorf("post-import DBSCAN append_mine = %+v with labels %v, want a cold mine with labels %v", st, dres.Labels, wantDBSCAN.Labels)
 	}
 
 	// A second import of the same id is rejected while it is live.
@@ -148,7 +170,7 @@ func testExportImportRoundTrip(t *testing.T, open func() store.Store) {
 	}
 	defer dst2.Close()
 	rec := dst2.Recovery()
-	if rec.Sessions != 1 || rec.Logs < 2 {
+	if rec.Sessions != 1 || rec.Logs < 3 {
 		t.Errorf("post-import recovery = %+v, want the imported tenant", rec)
 	}
 	s2, err := dst2.Session(id)

@@ -46,16 +46,19 @@ func sameMineResult(a, b *dpe.MineResult) bool {
 // TestMineStateSurvivesRestart is the persistence check, for every
 // algorithm: an append_mine populates a mining state, the registry is
 // killed and reopened from its journals, and the first post-restart
-// append_mine must run warm from the replayed state — no cold bootstrap
-// and no fallback, only the matrix the journal leaves out built whole —
-// and serve what the same append serves on a registry that never
-// restarted.
+// append_mine serves what the same append serves on a registry that
+// never restarted. Only the k-medoids state is journaled, and it runs
+// warm from the replayed state, with no fallback, building the whole
+// matrix the journal leaves out. The other algorithms journal no state:
+// their first post-restart append_mine is the cold mine a fresh session
+// runs, stats and all.
 func TestMineStateSurvivesRestart(t *testing.T) {
 	ctx := context.Background()
 	token := dpe.MeasureToken
 	log := clusteredLog()
 	for _, spec := range restartSpecs {
 		t.Run(spec.Algorithm.String(), func(t *testing.T) {
+			persisted := spec.Algorithm == dpe.MineKMedoids
 			// appendTwice runs the two append_mines of this test on s and
 			// returns the second's rows and result.
 			appendTwice := func(s *session) (string, [][]float64, *dpe.MineResult) {
@@ -84,6 +87,20 @@ func TestMineStateSurvivesRestart(t *testing.T) {
 				t.Fatal(err)
 			}
 			_, wantRows, want := appendTwice(rs)
+			// A fresh session holds no mining state, so the same append
+			// is a cold mine of the 12 rows there.
+			fs, err := ref.CreateSession(&CreateSessionRequest{Measure: &token})
+			if err != nil {
+				t.Fatal(err)
+			}
+			freshID, err := fs.AddLog(log[:10])
+			if err != nil {
+				t.Fatal(err)
+			}
+			_, _, _, coldRes, err := fs.AppendMine(ctx, freshID, log[10:12], spec)
+			if err != nil {
+				t.Fatal(err)
+			}
 
 			dir := t.TempDir()
 			reg := NewRegistry(persistentConfig(t, dir, 4))
@@ -102,49 +119,47 @@ func TestMineStateSurvivesRestart(t *testing.T) {
 			id := s.ID()
 			reg.Close()
 
+			wantStates := 0
+			if persisted {
+				wantStates = 1
+			}
+			if got := journalKinds(t, dir)[store.KindMining]; got != wantStates {
+				t.Fatalf("the journal holds %d mining records, want %d", got, wantStates)
+			}
 			reg2, err := OpenRegistry(persistentConfig(t, dir, 4))
 			if err != nil {
 				t.Fatal(err)
 			}
 			defer reg2.Close()
-			if rec := reg2.Recovery(); rec.MineStates < 1 {
-				t.Fatalf("recovery replayed %d mining states, want >= 1 (%+v)", rec.MineStates, rec)
+			if rec := reg2.Recovery(); rec.MineStates != wantStates || rec.Skipped != 0 {
+				t.Fatalf("recovery replayed %d mining states, want %d (%+v)", rec.MineStates, wantStates, rec)
 			}
 			s2, err := reg2.Session(id)
 			if err != nil {
 				t.Fatal(err)
 			}
-			combined2, _, rows, res, err := s2.AppendMine(ctx, combinedID, log[10:12], spec)
+			_, _, rows, res, err := s2.AppendMine(ctx, combinedID, log[10:12], spec)
 			if err != nil {
 				t.Fatal(err)
 			}
 			st := res.Incremental
-			if st == nil || !st.Warm || st.ColdFallback || st.OldN != 10 {
-				t.Fatalf("first post-restart append_mine must run warm from the replayed 10 rows, got %+v", st)
-			}
-			// The journaled state carries no matrix, so this run builds
-			// the whole 12-row matrix: the 10-row prefix's 45 pairs and
-			// the 21 new ones.
-			wantPairs := int64(12 * 11 / 2)
-			if spec.Algorithm == dpe.MineApriori {
-				wantPairs = 0
-			}
-			if st.PairsComputed != wantPairs {
-				t.Errorf("first post-restart warm run computed %d pairs, want %d", st.PairsComputed, wantPairs)
+			if persisted {
+				// The journaled state carries no matrix, so this run builds
+				// the whole 12-row matrix: the 10-row prefix's 45 pairs and
+				// the 21 new ones.
+				if st == nil || !st.Warm || st.ColdFallback || st.OldN != 10 || st.PairsComputed != 12*11/2 {
+					t.Fatalf("first post-restart append_mine = %+v, want a warm run from the replayed 10 rows over 66 pairs", st)
+				}
+			} else if !reflect.DeepEqual(st, coldRes.Incremental) {
+				t.Fatalf("first post-restart append_mine = %+v, want a fresh session's cold mine %+v", st, coldRes.Incremental)
 			}
 			if !sameMineResult(res, want) || !reflect.DeepEqual(rows, wantRows) {
 				t.Errorf("post-restart append_mine serves %+v, a registry that never restarted %+v", res, want)
 			}
-			if spec.Algorithm != dpe.MineKMedoids {
+			if !persisted && !sameMineResult(res, coldRes) {
 				// Warm k-medoids may settle in another local optimum; the
 				// other algorithms must agree with a cold mine exactly.
-				cold, err := s2.Mine(ctx, combined2, spec)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !sameMineResult(res, cold) {
-					t.Errorf("post-restart warm result %+v differs from the cold mine %+v", res, cold)
-				}
+				t.Errorf("post-restart result %+v differs from the cold mine %+v", res, coldRes)
 			}
 
 			// Replaying the identical append_mine hits the combined state
@@ -160,6 +175,96 @@ func TestMineStateSurvivesRestart(t *testing.T) {
 				t.Errorf("post-restart mine-state hits = %d, want 1 (the zero-delta replay)", stats.MineStateHits)
 			}
 		})
+	}
+}
+
+// TestRestoredMineStateRepeatAppendMine repeats one append_mine whose
+// combined log's k-medoids state was replayed from the journal. The
+// decoded state carries no matrix, so the first call builds all 66
+// pairs; it caches the state it built in the decoded one's place, so
+// the repeats are zero-delta runs that compute none. The replacement
+// is not journaled again. After a second restart, concurrent repeats
+// race the replacement and all serve the same answer.
+func TestRestoredMineStateRepeatAppendMine(t *testing.T) {
+	ctx := context.Background()
+	token := dpe.MeasureToken
+	log := clusteredLog()
+	spec := dpe.MineSpec{Algorithm: dpe.MineKMedoids, K: 3}
+	dir := t.TempDir()
+	reg := NewRegistry(persistentConfig(t, dir, 2))
+	s, err := reg.CreateSession(&CreateSessionRequest{Measure: &token})
+	if err != nil {
+		t.Fatal(err)
+	}
+	baseID, err := s.AddLog(log[:8])
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, _, wantRows, want, err := s.AppendMine(ctx, baseID, log[8:12], spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	id := s.ID()
+	reg.Close()
+
+	reg2, err := OpenRegistry(persistentConfig(t, dir, 2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	s2, err := reg2.Session(id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var pairs []int64
+	for i := 0; i < 3; i++ {
+		_, _, rows, res, err := s2.AppendMine(ctx, baseID, log[8:12], spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st := res.Incremental; !st.Warm || st.ColdFallback || st.OldN != 12 {
+			t.Errorf("call %d: %+v, want a warm zero-delta run over 12 rows", i, st)
+		}
+		if !sameMineResult(res, want) || !reflect.DeepEqual(rows, wantRows) {
+			t.Errorf("call %d serves %+v, the first append_mine %+v", i, res, want)
+		}
+		pairs = append(pairs, res.Incremental.PairsComputed)
+	}
+	if want := []int64{12 * 11 / 2, 0, 0}; !reflect.DeepEqual(pairs, want) {
+		t.Errorf("pairs computed per call %v, want %v", pairs, want)
+	}
+	if st := s2.Stats(); st.MineStateHits != 3 || st.MineStateMisses != 0 {
+		t.Errorf("mine-state hits/misses %d/%d, want 3/0", st.MineStateHits, st.MineStateMisses)
+	}
+	reg2.Close()
+	if got := journalKinds(t, dir)[store.KindMining]; got != 1 {
+		t.Errorf("the journal holds %d mining records, want the one replayed", got)
+	}
+
+	reg3, err := OpenRegistry(persistentConfig(t, dir, 2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer reg3.Close()
+	s3, err := reg3.Session(id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	for i := 0; i < 4; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			_, _, _, res, err := s3.AppendMine(ctx, baseID, log[8:12], spec)
+			if err != nil {
+				t.Error(err)
+			} else if !sameMineResult(res, want) {
+				t.Errorf("a concurrent repeat serves %+v, the first append_mine %+v", res, want)
+			}
+		}()
+	}
+	wg.Wait()
+	if _, _, _, res, err := s3.AppendMine(ctx, baseID, log[8:12], spec); err != nil || res.Incremental.PairsComputed != 0 {
+		t.Errorf("a repeat after the concurrent ones: %v, %+v, want no pairs computed", err, res)
 	}
 }
 
@@ -220,7 +325,9 @@ func (l *rejectLog) Append(rec store.Record) error {
 
 // TestDroppedJournalAppendsCounted fails every artifact append: the
 // append_mine calls still succeed, and dpe_store_append_errors_total
-// counts exactly the records the store rejected, per kind.
+// counts exactly the records the store rejected, per kind. Each
+// k-medoids append_mine journals (and here drops) one mining record; a
+// DBSCAN one journals none.
 func TestDroppedJournalAppendsCounted(t *testing.T) {
 	st := newRejectStore(store.KindSnapshot, store.KindMining)
 	o := obs.NewRegistry()
@@ -232,7 +339,6 @@ func TestDroppedJournalAppendsCounted(t *testing.T) {
 	ctx := context.Background()
 	token := dpe.MeasureToken
 	log := clusteredLog()
-	spec := dpe.MineSpec{Algorithm: dpe.MineDBSCAN, Eps: 0.4, MinPts: 2}
 	s, err := reg.CreateSession(&CreateSessionRequest{Measure: &token})
 	if err != nil {
 		t.Fatal(err)
@@ -241,17 +347,22 @@ func TestDroppedJournalAppendsCounted(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	combinedID, _, _, _, err := s.AppendMine(ctx, baseID, log[8:10], spec)
-	if err != nil {
-		t.Fatalf("append_mine failed on a dropped artifact append: %v", err)
-	}
-	if _, _, _, res, err := s.AppendMine(ctx, combinedID, log[10:12], spec); err != nil || !res.Incremental.Warm {
-		t.Fatalf("chained append_mine: %v, %+v", err, res)
+	for _, spec := range []dpe.MineSpec{
+		{Algorithm: dpe.MineKMedoids, K: 3},
+		{Algorithm: dpe.MineDBSCAN, Eps: 0.4, MinPts: 2},
+	} {
+		combinedID, _, _, _, err := s.AppendMine(ctx, baseID, log[8:10], spec)
+		if err != nil {
+			t.Fatalf("append_mine failed on a dropped artifact append: %v", err)
+		}
+		if _, _, _, res, err := s.AppendMine(ctx, combinedID, log[10:12], spec); err != nil || !res.Incremental.Warm {
+			t.Fatalf("chained append_mine: %v, %+v", err, res)
+		}
 	}
 
 	samples := scrape(t, o)
-	if st.failed[store.KindSnapshot] == 0 || st.failed[store.KindMining] == 0 {
-		t.Fatalf("the store rejected %v, want snapshot and mining records among them", st.failed)
+	if st.failed[store.KindSnapshot] == 0 || st.failed[store.KindMining] != 2 {
+		t.Fatalf("the store rejected %v, want snapshot records and the 2 k-medoids mining records", st.failed)
 	}
 	for _, kind := range []store.Kind{store.KindDelete, store.KindSnapshot, store.KindApprox, store.KindMining} {
 		key := fmt.Sprintf("dpe_store_append_errors_total{kind=%q}", kind)

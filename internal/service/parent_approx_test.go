@@ -19,7 +19,8 @@ import (
 // that registry's journal and session.bundle its tenant export. Each
 // holds 1 session, 2 logs, 2 prepared snapshots, 1 mining state, and 2
 // approx records; that release recovered and imported all of them with
-// nothing skipped.
+// nothing skipped. The mining state is a DBSCAN one, which this binary
+// does not persist, so it counts as a third skip.
 var parentApproxSpec = dpe.MineSpec{Algorithm: dpe.MineDBSCAN, Eps: 0.4, MinPts: 2}
 
 const parentApproxDir = "testdata/parent_approx"
@@ -66,8 +67,8 @@ func onlySession(t *testing.T, reg *Registry) *session {
 
 // checkParentTenant drives the restored tenant: the first neighbors
 // call is a prepared-cache hit with the exact answer, and replaying the
-// parent's append_mine is a warm hit on its mining state that
-// recomputes only the matrix the journaled state leaves out.
+// parent's append_mine, whose DBSCAN state was skipped, mines the 12
+// rows cold, as a fresh session does.
 func checkParentTenant(t *testing.T, s *session) {
 	t.Helper()
 	ctx := context.Background()
@@ -94,17 +95,25 @@ func checkParentTenant(t *testing.T, s *session) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if inc := res.Incremental; inc == nil || !inc.Warm || inc.ColdFallback || inc.OldN != 12 || inc.PairsComputed != 12*11/2 {
-		t.Errorf("replayed append_mine = %+v, want a warm run over 12 rows rebuilding 66 pairs", inc)
+	if inc := res.Incremental; inc == nil || inc.Warm || inc.PairsComputed != 12*11/2 {
+		t.Errorf("replayed append_mine = %+v, want a cold mine of 12 rows computing 66 pairs", inc)
 	}
-	if st := s.Stats(); st.MineStateHits != 1 || st.MineStateMisses != 0 || st.ApproxHits != 0 || st.ApproxMisses != 0 {
-		t.Errorf("stats after append_mine = %+v, want one mining-state hit and no approx traffic", st)
+	cold, err := local.Mine(ctx, log, parentApproxSpec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(res.Labels, cold.Labels) {
+		t.Errorf("replayed append_mine labels %v, a cold mine's %v", res.Labels, cold.Labels)
+	}
+	if st := s.Stats(); st.MineStateHits != 0 || st.MineStateMisses != 1 || st.ApproxHits != 0 || st.ApproxMisses != 0 {
+		t.Errorf("stats after append_mine = %+v, want one mining-state miss and no approx traffic", st)
 	}
 }
 
 // TestParentApproxJournalReplay replays the parent-written journal: the
-// approx records count as skipped, everything else restores as it did
-// at the parent, and compaction leaves no approx record behind.
+// approx records and the DBSCAN mining state count as skipped, the
+// session, logs and snapshots restore as they did at the parent, and
+// compaction leaves no approx or mining record behind.
 func TestParentApproxJournalReplay(t *testing.T) {
 	seg, err := os.ReadFile(filepath.Join(parentApproxDir, "segment-0001.log"))
 	if err != nil {
@@ -121,7 +130,7 @@ func TestParentApproxJournalReplay(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := RecoveryStats{Sessions: 1, Logs: 2, Snapshots: 2, MineStates: 1, Skipped: 2}
+	want := RecoveryStats{Sessions: 1, Logs: 2, Snapshots: 2, Skipped: 3}
 	if rec := reg.Recovery(); rec != want {
 		t.Errorf("recovery %+v, want %+v", rec, want)
 	}
@@ -130,16 +139,17 @@ func TestParentApproxJournalReplay(t *testing.T) {
 		t.Fatal(err)
 	}
 	reg.Close()
-	wantKinds := map[store.Kind]int{store.KindSession: 1, store.KindLog: 2, store.KindSnapshot: 2, store.KindMining: 1}
+	wantKinds := map[store.Kind]int{store.KindSession: 1, store.KindLog: 2, store.KindSnapshot: 2}
 	if got := journalKinds(t, dir); !reflect.DeepEqual(got, wantKinds) {
 		t.Errorf("compacted journal holds %v, want %v", got, wantKinds)
 	}
 }
 
 // TestParentApproxBundleImport imports the parent-written bundle into a
-// persistent registry: the approx records count as skipped, everything
-// else restores warm as it did at the parent, and the journal never
-// holds an approx record.
+// persistent registry: the approx records and the DBSCAN mining state
+// count as skipped, the session, logs and snapshots restore warm as
+// they did at the parent, and the journal never holds an approx or
+// mining record.
 func TestParentApproxBundleImport(t *testing.T) {
 	bundle, err := os.ReadFile(filepath.Join(parentApproxDir, "session.bundle"))
 	if err != nil {
@@ -154,7 +164,7 @@ func TestParentApproxBundleImport(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := (ImportResult{Session: res.Session, Logs: 2, Snapshots: 2, MineStates: 1, Skipped: 2}); *res != want {
+	if want := (ImportResult{Session: res.Session, Logs: 2, Snapshots: 2, Skipped: 3}); *res != want {
 		t.Errorf("import %+v, want %+v", *res, want)
 	}
 	s, err := reg.Session(res.Session)
@@ -166,7 +176,7 @@ func TestParentApproxBundleImport(t *testing.T) {
 		t.Fatal(err)
 	}
 	reg.Close()
-	if got := journalKinds(t, dir); got[store.KindApprox] != 0 || got[store.KindSnapshot] != 2 || got[store.KindMining] != 1 {
-		t.Errorf("journal after import holds %v, want 2 snapshots, 1 mining state and no approx record", got)
+	if got := journalKinds(t, dir); got[store.KindApprox] != 0 || got[store.KindSnapshot] != 2 || got[store.KindMining] != 0 {
+		t.Errorf("journal after import holds %v, want 2 snapshots and no approx or mining record", got)
 	}
 }

@@ -191,7 +191,8 @@ type ShardStats struct {
 // instead of starting cold.
 type RecoveryStats struct {
 	// Sessions, Logs, Snapshots, and MineStates count the live records
-	// restored.
+	// restored (mining states are k-medoids only, the one algorithm
+	// whose state is journaled).
 	Sessions   int `json:"sessions"`
 	Logs       int `json:"logs"`
 	Snapshots  int `json:"snapshots"`

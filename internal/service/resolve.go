@@ -200,29 +200,39 @@ func (s *session) hit(k artifact) {
 	s.reg.artifactHits[k].Add(1)
 }
 
-// keep caches a freshly built artifact and journals it. It does neither
-// for a session deleted mid-build: its removePrefix already ran, and an
-// add now would strand an unreachable entry on the shard's byte budget
-// (the session is pinned to s.sh, so its own shard map is the liveness
-// authority). Journaling is best-effort: every artifact is a cache the
-// server can rebuild from the journaled log, so a codec or IO failure
-// must not fail the tenant's request; it counts in
-// dpe_store_append_errors_total instead.
+// keep caches a freshly built artifact and journals it. Journaling is
+// best-effort: every artifact is a cache the server can rebuild from
+// the journaled log, so a codec or IO failure must not fail the
+// tenant's request; it counts in dpe_store_append_errors_total
+// instead. A value whose codec renders no blob (a mining state without
+// a k-medoids warm start) is not journaled.
 func (s *session) keep(k artifact, variant, logID string, v any) {
-	if s.sh.session(s.id) == nil {
-		return
-	}
-	s.sh.cache.add(s.key(k, variant, logID), v, artifactKinds[k].size(s, v, logID))
-	if !s.reg.persistent {
+	if !s.cacheLive(k, variant, logID, v) || !s.reg.persistent {
 		return
 	}
 	rec, err := s.record(k, logID, v)
+	if err == nil && rec.Blob == nil {
+		return
+	}
 	if err == nil {
 		err = s.sh.journal.Append(rec)
 	}
 	if err != nil {
 		s.reg.metrics.appendErrors[artifactKinds[k].journal].Inc()
 	}
+}
+
+// cacheLive caches an artifact value and reports whether it did. It
+// does not for a session deleted mid-build: its removePrefix already
+// ran, and an add now would strand an unreachable entry on the shard's
+// byte budget (the session is pinned to s.sh, so its own shard map is
+// the liveness authority).
+func (s *session) cacheLive(k artifact, variant, logID string, v any) bool {
+	if s.sh.session(s.id) == nil {
+		return false
+	}
+	s.sh.cache.add(s.key(k, variant, logID), v, artifactKinds[k].size(s, v, logID))
+	return true
 }
 
 // record renders one artifact value as its journal record.
@@ -268,7 +278,8 @@ func (s *session) restore(a journal.Artifact) journal.Outcome {
 // first, so replaying them rebuilds the cache's recency order. Keys are
 // enumerated from the cache because mining keys embed a spec
 // fingerprint the session does not hold. An artifact whose log is not
-// in logs is dropped — replay could not apply it anyway.
+// in logs is dropped — replay could not apply it anyway — and so is one
+// whose codec renders no blob.
 func (s *session) artifactRecords(logs map[string][]string) []journal.Record {
 	var recs []journal.Record
 	for _, key := range s.sh.cache.keysWithPrefix(s.id + "\x00") {
@@ -280,7 +291,7 @@ func (s *session) artifactRecords(logs map[string][]string) []journal.Record {
 		if !ok {
 			continue
 		}
-		if rec, err := s.record(k, logID, v); err == nil {
+		if rec, err := s.record(k, logID, v); err == nil && rec.Blob != nil {
 			recs = append(recs, rec)
 		}
 	}

@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -21,8 +22,11 @@ import (
 // decoder rejects it, journal replay and bundle import count it as one
 // skip, and the session and its log stay live and answer as a fresh
 // session's do. The retired formats are the JSON-era (v1) mining states
-// under testdata/minestate_v1 and the map-era snapshots in payload tags
-// 1 and 2 under internal/distance/testdata.
+// under testdata/minestate_v1, the v2 mining states of every algorithm
+// but k-medoids under testdata/minestate_v2 (only a k-medoids warm
+// start is persisted now; a cold mine rebuilds the others), and the
+// map-era snapshots in payload tags 1 and 2 under
+// internal/distance/testdata.
 
 // retiredRecord is one cache record in a retired format, filed under
 // the first 9 queries of retiredLog in a session of measure; spec is
@@ -49,22 +53,37 @@ func retiredLog(t *testing.T) []string {
 	return strings.Split(strings.TrimSuffix(string(raw), "\n"), "\n")
 }
 
-// retiredMineStates are the six v1 mining states, each with the spec it
-// was mined under, so a state that were restored would warm-start the
-// first append_mine.
+// retiredSpecs are the specs the retired mining states were mined
+// under, so a state that were restored would warm-start the first
+// append_mine.
+var retiredSpecs = []dpe.MineSpec{
+	{Algorithm: dpe.MineKMedoids, K: 3},
+	{Algorithm: dpe.MineDBSCAN, Eps: 0.4, MinPts: 2},
+	{Algorithm: dpe.MineCompleteLink, K: 3},
+	{Algorithm: dpe.MineOutliers, P: 0.8, D: 0.7},
+	{Algorithm: dpe.MineKNN, Query: 1, K: 3},
+	{Algorithm: dpe.MineApriori, MinSupport: 4, MaxLen: 2},
+}
+
+// retiredMineStates are the six v1 mining states.
 func retiredMineStates() []retiredRecord {
 	var out []retiredRecord
-	for _, spec := range []dpe.MineSpec{
-		{Algorithm: dpe.MineKMedoids, K: 3},
-		{Algorithm: dpe.MineDBSCAN, Eps: 0.4, MinPts: 2},
-		{Algorithm: dpe.MineCompleteLink, K: 3},
-		{Algorithm: dpe.MineOutliers, P: 0.8, D: 0.7},
-		{Algorithm: dpe.MineKNN, Query: 1, K: 3},
-		{Algorithm: dpe.MineApriori, MinSupport: 4, MaxLen: 2},
-	} {
+	for _, spec := range retiredSpecs {
 		name := spec.Algorithm.String()
 		out = append(out, retiredRecord{"v1_" + name, dpe.MeasureToken, store.KindMining,
 			filepath.Join(retiredFixtures, name+".json"), spec})
+	}
+	return out
+}
+
+// retiredV2MineStates are the five v2 mining states of the algorithms
+// other than k-medoids, as the encoder of the release before wrote them.
+func retiredV2MineStates() []retiredRecord {
+	var out []retiredRecord
+	for _, spec := range retiredSpecs[1:] {
+		name := spec.Algorithm.String()
+		out = append(out, retiredRecord{"v2_" + name, dpe.MeasureToken, store.KindMining,
+			filepath.Join("../../testdata/minestate_v2", name+".bin"), spec})
 	}
 	return out
 }
@@ -202,6 +221,15 @@ func TestMineStateV1JournalReplay(t *testing.T) {
 	}
 }
 
+// TestMineStateV2JournalReplay replays a journal holding a v2 mining
+// state of an algorithm whose state is no longer persisted: the record
+// is the one skip, and the session answers as a fresh one does.
+func TestMineStateV2JournalReplay(t *testing.T) {
+	for _, r := range retiredV2MineStates() {
+		t.Run(r.name, func(t *testing.T) { replayRetired(t, r) })
+	}
+}
+
 // TestRetiredSnapshotJournalReplay replays a journal holding a
 // snapshot in a retired payload tag: the record is the one skip, and
 // the log is prepared again on the first request.
@@ -216,7 +244,7 @@ func TestRetiredSnapshotJournalReplay(t *testing.T) {
 // answers as a fresh one does.
 func TestRetiredCacheRecordsImport(t *testing.T) {
 	log := retiredLog(t)
-	for _, r := range append(retiredMineStates(), retiredSnapshots()...) {
+	for _, r := range slices.Concat(retiredMineStates(), retiredV2MineStates(), retiredSnapshots()) {
 		t.Run(r.name, func(t *testing.T) {
 			var buf bytes.Buffer
 			bw, err := journal.NewBundleWriter(&buf)

@@ -379,7 +379,15 @@ func (s *session) AppendMine(ctx context.Context, baseLogID string, newQueries [
 	variant := mineVariant(spec)
 	res, err = resolve(ctx, s, artMining, variant, combinedID,
 		func(ctx context.Context, v any) (*dpe.MineResult, error) {
-			res, _, err := s.provider.MineIncremental(ctx, pl, v.(*dpe.MineState), spec)
+			res, state, err := s.provider.MineIncremental(ctx, pl, v.(*dpe.MineState), spec)
+			if err == nil && res.Incremental.PairsComputed > 0 {
+				// Only a decoded state, which carries no matrix, makes a
+				// zero-delta replay compute pairs. The state this run
+				// built carries its matrix, so cache it in the decoded
+				// one's place (unjournaled: the record on disk is the
+				// same warm start) and the next replay computes none.
+				s.cacheLive(artMining, variant, combinedID, state)
+			}
 			return res, err
 		},
 		func(ctx context.Context) (*dpe.MineResult, any, error) {

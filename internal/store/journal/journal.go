@@ -2,7 +2,8 @@
 // and a store backend. The store moves opaque Records (a kind tag plus
 // raw payloads); this package owns one codec per record type — session,
 // delete, log, and artifact (the snapshot and mining kinds, which share
-// one blob envelope) — with versioned encode/decode, so the
+// one blob envelope; only k-medoids mining states are journaled) — with
+// versioned encode/decode, so the
 // service journals and replays typed values instead of hand-rolling
 // byte payloads at every call site.
 //
@@ -69,8 +70,8 @@ type Log struct {
 }
 
 // Artifact records one serialized per-log cache artifact of a session:
-// a prepared state (store.KindSnapshot) or an incremental-mining state
-// (store.KindMining). The blob is the artifact codec's own versioned
+// a prepared state (store.KindSnapshot) or a k-medoids incremental-mining
+// state (store.KindMining). The blob is the artifact codec's own versioned
 // output; the journal adds only the routing envelope, which is the same
 // for every kind. Records of store.KindApprox, which older binaries
 // journaled, decode as an unknown kind and count as skipped.

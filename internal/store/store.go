@@ -46,8 +46,10 @@ const (
 	KindApprox Kind = "approx"
 	// KindMining records a serialized incremental-mining state for one
 	// (session, log, spec) triple; Blob carries dpe's MineState codec
-	// output. Replayed states make the first post-restart append_mine a
-	// warm delta instead of a cold bootstrap.
+	// output, which exists for k-medoids states only (a cold mine of
+	// the log rebuilds any other algorithm's state exactly). A
+	// replayed state makes the first post-restart k-medoids
+	// append_mine a warm delta instead of a cold bootstrap.
 	KindMining Kind = "mining"
 )
 

@@ -28,19 +28,18 @@ import (
 // returned — MineIncremental extends copies, never the state itself —
 // so a service can cache it and serve concurrent readers. A MineState
 // is only meaningful with the Provider and log prefix it was mined
-// from. A state decoded by UnmarshalMineState carries no matrix;
-// MineIncremental builds it whole from the prepared log on each warm
-// use, and has internal/mining check the state's DBSCAN graph or
-// apriori counts against that log before they are trusted.
+// from. Only a k-medoids state persists (MarshalMineState); decoded,
+// it carries no matrix, and MineIncremental builds the matrix whole
+// from the prepared log on each warm use, where internal/mining checks
+// the carried assignment against it before the start is trusted.
 type MineState struct {
-	spec    MineSpec
-	n       int
-	matrix  Matrix                 // distance-based algorithms; nil for apriori and decoded states
-	kmed    *mining.KMedoidsResult // k-medoids warm start
-	adj     [][]int                // dbscan eps-neighborhood graph
-	labels  []int                  // prior labels (dbscan, complete-link) or 0/1 outlier flags
-	counts  map[string]int         // apriori carried candidate supports
-	decoded bool                   // set by UnmarshalMineState only: check adj and counts before use
+	spec   MineSpec
+	n      int
+	matrix Matrix                 // distance-based algorithms; nil for apriori and decoded states
+	kmed   *mining.KMedoidsResult // k-medoids warm start
+	adj    [][]int                // dbscan eps-neighborhood graph
+	labels []int                  // prior labels (dbscan, complete-link) or 0/1 outlier flags
+	counts map[string]int         // apriori carried candidate supports
 }
 
 // Spec returns the mining spec the state was built under. A state only
@@ -80,11 +79,10 @@ type IncrementalStats struct {
 	Warm bool `json:"warm"`
 	// ColdFallback reports that the warm path was attempted but
 	// internal/mining rejected the warm start, so the algorithm reran
-	// cold over the same matrix: a carried state that does not fit it
-	// (for k-medoids, an assignment of the old rows that is not the
-	// nearest-medoid one; for a decoded state, a DBSCAN graph or an
-	// apriori count table that the log does not give) or a warm
-	// k-medoids run that did not converge.
+	// cold over the same matrix: a carried k-medoids assignment of the
+	// old rows that is not the nearest-medoid one, or a warm k-medoids
+	// run that did not converge. The run then reports what a cold run
+	// reports: no ChangedLabels.
 	ColdFallback bool `json:"cold_fallback,omitempty"`
 	// OldN is the row count the previous state covered (0 when cold).
 	OldN int `json:"old_n"`
@@ -99,9 +97,7 @@ type IncrementalStats struct {
 	// transaction membership scans (apriori); 0 for complete-link,
 	// outliers, and kNN. Warm k-medoids reads n·K entries to assign
 	// every row to the carried medoids, plus its update steps' reads.
-	// The check of a decoded state (oldN·(oldN−1) reads of its DBSCAN
-	// graph, or the scans behind its apriori counts) and a rejected
-	// warm start's work are included.
+	// A rejected warm start's work is included.
 	Examined int64 `json:"examined"`
 	// ChangedLabels lists the old rows whose cluster membership
 	// changed relative to the previous state, after canonical
@@ -190,9 +186,9 @@ func (p *Provider) mineWarm(ctx context.Context, pl *PreparedLog, prev *MineStat
 // log's transactions), warm from prev or cold when prev is nil, and
 // captures the state for the next call. Whether prev fits is
 // internal/mining's decision alone: a warm start it rejects reruns
-// cold over the same matrix with ColdFallback set. A decoded state's
-// DBSCAN graph and apriori counts, which the warm starts trust as
-// carried, are checked against m and the log first.
+// cold over the same matrix with ColdFallback set. The DBSCAN graph
+// and apriori counts are trusted as carried, which is sound because
+// only this process builds them: no decoded state carries either.
 func (p *Provider) mine(pl *PreparedLog, m Matrix, prev *MineState, spec MineSpec, stats *IncrementalStats) (*MineResult, *MineState, error) {
 	cold := prev == nil
 	if cold {
@@ -211,28 +207,14 @@ func (p *Provider) mine(pl *PreparedLog, m Matrix, prev *MineState, spec MineSpe
 		}
 		res.Clusters = state.kmed
 	case MineDBSCAN:
-		if prev.decoded {
-			work, err = mining.CheckEpsGraph(m, spec.Eps, prev.adj)
-		}
-		if err == nil {
-			var reads int64
-			state.labels, state.adj, reads, err = mining.DBSCANAppendGraph(m, spec.Eps, spec.MinPts, prev.adj)
-			work += reads
-		}
+		state.labels, state.adj, work, err = mining.DBSCANAppendGraph(m, spec.Eps, spec.MinPts, prev.adj)
 		res.Labels = state.labels
 	case MineApriori:
 		var txs []mining.Transaction
 		if txs, err = p.transactions(pl); err != nil {
 			return nil, nil, err
 		}
-		if prev.decoded {
-			work, err = mining.CheckCounts(txs[:prev.n], prev.counts)
-		}
-		if err == nil {
-			var scans int64
-			res.Itemsets, state.counts, scans, err = mining.AprioriAppend(txs, prev.n, prev.counts, spec.MinSupport, spec.MaxLen)
-			work += scans
-		}
+		res.Itemsets, state.counts, work, err = mining.AprioriAppend(txs, prev.n, prev.counts, spec.MinSupport, spec.MaxLen)
 	case MineCompleteLink:
 		res.Labels, err = mining.CompleteLink(m, spec.K)
 		state.labels = res.Labels
@@ -251,8 +233,10 @@ func (p *Provider) mine(pl *PreparedLog, m Matrix, prev *MineState, spec MineSpe
 	}
 	stats.Examined += work
 	if err != nil && !cold {
+		// The rejected start's labels were never checked, so the
+		// fallback reports ChangedLabels as any cold run does: none.
 		stats.ColdFallback = true
-		res, state, err = p.mine(pl, m, nil, spec, stats)
+		return p.mine(pl, m, nil, spec, stats)
 	}
 	if err != nil {
 		return nil, nil, err

@@ -20,6 +20,7 @@ import (
 	"math/rand"
 	"net/http/httptest"
 	"reflect"
+	"slices"
 	"testing"
 
 	dpe "repro"
@@ -48,6 +49,7 @@ func TestMineIncrementalMatchesColdProperty(t *testing.T) {
 		clients[fmt.Sprintf("shards=%d", shards)] = service.NewClient(srv.URL)
 	}
 
+	changed := 0 // old rows whose label a warm run changed, over all checks
 	for it := 0; it < iters; it++ {
 		total := 9 + rng.Intn(6) // 9..14 queries
 		k := 2 + rng.Intn(3)     // 2..4 appended (>= 2: the remote check chains two appends)
@@ -112,7 +114,7 @@ func TestMineIncrementalMatchesColdProperty(t *testing.T) {
 						if err != nil {
 							t.Fatal(err)
 						}
-						checkWarmMine(t, ctx, "encrypted local", local, encLog, n, spec, cold)
+						checkWarmMine(t, ctx, "encrypted local", local, encLog, n, spec, cold, &changed)
 						for name, client := range clients {
 							sess, err := client.NewSession(ctx, m, remoteOpts...)
 							if err != nil {
@@ -159,7 +161,7 @@ func TestMineIncrementalMatchesColdProperty(t *testing.T) {
 						return
 					}
 				}
-				checkWarmMine(t, ctx, "encrypted local grouped", local, encG, gn, kspec, coldG)
+				checkWarmMine(t, ctx, "encrypted local grouped", local, encG, gn, kspec, coldG, &changed)
 				for name, client := range clients {
 					sess, err := client.NewSession(ctx, m, remoteOpts...)
 					if err != nil {
@@ -170,6 +172,11 @@ func TestMineIncrementalMatchesColdProperty(t *testing.T) {
 				}
 			})
 		}
+	}
+	// At least one warm run must have changed an old row's label, or the
+	// ChangedLabels check above compared empty lists only.
+	if changed == 0 {
+		t.Error("no warm run changed an old row's label")
 	}
 }
 
@@ -198,8 +205,10 @@ func separatedUnder(t *testing.T, ctx context.Context, p *dpe.Provider, owner *d
 
 // checkWarmMine asserts Prepare(log[:n]) + bootstrap + ExtendPrepared +
 // warm MineIncremental agrees with the given cold Mine over the whole
-// log, through the facade.
-func checkWarmMine(t *testing.T, ctx context.Context, label string, p *dpe.Provider, log []string, n int, spec dpe.MineSpec, cold *dpe.MineResult) {
+// log, through the facade. For DBSCAN and k-medoids, ChangedLabels
+// must list exactly the old rows whose canonical label differs between
+// the bootstrap and the warm result; their number is added to changed.
+func checkWarmMine(t *testing.T, ctx context.Context, label string, p *dpe.Provider, log []string, n int, spec dpe.MineSpec, cold *dpe.MineResult, changed *int) {
 	t.Helper()
 	pl, err := p.Prepare(ctx, log[:n])
 	if err != nil {
@@ -228,7 +237,36 @@ func checkWarmMine(t *testing.T, ctx context.Context, label string, p *dpe.Provi
 		t.Errorf("%s: warm run computed %d pairs, want the append delta %d",
 			label, warm.Incremental.PairsComputed, wantPairs)
 	}
+	if spec.Algorithm == dpe.MineDBSCAN || spec.Algorithm == dpe.MineKMedoids {
+		want := changedRows(partition(boot), partition(warm), n)
+		if got := warm.Incremental.ChangedLabels; !slices.Equal(got, want) {
+			t.Errorf("%s: ChangedLabels %v, want the old rows whose label changed %v", label, got, want)
+		}
+		*changed += len(want)
+	}
 	compareMine(t, label+" warm vs cold", spec, warm, cold)
+}
+
+// partition is a result's per-row clustering: the k-medoids assignment
+// or the DBSCAN labels.
+func partition(r *dpe.MineResult) []int {
+	if r.Clusters != nil {
+		return r.Clusters.Assign
+	}
+	return r.Labels
+}
+
+// changedRows lists the rows i < n whose canonical label differs
+// between two clusterings.
+func changedRows(before, after []int, n int) []int {
+	cb, ca := mining.CanonicalLabels(before), mining.CanonicalLabels(after)
+	var out []int
+	for i := 0; i < n; i++ {
+		if cb[i] != ca[i] {
+			out = append(out, i)
+		}
+	}
+	return out
 }
 
 // checkRemoteAppendMine asserts the batched logs:append_mine round trip

@@ -68,42 +68,68 @@ func TestMineIncrementalChecksCarriedKMedoids(t *testing.T) {
 			if tc.fallback && !reflect.DeepEqual(got.Clusters, cold.Clusters) {
 				t.Errorf("fallback served %+v, the cold mine %+v", got.Clusters, cold.Clusters)
 			}
+			// The rejected assignment was never checked, so a fallback
+			// reports changed labels as a cold run does: none.
+			if tc.fallback && len(got.Incremental.ChangedLabels) != 0 {
+				t.Errorf("fallback reports changed labels %v against the rejected assignment", got.Incremental.ChangedLabels)
+			}
 		})
 	}
 }
 
-// TestMineIncrementalChecksDecodedState warm-starts DBSCAN and apriori
-// from decoded states that do not fit their log (forgedMineStates): a
-// graph edge outside eps, which merges two clusters, and inflated
-// counts, which serve itemsets the log does not support. Each check
-// rejects its warm start, and the run serves the cold mine's labels or
-// itemsets with ColdFallback set.
+// TestMineIncrementalChecksDecodedState covers the states that come
+// from outside the process. A DBSCAN graph or apriori count table
+// cannot reach a warm start: the forged ones an earlier encoder could
+// write (the forged_* corpus seeds: a graph edge outside eps, which
+// merged two clusters, and inflated counts, which served itemsets the
+// log does not support) no longer decode, so after a restart the log
+// mines cold. A decoded k-medoids state whose assignment of row 0 is
+// not the nearest-medoid one falls back cold over the whole built
+// matrix, and, as a cold run, reports no changed labels.
 func TestMineIncrementalChecksDecodedState(t *testing.T) {
 	ctx := context.Background()
-	p, _, full := prepareFixture(t)
-	for name, blob := range forgedMineStates(t) {
+	p, base, full := prepareFixture(t)
+	for _, name := range []string{"forged_dbscan_edge", "forged_apriori_counts"} {
 		t.Run(name, func(t *testing.T) {
-			s, err := UnmarshalMineState(blob)
-			if err != nil {
-				t.Fatalf("the forged state does not decode: %v", err)
-			}
-			got, _, err := p.MineIncremental(ctx, full, s, s.Spec())
-			if err != nil {
-				t.Fatal(err)
-			}
-			cold, err := p.MinePrepared(ctx, full, s.Spec())
-			if err != nil {
-				t.Fatal(err)
-			}
-			if st := got.Incremental; !st.Warm || !st.ColdFallback {
-				t.Errorf("stats %+v, want a warm run that fell back cold", st)
-			}
-			if !slices.Equal(got.Labels, cold.Labels) || !mining.EqualItemsets(got.Itemsets, cold.Itemsets) {
-				t.Errorf("served labels %v and %d itemsets; the cold mine gives %v and %d",
-					got.Labels, len(got.Itemsets), cold.Labels, len(cold.Itemsets))
+			if s, err := UnmarshalMineState(corpusSeed(t, name)); err == nil {
+				t.Fatalf("the forged state decoded to %+v", s)
 			}
 		})
 	}
+	t.Run("forged_kmedoids_assign", func(t *testing.T) {
+		spec := MineSpec{Algorithm: MineKMedoids, K: 3}
+		_, state, err := p.MineIncremental(ctx, base, nil, spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		kmed := *state.kmed
+		kmed.Assign = slices.Clone(kmed.Assign)
+		kmed.Assign[0] = (kmed.Assign[0] + 1) % spec.K
+		forged := *state
+		forged.kmed = &kmed
+		blob, err := MarshalMineState(&forged)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s, err := UnmarshalMineState(blob)
+		if err != nil {
+			t.Fatalf("the forged state does not decode: %v", err)
+		}
+		got, _, err := p.MineIncremental(ctx, full, s, spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cold, err := p.MinePrepared(ctx, full, spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st := got.Incremental; !st.Warm || !st.ColdFallback || st.PairsComputed != 14*13/2 || len(st.ChangedLabels) != 0 {
+			t.Errorf("stats %+v, want a warm run over 91 pairs that fell back cold and changed no labels", st)
+		}
+		if !reflect.DeepEqual(got.Clusters, cold.Clusters) {
+			t.Errorf("served %+v, the cold mine %+v", got.Clusters, cold.Clusters)
+		}
+	})
 }
 
 // TestMineIncrementalZeroDelta replays a warm run over the log its

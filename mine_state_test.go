@@ -5,13 +5,12 @@ import (
 	"context"
 	"encoding/binary"
 	"fmt"
-	"maps"
 	"math"
 	"os"
 	"path/filepath"
 	"reflect"
 	"runtime"
-	"slices"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -65,12 +64,10 @@ func prepareFixture(t *testing.T) (p *Provider, base, full *PreparedLog) {
 }
 
 // sameState is reflect.DeepEqual with floats compared by their bits, so
-// a NaN parameter or cost equals itself. Whether a state was decoded is
-// not part of it.
+// a NaN parameter or cost equals itself.
 func sameState(a, b *MineState) bool {
 	split := func(s *MineState) ([4]uint64, MineState) {
 		rest := *s
-		rest.decoded = false
 		bits := [4]uint64{math.Float64bits(s.spec.Eps), math.Float64bits(s.spec.P), math.Float64bits(s.spec.D)}
 		rest.spec.Eps, rest.spec.P, rest.spec.D = 0, 0, 0
 		if s.kmed != nil {
@@ -109,10 +106,12 @@ func sameMine(a, b *MineResult) bool {
 }
 
 // TestMineStateRoundTrip encodes bootstrapped and warm-extended states
-// of every algorithm: the blob is deterministic and carries everything
-// but the matrix, and the decoded state passes its checks and
-// warm-starts to the same result as the in-memory one after building
-// the whole 14-row matrix (91 pairs).
+// of every algorithm. Only a k-medoids state has a blob: it is
+// deterministic and carries everything but the matrix, and the decoded
+// state passes its checks and warm-starts to the same result as the
+// in-memory one after building the whole 14-row matrix (91 pairs). The
+// other algorithms' states encode to no blob, as a cold mine of the
+// log rebuilds all they hold.
 func TestMineStateRoundTrip(t *testing.T) {
 	ctx := context.Background()
 	p, base, full := prepareFixture(t)
@@ -131,6 +130,12 @@ func TestMineStateRoundTrip(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
+				if spec.Algorithm != MineKMedoids {
+					if blob != nil {
+						t.Fatalf("n=%d: a %s state encoded to %x, want no blob", s.n, spec.Algorithm, blob)
+					}
+					continue
+				}
 				again, _ := MarshalMineState(s)
 				if !bytes.Equal(blob, again) {
 					t.Fatal("equal states encoded to different bytes")
@@ -143,6 +148,9 @@ func TestMineStateRoundTrip(t *testing.T) {
 					t.Fatalf("n=%d: decoded state %+v differs from %+v", s.n, back, withoutMatrix(s))
 				}
 			}
+			if spec.Algorithm != MineKMedoids {
+				return
+			}
 
 			blob, _ := MarshalMineState(state)
 			restored, _ := UnmarshalMineState(blob)
@@ -150,13 +158,8 @@ func TestMineStateRoundTrip(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			st := got.Incremental
-			wantPairs := int64(14 * 13 / 2)
-			if spec.Algorithm == MineApriori {
-				wantPairs = 0
-			}
-			if !st.Warm || st.ColdFallback || st.PairsComputed != wantPairs {
-				t.Errorf("restored warm run: %+v, want warm with %d pairs", st, wantPairs)
+			if st := got.Incremental; !st.Warm || st.ColdFallback || st.PairsComputed != 14*13/2 {
+				t.Errorf("restored warm run: %+v, want warm with %d pairs", st, 14*13/2)
 			}
 			if !sameMine(got, want) || !reflect.DeepEqual(got.Matrix, want.Matrix) {
 				t.Errorf("restored warm run differs from the in-memory one")
@@ -190,9 +193,10 @@ func TestMineStateV1Fixtures(t *testing.T) {
 	}
 }
 
-// TestMineSpecCodecCoversEveryField sets every MineSpec field non-zero
-// by reflection and round-trips it, so a field added to MineSpec
-// without a codec change fails here.
+// TestMineSpecCodecCoversEveryField sets every MineSpec field but the
+// algorithm non-zero by reflection and round-trips it in a k-medoids
+// state, the one algorithm persisted (and the zero value), so a field
+// added to MineSpec without a codec change fails here.
 func TestMineSpecCodecCoversEveryField(t *testing.T) {
 	var spec MineSpec
 	v := reflect.ValueOf(&spec).Elem()
@@ -200,7 +204,7 @@ func TestMineSpecCodecCoversEveryField(t *testing.T) {
 		f := v.Field(i)
 		switch {
 		case f.Type() == reflect.TypeOf(MiningAlgorithm(0)):
-			f.SetInt(int64(MineApriori))
+			f.SetInt(int64(MineKMedoids))
 		case f.Kind() == reflect.Int:
 			f.SetInt(int64(i + 2))
 		case f.Kind() == reflect.Float64:
@@ -211,7 +215,7 @@ func TestMineSpecCodecCoversEveryField(t *testing.T) {
 			t.Fatalf("MineSpec.%s has kind %s, which this test and the codec do not cover", v.Type().Field(i).Name, f.Kind())
 		}
 	}
-	blob, err := MarshalMineState(&MineState{spec: spec})
+	blob, err := MarshalMineState(&MineState{spec: spec, kmed: &mining.KMedoidsResult{}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -225,15 +229,10 @@ func TestMineSpecCodecCoversEveryField(t *testing.T) {
 }
 
 // v2Blob assembles a v2 blob by hand: the header of an n-row state
-// under spec, then the presence flags and raw body bytes.
-func v2Blob(t *testing.T, spec MineSpec, n uint64, flags byte, body ...[]byte) []byte {
-	t.Helper()
-	head, err := MarshalMineState(&MineState{spec: spec})
-	if err != nil {
-		t.Fatal(err)
-	}
-	b := binary.AppendUvarint(head[:len(head)-2], n) // drop n=0 and the flags
-	b = append(b, flags)
+// under spec, then the sections byte and raw body bytes.
+func v2Blob(spec MineSpec, n uint64, sections byte, body ...[]byte) []byte {
+	b := binary.AppendUvarint(appendMineHeader(nil, spec), n)
+	b = append(b, sections)
 	for _, part := range body {
 		b = append(b, part...)
 	}
@@ -262,103 +261,121 @@ func sv(xs ...int64) (b []byte) {
 const parentResultState = "testdata/minestate_result_parent.bin"
 
 // hostileMineStates are blobs the decoder must reject, each for one
-// reason. The fuzz corpus seeds from them too.
+// reason. The fuzz corpus seeds from them too. Parent-written seeds
+// that this table no longer builds, among them the graph, labels and
+// counts sections of the other algorithms and the forged_* states,
+// stay in the corpus as inputs the decoder must reject.
 func hostileMineStates(t *testing.T) map[string][]byte {
-	dbscan := MineSpec{Algorithm: MineDBSCAN, Eps: 0.4, MinPts: 2}
 	kmed := MineSpec{Algorithm: MineKMedoids, K: 1}
-	apriori := MineSpec{Algorithm: MineApriori, MinSupport: 1, MaxLen: 2}
+	dbscan := MineSpec{Algorithm: MineDBSCAN, Eps: 0.4, MinPts: 2}
 	cost := make([]byte, 8)
-	valid := v2Blob(t, dbscan, 3, mineHasGraph, uv(3, 0, 1, 0, 0))
-	// The byte before n and the flags is the retired approximate flag,
-	// which must be 0.
-	approx1 := v2Blob(t, dbscan, 0, 0)
-	approx1[len(approx1)-3] = 1
-	approx2 := v2Blob(t, dbscan, 0, 0)
-	approx2[len(approx2)-3] = 2
+	body := [][]byte{uv(1), sv(0), uv(2), sv(0, 0), cost, sv(1)}
+	valid := v2Blob(kmed, 2, mineHasKMedoids, body...)
+	// The byte before n and the sections is the retired approximate
+	// flag, which must be 0.
+	approx := v2Blob(kmed, 0, mineHasKMedoids, uv(0, 0), cost, sv(0))
+	approx[len(appendMineHeader(nil, kmed))-1] = 1
 	parentResult, err := os.ReadFile(parentResultState)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return map[string][]byte{
-		"bad_magic":           []byte("XMS\x02"),
-		"unknown_version":     append([]byte("DMS"), 3),
-		"v1_unknown_version":  []byte(`{"v":3,"n":0}`),
-		"v1_negative_n":       []byte(`{"v":1,"n":-1}`),
-		"v1_one_way_edge":     []byte(`{"v":1,"spec":{"Algorithm":"dbscan"},"n":2,"adj":[[1],[]]}`),
-		"v1_short_matrix":     []byte(`{"v":1,"n":2,"matrix":[[0,1],[1]]}`),
-		"v1_unsorted_counts":  []byte(`{"v":1,"spec":{"Algorithm":"apriori"},"n":1,"counts":[{"k":"b","c":1},{"k":"a","c":1}]}`),
-		"unknown_algorithm":   append(append([]byte("DMS\x02"), sv(99)...), valid[5:]...),
-		"approximate_flag_1":  approx1,
-		"approximate_flag_2":  approx2,
-		"unknown_section":     v2Blob(t, dbscan, 0, 1<<7),
-		"n_overflows_int":     v2Blob(t, dbscan, math.MaxUint64, 0),
-		"n_2pow62_graph":      v2Blob(t, dbscan, 1<<62, mineHasGraph, uv(1<<62)),
-		"graph_rows_past_end": v2Blob(t, dbscan, 1000, mineHasGraph, uv(1000, 0, 0)),
-		"graph_rows_not_n":    v2Blob(t, dbscan, 3, mineHasGraph, uv(2, 0, 0)),
-		"graph_self_loop":     v2Blob(t, dbscan, 3, mineHasGraph, uv(3, 0, 1, 1, 0)),
-		"graph_out_of_range":  v2Blob(t, dbscan, 3, mineHasGraph, uv(3, 0, 1, 2, 0)),
-		"graph_repeat":        v2Blob(t, dbscan, 3, mineHasGraph, uv(3, 0, 0, 2, 0, 0)),
-		"labels_not_n":        v2Blob(t, dbscan, 3, mineHasLabels, uv(2), sv(0, 0)),
-		"labels_empty":        v2Blob(t, dbscan, 3, mineHasLabels, uv(0)),
-		"assign_not_n":        v2Blob(t, kmed, 3, mineHasKMedoids, uv(1), sv(0), uv(2), sv(0, 0), cost, sv(1)),
-		"assign_out_of_range": v2Blob(t, kmed, 2, mineHasKMedoids, uv(1), sv(0), uv(2), sv(0, 1), cost, sv(1)),
-		"medoids_descending":  v2Blob(t, kmed, 2, mineHasKMedoids, uv(2), sv(1, 0), uv(2), sv(0, 1), cost, sv(1)),
-		"medoid_out_of_range": v2Blob(t, kmed, 2, mineHasKMedoids, uv(1), sv(2), uv(2), sv(0, 0), cost, sv(1)),
-		"counts_past_end":     v2Blob(t, apriori, 1, mineHasCounts, uv(1<<40)),
-		"counts_unsorted":     v2Blob(t, apriori, 1, mineHasCounts, uv(2, 1), []byte("b"), sv(1), uv(1), []byte("a"), sv(1)),
-		"counts_duplicate":    v2Blob(t, apriori, 1, mineHasCounts, uv(2, 1), []byte("a"), sv(1), uv(1), []byte("a"), sv(1)),
-		"counts_empty_key":    v2Blob(t, apriori, 1, mineHasCounts, uv(1, 0), sv(1)),
-		"counts_empty_item":   v2Blob(t, apriori, 1, mineHasCounts, uv(1, 2), []byte("a\x00"), sv(1)),
-		"parent_result_state": parentResult,
-		"truncated_float":     v2Blob(t, kmed, 1, mineHasKMedoids, uv(1), sv(0), uv(1), sv(0), cost[:3]),
-		"trailing_byte":       append(valid, 0),
+		"bad_magic":                []byte("XMS\x02"),
+		"unknown_version":          append([]byte("DMS"), 3),
+		"v1_unknown_version":       []byte(`{"v":3,"n":0}`),
+		"v1_negative_n":            []byte(`{"v":1,"n":-1}`),
+		"v1_one_way_edge":          []byte(`{"v":1,"spec":{"Algorithm":"dbscan"},"n":2,"adj":[[1],[]]}`),
+		"v1_short_matrix":          []byte(`{"v":1,"n":2,"matrix":[[0,1],[1]]}`),
+		"v1_unsorted_counts":       []byte(`{"v":1,"spec":{"Algorithm":"apriori"},"n":1,"counts":[{"k":"b","c":1},{"k":"a","c":1}]}`),
+		"kmedoids_other_algorithm": v2Blob(dbscan, 2, mineHasKMedoids, body...),
+		"kmedoids_approximate":     approx,
+		"kmedoids_no_sections":     v2Blob(kmed, 0, 0),
+		"kmedoids_graph_section":   v2Blob(kmed, 2, mineHasKMedoids|2, uv(1), sv(0), uv(2), sv(0, 0), cost, sv(1), uv(2, 0, 1, 1)),
+		"kmedoids_n_overflows_int": v2Blob(kmed, math.MaxUint64, mineHasKMedoids, uv(0, 0), cost, sv(0)),
+		"kmedoids_n_2pow62":        v2Blob(kmed, 1<<62, mineHasKMedoids, uv(1), sv(0), uv(1<<62)),
+		"kmedoids_trailing_byte":   append(valid, 0),
+		"assign_not_n":             v2Blob(kmed, 3, mineHasKMedoids, uv(1), sv(0), uv(2), sv(0, 0), cost, sv(1)),
+		"assign_out_of_range":      v2Blob(kmed, 2, mineHasKMedoids, uv(1), sv(0), uv(2), sv(0, 1), cost, sv(1)),
+		"medoids_descending":       v2Blob(kmed, 2, mineHasKMedoids, uv(2), sv(1, 0), uv(2), sv(0, 1), cost, sv(1)),
+		"medoid_out_of_range":      v2Blob(kmed, 2, mineHasKMedoids, uv(1), sv(2), uv(2), sv(0, 0), cost, sv(1)),
+		"parent_result_state":      parentResult,
+		"truncated_float":          v2Blob(kmed, 1, mineHasKMedoids, uv(1), sv(0), uv(1), sv(0), cost[:3]),
 	}
 }
 
-// forgedMineStates are blobs that decode, as each is well formed, but
-// do not fit the log they claim: states mined over the fixture log's
-// first 9 queries under fixtureSpecs' DBSCAN and apriori specs, then
-// given one more graph edge, 0–4, which lies outside eps, or every
-// apriori count raised by 5. Only a check against the log tells them
-// from honest states. The fuzz corpus seeds from them too.
-func forgedMineStates(t *testing.T) map[string][]byte {
+// mineStateCorpus is FuzzUnmarshalMineState's seed corpus directory.
+var mineStateCorpus = filepath.Join("testdata", "fuzz", "FuzzUnmarshalMineState")
+
+// corpusSeed reads one []byte seed of the fuzz corpus.
+func corpusSeed(t *testing.T, name string) []byte {
 	t.Helper()
+	raw, err := os.ReadFile(filepath.Join(mineStateCorpus, name))
+	if err != nil {
+		t.Fatal(err)
+	}
+	lit, ok := strings.CutPrefix(strings.TrimSpace(string(raw)), "go test fuzz v1\n[]byte(")
+	if !ok || !strings.HasSuffix(lit, ")") {
+		t.Fatalf("seed %s is not one []byte value", name)
+	}
+	s, err := strconv.Unquote(strings.TrimSuffix(lit, ")"))
+	if err != nil {
+		t.Fatalf("seed %s: %v", name, err)
+	}
+	return []byte(s)
+}
+
+// The files under testdata/minestate_v2 were written by the encoder of
+// the release before only k-medoids states were persisted: one v2
+// state per other algorithm, mined under fixtureSpecs over the first 9
+// queries of the v1 fixture log, byte for byte the corpus's v2_* seeds.
+const v2FixtureDir = "testdata/minestate_v2"
+
+// TestMineStateParentV2Blobs pins the formats a parent-written v2 blob
+// meets. Its k-medoids state (the v2_k-medoids seed) still decodes,
+// re-encodes to itself, and is what the encoder writes for the same
+// state today. Every other algorithm's state is rejected, so replay
+// and import count it as skipped and the log mines cold.
+func TestMineStateParentV2Blobs(t *testing.T) {
 	ctx := context.Background()
 	p, base, _ := prepareFixture(t)
-	forge := func(spec MineSpec, edit func(*MineState)) []byte {
-		_, s, err := p.MineIncremental(ctx, base, nil, spec)
-		if err != nil {
-			t.Fatal(err)
-		}
-		edit(s)
-		blob, err := MarshalMineState(s)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return blob
-	}
-	return map[string][]byte{
-		"forged_dbscan_edge": forge(fixtureSpecs[1], func(s *MineState) {
-			for _, e := range [][2]int{{0, 4}, {4, 0}} {
-				row := s.adj[e[0]]
-				if slices.Contains(row, e[1]) {
-					t.Fatalf("the fixture graph already has edge %d-%d", e[0], e[1])
+	for _, spec := range fixtureSpecs {
+		name := spec.Algorithm.String()
+		t.Run(name, func(t *testing.T) {
+			seed := corpusSeed(t, "v2_"+name)
+			if spec.Algorithm == MineKMedoids {
+				_, state, err := p.MineIncremental(ctx, base, nil, spec)
+				if err != nil {
+					t.Fatal(err)
 				}
-				s.adj[e[0]] = append(slices.Clone(row), e[1])
-				slices.Sort(s.adj[e[0]])
+				if blob, err := MarshalMineState(state); err != nil || !bytes.Equal(blob, seed) {
+					t.Fatalf("the fixture state encodes to %x (%v), the parent's encoder wrote %x", blob, err, seed)
+				}
+				s, err := UnmarshalMineState(seed)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if blob, err := MarshalMineState(s); err != nil || !bytes.Equal(blob, seed) {
+					t.Fatalf("the decoded seed re-encodes to %x (%v), want %x", blob, err, seed)
+				}
+				return
 			}
-		}),
-		"forged_apriori_counts": forge(fixtureSpecs[5], func(s *MineState) {
-			for k := range s.counts {
-				s.counts[k] += 5
+			blob, err := os.ReadFile(filepath.Join(v2FixtureDir, name+".bin"))
+			if err != nil {
+				t.Fatal(err)
 			}
-		}),
+			if !bytes.Equal(blob, seed) {
+				t.Fatalf("%s.bin differs from the v2_%s seed", name, name)
+			}
+			if s, err := UnmarshalMineState(blob); err == nil {
+				t.Fatalf("a parent-written %s state decoded to %+v", name, s)
+			}
+		})
 	}
 }
 
 func TestUnmarshalMineStateRejects(t *testing.T) {
-	dbscan := MineSpec{Algorithm: MineDBSCAN, Eps: 0.4, MinPts: 2}
-	if _, err := UnmarshalMineState(v2Blob(t, dbscan, 3, mineHasGraph, uv(3, 0, 1, 0, 0))); err != nil {
+	valid := v2Blob(MineSpec{Algorithm: MineKMedoids, K: 1}, 2, mineHasKMedoids, uv(1), sv(0), uv(2), sv(0, 0), make([]byte, 8), sv(1))
+	if _, err := UnmarshalMineState(valid); err != nil {
 		t.Fatalf("the valid base of the hostile cases is rejected: %v", err)
 	}
 	for name, blob := range hostileMineStates(t) {
@@ -366,8 +383,24 @@ func TestUnmarshalMineStateRejects(t *testing.T) {
 			t.Errorf("%s: %x decoded to %+v", name, blob, s)
 		}
 	}
-	if _, err := MarshalMineState(&MineState{spec: MineSpec{Algorithm: 99}}); err == nil {
-		t.Error("a state under an unknown algorithm encoded")
+	// Every corpus seed but the k-medoids state is rejected, including
+	// the parent-written ones the table above no longer builds.
+	seeds, err := os.ReadDir(mineStateCorpus)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range seeds {
+		if e.Name() == "v2_k-medoids" {
+			continue
+		}
+		if s, err := UnmarshalMineState(corpusSeed(t, e.Name())); err == nil {
+			t.Errorf("seed %s decoded to %+v", e.Name(), s)
+		}
+	}
+	for _, s := range []*MineState{{spec: MineSpec{Algorithm: 99}, kmed: &mining.KMedoidsResult{}}, {spec: MineSpec{Algorithm: MineKMedoids}}} {
+		if blob, err := MarshalMineState(s); blob != nil || err != nil {
+			t.Errorf("a state without a k-medoids warm start encoded to %x, %v", blob, err)
+		}
 	}
 }
 
@@ -382,12 +415,11 @@ func allocatedBy(f func()) uint64 {
 
 // FuzzUnmarshalMineState checks the decoder on arbitrary bytes: it
 // never panics; it allocates at most 1 MiB plus 64 bytes per input
-// byte; an accepted state re-encodes and decodes to a deep-equal state;
-// and an accepted state over at most 32 rows, handed to MineIncremental
-// under its own spec with a prepared log of n+4 queries, yields a
-// result or an error, never a panic. A result equals what the checks
-// guard: a k-medoids cost is the distance sum of its own assignment,
-// and DBSCAN labels and apriori itemsets equal a cold mine's.
+// byte; an accepted state is a k-medoids warm start, and re-encodes and
+// decodes to a deep-equal state; and an accepted state over at most 32
+// rows, handed to MineIncremental under its own spec with a prepared
+// log of n+4 queries, yields a result or an error, never a panic. A
+// result's cost is the distance sum of its own assignment.
 func FuzzUnmarshalMineState(f *testing.F) {
 	p, err := NewProvider(MeasureToken)
 	if err != nil {
@@ -401,6 +433,9 @@ func FuzzUnmarshalMineState(f *testing.F) {
 		}
 		if err != nil {
 			return
+		}
+		if s.spec.Algorithm != MineKMedoids || s.kmed == nil {
+			t.Fatalf("%q decoded to a state without a k-medoids warm start: %+v", data, s)
 		}
 		blob, err := MarshalMineState(s)
 		if err != nil {
@@ -430,28 +465,18 @@ func FuzzUnmarshalMineState(f *testing.F) {
 		if err != nil {
 			return
 		}
-		if res.Clusters != nil {
-			// Bits compare, so a NaN cost equals itself.
-			if got, want := res.Clusters.Cost, assignCost(res.Matrix, res.Clusters); math.Float64bits(got) != math.Float64bits(want) {
-				t.Fatalf("k-medoids served cost %v, its assignment costs %v", got, want)
-			}
-		}
-		if a := s.spec.Algorithm; a == MineDBSCAN || a == MineApriori {
-			cold, err := p.MinePrepared(ctx, pl, s.spec)
-			if err != nil {
-				t.Fatalf("warm %s ran, cold failed: %v", a, err)
-			}
-			if !slices.Equal(res.Labels, cold.Labels) || !mining.EqualItemsets(res.Itemsets, cold.Itemsets) {
-				t.Fatalf("warm %s served labels %v and itemsets %v, cold %v and %v", a, res.Labels, res.Itemsets, cold.Labels, cold.Itemsets)
-			}
+		// Bits compare, so a NaN cost equals itself.
+		if got, want := res.Clusters.Cost, assignCost(res.Matrix, res.Clusters); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("k-medoids served cost %v, its assignment costs %v", got, want)
 		}
 	})
 }
 
 // TestGenerateMineStateCorpus rewrites FuzzUnmarshalMineState's seed
-// corpus when RUN_GEN_FIXTURES is set: v2 blobs of every algorithm from
-// the real encoder, the retired v1 fixtures, and the hostile and forged
-// cases above. Normal test runs skip it.
+// corpus when RUN_GEN_FIXTURES is set: the k-medoids state from the
+// real encoder, the retired v1 fixtures, and the hostile cases above.
+// It writes no seed the encoder can no longer produce; those stay as
+// the files an earlier encoder wrote. Normal test runs skip it.
 func TestGenerateMineStateCorpus(t *testing.T) {
 	if os.Getenv("RUN_GEN_FIXTURES") == "" {
 		t.Skip("set RUN_GEN_FIXTURES=1 to regenerate the fuzz seed corpus")
@@ -459,8 +484,14 @@ func TestGenerateMineStateCorpus(t *testing.T) {
 	ctx := context.Background()
 	p, base, _ := prepareFixture(t)
 	seeds := hostileMineStates(t)
-	maps.Copy(seeds, forgedMineStates(t))
 	for _, spec := range fixtureSpecs {
+		var err error
+		if seeds["v1_"+spec.Algorithm.String()], err = os.ReadFile(filepath.Join(v1FixtureDir, spec.Algorithm.String()+".json")); err != nil {
+			t.Fatal(err)
+		}
+		if spec.Algorithm != MineKMedoids {
+			continue
+		}
 		_, state, err := p.MineIncremental(ctx, base, nil, spec)
 		if err != nil {
 			t.Fatal(err)
@@ -468,17 +499,13 @@ func TestGenerateMineStateCorpus(t *testing.T) {
 		if seeds["v2_"+spec.Algorithm.String()], err = MarshalMineState(state); err != nil {
 			t.Fatal(err)
 		}
-		if seeds["v1_"+spec.Algorithm.String()], err = os.ReadFile(filepath.Join(v1FixtureDir, spec.Algorithm.String()+".json")); err != nil {
-			t.Fatal(err)
-		}
 	}
-	dir := filepath.Join("testdata", "fuzz", "FuzzUnmarshalMineState")
-	if err := os.MkdirAll(dir, 0o755); err != nil {
+	if err := os.MkdirAll(mineStateCorpus, 0o755); err != nil {
 		t.Fatal(err)
 	}
 	for name, blob := range seeds {
 		body := fmt.Sprintf("go test fuzz v1\n[]byte(%q)\n", blob)
-		if err := os.WriteFile(filepath.Join(dir, name), []byte(body), 0o644); err != nil {
+		if err := os.WriteFile(filepath.Join(mineStateCorpus, name), []byte(body), 0o644); err != nil {
 			t.Fatal(err)
 		}
 	}
