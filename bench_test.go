@@ -33,7 +33,6 @@ import (
 	"repro/internal/crypto/ope"
 	"repro/internal/crypto/prf"
 	"repro/internal/crypto/prob"
-	"repro/internal/crypto/swp"
 	"repro/internal/experiments"
 )
 
@@ -305,33 +304,6 @@ func BenchmarkPaillier_MulConst(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		k.MulConst(c, factor)
-	}
-}
-
-// --- P3b: SWP searchable encryption (the LIKE extension) ---
-
-func BenchmarkSWP_Encrypt(b *testing.B) {
-	s := swp.NewFromSeed([]byte("bench"))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		s.Encrypt("galaxy", uint64(i))
-	}
-}
-
-func BenchmarkSWP_Search(b *testing.B) {
-	s := swp.NewFromSeed([]byte("bench"))
-	words := []string{"bright", "galaxy", "north", "faint", "star", "cluster", "quasar", "deep"}
-	var cts [][]byte
-	for i := 0; i < 1024; i++ {
-		cts = append(cts, s.Encrypt(words[i%len(words)], uint64(i)))
-	}
-	td := s.Trapdoor("galaxy")
-	b.SetBytes(int64(len(cts)))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if hits := td.Search(cts); len(hits) != 128 {
-			b.Fatalf("hits = %d", len(hits))
-		}
 	}
 }
 

@@ -5,10 +5,11 @@
 //
 //	dpeserver -addr :8433 -par 8 -max-sessions 256 -shards 16 -data-dir /var/lib/dpe
 //
-// Multi-tenant state is sharded by session id over a consistent-hash
-// ring (-shards, default GOMAXPROCS rounded to a power of two): each
-// shard owns its own lock, singleflight group, and slice of the
-// prepared-state cache, so tenants on different shards never contend.
+// Multi-tenant state is sharded by session id: FNV-1a of the id modulo
+// -shards (default GOMAXPROCS rounded to a power of two) picks the
+// shard. Each shard owns its own lock, singleflight group, and slice of
+// the prepared-state cache, so tenants on different shards never
+// contend.
 //
 // With -data-dir, every shard journals its sessions, uploaded logs,
 // and cached artifacts — prepared-state snapshots and k-medoids mining

@@ -86,7 +86,7 @@ func runContention(ctx context.Context, r *Report, f *fixtures) error {
 	r.add(pfx+"/elapsed", "ns", float64(elapsed.Nanoseconds()), false)
 	r.add(pfx+"/throughput", "ops/s", float64(ops.Load())/elapsed.Seconds(), false)
 	// Placement spread across shards (random session ids, so recorded
-	// only): how evenly the ring scattered the surviving sessions.
+	// only): how evenly routing scattered the surviving sessions.
 	r.add(pfx+"/shard_sessions_max", "count", float64(maxSessions), false)
 	r.add(pfx+"/shard_sessions_min", "count", float64(minSessions), false)
 	return nil

@@ -577,7 +577,7 @@ func (r *rewriter) rewritePredicate(e sqlparse.Expr, inHaving bool) (sqlparse.Ex
 			return nil, fmt.Errorf("encdb: LIKE over a non-column expression is unsupported")
 		}
 		if r.executable() {
-			return nil, fmt.Errorf("encdb: LIKE is not executable over ciphertext (see the SWP extension)")
+			return nil, fmt.Errorf("encdb: LIKE is not executable over ciphertext (no column encryption class supports pattern matching)")
 		}
 		info, err := r.resolve(col)
 		if err != nil {

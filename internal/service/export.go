@@ -168,11 +168,15 @@ func (r *Registry) ImportSession(rd io.Reader) (*ImportResult, error) {
 	res := &ImportResult{Session: js.ID, Logs: len(c.logs), Skipped: st.Skipped}
 	var warm []journal.Artifact
 	for _, art := range c.artifacts {
-		if s.restore(art) != journal.Applied {
+		out := s.restore(art)
+		if out == journal.Skipped {
 			res.Skipped++
 			continue
 		}
 		warm = append(warm, art)
+		if out == journal.Ignored {
+			continue // a repeated record: cached once, counted once
+		}
 		switch art.Kind {
 		case store.KindSnapshot:
 			res.Snapshots++

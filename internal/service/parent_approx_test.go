@@ -25,9 +25,9 @@ var parentApproxSpec = dpe.MineSpec{Algorithm: dpe.MineDBSCAN, Eps: 0.4, MinPts:
 
 const parentApproxDir = "testdata/parent_approx"
 
-// journalKinds counts the record kinds left in a data directory's
-// segment journals.
-func journalKinds(t *testing.T, dir string) map[store.Kind]int {
+// eachRecord replays every record left in a data directory's segment
+// journals through fn, with the index of the segment holding it.
+func eachRecord(t *testing.T, dir string, fn func(shard int, rec store.Record)) {
 	t.Helper()
 	st, err := store.OpenDir(dir)
 	if err != nil {
@@ -38,17 +38,24 @@ func journalKinds(t *testing.T, dir string) map[store.Kind]int {
 	if err != nil {
 		t.Fatal(err)
 	}
-	kinds := map[store.Kind]int{}
 	for _, i := range shards {
 		lg, err := st.Open(i)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := lg.Replay(func(rec store.Record) error { kinds[rec.Kind]++; return nil }); err != nil {
+		if err := lg.Replay(func(rec store.Record) error { fn(i, rec); return nil }); err != nil {
 			t.Fatal(err)
 		}
 		lg.Close()
 	}
+}
+
+// journalKinds counts the record kinds left in a data directory's
+// segment journals.
+func journalKinds(t *testing.T, dir string) map[store.Kind]int {
+	t.Helper()
+	kinds := map[store.Kind]int{}
+	eachRecord(t, dir, func(_ int, rec store.Record) { kinds[rec.Kind]++ })
 	return kinds
 }
 
@@ -115,14 +122,7 @@ func checkParentTenant(t *testing.T, s *session) {
 // session, logs and snapshots restore as they did at the parent, and
 // compaction leaves no approx or mining record behind.
 func TestParentApproxJournalReplay(t *testing.T) {
-	seg, err := os.ReadFile(filepath.Join(parentApproxDir, "segment-0001.log"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	dir := t.TempDir()
-	if err := os.WriteFile(filepath.Join(dir, "segment-0001.log"), seg, 0o644); err != nil {
-		t.Fatal(err)
-	}
+	dir := copySegments(t, parentApproxDir)
 	if got := journalKinds(t, dir)[store.KindApprox]; got != 2 {
 		t.Fatalf("fixture journal holds %d approx records, want 2", got)
 	}

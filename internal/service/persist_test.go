@@ -88,7 +88,7 @@ func testKillAndRestart(t *testing.T, open func() store.Store) {
 			t.Fatal(err)
 		}
 		tenants = append(tenants, tenant{
-			id: s.ID(), shard: reg.router.Shard(s.ID()), logID: logID, matrix: matrix,
+			id: s.ID(), shard: reg.shardIndex(s.ID()), logID: logID, matrix: matrix,
 		})
 		byID[s.ID()] = m
 	}
@@ -116,9 +116,9 @@ func testKillAndRestart(t *testing.T, open func() store.Store) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		tenants = append(tenants, tenant{id: s.ID(), shard: reg.router.Shard(s.ID()), logID: logID, matrix: matrix})
+		tenants = append(tenants, tenant{id: s.ID(), shard: reg.shardIndex(s.ID()), logID: logID, matrix: matrix})
 		byID[s.ID()] = dpe.MeasureToken
-		occupied[reg.router.Shard(s.ID())] = true
+		occupied[reg.shardIndex(s.ID())] = true
 	}
 
 	reg.Close() // the "kill": flush journals and stop
@@ -138,7 +138,7 @@ func testKillAndRestart(t *testing.T, open func() store.Store) {
 	}
 
 	for _, tn := range tenants {
-		if got := reg2.router.Shard(tn.id); got != tn.shard {
+		if got := reg2.shardIndex(tn.id); got != tn.shard {
 			t.Errorf("session %s routes to shard %d after restart, was %d", tn.id, got, tn.shard)
 		}
 		s, err := reg2.Session(tn.id)
@@ -193,7 +193,7 @@ func TestRecoveryAfterCrash(t *testing.T) {
 	// Tear the owning shard's journal tail: chop a few bytes off the
 	// last record (the snapshot). Recovery must keep the session and
 	// log, drop the damaged snapshot, and re-prepare on demand.
-	shardIdx := reg.router.Shard(s.ID())
+	shardIdx := reg.shardIndex(s.ID())
 	path := filepath.Join(dir, fmt.Sprintf("segment-%04d.log", shardIdx))
 	fi, err := os.Stat(path)
 	if err != nil {

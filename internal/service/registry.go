@@ -13,7 +13,6 @@ import (
 
 	dpe "repro"
 	"repro/internal/obs"
-	"repro/internal/service/ring"
 	"repro/internal/store"
 	"repro/internal/store/journal"
 )
@@ -245,13 +244,12 @@ type RegistryStats struct {
 }
 
 // Registry is the service's multi-tenant state, sharded by session id:
-// a consistent-hash ring routes every id to one of N shards, each with
-// its own mutex, session map, singleflight group, prepared-state LRU,
-// and (when persistent) journal — so tenant traffic on different shards
-// never shares a lock. All methods are safe for concurrent use.
+// shardIndex routes every id to one of N shards, each with its own
+// mutex, session map, singleflight group, prepared-state LRU, and (when
+// persistent) journal — so tenant traffic on different shards never
+// shares a lock. All methods are safe for concurrent use.
 type Registry struct {
 	cfg    Config
-	router *ring.Ring
 	shards []*shard
 
 	// persistent is true when cfg.Store journals for real (not Null):
@@ -267,6 +265,10 @@ type Registry struct {
 	// — and must not resurrect. Only used inside OpenRegistry; nil
 	// afterwards.
 	replayDeleted map[string]bool
+	// moved lists, by journal index, the sessions replay restored from
+	// a journal other than their owning shard's (see compactStartup).
+	// Only used inside OpenRegistry; nil afterwards.
+	moved map[int][]string
 
 	// live is the registry-wide session count: capacity is a global
 	// budget enforced lock-free, so MaxSessions means the same thing at
@@ -307,16 +309,14 @@ func NewRegistry(cfg Config) *Registry {
 
 // OpenRegistry creates a registry and, when cfg.Store persists, replays
 // every shard's journal so the process resumes exactly where its
-// predecessor stopped: sessions route to the same shards (the ring's
-// key→shard map is stable), uploaded logs are servable, and replayed
+// predecessor stopped: uploaded logs are servable, and replayed
 // prepared-state snapshots make the first post-restart request a cache
-// hit. After a successful replay the journals are compacted once,
-// dropping tombstones and re-homing records if the shard count changed.
+// hit. After a successful replay the journals are compacted, dropping
+// tombstones and re-homing sessions (see compactStartup).
 func OpenRegistry(cfg Config) (*Registry, error) {
 	cfg = cfg.withDefaults()
 	r := &Registry{
 		cfg:    cfg,
-		router: ring.New(cfg.Shards),
 		shards: make([]*shard, cfg.Shards),
 		stop:   make(chan struct{}),
 	}
@@ -334,41 +334,34 @@ func OpenRegistry(cfg Config) (*Registry, error) {
 	}
 	if r.persistent {
 		r.replayDeleted = make(map[string]bool)
+		r.moved = make(map[int][]string)
 		if err := r.replay(); err != nil {
 			r.closeJournals()
 			return nil, err
 		}
 		// A previous run may have used more shards: replay the extra
-		// journals too (records route by id, so sessions land on their
-		// new owning shard) and retire them once the owning shards'
-		// compaction has re-homed every record.
+		// journals too (records route by id) and empty them once
+		// compaction has re-homed every record. Failing to empty one
+		// fails the boot, as a failed compaction does: a create left in
+		// an orphan would outlive the tombstone a later compaction
+		// drops, and resurrect a deleted session.
 		orphans, err := r.replayOrphans()
-		if err != nil {
-			for _, orphan := range orphans {
-				orphan.Close()
+		if err == nil {
+			err = r.compactStartup()
+		}
+		for _, orphan := range orphans {
+			if err == nil {
+				if err = orphan.Compact(nil); err != nil {
+					err = fmt.Errorf("service: retiring an orphan journal: %w", err)
+				}
 			}
+			orphan.Close()
+		}
+		if err != nil {
 			r.closeJournals()
 			return nil, err
 		}
-		if r.recovered.total() > 0 {
-			// Normalize after recovery: tombstones drop, duplicate records
-			// collapse, and a session whose id now routes elsewhere (the
-			// operator changed -shards) moves to its owning shard's journal.
-			for _, sh := range r.shards {
-				if err := r.compactShard(sh); err != nil {
-					r.closeJournals()
-					return nil, fmt.Errorf("service: startup compaction: %w", err)
-				}
-			}
-		}
-		for _, orphan := range orphans {
-			// Best-effort: a failed retirement means the orphan is
-			// re-replayed next boot — harmless, because duplicates are
-			// idempotent and replayDeleted blocks stale creates.
-			orphan.Compact(nil) // nil collect empties the journal
-			orphan.Close()
-		}
-		r.replayDeleted = nil
+		r.replayDeleted, r.moved = nil, nil
 	}
 	// Wire metrics after replay (recovery never pollutes the serving
 	// counters — RecoveryStats reports it separately) and before the
@@ -386,13 +379,12 @@ func OpenRegistry(cfg Config) (*Registry, error) {
 }
 
 // replay streams every shard's journal back into memory through the
-// typed handler. Records are routed by session id through the ring —
-// not by which file they were found in — so a journal written under a
-// different shard count still recovers completely.
+// typed handler. Records are routed by session id — not by which file
+// they were found in — so a journal written under a different shard
+// count still recovers completely.
 func (r *Registry) replay() error {
-	h := replayApplier{r}
 	for i, sh := range r.shards {
-		st, err := sh.journal.Replay(h)
+		st, err := sh.journal.Replay(replayApplier{r, i})
 		r.recovered.absorb(st)
 		if err != nil {
 			return fmt.Errorf("service: replaying shard %d journal: %w", i, err)
@@ -419,7 +411,7 @@ func (r *Registry) replayOrphans() ([]*journal.Journal, error) {
 			return orphans, fmt.Errorf("service: opening orphan journal %d: %w", idx, err)
 		}
 		jl := journal.New(lg)
-		st, err := jl.Replay(replayApplier{r})
+		st, err := jl.Replay(replayApplier{r, idx})
 		r.recovered.absorb(st)
 		if err != nil {
 			jl.Close()
@@ -431,14 +423,21 @@ func (r *Registry) replayOrphans() ([]*journal.Journal, error) {
 }
 
 // replayApplier is the journal.Handler that applies replayed records to
-// the registry. Replay is idempotent (duplicates report Ignored) and
-// tolerant: a record it cannot apply reports Skipped, never fatal — the
-// journal is a recovery aid, and partial recovery beats refusing to
-// start.
-type replayApplier struct{ r *Registry }
+// the registry from the journal with index journal. Replay is
+// idempotent (duplicates report Ignored) and tolerant: a record it
+// cannot apply reports Skipped, never fatal — the journal is a recovery
+// aid, and partial recovery beats refusing to start.
+type replayApplier struct {
+	r       *Registry
+	journal int
+}
 
 func (a replayApplier) Session(js journal.Session) journal.Outcome {
-	return a.r.restoreSession(js)
+	out := a.r.restoreSession(js)
+	if out == journal.Applied && a.r.shardIndex(js.ID) != a.journal {
+		a.r.moved[a.journal] = append(a.r.moved[a.journal], js.ID)
+	}
+	return out
 }
 
 func (a replayApplier) Delete(d journal.Delete) journal.Outcome {
@@ -581,9 +580,36 @@ func (r *Registry) reapIdle(now time.Time) {
 	}
 }
 
+// compactStartup rewrites every journal to its live state after
+// recovery: tombstones drop, duplicates collapse, and each session ends
+// up in its owner's journal alone. When replay found sessions outside
+// their owners' journals, a first pass keeps each where it was and
+// also writes it into its owner's; the second, ordinary pass drops the
+// other copies. No rewrite removes a session's last copy, so a crash
+// between any two of them loses nothing.
+func (r *Registry) compactStartup() error {
+	if r.recovered.total() == 0 {
+		return nil
+	}
+	passes := []map[int][]string{nil}
+	if len(r.moved) > 0 {
+		passes = []map[int][]string{r.moved, nil}
+	}
+	for _, guests := range passes {
+		for i, sh := range r.shards {
+			if err := r.compactShard(sh, guests[i]...); err != nil {
+				return fmt.Errorf("service: startup compaction: %w", err)
+			}
+		}
+	}
+	return nil
+}
+
 // compactShard rewrites one shard's journal down to its live state:
 // one session record per live session, its logs, and the prepared-state
-// snapshots currently cached. The journal's lock is held across the
+// snapshots currently cached. guests names live sessions of other
+// shards to keep in this journal too (see compactStartup); a guest that
+// is no longer live is left out. The journal's lock is held across the
 // collect + rewrite, so no append can slip between what was collected
 // and what the rewritten journal holds (appenders never hold session or
 // shard locks while journaling, keeping the order acyclic). Holding the
@@ -592,9 +618,14 @@ func (r *Registry) reapIdle(now time.Time) {
 // tenant writes on this shard queue behind the compaction — acceptable
 // while compaction stays rare (-compact-interval) relative to the write
 // rate.
-func (r *Registry) compactShard(sh *shard) error {
+func (r *Registry) compactShard(sh *shard, guests ...string) error {
 	return sh.journal.Compact(func() []journal.Record {
 		sessions := sh.list()
+		for _, id := range guests {
+			if s := r.shardFor(id).session(id); s != nil {
+				sessions = append(sessions, s)
+			}
+		}
 		sort.Slice(sessions, func(i, j int) bool {
 			if !sessions[i].created.Equal(sessions[j].created) {
 				return sessions[i].created.Before(sessions[j].created)
@@ -651,12 +682,22 @@ func (r *Registry) CompactAll() error {
 	return nil
 }
 
-// shardFor routes a session id to its shard. The ring makes the mapping
-// stable across processes, so a future multi-node deployment can route
-// tenants with the identical function — and a restarted one reloads
-// each session into the same shard.
+// shardIndex routes a session id to its shard: 64-bit FNV-1a of the id
+// modulo the shard count, written out so routing allocates nothing. It
+// depends on nothing but the id and the count, so a restarted process
+// reloads each session into the shard its predecessor journaled it to.
+func (r *Registry) shardIndex(id string) int {
+	h := uint64(14695981039346656037) // FNV-1a offset basis
+	for i := 0; i < len(id); i++ {
+		h ^= uint64(id[i])
+		h *= 1099511628211 // FNV-1a prime
+	}
+	return int(h % uint64(len(r.shards)))
+}
+
+// shardFor returns the shard that owns a session id.
 func (r *Registry) shardFor(id string) *shard {
-	return r.shards[r.router.Shard(id)]
+	return r.shards[r.shardIndex(id)]
 }
 
 // newSessionID draws an unguessable session id: in a multi-tenant

@@ -247,7 +247,9 @@ func (s *session) record(k artifact, logID string, v any) (journal.Artifact, err
 // artifactKinds, it belongs to this session and a live log, and its
 // decoded value covers exactly that log's queries — a mismatched
 // artifact rebuilds on demand instead of being served as another log's
-// state.
+// state. A record whose key is already cached replaces the entry (the
+// later record wins) but reports Ignored, so a state journaled twice
+// (rebuilt after an eviction, or copied while re-homing) counts once.
 func (s *session) restore(a journal.Artifact) journal.Outcome {
 	k := artifact(-1)
 	for i, kind := range artifactKinds {
@@ -269,7 +271,12 @@ func (s *session) restore(a journal.Artifact) journal.Outcome {
 	if err != nil || n != len(queries) {
 		return journal.Skipped
 	}
-	s.sh.cache.add(s.key(k, variant, a.LogID), v, kind.size(s, v, a.LogID))
+	key := s.key(k, variant, a.LogID)
+	_, dup := s.sh.cache.peek(key)
+	s.sh.cache.add(key, v, kind.size(s, v, a.LogID))
+	if dup {
+		return journal.Ignored
+	}
 	return journal.Applied
 }
 

@@ -443,6 +443,105 @@ func TestAppendWirePayload(t *testing.T) {
 	}
 }
 
+// TestEmptyAppendOfUnpreparedLog appends no queries to a log that was
+// uploaded but never prepared. The combined log is then the base log,
+// so building its prepared state from the base's waited on its own
+// singleflight until the deadline. Each call gets 2 s, in process and
+// over HTTP: Append must answer no rows, and AppendMine must mine the
+// base log cold over its 28 pairs, as a fresh mine does.
+func TestEmptyAppendOfUnpreparedLog(t *testing.T) {
+	log := clusteredLog()[:8]
+	spec := dpe.MineSpec{Algorithm: dpe.MineKMedoids, K: 2}
+	token := dpe.MeasureToken
+	local, err := dpe.NewProvider(token)
+	if err != nil {
+		t.Fatal(err)
+	}
+	old, err := local.DistanceMatrix(context.Background(), log)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := local.Mine(context.Background(), log, spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkMine := func(t *testing.T, res *dpe.MineResult) {
+		t.Helper()
+		if inc := res.Incremental; inc == nil || inc.Warm || inc.PairsComputed != 28 {
+			t.Errorf("empty append_mine stats %+v, want a cold mine of 28 pairs", res.Incremental)
+		}
+		if !sameMineResult(res, want) {
+			t.Errorf("empty append_mine result %+v, want %+v", res.Clusters, want.Clusters)
+		}
+	}
+	deadline := func(t *testing.T) context.Context {
+		ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
+		t.Cleanup(cancel)
+		return ctx
+	}
+
+	t.Run("in process", func(t *testing.T) {
+		reg := NewRegistry(Config{Shards: 2, JanitorInterval: -1})
+		defer reg.Close()
+		// One session per call, so each finds the base log unprepared.
+		upload := func() (*session, string) {
+			s, err := reg.CreateSession(&CreateSessionRequest{Measure: &token})
+			if err != nil {
+				t.Fatal(err)
+			}
+			id, err := s.AddLog(log)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return s, id
+		}
+		s, id := upload()
+		combined, offset, rows, err := s.Append(deadline(t), id, nil)
+		if err != nil || combined != id || offset != len(log) || len(rows) != 0 {
+			t.Errorf("empty append = %s, %d, %d rows, %v; want the base log, offset %d, no rows",
+				combined, offset, len(rows), err, len(log))
+		}
+		s, id = upload()
+		combined, offset, rows, res, err := s.AppendMine(deadline(t), id, nil, spec)
+		if err != nil {
+			t.Fatalf("empty append_mine: %v", err)
+		}
+		if combined != id || offset != len(log) || len(rows) != 0 {
+			t.Errorf("empty append_mine = %s, %d, %d rows; want the base log, offset %d, no rows", combined, offset, len(rows), len(log))
+		}
+		checkMine(t, res)
+	})
+
+	t.Run("http", func(t *testing.T) {
+		c := NewClient(startServer(t, Config{Shards: 2}).URL)
+		upload := func() *Session {
+			sess, err := c.NewSession(context.Background(), token)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := sess.UploadLog(context.Background(), log); err != nil {
+				t.Fatal(err)
+			}
+			return sess
+		}
+		m, err := upload().Append(deadline(t), old, log, nil)
+		if err != nil {
+			t.Fatalf("empty append: %v", err)
+		}
+		if !reflect.DeepEqual(m, old) {
+			t.Error("empty append changed the matrix")
+		}
+		m, res, err := upload().AppendMine(deadline(t), old, log, nil, spec)
+		if err != nil {
+			t.Fatalf("empty append_mine: %v", err)
+		}
+		if !reflect.DeepEqual(m, old) {
+			t.Error("empty append_mine changed the matrix")
+		}
+		checkMine(t, res)
+	})
+}
+
 // TestAppendErrors exercises the append endpoint's failure modes.
 func TestAppendErrors(t *testing.T) {
 	srv := startServer(t, Config{})

@@ -274,6 +274,10 @@ func (s *session) appendPrepared(ctx context.Context, baseLogID string, newQueri
 			return "", 0, nil, err
 		}
 	}
+	if len(newQueries) == 0 { // the combined log is the base log
+		pl, err := s.prepared(ctx, baseLogID)
+		return baseLogID, len(base), pl, err
+	}
 	combined := make([]string, 0, len(base)+len(newQueries))
 	combined = append(combined, base...)
 	combined = append(combined, newQueries...)

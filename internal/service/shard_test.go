@@ -3,6 +3,7 @@ package service
 import (
 	"context"
 	"encoding/json"
+	"hash/fnv"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
@@ -12,7 +13,6 @@ import (
 	"time"
 
 	dpe "repro"
-	"repro/internal/service/ring"
 )
 
 // TestDefaultShards pins the derived shard count's shape: a power of
@@ -107,17 +107,29 @@ func TestSingleShardMatchesUnsharded(t *testing.T) {
 	}
 }
 
-// TestShardRoutingMatchesRing pins that the registry routes ids exactly
-// like a standalone ring of the same size — the property that lets a
-// multi-node deployment reuse the ring to route tenants.
-func TestShardRoutingMatchesRing(t *testing.T) {
-	reg := NewRegistry(Config{Shards: 8, JanitorInterval: -1})
-	defer reg.Close()
-	r := ring.New(8)
-	for _, id := range []string{"s-00000000000000000000000000000000", "s-deadbeefdeadbeefdeadbeefdeadbeef", "s-42", "x"} {
-		if reg.shardFor(id) != reg.shards[r.Shard(id)] {
-			t.Errorf("registry routes %q differently from ring.New(8)", id)
+// TestShardRoutingIsFNV1aModulo pins the routing function. Journals are
+// placed by it, so changing it re-homes sessions at the next boot. The
+// registry's inline loop must agree with hash/fnv's 64-bit FNV-1a
+// modulo the shard count, and route without allocating.
+func TestShardRoutingIsFNV1aModulo(t *testing.T) {
+	ids := []string{"s-00000000000000000000000000000000", "s-deadbeefdeadbeefdeadbeefdeadbeef", "s-42", "x", ""}
+	for _, n := range []int{1, 2, 3, 8, 256} {
+		reg := NewRegistry(Config{Shards: n, JanitorInterval: -1})
+		for _, id := range ids {
+			h := fnv.New64a()
+			h.Write([]byte(id))
+			want := int(h.Sum64() % uint64(n))
+			if got := reg.shardIndex(id); got != want {
+				t.Errorf("shards=%d: shardIndex(%q) = %d, want FNV-1a mod %d = %d", n, id, got, n, want)
+			}
+			if reg.shardFor(id) != reg.shards[want] {
+				t.Errorf("shards=%d: shardFor(%q) is not shard %d", n, id, want)
+			}
 		}
+		if allocs := testing.AllocsPerRun(100, func() { reg.shardFor(ids[1]) }); allocs != 0 {
+			t.Errorf("shards=%d: routing allocates %.0f times per call, want 0", n, allocs)
+		}
+		reg.Close()
 	}
 }
 

@@ -127,10 +127,10 @@ func (s *segment) Append(rec Record) error {
 	// or a delete tombstone) must survive power loss, not just a
 	// process crash. Every record pays this fsync, the best-effort
 	// artifact caches included, and some sit on the request path: a
-	// logs:append_mine journals its combined log, prepared snapshot and
-	// mining state, 2.66 fsynced records per op on perfbench's
-	// ingest-mine workload. The fsync-latency histogram says what that
-	// costs.
+	// logs:append_mine journals its combined log and prepared snapshot,
+	// plus the warm start under a k-medoids spec, so each DBSCAN
+	// append_mine of perfbench's ingest-mine workload fsyncs two
+	// records. The fsync-latency histogram says what that costs.
 	syncStart := time.Now()
 	if err := s.f.Sync(); err != nil {
 		return fmt.Errorf("store: syncing %s: %w", s.name, err)

@@ -4,9 +4,10 @@
 // prepared-state snapshots — so a restarted dpeserver warms back up
 // without tenants re-uploading or the server re-preparing anything.
 //
-// The unit of persistence is one shard: the registry's consistent-hash
-// ring maps every session id to a stable shard, so each shard can own
-// one append-only segment file and replay it independently on startup.
+// The unit of persistence is one shard: the registry routes every
+// session id to a shard by a pure function of the id and the shard
+// count, so each shard can own one append-only segment file and replay
+// it independently on startup.
 // Two implementations ship:
 //
 //   - Null, the default: journals nothing, replays nothing — the
