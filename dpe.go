@@ -40,6 +40,7 @@ package dpe
 import (
 	"context"
 	"fmt"
+	"math"
 	"strings"
 	"time"
 
@@ -685,10 +686,11 @@ type MineSpec struct {
 // Validate checks the spec's parameters against a log of n queries
 // without doing any work: K must be positive (and at most n for the
 // K-cluster algorithms), DBSCAN needs Eps > 0 and MinPts > 0, outlier
-// detection needs P ∈ (0,1) and D > 0 (a NaN parameter fails these),
-// and kNN's Query must index the log. Provider.Mine calls it before
-// building the distance matrix, so a bad spec fails fast instead of
-// after the expensive part.
+// detection needs P ∈ (0,1) and D > 0, and kNN's Query must index the
+// log. A NaN in Eps, P or D fails whatever the algorithm: such a spec
+// never equals itself, and MineIncremental reuses a state only under an
+// equal spec. Provider.Mine calls it before building the distance
+// matrix, so a bad spec fails fast instead of after the expensive part.
 func (s MineSpec) Validate(n int) error {
 	switch s.Algorithm {
 	case MineKMedoids, MineCompleteLink:
@@ -732,7 +734,16 @@ func (s MineSpec) Validate(n int) error {
 	default:
 		return fmt.Errorf("dpe: unknown mining algorithm %d", int(s.Algorithm))
 	}
+	if s.hasNaN() {
+		return fmt.Errorf("dpe: %s spec has a NaN parameter (Eps %v, P %v, D %v)", s.Algorithm, s.Eps, s.P, s.D)
+	}
 	return nil
+}
+
+// hasNaN reports whether Eps, P or D is NaN, the one way a spec can
+// differ from itself.
+func (s MineSpec) hasNaN() bool {
+	return math.IsNaN(s.Eps) || math.IsNaN(s.P) || math.IsNaN(s.D)
 }
 
 // MineResult holds the output of Provider.Mine. Matrix is set for

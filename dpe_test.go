@@ -240,6 +240,23 @@ func TestProviderDistanceMatrixAllMeasures(t *testing.T) {
 	}
 }
 
+// TestPreparedLogSizeBytesPositive checks that every measure sizes its
+// prepared state above zero, even for a one-query log: a cache that
+// charges each prepared log its SizeBytes would otherwise hold it free.
+func TestPreparedLogSizeBytesPositive(t *testing.T) {
+	w, owner := workloadFixture(t)
+	for _, m := range []Measure{MeasureToken, MeasureStructure, MeasureResult, MeasureAccessArea} {
+		p, _ := measureProviders(t, w, owner, m)
+		pl, err := p.Prepare(t.Context(), w.Queries[:1])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if size := pl.SizeBytes(); size <= 0 {
+			t.Errorf("%v: a one-query prepared log sizes at %d bytes, want > 0", m, size)
+		}
+	}
+}
+
 func TestProviderRequiresArtifacts(t *testing.T) {
 	if _, err := NewProvider(MeasureResult); err == nil {
 		t.Fatal("result provider without catalog must error")

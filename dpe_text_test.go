@@ -117,6 +117,10 @@ func TestMineSpecValidate(t *testing.T) {
 		{MineSpec{Algorithm: MineDBSCAN, Eps: math.NaN(), MinPts: 2}, "Eps > 0"},
 		{MineSpec{Algorithm: MineOutliers, P: math.NaN(), D: 1}, "P in (0,1)"},
 		{MineSpec{Algorithm: MineOutliers, P: 0.5, D: math.NaN()}, "D > 0"},
+		// A NaN in a float the algorithm ignores is still rejected.
+		{MineSpec{Algorithm: MineDBSCAN, Eps: 0.4, MinPts: 2, P: math.NaN()}, "NaN"},
+		{MineSpec{Algorithm: MineOutliers, P: 0.5, D: 1, Eps: math.NaN()}, "NaN"},
+		{MineSpec{Algorithm: MineKMedoids, K: 3, D: math.NaN()}, "NaN"},
 		{MineSpec{Algorithm: MineKNN, Query: 0}, "K > 0"},
 		{MineSpec{Algorithm: MineKNN, K: n, Query: 0}, "K <="},
 		{MineSpec{Algorithm: MineKNN, K: 2, Query: n}, "outside log"},

@@ -2,23 +2,31 @@ package service
 
 import "testing"
 
+// sized is a test cache value of a fixed byte cost.
+type sized int64
+
+func (s sized) SizeBytes() int64 { return int64(s) }
+
+// prepKey is a prepared-state cache key of session "s1".
+func prepKey(log string) cacheKey { return cacheKey{session: "s1", kind: artPrepared, log: log} }
+
 // TestLRUEntryBudget checks eviction by entry count in LRU order, with
 // get refreshing recency.
 func TestLRUEntryBudget(t *testing.T) {
 	c := newLRU(2, 1<<30)
-	c.add("a", 1, 1)
-	c.add("b", 2, 1)
-	if _, ok := c.get("a"); !ok { // refresh a: b is now LRU
+	c.add(prepKey("a"), sized(1))
+	c.add(prepKey("b"), sized(1))
+	if _, ok := c.get(prepKey("a")); !ok { // refresh a: b is now LRU
 		t.Fatal("a should be cached")
 	}
-	c.add("c", 3, 1)
-	if _, ok := c.get("b"); ok {
+	c.add(prepKey("c"), sized(1))
+	if _, ok := c.get(prepKey("b")); ok {
 		t.Error("b should have been evicted as LRU")
 	}
-	if _, ok := c.get("a"); !ok {
+	if _, ok := c.get(prepKey("a")); !ok {
 		t.Error("a should have survived (recently used)")
 	}
-	if _, ok := c.get("c"); !ok {
+	if _, ok := c.get(prepKey("c")); !ok {
 		t.Error("c should be cached")
 	}
 	s := c.stats()
@@ -27,21 +35,21 @@ func TestLRUEntryBudget(t *testing.T) {
 	}
 }
 
-// TestLRUByteBudget checks eviction by total cost, and that one
-// over-budget entry is still admitted alone.
+// TestLRUByteBudget checks eviction by each value's own size, and that
+// one over-budget entry is still admitted alone.
 func TestLRUByteBudget(t *testing.T) {
 	c := newLRU(100, 10)
-	c.add("a", 1, 4)
-	c.add("b", 2, 4)
-	c.add("c", 3, 4) // 12 > 10: evict a
-	if _, ok := c.get("a"); ok {
+	c.add(prepKey("a"), sized(4))
+	c.add(prepKey("b"), sized(4))
+	c.add(prepKey("c"), sized(4)) // 12 > 10: evict a
+	if _, ok := c.get(prepKey("a")); ok {
 		t.Error("a should have been evicted over the byte budget")
 	}
 	if s := c.stats(); s.Bytes != 8 {
 		t.Errorf("bytes = %d, want 8", s.Bytes)
 	}
-	c.add("huge", 4, 1000) // over budget alone: evicts the rest, stays
-	if _, ok := c.get("huge"); !ok {
+	c.add(prepKey("huge"), sized(1000)) // over budget alone: evicts the rest, stays
+	if _, ok := c.get(prepKey("huge")); !ok {
 		t.Error("a single over-budget entry must still be admitted")
 	}
 	if s := c.stats(); s.Entries != 1 {
@@ -49,25 +57,35 @@ func TestLRUByteBudget(t *testing.T) {
 	}
 }
 
-// TestLRUUpdateAndRemovePrefix checks in-place cost updates and
-// session-scoped removal.
-func TestLRUUpdateAndRemovePrefix(t *testing.T) {
+// TestLRUUpdateAndRemoveSession checks in-place cost updates and
+// session-scoped removal: removeSession drops every kind of the
+// session's entries and keeps another session's entry for the same log.
+func TestLRUUpdateAndRemoveSession(t *testing.T) {
 	c := newLRU(10, 100)
-	c.add("s1\x00l1", 1, 10)
-	c.add("s1\x00l2", 2, 10)
-	c.add("s2\x00l1", 3, 10)
-	c.add("s1\x00l1", 4, 20) // update cost in place
+	mine := cacheKey{session: "s1", kind: artMining, log: "l1"}
+	other := cacheKey{session: "s2", kind: artPrepared, log: "l1"}
+	c.add(prepKey("l1"), sized(10))
+	c.add(mine, sized(10))
+	c.add(other, sized(10))
+	c.add(prepKey("l1"), sized(20)) // update cost in place
 	if s := c.stats(); s.Bytes != 40 {
 		t.Errorf("bytes = %d, want 40 after update", s.Bytes)
 	}
-	c.removePrefix("s1\x00")
-	if _, ok := c.get("s1\x00l1"); ok {
-		t.Error("s1 entries should be gone")
+	if got := c.sessionKeys("s1"); len(got) != 2 || got[0] != mine || got[1] != prepKey("l1") {
+		t.Errorf("sessionKeys(s1) = %+v, want the mining key, then the refreshed prepared key", got)
 	}
-	if _, ok := c.get("s2\x00l1"); !ok {
-		t.Error("s2 entry should survive")
+	if n := c.removeSession("s1"); n != 2 {
+		t.Errorf("removeSession(s1) removed %d entries, want 2", n)
 	}
-	if s := c.stats(); s.Entries != 1 || s.Bytes != 10 {
-		t.Errorf("stats = %+v, want 1 entry / 10 bytes", s)
+	for _, k := range []cacheKey{prepKey("l1"), mine} {
+		if _, ok := c.get(k); ok {
+			t.Errorf("%+v should be gone", k)
+		}
+	}
+	if _, ok := c.get(other); !ok {
+		t.Error("s2's entry for the same log should survive")
+	}
+	if s := c.stats(); s.Entries != 1 || s.Bytes != 10 || s.Evictions != 0 {
+		t.Errorf("stats = %+v, want 1 entry / 10 bytes / no evictions", s)
 	}
 }

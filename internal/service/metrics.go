@@ -44,23 +44,6 @@ type registryMetrics struct {
 	stages map[string]*obs.Histogram
 }
 
-// cacheTotals sums the shard caches' monotonic counters — the single
-// source both GET /v1/stats and the /metrics cache series read, which
-// is what makes the two views reconcile exactly (the regression test
-// TestStatsAndMetricsAgree holds this).
-func (r *Registry) cacheTotals() CacheStats {
-	var out CacheStats
-	for _, sh := range r.shards {
-		cs := sh.cache.stats()
-		out.Entries += cs.Entries
-		out.Bytes += cs.Bytes
-		out.Hits += cs.Hits
-		out.Misses += cs.Misses
-		out.Evictions += cs.Evictions
-	}
-	return out
-}
-
 // wireMetrics registers the registry's instruments on o. It runs inside
 // OpenRegistry after journal replay (recovery work never pollutes the
 // serving counters) and before the janitors start (which read the
@@ -75,8 +58,11 @@ func (r *Registry) wireMetrics(o *obs.Registry) {
 	m.inflightBuilds = o.Gauge("dpe_inflight_builds", "Leader prepare/index builds currently running.")
 	m.evictDelete = o.Counter("dpe_cache_evictions_total", "Cache entries evicted, by cause.", "cause", "session_delete")
 	m.evictReap = o.Counter("dpe_cache_evictions_total", "Cache entries evicted, by cause.", "cause", "ttl_reap")
+	// Every cache and mining-state series reads Stats, the sums GET
+	// /v1/stats serves, so the two views reconcile exactly
+	// (TestStatsAndMetricsAgree holds this).
 	o.CounterFunc("dpe_cache_evictions_total", "Cache entries evicted, by cause.",
-		func() float64 { return float64(r.cacheTotals().Evictions) }, "cause", "budget")
+		func() float64 { return float64(r.Stats().PreparedCache.Evictions) }, "cause", "budget")
 	m.appendErrors = make(map[store.Kind]*obs.Counter)
 	// kind="approx" stays registered at zero: nothing journals that kind
 	// any more, but dpe_* series are only ever added, never removed.
@@ -89,18 +75,18 @@ func (r *Registry) wireMetrics(o *obs.Registry) {
 		func() float64 { return float64(r.live.Load()) })
 	o.GaugeFunc("dpe_sessions_limit", "Configured MaxSessions capacity.",
 		func() float64 { return float64(r.cfg.MaxSessions) })
-	o.GaugeFunc("dpe_cache_entries", "Prepared-state cache entries across all shards.",
-		func() float64 { return float64(r.cacheTotals().Entries) })
-	o.GaugeFunc("dpe_cache_bytes", "Estimated prepared-state cache bytes across all shards.",
-		func() float64 { return float64(r.cacheTotals().Bytes) })
-	o.CounterFunc("dpe_cache_hits_total", "Prepared-state cache hits across all shards.",
-		func() float64 { return float64(r.cacheTotals().Hits) })
-	o.CounterFunc("dpe_cache_misses_total", "Prepared-state cache misses across all shards.",
-		func() float64 { return float64(r.cacheTotals().Misses) })
+	o.GaugeFunc("dpe_cache_entries", "Cache entries (prepared and mining states) across all shards.",
+		func() float64 { return float64(r.Stats().PreparedCache.Entries) })
+	o.GaugeFunc("dpe_cache_bytes", "Estimated bytes of cached prepared and mining states across all shards.",
+		func() float64 { return float64(r.Stats().PreparedCache.Bytes) })
+	o.CounterFunc("dpe_cache_hits_total", "Prepared states served from the cache or by a coalesced build, across all shards.",
+		func() float64 { return float64(r.Stats().PreparedCache.Hits) })
+	o.CounterFunc("dpe_cache_misses_total", "Prepared-state builds across all shards.",
+		func() float64 { return float64(r.Stats().PreparedCache.Misses) })
 	o.CounterFunc("dpe_mine_state_hits_total", "Mining-state cache hits on the append_mine path.",
-		func() float64 { return float64(r.artifactHits[artMining].Load()) })
+		func() float64 { return float64(r.Stats().MineStateHits) })
 	o.CounterFunc("dpe_mine_state_misses_total", "Mining-state cache misses on the append_mine path.",
-		func() float64 { return float64(r.artifactMisses[artMining].Load()) })
+		func() float64 { return float64(r.Stats().MineStateMisses) })
 	for i, sh := range r.shards {
 		o.GaugeFunc("dpe_shard_sessions", "Live sessions on one shard.",
 			func() float64 { return float64(sh.sessionCount()) }, "shard", strconv.Itoa(i))

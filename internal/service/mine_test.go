@@ -5,9 +5,11 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -266,6 +268,74 @@ func TestRestoredMineStateRepeatAppendMine(t *testing.T) {
 	if _, _, _, res, err := s3.AppendMine(ctx, baseID, log[8:12], spec); err != nil || res.Incremental.PairsComputed != 0 {
 		t.Errorf("a repeat after the concurrent ones: %v, %+v, want no pairs computed", err, res)
 	}
+}
+
+// TestMineStateKeyNegativeZero checks that a mining state is found by
+// spec equality, the test MineIncremental applies: a DBSCAN append_mine
+// whose D is -0 warm-starts from the state one with D = 0 cached, and
+// on clusteredLog's 8 + 2 + 2 computes only the 21 pairs of the last
+// two rows instead of 66 for a cold mine. It runs once in process and
+// once with the -0 in a raw /v1 body (Client cannot send one: omitempty
+// drops a negative zero).
+func TestMineStateKeyNegativeZero(t *testing.T) {
+	ctx := context.Background()
+	reg := NewRegistry(Config{Shards: 2, JanitorInterval: -1})
+	defer reg.Close()
+	srv := httptest.NewServer(NewHandler(reg))
+	defer srv.Close()
+	token := dpe.MeasureToken
+	log := clusteredLog()
+	spec := dpe.MineSpec{Algorithm: dpe.MineDBSCAN, Eps: 0.4, MinPts: 2}
+	negZero := spec
+	negZero.D = math.Copysign(0, -1)
+	// mid appends two queries to the base with D = 0 and returns the
+	// session and the combined log.
+	mid := func() (*session, string) {
+		t.Helper()
+		s, err := reg.CreateSession(&CreateSessionRequest{Measure: &token})
+		if err != nil {
+			t.Fatal(err)
+		}
+		base, err := s.AddLog(log[:8])
+		if err != nil {
+			t.Fatal(err)
+		}
+		id, _, _, _, err := s.AppendMine(ctx, base, log[8:10], spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return s, id
+	}
+	check := func(how string, st *dpe.IncrementalStats) {
+		t.Helper()
+		if st == nil || !st.Warm || st.PairsComputed != 21 {
+			t.Errorf("%s: D = -0 after D = 0 ran %+v, want a warm run computing 21 pairs", how, st)
+		}
+	}
+
+	s, id := mid()
+	_, _, _, res, err := s.AppendMine(ctx, id, log[10:12], negZero)
+	if err != nil {
+		t.Fatal(err)
+	}
+	check("in process", res.Incremental)
+
+	s, id = mid()
+	queries, err := json.Marshal(log[10:12])
+	if err != nil {
+		t.Fatal(err)
+	}
+	body := fmt.Sprintf(`{"log":%q,"queries":%s,"spec":{"algorithm":"dbscan","eps":0.4,"min_pts":2,"d":-0}}`, id, queries)
+	resp, err := http.Post(srv.URL+"/v1/sessions/"+s.ID()+"/logs:append_mine", "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var out AppendMineResponse
+	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil || resp.StatusCode != http.StatusOK {
+		t.Fatalf("append_mine: HTTP %d, %v", resp.StatusCode, err)
+	}
+	check("over /v1", out.Result.Incremental)
 }
 
 // rejectStore wraps a store and rejects every append of the kinds in

@@ -4,6 +4,8 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -160,6 +162,61 @@ func testKillAndRestart(t *testing.T, open func() store.Store) {
 			t.Errorf("measure %v first post-restart matrix: hits %d misses %d, want a pure cache hit (1/0)",
 				byID[tn.id], stats.PreparedHits, stats.PreparedMisses)
 		}
+	}
+}
+
+// TestRecoveredStatsJSON pins the recovered object of GET /v1/stats:
+// its keys, in order, and each count landing under its own key.
+func TestRecoveredStatsJSON(t *testing.T) {
+	ctx := context.Background()
+	dir := t.TempDir()
+	reg := NewRegistry(persistentConfig(t, dir, 2))
+	token := dpe.MeasureToken
+	log := clusteredLog()
+	for i := 0; i < 3; i++ {
+		s, err := reg.CreateSession(&CreateSessionRequest{Measure: &token})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if i == 0 {
+			if err := reg.DeleteSession(s.ID()); err != nil {
+				t.Fatal(err)
+			}
+			continue
+		}
+		base, err := s.AddLog(log[:8])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if i == 1 {
+			if _, _, _, _, err := s.AppendMine(ctx, base, log[8:10], dpe.MineSpec{Algorithm: dpe.MineKMedoids, K: 3}); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	reg.Close()
+
+	reg2, err := OpenRegistry(persistentConfig(t, dir, 2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer reg2.Close()
+	srv := httptest.NewServer(NewHandler(reg2))
+	defer srv.Close()
+	resp, err := http.Get(srv.URL + "/v1/stats")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var body struct{ Recovered json.RawMessage }
+	if err := json.NewDecoder(resp.Body).Decode(&body); err != nil {
+		t.Fatal(err)
+	}
+	// Three creates, one tombstone, three logs (two bases, one combined),
+	// the two snapshots of the append_mine and one k-medoids state.
+	const want = `{"sessions":3,"logs":3,"snapshots":2,"mine_states":1,"tombstones":1,"skipped":0}`
+	if got := string(body.Recovered); got != want {
+		t.Errorf("recovered = %s, want %s", got, want)
 	}
 }
 

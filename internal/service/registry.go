@@ -187,41 +187,9 @@ type ShardStats struct {
 
 // RecoveryStats counts what OpenRegistry replayed from a persistent
 // store — the observable proof that a restart recovered tenant state
-// instead of starting cold.
-type RecoveryStats struct {
-	// Sessions, Logs, Snapshots, and MineStates count the live records
-	// restored (mining states are k-medoids only, the one algorithm
-	// whose state is journaled).
-	Sessions   int `json:"sessions"`
-	Logs       int `json:"logs"`
-	Snapshots  int `json:"snapshots"`
-	MineStates int `json:"mine_states"`
-	// Tombstones counts replayed deletions (sessions journaled and
-	// later removed; startup compaction drops them from the journal).
-	Tombstones int `json:"tombstones"`
-	// Skipped counts records that could not be applied: unknown kinds
-	// (from newer binaries, or the approx indexes older ones
-	// journaled), orphaned logs/snapshots of tombstoned sessions, or
-	// undecodable payloads.
-	Skipped int `json:"skipped"`
-}
-
-// total is the number of applied-or-seen records — used to decide
-// whether a startup compaction is worth doing.
-func (rs RecoveryStats) total() int {
-	return rs.Sessions + rs.Logs + rs.Snapshots + rs.MineStates + rs.Tombstones + rs.Skipped
-}
-
-// absorb folds one journal's typed replay counts into the recovery
-// report (the registry replays one journal per shard, plus orphans).
-func (rs *RecoveryStats) absorb(st journal.Stats) {
-	rs.Sessions += st.Sessions
-	rs.Logs += st.Logs
-	rs.Snapshots += st.Snapshots
-	rs.MineStates += st.Mining
-	rs.Tombstones += st.Deletes
-	rs.Skipped += st.Skipped
-}
+// instead of starting cold. It is the journal's own replay count,
+// summed over every journal replayed (one per shard, plus orphans).
+type RecoveryStats = journal.Stats
 
 // RegistryStats is the wire body of GET /v1/stats. The top-level fields
 // aggregate across shards (wire-compatible with the unsharded format);
@@ -232,11 +200,10 @@ type RegistryStats struct {
 	MaxSessions   int        `json:"max_sessions"`
 	Shards        int        `json:"shards"`
 	PreparedCache CacheStats `json:"prepared_cache"`
-	// MineStateHits/MineStateMisses aggregate the sessions' mining-state
-	// cache outcomes registry-wide. They are monotonic (they survive
-	// session deletion), so /metrics exports the same counters as
-	// dpe_mine_state_{hits,misses}_total and the two views reconcile
-	// exactly.
+	// MineStateHits/MineStateMisses sum the shards' mining-state
+	// outcomes. They are monotonic (they survive session deletion), so
+	// /metrics exports the same sums as dpe_mine_state_{hits,misses}_total
+	// and the two views reconcile exactly.
 	MineStateHits   int64          `json:"mine_state_hits"`
 	MineStateMisses int64          `json:"mine_state_misses"`
 	Recovered       *RecoveryStats `json:"recovered,omitempty"`
@@ -274,14 +241,6 @@ type Registry struct {
 	// budget enforced lock-free, so MaxSessions means the same thing at
 	// every shard count.
 	live atomic.Int64
-
-	// artifactHits/artifactMisses are the registry-wide artifact cache
-	// counters per kind: bumped alongside the per-session ones, and for
-	// mining states read by both GET /v1/stats and the /metrics series,
-	// so the two views are one source and reconcile exactly.
-	// Registry-level (not summed from sessions) so they stay monotonic
-	// across session deletion.
-	artifactHits, artifactMisses [numArtifacts]atomic.Int64
 
 	// metrics holds the obs instruments (all nil unless cfg.Obs is set
 	// — every call site tolerates that; see metrics.go).
@@ -385,7 +344,7 @@ func OpenRegistry(cfg Config) (*Registry, error) {
 func (r *Registry) replay() error {
 	for i, sh := range r.shards {
 		st, err := sh.journal.Replay(replayApplier{r, i})
-		r.recovered.absorb(st)
+		r.recovered.Add(st)
 		if err != nil {
 			return fmt.Errorf("service: replaying shard %d journal: %w", i, err)
 		}
@@ -412,7 +371,7 @@ func (r *Registry) replayOrphans() ([]*journal.Journal, error) {
 		}
 		jl := journal.New(lg)
 		st, err := jl.Replay(replayApplier{r, idx})
-		r.recovered.absorb(st)
+		r.recovered.Add(st)
 		if err != nil {
 			jl.Close()
 			return orphans, fmt.Errorf("service: replaying orphan journal %d: %w", idx, err)
@@ -562,7 +521,7 @@ func (r *Registry) reapShard(sh *shard, now time.Time) {
 	for _, id := range sh.reapIdle(now, r.cfg.SessionTTL) {
 		r.live.Add(-1)
 		r.metrics.sessionsReaped.Inc()
-		r.metrics.evictReap.Add(int64(sh.cache.removePrefix(id + "\x00")))
+		r.metrics.evictReap.Add(int64(sh.cache.removeSession(id)))
 		if r.persistent {
 			// Best-effort, like the artifact appends: a dropped
 			// tombstone is counted, not retried.
@@ -588,7 +547,7 @@ func (r *Registry) reapIdle(now time.Time) {
 // other copies. No rewrite removes a session's last copy, so a crash
 // between any two of them loses nothing.
 func (r *Registry) compactStartup() error {
-	if r.recovered.total() == 0 {
+	if r.recovered.Total() == 0 {
 		return nil
 	}
 	passes := []map[int][]string{nil}
@@ -769,7 +728,7 @@ func (r *Registry) drop(id string) (live bool, evicted int) {
 		return false, 0
 	}
 	r.live.Add(-1)
-	return true, sh.cache.removePrefix(id + "\x00")
+	return true, sh.cache.removeSession(id)
 }
 
 // buildProvider decodes a create request's artifacts and constructs the
@@ -896,17 +855,17 @@ func (r *Registry) StatsPerShard() RegistryStats {
 	return stats
 }
 
-// aggregate sums one consistent set of shard snapshots.
+// aggregate sums one consistent set of shard snapshots, and the
+// shards' mining-state outcomes.
 func (r *Registry) aggregate(snaps []ShardStats) RegistryStats {
-	stats := RegistryStats{
-		MaxSessions:     r.cfg.MaxSessions,
-		Shards:          len(r.shards),
-		MineStateHits:   r.artifactHits[artMining].Load(),
-		MineStateMisses: r.artifactMisses[artMining].Load(),
-	}
+	stats := RegistryStats{MaxSessions: r.cfg.MaxSessions, Shards: len(r.shards)}
 	if r.persistent {
 		recovered := r.recovered
 		stats.Recovered = &recovered
+	}
+	for _, sh := range r.shards {
+		stats.MineStateHits += sh.hits[artMining].Load()
+		stats.MineStateMisses += sh.misses[artMining].Load()
 	}
 	for _, snap := range snaps {
 		stats.Sessions += snap.Sessions

@@ -319,7 +319,7 @@ func checkCrashRecovery(t *testing.T, reg *Registry, tn crashTenants) {
 			}
 		}
 		if logID, ok := tn.kmedoids[id]; ok {
-			if _, ok := reg.shardFor(id).cache.peek(s.key(artMining, mineVariant(ringKMedoidsSpec), logID)); !ok {
+			if _, ok := reg.shardFor(id).cache.peek(cacheKey{session: s.id, kind: artMining, spec: ringKMedoidsSpec, log: logID}); !ok {
 				t.Errorf("session %s lost its k-medoids state", id)
 			}
 		}

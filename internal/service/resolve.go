@@ -2,7 +2,6 @@ package service
 
 import (
 	"context"
-	"strings"
 
 	dpe "repro"
 	"repro/internal/store"
@@ -28,95 +27,60 @@ const (
 type artifactKind struct {
 	// journal is the record kind the artifact journals under.
 	journal store.Kind
-	// ns prefixes the log id in the kind's cache keys, after the
-	// session prefix. Log ids start with "l-", so no namespace collides
-	// with another or with a bare log id.
-	ns string
-	// size is the cache's byte charge for a value built for logID.
-	size func(s *session, v any, logID string) int64
 	// encode renders a value as its journal blob.
-	encode func(s *session, v any) ([]byte, error)
-	// decode restores a value from a journal blob and reports its key
-	// variant (see session.key) and the number of queries it covers,
-	// which must equal the length of the log it is filed under.
-	decode func(s *session, blob []byte) (v any, variant string, n int, err error)
+	encode func(s *session, v sizer) ([]byte, error)
+	// decode restores a value from a journal blob and reports the spec
+	// it was built under (zero for prepared state) and the number of
+	// queries it covers, which must equal the length of the log it is
+	// filed under.
+	decode func(s *session, blob []byte) (v sizer, spec dpe.MineSpec, n int, err error)
 }
 
 var artifactKinds = [numArtifacts]artifactKind{
 	artPrepared: {
 		journal: store.KindSnapshot,
-		size: func(s *session, v any, logID string) int64 {
-			return s.preparedCost(v.(*dpe.PreparedLog), logID)
-		},
-		encode: func(s *session, v any) ([]byte, error) {
+		encode: func(s *session, v sizer) ([]byte, error) {
 			return s.provider.MarshalPreparedLog(v.(*dpe.PreparedLog))
 		},
-		decode: func(s *session, blob []byte) (any, string, int, error) {
+		decode: func(s *session, blob []byte) (sizer, dpe.MineSpec, int, error) {
 			pl, err := s.provider.UnmarshalPreparedLog(blob)
 			if err != nil {
-				return nil, "", 0, err
+				return nil, dpe.MineSpec{}, 0, err
 			}
-			return pl, "", pl.Len(), nil
+			return pl, dpe.MineSpec{}, pl.Len(), nil
 		},
 	},
 	artMining: {
 		journal: store.KindMining,
-		ns:      "mine:",
-		size:    func(_ *session, v any, _ string) int64 { return v.(*dpe.MineState).SizeBytes() },
-		encode:  func(_ *session, v any) ([]byte, error) { return dpe.MarshalMineState(v.(*dpe.MineState)) },
-		decode: func(_ *session, blob []byte) (any, string, int, error) {
+		encode:  func(_ *session, v sizer) ([]byte, error) { return dpe.MarshalMineState(v.(*dpe.MineState)) },
+		decode: func(_ *session, blob []byte) (sizer, dpe.MineSpec, int, error) {
 			state, err := dpe.UnmarshalMineState(blob)
 			if err != nil {
-				return nil, "", 0, err
+				return nil, dpe.MineSpec{}, 0, err
 			}
-			return state, mineVariant(state.Spec()), state.Len(), nil
+			return state, state.Spec(), state.Len(), nil
 		},
 	},
 }
 
-// key is the cache key of the session's artifact of kind k for logID.
-// Every key carries the s.id + "\x00" prefix, so the one removePrefix
-// sweep on delete and TTL reap releases all of a session's artifacts
-// from the shard budget together. variant tells apart several
-// artifacts of one kind for the same log (mining states, one per spec);
-// it is empty or ends in a NUL, so the log id follows the key's last
-// NUL.
-func (s *session) key(k artifact, variant, logID string) string {
-	return s.id + "\x00" + artifactKinds[k].ns + variant + logID
-}
-
-// parseKey inverts key for one of the session's cache keys.
-func (s *session) parseKey(key string) (artifact, string) {
-	rest := key[len(s.id)+1:]
-	k := artPrepared
-	for i, kind := range artifactKinds {
-		if kind.ns != "" && strings.HasPrefix(rest, kind.ns) {
-			k = artifact(i)
-		}
-	}
-	rest = rest[len(artifactKinds[k].ns):]
-	return k, rest[strings.LastIndexByte(rest, 0)+1:]
-}
-
-// resolve serves the session's artifact of kind k for logID: from the
-// shard cache when it holds one, else from a single build however many
-// callers race for it (singleflight). use turns a cached artifact into
-// the caller's result (nil: the artifact is the result); build returns
-// a fresh result and the artifact to cache. A coalesced caller shares
-// the leader's result. A successful build counts a miss; a successful
-// use of a cached or coalesced artifact counts a hit.
-func resolve[R any](ctx context.Context, s *session, k artifact, variant, logID string,
-	use func(context.Context, any) (R, error),
-	build func(context.Context) (R, any, error)) (R, error) {
-	key := s.key(k, variant, logID)
-	serve := func(v any) (R, error) {
+// resolve serves the artifact key names: from the shard cache when it
+// holds one, else from a single build however many callers race for it
+// (singleflight). use turns a cached artifact into the caller's result
+// (nil: the artifact is the result); build returns a fresh result and
+// the artifact to cache. A coalesced caller shares the leader's result.
+// resolve is the only place outcomes are counted: a successful build is
+// a miss, a successful use of a cached or coalesced artifact a hit.
+func resolve[R any](ctx context.Context, s *session, key cacheKey,
+	use func(context.Context, sizer) (R, error),
+	build func(context.Context) (R, sizer, error)) (R, error) {
+	serve := func(v sizer) (R, error) {
 		if use == nil {
-			s.hit(k)
+			s.hit(key.kind)
 			return v.(R), nil
 		}
 		res, err := use(ctx, v)
 		if err == nil {
-			s.hit(k)
+			s.hit(key.kind)
 		}
 		return res, err
 	}
@@ -134,7 +98,7 @@ func resolve[R any](ctx context.Context, s *session, k artifact, variant, logID 
 			if v, ok := s.sh.cache.get(key); ok {
 				res, err = serve(v)
 			} else {
-				res, err = lead(ctx, s, k, variant, logID, build)
+				res, err = lead(ctx, s, key, build)
 			}
 			s.sh.flight.finish(key, c, res, err)
 			return res, err
@@ -144,7 +108,7 @@ func resolve[R any](ctx context.Context, s *session, k artifact, variant, logID 
 		select {
 		case <-c.done:
 			if c.err == nil {
-				s.hit(k)
+				s.hit(key.kind)
 				return c.val.(R), nil
 			}
 			// The leader failed — possibly only because *its* context was
@@ -165,7 +129,7 @@ func resolve[R any](ctx context.Context, s *session, k artifact, variant, logID 
 // pinned for the build's duration: a cold build can outlast the idle
 // TTL, and reaping mid-build would discard the result (see
 // shard.reapIdle).
-func lead[R any](ctx context.Context, s *session, k artifact, variant, logID string, build func(context.Context) (R, any, error)) (R, error) {
+func lead[R any](ctx context.Context, s *session, key cacheKey, build func(context.Context) (R, sizer, error)) (R, error) {
 	s.mu.Lock()
 	s.inflight++
 	s.mu.Unlock()
@@ -173,7 +137,7 @@ func lead[R any](ctx context.Context, s *session, k artifact, variant, logID str
 	res, art, err := build(ctx)
 	s.reg.metrics.inflightBuilds.Add(-1)
 	if err == nil {
-		s.keep(k, variant, logID, art)
+		s.keep(key, art)
 	}
 	// Completing the build is a use: the idle clock restarts with the
 	// unpin, so a tenant whose cold build took most of a TTL is not
@@ -182,11 +146,11 @@ func lead[R any](ctx context.Context, s *session, k artifact, variant, logID str
 	s.inflight--
 	s.touchLocked()
 	if err == nil {
-		s.misses[k]++
+		s.misses[key.kind]++
 	}
 	s.mu.Unlock()
 	if err == nil {
-		s.reg.artifactMisses[k].Add(1)
+		s.sh.misses[key.kind].Add(1)
 	}
 	return res, err
 }
@@ -197,7 +161,7 @@ func (s *session) hit(k artifact) {
 	s.hits[k]++
 	s.touchLocked()
 	s.mu.Unlock()
-	s.reg.artifactHits[k].Add(1)
+	s.sh.hits[k].Add(1)
 }
 
 // keep caches a freshly built artifact and journals it. Journaling is
@@ -206,11 +170,11 @@ func (s *session) hit(k artifact) {
 // tenant's request; it counts in dpe_store_append_errors_total
 // instead. A value whose codec renders no blob (a mining state without
 // a k-medoids warm start) is not journaled.
-func (s *session) keep(k artifact, variant, logID string, v any) {
-	if !s.cacheLive(k, variant, logID, v) || !s.reg.persistent {
+func (s *session) keep(key cacheKey, v sizer) {
+	if !s.cacheLive(key, v) || !s.reg.persistent {
 		return
 	}
-	rec, err := s.record(k, logID, v)
+	rec, err := s.record(key, v)
 	if err == nil && rec.Blob == nil {
 		return
 	}
@@ -218,28 +182,28 @@ func (s *session) keep(k artifact, variant, logID string, v any) {
 		err = s.sh.journal.Append(rec)
 	}
 	if err != nil {
-		s.reg.metrics.appendErrors[artifactKinds[k].journal].Inc()
+		s.reg.metrics.appendErrors[artifactKinds[key.kind].journal].Inc()
 	}
 }
 
 // cacheLive caches an artifact value and reports whether it did. It
-// does not for a session deleted mid-build: its removePrefix already
+// does not for a session deleted mid-build: its removeSession already
 // ran, and an add now would strand an unreachable entry on the shard's
 // byte budget (the session is pinned to s.sh, so its own shard map is
 // the liveness authority).
-func (s *session) cacheLive(k artifact, variant, logID string, v any) bool {
+func (s *session) cacheLive(key cacheKey, v sizer) bool {
 	if s.sh.session(s.id) == nil {
 		return false
 	}
-	s.sh.cache.add(s.key(k, variant, logID), v, artifactKinds[k].size(s, v, logID))
+	s.sh.cache.add(key, v)
 	return true
 }
 
-// record renders one artifact value as its journal record.
-func (s *session) record(k artifact, logID string, v any) (journal.Artifact, error) {
-	kind := &artifactKinds[k]
+// record renders one cached artifact value as its journal record.
+func (s *session) record(key cacheKey, v sizer) (journal.Artifact, error) {
+	kind := &artifactKinds[key.kind]
 	blob, err := kind.encode(s, v)
-	return journal.Artifact{Kind: kind.journal, SessionID: s.id, LogID: logID, Blob: blob}, err
+	return journal.Artifact{Kind: kind.journal, SessionID: s.id, LogID: key.log, Blob: blob}, err
 }
 
 // restore applies one journaled artifact (replay or import) to the
@@ -266,14 +230,13 @@ func (s *session) restore(a journal.Artifact) journal.Outcome {
 	if !ok {
 		return journal.Skipped
 	}
-	kind := &artifactKinds[k]
-	v, variant, n, err := kind.decode(s, a.Blob)
+	v, spec, n, err := artifactKinds[k].decode(s, a.Blob)
 	if err != nil || n != len(queries) {
 		return journal.Skipped
 	}
-	key := s.key(k, variant, a.LogID)
+	key := cacheKey{session: s.id, kind: k, spec: spec, log: a.LogID}
 	_, dup := s.sh.cache.peek(key)
-	s.sh.cache.add(key, v, kind.size(s, v, a.LogID))
+	s.sh.cache.add(key, v)
 	if dup {
 		return journal.Ignored
 	}
@@ -282,23 +245,20 @@ func (s *session) restore(a journal.Artifact) journal.Outcome {
 
 // artifactRecords renders every artifact the session has cached for one
 // of the given live logs as a journal record, least recently used
-// first, so replaying them rebuilds the cache's recency order. Keys are
-// enumerated from the cache because mining keys embed a spec
-// fingerprint the session does not hold. An artifact whose log is not
-// in logs is dropped — replay could not apply it anyway — and so is one
-// whose codec renders no blob.
+// first, so replaying them rebuilds the cache's recency order. An
+// artifact whose log is not in logs is dropped — replay could not apply
+// it anyway — and so is one whose codec renders no blob.
 func (s *session) artifactRecords(logs map[string][]string) []journal.Record {
 	var recs []journal.Record
-	for _, key := range s.sh.cache.keysWithPrefix(s.id + "\x00") {
-		k, logID := s.parseKey(key)
-		if _, ok := logs[logID]; !ok {
+	for _, key := range s.sh.cache.sessionKeys(s.id) {
+		if _, ok := logs[key.log]; !ok {
 			continue
 		}
 		v, ok := s.sh.cache.peek(key)
 		if !ok {
 			continue
 		}
-		if rec, err := s.record(k, logID, v); err == nil && rec.Blob != nil {
+		if rec, err := s.record(key, v); err == nil && rec.Blob != nil {
 			recs = append(recs, rec)
 		}
 	}

@@ -11,6 +11,7 @@ import (
 	"net/http/httptest"
 	"reflect"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -629,6 +630,100 @@ func TestPrepareSingleflight(t *testing.T) {
 	}
 	if stats.PreparedHits != racers-1 {
 		t.Errorf("hits = %d, want %d coalesced/cached calls", stats.PreparedHits, racers-1)
+	}
+}
+
+// TestCacheOutcomesCountOnce checks that the registry counts each
+// resolver outcome once, where the session counts it: one cold matrix
+// is one prepared miss, and after a scripted mix — a warm matrix, four
+// racing first calls on a second log, a logs:append, and a DBSCAN and a
+// k-medoids append_mine chain — the registry's prepared-cache and
+// mining-state hits and misses equal the sums of its sessions' own.
+func TestCacheOutcomesCountOnce(t *testing.T) {
+	ctx := context.Background()
+	reg := NewRegistry(Config{Shards: 2, JanitorInterval: -1})
+	defer reg.Close()
+	token := dpe.MeasureToken
+	log := clusteredLog()
+	var sessions []*session
+	upload := func(queries []string) (*session, string) {
+		t.Helper()
+		s, err := reg.CreateSession(&CreateSessionRequest{Measure: &token})
+		if err != nil {
+			t.Fatal(err)
+		}
+		id, err := s.AddLog(queries)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sessions = append(sessions, s)
+		return s, id
+	}
+	a, first := upload(log[:8])
+	if _, err := a.Matrix(ctx, first); err != nil {
+		t.Fatal(err)
+	}
+	if pc := reg.Stats().PreparedCache; pc.Hits != 0 || pc.Misses != 1 {
+		t.Fatalf("one cold matrix: prepared hits/misses %d/%d, want 0/1", pc.Hits, pc.Misses)
+	}
+
+	if _, err := a.Matrix(ctx, first); err != nil {
+		t.Fatal(err)
+	}
+	b, second := upload(log[:10])
+	var wg sync.WaitGroup
+	for i := 0; i < 4; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if _, err := b.Matrix(ctx, second); err != nil {
+				t.Error(err)
+			}
+		}()
+	}
+	wg.Wait()
+	if _, _, _, err := a.Append(ctx, first, log[8:10]); err != nil {
+		t.Fatal(err)
+	}
+	for _, run := range []struct {
+		s    *session
+		log  string
+		spec dpe.MineSpec
+	}{
+		{b, second, dpe.MineSpec{Algorithm: dpe.MineDBSCAN, Eps: 0.4, MinPts: 2}},
+		{a, first, dpe.MineSpec{Algorithm: dpe.MineKMedoids, K: 3}},
+	} {
+		// Two links, then a repeat of the second: a mining-state hit.
+		next, _, _, _, err := run.s.AppendMine(ctx, run.log, log[10:11], run.spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 2; i++ {
+			if _, _, _, _, err := run.s.AppendMine(ctx, next, log[11:12], run.spec); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+
+	var want RegistryStats
+	for _, s := range sessions {
+		st := s.Stats()
+		want.PreparedCache.Hits += st.PreparedHits
+		want.PreparedCache.Misses += st.PreparedMisses
+		want.MineStateHits += st.MineStateHits
+		want.MineStateMisses += st.MineStateMisses
+	}
+	got := reg.Stats()
+	if got.PreparedCache.Hits != want.PreparedCache.Hits || got.PreparedCache.Misses != want.PreparedCache.Misses {
+		t.Errorf("prepared_cache hits/misses %d/%d, the sessions' sum %d/%d",
+			got.PreparedCache.Hits, got.PreparedCache.Misses, want.PreparedCache.Hits, want.PreparedCache.Misses)
+	}
+	if got.MineStateHits != want.MineStateHits || got.MineStateMisses != want.MineStateMisses {
+		t.Errorf("mine_state hits/misses %d/%d, the sessions' sum %d/%d",
+			got.MineStateHits, got.MineStateMisses, want.MineStateHits, want.MineStateMisses)
+	}
+	if want.PreparedCache.Hits == 0 || want.MineStateHits == 0 {
+		t.Errorf("the mix left no hits to compare: %+v", want)
 	}
 }
 

@@ -47,8 +47,9 @@ type session struct {
 	// reap mid-build would discard the most expensive work the service
 	// does and churn the cache byte budget.
 	inflight int
-	// hits/misses count cache outcomes per artifact kind (see resolve):
-	// a miss is a build, a hit is a cached or coalesced artifact served.
+	// hits/misses count this session's share of its shard's artifact
+	// outcomes (see resolve): a miss is a build, a hit is a cached or
+	// coalesced artifact served.
 	// A restart that recovered an artifact from the journal shows a hit
 	// (and no miss) on its first post-restart use; a mining state
 	// recovered for a base log shows as a miss whose IncrementalStats
@@ -180,24 +181,6 @@ func (s *session) log(id string) ([]string, error) {
 	return queries, nil
 }
 
-// preparedCost is the cache's byte accounting for one prepared log: the
-// metric's own footprint estimate when it has one (the result measure's
-// tuple sets scale with catalog rows, not with log text), the log size
-// plus a per-query overhead otherwise.
-func (s *session) preparedCost(pl *dpe.PreparedLog, logID string) int64 {
-	if size := pl.SizeBytes(); size > 0 {
-		return size
-	}
-	s.mu.Lock()
-	queries := s.logs[logID]
-	s.mu.Unlock()
-	cost := int64(0)
-	for _, q := range queries {
-		cost += int64(2*len(q)) + 256
-	}
-	return cost
-}
-
 // prepared returns the log's prepared state, serving repeat calls from
 // the session's shard-local LRU cache (the expensive half of every
 // distance computation — tokenizing, parsing, executing — runs at most
@@ -218,7 +201,8 @@ func (s *session) prepared(ctx context.Context, logID string) (*dpe.PreparedLog,
 // path (appendPrepared) go through here, so they share the shard's
 // cache, its coalescing, and the deleted-session rule.
 func (s *session) preparedBy(ctx context.Context, logID string, build func(context.Context) (*dpe.PreparedLog, error)) (*dpe.PreparedLog, error) {
-	return resolve(ctx, s, artPrepared, "", logID, nil, func(ctx context.Context) (*dpe.PreparedLog, any, error) {
+	key := cacheKey{session: s.id, kind: artPrepared, log: logID}
+	return resolve(ctx, s, key, nil, func(ctx context.Context) (*dpe.PreparedLog, sizer, error) {
 		pl, err := build(ctx)
 		return pl, pl, err
 	})
@@ -347,17 +331,6 @@ func (s *session) Mine(ctx context.Context, logID string, spec dpe.MineSpec) (*d
 	return s.provider.MinePrepared(ctx, pl, spec)
 }
 
-// mineVariant renders a spec as the cache-key variant of its mining
-// states: equal specs — the warm-start eligibility test MineIncremental
-// itself applies — get equal variants. The fingerprint never contains
-// a NUL byte, so the NUL that ends it separates it from the log id
-// unambiguously (compaction relies on that).
-func mineVariant(spec dpe.MineSpec) string {
-	return fmt.Sprintf("%s,k=%d,eps=%g,minpts=%d,p=%g,d=%g,q=%d,ms=%d,ml=%d\x00",
-		spec.Algorithm, spec.K, spec.Eps, spec.MinPts, spec.P, spec.D,
-		spec.Query, spec.MinSupport, spec.MaxLen)
-}
-
 // AppendMine is the batched append-and-mine endpoint: one request
 // appends newQueries to an uploaded base log, extends the prepared
 // state (through the same singleflight key Append uses, so a racing
@@ -380,9 +353,9 @@ func (s *session) AppendMine(ctx context.Context, baseLogID string, newQueries [
 	// zero-delta warm run (no distance pairs); without one, the base
 	// log's state warm-starts the delta, and with neither the mine
 	// bootstraps cold. The cache keeps only the state, never the result.
-	variant := mineVariant(spec)
-	res, err = resolve(ctx, s, artMining, variant, combinedID,
-		func(ctx context.Context, v any) (*dpe.MineResult, error) {
+	key := cacheKey{session: s.id, kind: artMining, spec: spec, log: combinedID}
+	res, err = resolve(ctx, s, key,
+		func(ctx context.Context, v sizer) (*dpe.MineResult, error) {
 			res, state, err := s.provider.MineIncremental(ctx, pl, v.(*dpe.MineState), spec)
 			if err == nil && res.Incremental.PairsComputed > 0 {
 				// Only a decoded state, which carries no matrix, makes a
@@ -390,17 +363,18 @@ func (s *session) AppendMine(ctx context.Context, baseLogID string, newQueries [
 				// built carries its matrix, so cache it in the decoded
 				// one's place (unjournaled: the record on disk is the
 				// same warm start) and the next replay computes none.
-				s.cacheLive(artMining, variant, combinedID, state)
+				s.cacheLive(key, state)
 			}
 			return res, err
 		},
-		func(ctx context.Context) (*dpe.MineResult, any, error) {
+		func(ctx context.Context) (*dpe.MineResult, sizer, error) {
+			base := key
+			base.log = baseLogID
 			var prev *dpe.MineState
-			if v, ok := s.sh.cache.peek(s.key(artMining, variant, baseLogID)); ok {
+			if v, ok := s.sh.cache.peek(base); ok {
 				prev = v.(*dpe.MineState)
 			}
-			res, state, err := s.provider.MineIncremental(ctx, pl, prev, spec)
-			return res, state, err
+			return s.provider.MineIncremental(ctx, pl, prev, spec)
 		})
 	if err != nil {
 		return "", 0, nil, nil, err

@@ -3,6 +3,7 @@ package service
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/store/journal"
@@ -10,14 +11,18 @@ import (
 
 // shard is one slice of the registry's multi-tenant state: a session
 // map under its own mutex, its own singleflight group, its own
-// size-aware prepared-state LRU, and — when the registry is persistent
-// — its own append-only journal. A session's id routes it to exactly
-// one shard (see Registry.shardFor), so everything the session owns —
-// map entry, in-flight preparations, cached prepared state, journal
-// records — lives together and never contends with other shards' locks.
+// size-aware artifact LRU, and — when the registry is persistent — its
+// own append-only journal. A session's id routes it to exactly one
+// shard (see Registry.shardFor), so everything the session owns — map
+// entry, in-flight builds, cached artifacts, journal records — lives
+// together and never contends with other shards' locks.
 type shard struct {
 	cache  *lruCache
 	flight *flightGroup
+	// hits and misses count the resolver's outcomes per artifact kind
+	// on the shard's sessions (see resolve). They outlive the sessions,
+	// so the registry's sums of them never go down.
+	hits, misses [numArtifacts]atomic.Int64
 
 	// journal is the shard's typed journal. It serializes appends
 	// against compaction internally; its lock is never taken while
@@ -120,13 +125,15 @@ func (sh *shard) sessionCount() int {
 
 // snapshot reads the shard's counters for stats. The shard lock guards
 // only the map length; the cache snapshots under its own brief mutex —
-// no lock is ever held while sizing prepared state (costs were charged
-// at insert time), so a stats call cannot stall tenant traffic.
+// no lock is ever held while sizing an artifact (costs were charged at
+// insert time), so a stats call cannot stall tenant traffic.
 func (sh *shard) snapshot(index int) ShardStats {
 	sh.mu.Lock()
 	n := len(sh.sessions)
 	sh.mu.Unlock()
-	return ShardStats{Shard: index, Sessions: n, PreparedCache: sh.cache.stats()}
+	cs := sh.cache.stats()
+	cs.Hits, cs.Misses = sh.hits[artPrepared].Load(), sh.misses[artPrepared].Load()
+	return ShardStats{Shard: index, Sessions: n, PreparedCache: cs}
 }
 
 // splitEntries divides a registry-wide entry budget across n shards,
@@ -154,13 +161,12 @@ func splitBytes(total int64, n int) int64 {
 // flightGroup coalesces concurrent builds of the same cache key: one
 // caller becomes the leader and runs the build, the rest wait for its
 // result instead of repeating it. Every artifact kind shares one group
-// (their keys never collide — each kind's namespace is embedded in the
-// key), which is why the published value is untyped.
-// Each shard owns one group — keys embed the session id, and a session
-// never changes shards.
+// (the kind is part of the key), which is why the published value is
+// untyped. Each shard owns one group — keys carry the session id, and a
+// session never changes shards.
 type flightGroup struct {
 	mu    sync.Mutex
-	calls map[string]*flightCall
+	calls map[cacheKey]*flightCall
 }
 
 type flightCall struct {
@@ -170,12 +176,12 @@ type flightCall struct {
 }
 
 func newFlightGroup() *flightGroup {
-	return &flightGroup{calls: make(map[string]*flightCall)}
+	return &flightGroup{calls: make(map[cacheKey]*flightCall)}
 }
 
 // begin joins the in-flight call for key, or starts one; leader reports
 // which happened.
-func (g *flightGroup) begin(key string) (c *flightCall, leader bool) {
+func (g *flightGroup) begin(key cacheKey) (c *flightCall, leader bool) {
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	if c, ok := g.calls[key]; ok {
@@ -187,7 +193,7 @@ func (g *flightGroup) begin(key string) (c *flightCall, leader bool) {
 }
 
 // finish publishes the leader's result and retires the call.
-func (g *flightGroup) finish(key string, c *flightCall, val any, err error) {
+func (g *flightGroup) finish(key cacheKey, c *flightCall, val any, err error) {
 	c.val, c.err = val, err
 	g.mu.Lock()
 	delete(g.calls, key)

@@ -232,15 +232,38 @@ type Handler interface {
 }
 
 // Stats counts what a Replay or bundle read applied per kind, plus the
-// records that could not be applied. Artifacts count under their kind:
-// Snapshots or Mining.
+// records that could not be applied. The JSON tags are the form
+// dpeserver reports its recovery in on GET /v1/stats.
 type Stats struct {
-	Sessions  int
-	Deletes   int
-	Logs      int
-	Snapshots int
-	Mining    int
-	Skipped   int
+	// Sessions, Logs, Snapshots and MineStates count the applied
+	// records of each kind (mining states are k-medoids only, the one
+	// algorithm whose state is journaled).
+	Sessions   int `json:"sessions"`
+	Logs       int `json:"logs"`
+	Snapshots  int `json:"snapshots"`
+	MineStates int `json:"mine_states"`
+	// Tombstones counts applied deletions.
+	Tombstones int `json:"tombstones"`
+	// Skipped counts records that could not be applied: unknown kinds
+	// (from newer binaries, or the approx indexes older ones
+	// journaled), orphaned logs or artifacts of missing sessions, or
+	// undecodable payloads.
+	Skipped int `json:"skipped"`
+}
+
+// Total is the number of applied-or-skipped records.
+func (s Stats) Total() int {
+	return s.Sessions + s.Logs + s.Snapshots + s.MineStates + s.Tombstones + s.Skipped
+}
+
+// Add accumulates another replay's counts.
+func (s *Stats) Add(o Stats) {
+	s.Sessions += o.Sessions
+	s.Logs += o.Logs
+	s.Snapshots += o.Snapshots
+	s.MineStates += o.MineStates
+	s.Tombstones += o.Tombstones
+	s.Skipped += o.Skipped
 }
 
 // artifact returns the counter for an artifact kind.
@@ -248,7 +271,7 @@ func (s *Stats) artifact(k store.Kind) *int {
 	if k == store.KindSnapshot {
 		return &s.Snapshots
 	}
-	return &s.Mining
+	return &s.MineStates
 }
 
 // dispatch decodes one raw record, routes it to the handler, and
@@ -265,7 +288,7 @@ func dispatch(rec store.Record, h Handler, st *Stats) {
 	case Session:
 		out, applied = h.Session(t), &st.Sessions
 	case Delete:
-		out, applied = h.Delete(t), &st.Deletes
+		out, applied = h.Delete(t), &st.Tombstones
 	case Log:
 		out, applied = h.Log(t), &st.Logs
 	case Artifact:

@@ -255,7 +255,7 @@ func TestDispatchCounting(t *testing.T) {
 	for _, raw := range raws {
 		dispatch(raw, &outcomeHandler{out: Applied}, &st)
 	}
-	want := Stats{Sessions: 1, Deletes: 1, Logs: 1, Snapshots: 1, Mining: 1}
+	want := Stats{Sessions: 1, Tombstones: 1, Logs: 1, Snapshots: 1, MineStates: 1}
 	if st != want {
 		t.Errorf("all-applied stats = %+v, want %+v", st, want)
 	}
@@ -372,22 +372,7 @@ func TestJournalSkipsDamagedRecordsDuringReplay(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.Deletes != 2 || st.Skipped != 1 {
+	if st.Tombstones != 2 || st.Skipped != 1 {
 		t.Errorf("stats = %+v, want 2 deletes and 1 skipped", st)
 	}
-}
-
-// Total is the number of applied-or-seen records.
-func (s Stats) Total() int {
-	return s.Sessions + s.Deletes + s.Logs + s.Snapshots + s.Mining + s.Skipped
-}
-
-// Add accumulates another replay's counts.
-func (s *Stats) Add(o Stats) {
-	s.Sessions += o.Sessions
-	s.Deletes += o.Deletes
-	s.Logs += o.Logs
-	s.Snapshots += o.Snapshots
-	s.Mining += o.Mining
-	s.Skipped += o.Skipped
 }

@@ -86,15 +86,16 @@ func appendInts(b []byte, xs []int) []byte {
 // UnmarshalMineState is the inverse of MarshalMineState. The state
 // carries no matrix; MineIncremental builds it from the prepared log.
 // A blob without the header, of another version, of another algorithm
-// than k-medoids, or with any sections byte but the k-medoids one is
-// an error. Every count is checked against the bytes left before
-// anything is allocated for it, and a state whose assignment does not
-// cover exactly n rows, or whose indices leave their range, is
-// rejected. What the bytes cannot show, that the assignment is the
-// nearest-medoid one over the log, internal/mining checks when a warm
-// run uses the state. Decoded states never hold empty non-nil slices,
-// so re-encoding a decoded state and decoding it again gives a
-// deep-equal state.
+// than k-medoids, with a NaN spec parameter (a spec that never equals
+// itself warm-starts nothing), or with any sections byte but the
+// k-medoids one is an error. Every count is checked against the bytes
+// left before anything is allocated for it, and a state whose
+// assignment does not cover exactly n rows, or whose indices leave
+// their range, is rejected. What the bytes cannot show, that the
+// assignment is the nearest-medoid one over the log, internal/mining
+// checks when a warm run uses the state. Decoded states never hold
+// empty non-nil slices, so re-encoding a decoded state and decoding it
+// again gives a deep-equal state.
 func UnmarshalMineState(data []byte) (*MineState, error) {
 	if len(data) < len(mineStateMagic)+1 || !bytes.Equal(data[:len(mineStateMagic)], mineStateMagic[:]) {
 		return nil, fmt.Errorf("dpe: mining state has no mining-state header")
@@ -114,6 +115,9 @@ func UnmarshalMineState(data []byte) (*MineState, error) {
 	sp.MinPts = r.Int()
 	sp.P = r.Float()
 	sp.D = r.Float()
+	if sp.hasNaN() {
+		r.Fail("spec has a NaN parameter")
+	}
 	sp.Query = r.Int()
 	sp.MinSupport = r.Int()
 	sp.MaxLen = r.Int()

@@ -64,7 +64,7 @@ func prepareFixture(t *testing.T) (p *Provider, base, full *PreparedLog) {
 }
 
 // sameState is reflect.DeepEqual with floats compared by their bits, so
-// a NaN parameter or cost equals itself.
+// a NaN cost equals itself and -0 differs from 0.
 func sameState(a, b *MineState) bool {
 	split := func(s *MineState) ([4]uint64, MineState) {
 		rest := *s
@@ -288,6 +288,7 @@ func hostileMineStates(t *testing.T) map[string][]byte {
 		"v1_short_matrix":          []byte(`{"v":1,"n":2,"matrix":[[0,1],[1]]}`),
 		"v1_unsorted_counts":       []byte(`{"v":1,"spec":{"Algorithm":"apriori"},"n":1,"counts":[{"k":"b","c":1},{"k":"a","c":1}]}`),
 		"kmedoids_other_algorithm": v2Blob(dbscan, 2, mineHasKMedoids, body...),
+		"kmedoids_nan_p":           v2Blob(MineSpec{Algorithm: MineKMedoids, K: 1, P: math.NaN()}, 2, mineHasKMedoids, body...),
 		"kmedoids_approximate":     approx,
 		"kmedoids_no_sections":     v2Blob(kmed, 0, 0),
 		"kmedoids_graph_section":   v2Blob(kmed, 2, mineHasKMedoids|2, uv(1), sv(0), uv(2), sv(0, 0), cost, sv(1), uv(2, 0, 1, 1)),
