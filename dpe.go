@@ -747,12 +747,20 @@ func (s MineSpec) hasNaN() bool {
 }
 
 // MineResult holds the output of Provider.Mine. Matrix is set for
-// every algorithm but apriori (which never builds it); exactly one
-// algorithm-specific field is non-zero, matching the spec. The JSON
-// tags are dpeserver's /v1 wire form, where Matrix is always present
-// (null for apriori) and the other fields only when set.
+// every algorithm but apriori (which never builds it) and, from
+// Provider.MineIncremental, a warm DBSCAN run, which computes only the
+// appended rows (Rows); exactly one algorithm-specific field is
+// non-zero, matching the spec. The JSON tags are dpeserver's /v1 wire
+// form, where Matrix is always present (null for apriori) and the
+// other fields only when set; Rows never goes on the wire.
 type MineResult struct {
 	Matrix Matrix `json:"matrix"`
+	// Rows are the full-width matrix rows Incremental.OldN..N−1 a warm
+	// MineIncremental run computed for the appended queries; nil for a
+	// cold run, apriori, a run that appended nothing, and a run that
+	// built the whole matrix. For warm DBSCAN they are the only rows
+	// the run holds: its Matrix is nil.
+	Rows Matrix `json:"-"`
 	// Clusters is the k-medoids result (MineKMedoids).
 	Clusters *KMedoidsResult `json:"clusters,omitempty"`
 	// Labels are per-query cluster labels (MineDBSCAN — Noise marks

@@ -66,7 +66,7 @@ func incMineProbe(ctx context.Context, r *Report, provider *dpe.Provider, plBase
 
 	// Bootstrap the state over the base log, then mine the appended log
 	// twice: warm from the state, cold from nothing.
-	_, state, err := provider.MineIncremental(ctx, plBase, nil, spec)
+	bootRes, state, err := provider.MineIncremental(ctx, plBase, nil, spec)
 	if err != nil {
 		return err
 	}
@@ -87,8 +87,16 @@ func incMineProbe(ctx context.Context, r *Report, provider *dpe.Provider, plBase
 	if !inc.Warm {
 		return fmt.Errorf("%s: incremental run was not warm", pfx)
 	}
-	if incRes.Matrix != nil {
-		if err := assertIdentical(pfx+" warm vs cold matrix", incRes.Matrix, coldRes.Matrix); err != nil {
+	if spec.Algorithm != dpe.MineApriori {
+		// A warm DBSCAN run holds only the rows it appended: splice them
+		// onto the base matrix, as a client does, and check the whole.
+		warmM := incRes.Matrix
+		if warmM == nil {
+			if warmM, err = dpe.SpliceMatrixRows(bootRes.Matrix, incRes.Rows); err != nil {
+				return fmt.Errorf("%s: splice the warm rows: %w", pfx, err)
+			}
+		}
+		if err := assertIdentical(pfx+" warm vs cold matrix", warmM, coldRes.Matrix); err != nil {
 			return err
 		}
 	}

@@ -19,12 +19,13 @@ package mining
 //     unchanged keeps its medoid exactly, ties included. If the
 //     medoids shift, the standard alternation takes over until
 //     convergence.
-//   - DBSCANAppendGraph maintains the eps-neighborhood graph: only the
-//     new-vs-all pairs (oldN·k + k·(k−1)/2) are read from the matrix,
-//     the graph is extended copy-on-write, and the labels come from
-//     DBSCANGraph over the maintained graph, with cluster ids canonical
-//     by first discovery. With no previous graph it reads the full
-//     triangle: the cold bootstrap, which is DBSCAN.
+//   - DBSCANAppendGraph maintains the eps-neighborhood graph: it takes
+//     only the k appended rows, reads their new-vs-all pairs (oldN·k +
+//     k·(k−1)/2), extends the graph copy-on-write, and labels the
+//     points by DBSCANGraph over the maintained graph, with cluster ids
+//     canonical by first discovery. With no previous graph every row is
+//     appended and it reads the full triangle: the cold bootstrap,
+//     which is DBSCAN.
 //   - AprioriAppend carries the support count of every candidate ever
 //     evaluated: known candidates add only the new transactions'
 //     counts, and only candidates the level-wise generation re-expands
@@ -243,26 +244,29 @@ func KMedoidsWarm(m Matrix, k int, prev *KMedoidsResult, oldN int) (*KMedoidsRes
 // --- DBSCAN over a maintained eps-graph ---
 
 // DBSCANAppendGraph repairs a DBSCAN labeling after rows were appended
-// to the matrix, given the eps-graph of the first len(prevAdj) rows,
-// and returns the matrix entries it read: exactly oldN·k + k·(k−1)/2
-// for k appended rows. Only the new rows' pairs are read; the graph is
-// extended copy-on-write (prevAdj is never mutated, so a cached state
-// stays safe under concurrent readers), and the labels are recomputed
-// by DBSCANGraph over the maintained graph — zero further matrix
-// reads, and entry-wise identical to a cold run over the full matrix.
-// A nil prevAdj is that cold run, DBSCAN: it reads the full triangle.
-// The returned adjacency is the next append's prevAdj.
-func DBSCANAppendGraph(m Matrix, eps float64, minPts int, prevAdj [][]int) ([]int, [][]int, int64, error) {
-	if err := validate(m); err != nil {
-		return nil, nil, 0, err
-	}
+// to the matrix, given the eps-graph of the first oldN = len(prevAdj)
+// rows. rows are the appended rows oldN..n−1 alone, each of full width
+// n = oldN + len(rows); the old rows are never needed. It returns the
+// matrix entries it read: exactly oldN·k + k·(k−1)/2 for k appended
+// rows, their part of the lower triangle. The graph is extended
+// copy-on-write (prevAdj is never mutated, so a cached state stays safe
+// under concurrent readers), each copied or new list allocated once at
+// its final length, and the labels are computed by DBSCANGraph over the
+// maintained graph — zero further matrix reads, and entry-wise
+// identical to a cold run over the full matrix. A nil prevAdj is that
+// cold run, DBSCAN: every row of the matrix is appended, and the full
+// triangle is read. The returned adjacency is the next append's
+// prevAdj.
+func DBSCANAppendGraph(rows Matrix, eps float64, minPts int, prevAdj [][]int) ([]int, [][]int, int64, error) {
 	if eps < 0 || minPts < 1 {
 		return nil, nil, 0, fmt.Errorf("mining: invalid DBSCAN parameters eps=%v minPts=%d", eps, minPts)
 	}
-	n := len(m)
 	oldN := len(prevAdj)
-	if oldN > n {
-		return nil, nil, 0, fmt.Errorf("mining: previous graph covers %d rows of %d", oldN, n)
+	n := oldN + len(rows)
+	for r, row := range rows {
+		if len(row) != n {
+			return nil, nil, 0, fmt.Errorf("mining: matrix row %d has length %d, want %d", oldN+r, len(row), n)
+		}
 	}
 	for p, nb := range prevAdj {
 		for _, q := range nb {
@@ -271,19 +275,32 @@ func DBSCANAppendGraph(m Matrix, eps float64, minPts int, prevAdj [][]int) ([]in
 			}
 		}
 	}
+	// The first pass counts the neighbors each row gains, so the second
+	// copies or allocates every list it touches once, at its final size.
 	var reads int64
+	gain := make([]int, n)
+	for r, row := range rows {
+		i := oldN + r
+		for j, d := range row[:i] {
+			if d <= eps {
+				gain[i]++
+				gain[j]++
+			}
+		}
+		reads += int64(i)
+	}
 	adj := make([][]int, n)
 	copy(adj, prevAdj)
-	copied := make([]bool, oldN)
-	for i := oldN; i < n; i++ {
-		for j := 0; j < i; j++ {
-			reads++
-			if m[i][j] <= eps {
+	for p, g := range gain {
+		if g > 0 {
+			adj[p] = append(make([]int, 0, len(adj[p])+g), adj[p]...)
+		}
+	}
+	for r, row := range rows {
+		i := oldN + r
+		for j, d := range row[:i] {
+			if d <= eps {
 				adj[i] = append(adj[i], j)
-				if j < oldN && !copied[j] {
-					adj[j] = append([]int(nil), prevAdj[j]...)
-					copied[j] = true
-				}
 				adj[j] = append(adj[j], i)
 			}
 		}

@@ -182,7 +182,7 @@ func TestDBSCANAppendGraphMatchesCold(t *testing.T) {
 		if err != nil {
 			t.Fatalf("trial %d: cold: %v", trial, err)
 		}
-		labels, adj, reads, err := DBSCANAppendGraph(m, eps, minPts, prevAdj)
+		labels, adj, reads, err := DBSCANAppendGraph(m[oldN:], eps, minPts, prevAdj)
 		if err != nil {
 			t.Fatalf("trial %d: append: %v", trial, err)
 		}
@@ -198,7 +198,7 @@ func TestDBSCANAppendGraphMatchesCold(t *testing.T) {
 		}
 		// The returned graph must chain: appending zero rows on top of
 		// it reproduces the same labels.
-		again, _, _, err := DBSCANAppendGraph(m, eps, minPts, adj)
+		again, _, _, err := DBSCANAppendGraph(m[n:], eps, minPts, adj)
 		if err != nil {
 			t.Fatalf("trial %d: chained append: %v", trial, err)
 		}
@@ -225,7 +225,8 @@ func TestDBSCANAppendGraphBootstrap(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	labels, _, reads, err := DBSCANAppendGraph(m, 0.4, 3, nil)
+	// With no previous graph every row is appended: oldN is 0.
+	labels, _, reads, err := DBSCANAppendGraph(m[0:], 0.4, 3, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -69,8 +69,9 @@ const Noise = -1
 // radius eps (inclusive) and density threshold minPts (neighborhood
 // includes the point itself). Cluster ids are assigned in order of
 // discovery, so equal matrices yield identical labelings. It is the
-// cold bootstrap of DBSCANAppendGraph: the eps-graph is built from the
-// matrix's lower triangle and labeled by DBSCANGraph.
+// cold bootstrap of DBSCANAppendGraph, which takes every row of m as
+// appended: the eps-graph is built from the matrix's lower triangle and
+// labeled by DBSCANGraph.
 func DBSCAN(m Matrix, eps float64, minPts int) ([]int, error) {
 	labels, _, _, err := DBSCANAppendGraph(m, eps, minPts, nil)
 	return labels, err

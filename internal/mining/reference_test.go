@@ -189,7 +189,7 @@ func TestServedMiningMatchesReference(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		warm, _, _, err := DBSCANAppendGraph(m, eps, minPts, prevAdj)
+		warm, _, _, err := DBSCANAppendGraph(m[oldN:], eps, minPts, prevAdj)
 		if err != nil {
 			t.Fatalf("case %d: warm DBSCAN: %v", c, err)
 		}

@@ -1,9 +1,6 @@
 package mining
 
-import (
-	"fmt"
-	"sort"
-)
+import "fmt"
 
 // DBSCANGraph is DBSCAN over a precomputed eps-neighborhood graph
 // instead of a full distance matrix: adj[p] lists the points within
@@ -13,8 +10,12 @@ import (
 // expansion: DBSCAN and DBSCANAppendGraph label through it, over the
 // eps-graph DBSCANAppendGraph builds and extends across appends.
 //
-// The adjacency must be symmetric; each list is sorted internally so
-// callers need not pre-sort.
+// The adjacency must be symmetric. It is read in place, in any order:
+// a cluster is expanded to completion before the scan moves on, so the
+// scan order and density-reachability alone fix its members, however
+// each list is ordered. A point is labeled when it is first reached,
+// so the queue holds each core point at most once, and the call
+// allocates only the labels and that queue.
 func DBSCANGraph(n int, adj [][]int, minPts int) ([]int, error) {
 	if len(adj) != n {
 		return nil, fmt.Errorf("mining: adjacency has %d rows, want %d", len(adj), n)
@@ -22,7 +23,6 @@ func DBSCANGraph(n int, adj [][]int, minPts int) ([]int, error) {
 	if minPts < 1 {
 		return nil, fmt.Errorf("mining: invalid DBSCAN parameter minPts=%d", minPts)
 	}
-	sorted := make([][]int, n)
 	for p, nb := range adj {
 		for _, q := range nb {
 			if q < 0 || q >= n {
@@ -32,36 +32,35 @@ func DBSCANGraph(n int, adj [][]int, minPts int) ([]int, error) {
 				return nil, fmt.Errorf("mining: adjacency of %d contains itself", p)
 			}
 		}
-		s := append([]int(nil), nb...)
-		sort.Ints(s)
-		sorted[p] = s
 	}
+	const unvisited = -2
 	labels := make([]int, n)
 	for i := range labels {
-		labels[i] = -2 // unvisited
+		labels[i] = unvisited
 	}
+	queue := make([]int, 0, n)
 	cluster := 0
 	for p := 0; p < n; p++ {
-		if labels[p] != -2 {
+		if labels[p] != unvisited {
 			continue
 		}
-		if len(sorted[p])+1 < minPts {
+		if len(adj[p])+1 < minPts {
 			labels[p] = Noise
 			continue
 		}
 		labels[p] = cluster
-		queue := append([]int(nil), sorted[p]...)
+		queue = append(queue[:0], p)
 		for qi := 0; qi < len(queue); qi++ {
-			q := queue[qi]
-			if labels[q] == Noise {
-				labels[q] = cluster // border point
-			}
-			if labels[q] != -2 {
-				continue
-			}
-			labels[q] = cluster
-			if len(sorted[q])+1 >= minPts {
-				queue = append(queue, sorted[q]...)
+			for _, r := range adj[queue[qi]] {
+				switch labels[r] {
+				case Noise:
+					labels[r] = cluster // border point
+				case unvisited:
+					labels[r] = cluster
+					if len(adj[r])+1 >= minPts {
+						queue = append(queue, r)
+					}
+				}
 			}
 		}
 		cluster++

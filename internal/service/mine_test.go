@@ -9,8 +9,10 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"runtime"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -656,5 +658,126 @@ func TestAppendMineChurn(t *testing.T) {
 	stats := reg.Stats()
 	if got := stats.MineStateHits + stats.MineStateMisses; got < workers*iters {
 		t.Errorf("mine-state hits+misses = %d, want at least the %d shared calls", got, workers*iters)
+	}
+}
+
+// TestAppendMineRowsFromTwoBases reaches one combined log from two
+// bases, 8 + 4 and 10 + 2 queries of clusteredLog, with DBSCAN
+// append_mines that each run warm from their base's state. A warm
+// DBSCAN run holds only the rows it appended, from its own base, so
+// each call must still answer its own rows offset..12, equal to the
+// cold matrix's: once one after the other, where the second call finds
+// the first's state cached and replays it without rows, and once
+// concurrently, where the second coalesces onto the first's in-flight
+// run, whose rows start at the other base. Each order runs both ways.
+func TestAppendMineRowsFromTwoBases(t *testing.T) {
+	ctx := context.Background()
+	token := dpe.MeasureToken
+	log := clusteredLog()[:12]
+	spec := dpe.MineSpec{Algorithm: dpe.MineDBSCAN, Eps: 0.4, MinPts: 2}
+	p, err := dpe.NewProvider(token)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cold, err := p.Mine(ctx, log, spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := [][]float64(cold.Matrix)
+	reg := NewRegistry(Config{Shards: 2, JanitorInterval: -1, Obs: obs.NewRegistry()})
+	defer reg.Close()
+	bases := [2]int{8, 10}
+
+	// open creates a session whose provider reports every stage to
+	// observe, uploads both bases and bootstraps their DBSCAN states.
+	open := func(observe dpe.StageObserver) (*session, [2]string) {
+		t.Helper()
+		s, err := reg.CreateSession(&CreateSessionRequest{Measure: &token})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if s.provider, err = dpe.NewProvider(token, dpe.WithStageObserver(observe)); err != nil {
+			t.Fatal(err)
+		}
+		var ids [2]string
+		for i, b := range bases {
+			if ids[i], err = s.AddLog(log[:b]); err != nil {
+				t.Fatal(err)
+			}
+			if _, _, _, _, err := s.AppendMine(ctx, ids[i], nil, spec); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return s, ids
+	}
+	type answer struct {
+		offset int
+		rows   [][]float64
+		res    *dpe.MineResult
+		err    error
+	}
+	call := func(s *session, ids [2]string, i int) answer {
+		_, offset, rows, res, err := s.AppendMine(ctx, ids[i], log[bases[i]:], spec)
+		return answer{offset, rows, res, err}
+	}
+	check := func(how string, i int, a answer) {
+		t.Helper()
+		switch {
+		case a.err != nil:
+			t.Errorf("%s, base %d: %v", how, bases[i], a.err)
+		case a.offset != bases[i] || !reflect.DeepEqual(a.rows, want[bases[i]:]):
+			t.Errorf("%s, base %d: answered offset %d and rows %v, want offset %d and the cold rows %v",
+				how, bases[i], a.offset, a.rows, bases[i], want[bases[i]:])
+		case !a.res.Incremental.Warm || !reflect.DeepEqual(a.res.Labels, cold.Labels):
+			t.Errorf("%s, base %d: %+v labels %v, want a warm run and the cold labels %v",
+				how, bases[i], a.res.Incremental, a.res.Labels, cold.Labels)
+		}
+	}
+
+	for first := range bases {
+		second := 1 - first
+		how := fmt.Sprintf("cached, base %d first", bases[first])
+		s, ids := open(nil)
+		check(how, first, call(s, ids, first))
+		a := call(s, ids, second)
+		check(how, second, a)
+		if a.err == nil && (a.res.Incremental.OldN != 12 || a.res.Incremental.PairsComputed != 0) {
+			t.Errorf("%s: the second call ran %+v, want a zero-delta replay of the cached state", how, a.res.Incremental)
+		}
+
+		// The first call's run blocks at the end of its mine until the
+		// second has coalesced onto it.
+		how = fmt.Sprintf("coalesced, base %d leads", bases[first])
+		var hold atomic.Bool
+		entered, release := make(chan struct{}), make(chan struct{})
+		s, ids = open(func(_ context.Context, stage string, _ time.Duration) {
+			if stage == "mine_delta" && hold.CompareAndSwap(true, false) {
+				close(entered)
+				<-release
+			}
+		})
+		hold.Store(true)
+		answers := make([]answer, 2)
+		var wg sync.WaitGroup
+		wg.Add(1)
+		go func() { defer wg.Done(); answers[first] = call(s, ids, first) }()
+		<-entered
+		dedups := reg.metrics.flightDedups.Value()
+		wg.Add(1)
+		go func() { defer wg.Done(); answers[second] = call(s, ids, second) }()
+		for deadline := time.Now().Add(time.Minute); reg.metrics.flightDedups.Value() == dedups; runtime.Gosched() {
+			if time.Now().After(deadline) {
+				close(release)
+				t.Fatalf("%s: the second call never coalesced onto the first", how)
+			}
+		}
+		close(release)
+		wg.Wait()
+		for i, a := range answers {
+			check(how, i, a)
+		}
+		if a := answers[second]; a.err == nil && a.res.Incremental.OldN != bases[first] {
+			t.Errorf("%s: the follower's result is %+v, want the leader's run from %d rows", how, a.res.Incremental, bases[first])
+		}
 	}
 }

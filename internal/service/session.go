@@ -339,7 +339,12 @@ func (s *session) Mine(ctx context.Context, logID string, spec dpe.MineSpec) (*d
 // base log's cached MineState. It returns the combined log id, the
 // offset where the new rows start, the new full-width matrix rows (nil
 // for apriori, which never builds a matrix), and the mining result with
-// its IncrementalStats label delta.
+// its IncrementalStats label delta. The rows come from the result's
+// Matrix when it has one, else from the appended rows a warm DBSCAN run
+// computed when they cover this call's offset; otherwise (a zero-delta
+// replay, or a state cached or coalesced under the combined log but
+// reached from another base) they are computed from the combined log's
+// prepared state, beside the run and outside its PairsComputed.
 //
 // An empty append mines the base log itself — the content-addressed
 // combined log *is* the base log — bootstrapping (and caching) its
@@ -358,11 +363,12 @@ func (s *session) AppendMine(ctx context.Context, baseLogID string, newQueries [
 		func(ctx context.Context, v sizer) (*dpe.MineResult, error) {
 			res, state, err := s.provider.MineIncremental(ctx, pl, v.(*dpe.MineState), spec)
 			if err == nil && res.Incremental.PairsComputed > 0 {
-				// Only a decoded state, which carries no matrix, makes a
-				// zero-delta replay compute pairs. The state this run
-				// built carries its matrix, so cache it in the decoded
-				// one's place (unjournaled: the record on disk is the
-				// same warm start) and the next replay computes none.
+				// Only a decoded k-medoids state, which carries no
+				// matrix, makes a zero-delta replay compute pairs. The
+				// state this run built carries the matrix it built, so
+				// cache it in the decoded one's place (unjournaled: the
+				// record on disk is the same warm start) and the next
+				// replay computes none.
 				s.cacheLive(key, state)
 			}
 			return res, err
@@ -379,8 +385,16 @@ func (s *session) AppendMine(ctx context.Context, baseLogID string, newQueries [
 	if err != nil {
 		return "", 0, nil, nil, err
 	}
-	if res.Matrix != nil {
+	switch inc := res.Incremental; {
+	case res.Matrix != nil:
 		rows = res.Matrix[offset:]
+	case spec.Algorithm == dpe.MineApriori:
+	case res.Rows != nil && inc.OldN <= offset:
+		rows = res.Rows[offset-inc.OldN:]
+	default:
+		if rows, err = s.provider.AppendRowsPrepared(ctx, offset, pl); err != nil {
+			return "", 0, nil, nil, err
+		}
 	}
 	return combinedID, offset, rows, res, nil
 }

@@ -4,13 +4,16 @@ package dpe
 // and PR 3's append path already extends the distance matrix in
 // O(n·k) — but Mine still recomputed every clustering from scratch.
 // MineIncremental closes that gap: it carries a MineState from run to
-// run, extends the cached matrix with only the genuinely new pairs,
-// and warm-starts the algorithm from the previous result (k-medoids
-// from the prior medoids, DBSCAN by eps-graph repair, Apriori by
-// support-count deltas). A nil or mismatched state runs the same cold
-// bootstrap Mine would and captures fresh state, so the call is always
-// safe; the deterministic counters in IncrementalStats are what the
-// bench harness gates the savings on.
+// run, computes only the appended rows' genuinely new pairs, and
+// warm-starts the algorithm from the previous result (k-medoids from
+// the prior medoids, DBSCAN by eps-graph repair, Apriori by
+// support-count deltas). DBSCAN reads only those rows, so its state
+// carries the eps-graph and no matrix, and a warm DBSCAN run stays
+// O(n·k + edges) in time and memory; the algorithms that read old
+// pairs splice the rows onto the carried matrix. A nil or mismatched
+// state runs the same cold bootstrap Mine would and captures fresh
+// state, so the call is always safe; the deterministic counters in
+// IncrementalStats are what the bench harness gates the savings on.
 
 import (
 	"context"
@@ -23,19 +26,22 @@ import (
 )
 
 // MineState is the carried state of incremental mining over one
-// (log, spec) pair: the distance matrix over the rows mined so far
-// plus the algorithm's warm-start structure. It is immutable once
-// returned — MineIncremental extends copies, never the state itself —
-// so a service can cache it and serve concurrent readers. A MineState
-// is only meaningful with the Provider and log prefix it was mined
-// from. Only a k-medoids state persists (MarshalMineState); decoded,
-// it carries no matrix, and MineIncremental builds the matrix whole
-// from the prepared log on each warm use, where internal/mining checks
-// the carried assignment against it before the start is trusted.
+// (log, spec) pair: the algorithm's warm-start structure and, for the
+// algorithms that read old pairs (k-medoids, complete-link, outliers,
+// kNN), the distance matrix over the rows mined so far. A DBSCAN state
+// is the eps-graph and the labels alone, O(n + edges). It is immutable
+// once returned — MineIncremental extends copies, never the state
+// itself — so a service can cache it and serve concurrent readers. A
+// MineState is only meaningful with the Provider and log prefix it was
+// mined from. Only a k-medoids state persists (MarshalMineState);
+// decoded, it carries no matrix, and MineIncremental builds the matrix
+// whole from the prepared log on each warm use, where internal/mining
+// checks the carried assignment against it before the start is
+// trusted.
 type MineState struct {
 	spec   MineSpec
 	n      int
-	matrix Matrix                 // distance-based algorithms; nil for apriori and decoded states
+	matrix Matrix                 // algorithms that read old pairs; nil for dbscan, apriori and decoded states
 	kmed   *mining.KMedoidsResult // k-medoids warm start
 	adj    [][]int                // dbscan eps-neighborhood graph
 	labels []int                  // prior labels (dbscan, complete-link) or 0/1 outlier flags
@@ -86,11 +92,13 @@ type IncrementalStats struct {
 	ColdFallback bool `json:"cold_fallback,omitempty"`
 	// OldN is the row count the previous state covered (0 when cold).
 	OldN int `json:"old_n"`
-	// PairsComputed counts the distance pairs evaluated for the
-	// matrix: oldN·k + k·(k−1)/2 warm from a state this process mined;
-	// the full n·(n−1)/2 triangle warm from a decoded state, which
-	// carries no matrix, and cold; 0 for apriori (which never builds a
-	// matrix).
+	// PairsComputed counts the distance pairs the mining run evaluated:
+	// oldN·k + k·(k−1)/2 warm from a state this process mined; the full
+	// n·(n−1)/2 triangle warm from a decoded state, which carries no
+	// matrix, and cold; 0 for apriori (which never builds a matrix).
+	// A zero-delta replay of a warm DBSCAN append counts 0 even when
+	// its caller computes the appended rows beside the run to answer
+	// with them (the service's append_mine does).
 	PairsComputed int64 `json:"pairs_computed"`
 	// Examined counts the algorithm's own work as internal/mining
 	// returns it: matrix entries read (k-medoids, DBSCAN) or
@@ -109,14 +117,17 @@ type IncrementalStats struct {
 // MineIncremental mines a prepared log reusing the previous call's
 // MineState. When prev covers a prefix of pl under the identical spec,
 // the algorithm warm-starts from the prior result (stage "mine_delta"):
-// only the appended rows' distance pairs are computed and spliced onto
-// prev's matrix, or, for a decoded state, which carries none, the whole
-// matrix is built. Otherwise the cold bootstrap runs (stage "mine",
-// identical output to MinePrepared) and captures state. Either way the
-// returned result matches a cold Mine over the full log — exactly for
-// DBSCAN, Apriori, and the non-warm algorithms, and up to local-optimum
-// equivalence (a cost no higher than the warm start's) for warm
-// k-medoids — and the returned state serves the next append.
+// only the appended rows' distance pairs are computed. DBSCAN extends
+// its carried eps-graph from those rows alone, so the result's Matrix
+// is nil and its Rows hold them; the other distance-based algorithms
+// splice them onto prev's matrix, or, from a decoded state, which
+// carries none, build the whole matrix. Otherwise the cold bootstrap
+// runs (stage "mine", identical output to MinePrepared, Matrix set)
+// and captures state. Either way the returned result matches a cold
+// Mine over the full log — exactly for DBSCAN, Apriori, and the
+// non-warm algorithms, and up to local-optimum equivalence (a cost no
+// higher than the warm start's) for warm k-medoids — and the returned
+// state serves the next append.
 func (p *Provider) MineIncremental(ctx context.Context, pl *PreparedLog, prev *MineState, spec MineSpec) (*MineResult, *MineState, error) {
 	n := pl.Len()
 	if err := spec.Validate(n); err != nil {
@@ -143,59 +154,67 @@ func (p *Provider) mineBootstrap(ctx context.Context, pl *PreparedLog, spec Mine
 		n := int64(pl.Len())
 		stats.PairsComputed = n * (n - 1) / 2
 	}
-	return p.mine(pl, m, nil, spec, stats)
+	return p.mine(pl, m, nil, nil, spec, stats)
 }
 
-// mineWarm is the incremental path: get the matrix over pl, then
-// warm-start the algorithm. A state this process mined carries the
-// matrix over its rows, so only the appended rows' pairs are computed
-// and spliced on; with none appended the carried matrix serves as is.
-// A decoded state carries none, so the whole matrix is built from pl.
+// mineWarm is the incremental path: compute the appended rows, then
+// warm-start the algorithm. DBSCAN reads those rows alone. The other
+// distance-based algorithms read old pairs too: a state this process
+// mined carries the matrix over its rows, so the appended rows are
+// spliced on, and with none appended the carried matrix serves as is;
+// a decoded state carries none, so the whole matrix is built from pl.
 // Nothing is written back into prev, which may be a cached state
 // shared by other readers.
 func (p *Provider) mineWarm(ctx context.Context, pl *PreparedLog, prev *MineState, spec MineSpec) (*MineResult, *MineState, error) {
 	defer p.stage(ctx, "mine_delta")()
 	n, oldN := int64(pl.Len()), int64(prev.n)
 	stats := &IncrementalStats{Warm: true, OldN: prev.n}
-	var m Matrix
+	var m, rows Matrix
 	var err error
 	switch {
 	case spec.Algorithm == MineApriori:
-	case prev.matrix == nil:
+	case prev.matrix == nil && spec.Algorithm != MineDBSCAN:
 		if m, err = p.DistanceMatrixPrepared(ctx, pl); err != nil {
 			return nil, nil, err
 		}
 		stats.PairsComputed = n * (n - 1) / 2
 	case n == oldN:
-		m = prev.matrix
+		m = prev.matrix // nil for DBSCAN, whose graph needs no rows
 	default:
-		rows, err := p.AppendRowsPrepared(ctx, prev.n, pl)
-		if err != nil {
-			return nil, nil, err
-		}
-		if m, err = SpliceMatrixRows(prev.matrix, rows); err != nil {
+		if rows, err = p.AppendRowsPrepared(ctx, prev.n, pl); err != nil {
 			return nil, nil, err
 		}
 		k := n - oldN
 		stats.PairsComputed = oldN*k + k*(k-1)/2
+		if spec.Algorithm != MineDBSCAN {
+			if m, err = SpliceMatrixRows(prev.matrix, rows); err != nil {
+				return nil, nil, err
+			}
+		}
 	}
-	return p.mine(pl, m, prev, spec, stats)
+	return p.mine(pl, m, rows, prev, spec, stats)
 }
 
-// mine runs spec's algorithm over m (nil for apriori, which mines the
-// log's transactions), warm from prev or cold when prev is nil, and
-// captures the state for the next call. Whether prev fits is
-// internal/mining's decision alone: a warm start it rejects reruns
-// cold over the same matrix with ColdFallback set. The DBSCAN graph
-// and apriori counts are trusted as carried, which is sound because
-// only this process builds them: no decoded state carries either.
-func (p *Provider) mine(pl *PreparedLog, m Matrix, prev *MineState, spec MineSpec, stats *IncrementalStats) (*MineResult, *MineState, error) {
+// mine runs spec's algorithm, warm from prev or cold when prev is nil,
+// and captures the state for the next call. m is the matrix over pl
+// (nil for apriori, which mines the log's transactions, and for warm
+// DBSCAN); rows are the appended rows a warm run computed, which warm
+// DBSCAN reads instead of m. Whether prev fits is internal/mining's
+// decision alone: a k-medoids warm start it rejects reruns cold over
+// the same matrix with ColdFallback set. The DBSCAN graph and apriori
+// counts are trusted as carried, which is sound because only this
+// process builds them (no decoded state carries either), so their
+// errors are the call's own.
+func (p *Provider) mine(pl *PreparedLog, m, rows Matrix, prev *MineState, spec MineSpec, stats *IncrementalStats) (*MineResult, *MineState, error) {
 	cold := prev == nil
 	if cold {
 		prev = &MineState{spec: spec}
 	}
-	res := &MineResult{Matrix: m, Incremental: stats}
-	state := &MineState{spec: spec, n: pl.Len(), matrix: m}
+	res := &MineResult{Matrix: m, Rows: rows, Incremental: stats}
+	state := &MineState{spec: spec, n: pl.Len()}
+	if spec.Algorithm != MineDBSCAN {
+		state.matrix = m
+	}
 	var work int64
 	var err error
 	switch spec.Algorithm {
@@ -207,7 +226,11 @@ func (p *Provider) mine(pl *PreparedLog, m Matrix, prev *MineState, spec MineSpe
 		}
 		res.Clusters = state.kmed
 	case MineDBSCAN:
-		state.labels, state.adj, work, err = mining.DBSCANAppendGraph(m, spec.Eps, spec.MinPts, prev.adj)
+		appended := rows
+		if cold {
+			appended = m // a cold run appends every row
+		}
+		state.labels, state.adj, work, err = mining.DBSCANAppendGraph(appended, spec.Eps, spec.MinPts, prev.adj)
 		res.Labels = state.labels
 	case MineApriori:
 		var txs []mining.Transaction
@@ -232,11 +255,11 @@ func (p *Provider) mine(pl *PreparedLog, m Matrix, prev *MineState, spec MineSpe
 		return nil, nil, fmt.Errorf("dpe: unknown mining algorithm %d", int(spec.Algorithm))
 	}
 	stats.Examined += work
-	if err != nil && !cold {
+	if err != nil && !cold && spec.Algorithm == MineKMedoids {
 		// The rejected start's labels were never checked, so the
 		// fallback reports ChangedLabels as any cold run does: none.
 		stats.ColdFallback = true
-		return p.mine(pl, m, nil, spec, stats)
+		return p.mine(pl, m, rows, nil, spec, stats)
 	}
 	if err != nil {
 		return nil, nil, err

@@ -237,6 +237,9 @@ func checkWarmMine(t *testing.T, ctx context.Context, label string, p *dpe.Provi
 		t.Errorf("%s: warm run computed %d pairs, want the append delta %d",
 			label, warm.Incremental.PairsComputed, wantPairs)
 	}
+	if spec.Algorithm != dpe.MineApriori {
+		checkWarmRows(t, label, spec, boot.Matrix, warm, cold.Matrix)
+	}
 	if spec.Algorithm == dpe.MineDBSCAN || spec.Algorithm == dpe.MineKMedoids {
 		want := changedRows(partition(boot), partition(warm), n)
 		if got := warm.Incremental.ChangedLabels; !slices.Equal(got, want) {
@@ -245,6 +248,39 @@ func checkWarmMine(t *testing.T, ctx context.Context, label string, p *dpe.Provi
 		*changed += len(want)
 	}
 	compareMine(t, label+" warm vs cold", spec, warm, cold)
+}
+
+// checkWarmRows asserts a warm run's appended rows equal the cold
+// matrix's rows base..n−1 bit for bit, and that spliced onto the base
+// matrix they equal the cold matrix, as a client splices them. A warm
+// DBSCAN run holds those rows alone; the other algorithms' matrix must
+// equal the cold one too.
+func checkWarmRows(t *testing.T, label string, spec dpe.MineSpec, base dpe.Matrix, warm *dpe.MineResult, cold dpe.Matrix) {
+	t.Helper()
+	if (spec.Algorithm == dpe.MineDBSCAN) != (warm.Matrix == nil) {
+		t.Errorf("%s: a warm %s run holds a matrix: %v", label, spec.Algorithm, warm.Matrix != nil)
+	}
+	if !sameBits(warm.Rows, cold[len(base):]) {
+		t.Errorf("%s: the warm run's rows differ from the cold matrix's rows %d..%d", label, len(base), len(cold)-1)
+	}
+	spliced, err := dpe.SpliceMatrixRows(base, warm.Rows)
+	if err != nil {
+		t.Fatalf("%s: splice the warm rows: %v", label, err)
+	}
+	if !sameBits(spliced, cold) {
+		t.Errorf("%s: base matrix + warm rows differs from the cold matrix", label)
+	}
+	if warm.Matrix != nil && !sameBits(warm.Matrix, cold) {
+		t.Errorf("%s: the warm run's matrix differs from the cold matrix", label)
+	}
+}
+
+// sameBits reports whether two matrices have the same shape and the
+// same float64 bits in every entry.
+func sameBits(a, b dpe.Matrix) bool {
+	return slices.EqualFunc(a, b, func(x, y []float64) bool {
+		return slices.EqualFunc(x, y, func(p, q float64) bool { return math.Float64bits(p) == math.Float64bits(q) })
+	})
 }
 
 // partition is a result's per-row clustering: the k-medoids assignment

@@ -135,6 +135,8 @@ func TestMineIncrementalChecksDecodedState(t *testing.T) {
 // TestMineIncrementalZeroDelta replays a warm run over the log its
 // in-memory state already covers: no pair is computed, the carried
 // matrix is served as is, not copied, and the result is the cold one.
+// A DBSCAN state carries no matrix, so its replay serves none and
+// relabels the carried graph to the cold labels.
 func TestMineIncrementalZeroDelta(t *testing.T) {
 	ctx := context.Background()
 	p, _, full := prepareFixture(t)
@@ -151,7 +153,12 @@ func TestMineIncrementalZeroDelta(t *testing.T) {
 			if st := got.Incremental; !st.Warm || st.ColdFallback || st.PairsComputed != 0 {
 				t.Errorf("stats %+v, want a warm run with no pairs", st)
 			}
-			if (got.Matrix == nil) != (state.matrix == nil) || got.Matrix != nil && &got.Matrix[0] != &state.matrix[0] {
+			if spec.Algorithm == MineDBSCAN {
+				if state.matrix != nil || got.Matrix != nil || got.Rows != nil || !slices.Equal(got.Labels, cold.Labels) {
+					t.Errorf("DBSCAN replay: state matrix %v, served matrix %v and rows %v, labels %v; want no matrix, no rows and the cold labels %v",
+						state.matrix != nil, got.Matrix != nil, got.Rows != nil, got.Labels, cold.Labels)
+				}
+			} else if (got.Matrix == nil) != (state.matrix == nil) || got.Matrix != nil && &got.Matrix[0] != &state.matrix[0] {
 				t.Error("the zero-delta run did not serve the carried matrix")
 			}
 			if !sameMine(got, cold) {
