@@ -821,6 +821,9 @@ type ProviderAPI interface {
 	DistanceMatrix(ctx context.Context, log []string) (Matrix, error)
 	// Append extends the matrix already built for log with newQueries,
 	// computing only the new entries (the incremental append path).
+	// The result may share old's storage, so treat both as read-only:
+	// a remote session grows the matrix it returned last in place,
+	// and only that one, until it is closed.
 	Append(ctx context.Context, old Matrix, log []string, newQueries []string) (Matrix, error)
 	// Distances computes one matrix row (the kNN access pattern).
 	Distances(ctx context.Context, log []string, q int) ([]float64, error)

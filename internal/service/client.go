@@ -128,13 +128,30 @@ func (c *Client) do(ctx context.Context, method, path string, in, out any) error
 	}
 	defer body.Close()
 	if out == nil {
-		io.Copy(io.Discard, body)
-		return nil
+		_, err = io.Copy(io.Discard, body)
+	} else {
+		err = decodeJSON(body, out)
 	}
-	if err := json.NewDecoder(body).Decode(out); err != nil {
+	if err != nil {
 		return fmt.Errorf("service: decoding %s %s response: %w", method, path, err)
 	}
 	return nil
+}
+
+// decodeJSON reads r to EOF and decodes the JSON value it holds into
+// out; json.Unmarshal rejects anything but whitespace after the value.
+// A response body read to EOF lets the transport reuse its connection;
+// one closed short, such as a chunked body, whose last chunk follows
+// the value, is dropped with it. The body lands in a spare row reader's
+// scratch, so a call allocates no read buffer.
+func decodeJSON(r io.Reader, out any) error {
+	d := getRowReader(r)
+	defer d.release()
+	raw, err := d.all()
+	if err != nil {
+		return err
+	}
+	return json.Unmarshal(raw, out)
 }
 
 // doStream sends one JSON request and hands back the raw response body
@@ -174,7 +191,7 @@ func (c *Client) doRaw(ctx context.Context, method, path string, body io.Reader,
 	if resp.StatusCode/100 != 2 {
 		defer resp.Body.Close()
 		var e errorResponse
-		if json.NewDecoder(io.LimitReader(resp.Body, 1<<20)).Decode(&e) == nil && e.Error != "" {
+		if decodeJSON(io.LimitReader(resp.Body, 1<<20), &e) == nil && e.Error != "" {
 			if id := errorRequestID(&e, resp); id != "" {
 				return nil, fmt.Errorf("service: %s %s: %s (HTTP %d, request %s)", method, path, e.Error, resp.StatusCode, id)
 			}
@@ -214,7 +231,7 @@ func (c *Client) ImportSession(ctx context.Context, bundle io.Reader) (*ImportRe
 	}
 	defer body.Close()
 	var res ImportResult
-	if err := json.NewDecoder(body).Decode(&res); err != nil {
+	if err := decodeJSON(body, &res); err != nil {
 		return nil, fmt.Errorf("service: decoding import response: %w", err)
 	}
 	return &res, nil
@@ -255,6 +272,7 @@ type Session struct {
 
 	mu     sync.Mutex
 	logIDs map[string]string // LogID(log) -> server-confirmed log id
+	last   *grownMatrix      // the matrix Append or AppendMine returned last
 }
 
 var _ dpe.ProviderAPI = (*Session)(nil)
@@ -310,11 +328,18 @@ func (s *Session) DistanceMatrix(ctx context.Context, log []string) (dpe.Matrix,
 // server reuses the session's cached prepared state, computes only the
 // new entries, and streams back only the new rows; the old block never
 // crosses the network again. The result is entry-wise identical to
-// DistanceMatrix over the concatenated log. len(old) must equal
-// len(log), and log must describe the matrix old was built from.
+// DistanceMatrix over the concatenated log. old must be len(log) rows
+// of len(log) entries, and log must describe the matrix old was built
+// from.
+//
+// The result may share old's storage, so treat both as read-only. When
+// old is the matrix this session's Append or AppendMine returned last,
+// it grows in place: the client allocates O(n·k) bytes amortized, not
+// a new n×n matrix. Any other old is copied. Close releases the
+// storage the session keeps for the next append.
 func (s *Session) Append(ctx context.Context, old dpe.Matrix, log []string, newQueries []string) (dpe.Matrix, error) {
-	if len(old) != len(log) {
-		return nil, fmt.Errorf("service: old matrix has %d rows for a log of %d queries", len(old), len(log))
+	if err := checkSquare(old, len(log)); err != nil {
+		return nil, err
 	}
 	id, err := s.UploadLog(ctx, log)
 	if err != nil {
@@ -333,7 +358,7 @@ func (s *Session) Append(ctx context.Context, old dpe.Matrix, log []string, newQ
 	if err := s.appended(log, newQueries, resp.Log, resp.N, resp.Offset); err != nil {
 		return nil, err
 	}
-	return dpe.SpliceMatrixRows(old, resp.Rows)
+	return s.grow(old, resp.Rows)
 }
 
 // appended checks that an append answer spans rows len(log) to
@@ -354,26 +379,138 @@ func (s *Session) appended(log, newQueries []string, combinedID string, n, offse
 	return nil
 }
 
+// grownMatrix is the storage behind the matrix a Session's Append or
+// AppendMine returned last. The row list and every row have the same
+// spare capacity, so the next append onto that matrix writes its new
+// columns and rows in place.
+type grownMatrix struct {
+	rows [][]float64 // n rows of n entries, each with the list's capacity
+	out  dpe.Matrix  // the row list returned over rows, each row capped
+}
+
+// holds reports whether m is the matrix g was last returned as: the
+// same row list, with every row still pointing at g's storage. m must
+// be square.
+func (g *grownMatrix) holds(m dpe.Matrix) bool {
+	if g == nil || len(m) == 0 || len(m) != len(g.out) || &m[0] != &g.out[0] {
+		return false
+	}
+	for i, row := range m {
+		if &row[0] != &g.rows[i][0] {
+			return false
+		}
+	}
+	return true
+}
+
+// checkSquare checks that old can be the matrix of a log of n queries:
+// n rows of n entries.
+func checkSquare(old dpe.Matrix, n int) error {
+	if len(old) != n {
+		return fmt.Errorf("service: old matrix has %d rows for a log of %d queries", len(old), n)
+	}
+	for i, row := range old {
+		if len(row) != n {
+			return fmt.Errorf("service: old matrix row %d has %d entries, want %d", i, len(row), n)
+		}
+	}
+	return nil
+}
+
+// grow returns old, an n×n matrix, extended by rows, the k new
+// full-width rows of an append answer: entry-wise what
+// dpe.SpliceMatrixRows returns. When old is the matrix this session
+// returned last, grow takes its storage, so a concurrent append onto
+// the same old copies instead, and writes the new columns and rows into
+// the spare capacity, reallocating only when it runs out. Any other old
+// is copied into new storage. Each call returns a fresh row list of
+// rows capped at their length, so a caller's append reaches neither the
+// spare capacity nor the storage.
+func (s *Session) grow(old dpe.Matrix, rows [][]float64) (dpe.Matrix, error) {
+	n, total := len(old), len(old)+len(rows)
+	if err := checkSquare(old, n); err != nil {
+		return nil, err
+	}
+	for r, row := range rows {
+		if len(row) != total {
+			return nil, fmt.Errorf("service: appended row %d has %d entries, want %d", r, len(row), total)
+		}
+	}
+	s.mu.Lock()
+	g := s.last
+	if g.holds(old) {
+		s.last = nil
+	} else {
+		g = nil
+	}
+	s.mu.Unlock()
+
+	if g == nil || cap(g.rows) < total {
+		// Half as much again: a chain of appends reallocates O(log n)
+		// times and allocates O(n²) entries in all, and no row's spare
+		// capacity exceeds half its length.
+		c := total + total/2
+		backing := make([]float64, n*c)
+		g = &grownMatrix{rows: make([][]float64, n, c)}
+		for i := range g.rows {
+			g.rows[i] = backing[i*c : i*c+n : (i+1)*c]
+			copy(g.rows[i], old[i])
+		}
+	}
+	c := cap(g.rows)
+	for i := range g.rows {
+		dst := g.rows[i][:total]
+		for r, row := range rows {
+			dst[n+r] = row[i]
+		}
+		g.rows[i] = dst
+	}
+	backing := make([]float64, len(rows)*c)
+	for r, row := range rows {
+		dst := backing[r*c : r*c+total : (r+1)*c]
+		copy(dst, row)
+		g.rows = append(g.rows, dst)
+	}
+	out := make(dpe.Matrix, total)
+	for i, row := range g.rows {
+		out[i] = row[:total:total]
+	}
+	g.out = out
+	s.mu.Lock()
+	s.last = g
+	s.mu.Unlock()
+	return out, nil
+}
+
 // AppendMine is the batched append-and-mine call: one round trip
 // appends newQueries to log on the server and mines the grown log
 // incrementally from the server's cached mining state. It returns the
-// extended matrix (old spliced with the streamed new rows; nil for
+// extended matrix (old grown by the streamed new rows; nil for
 // apriori, which never builds one) and the mining result, whose
 // Incremental field reports the warm/cold disposition and the label
 // delta. old must be the matrix built for log (nil for apriori); an
 // empty newQueries mines log itself, bootstrapping the server's state.
+// The matrix is shared as Append's is: it may share old's storage, so
+// treat both as read-only, and only the matrix this session returned
+// last grows in place.
 func (s *Session) AppendMine(ctx context.Context, old dpe.Matrix, log []string, newQueries []string, spec dpe.MineSpec) (dpe.Matrix, *dpe.MineResult, error) {
 	wantRows := spec.Algorithm != dpe.MineApriori
-	if wantRows && len(old) != len(log) {
-		return nil, nil, fmt.Errorf("service: old matrix has %d rows for a log of %d queries", len(old), len(log))
+	if wantRows {
+		if err := checkSquare(old, len(log)); err != nil {
+			return nil, nil, err
+		}
 	}
 	id, err := s.UploadLog(ctx, log)
 	if err != nil {
 		return nil, nil, err
 	}
-	var resp AppendMineResponse
-	err = s.c.do(ctx, http.MethodPost, s.path("/logs:append_mine"),
-		&AppendMineRequest{Log: id, Queries: newQueries, Spec: EncodeMineSpec(spec)}, &resp)
+	body, err := s.c.doStream(ctx, http.MethodPost, s.path("/logs:append_mine"),
+		&AppendMineRequest{Log: id, Queries: newQueries, Spec: EncodeMineSpec(spec)})
+	if err != nil {
+		return nil, nil, err
+	}
+	defer body.Close()
+	resp, err := readAppendMine(body)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -381,16 +518,13 @@ func (s *Session) AppendMine(ctx context.Context, old dpe.Matrix, log []string, 
 		return nil, nil, err
 	}
 	res := resp.Result
-	if res == nil {
-		return nil, nil, fmt.Errorf("service: append_mine response carries no mining result")
-	}
 	if !wantRows {
 		return nil, res, nil
 	}
 	if len(resp.Rows) != resp.N-resp.Offset {
 		return nil, nil, fmt.Errorf("service: %d appended rows, header says %d", len(resp.Rows), resp.N-resp.Offset)
 	}
-	m, err := dpe.SpliceMatrixRows(old, resp.Rows)
+	m, err := s.grow(old, resp.Rows)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -474,7 +608,11 @@ func (s *Session) Stats(ctx context.Context) (*SessionStats, error) {
 }
 
 // Close deletes the session (and its cached prepared state) on the
-// server.
+// server, and drops the storage kept for growing the last appended
+// matrix in place.
 func (s *Session) Close(ctx context.Context) error {
+	s.mu.Lock()
+	s.last = nil
+	s.mu.Unlock()
 	return s.c.do(ctx, http.MethodDelete, s.path(""), nil, nil)
 }

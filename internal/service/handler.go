@@ -69,7 +69,9 @@ type (
 	// full-width matrix rows (rows Offset..N-1; absent for apriori,
 	// which never builds a matrix), and the mining result — whose
 	// Incremental field carries the warm/cold disposition, the pair
-	// counters, and the label delta over the old rows.
+	// counters, and the label delta over the old rows. The body is
+	// this struct's JSON encoding, written and read through the row
+	// codec (writeAppendMine, readAppendMine).
 	AppendMineResponse struct {
 		Log    string          `json:"log"`
 		N      int             `json:"n"`
@@ -315,8 +317,8 @@ func sessionCall[Req, Resp any](reg *Registry, status int, call func(context.Con
 	}
 }
 
-// rowStream is an answer written row by row with WriteMatrix or
-// WriteAppendedRows instead of being encoded whole.
+// rowStream is an answer written row by row with WriteMatrix,
+// WriteAppendedRows or writeAppendMine instead of being encoded whole.
 type rowStream func(io.Writer) error
 
 func uploadLog(_ context.Context, s *session, req *UploadLogRequest) (*UploadLogResponse, error) {
@@ -343,11 +345,11 @@ func appendLog(ctx context.Context, s *session, req *AppendLogRequest) (rowStrea
 
 // appendMine is the batched append-and-mine endpoint: one round trip
 // extends the log, the prepared state, the cached matrix, and the
-// mining state, and returns the new rows plus the
+// mining state, and streams back the new rows plus the
 // warm-started mining result with its label delta. The mining result's
 // full matrix never crosses the wire — the client holds the old block
-// and splices the returned rows, exactly like logs:append.
-func appendMine(ctx context.Context, s *session, req *AppendMineRequest) (*AppendMineResponse, error) {
+// and grows it by the returned rows, exactly like logs:append.
+func appendMine(ctx context.Context, s *session, req *AppendMineRequest) (rowStream, error) {
 	spec, err := req.Spec.Decode()
 	if err != nil {
 		return nil, err
@@ -357,8 +359,10 @@ func appendMine(ctx context.Context, s *session, req *AppendMineRequest) (*Appen
 		return nil, err
 	}
 	res = EncodeMineResult(res)
-	res.Matrix = nil // the client splices Rows; never reship the block
-	return &AppendMineResponse{Log: combinedID, N: offset + len(req.Queries), Offset: offset, Rows: rows, Result: res}, nil
+	res.Matrix = nil // the client grows its own matrix; never reship the block
+	return func(w io.Writer) error {
+		return writeAppendMine(w, combinedID, offset+len(req.Queries), offset, rows, res)
+	}, nil
 }
 
 func matrix(ctx context.Context, s *session, req *MatrixRequest) (rowStream, error) {

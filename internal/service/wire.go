@@ -292,11 +292,13 @@ func EncodeMineResult(r *dpe.MineResult) *dpe.MineResult {
 	return &c
 }
 
-// The distance matrix travels as a stream of JSON rows in one of two
+// Distance-matrix rows travel as a stream of JSON rows in one of three
 // layouts, keys always in this order:
 //
 //	{"n":N,"rows":[[…],…]}                          WriteMatrix, ReadMatrix
 //	{"log":"l-…","n":N,"offset":O,"rows":[[…],…]}   WriteAppendedRows, ReadAppendedRows
+//	{"log":"l-…","n":N,"offset":O,"rows":[[…],…],"result":{…}}\n
+//	                                                writeAppendMine, readAppendMine
 //
 // The writers append each row to one reused buffer and hand it to the
 // io.Writer in one Write, formatting every float exactly as
@@ -313,7 +315,12 @@ func WriteMatrix(w io.Writer, m dpe.Matrix) error {
 	b = append(b, `{"n":`...)
 	b = strconv.AppendInt(b, int64(len(m)), 10)
 	b = append(b, `,"rows":[`...)
-	return writeRows(w, b, m)
+	b, err := writeRows(w, b, m)
+	if err != nil {
+		return err
+	}
+	_, err = w.Write(append(b, "]}"...))
+	return err
 }
 
 // AppendedRows is the logs:append response: only the k new full-width
@@ -329,12 +336,54 @@ type AppendedRows struct {
 }
 
 // WriteAppendedRows streams an append response row by row, like
-// WriteMatrix. The log id is quoted as a JSON string; for the ids
-// LogID returns, that is also its Go quoting.
+// WriteMatrix.
 func WriteAppendedRows(w io.Writer, logID string, total, offset int, rows [][]float64) error {
-	quoted, err := json.Marshal(logID)
+	b, err := appendedHeader(logID, total, offset)
 	if err != nil {
 		return err
+	}
+	b = append(b, `,"rows":[`...)
+	if b, err = writeRows(w, b, rows); err != nil {
+		return err
+	}
+	_, err = w.Write(append(b, "]}"...))
+	return err
+}
+
+// writeAppendMine streams the logs:append_mine response, the JSON
+// encoding of AppendMineResponse byte for byte: the header and rows as
+// WriteAppendedRows writes them, with "rows" left out when there are
+// none (omitempty), then "result" as encoding/json encodes it, and the
+// newline json.Encoder ends a value with.
+func writeAppendMine(w io.Writer, logID string, total, offset int, rows [][]float64, res *dpe.MineResult) error {
+	result, err := json.Marshal(res)
+	if err != nil {
+		return err
+	}
+	b, err := appendedHeader(logID, total, offset)
+	if err != nil {
+		return err
+	}
+	if len(rows) > 0 {
+		b = append(b, `,"rows":[`...)
+		if b, err = writeRows(w, b, rows); err != nil {
+			return err
+		}
+		b = append(b, ']')
+	}
+	b = append(b, `,"result":`...)
+	b = append(b, result...)
+	_, err = w.Write(append(b, "}\n"...))
+	return err
+}
+
+// appendedHeader starts an append layout, {"log":"l-…","n":N,"offset":O,
+// in a row buffer for rows of total entries. The log id is quoted as a
+// JSON string; for the ids LogID returns, that is also its Go quoting.
+func appendedHeader(logID string, total, offset int) ([]byte, error) {
+	quoted, err := json.Marshal(logID)
+	if err != nil {
+		return nil, err
 	}
 	b := make([]byte, 0, rowBufSize(total)+len(quoted))
 	b = append(b, `{"log":`...)
@@ -342,9 +391,7 @@ func WriteAppendedRows(w io.Writer, logID string, total, offset int, rows [][]fl
 	b = append(b, `,"n":`...)
 	b = strconv.AppendInt(b, int64(total), 10)
 	b = append(b, `,"offset":`...)
-	b = strconv.AppendInt(b, int64(offset), 10)
-	b = append(b, `,"rows":[`...)
-	return writeRows(w, b, rows)
+	return strconv.AppendInt(b, int64(offset), 10), nil
 }
 
 // rowBufSize is a row buffer's starting capacity for rows of width
@@ -355,9 +402,10 @@ func WriteAppendedRows(w io.Writer, logID string, total, offset int, rows [][]fl
 func rowBufSize(width int) int { return 64 + 26*width }
 
 // writeRows appends each row to b, which holds the layout's header on
-// entry, writes it, and reuses b for the next row; "]}" closes the
-// layout.
-func writeRows(w io.Writer, b []byte, rows [][]float64) error {
+// entry, writes it, and reuses b for the next row. It returns b with
+// whatever is not yet written (the header, when there are no rows), for
+// the caller to close the layout.
+func writeRows(w io.Writer, b []byte, rows [][]float64) ([]byte, error) {
 	for i, row := range rows {
 		if i > 0 {
 			b = append(b, ',')
@@ -368,18 +416,17 @@ func writeRows(w io.Writer, b []byte, rows [][]float64) error {
 				b = append(b, ',')
 			}
 			if math.IsNaN(v) || math.IsInf(v, 0) {
-				return fmt.Errorf("service: matrix row %d entry %d is %v, not a JSON number", i, j, v)
+				return nil, fmt.Errorf("service: matrix row %d entry %d is %v, not a JSON number", i, j, v)
 			}
 			b = appendFloat(b, v)
 		}
 		b = append(b, ']')
 		if _, err := w.Write(b); err != nil {
-			return err
+			return nil, err
 		}
 		b = b[:0]
 	}
-	_, err := w.Write(append(b, "]}"...))
-	return err
+	return b, nil
 }
 
 // appendFloat formats a finite v exactly as encoding/json does: the
@@ -421,16 +468,7 @@ func ReadMatrix(r io.Reader) (dpe.Matrix, error) {
 func ReadAppendedRows(r io.Reader) (*AppendedRows, error) {
 	d := getRowReader(r)
 	defer d.release()
-	d.expect("{")
-	log := d.str(`"log"`)
-	d.expect(",")
-	n := d.count(`"n"`)
-	d.expect(",")
-	offset := d.count(`"offset"`)
-	if d.err == nil && n < offset {
-		d.err = fmt.Errorf("appended rows span %d..%d", offset, n)
-	}
-	d.expect(",")
+	log, n, offset := d.appended()
 	d.rows(n-offset, n)
 	d.end()
 	if d.err != nil {
@@ -439,18 +477,50 @@ func ReadAppendedRows(r io.Reader) (*AppendedRows, error) {
 	return &AppendedRows{Log: log, N: n, Offset: offset, Rows: d.cut(n-offset, n)}, nil
 }
 
+// readAppendMine decodes a writeAppendMine stream. The header and the
+// rows are scanned as ReadAppendedRows scans them, except that "rows"
+// may be absent; present, it must hold n−offset rows of n entries.
+// "result" must be a JSON object, which encoding/json decodes.
+func readAppendMine(r io.Reader) (*AppendMineResponse, error) {
+	d := getRowReader(r)
+	defer d.release()
+	log, n, offset := d.appended()
+	hasRows := d.at(`"rows"`)
+	if hasRows {
+		d.rows(n-offset, n)
+		d.expect(",")
+	}
+	d.expect(`"result"`)
+	d.expect(":")
+	raw := d.object()
+	d.end()
+	if d.err != nil {
+		return nil, fmt.Errorf("service: decoding append_mine response: %w", d.err)
+	}
+	resp := &AppendMineResponse{Log: log, N: n, Offset: offset, Result: new(dpe.MineResult)}
+	if err := json.Unmarshal(raw, resp.Result); err != nil {
+		return nil, fmt.Errorf("service: decoding append_mine result: %w", err)
+	}
+	if hasRows {
+		resp.Rows = d.cut(n-offset, n)
+	}
+	return resp, nil
+}
+
 // rowReader scans one row layout off a buffered stream. It accepts JSON
 // whitespace between tokens, keys only literally and in writer order,
 // strict RFC 8259 numbers, and nothing but whitespace between the
 // closing brace and EOF. Values land in the vals scratch as they
 // arrive; the result is allocated once, at its exact size, after the
 // last byte — so a header count never allocates ahead of the bytes
-// behind it. Errors are sticky: after the first, every step is a no-op
-// and err reports it.
+// behind it. An append_mine result object, or a whole JSON body, is
+// gathered in the raw scratch for encoding/json. Errors are sticky:
+// after the first, every step is a no-op and err reports it.
 type rowReader struct {
 	br   *bufio.Reader
 	err  error
 	vals []float64 // every row's entries, end to end
+	raw  []byte    // the bytes of one JSON value
 }
 
 // spareRowReaders keeps readers, with their grown scratch, between
@@ -460,9 +530,14 @@ type rowReader struct {
 // empty it, and under matrix traffic they come every op or two.
 var spareRowReaders = make(chan *rowReader, 4)
 
-// maxSpareVals caps the scratch a spare reader keeps at 4 MiB, room for
-// a 512×512 matrix, so the spares pin at most 16 MiB.
-const maxSpareVals = 1 << 19
+// maxSpareVals caps the row scratch a spare reader keeps at 4 MiB, room
+// for a 512×512 matrix, and maxSpareRaw its JSON scratch at 64 KiB,
+// room for the mining result of a log of thousands of queries, so the
+// spares pin at most 16.25 MiB.
+const (
+	maxSpareVals = 1 << 19
+	maxSpareRaw  = 64 << 10
+)
 
 func getRowReader(r io.Reader) *rowReader {
 	var d *rowReader
@@ -480,6 +555,9 @@ func (d *rowReader) release() {
 	d.err = nil
 	if cap(d.vals) > maxSpareVals {
 		d.vals = nil
+	}
+	if cap(d.raw) > maxSpareRaw {
+		d.raw = nil
 	}
 	select {
 	case spareRowReaders <- d:
@@ -532,6 +610,34 @@ func (d *rowReader) expect(s string) {
 			return
 		}
 	}
+}
+
+// at reports whether the next token starts with the literal s, without
+// consuming it.
+func (d *rowReader) at(s string) bool {
+	if d.token(); d.err != nil {
+		return false
+	}
+	_ = d.br.UnreadByte() // cannot fail: the last call was a read
+	b, _ := d.br.Peek(len(s))
+	return string(b) == s
+}
+
+// appended scans the opening of an append layout,
+// {"log":"l-…","n":N,"offset":O, up to and including the comma after O,
+// and checks that offset ≤ n.
+func (d *rowReader) appended() (log string, n, offset int) {
+	d.expect("{")
+	log = d.str(`"log"`)
+	d.expect(",")
+	n = d.count(`"n"`)
+	d.expect(",")
+	offset = d.count(`"offset"`)
+	if d.err == nil && n < offset {
+		d.err = fmt.Errorf("appended rows span %d..%d", offset, n)
+	}
+	d.expect(",")
+	return log, n, offset
 }
 
 // count scans the field `key: N` for a non-negative integer N.
@@ -716,6 +822,52 @@ func (d *rowReader) row(i, width int) {
 			return
 		default:
 			d.unexpected(c, "`,` or `]`")
+		}
+	}
+}
+
+// object scans one JSON object into the raw scratch and returns it. It
+// finds only where the object ends, by its nesting depth outside
+// strings; encoding/json checks the rest.
+func (d *rowReader) object() []byte {
+	c := d.token()
+	if c != '{' {
+		d.unexpected(c, "`{`")
+		return nil
+	}
+	d.raw = append(d.raw[:0], c)
+	for depth, inString := 1, false; depth > 0 && d.err == nil; {
+		c = d.next()
+		d.raw = append(d.raw, c)
+		switch {
+		case inString && c == '\\':
+			d.raw = append(d.raw, d.next())
+		case c == '"':
+			inString = !inString
+		case inString:
+		case c == '{' || c == '[':
+			depth++
+		case c == '}' || c == ']':
+			depth--
+		}
+	}
+	return d.raw
+}
+
+// all reads the stream to EOF into the raw scratch and returns it.
+func (d *rowReader) all() ([]byte, error) {
+	d.raw = d.raw[:0]
+	for {
+		if len(d.raw) == cap(d.raw) {
+			d.raw = append(d.raw, 0)[:len(d.raw)]
+		}
+		n, err := d.br.Read(d.raw[len(d.raw):cap(d.raw)])
+		d.raw = d.raw[:len(d.raw)+n]
+		if err == io.EOF {
+			return d.raw, nil
+		}
+		if err != nil {
+			return nil, err
 		}
 	}
 }

@@ -4,12 +4,15 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
+	"testing/iotest"
 
 	dpe "repro"
 )
@@ -127,6 +130,74 @@ func TestWireGolden(t *testing.T) {
 			}
 			if g != w {
 				t.Fatalf("/v1 bodies differ from %s at line %d:\n got: %s\nwant: %s", goldenWirePath, i+1, g, w)
+			}
+		}
+	}
+}
+
+// goldenAppendMineBodies returns the logs:append_mine bodies
+// TestWireGolden pins, six algorithms cold and warm, with their call
+// names.
+func goldenAppendMineBodies(tb testing.TB) (names []string, bodies [][]byte) {
+	tb.Helper()
+	data, err := os.ReadFile(goldenWirePath)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	for len(data) > 0 {
+		var line []byte
+		line, data, _ = bytes.Cut(data, []byte("\n"))
+		name, call, ok := bytes.Cut(line, []byte(": "))
+		if !ok || !bytes.HasPrefix(name, []byte("--- append_mine ")) {
+			continue
+		}
+		var code, size int
+		if _, err := fmt.Sscanf(string(call[bytes.LastIndex(call, []byte("->")):]), "-> %d, %d bytes", &code, &size); err != nil || size > len(data) {
+			tb.Fatalf("%s: unreadable header %q", goldenWirePath, line)
+		}
+		names = append(names, string(name[len("--- "):]))
+		bodies = append(bodies, data[:size])
+		data = data[size:]
+	}
+	return names, bodies
+}
+
+// TestReadAppendMineMatchesJSON decodes each pinned append_mine body
+// with the row codec's reader and with encoding/json: the two must
+// agree, writeAppendMine must re-encode the decoded response to the
+// same bytes, the body must decode one byte at a time too, and
+// truncations short of the trailing newline must fail.
+func TestReadAppendMineMatchesJSON(t *testing.T) {
+	names, bodies := goldenAppendMineBodies(t)
+	if len(bodies) != 12 {
+		t.Fatalf("%s holds %d append_mine bodies, want 12", goldenWirePath, len(bodies))
+	}
+	for i, body := range bodies {
+		var want AppendMineResponse
+		if err := json.Unmarshal(body, &want); err != nil {
+			t.Fatalf("%s: %v", names[i], err)
+		}
+		for _, r := range []io.Reader{bytes.NewReader(body), iotest.OneByteReader(bytes.NewReader(body))} {
+			got, err := readAppendMine(r)
+			if err != nil {
+				t.Fatalf("%s: %v", names[i], err)
+			}
+			if !reflect.DeepEqual(got, &want) {
+				t.Fatalf("%s decodes to %+v, encoding/json to %+v", names[i], got, &want)
+			}
+		}
+		var again bytes.Buffer
+		if err := writeAppendMine(&again, want.Log, want.N, want.Offset, want.Rows, want.Result); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(again.Bytes(), body) {
+			t.Fatalf("%s re-encodes to\n%s\nwant\n%s", names[i], again.Bytes(), body)
+		}
+		// Every truncation of the short bodies, about 1000 of each long
+		// one's.
+		for k := 0; k < len(body)-1; k += 1 + len(body)/1024 {
+			if got, err := readAppendMine(bytes.NewReader(body[:k])); err == nil {
+				t.Fatalf("%s truncated to %d of %d bytes decodes to %+v, want an error", names[i], k, len(body), got)
 			}
 		}
 	}

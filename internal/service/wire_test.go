@@ -189,7 +189,9 @@ func TestAggregatorKeyRoundTrip(t *testing.T) {
 // the header plus one json.Marshal per row did, and decode to the same
 // bits, also fed one byte at a time. Non-finite entries must fail to
 // encode. Malformed streams, and every truncation of a valid one, must
-// fail to decode without panicking.
+// fail to decode without panicking. The append_mine layout must reject
+// malformed streams and accept rows left out, whitespace between
+// tokens, and braces inside the result's strings.
 func TestMatrixStreamRoundTrip(t *testing.T) {
 	m := dpe.Matrix{
 		{0, 0.5, 1},
@@ -327,6 +329,37 @@ func TestMatrixStreamRoundTrip(t *testing.T) {
 	}
 	if a, err := ReadAppendedRows(strings.NewReader(`{"log":"l-\u00e9\/","n":1,"offset":1,"rows":[]}`)); err != nil || a.Log != "l-é/" {
 		t.Errorf("escaped log id decodes to %+v, %v", a, err)
+	}
+
+	for _, in := range []string{
+		``,
+		`{"log":"l-a","n":2,"offset":1,"rows":[[0,1]]}`,
+		`{"log":"l-a","n":2,"offset":1,"rows":[[0,1]],"result":null}`,
+		`{"log":"l-a","n":2,"offset":1,"rows":[[0,1]],"result":[]}`,
+		`{"log":"l-a","n":2,"offset":1,"rows":[[0,1]],"result":{"labels":"x"}}`,
+		`{"log":"l-a","n":2,"offset":1,"rows":[[0,1]],"result":{"labels":[0,1]]}`,
+		`{"log":"l-a","n":2,"offset":1,"rows":[[0,1]],"result":{}`,
+		`{"log":"l-a","n":2,"offset":1,"rows":[[0,1]],"result":{}}x`,
+		`{"log":"l-a","n":2,"offset":1,"rows":[[0,1]],"result":{}}{}`,
+		`{"log":"l-a","n":2,"offset":1,"rows":[],"result":{}}`,
+		`{"log":"l-a","n":2,"offset":1,"rows":[[0]],"result":{}}`,
+		`{"log":"l-a","n":2,"offset":1,"result":{},"rows":[[0,1]]}`,
+		`{"log":"l-a","n":2,"offset":1,"extra":0,"result":{}}`,
+		`{"log":"l-a","n":1,"offset":2,"result":{}}`,
+		`{"log":"l-a","n":2,"offset":1,"rows":[[0,1]],"result":{"a":"}"}`,
+	} {
+		if back, err := readAppendMine(strings.NewReader(in)); err == nil {
+			t.Errorf("readAppendMine(%q) = %+v, want an error", in, back)
+		}
+	}
+	for _, in := range []string{
+		`{"log":"l-a","n":2,"offset":1,"result":{}}`,
+		` { "log" : "l-a" , "n" : 1 , "offset" : 1 , "rows" : [ ] , "result" : { "labels" : [ 0 ] } } `,
+		`{"log":"l-a","n":2,"offset":1,"rows":[[0,1]],"result":{"a":"}]\"{","labels":[0,1]}}` + "\n",
+	} {
+		if _, err := readAppendMine(strings.NewReader(in)); err != nil {
+			t.Errorf("readAppendMine(%q): %v", in, err)
+		}
 	}
 }
 
@@ -490,6 +523,31 @@ func FuzzReadAppendedRows(f *testing.F) {
 			}
 			return a.Rows, fmt.Sprintf("%q %d %d", a.Log, a.N, a.Offset), func(w io.Writer) error {
 				return WriteAppendedRows(w, a.Log, a.N, a.Offset, a.Rows)
+			}, nil
+		})
+	})
+}
+
+// FuzzReadAppendMine fuzzes the append_mine reader from the pinned
+// bodies, with fuzzRows' invariants; the result object is compared as
+// its encoding/json encoding, part of the header.
+func FuzzReadAppendMine(f *testing.F) {
+	_, bodies := goldenAppendMineBodies(f)
+	for _, body := range bodies {
+		f.Add(body)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		fuzzRows(t, data, func(r io.Reader) ([][]float64, string, func(io.Writer) error, error) {
+			a, err := readAppendMine(r)
+			if err != nil {
+				return nil, "", nil, err
+			}
+			result, err := json.Marshal(a.Result)
+			if err != nil {
+				t.Fatalf("encoding the result of accepted input %q: %v", data, err)
+			}
+			return a.Rows, fmt.Sprintf("%q %d %d %s", a.Log, a.N, a.Offset, result), func(w io.Writer) error {
+				return writeAppendMine(w, a.Log, a.N, a.Offset, a.Rows, a.Result)
 			}, nil
 		})
 	})
