@@ -24,16 +24,21 @@
 //
 // The API lives under /v1 (see internal/service):
 //
-//	POST   /v1/sessions                   create a session (measure + artifacts)
-//	GET    /v1/sessions/{id}              session stats (logs, cache hits)
-//	DELETE /v1/sessions/{id}              drop the session
-//	POST   /v1/sessions/{id}/logs         upload a query log (content-addressed)
-//	POST   /v1/sessions/{id}/matrix       full distance matrix (streamed)
-//	POST   /v1/sessions/{id}/distances    one matrix row (kNN access pattern)
-//	POST   /v1/sessions/{id}/mine         matrix + mining algorithm
-//	POST   /v1/sessions/{id}/verify       Definition 1 check on two matrices
-//	GET    /v1/stats                      server-wide stats
-//	GET    /v1/healthz                    liveness
+//	POST   /v1/sessions                        create a session (measure + artifacts)
+//	POST   /v1/sessions:import                 restore a session from an export bundle
+//	GET    /v1/sessions/{id}                   session stats (logs, cache hits)
+//	GET    /v1/sessions/{id}/export            the session and its warm state as a bundle
+//	DELETE /v1/sessions/{id}                   drop the session
+//	POST   /v1/sessions/{id}/logs              upload a query log (content-addressed)
+//	POST   /v1/sessions/{id}/logs:append       grow a log; only the new matrix rows return
+//	POST   /v1/sessions/{id}/logs:append_mine  append, then mine incrementally, in one call
+//	POST   /v1/sessions/{id}/matrix            full distance matrix (streamed)
+//	POST   /v1/sessions/{id}/distances         one matrix row (kNN access pattern)
+//	POST   /v1/sessions/{id}/mine              matrix + mining algorithm
+//	GET    /v1/sessions/{id}/neighbors         the k nearest queries to one query
+//	POST   /v1/sessions/{id}/verify            Definition 1 check on two matrices
+//	GET    /v1/stats                           server-wide stats
+//	GET    /v1/healthz                         liveness
 //
 // With -metrics-addr, a second listener (kept off the tenant port so an
 // operator can firewall it separately) serves GET /metrics in Prometheus

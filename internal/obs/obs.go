@@ -227,18 +227,17 @@ func Labels(kv ...string) string {
 		}
 		sb.WriteString(p.k)
 		sb.WriteString(`="`)
-		sb.WriteString(escapeLabel(p.v))
+		sb.WriteString(labelEscaper.Replace(p.v))
 		sb.WriteByte('"')
 	}
 	sb.WriteByte('}')
 	return sb.String()
 }
 
-// escapeLabel applies the exposition-format label escapes.
-func escapeLabel(v string) string {
-	r := strings.NewReplacer(`\`, `\\`, `"`, `\"`, "\n", `\n`)
-	return r.Replace(v)
-}
+// labelEscaper applies the exposition-format label escapes. Building a
+// Replacer costs kilobytes and one is safe for concurrent use, so every
+// label value shares this one; dpeserver escapes two on every request.
+var labelEscaper = strings.NewReplacer(`\`, `\\`, `"`, `\"`, "\n", `\n`)
 
 // register returns the existing identical series or creates one;
 // conflicting re-registration panics (the metric lint's teeth).

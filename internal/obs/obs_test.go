@@ -124,6 +124,24 @@ func TestLabelEscaping(t *testing.T) {
 	}
 }
 
+// TestCounterLookupAllocBytes bounds what finding an existing labelled
+// counter allocates: dpeserver looks its route×code request counter up
+// this way on every request, and a label escaper built per value would
+// cost about 14 KB per lookup.
+func TestCounterLookupAllocBytes(t *testing.T) {
+	r := NewRegistry()
+	r.Counter("req_total", "help", "route", "neighbors", "code", "200")
+	res := testing.Benchmark(func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			r.Counter("req_total", "help", "route", "neighbors", "code", "200").Inc()
+		}
+	})
+	if got := res.AllocedBytesPerOp(); got >= 1024 {
+		t.Fatalf("counter lookup allocates %d B/op, want < 1 KiB", got)
+	}
+}
+
 func mustPanic(t *testing.T, name string, f func()) {
 	t.Helper()
 	defer func() {

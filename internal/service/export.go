@@ -101,9 +101,9 @@ func (c *bundleContents) Artifact(a journal.Artifact) journal.Outcome {
 // registry's capacity and per-session budgets apply as if the tenant
 // had re-created and re-uploaded everything — violating any of them
 // fails the import with no state change. Cached blobs restore
-// best-effort (a stale codec skips the entry, never the import). On a
-// persistent registry the restored state is journaled durably before
-// ImportSession returns.
+// best-effort (a stale codec skips the entry, never the import). The
+// session and its logs are journaled durably before ImportSession
+// returns, and the restored artifacts best-effort.
 func (r *Registry) ImportSession(rd io.Reader) (*ImportResult, error) {
 	var c bundleContents
 	st, err := journal.ReadBundle(rd, &c)
@@ -185,39 +185,33 @@ func (r *Registry) ImportSession(rd io.Reader) (*ImportResult, error) {
 		}
 	}
 
-	if r.persistent {
-		durable := []journal.Record{journal.Session{ID: js.ID, Created: js.Created, Request: js.Request}}
-		for _, l := range c.logs {
-			durable = append(durable, l)
-		}
-		for _, rec := range durable {
-			if err := s.sh.appendDurable("imported session", rec); err != nil {
-				// The records before rec may be on disk already. Rewrite
-				// the shard to its live state, which no longer holds the
-				// session, so a restart does not bring it back.
-				r.drop(js.ID)
-				if cerr := r.compactShard(s.sh); cerr != nil {
-					err = errors.Join(err, fmt.Errorf("service: removing the failed import from the journal: %w", cerr))
-				}
-				return nil, err
-			}
-		}
-		// The warm cache entries are a recoverable optimization: journal
-		// them best-effort, like the write-through hooks.
-		for _, art := range warm {
-			if err := s.sh.journal.Append(art); err != nil {
-				r.metrics.appendErrors[art.Kind].Inc()
-			}
-		}
-		// If this id ever lived (and was tombstoned) on this server, the
-		// old tombstone now precedes the fresh create in the journal and
-		// replayDeleted would block the restore at the next boot.
-		// Compacting the shard rewrites it down to live state, dropping
-		// any such tombstone. Best-effort — the janitor compacts later
-		// anyway, and until then a re-imported previously-deleted id is
-		// the only state at risk.
-		r.compactShard(s.sh)
+	durable := []journal.Record{journal.Session{ID: js.ID, Created: js.Created, Request: js.Request}}
+	for _, l := range c.logs {
+		durable = append(durable, l)
 	}
+	for _, rec := range durable {
+		if err := s.sh.appendDurable("imported session", rec); err != nil {
+			// The records before rec may be on disk already. Rewrite the
+			// shard to its live state, which no longer holds the session,
+			// so a restart does not bring it back.
+			r.drop(js.ID)
+			if cerr := r.compactShard(s.sh); cerr != nil {
+				err = errors.Join(err, fmt.Errorf("service: removing the failed import from the journal: %w", cerr))
+			}
+			return nil, err
+		}
+	}
+	for _, art := range warm {
+		s.sh.appendBestEffort(art.Kind, art, nil)
+	}
+	// If this id ever lived (and was tombstoned) on this server, the old
+	// tombstone now precedes the fresh create in the journal, and replay
+	// would take the create for a stale one at the next boot. Compacting
+	// the shard rewrites it down to live state, dropping any such
+	// tombstone. Best-effort — the janitor compacts later anyway, and
+	// until then a re-imported previously-deleted id is the only state
+	// at risk.
+	r.compactShard(s.sh)
 	r.metrics.sessionsCreated.Inc()
 	return res, nil
 }

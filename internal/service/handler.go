@@ -211,10 +211,16 @@ func writeError(w http.ResponseWriter, r *http.Request, err error) {
 	writeJSON(w, status, errorResponse{Error: err.Error(), RequestID: RequestIDFromContext(r.Context())})
 }
 
+// decodeBody decodes a JSON request body that must hold exactly one
+// value: anything after it but whitespace is an error, so a
+// concatenated or garbled body is rejected instead of half-read.
 func decodeBody(r *http.Request, into any) error {
 	dec := json.NewDecoder(http.MaxBytesReader(nil, r.Body, maxBodyBytes))
 	if err := dec.Decode(into); err != nil {
 		return fmt.Errorf("service: decoding request body: %w", err)
+	}
+	if _, err := dec.Token(); !errors.Is(err, io.EOF) {
+		return fmt.Errorf("service: request body has data after its JSON value")
 	}
 	return nil
 }

@@ -341,9 +341,7 @@ func TestMineStateKeyNegativeZero(t *testing.T) {
 }
 
 // rejectStore wraps a store and rejects every append of the kinds in
-// reject, counting the rejections per kind. Over store.Null it journals
-// nothing, yet it is not store.Null, so a registry over it journals as
-// a persistent one.
+// reject, counting the rejections per kind.
 type rejectStore struct {
 	store.Store
 	mu     sync.Mutex
@@ -351,9 +349,25 @@ type rejectStore struct {
 	failed map[store.Kind]int
 }
 
+// newRejectStore wraps a discardStore: the registry journals through
+// it, and every record it does not reject vanishes.
 func newRejectStore(kinds ...store.Kind) *rejectStore {
-	return rejectOver(store.Null{}, kinds...)
+	return rejectOver(discardStore{}, kinds...)
 }
+
+// discardStore accepts every record and replays none.
+type discardStore struct{}
+
+func (discardStore) Open(int) (store.Log, error) { return discardLog{}, nil }
+func (discardStore) List() ([]int, error)        { return nil, nil }
+func (discardStore) Close() error                { return nil }
+
+type discardLog struct{}
+
+func (discardLog) Append(store.Record) error             { return nil }
+func (discardLog) Replay(func(store.Record) error) error { return nil }
+func (discardLog) Compact([]store.Record) error          { return nil }
+func (discardLog) Close() error                          { return nil }
 
 // rejectOver wraps st.
 func rejectOver(st store.Store, kinds ...store.Kind) *rejectStore {
@@ -440,6 +454,56 @@ func TestDroppedJournalAppendsCounted(t *testing.T) {
 		key := fmt.Sprintf("dpe_store_append_errors_total{kind=%q}", kind)
 		if got, want := samples[key], float64(st.failed[kind]); got != want {
 			t.Errorf("%s = %v, want %v dropped records", key, got, want)
+		}
+	}
+}
+
+// TestBestEffortAppendsFailNoRequest rejects every best-effort record
+// kind (delete, snapshot, mining) and drives each path that writes one:
+// cached prepared and k-medoids states, the import of a bundle carrying
+// both, and a TTL reap of the two sessions. No request fails, and
+// dpe_store_append_errors_total counts each rejected record once under
+// its kind.
+func TestBestEffortAppendsFailNoRequest(t *testing.T) {
+	src := NewRegistry(Config{Shards: 2, JanitorInterval: -1})
+	defer src.Close()
+	srcID, _, _, _, _ := populateTenant(t, src)
+	var bundle bytes.Buffer
+	if err := src.ExportSession(srcID, &bundle); err != nil {
+		t.Fatal(err)
+	}
+
+	bestEffort := []store.Kind{store.KindDelete, store.KindSnapshot, store.KindMining}
+	st := newRejectStore(bestEffort...)
+	o := obs.NewRegistry()
+	reg, err := OpenRegistry(Config{Shards: 2, Store: st, SessionTTL: time.Hour, JanitorInterval: -1, Obs: o})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer reg.Close()
+	populateTenant(t, reg)
+	res, err := reg.ImportSession(bytes.NewReader(bundle.Bytes()))
+	if err != nil {
+		t.Fatalf("import with its artifact appends rejected: %v", err)
+	}
+	if res.Snapshots == 0 || res.MineStates == 0 {
+		t.Fatalf("import restored %+v, want snapshots and a mining state", res)
+	}
+	reg.reapIdle(time.Now().Add(2 * time.Hour))
+	if n := reg.Stats().Sessions; n != 0 {
+		t.Fatalf("%d sessions live after the reap, want 0", n)
+	}
+
+	samples := scrape(t, o)
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	if st.failed[store.KindDelete] != 2 || st.failed[store.KindMining] != 2 {
+		t.Errorf("the store rejected %v, want a tombstone per reaped session and a k-medoids state per tenant (2 each)", st.failed)
+	}
+	for _, kind := range bestEffort {
+		key := fmt.Sprintf("dpe_store_append_errors_total{kind=%q}", kind)
+		if got, want := samples[key], float64(st.failed[kind]); got != want || want == 0 {
+			t.Errorf("%s = %v, want the %v records the store rejected", key, got, want)
 		}
 	}
 }

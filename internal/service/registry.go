@@ -69,16 +69,16 @@ type Config struct {
 	// then reaped only when CreateSession hits capacity).
 	JanitorInterval time.Duration
 	// Store is the persistence seam: session creations/deletions, log
-	// uploads, and prepared-state snapshots are journaled to one
-	// store.Log per shard, and OpenRegistry replays them so a restart
-	// loses no tenant state. nil means store.Null{} — the historical
-	// in-memory registry.
+	// uploads, and cached artifacts are journaled to one store.Log per
+	// shard, and OpenRegistry replays them so a restart loses no tenant
+	// state. nil keeps the registry in memory: its shards have no
+	// journal, and nothing is encoded, written or replayed.
 	Store store.Store
 	// CompactEvery is how often each shard's janitor additionally
 	// rewrites the shard's journal down to its live records (dropping
 	// tombstoned sessions and superseded snapshots). 0 means 10
 	// minutes; < 0 disables periodic compaction. Ignored without a
-	// persistent Store.
+	// Store.
 	CompactEvery time.Duration
 	// Obs, when set, wires the registry's instruments into a metrics
 	// registry (session lifecycle counters, cache gauges, singleflight
@@ -117,9 +117,6 @@ func (c Config) withDefaults() Config {
 		if c.JanitorInterval > 5*time.Minute {
 			c.JanitorInterval = 5 * time.Minute
 		}
-	}
-	if c.Store == nil {
-		c.Store = store.Null{}
 	}
 	if c.CompactEvery == 0 {
 		c.CompactEvery = 10 * time.Minute
@@ -185,16 +182,16 @@ type ShardStats struct {
 	PreparedCache CacheStats `json:"prepared_cache"`
 }
 
-// RecoveryStats counts what OpenRegistry replayed from a persistent
-// store — the observable proof that a restart recovered tenant state
-// instead of starting cold. It is the journal's own replay count,
-// summed over every journal replayed (one per shard, plus orphans).
+// RecoveryStats counts what OpenRegistry replayed from a Store — the
+// observable proof that a restart recovered tenant state instead of
+// starting cold. It is the journal's own replay count, summed over
+// every journal replayed (one per shard, plus orphans).
 type RecoveryStats = journal.Stats
 
 // RegistryStats is the wire body of GET /v1/stats. The top-level fields
 // aggregate across shards (wire-compatible with the unsharded format);
 // PerShard carries the optional breakdown, and Recovered appears only
-// on registries opened from a persistent store.
+// on registries opened with a Store.
 type RegistryStats struct {
 	Sessions      int        `json:"sessions"`
 	MaxSessions   int        `json:"max_sessions"`
@@ -212,30 +209,13 @@ type RegistryStats struct {
 
 // Registry is the service's multi-tenant state, sharded by session id:
 // shardIndex routes every id to one of N shards, each with its own
-// mutex, session map, singleflight group, prepared-state LRU, and (when
-// persistent) journal — so tenant traffic on different shards never
+// mutex, session map, singleflight group, prepared-state LRU, and (with
+// a Store) journal — so tenant traffic on different shards never
 // shares a lock. All methods are safe for concurrent use.
 type Registry struct {
-	cfg    Config
-	shards []*shard
-
-	// persistent is true when cfg.Store journals for real (not Null):
-	// the write-through hooks and the janitor's compaction activate
-	// only then.
-	persistent bool
-	recovered  RecoveryStats
-	// replayDeleted remembers every tombstoned id seen during replay,
-	// including deletes whose create record has not been replayed yet
-	// (journals replay in file order, and a re-homed session's create
-	// can live in a later journal than its tombstone). A create for a
-	// remembered id is stale — session ids are random and never reused
-	// — and must not resurrect. Only used inside OpenRegistry; nil
-	// afterwards.
-	replayDeleted map[string]bool
-	// moved lists, by journal index, the sessions replay restored from
-	// a journal other than their owning shard's (see compactStartup).
-	// Only used inside OpenRegistry; nil afterwards.
-	moved map[int][]string
+	cfg       Config
+	shards    []*shard
+	recovered RecoveryStats
 
 	// live is the registry-wide session count: capacity is a global
 	// budget enforced lock-free, so MaxSessions means the same thing at
@@ -255,9 +235,9 @@ type Registry struct {
 // NewRegistry creates an empty in-memory registry and, unless the
 // janitor is disabled, starts one background reaper goroutine per
 // shard. Callers that care about goroutine hygiene should Close it when
-// done. It panics if a persistent Store is configured and fails to open
-// or replay — callers wiring real persistence should use OpenRegistry
-// and handle the error.
+// done. It panics if the configured Store fails to open or replay —
+// callers wiring a Store should use OpenRegistry and handle the
+// error.
 func NewRegistry(cfg Config) *Registry {
 	r, err := OpenRegistry(cfg)
 	if err != nil {
@@ -266,7 +246,7 @@ func NewRegistry(cfg Config) *Registry {
 	return r
 }
 
-// OpenRegistry creates a registry and, when cfg.Store persists, replays
+// OpenRegistry creates a registry and, when cfg.Store is set, replays
 // every shard's journal so the process resumes exactly where its
 // predecessor stopped: uploaded logs are servable, and replayed
 // prepared-state snapshots make the first post-restart request a cache
@@ -279,48 +259,16 @@ func OpenRegistry(cfg Config) (*Registry, error) {
 		shards: make([]*shard, cfg.Shards),
 		stop:   make(chan struct{}),
 	}
-	_, isNull := cfg.Store.(store.Null)
-	r.persistent = !isNull
 	entries := splitEntries(cfg.CacheEntries, cfg.Shards)
 	bytes := splitBytes(cfg.CacheBytes, cfg.Shards)
 	for i := range r.shards {
-		lg, err := cfg.Store.Open(i)
-		if err != nil {
-			r.closeJournals()
-			return nil, fmt.Errorf("service: opening shard %d journal: %w", i, err)
-		}
-		r.shards[i] = newShard(entries, bytes, journal.New(lg))
+		r.shards[i] = newShard(entries, bytes, &r.metrics)
 	}
-	if r.persistent {
-		r.replayDeleted = make(map[string]bool)
-		r.moved = make(map[int][]string)
-		if err := r.replay(); err != nil {
+	if cfg.Store != nil {
+		if err := r.recoverJournals(); err != nil {
 			r.closeJournals()
 			return nil, err
 		}
-		// A previous run may have used more shards: replay the extra
-		// journals too (records route by id) and empty them once
-		// compaction has re-homed every record. Failing to empty one
-		// fails the boot, as a failed compaction does: a create left in
-		// an orphan would outlive the tombstone a later compaction
-		// drops, and resurrect a deleted session.
-		orphans, err := r.replayOrphans()
-		if err == nil {
-			err = r.compactStartup()
-		}
-		for _, orphan := range orphans {
-			if err == nil {
-				if err = orphan.Compact(nil); err != nil {
-					err = fmt.Errorf("service: retiring an orphan journal: %w", err)
-				}
-			}
-			orphan.Close()
-		}
-		if err != nil {
-			r.closeJournals()
-			return nil, err
-		}
-		r.replayDeleted, r.moved = nil, nil
 	}
 	// Wire metrics after replay (recovery never pollutes the serving
 	// counters — RecoveryStats reports it separately) and before the
@@ -337,14 +285,65 @@ func OpenRegistry(cfg Config) (*Registry, error) {
 	return r, nil
 }
 
+// recoverJournals opens every shard's journal on cfg.Store, replays
+// them and the journals of shards beyond the configured count, then
+// compacts them (see compactStartup).
+func (r *Registry) recoverJournals() error {
+	for i, sh := range r.shards {
+		lg, err := r.cfg.Store.Open(i)
+		if err != nil {
+			return fmt.Errorf("service: opening shard %d journal: %w", i, err)
+		}
+		sh.journal = journal.New(lg)
+	}
+	rc := &recovery{r: r, deleted: make(map[string]bool), moved: make(map[int][]string)}
+	if err := rc.replay(); err != nil {
+		return err
+	}
+	// A previous run may have used more shards: replay the extra
+	// journals too (records route by id) and empty them once compaction
+	// has re-homed every record. Failing to empty one fails the boot, as
+	// a failed compaction does: a create left in an orphan would outlive
+	// the tombstone a later compaction drops, and resurrect a deleted
+	// session.
+	orphans, err := rc.replayOrphans()
+	if err == nil {
+		err = r.compactStartup(rc.moved)
+	}
+	for _, orphan := range orphans {
+		if err == nil {
+			if err = orphan.Compact(nil); err != nil {
+				err = fmt.Errorf("service: retiring an orphan journal: %w", err)
+			}
+		}
+		orphan.Close()
+	}
+	return err
+}
+
+// recovery is the state of OpenRegistry's one replay of its Store.
+type recovery struct {
+	r *Registry
+	// deleted remembers every tombstoned id seen during replay,
+	// including deletes whose create record has not been replayed yet
+	// (journals replay in file order, and a re-homed session's create
+	// can live in a later journal than its tombstone). A create for a
+	// remembered id is stale — session ids are random and never reused
+	// — and must not resurrect.
+	deleted map[string]bool
+	// moved lists, by journal index, the sessions replay restored from
+	// a journal other than their owning shard's (see compactStartup).
+	moved map[int][]string
+}
+
 // replay streams every shard's journal back into memory through the
 // typed handler. Records are routed by session id — not by which file
 // they were found in — so a journal written under a different shard
 // count still recovers completely.
-func (r *Registry) replay() error {
-	for i, sh := range r.shards {
-		st, err := sh.journal.Replay(replayApplier{r, i})
-		r.recovered.Add(st)
+func (rc *recovery) replay() error {
+	for i, sh := range rc.r.shards {
+		st, err := sh.journal.Replay(replayApplier{rc, i})
+		rc.r.recovered.Add(st)
 		if err != nil {
 			return fmt.Errorf("service: replaying shard %d journal: %w", i, err)
 		}
@@ -355,7 +354,8 @@ func (r *Registry) replay() error {
 // replayOrphans replays journals of shards beyond the configured count
 // and returns their handles so the caller can retire them after the
 // live shards' compaction has re-homed the records.
-func (r *Registry) replayOrphans() ([]*journal.Journal, error) {
+func (rc *recovery) replayOrphans() ([]*journal.Journal, error) {
+	r := rc.r
 	indexes, err := r.cfg.Store.List()
 	if err != nil {
 		return nil, fmt.Errorf("service: listing journals: %w", err)
@@ -370,7 +370,7 @@ func (r *Registry) replayOrphans() ([]*journal.Journal, error) {
 			return orphans, fmt.Errorf("service: opening orphan journal %d: %w", idx, err)
 		}
 		jl := journal.New(lg)
-		st, err := jl.Replay(replayApplier{r, idx})
+		st, err := jl.Replay(replayApplier{rc, idx})
 		r.recovered.Add(st)
 		if err != nil {
 			jl.Close()
@@ -387,30 +387,29 @@ func (r *Registry) replayOrphans() ([]*journal.Journal, error) {
 // cannot apply reports Skipped, never fatal — the journal is a recovery
 // aid, and partial recovery beats refusing to start.
 type replayApplier struct {
-	r       *Registry
+	rc      *recovery
 	journal int
 }
 
 func (a replayApplier) Session(js journal.Session) journal.Outcome {
-	out := a.r.restoreSession(js)
-	if out == journal.Applied && a.r.shardIndex(js.ID) != a.journal {
-		a.r.moved[a.journal] = append(a.r.moved[a.journal], js.ID)
+	out := a.rc.restoreSession(js)
+	if out == journal.Applied && a.rc.r.shardIndex(js.ID) != a.journal {
+		a.rc.moved[a.journal] = append(a.rc.moved[a.journal], js.ID)
 	}
 	return out
 }
 
 func (a replayApplier) Delete(d journal.Delete) journal.Outcome {
-	r := a.r
 	// Remember the tombstone even when the session is not (yet) live:
 	// its create record may still be waiting in a later journal, and
 	// replaying it then must not resurrect the tenant.
-	r.replayDeleted[d.ID] = true
-	r.drop(d.ID)
+	a.rc.deleted[d.ID] = true
+	a.rc.r.drop(d.ID)
 	return journal.Applied
 }
 
 func (a replayApplier) Log(l journal.Log) journal.Outcome {
-	s := a.r.replaySession(l.SessionID)
+	s := a.rc.r.replaySession(l.SessionID)
 	if s == nil {
 		return journal.Skipped
 	}
@@ -421,7 +420,7 @@ func (a replayApplier) Log(l journal.Log) journal.Outcome {
 }
 
 func (a replayApplier) Artifact(art journal.Artifact) journal.Outcome {
-	s := a.r.replaySession(art.SessionID)
+	s := a.rc.r.replaySession(art.SessionID)
 	if s == nil {
 		return journal.Skipped
 	}
@@ -440,12 +439,13 @@ func (r *Registry) replaySession(id string) *session {
 // request. The session's idle clock restarts at recovery time: its
 // tenant gets a full TTL to come back, rather than being reaped for
 // idleness accrued while the server was down.
-func (r *Registry) restoreSession(js journal.Session) journal.Outcome {
+func (rc *recovery) restoreSession(js journal.Session) journal.Outcome {
+	r := rc.r
 	var req CreateSessionRequest
 	if err := json.Unmarshal(js.Request, &req); err != nil || req.Measure == nil {
 		return journal.Skipped
 	}
-	if r.replayDeleted[js.ID] {
+	if rc.deleted[js.ID] {
 		return journal.Skipped // stale create of an already-tombstoned id
 	}
 	if r.shardFor(js.ID).session(js.ID) != nil {
@@ -461,25 +461,25 @@ func (r *Registry) restoreSession(js journal.Session) journal.Outcome {
 }
 
 // Recovery reports what this registry replayed at open time (all zeros
-// for in-memory registries).
+// for a registry without a Store).
 func (r *Registry) Recovery() RecoveryStats { return r.recovered }
 
 // closeJournals closes every opened shard journal and the store.
 func (r *Registry) closeJournals() {
 	r.journalOnce.Do(func() {
 		for _, sh := range r.shards {
-			if sh != nil && sh.journal != nil {
-				sh.journal.Close()
-			}
+			sh.journal.Close()
 		}
-		r.cfg.Store.Close()
+		if r.cfg.Store != nil {
+			r.cfg.Store.Close()
+		}
 	})
 }
 
 // Close stops the background janitors and syncs and closes the shard
 // journals. The registry's in-memory state remains usable (sessions,
 // lookups, caches all keep working); only the periodic TTL reaping and
-// — for persistent registries — journaling stop. Safe to call more
+// — with a Store — journaling stop. Safe to call more
 // than once.
 func (r *Registry) Close() {
 	r.closeOnce.Do(func() { close(r.stop) })
@@ -489,8 +489,8 @@ func (r *Registry) Close() {
 
 // janitor periodically reaps one shard's TTL-expired sessions, so
 // abandoned tenants are reclaimed even when no CreateSession pressure
-// ever hits capacity, and — on persistent registries — periodically
-// compacts the shard's journal. Each shard gets its own ticker: a slow
+// ever hits capacity, and periodically compacts the shard's journal (a
+// no-op without a Store). Each shard gets its own ticker: a slow
 // scan of one shard never delays the others.
 func (r *Registry) janitor(sh *shard) {
 	defer r.janitors.Done()
@@ -503,7 +503,7 @@ func (r *Registry) janitor(sh *shard) {
 			return
 		case now := <-t.C:
 			r.reapShard(sh, now)
-			if r.persistent && r.cfg.CompactEvery > 0 && now.Sub(lastCompact) >= r.cfg.CompactEvery {
+			if r.cfg.CompactEvery > 0 && now.Sub(lastCompact) >= r.cfg.CompactEvery {
 				lastCompact = now
 				// Best-effort: a failed compaction leaves the previous
 				// journal intact, and the next tick retries.
@@ -522,13 +522,7 @@ func (r *Registry) reapShard(sh *shard, now time.Time) {
 		r.live.Add(-1)
 		r.metrics.sessionsReaped.Inc()
 		r.metrics.evictReap.Add(int64(sh.cache.removeSession(id)))
-		if r.persistent {
-			// Best-effort, like the artifact appends: a dropped
-			// tombstone is counted, not retried.
-			if err := sh.journal.Append(journal.Delete{ID: id}); err != nil {
-				r.metrics.appendErrors[store.KindDelete].Inc()
-			}
-		}
+		sh.appendBestEffort(store.KindDelete, journal.Delete{ID: id}, nil)
 	}
 }
 
@@ -545,14 +539,15 @@ func (r *Registry) reapIdle(now time.Time) {
 // their owners' journals, a first pass keeps each where it was and
 // also writes it into its owner's; the second, ordinary pass drops the
 // other copies. No rewrite removes a session's last copy, so a crash
-// between any two of them loses nothing.
-func (r *Registry) compactStartup() error {
+// between any two of them loses nothing. moved lists, by journal index,
+// the sessions replay found outside their owners' journals.
+func (r *Registry) compactStartup(moved map[int][]string) error {
 	if r.recovered.Total() == 0 {
 		return nil
 	}
 	passes := []map[int][]string{nil}
-	if len(r.moved) > 0 {
-		passes = []map[int][]string{r.moved, nil}
+	if len(moved) > 0 {
+		passes = []map[int][]string{moved, nil}
 	}
 	for _, guests := range passes {
 		for i, sh := range r.shards {
@@ -630,9 +625,6 @@ func (s *session) records() []journal.Record {
 // operational hook (tests, shutdown scripts); the janitor does this
 // periodically on its own.
 func (r *Registry) CompactAll() error {
-	if !r.persistent {
-		return nil
-	}
 	for i, sh := range r.shards {
 		if err := r.compactShard(sh); err != nil {
 			return fmt.Errorf("service: compacting shard %d: %w", i, err)
@@ -773,7 +765,7 @@ func buildProvider(req *CreateSessionRequest, parallelism int, observe dpe.Stage
 
 // CreateSession decodes the request's artifacts, builds the provider
 // once, registers a session serving it on the shard its id hashes to,
-// and — on persistent registries — journals the creation. Capacity is
+// and journals the creation. Capacity is
 // a registry-wide budget: when full, idle sessions are reaped across
 // all shards before the request is refused.
 func (r *Registry) CreateSession(req *CreateSessionRequest) (*session, error) {
@@ -784,8 +776,8 @@ func (r *Registry) CreateSession(req *CreateSessionRequest) (*session, error) {
 	if err != nil {
 		return nil, err
 	}
-	// The request is encoded on every registry (not just persistent
-	// ones): the bytes are what compaction re-journals and what export
+	// The request is encoded on every registry (not just ones with a
+	// Store): the bytes are what compaction re-journals and what export
 	// bundles carry, and exporting from an in-memory server must work.
 	persistReq, err := json.Marshal(req)
 	if err != nil {
@@ -798,11 +790,9 @@ func (r *Registry) CreateSession(req *CreateSessionRequest) (*session, error) {
 	if err := r.admit(s); err != nil {
 		return nil, err
 	}
-	if r.persistent {
-		if err := s.sh.appendDurable("session create", journal.Session{ID: id, Created: s.created, Request: persistReq}); err != nil {
-			r.drop(id)
-			return nil, err
-		}
+	if err := s.sh.appendDurable("session create", journal.Session{ID: id, Created: s.created, Request: persistReq}); err != nil {
+		r.drop(id)
+		return nil, err
 	}
 	r.metrics.sessionsCreated.Inc()
 	return s, nil
@@ -817,8 +807,8 @@ func (r *Registry) Session(id string) (*session, error) {
 }
 
 // DeleteSession removes a session and its cached prepared state, and
-// journals a tombstone on persistent registries (the records vanish for
-// good at the next compaction).
+// journals a tombstone (the records vanish for good at the next
+// compaction).
 func (r *Registry) DeleteSession(id string) error {
 	live, evicted := r.drop(id)
 	if !live {
@@ -826,14 +816,9 @@ func (r *Registry) DeleteSession(id string) error {
 	}
 	r.metrics.sessionsDeleted.Inc()
 	r.metrics.evictDelete.Add(int64(evicted))
-	if r.persistent {
-		if err := r.shardFor(id).appendDurable("session delete", journal.Delete{ID: id}); err != nil {
-			// The in-memory delete already happened; surface the journal
-			// problem so the operator knows a restart could resurrect it.
-			return err
-		}
-	}
-	return nil
+	// The in-memory delete already happened; a failed append surfaces the
+	// journal problem so the operator knows a restart could resurrect it.
+	return r.shardFor(id).appendDurable("session delete", journal.Delete{ID: id})
 }
 
 // Stats aggregates a snapshot across shards. Each shard is snapshotted
@@ -859,7 +844,7 @@ func (r *Registry) StatsPerShard() RegistryStats {
 // shards' mining-state outcomes.
 func (r *Registry) aggregate(snaps []ShardStats) RegistryStats {
 	stats := RegistryStats{MaxSessions: r.cfg.MaxSessions, Shards: len(r.shards)}
-	if r.persistent {
+	if r.cfg.Store != nil {
 		recovered := r.recovered
 		stats.Recovered = &recovered
 	}

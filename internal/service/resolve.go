@@ -164,26 +164,21 @@ func (s *session) hit(k artifact) {
 	s.sh.hits[k].Add(1)
 }
 
-// keep caches a freshly built artifact and journals it. Journaling is
-// best-effort: every artifact is a cache the server can rebuild from
-// the journaled log, so a codec or IO failure must not fail the
-// tenant's request; it counts in dpe_store_append_errors_total
-// instead. A value whose codec renders no blob (a mining state without
-// a k-medoids warm start) is not journaled.
+// keep caches a freshly built artifact and journals it best-effort
+// (see shard.appendBestEffort): every artifact is a cache the server
+// can rebuild from the journaled log, so neither a codec nor an IO
+// failure fails the tenant's request. A shard without a journal skips
+// the encode, and a value whose codec renders no blob (a mining state
+// without a k-medoids warm start) is not journaled.
 func (s *session) keep(key cacheKey, v sizer) {
-	if !s.cacheLive(key, v) || !s.reg.persistent {
+	if !s.cacheLive(key, v) || s.sh.journal == nil {
 		return
 	}
 	rec, err := s.record(key, v)
 	if err == nil && rec.Blob == nil {
 		return
 	}
-	if err == nil {
-		err = s.sh.journal.Append(rec)
-	}
-	if err != nil {
-		s.reg.metrics.appendErrors[artifactKinds[key.kind].journal].Inc()
-	}
+	s.sh.appendBestEffort(rec.Kind, rec, err)
 }
 
 // cacheLive caches an artifact value and reports whether it did. It

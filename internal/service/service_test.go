@@ -344,6 +344,63 @@ func TestErrorPaths(t *testing.T) {
 	}
 }
 
+// TestTrailingBodyRejected: a JSON request body holds exactly one value.
+// Create and upload bodies with bytes after it answer 400 and leave no
+// session or log behind; trailing whitespace is still accepted.
+func TestTrailingBodyRejected(t *testing.T) {
+	reg := NewRegistry(Config{Shards: 2, JanitorInterval: -1})
+	defer reg.Close()
+	srv := httptest.NewServer(NewHandler(reg))
+	defer srv.Close()
+	post := func(path, body string) (int, string) {
+		t.Helper()
+		resp, err := http.Post(srv.URL+path, "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		b, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return resp.StatusCode, string(b)
+	}
+
+	for _, body := range []string{`{"measure":"token"} x`, `{"measure":"token"}{"measure":"result"}`, `{"measure":"token"}]`} {
+		if code, resp := post("/v1/sessions", body); code != http.StatusBadRequest {
+			t.Errorf("create with body %q: HTTP %d (%s), want 400", body, code, resp)
+		}
+	}
+	if n := reg.Stats().Sessions; n != 0 {
+		t.Fatalf("%d sessions live after rejected creates, want 0", n)
+	}
+	code, resp := post("/v1/sessions", "{\"measure\":\"token\"}\n")
+	if code != http.StatusCreated {
+		t.Fatalf("create with a trailing newline: HTTP %d (%s), want 201", code, resp)
+	}
+	var created CreateSessionResponse
+	if err := json.Unmarshal([]byte(resp), &created); err != nil {
+		t.Fatal(err)
+	}
+	s, err := reg.Session(created.Session)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	logs := "/v1/sessions/" + created.Session + "/logs"
+	for _, body := range []string{`{"queries":["SELECT a FROM t"]} x`, `{"queries":["SELECT a FROM t"]}{"queries":["SELECT b FROM t"]}`} {
+		if code, resp := post(logs, body); code != http.StatusBadRequest {
+			t.Errorf("upload with body %q: HTTP %d (%s), want 400", body, code, resp)
+		}
+	}
+	if n := s.Stats().Logs; n != 0 {
+		t.Fatalf("%d logs registered after rejected uploads, want 0", n)
+	}
+	if code, resp := post(logs, "{\"queries\":[\"SELECT a FROM t\"]}\n\t "); code != http.StatusCreated {
+		t.Fatalf("upload with trailing whitespace: HTTP %d (%s), want 201", code, resp)
+	}
+}
+
 // TestAppendParity checks the incremental ingest path end to end: for
 // every measure, Append over the wire returns a matrix entry-wise
 // identical to a from-scratch DistanceMatrix over the concatenated log,

@@ -133,7 +133,7 @@ func (s *session) addLogSized(queries []string, size int64) (string, error) {
 	// concurrent compaction between the map update and this append
 	// either already snapshotted the new log (fine: the append is a
 	// harmless duplicate for replay) or will be followed by it.
-	if err := s.journalLog(id, stored); err != nil {
+	if err := s.sh.appendDurable("log upload", journal.Log{SessionID: s.id, LogID: id, Queries: stored}); err != nil {
 		s.mu.Lock()
 		delete(s.logs, id)
 		s.logBytes -= size
@@ -143,15 +143,7 @@ func (s *session) addLogSized(queries []string, size int64) (string, error) {
 	return id, nil
 }
 
-// journalLog writes a log-upload record for a persistent registry.
-func (s *session) journalLog(id string, queries []string) error {
-	if !s.reg.persistent {
-		return nil
-	}
-	return s.sh.appendDurable("log upload", journal.Log{SessionID: s.id, LogID: id, Queries: queries})
-}
-
-// restoreLog is the replay-side inverse of journalLog: it trusts the
+// restoreLog is the replay-side inverse of a log upload: it trusts the
 // recorded id (pre-restart references must stay valid even across LogID
 // algorithm changes) and is idempotent.
 func (s *session) restoreLog(id string, queries []string) bool {

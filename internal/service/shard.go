@@ -6,12 +6,13 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/store"
 	"repro/internal/store/journal"
 )
 
 // shard is one slice of the registry's multi-tenant state: a session
 // map under its own mutex, its own singleflight group, its own
-// size-aware artifact LRU, and — when the registry is persistent — its
+// size-aware artifact LRU, and — when the registry has a Store — its
 // own append-only journal. A session's id routes it to exactly one
 // shard (see Registry.shardFor), so everything the session owns — map
 // entry, in-flight builds, cached artifacts, journal records — lives
@@ -24,20 +25,27 @@ type shard struct {
 	// so the registry's sums of them never go down.
 	hits, misses [numArtifacts]atomic.Int64
 
-	// journal is the shard's typed journal. It serializes appends
+	// journal is the shard's typed journal, nil on a registry without a
+	// Store (a nil journal journals nothing). It serializes appends
 	// against compaction internally; its lock is never taken while
 	// holding sh.mu or a session's mu (the compactor's collect runs
 	// under the journal lock and takes those locks), so the
 	// shard/session lock order stays acyclic — callers journal only
-	// outside those locks.
+	// outside those locks, and only through appendDurable or
+	// appendBestEffort.
 	journal *journal.Journal
+	// metrics is the registry's instrument set, which counts the
+	// records appendBestEffort drops.
+	metrics *registryMetrics
 
 	mu       sync.Mutex
 	sessions map[string]*session
 }
 
 // appendDurable journals a record the request must not be acknowledged
-// without; a failure comes back as a journalError naming what.
+// without: a session create, a log upload, an API delete, or an
+// imported session and its logs. A failure comes back as a
+// journalError naming what, which fails the request.
 func (sh *shard) appendDurable(what string, rec journal.Record) error {
 	if err := sh.journal.Append(rec); err != nil {
 		return journalError{fmt.Errorf("service: journaling %s: %w", what, err)}
@@ -45,11 +53,28 @@ func (sh *shard) appendDurable(what string, rec journal.Record) error {
 	return nil
 }
 
-func newShard(cacheEntries int, cacheBytes int64, jl *journal.Journal) *shard {
+// appendBestEffort journals a record the server can lose without
+// losing a tenant's data: a cached or imported artifact, which a
+// restart rebuilds from the journaled log, or the tombstone of a TTL
+// reap, without which a restart brings back an idle session the next
+// reap drops again. A failure fails no request: the record is dropped
+// and counted under kind in dpe_store_append_errors_total. err, when
+// set, is the caller's failure to render rec, dropped and counted the
+// same way.
+func (sh *shard) appendBestEffort(kind store.Kind, rec journal.Record, err error) {
+	if err == nil {
+		err = sh.journal.Append(rec)
+	}
+	if err != nil {
+		sh.metrics.appendErrors[kind].Inc()
+	}
+}
+
+func newShard(cacheEntries int, cacheBytes int64, m *registryMetrics) *shard {
 	return &shard{
 		cache:    newLRU(cacheEntries, cacheBytes),
 		flight:   newFlightGroup(),
-		journal:  jl,
+		metrics:  m,
 		sessions: make(map[string]*session),
 	}
 }

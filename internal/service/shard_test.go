@@ -15,6 +15,26 @@ import (
 	dpe "repro"
 )
 
+// TestInMemoryRegistryHasNoJournal: a registry without a Store gives
+// every shard a nil journal, so serving a warm tenant encodes and
+// writes nothing, compaction is a no-op, and stats report no recovery.
+func TestInMemoryRegistryHasNoJournal(t *testing.T) {
+	reg := NewRegistry(Config{Shards: 4, JanitorInterval: -1})
+	defer reg.Close()
+	populateTenant(t, reg)
+	for i, sh := range reg.shards {
+		if sh.journal != nil {
+			t.Errorf("shard %d has a journal on a registry without a Store", i)
+		}
+	}
+	if err := reg.CompactAll(); err != nil {
+		t.Errorf("CompactAll without a Store: %v", err)
+	}
+	if rec := reg.Stats().Recovered; rec != nil {
+		t.Errorf("stats of a registry without a Store report recovery %+v", rec)
+	}
+}
+
 // TestDefaultShards pins the derived shard count's shape: a power of
 // two in [1, 256].
 func TestDefaultShards(t *testing.T) {

@@ -9,17 +9,9 @@ import (
 	"repro/internal/store/storetest"
 )
 
-// TestStoreConformance runs the shared backend contract against both
-// backends: the null store (writes vanish by design) and the segment
-// files.
+// TestStoreConformance runs the shared backend contract against the
+// segment files, the one backend.
 func TestStoreConformance(t *testing.T) {
-	t.Run("null", func(t *testing.T) {
-		storetest.Run(t, storetest.Factory{
-			Persistent: false,
-			Open:       func(t *testing.T) store.Store { return store.Null{} },
-			Reopen:     func(t *testing.T) store.Store { return store.Null{} },
-		})
-	})
 	t.Run("segments", func(t *testing.T) {
 		var dir string
 		open := func(t *testing.T) store.Store {
@@ -30,7 +22,6 @@ func TestStoreConformance(t *testing.T) {
 			return st
 		}
 		storetest.Run(t, storetest.Factory{
-			Persistent: true,
 			Open: func(t *testing.T) store.Store {
 				dir = t.TempDir()
 				return open(t)
@@ -41,17 +32,11 @@ func TestStoreConformance(t *testing.T) {
 }
 
 // TestBackendRegistry pins the names dpeserver and the benchmark open
-// stores by: "null" and "segments" open, and an unknown name fails with
-// an error naming it and the available set.
+// stores by: "segments" opens, and any other name, "null" included (an
+// in-memory registry takes no Store), fails with an error naming it and
+// the available set.
 func TestBackendRegistry(t *testing.T) {
-	st, err := store.OpenBackend("null", "")
-	if err != nil {
-		t.Fatalf("OpenBackend(null): %v", err)
-	}
-	if _, ok := st.(store.Null); !ok {
-		t.Errorf("OpenBackend(null) = %T, want store.Null", st)
-	}
-	st, err = store.OpenBackend("segments", t.TempDir())
+	st, err := store.OpenBackend("segments", t.TempDir())
 	if err != nil {
 		t.Fatalf("OpenBackend(segments): %v", err)
 	}
@@ -59,9 +44,9 @@ func TestBackendRegistry(t *testing.T) {
 		t.Errorf("OpenBackend(segments) = %T, want an instrumentable store", st)
 	}
 	st.Close()
-	for _, name := range []string{"no-such", ""} {
+	for _, name := range []string{"null", "no-such", ""} {
 		_, err := store.OpenBackend(name, "x")
-		if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("%q", name)) || !strings.Contains(err.Error(), "null|segments") {
+		if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("%q", name)) || !strings.Contains(err.Error(), "(have segments)") {
 			t.Errorf("OpenBackend(%q) = %v, want an error naming the backend and the available set", name, err)
 		}
 	}

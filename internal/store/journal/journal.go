@@ -12,7 +12,8 @@
 // shard), encodes typed records on the way down, and decodes them on
 // the way up through a Handler during Replay — counting what was
 // applied, skipped, and ignored into a Stats the recovery report is
-// built from.
+// built from. A nil *Journal is the journal of an in-memory registry:
+// every method returns at once, encoding and replaying nothing.
 //
 // Payload formats: a session payload is a JSON object whose version 1
 // is implicit (no "v" field), the exact format every earlier release
@@ -308,7 +309,9 @@ func dispatch(rec store.Record, h Handler, st *Stats) {
 // mutually exclusive, and Compact holds the lock across the caller's
 // collect so no concurrent append can slip between what was collected
 // and what the rewritten journal holds. Callers must not invoke these
-// while holding locks their record collectors also take.
+// while holding locks their record collectors also take. A nil
+// *Journal journals nothing: each method returns at once without
+// encoding a record, calling a handler or running collect.
 type Journal struct {
 	mu  sync.Mutex
 	log store.Log
@@ -321,6 +324,9 @@ func New(log store.Log) *Journal {
 
 // Append encodes and durably appends one typed record.
 func (j *Journal) Append(rec Record) error {
+	if j == nil {
+		return nil
+	}
 	raw, err := rec.encode()
 	if err != nil {
 		return err
@@ -336,6 +342,9 @@ func (j *Journal) Append(rec Record) error {
 // never fatal.
 func (j *Journal) Replay(h Handler) (Stats, error) {
 	var st Stats
+	if j == nil {
+		return st, nil
+	}
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	err := j.log.Replay(func(rec store.Record) error {
@@ -351,6 +360,9 @@ func (j *Journal) Replay(h Handler) (Stats, error) {
 // rewrite (best-effort, like the write-through hooks) rather than
 // failing the whole compaction. A nil collect empties the journal.
 func (j *Journal) Compact(collect func() []Record) error {
+	if j == nil {
+		return nil
+	}
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	var raws []store.Record
@@ -370,6 +382,9 @@ func (j *Journal) Compact(collect func() []Record) error {
 
 // Close releases the underlying shard journal.
 func (j *Journal) Close() error {
+	if j == nil {
+		return nil
+	}
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	return j.log.Close()

@@ -355,6 +355,43 @@ func TestJournalAppendReplayCompact(t *testing.T) {
 	}
 }
 
+// encodeSpy is a Record that counts its encodes and never encodes.
+type encodeSpy struct{ n *int }
+
+func (r encodeSpy) encode() (store.Record, error) {
+	*r.n++
+	return store.Record{}, errors.New("spy: not encodable")
+}
+
+// TestNilJournal pins the journal of a shard without a store: a nil
+// *Journal appends without encoding (so even an unencodable record
+// succeeds), replays zero Stats without calling the handler, compacts
+// without calling collect, and closes without error.
+func TestNilJournal(t *testing.T) {
+	var j *Journal
+	encodes := 0
+	for _, rec := range []Record{encodeSpy{&encodes}, Session{}, Delete{ID: "s-1"}} {
+		if err := j.Append(rec); err != nil {
+			t.Errorf("Append(%T) on a nil journal = %v, want nil", rec, err)
+		}
+	}
+	if encodes != 0 {
+		t.Errorf("a nil journal encoded %d records, want 0", encodes)
+	}
+	h := &outcomeHandler{out: Applied}
+	st, err := j.Replay(h)
+	if err != nil || st != (Stats{}) || len(h.seen) != 0 {
+		t.Errorf("Replay on a nil journal = %+v, %v and %d handler calls, want zero stats, nil and none", st, err, len(h.seen))
+	}
+	collected := false
+	if err := j.Compact(func() []Record { collected = true; return nil }); err != nil || collected {
+		t.Errorf("Compact on a nil journal = %v, collect called: %v; want nil and not called", err, collected)
+	}
+	if err := j.Close(); err != nil {
+		t.Errorf("Close on a nil journal = %v", err)
+	}
+}
+
 // TestJournalSkipsDamagedRecordsDuringReplay: a corrupt raw record in
 // the middle of the journal is counted skipped, not fatal, and the
 // records around it still apply.

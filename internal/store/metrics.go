@@ -7,9 +7,9 @@ import (
 )
 
 // Instrumenter is implemented by backends that can emit the
-// dpe_store_* journal metrics (the segment directory; the null store
-// has nothing to count) — dpeserver type-asserts the configured Store
-// against this interface and wires whichever backend it got.
+// dpe_store_* journal metrics (the segment directory) — dpeserver
+// type-asserts the configured Store against this interface and wires
+// whichever backend it got.
 type Instrumenter interface {
 	Instrument(r *obs.Registry)
 }

@@ -7,15 +7,12 @@
 // The unit of persistence is one shard: the registry routes every
 // session id to a shard by a pure function of the id and the shard
 // count, so each shard can own one append-only segment file and replay
-// it independently on startup.
-// Two implementations ship:
-//
-//   - Null, the default: journals nothing, replays nothing — the
-//     historical in-memory registry.
-//   - Dir, a directory of per-shard segment files with CRC-framed
-//     records (segment.go): appends survive crashes up to the last
-//     fully-written record, and compaction rewrites a segment to just
-//     the live records.
+// it independently on startup. One implementation ships: Dir, a
+// directory of per-shard segment files with CRC-framed records
+// (segment.go), whose appends survive crashes up to the last
+// fully-written record and whose compaction rewrites a segment to just
+// the live records. A registry without a Store keeps everything in
+// memory and opens no journal at all.
 //
 // The store knows nothing about the service's types: records carry a
 // kind tag plus opaque payloads, and the service layer owns their
@@ -99,23 +96,3 @@ type Store interface {
 	// individually by their owners.
 	Close() error
 }
-
-// Null is the no-op store: nothing is journaled, nothing is replayed.
-// It is the registry default, preserving the in-memory-only behavior.
-type Null struct{}
-
-// Open returns a no-op journal.
-func (Null) Open(int) (Log, error) { return nullLog{}, nil }
-
-// List returns no journals.
-func (Null) List() ([]int, error) { return nil, nil }
-
-// Close is a no-op.
-func (Null) Close() error { return nil }
-
-type nullLog struct{}
-
-func (nullLog) Append(Record) error             { return nil }
-func (nullLog) Replay(func(Record) error) error { return nil }
-func (nullLog) Compact([]Record) error          { return nil }
-func (nullLog) Close() error                    { return nil }

@@ -248,34 +248,6 @@ func TestSegmentClosedErrors(t *testing.T) {
 	}
 }
 
-// TestNullStore pins the default: everything succeeds, nothing persists.
-func TestNullStore(t *testing.T) {
-	var s Null
-	l, err := s.Open(3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := l.Append(Record{Kind: KindSession, Session: "s-1"}); err != nil {
-		t.Fatal(err)
-	}
-	n := 0
-	if err := l.Replay(func(Record) error { n++; return nil }); err != nil {
-		t.Fatal(err)
-	}
-	if n != 0 {
-		t.Errorf("null store replayed %d records, want 0", n)
-	}
-	if err := l.Compact(nil); err != nil {
-		t.Fatal(err)
-	}
-	if err := l.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // TestSegmentPropertyRoundTrip is the store's property test: random
 // record batches — arbitrary kinds, ids, payload sizes including empty
 // and binary-heavy blobs — written to a tmpdir segment must replay

@@ -1,7 +1,6 @@
-// Package storetest is the cross-backend conformance suite for
-// store.Store implementations: any backend — the segment files, the
-// null store — must pass the same contract before the service trusts it
-// with tenant journals. Backend tests hand Run a
+// Package storetest is the conformance suite for store.Store
+// implementations: any backend — today the segment files — must pass
+// the same contract before the service trusts it with tenant journals. Backend tests hand Run a
 // Factory; the suite covers append/replay order, shard isolation,
 // replay across a close/reopen (the restart path), compaction
 // liveness, List re-homing, and closed-journal errors.
@@ -17,11 +16,6 @@ import (
 
 // Factory describes one backend under test.
 type Factory struct {
-	// Persistent reports whether the backend stores records for real
-	// (replay returns what was appended). The null store is the one
-	// backend where it is false: every write vanishes by design, and
-	// the suite asserts exactly that instead.
-	Persistent bool
 	// Open provisions fresh storage and opens a store over it. The
 	// suite calls it once per subtest, so subtests never share state.
 	Open func(t *testing.T) store.Store
@@ -116,9 +110,6 @@ func testAppendReplayOrder(t *testing.T, f Factory) {
 			want2 = append(want2, r)
 		}
 	}
-	if !f.Persistent {
-		want0, want2 = nil, nil
-	}
 	wantRecords(t, replayAll(t, l0), want0)
 	wantRecords(t, replayAll(t, l2), want2)
 }
@@ -148,9 +139,6 @@ func testReopenReplays(t *testing.T, f Factory) {
 	defer st2.Close()
 	l2 := openLog(t, st2, 1)
 	defer l2.Close()
-	if !f.Persistent {
-		want = nil
-	}
 	wantRecords(t, replayAll(t, l2), want)
 	// The reopened journal must keep appending where the old one
 	// stopped, in order.
@@ -158,9 +146,7 @@ func testReopenReplays(t *testing.T, f Factory) {
 	if err := l2.Append(extra); err != nil {
 		t.Fatalf("Append after reopen: %v", err)
 	}
-	if f.Persistent {
-		want = append(want, extra)
-	}
+	want = append(want, extra)
 	wantRecords(t, replayAll(t, l2), want)
 }
 
@@ -181,9 +167,6 @@ func testCompactionLiveness(t *testing.T, f Factory) {
 		t.Fatalf("Compact: %v", err)
 	}
 	want := live
-	if !f.Persistent {
-		want = nil
-	}
 	wantRecords(t, replayAll(t, l), want)
 
 	// Appends after a compaction land after the rewritten records.
@@ -191,9 +174,7 @@ func testCompactionLiveness(t *testing.T, f Factory) {
 	if err := l.Append(post); err != nil {
 		t.Fatalf("Append after compact: %v", err)
 	}
-	if f.Persistent {
-		want = append(want, post)
-	}
+	want = append(want, post)
 	wantRecords(t, replayAll(t, l), want)
 
 	if f.Reopen != nil {
@@ -229,9 +210,6 @@ func testListReHoming(t *testing.T, f Factory) {
 		t.Fatalf("List: %v", err)
 	}
 	want := shards
-	if !f.Persistent {
-		want = nil
-	}
 	if len(got) != len(want) {
 		t.Fatalf("List = %v, want %v", got, want)
 	}
@@ -242,20 +220,15 @@ func testListReHoming(t *testing.T, f Factory) {
 	}
 	// The orphan-retirement path: a listed shard must be reopenable
 	// and emptiable via Compact(nil).
-	if f.Persistent {
-		l := openLog(t, st, 5)
-		defer l.Close()
-		if err := l.Compact(nil); err != nil {
-			t.Fatalf("Compact(nil): %v", err)
-		}
-		wantRecords(t, replayAll(t, l), nil)
+	l := openLog(t, st, 5)
+	defer l.Close()
+	if err := l.Compact(nil); err != nil {
+		t.Fatalf("Compact(nil): %v", err)
 	}
+	wantRecords(t, replayAll(t, l), nil)
 }
 
 func testClosedJournalErrors(t *testing.T, f Factory) {
-	if !f.Persistent {
-		t.Skip("the null store's no-op journal never errors")
-	}
 	st := f.Open(t)
 	defer st.Close()
 	l := openLog(t, st, 0)
