@@ -33,9 +33,9 @@ type ImportResult struct {
 	Snapshots  int `json:"snapshots"`
 	MineStates int `json:"mine_states"`
 	// Skipped counts records that could not be applied — e.g. a blob
-	// whose codec this binary no longer understands, or an approx index
-	// an older binary exported. The session still imports; the skipped
-	// entries rebuild on demand.
+	// whose codec this binary no longer understands, an approx index
+	// an older binary exported, or a delta log whose base is missing.
+	// The session still imports; skipped artifacts rebuild on demand.
 	Skipped int `json:"skipped"`
 }
 
@@ -133,17 +133,27 @@ func (r *Registry) ImportSession(rd io.Reader) (*ImportResult, error) {
 	if len(c.logs) > cfg.MaxLogsPerSession {
 		return nil, fmt.Errorf("service: bundle has %d logs, over the per-session limit of %d", len(c.logs), cfg.MaxLogsPerSession)
 	}
+	// Rebuild the logs as replay does: a delta whose base is missing, or
+	// whose id does not match, is skipped, and a delta is charged only
+	// for its tail.
+	res := &ImportResult{Session: js.ID, Skipped: st.Skipped}
+	logs := make(map[string]sessionLog, len(c.logs))
+	var restored []journal.Log
 	var logBytes int64
-	seen := make(map[string]bool, len(c.logs))
 	for _, l := range c.logs {
-		if seen[l.LogID] {
+		if _, ok := logs[l.LogID]; ok {
 			return nil, fmt.Errorf("service: bundle repeats log %q", l.LogID)
 		}
-		seen[l.LogID] = true
-		for _, q := range l.Queries {
-			logBytes += int64(len(q))
+		sl, size, ok := rebuildLog(l, logs)
+		if !ok {
+			res.Skipped++
+			continue
 		}
+		logs[l.LogID] = sl
+		logBytes += size
+		restored = append(restored, l)
 	}
+	res.Logs = len(restored)
 	if logBytes > cfg.MaxLogBytesPerSession {
 		return nil, fmt.Errorf("service: bundle logs total %d bytes, over the per-session budget of %d", logBytes, cfg.MaxLogBytesPerSession)
 	}
@@ -155,17 +165,13 @@ func (r *Registry) ImportSession(rd io.Reader) (*ImportResult, error) {
 	if err != nil {
 		return nil, fmt.Errorf("service: rebuilding bundle session provider: %w", err)
 	}
-	for _, l := range c.logs {
-		s.logs[l.LogID] = l.Queries
-	}
-	s.logBytes = logBytes
+	s.logs, s.logBytes = logs, logBytes
 	if err := r.admit(s); err != nil {
 		return nil, err
 	}
 
 	// Warm the caches from the artifact records through the replay
 	// rules (same decode checks, same keys, same byte accounting).
-	res := &ImportResult{Session: js.ID, Logs: len(c.logs), Skipped: st.Skipped}
 	var warm []journal.Artifact
 	for _, art := range c.artifacts {
 		out := s.restore(art)
@@ -186,7 +192,7 @@ func (r *Registry) ImportSession(rd io.Reader) (*ImportResult, error) {
 	}
 
 	durable := []journal.Record{journal.Session{ID: js.ID, Created: js.Created, Request: js.Request}}
-	for _, l := range c.logs {
+	for _, l := range restored {
 		durable = append(durable, l)
 	}
 	for _, rec := range durable {
@@ -201,6 +207,13 @@ func (r *Registry) ImportSession(rd io.Reader) (*ImportResult, error) {
 			return nil, err
 		}
 	}
+	// Each imported log's record, a delta's base first, is now on disk,
+	// so later appends onto these logs journal deltas.
+	s.mu.Lock()
+	for _, l := range restored {
+		s.markDurableLocked(l.LogID)
+	}
+	s.mu.Unlock()
 	for _, art := range warm {
 		s.sh.appendBestEffort(art.Kind, art, nil)
 	}

@@ -102,6 +102,19 @@ func testExportImportRoundTrip(t *testing.T, open func() store.Store) {
 	if err := src.ExportSession("s-no-such-session", io.Discard); err == nil {
 		t.Error("export of an unknown session succeeded")
 	}
+	// The source's append chain, base → combined → combined+2, travels
+	// as its root and two deltas, each after its base.
+	var contents bundleContents
+	if _, err := journal.ReadBundle(bytes.NewReader(buf.Bytes()), &contents); err != nil {
+		t.Fatal(err)
+	}
+	var bases []string
+	for _, l := range contents.logs {
+		bases = append(bases, l.Base)
+	}
+	if want := []string{"", LogID(log[:8]), combinedID}; !reflect.DeepEqual(bases, want) {
+		t.Errorf("bundle logs have bases %q, want a root and two deltas %q", bases, want)
+	}
 
 	dst := NewRegistry(Config{Shards: 4, Store: open(), JanitorInterval: -1})
 	res, err := dst.ImportSession(bytes.NewReader(buf.Bytes()))
@@ -118,6 +131,9 @@ func testExportImportRoundTrip(t *testing.T, open func() store.Store) {
 	s, err := dst.Session(id)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if got, want := logCharge(s), logCharge(srcSession); got != want {
+		t.Errorf("imported logs charged %d bytes, the source %d", got, want)
 	}
 	got, err := s.Matrix(ctx, combinedID)
 	if err != nil {

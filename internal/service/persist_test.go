@@ -9,6 +9,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -456,6 +457,84 @@ func TestCompactionBoundsJournal(t *testing.T) {
 	}
 	if stats := s.Stats(); stats.PreparedMisses != 0 {
 		t.Errorf("post-compaction matrix missed the recovered snapshot (%d misses)", stats.PreparedMisses)
+	}
+}
+
+// TestCompactionWritesChainAsDeltas: compacting a session whose log
+// was appended to k times writes its root and k deltas, each after its
+// base, into a smaller segment than rewriting every log whole, as
+// releases before delta records did, and the compacted journal replays
+// to the same logs.
+func TestCompactionWritesChainAsDeltas(t *testing.T) {
+	dir := t.TempDir()
+	reg := NewRegistry(persistentConfig(t, dir, 1))
+	log := clusteredLog()
+	s, ids := appendChain(t, reg, log, 4, 2)
+	if err := reg.CompactAll(); err != nil {
+		t.Fatal(err)
+	}
+	reg.Close()
+
+	// The compacted segment's log records, in order, and its size as
+	// it is and with each delta framed as its whole log.
+	var logs []journal.Log
+	var size, wholeSize int
+	eachRecord(t, dir, func(_ int, raw store.Record) {
+		frame, err := store.AppendFrame(nil, raw)
+		if err != nil {
+			t.Fatal(err)
+		}
+		size += len(frame)
+		if raw.Kind == store.KindLog {
+			rec, err := journal.Decode(raw)
+			if err != nil {
+				t.Fatal(err)
+			}
+			l := rec.(journal.Log)
+			logs = append(logs, l)
+			whole, err := json.Marshal(log[:4+2*slices.Index(ids, l.LogID)])
+			if err != nil {
+				t.Fatal(err)
+			}
+			raw = store.Record{Kind: store.KindLog, Session: raw.Session, Log: raw.Log, Data: whole}
+			if frame, err = store.AppendFrame(nil, raw); err != nil {
+				t.Fatal(err)
+			}
+		}
+		wholeSize += len(frame)
+	})
+	if len(logs) != len(ids) {
+		t.Fatalf("compaction wrote %d log records, want %d", len(logs), len(ids))
+	}
+	for i, l := range logs {
+		base, queries := "", log[:4]
+		if i > 0 {
+			base, queries = ids[i-1], log[2+2*i:4+2*i]
+		}
+		if l.LogID != ids[i] || l.Base != base || !reflect.DeepEqual(l.Queries, queries) {
+			t.Errorf("log record %d = %s against %q with %d queries, want %s against %q with %d", i, l.LogID, l.Base, len(l.Queries), ids[i], base, len(queries))
+		}
+	}
+	if size >= wholeSize {
+		t.Errorf("compacted segment holds %d bytes, not fewer than the %d of whole logs", size, wholeSize)
+	}
+
+	reg2, err := OpenRegistry(persistentConfig(t, dir, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer reg2.Close()
+	if rec := reg2.Recovery(); rec.Logs != len(ids) || rec.Skipped != 0 {
+		t.Errorf("recovery from the compacted journal = %+v, want %d logs and no skips", rec, len(ids))
+	}
+	s2, err := reg2.Session(s.ID())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, id := range ids {
+		if got, err := s2.log(id); err != nil || !reflect.DeepEqual(got, log[:4+2*i]) {
+			t.Errorf("log %d after the restart = %v, %v; want its %d queries", i, got, err, 4+2*i)
+		}
 	}
 }
 

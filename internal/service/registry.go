@@ -5,7 +5,9 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"maps"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -413,10 +415,7 @@ func (a replayApplier) Log(l journal.Log) journal.Outcome {
 	if s == nil {
 		return journal.Skipped
 	}
-	if !s.restoreLog(l.LogID, l.Queries) {
-		return journal.Ignored // already present: harmless duplicate
-	}
-	return journal.Applied
+	return s.restoreLog(l)
 }
 
 func (a replayApplier) Artifact(art journal.Artifact) journal.Outcome {
@@ -596,27 +595,33 @@ func (r *Registry) compactShard(sh *shard, guests ...string) error {
 
 // records renders the session as typed journal records: the create
 // record, each uploaded log, and every artifact cached for one of them.
-// It is the one serializer both journal compaction and tenant export
-// share, so an exported bundle holds exactly what a compacted journal
-// would.
+// A log appended to another is written as a delta after its base, so
+// each append chain is its root followed by its deltas. It is the one
+// serializer both journal compaction and tenant export share, so an
+// exported bundle holds exactly what a compacted journal would.
 func (s *session) records() []journal.Record {
 	if len(s.persistReq) == 0 {
 		return nil // no encoded create request (should not happen)
 	}
 	recs := []journal.Record{journal.Session{ID: s.id, Created: s.created, Request: s.persistReq}}
 	s.mu.Lock()
-	logs := make(map[string][]string, len(s.logs))
-	for id, queries := range s.logs {
-		logs[id] = queries
-	}
+	logs := maps.Clone(s.logs)
 	s.mu.Unlock()
-	ids := make([]string, 0, len(logs))
-	for id := range logs {
-		ids = append(ids, id)
-	}
-	sort.Strings(ids)
-	for _, id := range ids {
-		recs = append(recs, journal.Log{SessionID: s.id, LogID: id, Queries: logs[id]})
+	written := make(map[string]bool, len(logs))
+	for _, id := range slices.Sorted(maps.Keys(logs)) {
+		// A delta's base is durable, so it is never rolled back and is
+		// in logs too: walk up to the first log already written, then
+		// write the walked chain root first.
+		var chain []string
+		for at := id; at != "" && !written[at]; at = logs[at].base {
+			written[at] = true
+			chain = append(chain, at)
+		}
+		for _, at := range slices.Backward(chain) {
+			l := logs[at]
+			tail := l.queries[len(logs[l.base].queries):] // all of a root's
+			recs = append(recs, journal.Log{SessionID: s.id, LogID: at, Base: l.base, Queries: tail})
+		}
 	}
 	return append(recs, s.artifactRecords(logs)...)
 }
@@ -683,7 +688,7 @@ func (r *Registry) newSession(id string, req *CreateSessionRequest, persistReq j
 		provider:   provider,
 		reg:        r,
 		sh:         r.shardFor(id),
-		logs:       make(map[string][]string),
+		logs:       make(map[string]sessionLog),
 		created:    created,
 		lastUsed:   time.Now(),
 		persistReq: persistReq,

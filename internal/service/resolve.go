@@ -220,13 +220,13 @@ func (s *session) restore(a journal.Artifact) journal.Outcome {
 		return journal.Skipped
 	}
 	s.mu.Lock()
-	queries, ok := s.logs[a.LogID]
+	l, ok := s.logs[a.LogID]
 	s.mu.Unlock()
 	if !ok {
 		return journal.Skipped
 	}
 	v, spec, n, err := artifactKinds[k].decode(s, a.Blob)
-	if err != nil || n != len(queries) {
+	if err != nil || n != len(l.queries) {
 		return journal.Skipped
 	}
 	key := cacheKey{session: s.id, kind: k, spec: spec, log: a.LogID}
@@ -243,7 +243,7 @@ func (s *session) restore(a journal.Artifact) journal.Outcome {
 // first, so replaying them rebuilds the cache's recency order. An
 // artifact whose log is not in logs is dropped — replay could not apply
 // it anyway — and so is one whose codec renders no blob.
-func (s *session) artifactRecords(logs map[string][]string) []journal.Record {
+func (s *session) artifactRecords(logs map[string]sessionLog) []journal.Record {
 	var recs []journal.Record
 	for _, key := range s.sh.cache.sessionKeys(s.id) {
 		if _, ok := logs[key.log]; !ok {

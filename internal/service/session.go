@@ -39,7 +39,7 @@ type session struct {
 	persistReq json.RawMessage
 
 	mu       sync.Mutex
-	logs     map[string][]string
+	logs     map[string]sessionLog
 	logBytes int64
 	lastUsed time.Time
 	// inflight counts leader artifact builds currently running for this
@@ -55,6 +55,20 @@ type session struct {
 	// recovered for a base log shows as a miss whose IncrementalStats
 	// report Warm.
 	hits, misses [numArtifacts]int64
+}
+
+// sessionLog is one registered log of a session.
+type sessionLog struct {
+	queries []string
+	// base is the log this one was appended to when its journal record
+	// is a delta against base (see journal.Log); "" when the record
+	// holds the whole log.
+	base string
+	// durable is set once the log's record is in the journal. Only a
+	// durable log becomes a delta's base, so no delta reaches the
+	// journal before its base, and none names a base whose failed
+	// upload was rolled back.
+	durable bool
 }
 
 // ID returns the session id.
@@ -90,22 +104,31 @@ func LogID(queries []string) string {
 // The session's raw-log store is budgeted (entries and bytes) so one
 // tenant cannot grow server memory without bound.
 func (s *session) AddLog(queries []string) (string, error) {
+	return s.addLog(append([]string(nil), queries...), "", 0)
+}
+
+// queryBytes is the byte-budget charge of queries.
+func queryBytes(queries []string) int64 {
 	size := int64(0)
 	for _, q := range queries {
 		size += int64(len(q))
 	}
-	return s.addLogSized(queries, size)
+	return size
 }
 
-// addLogSized is AddLog with the byte-budget charge made explicit: a
-// log derived from an already-stored base (the append path) shares the
-// base's string data — Go strings are immutable, so the combined slice
-// duplicates only headers — and is charged only for its new tail.
-func (s *session) addLogSized(queries []string, size int64) (string, error) {
+// addLog registers queries, which the session keeps, as a log and
+// journals it. A log appended to the log base (queries[:baseLen] are
+// base's queries; a root passes "" and 0) shares base's string data —
+// Go strings are immutable, so only the headers are new — and is
+// charged only for its tail, queries[baseLen:]. Its journal record is a
+// delta that carries that tail when base's own record is durable, and
+// the whole log before then.
+func (s *session) addLog(queries []string, base string, baseLen int) (string, error) {
 	if len(queries) == 0 {
 		return "", fmt.Errorf("service: empty query log")
 	}
 	id := LogID(queries)
+	size := queryBytes(queries[baseLen:])
 	cfg := s.reg.cfg
 	s.mu.Lock()
 	s.touchLocked()
@@ -123,8 +146,11 @@ func (s *session) addLogSized(queries []string, size int64) (string, error) {
 		s.mu.Unlock()
 		return "", fmt.Errorf("service: session log byte budget exceeded (%d + %d > %d bytes)", have, size, cfg.MaxLogBytesPerSession)
 	}
-	stored := append([]string(nil), queries...)
-	s.logs[id] = stored
+	rec := journal.Log{SessionID: s.id, LogID: id, Queries: queries}
+	if s.logs[base].durable {
+		rec.Base, rec.Queries = base, queries[baseLen:]
+	}
+	s.logs[id] = sessionLog{queries: queries, base: rec.Base}
 	s.logBytes += size
 	s.mu.Unlock()
 
@@ -133,32 +159,67 @@ func (s *session) addLogSized(queries []string, size int64) (string, error) {
 	// concurrent compaction between the map update and this append
 	// either already snapshotted the new log (fine: the append is a
 	// harmless duplicate for replay) or will be followed by it.
-	if err := s.sh.appendDurable("log upload", journal.Log{SessionID: s.id, LogID: id, Queries: stored}); err != nil {
-		s.mu.Lock()
+	err := s.sh.appendDurable("log upload", rec)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if err != nil {
 		delete(s.logs, id)
 		s.logBytes -= size
-		s.mu.Unlock()
 		return "", err
 	}
+	s.markDurableLocked(id)
 	return id, nil
 }
 
-// restoreLog is the replay-side inverse of a log upload: it trusts the
-// recorded id (pre-restart references must stay valid even across LogID
-// algorithm changes) and is idempotent.
-func (s *session) restoreLog(id string, queries []string) bool {
-	size := int64(0)
-	for _, q := range queries {
-		size += int64(len(q))
-	}
+// markDurableLocked records that the journal holds the record of the
+// registered log id; callers hold s.mu.
+func (s *session) markDurableLocked(id string) {
+	l := s.logs[id]
+	l.durable = true
+	s.logs[id] = l
+}
+
+// restoreLog is the replay-side inverse of a log upload: it trusts a
+// root's recorded id (pre-restart references must stay valid even
+// across LogID algorithm changes) and is idempotent. A delta whose base
+// is not restored, or whose rebuilt log does not hash to its id, is
+// skipped.
+func (s *session) restoreLog(rec journal.Log) journal.Outcome {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if _, ok := s.logs[id]; ok {
-		return false
+	if _, ok := s.logs[rec.LogID]; ok {
+		return journal.Ignored // already present: harmless duplicate
 	}
-	s.logs[id] = queries
+	l, size, ok := rebuildLog(rec, s.logs)
+	if !ok {
+		return journal.Skipped
+	}
+	l.durable = true
+	s.logs[rec.LogID] = l
 	s.logBytes += size
-	return true
+	return journal.Applied
+}
+
+// rebuildLog returns the log a journal record holds and its byte
+// charge: a root's queries, or a delta's base queries (looked up in
+// logs) followed by its tail, sharing the base's strings and charged
+// for the tail alone, as the live append was. It reports false for a
+// delta whose base is not in logs or whose rebuilt log does not hash to
+// the recorded id.
+func rebuildLog(rec journal.Log, logs map[string]sessionLog) (sessionLog, int64, bool) {
+	if rec.Base == "" {
+		return sessionLog{queries: rec.Queries}, queryBytes(rec.Queries), true
+	}
+	base, ok := logs[rec.Base]
+	if !ok {
+		return sessionLog{}, 0, false
+	}
+	queries := make([]string, 0, len(base.queries)+len(rec.Queries))
+	queries = append(append(queries, base.queries...), rec.Queries...)
+	if LogID(queries) != rec.LogID {
+		return sessionLog{}, 0, false
+	}
+	return sessionLog{queries: queries, base: rec.Base}, queryBytes(rec.Queries), true
 }
 
 // log returns an uploaded log by id.
@@ -166,11 +227,11 @@ func (s *session) log(id string) ([]string, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.touchLocked()
-	queries, ok := s.logs[id]
+	l, ok := s.logs[id]
 	if !ok {
 		return nil, notFoundError{fmt.Errorf("service: unknown log %q (upload it first)", id)}
 	}
-	return queries, nil
+	return l.queries, nil
 }
 
 // prepared returns the log's prepared state, serving repeat calls from
@@ -234,12 +295,12 @@ func (s *session) Append(ctx context.Context, baseLogID string, newQueries []str
 
 // appendPrepared is the ingest step Append and AppendMine share. It
 // registers base ∘ newQueries as a new content-addressed log — charged
-// only for the new tail's bytes, since the combined slice shares the
-// base's string data — and returns its id, the base length, and its
-// prepared state. The state is extended from the base log's through the
-// combined log's own singleflight key, so a racing logs:append and
-// logs:append_mine coalesce into one extension. check, when set, vets
-// the combined length before anything is registered.
+// and journaled as the new tail alone (see addLog) — and returns its
+// id, the base length, and its prepared state. The state is extended
+// from the base log's through the combined log's own singleflight key,
+// so a racing logs:append and logs:append_mine coalesce into one
+// extension. check, when set, vets the combined length before anything
+// is registered.
 func (s *session) appendPrepared(ctx context.Context, baseLogID string, newQueries []string, check func(n int) error) (string, int, *dpe.PreparedLog, error) {
 	base, err := s.log(baseLogID)
 	if err != nil {
@@ -257,11 +318,7 @@ func (s *session) appendPrepared(ctx context.Context, baseLogID string, newQueri
 	combined := make([]string, 0, len(base)+len(newQueries))
 	combined = append(combined, base...)
 	combined = append(combined, newQueries...)
-	tailSize := int64(0)
-	for _, q := range newQueries {
-		tailSize += int64(len(q))
-	}
-	combinedID, err := s.addLogSized(combined, tailSize)
+	combinedID, err := s.addLog(combined, baseLogID, len(base))
 	if err != nil {
 		return "", 0, nil, err
 	}

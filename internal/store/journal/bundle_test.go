@@ -10,6 +10,8 @@ import (
 	"reflect"
 	"runtime"
 	"testing"
+
+	"repro/internal/store"
 )
 
 // writeBundle renders recs as a complete bundle.
@@ -24,6 +26,29 @@ func writeBundle(t testing.TB, recs []Record) []byte {
 		if err := bw.Append(rec); err != nil {
 			t.Fatal(err)
 		}
+	}
+	if err := bw.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// rawBundle frames raw records, which need not decode, into a complete
+// bundle.
+func rawBundle(t testing.TB, recs ...store.Record) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	bw, err := NewBundleWriter(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, rec := range recs {
+		frame, err := store.AppendFrame(nil, rec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		bw.w.Write(frame)
+		bw.count++
 	}
 	if err := bw.Close(); err != nil {
 		t.Fatal(err)
@@ -133,22 +158,7 @@ func TestBundleRejectsDamage(t *testing.T) {
 	// A correctly framed record of an unknown kind (a newer release's
 	// addition) counts as skipped — only unparseable frame JSON is a
 	// hard error.
-	var buf bytes.Buffer
-	bw, err := NewBundleWriter(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	payload := []byte(`{"k":"no-such-kind","s":"s-1"}`)
-	var hdr [8]byte
-	binary.LittleEndian.PutUint32(hdr[0:4], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(hdr[4:8], crc32.ChecksumIEEE(payload))
-	bw.w.Write(hdr[:])
-	bw.w.Write(payload)
-	bw.count++
-	if err := bw.Close(); err != nil {
-		t.Fatal(err)
-	}
-	st, err := ReadBundle(bytes.NewReader(buf.Bytes()), &outcomeHandler{out: Applied})
+	st, err := ReadBundle(bytes.NewReader(rawBundle(t, store.Record{Kind: "no-such-kind", Session: "s-1"})), &outcomeHandler{out: Applied})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -197,8 +207,8 @@ func allocatedBy(f func()) uint64 {
 // session's request is raw JSON, which encoding compacts.
 func canonical(t *testing.T, recs []Record) []Record {
 	t.Helper()
-	out := make([]Record, len(recs))
-	for i, rec := range recs {
+	var out []Record // nil for no records, as the handler leaves it
+	for _, rec := range recs {
 		if s, ok := rec.(Session); ok {
 			req, err := json.Marshal(s.Request)
 			if err != nil {
@@ -207,7 +217,7 @@ func canonical(t *testing.T, recs []Record) []Record {
 			s.Request = req
 			rec = s
 		}
-		out[i] = rec
+		out = append(out, rec)
 	}
 	return out
 }
@@ -225,6 +235,11 @@ func FuzzReadBundle(f *testing.F) {
 	f.Add(writeBundle(f, allRecords(f)))
 	f.Add(parent)
 	f.Add(hostileBundle())
+	// Delta log blobs with a tail count of 2^32-1 and with a query that
+	// claims 5 bytes where 1 is left.
+	for _, blob := range [][]byte{{1, 1, 'b', 0xff, 0xff, 0xff, 0xff, 0x0f, 1, 'c'}, {1, 1, 'b', 1, 5, 'c'}} {
+		f.Add(rawBundle(f, store.Record{Kind: store.KindLog, Session: "s-1", Log: "l-2", Blob: blob}))
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		h := &outcomeHandler{out: Applied}
 		var err error

@@ -17,21 +17,28 @@
 //
 // Payload formats: a session payload is a JSON object whose version 1
 // is implicit (no "v" field), the exact format every earlier release
-// wrote; a log payload is the bare JSON array of queries; an artifact
-// carries its codec's own versioned blob. A payload this package
-// cannot read (a session payload declaring a newer version, a log
-// payload that is not an array, a damaged body) decodes to an error,
-// which replay counts as skipped instead of failing: the journal is a
-// recovery aid, and partial recovery beats refusing to start.
+// wrote. A log record is a root or a delta. A root log carries all its
+// queries as the bare JSON array in "d", the only log payload earlier
+// releases wrote or read. A delta names the log it extends and carries
+// only the queries appended to it, as a versioned binary blob in "b"
+// (see Log); an earlier release finds no "d" in it and skips it. An
+// artifact carries its codec's own versioned blob. A payload this
+// package cannot read (a session payload declaring a newer version, a
+// root payload that is not an array, a delta blob of an unknown version,
+// a damaged body) decodes to an error, which replay counts as skipped
+// instead of failing: the journal is a recovery aid, and partial
+// recovery beats refusing to start.
 package journal
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"sync"
 	"time"
 
+	"repro/internal/binenc"
 	"repro/internal/store"
 )
 
@@ -39,6 +46,10 @@ import (
 // and the highest it can read. Version 1 is implicit (no "v" field)
 // for wire stability with pre-journal-package releases.
 const sessionVersion = 1
+
+// logDeltaVersion is the version byte that opens a delta log's blob,
+// the only one this package writes or reads.
+const logDeltaVersion = 1
 
 // Record is one typed journal event. The concrete types in this
 // package — Session, Delete, Log, Artifact — are the complete set; the
@@ -64,9 +75,20 @@ type Delete struct {
 }
 
 // Log records an uploaded query log under its content-addressed id.
+// A root log (Base empty) carries every query of the log. A delta
+// names in Base the log it was appended to and carries only the
+// appended queries, so the log it records is Base's queries followed
+// by Queries. A delta's blob is
+//
+//	version byte (1) | uvarint-prefixed Base | uvarint tail count |
+//	each tail query, uvarint-prefixed
+//
+// A delta applies only after its base, so a writer journals the base
+// first.
 type Log struct {
 	SessionID string
 	LogID     string
+	Base      string
 	Queries   []string
 }
 
@@ -149,24 +171,59 @@ func (l Log) encode() (store.Record, error) {
 	if len(l.Queries) == 0 {
 		return store.Record{}, fmt.Errorf("journal: log record without queries")
 	}
+	rec := store.Record{Kind: store.KindLog, Session: l.SessionID, Log: l.LogID}
+	if l.Base != "" {
+		b := binenc.AppendString([]byte{logDeltaVersion}, l.Base)
+		b = binary.AppendUvarint(b, uint64(len(l.Queries)))
+		for _, q := range l.Queries {
+			b = binenc.AppendString(b, q)
+		}
+		rec.Blob = b
+		return rec, nil
+	}
 	data, err := json.Marshal(l.Queries)
 	if err != nil {
 		return store.Record{}, fmt.Errorf("journal: encoding log record: %w", err)
 	}
-	return store.Record{Kind: store.KindLog, Session: l.SessionID, Log: l.LogID, Data: data}, nil
+	rec.Data = data
+	return rec, nil
 }
 
-// decodeLog reads the bare queries array, the only log payload any
-// release has written.
+// decodeLog reads a root's bare queries array from "d", or a delta's
+// blob from "b"; a record carrying both, or neither, is damaged.
 func decodeLog(rec store.Record) (Log, error) {
-	var queries []string
-	if err := json.Unmarshal(rec.Data, &queries); err != nil {
-		return Log{}, fmt.Errorf("journal: decoding log record: %w", err)
+	if rec.Session == "" || rec.Log == "" {
+		return Log{}, fmt.Errorf("journal: log record without a session or log id")
 	}
-	if rec.Session == "" || rec.Log == "" || len(queries) == 0 {
-		return Log{}, fmt.Errorf("journal: incomplete log record")
+	l := Log{SessionID: rec.Session, LogID: rec.Log}
+	switch {
+	case len(rec.Blob) > 0 && len(rec.Data) > 0:
+		return Log{}, fmt.Errorf("journal: log record carries both a root and a delta payload")
+	case len(rec.Blob) > 0:
+		r := binenc.NewReader(rec.Blob)
+		if v := r.Byte(); v != logDeltaVersion {
+			r.Fail("unknown log delta version %d", v)
+		}
+		l.Base = r.Str()
+		l.Queries = make([]string, r.Count(1))
+		for i := range l.Queries {
+			l.Queries[i] = r.Str()
+		}
+		if err := r.Done(); err != nil {
+			return Log{}, fmt.Errorf("journal: decoding log delta: %w", err)
+		}
+		if l.Base == "" {
+			return Log{}, fmt.Errorf("journal: log delta without a base")
+		}
+	default:
+		if err := json.Unmarshal(rec.Data, &l.Queries); err != nil {
+			return Log{}, fmt.Errorf("journal: decoding log record: %w", err)
+		}
 	}
-	return Log{SessionID: rec.Session, LogID: rec.Log, Queries: queries}, nil
+	if len(l.Queries) == 0 {
+		return Log{}, fmt.Errorf("journal: log record without queries")
+	}
+	return l, nil
 }
 
 func (a Artifact) encode() (store.Record, error) {

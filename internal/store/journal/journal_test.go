@@ -68,6 +68,7 @@ func allRecords(t testing.TB) []Record {
 		Session{ID: "s-1", Created: created, Request: json.RawMessage(`{"measure":"token"}`)},
 		Delete{ID: "s-2"},
 		Log{SessionID: "s-1", LogID: "l-1", Queries: []string{"SELECT a FROM t", "SELECT b FROM t"}},
+		Log{SessionID: "s-1", LogID: "l-2", Base: "l-1", Queries: []string{"SELECT c FROM t", ""}},
 		Artifact{Kind: store.KindSnapshot, SessionID: "s-1", LogID: "l-1", Blob: []byte{1, 2, 3}},
 		Artifact{Kind: store.KindMining, SessionID: "s-1", LogID: "l-1\x00mine:abc", Blob: []byte{6}},
 	}
@@ -92,11 +93,14 @@ func TestCodecRoundTrips(t *testing.T) {
 
 // TestCodecWireStability pins the payload bytes to the exact
 // pre-journal-package formats: a session record is
-// {"created":...,"req":...} with no "v" field, and a log record is the
-// bare queries array — journals written before this package existed
-// replay unchanged, and journals written now replay on those releases.
-// The bare array is the only log payload: an object form, which no
-// release wrote, is an error that replay counts as one skip.
+// {"created":...,"req":...} with no "v" field, and a root log record is
+// the bare queries array — journals written before this package existed
+// replay unchanged, and the sessions and root logs of journals written
+// now replay on those releases. The bare array is the only root
+// payload: an object form, which no release wrote, is an error that
+// replay counts as one skip. A delta log record is pinned frame byte
+// for byte; an older release reads its empty "d" as a damaged root,
+// which this test shows is one skip.
 func TestCodecWireStability(t *testing.T) {
 	created := time.Date(2026, 8, 1, 12, 0, 0, 0, time.UTC)
 	raw, err := Session{ID: "s-1", Created: created, Request: json.RawMessage(`{"measure":"token"}`)}.encode()
@@ -123,19 +127,31 @@ func TestCodecWireStability(t *testing.T) {
 	if got, err := Decode(enveloped); err == nil {
 		t.Errorf("enveloped log payload decoded to %+v", got)
 	}
-	var envSt Stats
-	envH := &outcomeHandler{out: Applied}
-	dispatch(enveloped, envH, &envSt)
-	if (envSt != Stats{Skipped: 1}) || len(envH.seen) != 0 {
-		t.Errorf("enveloped log record: stats %+v, handler saw %d; want one skip", envSt, len(envH.seen))
+	// An older release decodes only "d", which a delta leaves empty.
+	noData := store.Record{Kind: store.KindLog, Session: "s-1", Log: "l-2"}
+	if got, err := decodeLog(noData); err == nil {
+		t.Errorf("log record without a payload decoded to %+v", got)
+	}
+	for _, rec := range []store.Record{enveloped, noData} {
+		var st Stats
+		h := &outcomeHandler{out: Applied}
+		dispatch(rec, h, &st)
+		if (st != Stats{Skipped: 1}) || len(h.seen) != 0 {
+			t.Errorf("log record %+v: stats %+v, handler saw %d; want one skip", rec, st, len(h.seen))
+		}
 	}
 
 	// The blob-carrying kinds put the routing keys in "s" and "l" and the
 	// codec output, base64-encoded, in "b"; they carry no "d" payload.
+	// A delta log's blob is its version byte 1, the base id "l-1", the
+	// tail count 2 and the queries "c" and "d", each string
+	// uvarint-prefixed.
 	for _, tc := range []struct {
 		rec  Record
 		want string
 	}{
+		{Log{SessionID: "s-1", LogID: "l-2", Base: "l-1", Queries: []string{"c", "d"}},
+			`{"k":"log","s":"s-1","l":"l-2","b":"AQNsLTECAWMBZA=="}`},
 		{Artifact{Kind: store.KindSnapshot, SessionID: "s-1", LogID: "l-1", Blob: []byte{1, 2, 3}},
 			`{"k":"snapshot","s":"s-1","l":"l-1","b":"AQID"}`},
 		{Artifact{Kind: store.KindMining, SessionID: "s-1", LogID: "l-1", Blob: []byte{6}},
@@ -188,6 +204,7 @@ func TestDecodeRejectsNewerVersions(t *testing.T) {
 	cases := []store.Record{
 		{Kind: store.KindSession, Session: "s-1", Data: []byte(`{"v":99,"created":"2026-08-01T12:00:00Z","req":{"measure":"token"}}`)},
 		{Kind: store.KindLog, Session: "s-1", Log: "l-1", Data: []byte(`{"v":99,"q":["a"]}`)},
+		{Kind: store.KindLog, Session: "s-1", Log: "l-2", Blob: []byte{99, 1, 'b', 1, 1, 'c'}},
 	}
 	for _, rec := range cases {
 		if _, err := Decode(rec); err == nil {
@@ -206,6 +223,16 @@ func TestDecodeRejectsDamage(t *testing.T) {
 		{Kind: store.KindDelete, Session: ""},
 		{Kind: store.KindLog, Session: "s-1", Log: "l-1", Data: []byte(`[]`)},
 		{Kind: store.KindLog, Session: "s-1", Log: "", Data: []byte(`["a"]`)},
+		// Delta blobs: both payloads, version 0, an empty base, an empty
+		// tail, a tail count past the bytes left, a truncated query, and
+		// a trailing byte.
+		{Kind: store.KindLog, Session: "s-1", Log: "l-2", Data: []byte(`["a"]`), Blob: []byte{1, 1, 'b', 1, 1, 'c'}},
+		{Kind: store.KindLog, Session: "s-1", Log: "l-2", Blob: []byte{0, 1, 'b', 1, 1, 'c'}},
+		{Kind: store.KindLog, Session: "s-1", Log: "l-2", Blob: []byte{1, 0, 1, 1, 'c'}},
+		{Kind: store.KindLog, Session: "s-1", Log: "l-2", Blob: []byte{1, 1, 'b', 0}},
+		{Kind: store.KindLog, Session: "s-1", Log: "l-2", Blob: []byte{1, 1, 'b', 0xff, 0xff, 0xff, 0xff, 0x0f, 1, 'c'}},
+		{Kind: store.KindLog, Session: "s-1", Log: "l-2", Blob: []byte{1, 1, 'b', 1, 5, 'c'}},
+		{Kind: store.KindLog, Session: "s-1", Log: "l-2", Blob: []byte{1, 1, 'b', 1, 1, 'c', 0}},
 		{Kind: store.KindSnapshot, Session: "s-1", Log: "l-1"},
 		{Kind: store.KindMining, Session: "s-1", Log: "", Blob: []byte{1}},
 	}
@@ -225,6 +252,7 @@ func TestEncodeValidation(t *testing.T) {
 		Delete{},
 		Log{SessionID: "s-1", LogID: ""},
 		Log{SessionID: "s-1", LogID: "l-1"},
+		Log{SessionID: "s-1", LogID: "l-2", Base: "l-1"},
 		Artifact{Kind: store.KindSnapshot, SessionID: "s-1", LogID: "l-1"},
 		Artifact{Kind: store.KindSnapshot, SessionID: "", LogID: "l-1", Blob: []byte{1}},
 		Artifact{Kind: store.KindMining, SessionID: "s-1", LogID: "", Blob: []byte{1}},
@@ -242,7 +270,7 @@ func TestEncodeValidation(t *testing.T) {
 // (idempotent duplicates) nowhere — the exact counting the recovery
 // report had before the refactor.
 func TestDispatchCounting(t *testing.T) {
-	raws := make([]store.Record, 0, 5)
+	raws := make([]store.Record, 0, 6)
 	for _, rec := range allRecords(t) {
 		raw, err := rec.encode()
 		if err != nil {
@@ -255,20 +283,20 @@ func TestDispatchCounting(t *testing.T) {
 	for _, raw := range raws {
 		dispatch(raw, &outcomeHandler{out: Applied}, &st)
 	}
-	want := Stats{Sessions: 1, Tombstones: 1, Logs: 1, Snapshots: 1, MineStates: 1}
+	want := Stats{Sessions: 1, Tombstones: 1, Logs: 2, Snapshots: 1, MineStates: 1}
 	if st != want {
 		t.Errorf("all-applied stats = %+v, want %+v", st, want)
 	}
-	if st.Total() != 5 {
-		t.Errorf("Total() = %d, want 5", st.Total())
+	if st.Total() != 6 {
+		t.Errorf("Total() = %d, want 6", st.Total())
 	}
 
 	st = Stats{}
 	for _, raw := range raws {
 		dispatch(raw, &outcomeHandler{out: Skipped}, &st)
 	}
-	if (st != Stats{Skipped: 5}) {
-		t.Errorf("all-skipped stats = %+v, want only Skipped=5", st)
+	if (st != Stats{Skipped: 6}) {
+		t.Errorf("all-skipped stats = %+v, want only Skipped=6", st)
 	}
 
 	st = Stats{}
@@ -290,8 +318,8 @@ func TestDispatchCounting(t *testing.T) {
 	var sum Stats
 	sum.Add(want)
 	sum.Add(Stats{Skipped: 2})
-	if sum.Total() != 7 {
-		t.Errorf("Add/Total = %d, want 7", sum.Total())
+	if sum.Total() != 8 {
+		t.Errorf("Add/Total = %d, want 8", sum.Total())
 	}
 }
 

@@ -127,7 +127,8 @@ func (s *segment) Append(rec Record) error {
 	// or a delete tombstone) must survive power loss, not just a
 	// process crash. Every record pays this fsync, the best-effort
 	// artifact caches included, and some sit on the request path: a
-	// logs:append_mine journals its combined log and prepared snapshot,
+	// logs:append_mine journals its combined log (a delta holding only
+	// the appended queries) and the combined log's prepared snapshot,
 	// plus the warm start under a k-medoids spec, so each DBSCAN
 	// append_mine of perfbench's ingest-mine workload fsyncs two
 	// records. The fsync-latency histogram says what that costs.

@@ -31,7 +31,10 @@ const (
 	KindSession Kind = "session"
 	// KindDelete tombstones a session.
 	KindDelete Kind = "delete"
-	// KindLog records an uploaded query log; Data carries the queries.
+	// KindLog records an uploaded query log. A root log's Data carries
+	// all its queries; a log appended to another is a delta, whose Blob
+	// names that base log and carries only the appended queries (see
+	// internal/store/journal).
 	KindLog Kind = "log"
 	// KindSnapshot records a serialized prepared state for one
 	// (session, log) pair; Blob carries the metric's codec output.
