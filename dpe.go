@@ -528,10 +528,29 @@ func (p *Provider) DistanceMatrix(ctx context.Context, log []string) (Matrix, er
 }
 
 // DistanceMatrixPrepared is DistanceMatrix over an already-prepared log:
-// only the pairwise fan-out runs.
+// only the pairwise fan-out runs, into a fresh matrix
+// (DistanceMatrixPreparedInto over distance.NewMatrix).
 func (p *Provider) DistanceMatrixPrepared(ctx context.Context, pl *PreparedLog) (Matrix, error) {
+	m := distance.NewMatrix(pl.Len())
+	if err := p.DistanceMatrixPreparedInto(ctx, pl, m); err != nil {
+		return nil, err
+	}
+	return m, nil
+}
+
+// DistanceMatrixPreparedInto fills the caller's matrix m, which must be
+// pl.Len()×pl.Len(), with the distance matrix of an already-prepared
+// log. Every entry is overwritten and the diagonal zeroed, so m may be
+// reused storage that still holds another log's values; the result is
+// bit-identical to DistanceMatrixPrepared's. No build worker touches m
+// once this returns, on error and on cancellation too; after an error
+// m holds a partial build.
+func (p *Provider) DistanceMatrixPreparedInto(ctx context.Context, pl *PreparedLog, m Matrix) error {
+	if n := pl.Len(); len(m) != n {
+		return fmt.Errorf("dpe: matrix has %d rows, want %d for the log", len(m), n)
+	}
 	defer p.stage(ctx, "matrix")()
-	return distance.BuildMatrix(ctx, pl.prep.Len(), p.parallelism, pl.prep.Distance)
+	return distance.BuildMatrixInto(ctx, m, p.parallelism, pl.prep.Distance)
 }
 
 // Distances computes the distances from query q to every query of the

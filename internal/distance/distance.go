@@ -75,16 +75,36 @@ const (
 	matrixTile = 256
 )
 
-// BuildMatrix fills an n×n matrix from a pairwise distance function,
-// computing each unordered pair of the upper triangle once. With
-// parallelism > 1, bands of rows are distributed over a worker pool;
-// the result is entry-wise identical to the sequential build. The
-// build is cancellable: when ctx is done, BuildMatrix stops within at
-// most one column tile of pairs and returns the context's error. The
-// matrix is one contiguous allocation; the build itself allocates
-// nothing per pair.
+// BuildMatrix fills a fresh n×n matrix from a pairwise distance
+// function: NewMatrix followed by BuildMatrixInto, whose contract it
+// shares. The matrix is one contiguous allocation; the build itself
+// allocates nothing per pair.
 func BuildMatrix(ctx context.Context, n, parallelism int, f PairFunc) (Matrix, error) {
 	m := NewMatrix(n)
+	if err := BuildMatrixInto(ctx, m, parallelism, f); err != nil {
+		return nil, err
+	}
+	return m, nil
+}
+
+// BuildMatrixInto fills the caller's n×n matrix m (n = len(m)) from a
+// pairwise distance function, computing each unordered pair of the
+// upper triangle once. It zeroes the diagonal and overwrites every
+// other entry, so m may hold anything on entry, a previous build's
+// values included. With parallelism > 1, bands of rows are distributed
+// over a worker pool; the result is entry-wise identical to the
+// sequential build, and every worker has stopped when BuildMatrixInto
+// returns, on error and on cancellation too. The build is cancellable:
+// when ctx is done, it stops within at most one column tile of pairs
+// and returns the context's error, leaving m partly written.
+func BuildMatrixInto(ctx context.Context, m Matrix, parallelism int, f PairFunc) error {
+	n := len(m)
+	for i, row := range m {
+		if len(row) != n {
+			return fmt.Errorf("distance: matrix row %d has %d entries, want %d", i, len(row), n)
+		}
+		row[i] = 0
+	}
 	bands := (n + matrixBand - 1) / matrixBand
 	// Workers pull bands dynamically, so the shrinking upper-triangle
 	// bands still balance. Each pair (i,j) is computed by exactly one
@@ -116,10 +136,7 @@ func BuildMatrix(ctx context.Context, n, parallelism int, f PairFunc) (Matrix, e
 		}
 		return nil
 	}
-	if err := parallelFor(ctx, bands, parallelism, band); err != nil {
-		return nil, err
-	}
-	return m, nil
+	return parallelFor(ctx, bands, parallelism, band)
 }
 
 // BuildRow fills out with the distances from item q to every item of

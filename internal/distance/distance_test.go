@@ -279,6 +279,57 @@ func TestBuildMatrixParallelMatchesSequential(t *testing.T) {
 	}
 }
 
+// TestBuildMatrixIntoDirtyStorage builds into storage that holds
+// another matrix: NaN everywhere, and then the values of a build of
+// another function over a larger n, re-cut n wide as the server's
+// spare matrices are. Each result must equal BuildMatrix's bit for bit,
+// the diagonal included, so no earlier entry survives a build.
+func TestBuildMatrixIntoDirtyStorage(t *testing.T) {
+	ctx := context.Background()
+	f := func(i, j int) (float64, error) { return float64(i*31+j) / 7, nil }
+	g := func(i, j int) (float64, error) { return float64(i + j + 1), nil }
+	const big, n = 53, 37
+	want, err := BuildMatrix(ctx, n, 1, f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cut := func(backing []float64, width int) Matrix {
+		m := make(Matrix, width)
+		for i := range m {
+			m[i] = backing[i*width : (i+1)*width : (i+1)*width]
+		}
+		return m
+	}
+	for _, workers := range []int{1, 4} {
+		backing := make([]float64, big*big)
+		for i := range backing {
+			backing[i] = math.NaN()
+		}
+		for _, dirt := range []string{"NaN", "a larger build"} {
+			if dirt != "NaN" {
+				if err := BuildMatrixInto(ctx, cut(backing, big), workers, g); err != nil {
+					t.Fatal(err)
+				}
+			}
+			got := cut(backing, n)
+			if err := BuildMatrixInto(ctx, got, workers, f); err != nil {
+				t.Fatalf("parallelism %d over %s: %v", workers, dirt, err)
+			}
+			for i := range want {
+				for j := range want[i] {
+					if math.Float64bits(got[i][j]) != math.Float64bits(want[i][j]) {
+						t.Fatalf("parallelism %d over %s: entry (%d,%d) = %v, want %v", workers, dirt, i, j, got[i][j], want[i][j])
+					}
+				}
+			}
+		}
+	}
+	ragged := Matrix{make([]float64, 2), make([]float64, 1)}
+	if err := BuildMatrixInto(ctx, ragged, 1, f); err == nil {
+		t.Error("BuildMatrixInto accepted a ragged matrix")
+	}
+}
+
 func TestBuildMatrixErrorPropagates(t *testing.T) {
 	boom := errors.New("boom")
 	for _, workers := range []int{1, 4} {

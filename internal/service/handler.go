@@ -10,6 +10,7 @@ import (
 	"strconv"
 
 	dpe "repro"
+	"repro/internal/distance"
 )
 
 // maxBodyBytes bounds request bodies (uploaded artifacts can be large —
@@ -371,12 +372,72 @@ func appendMine(ctx context.Context, s *session, req *AppendMineRequest) (rowStr
 	}, nil
 }
 
+// matrix builds the log's matrix into spare storage before the status
+// goes out, and gives the storage back once the stream's last write has
+// returned, or at once when the build fails. The build's workers have
+// stopped by then (DistanceMatrixPreparedInto), and WriteMatrix formats
+// each row into its own buffer, so no request sees another's entries.
 func matrix(ctx context.Context, s *session, req *MatrixRequest) (rowStream, error) {
-	m, err := s.Matrix(ctx, req.Log)
+	st := getMatrixStore()
+	m, err := s.matrixInto(ctx, req.Log, st.cut)
 	if err != nil {
+		st.release()
 		return nil, err
 	}
-	return func(w io.Writer) error { return WriteMatrix(w, m) }, nil
+	return func(w io.Writer) error {
+		defer st.release()
+		return WriteMatrix(w, m)
+	}, nil
+}
+
+// spareMatrices keeps the storage of served matrices between /matrix
+// requests, so a warm one allocates no n×n array on the server. It
+// holds four, for the reason spareRowReaders gives, and so pins at most
+// 16 MiB: each keeps at most maxSpareVals entries.
+var spareMatrices = make(chan *matrixStore, 4)
+
+// matrixStore is the storage of one served matrix: a flat backing array
+// and a row list, re-cut for each n whose n² entries fit maxSpareVals.
+type matrixStore struct {
+	vals []float64
+	rows dpe.Matrix
+}
+
+func getMatrixStore() *matrixStore {
+	select {
+	case st := <-spareMatrices:
+		return st
+	default:
+		return new(matrixStore)
+	}
+}
+
+func (st *matrixStore) release() {
+	select {
+	case spareMatrices <- st:
+	default:
+	}
+}
+
+// cut returns an n×n matrix over the store's storage, growing it when
+// n needs more. Its entries are whatever the last request left; the
+// build overwrites them all. A matrix of more than maxSpareVals entries
+// gets storage of its own, which the store does not keep.
+func (st *matrixStore) cut(n int) dpe.Matrix {
+	if n*n > maxSpareVals {
+		return distance.NewMatrix(n)
+	}
+	if cap(st.vals) < n*n {
+		st.vals = make([]float64, n*n)
+	}
+	if cap(st.rows) < n {
+		st.rows = make(dpe.Matrix, n)
+	}
+	m := st.rows[:n]
+	for i := range m {
+		m[i] = st.vals[i*n : (i+1)*n : (i+1)*n]
+	}
+	return m
 }
 
 func distances(ctx context.Context, s *session, req *DistancesRequest) (*DistancesResponse, error) {

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	dpe "repro"
+	"repro/internal/distance"
 	"repro/internal/store/journal"
 )
 
@@ -322,8 +323,14 @@ func (s *session) appendPrepared(ctx context.Context, baseLogID string, newQueri
 	if err != nil {
 		return "", 0, nil, err
 	}
+	// The base is prepared from the queries in hand, not looked up
+	// again: a concurrent upload of the base that fails rolls it back,
+	// but the combined log registered above stays, so its append must
+	// still answer.
 	pl, err := s.preparedBy(ctx, combinedID, func(ctx context.Context) (*dpe.PreparedLog, error) {
-		basePL, err := s.prepared(ctx, baseLogID)
+		basePL, err := s.preparedBy(ctx, baseLogID, func(ctx context.Context) (*dpe.PreparedLog, error) {
+			return s.provider.Prepare(ctx, base)
+		})
 		if err != nil {
 			return nil, err
 		}
@@ -345,13 +352,24 @@ func (s *session) Neighbors(ctx context.Context, logID string, q, k int) (*dpe.N
 	return s.provider.NeighborsPrepared(ctx, pl, q, k)
 }
 
-// Matrix computes the full pairwise distance matrix of an uploaded log.
+// Matrix computes the full pairwise distance matrix of an uploaded log
+// into fresh storage, which the caller keeps.
 func (s *session) Matrix(ctx context.Context, logID string) (dpe.Matrix, error) {
+	return s.matrixInto(ctx, logID, distance.NewMatrix)
+}
+
+// matrixInto computes the full pairwise distance matrix of an uploaded
+// log into the n×n storage alloc returns for the log's length n.
+func (s *session) matrixInto(ctx context.Context, logID string, alloc func(n int) dpe.Matrix) (dpe.Matrix, error) {
 	pl, err := s.prepared(ctx, logID)
 	if err != nil {
 		return nil, err
 	}
-	return s.provider.DistanceMatrixPrepared(ctx, pl)
+	m := alloc(pl.Len())
+	if err := s.provider.DistanceMatrixPreparedInto(ctx, pl, m); err != nil {
+		return nil, err
+	}
+	return m, nil
 }
 
 // Distances computes one matrix row of an uploaded log.

@@ -61,7 +61,8 @@ type NeighborsResult struct {
 // materializing the matrix) and keeps the min(k, n−1) closest entries
 // with mining.Nearest, the selection kNN mining runs. Every measure
 // supports it. Allocation is bounded by the log, not by k, so any
-// positive k is safe.
+// positive k is safe. The row is a spare one when one is free (see
+// spareRows), so a warm call allocates only its answer.
 func (p *Provider) NeighborsPrepared(ctx context.Context, pl *PreparedLog, q, k int) (*NeighborsResult, error) {
 	n := pl.Len()
 	if q < 0 || q >= n {
@@ -71,11 +72,54 @@ func (p *Provider) NeighborsPrepared(ctx context.Context, pl *PreparedLog, q, k 
 		return nil, fmt.Errorf("dpe: neighbors needs K > 0, got %d", k)
 	}
 	defer p.stage(ctx, "rerank")()
-	row := make([]float64, n)
+	row := getRow(n)
+	// BuildRow's workers have stopped when it returns, and Nearest copies
+	// out what it keeps, so the row is free again on every path.
+	defer putRow(row)
 	if err := distance.BuildRow(ctx, n, p.parallelism, q, pl.prep.Distance, row); err != nil {
 		return nil, err
 	}
 	return &NeighborsResult{Neighbors: mining.Nearest(row, q, min(k, n-1)), Candidates: n - 1, N: n}, nil
+}
+
+// spareRows keeps NeighborsPrepared's rows between calls. It holds four:
+// up to four searches at a time reuse a row, and more allocate their
+// own. It is a bounded channel, as the service's spare row readers are,
+// not a sync.Pool: a GC does not empty it, and it bounds what the
+// spares pin.
+var spareRows = make(chan []float64, 4)
+
+// maxSpareRow caps a spare row at 64 Ki entries (512 KiB), the row of a
+// log of 65,536 queries, so the spares pin at most 2 MiB. A longer row
+// is allocated per call.
+const maxSpareRow = 1 << 16
+
+// getRow returns a row of n entries, a spare one when one is free and
+// long enough. Its entries are whatever the last call left; BuildRow
+// overwrites them all.
+func getRow(n int) []float64 {
+	if n <= maxSpareRow {
+		select {
+		case row := <-spareRows:
+			if cap(row) >= n {
+				return row[:n]
+			}
+		default:
+		}
+	}
+	return make([]float64, n)
+}
+
+// putRow keeps row as a spare unless it is over the cap or four are
+// kept already.
+func putRow(row []float64) {
+	if cap(row) > maxSpareRow {
+		return
+	}
+	select {
+	case spareRows <- row:
+	default:
+	}
 }
 
 // Neighbors prepares the log and runs the top-K search — the one-shot

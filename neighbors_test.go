@@ -2,6 +2,7 @@ package dpe
 
 import (
 	"context"
+	"fmt"
 	"reflect"
 	"sort"
 	"testing"
@@ -167,6 +168,46 @@ func TestNeighborsValidation(t *testing.T) {
 	}
 	if n := len(w.Queries); len(res.Neighbors) != 3 || res.Candidates != n-1 || res.N != n {
 		t.Errorf("access-area Neighbors = %+v, want 3 neighbors of %d candidates", res, n-1)
+	}
+}
+
+// TestNeighborsAllocBytes gates a warm top-k search at n = 2048: it
+// must allocate under a quarter of the 8·n bytes of the row it fills,
+// so the row is a spare one, not a fresh allocation per call.
+func TestNeighborsAllocBytes(t *testing.T) {
+	// Drop the spares earlier tests left, so these sequential calls
+	// reuse one row.
+	for len(spareRows) > 0 {
+		<-spareRows
+	}
+	const n = 2048
+	ctx := context.Background()
+	log := make([]string, n)
+	for i := range log {
+		log[i] = fmt.Sprintf("SELECT c%d, name FROM t%d WHERE a > %d AND b = 'v%d'", i%11, i%3, i, i%17)
+	}
+	p, err := NewProvider(MeasureToken, WithParallelism(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	pl, err := p.Prepare(ctx, log)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := p.NeighborsPrepared(ctx, pl, 0, 10); err != nil {
+		t.Fatal(err)
+	}
+	least := ^uint64(0)
+	for q := 1; q <= 5; q++ {
+		least = min(least, allocatedBy(func() {
+			if _, err := p.NeighborsPrepared(ctx, pl, q, 10); err != nil {
+				t.Fatal(err)
+			}
+		}))
+	}
+	t.Logf("a warm top-10 search at n=%d allocated %d bytes", n, least)
+	if bound := uint64(8 * n / 4); least >= bound {
+		t.Errorf("a warm top-10 search at n=%d allocated %d bytes, want under %d", n, least, bound)
 	}
 }
 
