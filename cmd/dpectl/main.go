@@ -17,7 +17,9 @@
 //
 // With -remote URL, the provider side runs against a dpeserver at that
 // URL instead of in-process: the encrypted artifacts travel over the
-// wire, and distance/mine/verify become HTTP calls. The output is
+// wire, and the encrypted log's matrix, mining result or neighbors come
+// back over HTTP. The plaintext log stays with the owner: verify builds
+// its matrix and checks Definition 1 in-process. The output is
 // identical either way — that is the wire format's preservation
 // property.
 package main
@@ -374,7 +376,7 @@ func run(c *cliConfig) error {
 		if err != nil {
 			return err
 		}
-		rep, err := encP.VerifyPreservation(plain, enc)
+		rep, err := dpe.VerifyPreservation(plain, enc, 0)
 		if err != nil {
 			return err
 		}

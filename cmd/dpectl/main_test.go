@@ -1,10 +1,18 @@
 package main
 
 import (
+	"bytes"
+	"io"
+	"net/http"
+	"net/http/httptest"
+	"regexp"
+	"slices"
 	"strings"
+	"sync"
 	"testing"
 
 	dpe "repro"
+	"repro/internal/service"
 )
 
 func TestParseConfigDefaults(t *testing.T) {
@@ -141,6 +149,59 @@ func TestParseConfigErrors(t *testing.T) {
 		_, err := parseConfig(tc.args)
 		if err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("parseConfig(%v) = %v, want error mentioning %q", tc.args, err, tc.want)
+		}
+	}
+}
+
+// sessionPath matches the session id segment of a /v1 path.
+var sessionPath = regexp.MustCompile(`^/v1/sessions/[^/]+`)
+
+// TestVerifyRemoteChecksLocally runs dpectl verify -remote against an
+// in-process dpeserver that records every request. The server must see
+// only the session's creation, the encrypted log and its matrix
+// request: no /verify call and no plaintext table name. The owner's
+// Definition 1 check must pass.
+func TestVerifyRemoteChecksLocally(t *testing.T) {
+	reg := service.NewRegistry(service.Config{})
+	t.Cleanup(reg.Close)
+	h := service.NewHandler(reg)
+	var (
+		mu     sync.Mutex
+		calls  []string
+		bodies [][]byte
+	)
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		body, err := io.ReadAll(r.Body)
+		if err != nil {
+			t.Error(err)
+		}
+		mu.Lock()
+		calls = append(calls, r.Method+" "+sessionPath.ReplaceAllString(r.URL.Path, "/v1/sessions/{id}"))
+		bodies = append(bodies, body)
+		mu.Unlock()
+		r.Body = io.NopCloser(bytes.NewReader(body))
+		h.ServeHTTP(w, r)
+	}))
+	t.Cleanup(srv.Close)
+
+	c, err := parseConfig([]string{"verify", "-queries", "12", "-remote", srv.URL})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := run(c); err != nil {
+		t.Fatalf("dpectl verify -remote: %v", err)
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	want := []string{"POST /v1/sessions", "POST /v1/sessions/{id}/logs", "POST /v1/sessions/{id}/matrix"}
+	if !slices.Equal(calls, want) {
+		t.Errorf("requests = %q, want %q", calls, want)
+	}
+	for i, body := range bodies {
+		for _, table := range []string{"photoobj", "specobj"} {
+			if bytes.Contains(body, []byte(table)) {
+				t.Errorf("%s carries the plaintext table name %q", calls[i], table)
+			}
 		}
 	}
 }

@@ -36,7 +36,6 @@
 //	POST   /v1/sessions/{id}/distances         one matrix row (kNN access pattern)
 //	POST   /v1/sessions/{id}/mine              matrix + mining algorithm
 //	GET    /v1/sessions/{id}/neighbors         the k nearest queries to one query
-//	POST   /v1/sessions/{id}/verify            Definition 1 check on two matrices
 //	GET    /v1/stats                           server-wide stats
 //	GET    /v1/healthz                         liveness
 //
@@ -52,7 +51,9 @@
 // breakdown.
 //
 // The server never holds key material: sessions carry only ciphertext
-// artifacts and the public aggregate-evaluation key. SIGINT/SIGTERM
+// artifacts and the public aggregate-evaluation key. It never checks
+// Definition 1 either; the owner does that next to its plaintext, with
+// dpe.VerifyPreservation. SIGINT/SIGTERM
 // drain in-flight requests before exit (-shutdown-grace bounds the
 // drain).
 package main

@@ -330,7 +330,6 @@ type providerConfig struct {
 	domains     map[string]Domain
 	accessAreaX float64
 	parallelism int
-	tolerance   float64
 	observe     StageObserver
 }
 
@@ -386,12 +385,6 @@ func WithAccessAreaX(x float64) ProviderOption {
 	return func(c *providerConfig) { c.accessAreaX = x }
 }
 
-// WithTolerance sets the tolerance the provider's VerifyPreservation
-// uses; unset means 1e-12.
-func WithTolerance(t float64) ProviderOption {
-	return func(c *providerConfig) { c.tolerance = t }
-}
-
 // Provider is the service-provider side of a deployment: a session
 // constructed once from a measure plus the shared encrypted artifacts of
 // Table I (encrypted catalog, encrypted domains, aggregate evaluator).
@@ -403,7 +396,6 @@ type Provider struct {
 	measure     Measure
 	metric      distance.Metric
 	parallelism int
-	tolerance   float64
 	observe     StageObserver
 }
 
@@ -428,7 +420,7 @@ func NewProvider(m Measure, opts ...ProviderOption) (*Provider, error) {
 	if _, err := m.mode(); err != nil {
 		return nil, err
 	}
-	cfg := providerConfig{tolerance: defaultTolerance}
+	var cfg providerConfig
 	for _, opt := range opts {
 		opt(&cfg)
 	}
@@ -446,14 +438,9 @@ func NewProvider(m Measure, opts ...ProviderOption) (*Provider, error) {
 		measure:     m,
 		metric:      metric,
 		parallelism: cfg.parallelism,
-		tolerance:   cfg.tolerance,
 		observe:     cfg.observe,
 	}, nil
 }
-
-// defaultTolerance is the Definition 1 check's default: the measures are
-// preserved exactly, so only float round-trip noise is tolerated.
-const defaultTolerance = 1e-12
 
 // Measure returns the session's distance measure.
 func (p *Provider) Measure() Measure { return p.measure }
@@ -580,11 +567,11 @@ func (p *Provider) DistancesPrepared(ctx context.Context, pl *PreparedLog, q int
 	return out, nil
 }
 
-// VerifyPreservation checks Definition 1 empirically with the session's
-// tolerance: the plaintext and ciphertext distance matrices must agree
-// entry-wise.
+// VerifyPreservation is VerifyPreservation(plain, enc, 0): the
+// plaintext and ciphertext distance matrices must agree entry-wise
+// within 1e-12.
 func (p *Provider) VerifyPreservation(plain, enc Matrix) (*PreservationReport, error) {
-	return VerifyPreservation(plain, enc, p.tolerance)
+	return VerifyPreservation(plain, enc, 0)
 }
 
 // MiningAlgorithm selects what Provider.Mine runs over the distance
@@ -832,7 +819,9 @@ func (p *Provider) MinePrepared(ctx context.Context, pl *PreparedLog, spec MineS
 // (or any client) needs from a service provider, independent of whether
 // the provider runs in-process (*Provider) or across the network
 // (internal/service.Session via dpeserver). Code written against this
-// interface runs against either interchangeably.
+// interface runs against either interchangeably. The Definition 1 check
+// is not part of it: the owner runs VerifyPreservation on matrices it
+// holds.
 type ProviderAPI interface {
 	// Measure returns the session's distance measure.
 	Measure() Measure
@@ -852,20 +841,28 @@ type ProviderAPI interface {
 	// the exact metric from one matrix row — the matrix triangle is
 	// never materialized.
 	Neighbors(ctx context.Context, log []string, q, k int) (*NeighborsResult, error)
-	// VerifyPreservation checks Definition 1 on two matrices.
-	VerifyPreservation(plain, enc Matrix) (*PreservationReport, error)
 }
 
 var _ ProviderAPI = (*Provider)(nil)
 
 // VerifyPreservation checks Definition 1 empirically: the plaintext and
 // ciphertext distance matrices must agree entry-wise (within tol; 0
-// means 1e-12).
+// means 1e-12). It is the data owner's check, run where the plaintext
+// matrix lives; no provider, in-process or remote, needs to see it.
 func VerifyPreservation(plain, enc Matrix, tol float64) (*PreservationReport, error) {
-	if len(plain) != len(enc) {
-		return nil, fmt.Errorf("dpe: matrix sizes differ: %d vs %d", len(plain), len(enc))
+	n := len(plain)
+	if len(enc) != n {
+		return nil, fmt.Errorf("dpe: matrix sizes differ: %d vs %d", n, len(enc))
 	}
-	return core.VerifyDPE(len(plain),
+	for i := range plain {
+		if len(plain[i]) != n {
+			return nil, fmt.Errorf("dpe: plaintext matrix row %d has length %d, want %d", i, len(plain[i]), n)
+		}
+		if len(enc[i]) != n {
+			return nil, fmt.Errorf("dpe: encrypted matrix row %d has length %d, want %d", i, len(enc[i]), n)
+		}
+	}
+	return core.VerifyDPE(n,
 		func(i, j int) (float64, error) { return plain[i][j], nil },
 		func(i, j int) (float64, error) { return enc[i][j], nil },
 		tol)

@@ -599,9 +599,24 @@ func TestRunEncryptedRoundTrip(t *testing.T) {
 	}
 }
 
+// TestVerifyPreservationSizeMismatch feeds the check matrices that are
+// not both n×n: it must return an error naming the bad row or the two
+// sizes, not panic on a short row.
 func TestVerifyPreservationSizeMismatch(t *testing.T) {
-	if _, err := VerifyPreservation(Matrix{{0}}, Matrix{{0, 1}, {1, 0}}, 0); err == nil {
-		t.Fatal("size mismatch must error")
+	square := Matrix{{0, 1, 2}, {1, 0, 3}, {2, 3, 0}}
+	for _, tc := range []struct {
+		name       string
+		plain, enc Matrix
+		want       string
+	}{
+		{"sizes", Matrix{{0}}, Matrix{{0, 1}, {1, 0}}, "sizes differ: 1 vs 2"},
+		{"ragged plain", Matrix{{0, 1, 2}, {1, 0}, {2, 3, 0}}, square, "plaintext matrix row 1 has length 2, want 3"},
+		{"ragged enc", square, Matrix{{0}, {1}, {2}}, "encrypted matrix row 0 has length 1, want 3"},
+	} {
+		rep, err := VerifyPreservation(tc.plain, tc.enc, 0)
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: VerifyPreservation = %+v, %v; want an error containing %q", tc.name, rep, err, tc.want)
+		}
 	}
 }
 

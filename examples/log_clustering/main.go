@@ -70,12 +70,17 @@ func main() {
 	}
 	dbscan := dbscanMined.Labels
 
-	// Owner: validate against plaintext with the same session.
-	plainM, err := provider.DistanceMatrix(ctx, w.Queries)
+	// Owner: validate against plaintext with an in-process session of
+	// the same measure, so the plaintext log never leaves the owner.
+	ownerSide, err := dpe.NewProvider(dpe.MeasureStructure, dpe.WithParallelism(runtime.NumCPU()))
 	if err != nil {
 		log.Fatal(err)
 	}
-	rep, err := provider.VerifyPreservation(plainM, encM)
+	plainM, err := ownerSide.DistanceMatrix(ctx, w.Queries)
+	if err != nil {
+		log.Fatal(err)
+	}
+	rep, err := dpe.VerifyPreservation(plainM, encM, 0)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -88,7 +88,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	rep, err := provider.VerifyPreservation(plainM, encM)
+	rep, err := dpe.VerifyPreservation(plainM, encM, 0)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -78,7 +78,13 @@ func main() {
 	encMatrix, encClusters := encMined.Matrix, encMined.Clusters
 
 	// 4. Owner side: the same session API on plaintext, for comparison.
-	plainMined, err := provider.Mine(ctx, queries, dpe.MineSpec{Algorithm: dpe.MineKMedoids, K: 2})
+	//    It runs in-process even with -remote: the plaintext log never
+	//    leaves the owner.
+	ownerSide, err := dpe.NewProvider(dpe.MeasureToken, dpe.WithParallelism(runtime.NumCPU()))
+	if err != nil {
+		log.Fatal(err)
+	}
+	plainMined, err := ownerSide.Mine(ctx, queries, dpe.MineSpec{Algorithm: dpe.MineKMedoids, K: 2})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -80,11 +80,6 @@ func WithAccessAreaX(x float64) SessionOption {
 	return SessionOption{apply: func(req *CreateSessionRequest) { req.AccessAreaX = x }}
 }
 
-// WithTolerance sets the tolerance of the session's Definition 1 check.
-func WithTolerance(t float64) SessionOption {
-	return SessionOption{apply: func(req *CreateSessionRequest) { req.Tolerance = t }}
-}
-
 // BuildCreateSessionRequest assembles the wire body of POST
 // /v1/sessions from a measure and session options — the same request
 // Client.NewSession sends, exposed so in-process callers (tests, the
@@ -261,8 +256,10 @@ func errorRequestID(e *errorResponse, resp *http.Response) string {
 
 // Session is a remote provider session: the client-side half of one
 // dpeserver tenant. It uploads every distinct log once (content
-// addressing makes repeats free) and then runs matrix, row, mining, and
-// verification calls against the server's cached prepared state.
+// addressing makes repeats free) and then runs matrix, row, neighbors
+// and mining calls against the server's cached prepared state. It
+// offers no Definition 1 check: that needs the owner's plaintext
+// matrix, which stays with the owner (dpe.VerifyPreservation).
 //
 // Session implements dpe.ProviderAPI and is safe for concurrent use.
 type Session struct {
@@ -571,26 +568,6 @@ func (s *Session) Mine(ctx context.Context, log []string, spec dpe.MineSpec) (*d
 	}
 	var resp dpe.MineResult
 	err = s.c.do(ctx, http.MethodPost, s.path("/mine"), &MineRequest{Log: id, Spec: EncodeMineSpec(spec)}, &resp)
-	if err != nil {
-		return nil, err
-	}
-	return &resp, nil
-}
-
-// VerifyPreservation runs the Definition 1 check on the server with the
-// session's tolerance. dpe.ProviderAPI keeps the in-process (ctx-less)
-// signature, so this delegates with the background context; callers that
-// need cancellation use VerifyPreservationContext.
-func (s *Session) VerifyPreservation(plain, enc dpe.Matrix) (*dpe.PreservationReport, error) {
-	return s.VerifyPreservationContext(context.Background(), plain, enc)
-}
-
-// VerifyPreservationContext is VerifyPreservation with a cancellable
-// request context (the call uploads two full n×n matrices).
-func (s *Session) VerifyPreservationContext(ctx context.Context, plain, enc dpe.Matrix) (*dpe.PreservationReport, error) {
-	var resp dpe.PreservationReport
-	req := VerifyRequest{Plain: plain, Enc: enc}
-	err := s.c.do(ctx, http.MethodPost, s.path("/verify"), &req, &resp)
 	if err != nil {
 		return nil, err
 	}

@@ -80,12 +80,6 @@ type (
 		Rows   [][]float64     `json:"rows,omitempty"`
 		Result *dpe.MineResult `json:"result"`
 	}
-	// VerifyRequest is the body of POST /v1/sessions/{id}/verify: two
-	// distance matrices to check entry-wise (Definition 1).
-	VerifyRequest struct {
-		Plain [][]float64 `json:"plain"`
-		Enc   [][]float64 `json:"enc"`
-	}
 	// NeighborsResponse answers GET /v1/sessions/{id}/neighbors: the
 	// exact top-k neighbors of one query, plus the number of distances
 	// the server computed for it (n−1, the full row).
@@ -154,7 +148,6 @@ func (h *handler) routes() []route {
 		{"POST /v1/sessions/{id}/distances", "distances", sessionCall(h.reg, http.StatusOK, distances)},
 		{"POST /v1/sessions/{id}/mine", "mine", sessionCall(h.reg, http.StatusOK, mine)},
 		{"GET /v1/sessions/{id}/neighbors", "neighbors", h.neighbors},
-		{"POST /v1/sessions/{id}/verify", "verify", sessionCall(h.reg, http.StatusOK, verify)},
 	}
 }
 
@@ -454,10 +447,6 @@ func mine(ctx context.Context, s *session, req *MineRequest) (*dpe.MineResult, e
 		return nil, err
 	}
 	return s.Mine(ctx, req.Log, spec)
-}
-
-func verify(_ context.Context, s *session, req *VerifyRequest) (*dpe.PreservationReport, error) {
-	return s.Verify(req.Plain, req.Enc)
 }
 
 // neighbors serves the top-K API: GET with query parameters log

@@ -99,8 +99,12 @@ func newHTTPMetrics(o *obs.Registry, labels map[string]string) *httpMetrics {
 		m.durations[label] = o.Histogram("dpe_http_request_duration_seconds",
 			"API request latency by route.", nil, "route", label)
 	}
-	m.durations["unmatched"] = o.Histogram("dpe_http_request_duration_seconds",
-		"API request latency by route.", nil, "route", "unmatched")
+	// "verify" is a retired route, registered and always empty, as
+	// dpe_* series are only ever added; a request to it is unmatched.
+	for _, label := range []string{"unmatched", "verify"} {
+		m.durations[label] = o.Histogram("dpe_http_request_duration_seconds",
+			"API request latency by route.", nil, "route", label)
+	}
 	return m
 }
 

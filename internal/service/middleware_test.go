@@ -147,7 +147,8 @@ func TestClientErrorIncludesRequestID(t *testing.T) {
 func TestRouteHistogramCounts(t *testing.T) {
 	srv, o := startInstrumentedServer(t, Config{})
 
-	// A scripted mix: 3 health checks, 2 stats reads, 1 miss.
+	// A scripted mix: 3 health checks, 2 stats reads, 1 miss, and a
+	// session whose retired verify route is a second miss.
 	for i := 0; i < 3; i++ {
 		mustGet(t, srv.URL+"/v1/healthz", http.StatusOK)
 	}
@@ -155,19 +156,36 @@ func TestRouteHistogramCounts(t *testing.T) {
 		mustGet(t, srv.URL+"/v1/stats", http.StatusOK)
 	}
 	mustGet(t, srv.URL+"/v1/nosuch", http.StatusNotFound)
+	sess, err := NewClient(srv.URL).NewSession(context.Background(), dpe.MeasureToken)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.Post(srv.URL+"/v1/sessions/"+sess.ID()+"/verify", "application/json",
+		strings.NewReader(`{"plain":[[0]],"enc":[[0]]}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusNotFound {
+		t.Errorf("POST /v1/sessions/{id}/verify = %d, want 404", resp.StatusCode)
+	}
 
 	m := scrape(t, o)
 	for key, want := range map[string]float64{
-		`dpe_http_request_duration_seconds_count{route="healthz"}`:   3,
-		`dpe_http_request_duration_seconds_count{route="stats"}`:     2,
-		`dpe_http_request_duration_seconds_count{route="unmatched"}`: 1,
-		`dpe_http_requests_total{code="200",route="healthz"}`:        3,
-		`dpe_http_requests_total{code="200",route="stats"}`:          2,
-		`dpe_http_requests_total{code="404",route="unmatched"}`:      1,
-		`dpe_http_inflight_requests`:                                 0,
+		`dpe_http_request_duration_seconds_count{route="healthz"}`:        3,
+		`dpe_http_request_duration_seconds_count{route="stats"}`:          2,
+		`dpe_http_request_duration_seconds_count{route="create_session"}`: 1,
+		`dpe_http_request_duration_seconds_count{route="unmatched"}`:      2,
+		`dpe_http_request_duration_seconds_count{route="verify"}`:         0,
+		`dpe_http_requests_total{code="200",route="healthz"}`:             3,
+		`dpe_http_requests_total{code="200",route="stats"}`:               2,
+		`dpe_http_requests_total{code="201",route="create_session"}`:      1,
+		`dpe_http_requests_total{code="404",route="unmatched"}`:           2,
+		`dpe_http_inflight_requests`:                                      0,
 	} {
-		if got := m[key]; got != want {
-			t.Errorf("%s = %v, want %v", key, got, want)
+		// A missing key would also read 0.
+		if got, ok := m[key]; !ok || got != want {
+			t.Errorf("%s = %v (present %v), want %v", key, got, ok, want)
 		}
 	}
 	// Cumulative buckets: the +Inf-implied total must equal the count.

@@ -384,6 +384,86 @@ func TestDeleteSurvivesRestart(t *testing.T) {
 	}
 }
 
+// TestCreateIgnoresTolerance: the "tolerance" field that create bodies
+// carried while the server checked Definition 1 is ignored, whether an
+// old client sends it or an older release journaled it. Both sessions
+// are live with an equal matrix after a reopen over the same segments
+// directory.
+func TestCreateIgnoresTolerance(t *testing.T) {
+	ctx := context.Background()
+	dir := t.TempDir()
+	log := clusteredLog()
+	const old = `{"measure":"token","tolerance":1e-9}`
+
+	reg := NewRegistry(persistentConfig(t, dir, 1))
+	srv := httptest.NewServer(NewHandler(reg))
+	resp, err := http.Post(srv.URL+"/v1/sessions", "application/json", strings.NewReader(old))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var created CreateSessionResponse
+	err = json.NewDecoder(resp.Body).Decode(&created)
+	resp.Body.Close()
+	if err != nil || resp.StatusCode != http.StatusCreated {
+		t.Fatalf("create with a tolerance = HTTP %d, %v; want 201", resp.StatusCode, err)
+	}
+	sess, err := NewClient(srv.URL).AttachSession(ctx, created.Session)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := sess.DistanceMatrix(ctx, log)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv.Close()
+	reg.Close()
+
+	// An older release journaled the create body as it came.
+	journaled := "s-dddddddddddddddddddddddddddddddd"
+	st, err := store.OpenDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lg, err := st.Open(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	jl := journal.New(lg)
+	for _, rec := range []journal.Record{
+		journal.Session{ID: journaled, Created: time.Now(), Request: []byte(old)},
+		journal.Log{SessionID: journaled, LogID: LogID(log), Queries: log},
+	} {
+		if err := jl.Append(rec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	jl.Close()
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	reg2, err := OpenRegistry(persistentConfig(t, dir, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer reg2.Close()
+	srv2 := httptest.NewServer(NewHandler(reg2))
+	defer srv2.Close()
+	for _, id := range []string{created.Session, journaled} {
+		sess, err := NewClient(srv2.URL).AttachSession(ctx, id)
+		if err != nil {
+			t.Fatalf("session %s after reopen: %v", id, err)
+		}
+		got, err := sess.DistanceMatrix(ctx, log)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("session %s: matrix after reopen differs", id)
+		}
+	}
+}
+
 // TestCompactionBoundsJournal checks the janitor-driven rewrite: churn
 // that journals many dead records compacts down to the live state, and
 // the compacted journal still recovers it.

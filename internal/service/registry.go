@@ -151,7 +151,6 @@ type CreateSessionRequest struct {
 	AggregatorKey *WireAggregatorKey    `json:"aggregator_key,omitempty"`
 	Domains       map[string]WireDomain `json:"domains,omitempty"`
 	AccessAreaX   float64               `json:"access_area_x,omitempty"`
-	Tolerance     float64               `json:"tolerance,omitempty"`
 }
 
 // SessionStats is the wire body of GET /v1/sessions/{id}: what a tenant
@@ -761,9 +760,6 @@ func buildProvider(req *CreateSessionRequest, parallelism int, observe dpe.Stage
 	}
 	if req.AccessAreaX != 0 {
 		opts = append(opts, dpe.WithAccessAreaX(req.AccessAreaX))
-	}
-	if req.Tolerance != 0 {
-		opts = append(opts, dpe.WithTolerance(req.Tolerance))
 	}
 	return dpe.NewProvider(*req.Measure, opts...)
 }

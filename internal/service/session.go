@@ -466,14 +466,6 @@ func (s *session) AppendMine(ctx context.Context, baseLogID string, newQueries [
 	return combinedID, offset, rows, res, nil
 }
 
-// Verify runs the Definition 1 check with the session's tolerance.
-func (s *session) Verify(plain, enc dpe.Matrix) (*dpe.PreservationReport, error) {
-	s.mu.Lock()
-	s.touchLocked()
-	s.mu.Unlock()
-	return s.provider.VerifyPreservation(plain, enc)
-}
-
 // Stats snapshots the session. Observing a session is deliberately not
 // a use: a monitoring poller hitting GET /v1/sessions/{id} must not
 // reset the idle clock, or the TTL janitor could never reap a session

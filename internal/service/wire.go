@@ -12,8 +12,8 @@
 //     mining specs, and a streamed distance-matrix format. The codecs
 //     are exact: a value round-trips bit-identically, so distance
 //     preservation (Definition 1) survives the network hop. Results
-//     (dpe.MineResult, dpe.NeighborsResult, dpe.PreservationReport)
-//     need no codec: their JSON tags are the wire form.
+//     (dpe.MineResult, dpe.NeighborsResult) need no codec: their JSON
+//     tags are the wire form.
 //   - a session registry (registry.go): concurrency-safe multi-tenant
 //     state. A session is created once from a measure plus artifacts;
 //     logs are uploaded once and addressed by content hash; the metric's
@@ -22,7 +22,9 @@
 //   - HTTP (handler.go, client.go): a stdlib net/http handler exposing
 //     the registry under /v1, and a Client whose Session implements
 //     dpe.ProviderAPI, so owner-side code runs against a local Provider
-//     or a remote dpeserver interchangeably.
+//     or a remote dpeserver interchangeably. The Definition 1 check
+//     is not on the wire: the owner runs dpe.VerifyPreservation next
+//     to its plaintext matrix.
 package service
 
 import (

@@ -22,11 +22,11 @@ var goldenWirePath = filepath.Join("testdata", "wire_golden.txt")
 
 // TestWireGolden pins the /v1 response bodies byte for byte: /mine and
 // logs:append_mine (cold with an empty tail, then warm) for all six
-// algorithms, plus neighbors, distances, matrix, logs:append, a
-// preserved and a violated verify, a 400 and a 404. It drives a
-// registry through the handler with fixed request ids; the random
-// session id is replaced by {id}. RUN_GEN_FIXTURES=1 rewrites the
-// golden file instead of comparing against it.
+// algorithms, plus neighbors, distances, matrix, logs:append, a 400
+// and a 404. It drives a registry through the handler with fixed
+// request ids; the random session id is replaced by {id}.
+// RUN_GEN_FIXTURES=1 rewrites the golden file instead of comparing
+// against it.
 func TestWireGolden(t *testing.T) {
 	reg := NewRegistry(Config{Shards: 1, Parallelism: 1})
 	t.Cleanup(reg.Close)
@@ -96,11 +96,6 @@ func TestWireGolden(t *testing.T) {
 	}
 	call("append", http.MethodPost, "/v1/sessions/{id}/logs:append",
 		AppendLogRequest{Log: logID, Queries: tail[:1]})
-
-	plain := [][]float64{{0, 0.25, 0.5}, {0.25, 0, 0.75}, {0.5, 0.75, 0}}
-	enc := [][]float64{{0, 0.25, 0.625}, {0.25, 0, 0.5}, {0.625, 0.5, 0}}
-	call("verify preserved", http.MethodPost, "/v1/sessions/{id}/verify", VerifyRequest{Plain: plain, Enc: plain})
-	call("verify violated", http.MethodPost, "/v1/sessions/{id}/verify", VerifyRequest{Plain: plain, Enc: enc})
 	call("mine without algorithm", http.MethodPost, "/v1/sessions/{id}/mine",
 		map[string]any{"log": logID, "spec": map[string]int{"k": 3}})
 	call("mine unknown session", http.MethodPost, "/v1/sessions/s-unknown/mine",

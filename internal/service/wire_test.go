@@ -573,7 +573,7 @@ func FuzzCreateSessionRequest(f *testing.F) {
 	}
 	key := &dpe.AggregatorKey{N: big.NewInt(3233)}
 	for _, m := range []dpe.Measure{dpe.MeasureToken, dpe.MeasureStructure, dpe.MeasureResult, dpe.MeasureAccessArea} {
-		req, err := BuildCreateSessionRequest(m, WithCatalog(seedCat, key), WithDomains(seedDomains), WithAccessAreaX(0.25), WithTolerance(1e-9))
+		req, err := BuildCreateSessionRequest(m, WithCatalog(seedCat, key), WithDomains(seedDomains), WithAccessAreaX(0.25))
 		if err != nil {
 			f.Fatal(err)
 		}
