@@ -12,6 +12,7 @@ package dpe
 //	Benchmark<class>_*           — P1: encryption throughput per PPE class
 //	BenchmarkOPE_DomainBits      — P2: OPE cost vs domain width
 //	BenchmarkPaillier_*          — P3: HOM operation costs
+//	BenchmarkPRF_Eval, Owner_*   — P3b: owner set-up (keys, log encryption)
 //	BenchmarkDistance_*          — P4: distance-matrix construction
 //	BenchmarkBuildMatrix/*       — P4b: sequential vs parallel engine
 //	BenchmarkEndToEnd_*          — P5: encrypt-log + mine pipelines
@@ -304,6 +305,44 @@ func BenchmarkPaillier_MulConst(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		k.MulConst(c, factor)
+	}
+}
+
+// --- P3b: owner set-up ---
+
+func BenchmarkPRF_Eval(b *testing.B) {
+	p := prf.New([]byte("bench"))
+	in := []byte("SELECT-constant-0123456789")
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		p.Eval(in)
+	}
+}
+
+// BenchmarkOwner_New builds an owner at the default Paillier size.
+func BenchmarkOwner_New(b *testing.B) {
+	schema := NewSchema()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := NewOwner([]byte("bench-master"), schema, Config{}); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkOwner_EncryptLog encrypts a 256-query log per measure on an
+// owner whose joins are declared.
+func BenchmarkOwner_EncryptLog(b *testing.B) {
+	w, owner := benchWorkload(b, 256)
+	for _, m := range []Measure{MeasureToken, MeasureStructure, MeasureResult, MeasureAccessArea} {
+		b.Run(m.String(), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := owner.EncryptLog(w.Queries, m); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

@@ -202,7 +202,10 @@ func Parse(query string) (*Statement, error) { return sqlparse.Parse(query) }
 
 // Config tunes an Owner.
 type Config struct {
-	// PaillierBits sizes the HOM (Paillier) keys; 0 means 1024.
+	// PaillierBits sizes the HOM (Paillier) keys; 0 means 1024. NewOwner
+	// rejects a size below 64. The bits only size the key pair, which is
+	// derived from the master secret on the owner's first result-measure
+	// use (see NewOwner).
 	PaillierBits int
 }
 
@@ -216,7 +219,12 @@ type Owner struct {
 }
 
 // NewOwner creates a deployment from a master secret and the plaintext
-// schema. All keys derive deterministically from the secret.
+// schema. All keys derive deterministically from the secret, each when
+// first needed. The Paillier key pair serves only the result measure's
+// SUM/AVG aggregates, so it is derived on the first EncryptCatalog,
+// ResultAggregator, ResultAggregatorKey or RunEncrypted call that needs
+// it: an owner that only encrypts logs and domains never generates it.
+// An Owner is safe for concurrent use once DeclareJoins has returned.
 func NewOwner(master []byte, schema *Schema, cfg Config) (*Owner, error) {
 	d, err := encdb.NewDeployment(master, encdb.Config{PaillierBits: cfg.PaillierBits})
 	if err != nil {

@@ -6,6 +6,11 @@ import (
 	"testing/quick"
 )
 
+// raceEnabled is set under -race (race_test.go). The race detector
+// makes sync.Pool drop a random share of its items, so allocation
+// counts there are not the program's.
+var raceEnabled bool
+
 func TestRoundTrip(t *testing.T) {
 	s := NewFromSeed([]byte("seed"))
 	for _, pt := range [][]byte{nil, {}, []byte("x"), []byte("SELECT a FROM r"), bytes.Repeat([]byte{7}, 500)} {
@@ -109,5 +114,19 @@ func TestQuickDeterminismAndInjectivity(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestEncryptAllocs gates the per-constant cost: a warm Encrypt
+// allocates its synthetic IV, its output and its CTR stream, nothing
+// more.
+func TestEncryptAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops items under -race")
+	}
+	s := NewFromSeed([]byte("seed"))
+	pt := []byte("SELECT-constant-0123456789")
+	if allocs := testing.AllocsPerRun(100, func() { s.Encrypt(pt) }); allocs > 3 {
+		t.Errorf("Encrypt: %v allocations, want at most 3", allocs)
 	}
 }

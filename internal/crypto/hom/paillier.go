@@ -57,12 +57,21 @@ type PrivateKey struct {
 	crt    *crtKey  // CRT-split decryption state; nil on NoCRT copies
 }
 
+// CheckBits returns the error GenerateKey gives for a modulus size it
+// rejects, and nil for one it accepts.
+func CheckBits(bits int) error {
+	if bits < 64 {
+		return fmt.Errorf("hom: modulus size %d too small (min 64)", bits)
+	}
+	return nil
+}
+
 // GenerateKey creates a Paillier key pair with an n of the given bit
 // size, drawing primes from random (use crypto/rand.Reader in
 // production; a deterministic reader yields reproducible keys for tests).
 func GenerateKey(random io.Reader, bits int) (*PrivateKey, error) {
-	if bits < 64 {
-		return nil, fmt.Errorf("hom: modulus size %d too small (min 64)", bits)
+	if err := CheckBits(bits); err != nil {
+		return nil, err
 	}
 	if random == nil {
 		random = rand.Reader

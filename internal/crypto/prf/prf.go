@@ -15,45 +15,76 @@ import (
 	"crypto/hmac"
 	"crypto/sha256"
 	"encoding/binary"
+	"hash"
 	"math/big"
+	"sync"
 )
 
 // Size is the output size in bytes of the PRF.
 const Size = sha256.Size
 
-// PRF is a keyed pseudo-random function based on HMAC-SHA256.
-// The zero value is unusable; construct with New.
+// PRF is a keyed pseudo-random function based on HMAC-SHA256. It is
+// safe for concurrent use. The zero value is unusable; construct with New.
 type PRF struct {
 	key []byte
+	// macs holds HMAC states keyed once with key. Reset restores a
+	// state's keyed start, so a call pays for hmac.New only when the
+	// pool is empty.
+	macs sync.Pool // of *keyedMAC
+}
+
+// keyedMAC is one reusable HMAC-SHA256 state with scratch for
+// EvalParts' length prefixes, which would otherwise escape to the heap
+// through hash.Hash.Write.
+type keyedMAC struct {
+	hash.Hash
+	lenBuf [8]byte
 }
 
 // New returns a PRF keyed with key. The key is copied.
 func New(key []byte) *PRF {
-	k := make([]byte, len(key))
-	copy(k, key)
-	return &PRF{key: k}
+	p := &PRF{key: append([]byte{}, key...)}
+	p.macs.New = func() any { return &keyedMAC{Hash: hmac.New(sha256.New, p.key)} }
+	return p
+}
+
+// mac returns a keyed state ready for input.
+func (p *PRF) mac() *keyedMAC { return p.macs.Get().(*keyedMAC) }
+
+// release resets m to its keyed start and returns it to the pool.
+func (p *PRF) release(m *keyedMAC) {
+	m.Reset()
+	p.macs.Put(m)
 }
 
 // Eval returns HMAC-SHA256(key, input). The result is a fresh slice of
 // length Size.
 func (p *PRF) Eval(input []byte) []byte {
-	mac := hmac.New(sha256.New, p.key)
-	mac.Write(input)
-	return mac.Sum(nil)
+	m := p.mac()
+	m.Write(input)
+	out := m.Sum(make([]byte, 0, Size))
+	p.release(m)
+	return out
 }
 
 // EvalParts evaluates the PRF over the concatenation of the given parts,
 // with each part length-prefixed so that distinct part boundaries can never
 // collide ("ab","c" never equals "a","bc").
 func (p *PRF) EvalParts(parts ...[]byte) []byte {
-	mac := hmac.New(sha256.New, p.key)
-	var lenBuf [8]byte
+	return p.appendParts(make([]byte, 0, Size), parts...)
+}
+
+// appendParts appends EvalParts(parts...) to dst.
+func (p *PRF) appendParts(dst []byte, parts ...[]byte) []byte {
+	m := p.mac()
 	for _, part := range parts {
-		binary.BigEndian.PutUint64(lenBuf[:], uint64(len(part)))
-		mac.Write(lenBuf[:])
-		mac.Write(part)
+		binary.BigEndian.PutUint64(m.lenBuf[:], uint64(len(part)))
+		m.Write(m.lenBuf[:])
+		m.Write(part)
 	}
-	return mac.Sum(nil)
+	dst = m.Sum(dst)
+	p.release(m)
+	return dst
 }
 
 // Derive returns a subkey bound to the given label. It implements a
@@ -69,9 +100,13 @@ type DRBG struct {
 	prf     *PRF
 	label   []byte
 	counter uint64
+	ctr     [8]byte // counter's big-endian bytes for the next block
 	buf     []byte
 	off     int
 }
+
+// drbgTag is the first part of every DRBG block's PRF input.
+var drbgTag = []byte("drbg")
 
 // NewDRBG returns a DRBG seeded by key and label.
 func NewDRBG(key []byte, label []byte) *DRBG {
@@ -87,11 +122,11 @@ func NewDRBGFromPRF(p *PRF, label []byte) *DRBG {
 	return &DRBG{prf: p, label: l}
 }
 
+// refill computes the next block into buf's storage.
 func (d *DRBG) refill() {
-	var ctr [8]byte
-	binary.BigEndian.PutUint64(ctr[:], d.counter)
+	binary.BigEndian.PutUint64(d.ctr[:], d.counter)
 	d.counter++
-	d.buf = d.prf.EvalParts([]byte("drbg"), d.label, ctr[:])
+	d.buf = d.prf.appendParts(d.buf[:0], drbgTag, d.label, d.ctr[:])
 	d.off = 0
 }
 

@@ -23,6 +23,7 @@ import (
 	"fmt"
 	"math"
 	"strings"
+	"sync"
 
 	"repro/internal/crypto/det"
 	"repro/internal/crypto/hom"
@@ -78,14 +79,25 @@ func (m Mode) String() string {
 }
 
 // Deployment owns every key and scheme of one encrypted installation.
-// Construct with NewDeployment; safe for concurrent use after setup.
+// Construct with NewDeployment and declare joins (DeclareJoins) before
+// encrypting; after that it is safe for concurrent use.
+//
+// Only the name schemes are keyed at construction. Column schemes are
+// built on a column's first constant and kept. The HOM (Paillier) key
+// pair and its fixed-base encryptor are derived from the master secret
+// on first use: by EncryptCatalog's HOM columns, Aggregator,
+// AggregatorKey, Paillier, or the decryption of a SUM or AVG result.
+// A deployment that encrypts only logs and domains never generates it.
 type Deployment struct {
 	km        *keys.Manager
-	relScheme *det.Scheme
-	attr      *det.Scheme
-	paillier  *hom.PrivateKey
-	homEnc    *hom.Encryptor
+	relNames  nameMemo
+	attrNames nameMemo
 	opeParams ope.Params
+
+	homBits  int
+	homOnce  sync.Once
+	paillier *hom.PrivateKey // set by homOnce
+	homEnc   *hom.Encryptor  // set by homOnce
 
 	// caches keyed by column id + class
 	schemes schemeCache
@@ -93,15 +105,19 @@ type Deployment struct {
 
 // Config tunes a Deployment.
 type Config struct {
-	// PaillierBits is the HOM modulus size; 0 means hom.DefaultBits.
-	// Tests use smaller keys for speed.
+	// PaillierBits sizes the HOM modulus; 0 means hom.DefaultBits.
+	// NewDeployment rejects a size the key generator would, but the key
+	// pair itself is derived on first use. Tests use smaller keys for
+	// speed.
 	PaillierBits int
 	// OPEParams overrides the OPE parameters; zero value means
 	// ope.DefaultParams().
 	OPEParams ope.Params
 }
 
-// NewDeployment derives all schemes from the master secret.
+// NewDeployment derives the name schemes from the master secret and
+// checks cfg; every other key is derived from the same secret when
+// first needed.
 func NewDeployment(master []byte, cfg Config) (*Deployment, error) {
 	km := keys.NewManager(master)
 	rel, err := det.New(km.RelationKey())
@@ -116,25 +132,20 @@ func NewDeployment(master []byte, cfg Config) (*Deployment, error) {
 	if bits == 0 {
 		bits = hom.DefaultBits
 	}
-	// The Paillier key pair is reproducible from the master secret.
-	paillier, err := hom.GenerateKey(prf.NewDRBG(km.HomSeed(), []byte("paillier")), bits)
-	if err != nil {
+	if err := hom.CheckBits(bits); err != nil {
 		return nil, fmt.Errorf("encdb: paillier: %w", err)
 	}
 	opeParams := cfg.OPEParams
 	if opeParams == (ope.Params{}) {
 		opeParams = ope.DefaultParams()
 	}
-	// The fixed-base window table turns every HOM column encryption
-	// into table multiplications instead of a full r^n exponentiation.
-	// Its base is derived from the master secret too, so the whole
-	// deployment stays reproducible; per-value randomness is still
-	// drawn fresh at Encrypt time.
-	homEnc, err := paillier.NewEncryptor(prf.NewDRBG(km.HomSeed(), []byte("paillier-encryptor")))
-	if err != nil {
-		return nil, fmt.Errorf("encdb: paillier encryptor: %w", err)
+	d := &Deployment{
+		km:        km,
+		relNames:  nameMemo{scheme: rel, enc: make(map[string]string)},
+		attrNames: nameMemo{scheme: attr, enc: make(map[string]string)},
+		opeParams: opeParams,
+		homBits:   bits,
 	}
-	d := &Deployment{km: km, relScheme: rel, attr: attr, paillier: paillier, homEnc: homEnc, opeParams: opeParams}
 	d.schemes.init()
 	return d, nil
 }
@@ -153,8 +164,33 @@ func MustNewDeployment(master []byte, cfg Config) *Deployment {
 func (d *Deployment) Keys() *keys.Manager { return d.km }
 
 // Paillier exposes the HOM key pair (public part used by the encrypted
-// executor's aggregator).
-func (d *Deployment) Paillier() *hom.PrivateKey { return d.paillier }
+// executor's aggregator), deriving it on first use.
+func (d *Deployment) Paillier() *hom.PrivateKey {
+	sk, _ := d.hom()
+	return sk
+}
+
+// hom returns the HOM key pair and its encryptor, deriving both on the
+// first call. Both are reproducible from the master secret, so the
+// first call's timing cannot change them.
+func (d *Deployment) hom() (*hom.PrivateKey, *hom.Encryptor) {
+	d.homOnce.Do(func() {
+		sk, err := hom.GenerateKey(prf.NewDRBG(d.km.HomSeed(), []byte("paillier")), d.homBits)
+		if err != nil {
+			panic(err) // unreachable: NewDeployment checked the bits, and a DRBG never fails
+		}
+		// The fixed-base window table turns every HOM column encryption
+		// into table multiplications instead of a full r^n
+		// exponentiation. Its base is derived from the master secret
+		// too; per-value randomness is still drawn fresh at Encrypt time.
+		enc, err := sk.NewEncryptor(prf.NewDRBG(d.km.HomSeed(), []byte("paillier-encryptor")))
+		if err != nil {
+			panic(err) // unreachable: a DRBG never fails
+		}
+		d.paillier, d.homEnc = sk, enc
+	})
+	return d.paillier, d.homEnc
+}
 
 // --- name encryption (EncRel / EncAttr) ---
 
@@ -162,25 +198,56 @@ func (d *Deployment) Paillier() *hom.PrivateKey { return d.paillier }
 // digit, which would not lex as an identifier.
 const namePrefix = "e"
 
+// maxMemoNames caps each name memo. A schema and the aliases of its
+// queries name far fewer identifiers; past the cap a name is encrypted
+// without being stored, so a log of ever-new aliases cannot grow the
+// memo without bound.
+const maxMemoNames = 4096
+
+// nameMemo encrypts identifiers under one DET scheme and remembers
+// each identifier's ciphertext, up to maxMemoNames of them.
+type nameMemo struct {
+	scheme *det.Scheme
+	mu     sync.Mutex
+	enc    map[string]string
+}
+
+func (m *nameMemo) encrypt(name string) string {
+	m.mu.Lock()
+	enc, ok := m.enc[name]
+	m.mu.Unlock()
+	if ok {
+		return enc
+	}
+	enc = namePrefix + hex.EncodeToString(m.scheme.EncryptString(name))
+	m.mu.Lock()
+	if len(m.enc) < maxMemoNames {
+		// A parsed name may share the memory of its whole query.
+		m.enc[strings.Clone(name)] = enc
+	}
+	m.mu.Unlock()
+	return enc
+}
+
 // EncryptRelName implements EncRel: deterministic, invertible encryption
 // of a relation name into a valid SQL identifier.
 func (d *Deployment) EncryptRelName(name string) string {
-	return namePrefix + hex.EncodeToString(d.relScheme.EncryptString(name))
+	return d.relNames.encrypt(name)
 }
 
 // DecryptRelName inverts EncryptRelName.
 func (d *Deployment) DecryptRelName(enc string) (string, error) {
-	return decryptName(d.relScheme, enc)
+	return decryptName(d.relNames.scheme, enc)
 }
 
 // EncryptAttrName implements EncAttr for attribute names.
 func (d *Deployment) EncryptAttrName(name string) string {
-	return namePrefix + hex.EncodeToString(d.attr.EncryptString(name))
+	return d.attrNames.encrypt(name)
 }
 
 // DecryptAttrName inverts EncryptAttrName.
 func (d *Deployment) DecryptAttrName(enc string) (string, error) {
-	return decryptName(d.attr, enc)
+	return decryptName(d.attrNames.scheme, enc)
 }
 
 func decryptName(s *det.Scheme, enc string) (string, error) {
@@ -200,8 +267,10 @@ func decryptName(s *det.Scheme, enc string) (string, error) {
 
 // --- per-column scheme construction ---
 
-// schemeCache memoizes per-(column, class) scheme instances.
+// schemeCache memoizes per-(column, class) scheme instances; mu guards
+// the three maps.
 type schemeCache struct {
+	mu   sync.Mutex
 	det  map[string]*det.Scheme
 	ope  map[string]*ope.Scheme
 	prob map[string]*prob.Scheme
@@ -213,47 +282,45 @@ func (c *schemeCache) init() {
 	c.prob = make(map[string]*prob.Scheme)
 }
 
+// cachedScheme returns m[id], building and storing it on a miss. The
+// build runs under mu, so each id is built once.
+func cachedScheme[S any](mu *sync.Mutex, m map[string]S, id string, build func() (S, error)) (S, error) {
+	mu.Lock()
+	defer mu.Unlock()
+	if s, ok := m[id]; ok {
+		return s, nil
+	}
+	s, err := build()
+	if err != nil {
+		return s, err
+	}
+	m[id] = s
+	return s, nil
+}
+
 // detScheme returns the DET scheme for a column's constants. Columns in
 // the same join group share keys (JOIN mode).
 func (d *Deployment) detScheme(table, column string) (*det.Scheme, error) {
 	id := table + "\x00" + column + "\x00" + string(d.km.JoinGroups().KeyLabel(table, column))
-	if s, ok := d.schemes.det[id]; ok {
-		return s, nil
-	}
-	s, err := det.New(d.km.ColumnKey(table, column, keys.ClassDET))
-	if err != nil {
-		return nil, err
-	}
-	d.schemes.det[id] = s
-	return s, nil
+	return cachedScheme(&d.schemes.mu, d.schemes.det, id, func() (*det.Scheme, error) {
+		return det.New(d.km.ColumnKey(table, column, keys.ClassDET))
+	})
 }
 
 // opeScheme returns the OPE scheme for a column (JOIN-OPE key sharing).
 func (d *Deployment) opeScheme(table, column string) (*ope.Scheme, error) {
 	id := table + "\x00" + column + "\x00" + string(d.km.JoinGroups().KeyLabel(table, column))
-	if s, ok := d.schemes.ope[id]; ok {
-		return s, nil
-	}
-	s, err := ope.New(d.km.ColumnKey(table, column, keys.ClassOPE), d.opeParams)
-	if err != nil {
-		return nil, err
-	}
-	d.schemes.ope[id] = s
-	return s, nil
+	return cachedScheme(&d.schemes.mu, d.schemes.ope, id, func() (*ope.Scheme, error) {
+		return ope.New(d.km.ColumnKey(table, column, keys.ClassOPE), d.opeParams)
+	})
 }
 
 // probScheme returns the PROB scheme for a column.
 func (d *Deployment) probScheme(table, column string) (*prob.Scheme, error) {
 	id := table + "\x00" + column
-	if s, ok := d.schemes.prob[id]; ok {
-		return s, nil
-	}
-	s, err := prob.New(d.km.ColumnKey(table, column, keys.ClassPROB))
-	if err != nil {
-		return nil, err
-	}
-	d.schemes.prob[id] = s
-	return s, nil
+	return cachedScheme(&d.schemes.mu, d.schemes.prob, id, func() (*prob.Scheme, error) {
+		return prob.New(d.km.ColumnKey(table, column, keys.ClassPROB))
+	})
 }
 
 // --- value encoding ---
@@ -420,7 +487,8 @@ func (d *Deployment) encryptHOM(v value.Value) (value.Value, error) {
 	if v.Kind() != value.KindInt {
 		return value.Value{}, fmt.Errorf("encdb: HOM requires integer values, got %s", v.Kind())
 	}
-	c, err := d.homEnc.EncryptInt64(nil, v.AsInt())
+	_, enc := d.hom()
+	c, err := enc.EncryptInt64(nil, v.AsInt())
 	if err != nil {
 		return value.Value{}, err
 	}

@@ -21,14 +21,14 @@ const avgPairTag = 'A'
 // to plaintext semantics (MIN/MAX compare OPE ciphertext bytes, which
 // equals plaintext order).
 func (d *Deployment) Aggregator() db.Aggregator {
-	return AggregatorFor(&d.paillier.PublicKey)
+	return AggregatorFor(&d.Paillier().PublicKey)
 }
 
 // AggregatorKey returns the public-key material behind Aggregator — the
 // only piece of it that must travel to a remote service provider; the
 // provider reconstructs the evaluator with AggregatorFor.
 func (d *Deployment) AggregatorKey() *hom.PublicKey {
-	return &d.paillier.PublicKey
+	return &d.Paillier().PublicKey
 }
 
 // AggregatorFor builds the encrypted aggregate evaluator from a Paillier
@@ -182,17 +182,19 @@ func (d *Deployment) aggDecoder(r *rewriter, f *sqlparse.FuncCall) (colDecoder, 
 	}
 	switch f.Name {
 	case "SUM":
+		sk := d.Paillier()
 		return func(v value.Value) (value.Value, error) {
 			if v.IsNull() {
 				return v, nil
 			}
-			m, err := d.paillier.DecryptInt64(v.AsBigInt())
+			m, err := sk.DecryptInt64(v.AsBigInt())
 			if err != nil {
 				return value.Value{}, err
 			}
 			return value.Int(m), nil
 		}, nil
 	case "AVG":
+		sk := d.Paillier()
 		return func(v value.Value) (value.Value, error) {
 			if v.IsNull() {
 				return v, nil
@@ -205,7 +207,7 @@ func (d *Deployment) aggDecoder(r *rewriter, f *sqlparse.FuncCall) (colDecoder, 
 			if count == 0 {
 				return value.Null(), nil
 			}
-			sum, err := d.paillier.DecryptInt64(new(big.Int).SetBytes(b[9:]))
+			sum, err := sk.DecryptInt64(new(big.Int).SetBytes(b[9:]))
 			if err != nil {
 				return value.Value{}, err
 			}

@@ -186,15 +186,32 @@ func (h *instrumented) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 
 	rec := &statusRecorder{ResponseWriter: w}
 	h.metrics.inflightAdd(1)
+	// A panicking handler is still lowered from the inflight gauge,
+	// counted (as a 500) and logged; the panic then goes on to
+	// net/http, which handles it as it would without this wrapper.
+	defer func() {
+		p := recover()
+		if p != nil {
+			rec.status = http.StatusInternalServerError
+		}
+		h.finish(r, rec, id, time.Since(start), trace, p)
+		if p != nil {
+			panic(p)
+		}
+	}()
 	// The mux writes the matched pattern back onto r before dispatch,
-	// so r.Pattern is readable here once ServeHTTP returns.
+	// so r.Pattern is readable once ServeHTTP returns or panics.
 	h.mux.ServeHTTP(rec, r)
+}
+
+// finish lowers the inflight gauge, observes the request and writes its
+// access-log line: INFO for a served request, ERROR for one whose
+// handler panicked with p.
+func (h *instrumented) finish(r *http.Request, rec *statusRecorder, id string, d time.Duration, trace *obs.Trace, p any) {
 	h.metrics.inflightAdd(-1)
 	if rec.status == 0 {
 		rec.status = http.StatusOK
 	}
-
-	d := time.Since(start)
 	// Requests that matched no pattern (404s, bad methods) share one
 	// "unmatched" series.
 	route, ok := h.labels[r.Pattern]
@@ -214,6 +231,11 @@ func (h *instrumented) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		slog.Int64("bytes", rec.bytes),
 		slog.Duration("dur", d),
 		slog.String("request_id", id),
+	}
+	if p != nil {
+		attrs = append(attrs, slog.Any("panic", p))
+		h.logger.LogAttrs(r.Context(), slog.LevelError, "request", attrs...)
+		return
 	}
 	h.logger.LogAttrs(r.Context(), slog.LevelInfo, "request", attrs...)
 	if h.slow > 0 && d >= h.slow {

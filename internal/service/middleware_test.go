@@ -1,9 +1,12 @@
 package service
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"log/slog"
 	"net/http"
 	"net/http/httptest"
 	"regexp"
@@ -457,5 +460,71 @@ func TestStageNamesRegistered(t *testing.T) {
 		if !registered[name] {
 			t.Errorf("emitted stage %q is not in stageNames", name)
 		}
+	}
+}
+
+// TestPanickingHandlerCountedAndLogged: a handler that panics still
+// leaves the inflight gauge, counts as a 500 under its route and writes
+// one ERROR access-log line with its request id; the panic itself goes
+// on to net/http unchanged, and no series appears but its counter.
+func TestPanickingHandlerCountedAndLogged(t *testing.T) {
+	o := obs.NewRegistry()
+	var logs bytes.Buffer
+	boom := errors.New("boom")
+	mux := http.NewServeMux()
+	mux.HandleFunc("GET /v1/boom", func(http.ResponseWriter, *http.Request) { panic(boom) })
+	labels := map[string]string{"GET /v1/boom": "boom"}
+	h := &instrumented{
+		mux:     mux,
+		labels:  labels,
+		metrics: newHTTPMetrics(o, labels),
+		logger:  slog.New(slog.NewJSONHandler(&logs, nil)),
+	}
+	before := scrape(t, o)
+
+	req := httptest.NewRequest(http.MethodGet, "/v1/boom", nil)
+	req.Header.Set(RequestIDHeader, "panic-1")
+	func() {
+		defer func() {
+			if p := recover(); p != boom {
+				t.Errorf("recovered %v, want the handler's own panic", p)
+			}
+		}()
+		h.ServeHTTP(httptest.NewRecorder(), req)
+	}()
+
+	const counter = `dpe_http_requests_total{code="500",route="boom"}`
+	after := scrape(t, o)
+	for key, want := range map[string]float64{
+		`dpe_http_inflight_requests`:                            0,
+		`dpe_http_request_duration_seconds_count{route="boom"}`: 1,
+		counter: 1,
+	} {
+		if got, ok := after[key]; !ok || got != want {
+			t.Errorf("%s = %v (present %v), want %v", key, got, ok, want)
+		}
+	}
+	for key := range after {
+		if _, ok := before[key]; !ok && key != counter {
+			t.Errorf("new series %s", key)
+		}
+	}
+
+	lines := strings.Split(strings.TrimSpace(logs.String()), "\n")
+	if len(lines) != 1 {
+		t.Fatalf("%d log lines, want 1:\n%s", len(lines), logs.String())
+	}
+	var line struct {
+		Level     string `json:"level"`
+		Route     string `json:"route"`
+		Status    int    `json:"status"`
+		RequestID string `json:"request_id"`
+		Panic     string `json:"panic"`
+	}
+	if err := json.Unmarshal([]byte(lines[0]), &line); err != nil {
+		t.Fatal(err)
+	}
+	if line.Level != "ERROR" || line.Route != "boom" || line.Status != 500 || line.RequestID != "panic-1" || line.Panic != "boom" {
+		t.Errorf("access-log line %s", lines[0])
 	}
 }
